@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint bench cover scenarios bench-regress bench-perf bench-cache bench-metrics bench-strategy bench-trace golden
+.PHONY: all build test lint bench cover scenarios bench-regress bench-perf bench-cache bench-metrics bench-strategy bench-trace benchmark benchmark-smoke golden
 
 all: build lint test
 
@@ -112,6 +112,19 @@ bench-metrics:
 # the committed BENCH_trace.json up to elapsed_ms and overhead timings.
 bench-trace:
 	$(GO) run ./cmd/fastttsbench -trace -out .
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md): four
+# ~2 s-per-pass workloads, eleven end-to-end metrics each, every pass
+# checked against the warm-up's result digest. A PR that touches a hot
+# path runs it on the parent commit and on the change and pastes both
+# tables. benchmark-smoke is the same program shrunk to seconds — it
+# proves the benchmark builds, serves and passes its own checks, not a
+# timing.
+benchmark:
+	bash benchmark/run.sh
+
+benchmark-smoke:
+	$(GO) run ./benchmark -scale 0.02 -passes 1
 
 # Regenerate the golden traces after an *intentional* behavior change.
 # Review the resulting diff like code before committing it.

@@ -7,6 +7,7 @@ import (
 	"fasttts/internal/hw"
 	"fasttts/internal/kvcache"
 	"fasttts/internal/model"
+	"fasttts/internal/sched"
 	"fasttts/internal/search"
 	"fasttts/internal/workload"
 )
@@ -33,13 +34,7 @@ func AblationBlockSize(o RunOpts) (*Report, error) {
 		cache := kvcache.NewBlocked(budget, kvPerToken, block)
 		resident := 0
 		for _, path := range paths {
-			var tokens []kvcache.Token
-			for _, ref := range path.Lineage {
-				for j := 0; j < ref.Tokens; j++ {
-					tokens = append(tokens, kvcache.Token(ref.Node<<12|minInt(j, 4095)))
-				}
-			}
-			if _, _, _, err := cache.Acquire(tokens); err != nil {
+			if _, _, _, err := cache.AcquireRuns(lineageRuns(path)); err != nil {
 				break
 			}
 			resident++
@@ -47,13 +42,7 @@ func AblationBlockSize(o RunOpts) (*Report, error) {
 		// Exact usage of the same content for the fragmentation ratio.
 		exact := kvcache.New(64<<30, kvPerToken)
 		for i := 0; i < resident; i++ {
-			var tokens []kvcache.Token
-			for _, ref := range paths[i].Lineage {
-				for j := 0; j < ref.Tokens; j++ {
-					tokens = append(tokens, kvcache.Token(ref.Node<<12|minInt(j, 4095)))
-				}
-			}
-			exact.Acquire(tokens)
+			exact.AcquireRuns(lineageRuns(paths[i]))
 		}
 		frag := 0.0
 		if exact.UsedTokens() > 0 {
@@ -69,11 +58,16 @@ func AblationBlockSize(o RunOpts) (*Report, error) {
 	return r, nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// lineageRuns is the path's token sequence, one run per node: token j of
+// node k is k<<12 | j. growTree's nodes — an AIME prompt or one thinking
+// step of at most search.DefaultStepBudget tokens — stay below the 4096
+// values a node has.
+func lineageRuns(path sched.Path) []kvcache.Run {
+	runs := make([]kvcache.Run, len(path.Lineage))
+	for i, ref := range path.Lineage {
+		runs[i] = kvcache.Run{First: kvcache.Token(ref.Node << 12), N: ref.Tokens}
 	}
-	return b
+	return runs
 }
 
 // ExtServingLoad measures the two-phase scheduler (§4.1.2) under an

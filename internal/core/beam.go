@@ -7,21 +7,42 @@ import (
 	"fasttts/internal/workload"
 )
 
-// Token materialization: every reasoning-tree node (prompt, thinking step,
+// Token identity layout: every reasoning-tree node (prompt, thinking step,
 // speculative branch) gets a unique node ID, and token j of node k has the
-// value k<<tokenShift | j. Children copy their parent's token values, so
-// equal genealogy prefixes are bit-equal token sequences and the radix
-// caches share them physically.
+// value k<<tokenShift | j — so a node's tokens are one kvcache.Run starting
+// at k<<tokenShift, and a beam's path is one run per node on its genealogy
+// (nodeRuns), never a materialized token array. Children copy their
+// parent's runs, so equal genealogy prefixes are equal token sequences and
+// the radix caches share them physically.
 const tokenShift = 12 // up to 4096 tokens per node, 2^20 nodes per solve
 
-func nodeTokens(node, count int) []kvcache.Token {
-	out := make([]kvcache.Token, count)
-	base := kvcache.Token(node) << tokenShift
-	for j := range out {
-		out[j] = base | kvcache.Token(j)
+// appendNodeRuns appends the first count tokens of node to dst. The OR in
+// k<<tokenShift | j overflows into the node bits once j reaches 4096 (a
+// 4800-token few-shot prompt, a long CoT mega-step): chunk c = j>>12 lands
+// on the values of node|c — the next block up for an even node's chunk 1,
+// chunk 0 over again for an odd node's. The emitted stream is exactly that
+// one, a run per 4096-token chunk merged where adjacent. Removing the
+// aliasing would change which tokens collide and hence cache behaviour, so
+// it is out of scope here.
+func appendNodeRuns(dst []kvcache.Run, node, count int) []kvcache.Run {
+	const chunk = 1 << tokenShift
+	for c := 0; c*chunk < count; c++ {
+		r := kvcache.Run{
+			First: (kvcache.Token(node) | kvcache.Token(c)) << tokenShift,
+			N:     min(chunk, count-c*chunk),
+		}
+		// Merge only into this node's own previous chunk: callers index
+		// dst by node boundary.
+		if last := len(dst) - 1; c > 0 && dst[last].First+kvcache.Token(dst[last].N) == r.First {
+			dst[last].N += r.N
+		} else {
+			dst = append(dst, r)
+		}
 	}
-	return out
+	return dst
 }
+
+func nodeRuns(node, count int) []kvcache.Run { return appendNodeRuns(nil, node, count) }
 
 // specBranch is one speculative continuation generated for a finished
 // beam during the current iteration (§4.1.1).
@@ -40,14 +61,20 @@ type beam struct {
 
 	// tokens is the committed sequence: prompt + all thinking steps,
 	// including the step being generated this iteration (token values
-	// are known upfront; decode rounds only account for the time).
-	tokens  []kvcache.Token
+	// are known upfront; decode rounds only account for the time), as
+	// runs that never merge across nodes; tokLen is its token count and
+	// freshAt the index of the first run of this iteration's fresh step.
+	tokens  []kvcache.Run
+	tokLen  int
+	freshAt int
 	lineage []sched.NodeRef
 
 	// pending are speculative tokens retained from previous iterations
 	// that have not been committed into a step yet (the beam's "head
-	// start"); pendingLin tracks their node structure.
-	pending    []kvcache.Token
+	// start"), pendLen tokens in all; pendingLin tracks their node
+	// structure.
+	pending    []kvcache.Run
+	pendLen    int
 	pendingLin []sched.NodeRef
 
 	// Per-iteration working state.
@@ -88,16 +115,29 @@ func (b *beam) schedPath() sched.Path {
 // takePending consumes up to n pending tokens into the committed
 // sequence, returning how many were consumed.
 func (b *beam) takePending(n int) int {
-	if n > len(b.pending) {
-		n = len(b.pending)
+	if n > b.pendLen {
+		n = b.pendLen
 	}
 	if n == 0 {
 		return 0
 	}
-	b.tokens = append(b.tokens, b.pending[:n]...)
-	b.pending = b.pending[n:]
-	// Move lineage refs across, splitting the last node if needed.
+	b.tokLen += n
+	b.pendLen -= n
+	// Move runs across, splitting the last one if needed.
 	remaining := n
+	for remaining > 0 {
+		run := b.pending[0]
+		if run.N <= remaining {
+			b.pending = b.pending[1:]
+		} else {
+			b.pending[0] = kvcache.Run{First: run.First + kvcache.Token(remaining), N: run.N - remaining}
+			run.N = remaining
+		}
+		b.tokens = append(b.tokens, run)
+		remaining -= run.N
+	}
+	// Move lineage refs across likewise.
+	remaining = n
 	for remaining > 0 {
 		ref := b.pendingLin[0]
 		if ref.Tokens <= remaining {
@@ -120,7 +160,8 @@ func (b *beam) child(id int, r, obsR, specR *rng.Stream) *beam {
 		id:       id,
 		subtree:  b.subtree,
 		state:    b.state,
-		tokens:   append([]kvcache.Token(nil), b.tokens...),
+		tokens:   append([]kvcache.Run(nil), b.tokens...),
+		tokLen:   b.tokLen,
 		lineage:  append([]sched.NodeRef(nil), b.lineage...),
 		score:    b.score,
 		hasScore: b.hasScore,
@@ -132,13 +173,14 @@ func (b *beam) child(id int, r, obsR, specR *rng.Stream) *beam {
 
 // specChain returns all currently known speculative tokens for the
 // beam: leftover pending plus the primary (first) spec branch, in decode
-// order. Used by LookAhead Verification and by branching.
-func (b *beam) specChain(materialize func(specBranch) []kvcache.Token) ([]kvcache.Token, []sched.NodeRef) {
-	tokens := append([]kvcache.Token(nil), b.pending...)
+// order, with their node structure. Used by LookAhead Verification and by
+// branching.
+func (b *beam) specChain() ([]kvcache.Run, []sched.NodeRef) {
+	runs := append([]kvcache.Run(nil), b.pending...)
 	lin := append([]sched.NodeRef(nil), b.pendingLin...)
 	if len(b.specs) > 0 && b.specs[0].count > 0 {
-		tokens = append(tokens, materialize(b.specs[0])...)
+		runs = appendNodeRuns(runs, b.specs[0].node, b.specs[0].count)
 		lin = append(lin, sched.NodeRef{Node: b.specs[0].node, Tokens: b.specs[0].count})
 	}
-	return tokens, lin
+	return runs, lin
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // testConfig returns the memory-constrained 1.5B+1.5B deployment (§6.1).
-func testConfig(t *testing.T, pol search.Policy, opts Options) Config {
+func testConfig(t testing.TB, pol search.Policy, opts Options) Config {
 	t.Helper()
 	return Config{
 		GPU:            hw.RTX4090,
@@ -29,7 +29,7 @@ func testConfig(t *testing.T, pol search.Policy, opts Options) Config {
 	}
 }
 
-func aimeProblem(t *testing.T, idx int) *workload.Problem {
+func aimeProblem(t testing.TB, idx int) *workload.Problem {
 	t.Helper()
 	return workload.NewDataset(workload.AIME24, rng.New(7)).Problems[idx]
 }

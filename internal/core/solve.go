@@ -87,6 +87,8 @@ type solver struct {
 	maxIters int
 	begun    bool
 
+	specExt []kvcache.Run // execTrie's speculative-extension path, reused
+
 	// preempt is probed during decode rounds; while it returns true,
 	// speculative execution is suspended (§4.1.2). The multi-tenant server
 	// swaps it per device slice.
@@ -165,11 +167,11 @@ func (s *solver) run() (*Result, error) {
 func (s *solver) begin() {
 	pol := s.cfg.Policy
 	// Root beams share the prompt.
-	prompt := nodeTokens(promptNode, s.p.PromptTokens)
+	prompt := nodeRuns(promptNode, s.p.PromptTokens)
 	s.gen.PrefillBatch([]engine.PrefillItem{
 		{NewTokens: s.p.PromptTokens, CtxTokens: s.p.PromptTokens},
 	}, trace.PhaseGenerate)
-	if seq, _, _, err := s.gen.Cache.Acquire(prompt); err == nil {
+	if seq, _, _, err := s.gen.Cache.AcquireRuns(prompt); err == nil {
 		s.gen.Cache.Release(seq) // stays resident, unreferenced
 	}
 	for i := 0; i < pol.Width(); i++ {
@@ -178,7 +180,8 @@ func (s *solver) begin() {
 		s.active = append(s.active, &beam{
 			id:      id,
 			subtree: pol.InitialSubtree(i),
-			tokens:  append([]kvcache.Token(nil), prompt...),
+			tokens:  append([]kvcache.Run(nil), prompt...),
+			tokLen:  s.p.PromptTokens,
 			lineage: []sched.NodeRef{{Node: promptNode, Tokens: s.p.PromptTokens}},
 			r:       s.root.ChildN("beam", id),
 			obsR:    s.root.ChildN("obs", id),
@@ -300,7 +303,7 @@ func (s *solver) allocate() error {
 	}
 	avgLen := 0
 	for _, b := range s.active {
-		avgLen += len(b.tokens)
+		avgLen += b.tokLen
 	}
 	avgLen /= n
 	if avgLen < 16 {
@@ -482,9 +485,11 @@ func (s *solver) commitStep(b *beam) {
 	b.stepTokens = total
 	used := b.takePending(total)
 	fresh := total - used
+	b.freshAt = len(b.tokens)
 	if fresh > 0 {
 		node := s.newNode()
-		b.tokens = append(b.tokens, nodeTokens(node, fresh)...)
+		b.tokens = appendNodeRuns(b.tokens, node, fresh)
+		b.tokLen += fresh
 		b.lineage = append(b.lineage, sched.NodeRef{Node: node, Tokens: fresh})
 	}
 	b.rem = fresh
@@ -566,13 +571,13 @@ func (s *solver) execTrie(group []*beam) {
 	// full path is re-prefilled as a fresh prompt each iteration.
 	var recomp []engine.PrefillItem
 	for _, b := range group {
-		prevLen := len(b.tokens) - b.rem
+		prevLen := b.tokLen - b.rem
 		if !s.cfg.Opts.GeneratorPrefixCache {
 			recomp = append(recomp, engine.PrefillItem{NewTokens: prevLen, CtxTokens: prevLen})
 			s.recomputed += int64(prevLen)
 			continue
 		}
-		seq, _, miss, err := s.gen.Cache.Acquire(b.tokens[:prevLen])
+		seq, _, miss, err := s.gen.Cache.AcquireRuns(b.tokens[:b.freshAt])
 		if err != nil {
 			// Pinned-full or oversized path: stream uncached.
 			miss = prevLen
@@ -583,7 +588,7 @@ func (s *solver) execTrie(group []*beam) {
 			s.recomputed += int64(miss)
 		}
 		if seq != nil && b.rem > 0 {
-			if _, _, err := s.gen.Cache.Extend(seq, b.tokens[prevLen:]); err != nil {
+			if _, _, err := s.gen.Cache.Extend(seq, b.tokens[b.freshAt:]); err != nil {
 				s.gen.Cache.Release(seq)
 				seq = nil
 			}
@@ -607,7 +612,7 @@ func (s *solver) execTrie(group []*beam) {
 			if sp.count == 0 {
 				continue
 			}
-			need := int64(len(b.pending) + sp.count)
+			need := int64(b.pendLen + sp.count)
 			if s.gen.Cache.FreeTokens() < need {
 				// Opportunistic: never evict committed prefixes to keep
 				// speculative KV. The token content survives in the beam
@@ -618,8 +623,8 @@ func (s *solver) execTrie(group []*beam) {
 			if err != nil {
 				continue
 			}
-			ext := append(append([]kvcache.Token(nil), b.pending...), nodeTokens(sp.node, sp.count)...)
-			s.gen.Cache.Extend(fork, ext)
+			s.specExt = appendNodeRuns(append(s.specExt[:0], b.pending...), sp.node, sp.count)
+			s.gen.Cache.Extend(fork, s.specExt)
 			s.gen.Cache.Release(fork)
 		}
 	}
@@ -680,7 +685,7 @@ func (s *solver) decodeRounds(group []*beam) {
 		if b.rem > 0 {
 			active++
 			buckets[b.rem] = append(buckets[b.rem], b)
-			ctx += int64(len(b.tokens) - b.rem)
+			ctx += int64(b.tokLen - b.rem)
 		}
 	}
 	speculating := s.cfg.Opts.Speculative && s.cfg.Policy.UsesVerifier()
@@ -728,18 +733,18 @@ func (s *solver) decodeRounds(group []*beam) {
 					s.cfg.Policy.StepBudget(b.state.Steps), b.r)
 				b.nextSteps = append(b.nextSteps, st)
 			}
-			capTok := b.nextSteps[0].Tokens - len(b.pending)
+			capTok := b.nextSteps[0].Tokens - b.pendLen
 			if capTok <= 0 {
 				continue // next step already fully covered
 			}
-			base := int64(len(b.tokens) + len(b.pending))
+			base := int64(b.tokLen + b.pendLen)
 			if specCtx+base > specCtxBudget {
 				continue // spec reads would slow the round measurably
 			}
 			node := s.newNode()
 			b.specs = append(b.specs, specBranch{
 				node: node, cap: capTok,
-				ctxLen: len(b.tokens) + len(b.pending),
+				ctxLen: b.tokLen + b.pendLen,
 			})
 			specActive = append(specActive, slot{b: b, idx: len(b.specs) - 1})
 			ctx += base
@@ -785,7 +790,7 @@ func (s *solver) decodeRounds(group []*beam) {
 		if r < len(buckets) {
 			for _, b := range buckets[r] {
 				active--
-				ctx -= int64(len(b.tokens))
+				ctx -= int64(b.tokLen)
 				pushCand(b)
 			}
 		}
@@ -844,12 +849,12 @@ func (s *solver) verificationPhase(ordered []*beam) {
 	}
 	reqs := make([]verify.Request, len(ordered))
 	for i, b := range ordered {
-		var spec []kvcache.Token
+		var spec []kvcache.Run
 		// Co-verify speculative chains only for top-bin beams — the ones
 		// most likely to survive selection (§4.1.1's priority heuristic
 		// applied to verification spend).
 		if s.ver.LookAhead && !b.stepTerminal && b.specEligible >= bins {
-			spec, _ = b.specChain(s.materializeSpec)
+			spec, _ = b.specChain()
 		}
 		reqs[i] = verify.Request{
 			Tokens:     b.tokens,
@@ -863,20 +868,15 @@ func (s *solver) verificationPhase(ordered []*beam) {
 	for i, b := range ordered {
 		b.score = scores[i]
 		b.hasScore = true
-		total := len(reqs[i].Tokens) + len(reqs[i].SpecTokens)
-		if total > b.verifiedLen {
+		if total := b.tokLen + kvcache.Len(reqs[i].SpecTokens); total > b.verifiedLen {
 			b.verifiedLen = total
 		}
-		if cv := b.verifiedLen - len(b.tokens); cv > 0 {
+		if cv := b.verifiedLen - b.tokLen; cv > 0 {
 			b.coVerified = cv
 		} else {
 			b.coVerified = 0
 		}
 	}
-}
-
-func (s *solver) materializeSpec(sp specBranch) []kvcache.Token {
-	return nodeTokens(sp.node, sp.count)
 }
 
 // selectAndBranch collects terminated paths, applies the policy's
@@ -921,7 +921,7 @@ func (s *solver) selectAndBranch() {
 	for _, br := range branches {
 		b := byID[br.ID]
 		// Original adopts its full speculative chain as pending tokens.
-		chainTok, chainLin := b.specChain(s.materializeSpec)
+		chainRuns, chainLin := b.specChain()
 		if len(b.specs) > 0 {
 			s.specRetained += int64(b.specs[0].count)
 		}
@@ -933,13 +933,13 @@ func (s *solver) selectAndBranch() {
 				s.root.ChildN("beam", id),
 				s.root.ChildN("obs", id),
 				s.root.ChildN("spec", id))
-			child.verifiedLen = len(child.tokens)
+			child.verifiedLen = child.tokLen
 			if s.cfg.Opts.Speculative {
 				s.seedChildPending(b, child, c)
 			}
 			next = append(next, child)
 		}
-		b.pending = chainTok
+		b.pending, b.pendLen = chainRuns, kvcache.Len(chainRuns)
 		b.pendingLin = chainLin
 		b.specs = nil
 	}
@@ -957,22 +957,17 @@ func (s *solver) seedChildPending(b, child *beam, c int) {
 	if branchIdx >= len(b.specs) {
 		branchIdx = len(b.specs) - 1
 	}
-	var tokens []kvcache.Token
-	var lin []sched.NodeRef
-	if branchIdx >= 0 && b.specs[branchIdx].count > 0 {
-		tokens = nodeTokens(b.specs[branchIdx].node, b.specs[branchIdx].count)
-		lin = []sched.NodeRef{{Node: b.specs[branchIdx].node, Tokens: b.specs[branchIdx].count}}
-	}
-	if len(tokens) == 0 {
+	if branchIdx < 0 || b.specs[branchIdx].count == 0 {
 		return
 	}
+	sp := b.specs[branchIdx]
 	f := child.specR.NormClamped(s.cfg.Opts.TruncationRatio, 0.1, 0, 1)
-	keep := int(f * float64(len(tokens)))
+	keep := int(f * float64(sp.count))
 	if keep <= 0 {
 		return
 	}
-	child.pending = tokens[:keep]
-	child.pendingLin = []sched.NodeRef{{Node: lin[0].Node, Tokens: keep}}
+	child.pending, child.pendLen = nodeRuns(sp.node, keep), keep
+	child.pendingLin = []sched.NodeRef{{Node: sp.node, Tokens: keep}}
 	s.specRetained += int64(keep)
 }
 

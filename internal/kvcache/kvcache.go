@@ -9,6 +9,16 @@
 // a sequence whose cached prefix was evicted must be recomputed (re-
 // prefilled), which is exactly the cost Dynamic Prefix-Aware Scheduling
 // minimizes.
+//
+// Token identity layout. The simulator never invents arbitrary token
+// values: every producer (a reasoning-tree node in internal/core, a prompt
+// or decode stream in internal/memplane) numbers its tokens consecutively
+// from a base, so a path is a handful of arithmetic runs. Paths therefore
+// enter and live in the tree in run-length form ([]Run), and matching,
+// splitting and extending are done in token counts over runs: an Acquire
+// costs O(runs on the path), not O(tokens), while node boundaries — and
+// with them every hit, miss and eviction number — are exactly those of a
+// token-by-token radix tree (oracle_test.go holds one and checks).
 package kvcache
 
 import (
@@ -22,6 +32,111 @@ import (
 // equal token sequences.
 type Token uint32
 
+// Run is N consecutive token values First, First+1, …, First+N-1 (modulo
+// 2^32). A path is a []Run; how a path is cut into runs carries no meaning,
+// only the token values it expands to do. Runs with N <= 0 are empty.
+type Run struct {
+	First Token
+	N     int
+}
+
+// Len returns the number of tokens runs expands to.
+func Len(runs []Run) int {
+	n := 0
+	for _, r := range runs {
+		if r.N > 0 {
+			n += r.N
+		}
+	}
+	return n
+}
+
+// appendRun appends r to dst, merging it into dst's last run when it
+// continues that run's values and dropping it when empty.
+func appendRun(dst []Run, r Run) []Run {
+	if r.N <= 0 {
+		return dst
+	}
+	if k := len(dst) - 1; k >= 0 && dst[k].First+Token(dst[k].N) == r.First {
+		dst[k].N += r.N
+		return dst
+	}
+	return append(dst, r)
+}
+
+// appendTokens run-compresses tokens onto dst.
+func appendTokens(dst []Run, tokens []Token) []Run {
+	for i := 0; i < len(tokens); {
+		j := i + 1
+		for j < len(tokens) && tokens[j] == tokens[j-1]+1 {
+			j++
+		}
+		dst = appendRun(dst, Run{First: tokens[i], N: j - i})
+		i = j
+	}
+	return dst
+}
+
+// cursor reads a path by token count. It always rests on a non-empty run
+// or at the end.
+type cursor struct {
+	runs []Run
+	i    int // current run
+	off  int // tokens of runs[i] already consumed
+}
+
+func newCursor(runs []Run) cursor {
+	q := cursor{runs: runs}
+	q.settle()
+	return q
+}
+
+func (q *cursor) settle() {
+	for q.i < len(q.runs) && q.off >= q.runs[q.i].N {
+		q.i++
+		q.off = 0
+	}
+}
+
+func (q *cursor) done() bool { return q.i == len(q.runs) }
+
+// next is the token under the cursor; the cursor must not be done.
+func (q *cursor) next() Token { return q.runs[q.i].First + Token(q.off) }
+
+// match consumes the longest common prefix of span and the remaining path
+// and returns its token count. Each step compares one value and skips to
+// the nearer run end, so the cost is the number of run boundaries crossed.
+func (q *cursor) match(span []Run) int {
+	k := 0
+	for _, r := range span {
+		v, left := r.First, r.N
+		for left > 0 {
+			if q.done() || q.next() != v {
+				return k
+			}
+			step := min(left, q.runs[q.i].N-q.off)
+			k += step
+			v += Token(step)
+			left -= step
+			q.off += step
+			q.settle()
+		}
+	}
+	return k
+}
+
+// rest appends the unconsumed part of the path to dst.
+func (q *cursor) rest(dst []Run) []Run {
+	if q.done() {
+		return dst
+	}
+	dst = appendRun(dst, Run{First: q.next(), N: q.runs[q.i].N - q.off})
+	for _, r := range q.runs[q.i+1:] {
+		dst = appendRun(dst, r)
+	}
+	return dst
+}
+
 // Stats accumulates cache activity counters.
 type Stats struct {
 	HitTokens     int64 // tokens found cached on acquire/extend
@@ -32,12 +147,14 @@ type Stats struct {
 
 type node struct {
 	parent   *node
-	children map[Token]*node
-	tokens   []Token
-	refs     int // live sequences whose pinned path passes through here
-	owners   map[*Seq]struct{}
-	lastUsed uint64 // LRU clock value
-	heapIdx  int    // index in the eviction heap, -1 if absent
+	children map[Token]*node // keyed by first span token; nil until the first child
+	span     []Run           // merged runs; starts out backed by one
+	one      [1]Run          // inline storage for the common single-run span
+	length   int             // tokens in span
+	refs     int             // live sequences whose pinned path passes through here
+	owners   *Seq            // handles ending here, linked through Seq.next
+	lastUsed uint64          // LRU clock value
+	heapIdx  int             // index in the eviction heap, -1 if absent
 }
 
 func (n *node) evictable() bool {
@@ -47,9 +164,10 @@ func (n *node) evictable() bool {
 // Seq is a handle to an acquired sequence. While held, the sequence's
 // entire path is pinned in cache. Release the handle to make it evictable.
 type Seq struct {
-	leaf     *node
-	length   int // tokens along the path
-	released bool
+	leaf       *node
+	length     int // tokens along the path
+	released   bool
+	prev, next *Seq // neighbours in leaf's owner list
 }
 
 // Len returns the number of tokens the sequence currently spans.
@@ -72,6 +190,7 @@ type Cache struct {
 	clock         uint64
 	evictHeap     evictHeap
 	stats         Stats
+	scratch       []Run // Acquire's run-compressed argument, reused
 }
 
 // ErrTooLarge is returned when a single sequence cannot fit in the cache
@@ -102,7 +221,7 @@ func NewBlocked(capacityBytes, bytesPerToken int64, blockTokens int) *Cache {
 		bytesPerToken: bytesPerToken,
 		capacity:      capacityBytes,
 		blockTokens:   blockTokens,
-		root:          &node{children: map[Token]*node{}, heapIdx: -1},
+		root:          &node{heapIdx: -1},
 	}
 }
 
@@ -132,7 +251,7 @@ func (c *Cache) PinnedTokens() int64 {
 	var walk func(*node)
 	walk = func(n *node) {
 		if n.refs > 0 && n.parent != nil {
-			pinned += int64(len(n.tokens))
+			pinned += int64(n.length)
 		}
 		for _, ch := range n.children {
 			walk(ch)
@@ -164,50 +283,54 @@ func (c *Cache) NodeCount() int {
 // the cache.
 func (c *Cache) Fits(n int) bool { return int64(n) <= c.CapacityTokens() }
 
-// walk descends from start matching tokens, splitting a node if the match
-// ends mid-span, and returns the deepest fully matched node together with
-// the number of matched tokens. It never allocates capacity.
-func (c *Cache) walk(start *node, tokens []Token) (*node, int) {
+// walk descends from start along the path under q, splitting a node if
+// the match ends mid-span, and returns the deepest fully matched node
+// together with the number of matched tokens, leaving q on the first
+// unmatched token. It never allocates capacity.
+func (c *Cache) walk(start *node, q *cursor) (*node, int) {
 	n := start
 	matched := 0
-	for matched < len(tokens) {
-		child, ok := n.children[tokens[matched]]
+	for !q.done() {
+		child, ok := n.children[q.next()]
 		if !ok {
 			break
 		}
-		span := child.tokens
-		k := 0
-		for k < len(span) && matched+k < len(tokens) && span[k] == tokens[matched+k] {
-			k++
-		}
-		if k < len(span) {
+		k := q.match(child.span)
+		n = child
+		matched += k
+		if k < child.length {
 			// Query exhausted mid-span or diverged: split so the matched
 			// part becomes its own node boundary.
 			c.split(child, k)
-		}
-		n = child
-		matched += k
-		if k < len(span) {
 			break
 		}
 	}
 	return n, matched
 }
 
-// Acquire pins the given token sequence in the cache, inserting any suffix
-// not already present and evicting unreferenced entries if needed. It
-// returns the handle plus the number of tokens that were already cached
-// (hit) and newly inserted (miss — these must be recomputed/prefilled by
-// the engine). Acquire fails with ErrTooLarge if the sequence alone
-// exceeds capacity, or ErrPinned if live sequences occupy all memory.
+// Acquire is AcquireRuns for a path given token by token.
 func (c *Cache) Acquire(tokens []Token) (seq *Seq, hit, miss int, err error) {
-	if !c.Fits(len(tokens)) {
+	c.scratch = appendTokens(c.scratch[:0], tokens)
+	return c.AcquireRuns(c.scratch)
+}
+
+// AcquireRuns pins the given path in the cache, inserting any suffix not
+// already present and evicting unreferenced entries if needed. It returns
+// the handle plus the number of tokens that were already cached (hit) and
+// newly inserted (miss — these must be recomputed/prefilled by the
+// engine). It fails with ErrTooLarge if the sequence alone exceeds
+// capacity, or ErrPinned if live sequences occupy all memory. The cache
+// keeps no reference to runs.
+func (c *Cache) AcquireRuns(runs []Run) (seq *Seq, hit, miss int, err error) {
+	total := Len(runs)
+	if !c.Fits(total) {
 		return nil, 0, 0, ErrTooLarge
 	}
 	c.clock++
-	n, matched := c.walk(c.root, tokens)
+	q := newCursor(runs)
+	n, matched := c.walk(c.root, &q)
 	hit = matched
-	miss = len(tokens) - matched
+	miss = total - matched
 	// Pin the matched path before evicting so eviction cannot free it.
 	c.pinSegment(n, nil)
 	if miss > 0 {
@@ -215,57 +338,62 @@ func (c *Cache) Acquire(tokens []Token) (seq *Seq, hit, miss int, err error) {
 			c.unpinSegment(n, nil)
 			return nil, 0, 0, err
 		}
-		n = c.attachChild(n, tokens[matched:])
+		n = c.attachChild(n, &q, miss)
 	}
-	s := &Seq{leaf: n, length: len(tokens)}
+	s := &Seq{leaf: n, length: total}
 	c.addOwner(n, s)
 	c.stats.HitTokens += int64(hit)
 	c.stats.MissTokens += int64(miss)
 	return s, hit, miss, nil
 }
 
-// Extend appends tokens to an acquired sequence. Tokens already cached
+// Extend appends a path to an acquired sequence. Tokens already cached
 // below the sequence's current leaf (another beam may have decoded the
 // same continuation) count as hits; the remainder is inserted.
-func (c *Cache) Extend(s *Seq, tokens []Token) (hit, miss int, err error) {
+func (c *Cache) Extend(s *Seq, runs []Run) (hit, miss int, err error) {
 	if s.released {
 		return 0, 0, errors.New("kvcache: extend on released sequence")
 	}
-	if len(tokens) == 0 {
+	total := Len(runs)
+	if total == 0 {
 		return 0, 0, nil
 	}
-	if !c.Fits(s.length + len(tokens)) {
+	if !c.Fits(s.length + total) {
 		return 0, 0, ErrTooLarge
 	}
 	c.clock++
 	start := s.leaf
 	// Fast path: sole owner of a childless leaf extends in place.
 	if start.refs == 1 && len(start.children) == 0 && start.parent != nil {
-		delta := c.blockCost(len(start.tokens)+len(tokens)) - c.blockCost(len(start.tokens))
+		delta := c.blockCost(start.length+total) - c.blockCost(start.length)
 		if err := c.ensure(delta); err != nil {
 			return 0, 0, err
 		}
-		start.tokens = append(start.tokens, tokens...)
+		for _, r := range runs {
+			start.span = appendRun(start.span, r)
+		}
+		start.length += total
 		start.lastUsed = c.clock
 		c.usedTokens += delta
-		c.stats.MissTokens += int64(len(tokens))
-		s.length += len(tokens)
-		return 0, len(tokens), nil
+		c.stats.MissTokens += int64(total)
+		s.length += total
+		return 0, total, nil
 	}
-	n, matched := c.walk(start, tokens)
+	q := newCursor(runs)
+	n, matched := c.walk(start, &q)
 	hit = matched
-	miss = len(tokens) - matched
+	miss = total - matched
 	c.pinSegment(n, start)
 	if miss > 0 {
 		if err := c.ensure(c.blockCost(miss)); err != nil {
 			c.unpinSegment(n, start)
 			return 0, 0, err
 		}
-		n = c.attachChild(n, tokens[matched:])
+		n = c.attachChild(n, &q, miss)
 	}
 	c.removeOwner(start, s)
 	s.leaf = n
-	s.length += len(tokens)
+	s.length += total
 	c.addOwner(n, s)
 	c.stats.HitTokens += int64(hit)
 	c.stats.MissTokens += int64(miss)
@@ -317,25 +445,21 @@ func (c *Cache) Drop(s *Seq) {
 	}
 }
 
-// LongestCachedPrefix returns how many leading tokens of the given
-// sequence are currently resident (pinned or not). It never mutates the
-// tree.
-func (c *Cache) LongestCachedPrefix(tokens []Token) int {
+// LongestCachedPrefix returns how many leading tokens of the given path
+// are currently resident (pinned or not). It never mutates the tree.
+func (c *Cache) LongestCachedPrefix(runs []Run) int {
+	q := newCursor(runs)
 	n := c.root
 	matched := 0
-	for matched < len(tokens) {
-		child, ok := n.children[tokens[matched]]
+	for !q.done() {
+		child, ok := n.children[q.next()]
 		if !ok {
-			return matched
+			break
 		}
-		span := child.tokens
-		k := 0
-		for k < len(span) && matched+k < len(tokens) && span[k] == tokens[matched+k] {
-			k++
-		}
+		k := q.match(child.span)
 		matched += k
-		if k < len(span) {
-			return matched
+		if k < child.length {
+			break
 		}
 		n = child
 	}
@@ -352,7 +476,7 @@ func (c *Cache) EvictAll() int64 {
 		if leaf == nil {
 			return dropped
 		}
-		dropped += int64(len(leaf.tokens))
+		dropped += int64(leaf.length)
 		c.evict(leaf)
 	}
 }
@@ -371,20 +495,29 @@ func (c *Cache) Resize(capacityBytes int64) error {
 
 // --- internals ---
 
-// attachChild creates a pinned (refs=1) child of n holding tokens.
-func (c *Cache) attachChild(n *node, tokens []Token) *node {
+// attachChild creates a pinned (refs=1) child of n holding the length
+// tokens q has left.
+func (c *Cache) attachChild(n *node, q *cursor, length int) *node {
 	child := &node{
 		parent:   n,
-		children: map[Token]*node{},
-		tokens:   append([]Token(nil), tokens...),
+		length:   length,
 		refs:     1,
 		lastUsed: c.clock,
 		heapIdx:  -1,
 	}
-	n.children[tokens[0]] = child
+	child.span = q.rest(child.one[:0])
+	n.link(child)
 	c.unqueue(n) // n gained a child; no longer an evictable leaf
-	c.usedTokens += c.blockCost(len(tokens))
+	c.usedTokens += c.blockCost(length)
 	return child
+}
+
+// link files child under its first span token.
+func (n *node) link(child *node) {
+	if n.children == nil {
+		n.children = map[Token]*node{}
+	}
+	n.children[child.span[0].First] = child
 }
 
 // pinSegment increments refs from n up to (but excluding) stop. A nil
@@ -408,47 +541,71 @@ func (c *Cache) unpinSegment(n, stop *node) {
 }
 
 func (c *Cache) addOwner(n *node, s *Seq) {
-	if n.owners == nil {
-		n.owners = map[*Seq]struct{}{}
+	s.prev, s.next = nil, n.owners
+	if n.owners != nil {
+		n.owners.prev = s
 	}
-	n.owners[s] = struct{}{}
+	n.owners = s
 }
 
 func (c *Cache) removeOwner(n *node, s *Seq) {
-	delete(n.owners, s)
+	if s.prev != nil {
+		s.prev.next = s.next
+	} else {
+		n.owners = s.next
+	}
+	if s.next != nil {
+		s.next.prev = s.prev
+	}
+	s.prev, s.next = nil, nil
 }
 
-// split divides n's token span at k: n keeps tokens[:k] and a new child
-// inherits tokens[k:], n's children, refs, and — crucially — n's owner
-// handles. Every live sequence whose path covered n's full span must now
-// terminate at (or pass through) the suffix node. No live path can end
+// split divides n's span at token count k: n keeps the first k tokens and
+// a new child inherits the rest, n's children, refs, and — crucially — n's
+// owner handles. Every live sequence whose path covered n's full span must
+// now terminate at (or pass through) the suffix node. No live path can end
 // strictly inside a span: node boundaries are created at every historical
 // acquire point and nodes are never merged.
 func (c *Cache) split(n *node, k int) {
-	if k <= 0 || k >= len(n.tokens) {
+	if k <= 0 || k >= n.length {
 		return
 	}
 	suffix := &node{
 		parent:   n,
 		children: n.children,
-		tokens:   append([]Token(nil), n.tokens[k:]...),
+		length:   n.length - k,
 		refs:     n.refs,
 		owners:   n.owners,
 		lastUsed: n.lastUsed,
 		heapIdx:  -1,
 	}
+	// Find the run holding token k; off is how much of it stays with n.
+	i, off := 0, k
+	for off >= n.span[i].N {
+		off -= n.span[i].N
+		i++
+	}
+	suffix.span = append(suffix.one[:0], n.span[i:]...)
+	suffix.span[0].First += Token(off)
+	suffix.span[0].N -= off
+	if off > 0 {
+		n.span[i].N = off
+		i++
+	}
+	n.span = n.span[:i]
 	for _, ch := range suffix.children {
 		ch.parent = suffix
 	}
-	for s := range suffix.owners {
+	for s := suffix.owners; s != nil; s = s.next {
 		s.leaf = suffix
 	}
-	whole := c.blockCost(len(n.tokens))
-	n.tokens = append([]Token(nil), n.tokens[:k]...)
-	n.children = map[Token]*node{suffix.tokens[0]: suffix}
+	whole := c.blockCost(n.length)
+	n.length = k
+	n.children = nil
+	n.link(suffix)
 	n.owners = nil
 	// Block rounding: two nodes may occupy more slots than one did.
-	c.usedTokens += c.blockCost(k) + c.blockCost(len(suffix.tokens)) - whole
+	c.usedTokens += c.blockCost(k) + c.blockCost(suffix.length) - whole
 	c.unqueue(n) // n now has a child; cannot be an evictable leaf
 	if suffix.evictable() {
 		c.enqueue(suffix)
@@ -472,9 +629,9 @@ func (c *Cache) ensure(needTokens int64) error {
 // evict removes a single evictable leaf from the tree.
 func (c *Cache) evict(n *node) {
 	parent := n.parent
-	delete(parent.children, n.tokens[0])
-	c.usedTokens -= c.blockCost(len(n.tokens))
-	c.stats.EvictedTokens += int64(len(n.tokens))
+	delete(parent.children, n.span[0].First)
+	c.usedTokens -= c.blockCost(n.length)
+	c.stats.EvictedTokens += int64(n.length)
 	c.stats.Evictions++
 	n.parent = nil
 	if parent.evictable() {

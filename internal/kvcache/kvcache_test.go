@@ -16,6 +16,9 @@ func toks(vals ...int) []Token {
 	return out
 }
 
+// runsOf is the run-length form of tk, as the Acquire adapter builds it.
+func runsOf(tk []Token) []Run { return appendTokens(nil, tk) }
+
 func seqTokens(prefix []Token, n int, salt Token) []Token {
 	out := append([]Token(nil), prefix...)
 	for i := 0; i < n; i++ {
@@ -69,7 +72,7 @@ func TestSplitPreservesLookups(t *testing.T) {
 	if hit != 3 || miss != 0 {
 		t.Fatalf("prefix acquire hit=%d miss=%d, want 3/0", hit, miss)
 	}
-	if got := c.LongestCachedPrefix(toks(1, 2, 3, 4, 5, 6)); got != 6 {
+	if got := c.LongestCachedPrefix(runsOf(toks(1, 2, 3, 4, 5, 6))); got != 6 {
 		t.Errorf("full sequence prefix after split = %d, want 6", got)
 	}
 	if got := c.UsedTokens(); got != 6 {
@@ -84,10 +87,10 @@ func TestDivergenceMidSpan(t *testing.T) {
 	if hit != 2 || miss != 1 {
 		t.Fatalf("hit=%d miss=%d, want 2/1", hit, miss)
 	}
-	if got := c.LongestCachedPrefix(toks(1, 2, 3, 4)); got != 4 {
+	if got := c.LongestCachedPrefix(runsOf(toks(1, 2, 3, 4))); got != 4 {
 		t.Errorf("original sequence damaged by split: prefix=%d", got)
 	}
-	if got := c.LongestCachedPrefix(toks(1, 2, 9)); got != 3 {
+	if got := c.LongestCachedPrefix(runsOf(toks(1, 2, 9))); got != 3 {
 		t.Errorf("diverged sequence prefix=%d", got)
 	}
 }
@@ -95,13 +98,13 @@ func TestDivergenceMidSpan(t *testing.T) {
 func TestExtendInPlace(t *testing.T) {
 	c := New(1<<20, 16)
 	s, _, _ := mustAcquire(t, c, toks(1, 2))
-	if _, _, err := c.Extend(s, toks(3, 4)); err != nil {
+	if _, _, err := c.Extend(s, runsOf(toks(3, 4))); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 4 {
 		t.Errorf("Len = %d, want 4", s.Len())
 	}
-	if got := c.LongestCachedPrefix(toks(1, 2, 3, 4)); got != 4 {
+	if got := c.LongestCachedPrefix(runsOf(toks(1, 2, 3, 4))); got != 4 {
 		t.Errorf("prefix after extend = %d", got)
 	}
 }
@@ -113,16 +116,16 @@ func TestExtendAfterForkCreatesChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Extend(s, toks(3)); err != nil {
+	if _, _, err := c.Extend(s, runsOf(toks(3))); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Extend(f, toks(7)); err != nil {
+	if _, _, err := c.Extend(f, runsOf(toks(7))); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.LongestCachedPrefix(toks(1, 2, 3)); got != 3 {
+	if got := c.LongestCachedPrefix(runsOf(toks(1, 2, 3))); got != 3 {
 		t.Errorf("branch A prefix = %d", got)
 	}
-	if got := c.LongestCachedPrefix(toks(1, 2, 7)); got != 3 {
+	if got := c.LongestCachedPrefix(runsOf(toks(1, 2, 7))); got != 3 {
 		t.Errorf("branch B prefix = %d", got)
 	}
 	if got := c.UsedTokens(); got != 4 {
@@ -158,7 +161,7 @@ func TestEvictionFreesUnpinnedLRU(t *testing.T) {
 	if miss != 5 {
 		t.Fatalf("miss = %d", miss)
 	}
-	if got := c.LongestCachedPrefix(seqTokens(nil, 5, 1)); got != 0 {
+	if got := c.LongestCachedPrefix(runsOf(seqTokens(nil, 5, 1))); got != 0 {
 		t.Errorf("evicted sequence still cached: prefix=%d", got)
 	}
 	if c.Stats().EvictedTokens != 5 {
@@ -173,7 +176,7 @@ func TestPinnedNeverEvicted(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected failure: pinned entries should not be evicted")
 	}
-	if got := c.LongestCachedPrefix(seqTokens(nil, 6, 1)); got != 6 {
+	if got := c.LongestCachedPrefix(runsOf(seqTokens(nil, 6, 1))); got != 6 {
 		t.Errorf("pinned sequence evicted: prefix=%d", got)
 	}
 }
@@ -185,7 +188,7 @@ func TestSequenceLargerThanCapacity(t *testing.T) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 	s, _, _ := mustAcquire(t, c, seqTokens(nil, 2, 1))
-	if _, _, err := c.Extend(s, seqTokens(nil, 3, 9)); err != ErrTooLarge {
+	if _, _, err := c.Extend(s, runsOf(seqTokens(nil, 3, 9))); err != ErrTooLarge {
 		t.Fatalf("Extend err = %v, want ErrTooLarge", err)
 	}
 }
@@ -203,10 +206,10 @@ func TestLRUOrder(t *testing.T) {
 	}
 	c.Release(a2)
 	mustAcquire(t, c, seqTokens(nil, 8, 3)) // needs 8, evicts exactly one seq
-	if got := c.LongestCachedPrefix(seqTokens(nil, 4, 2)); got != 0 {
+	if got := c.LongestCachedPrefix(runsOf(seqTokens(nil, 4, 2))); got != 0 {
 		t.Errorf("LRU (b) not evicted: prefix=%d", got)
 	}
-	if got := c.LongestCachedPrefix(seqTokens(nil, 4, 1)); got != 4 {
+	if got := c.LongestCachedPrefix(runsOf(seqTokens(nil, 4, 1))); got != 4 {
 		t.Errorf("MRU (a) evicted: prefix=%d", got)
 	}
 }
@@ -225,7 +228,7 @@ func TestExtendReleasedFails(t *testing.T) {
 	c := New(1<<20, 16)
 	s, _, _ := mustAcquire(t, c, toks(1))
 	c.Release(s)
-	if _, _, err := c.Extend(s, toks(2)); err == nil {
+	if _, _, err := c.Extend(s, runsOf(toks(2))); err == nil {
 		t.Error("Extend on released sequence should fail")
 	}
 	if _, err := c.Fork(s); err == nil {
@@ -275,10 +278,10 @@ func TestNodeCount(t *testing.T) {
 		t.Errorf("one-seq NodeCount = %d, want 1", c.NodeCount())
 	}
 	f, _ := c.Fork(s)
-	if _, _, err := c.Extend(s, toks(4)); err != nil {
+	if _, _, err := c.Extend(s, runsOf(toks(4))); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Extend(f, toks(5)); err != nil {
+	if _, _, err := c.Extend(f, runsOf(toks(5))); err != nil {
 		t.Fatal(err)
 	}
 	if c.NodeCount() != 3 {
@@ -327,7 +330,7 @@ func TestPropertyInvariants(t *testing.T) {
 				if hit+miss != len(tk) {
 					return false
 				}
-				if c.LongestCachedPrefix(tk) != len(tk) {
+				if c.LongestCachedPrefix(runsOf(tk)) != len(tk) {
 					return false
 				}
 				lives = append(lives, live{s, tk})
@@ -350,7 +353,7 @@ func TestPropertyInvariants(t *testing.T) {
 				if lives[i].seq.Len()+len(add) > 200 {
 					continue
 				}
-				if _, _, err := c.Extend(lives[i].seq, add); err != nil {
+				if _, _, err := c.Extend(lives[i].seq, runsOf(add)); err != nil {
 					if errors.Is(err, ErrPinned) {
 						continue
 					}
@@ -373,7 +376,7 @@ func TestPropertyInvariants(t *testing.T) {
 			}
 			// Every live sequence must remain fully resident.
 			for _, l := range lives {
-				if c.LongestCachedPrefix(l.tk) != len(l.tk) {
+				if c.LongestCachedPrefix(runsOf(l.tk)) != len(l.tk) {
 					return false
 				}
 			}
@@ -437,6 +440,67 @@ func BenchmarkAcquireSharedPrefix(b *testing.B) {
 	}
 }
 
+// BenchmarkAcquireLongPrompt is the few-shot regime: a 4800-token prompt
+// shared by 8 beams, each carrying its own 150-token step, re-acquired and
+// released every iteration as the solver's execTrie does.
+func BenchmarkAcquireLongPrompt(b *testing.B) {
+	c := New(1<<30, 16)
+	paths := make([][]Run, 8)
+	for i := range paths {
+		paths[i] = []Run{{First: 0, N: 4800}, {First: Token(i+1) << 12, N: 150}}
+		if _, _, _, err := c.AcquireRuns(paths[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range paths {
+			s, _, miss, err := c.AcquireRuns(p)
+			if err != nil || miss != 0 {
+				b.Fatalf("miss=%d err=%v", miss, err)
+			}
+			c.Release(s)
+		}
+	}
+}
+
+// The hot operations allocate only the handle they return: no per-call
+// path copy, owner map or scratch slice.
+func TestAllocsPerOperation(t *testing.T) {
+	c := New(1<<30, 16)
+	path := []Run{{First: 0, N: 4800}, {First: 1 << 12, N: 150}}
+	held, _, _, err := c.AcquireRuns(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokens := expand(path)
+	c.Acquire(tokens) // sizes the adapter's reusable run buffer
+	for _, tc := range []struct {
+		name string
+		want float64
+		op   func()
+	}{
+		{"AcquireRuns of a resident path", 1, func() {
+			s, _, _, _ := c.AcquireRuns(path)
+			c.Release(s)
+		}},
+		{"Acquire of a resident path", 1, func() {
+			s, _, _, _ := c.Acquire(tokens)
+			c.Release(s)
+		}},
+		{"Fork", 1, func() {
+			f, _ := c.Fork(held)
+			c.Release(f)
+		}},
+		{"LongestCachedPrefix", 0, func() { c.LongestCachedPrefix(path) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.op); got != tc.want {
+			t.Errorf("%s: %v allocs, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestBlockedAllocationRoundsUp(t *testing.T) {
 	c := NewBlocked(1<<20, 16, 16)
 	mustAcquire(t, c, seqTokens(nil, 5, 1)) // 5 tokens -> 1 block of 16
@@ -456,14 +520,14 @@ func TestBlockedExtendInPlaceDelta(t *testing.T) {
 		t.Fatalf("UsedTokens = %d", got)
 	}
 	// Extending 10 -> 14 stays within the first block.
-	if _, _, err := c.Extend(s, seqTokens(nil, 4, 9)); err != nil {
+	if _, _, err := c.Extend(s, runsOf(seqTokens(nil, 4, 9))); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.UsedTokens(); got != 16 {
 		t.Errorf("UsedTokens = %d after in-block extend, want 16", got)
 	}
 	// Crossing the boundary allocates another block.
-	if _, _, err := c.Extend(s, seqTokens(nil, 4, 8)); err != nil {
+	if _, _, err := c.Extend(s, runsOf(seqTokens(nil, 4, 8))); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.UsedTokens(); got != 32 {
@@ -534,10 +598,10 @@ func TestLongestCachedPrefixDoesNotMutate(t *testing.T) {
 	mustAcquire(t, c, toks(1, 2, 3, 4, 5, 6))
 	nodes := c.NodeCount()
 	used := c.UsedTokens()
-	if got := c.LongestCachedPrefix(toks(1, 2, 3)); got != 3 {
+	if got := c.LongestCachedPrefix(runsOf(toks(1, 2, 3))); got != 3 {
 		t.Fatalf("prefix = %d", got)
 	}
-	if got := c.LongestCachedPrefix(toks(1, 2, 9)); got != 2 {
+	if got := c.LongestCachedPrefix(runsOf(toks(1, 2, 9))); got != 2 {
 		t.Fatalf("diverging prefix = %d", got)
 	}
 	if c.NodeCount() != nodes || c.UsedTokens() != used {

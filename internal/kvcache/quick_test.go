@@ -11,14 +11,14 @@ import (
 func TestDropEvictsUnsharedTail(t *testing.T) {
 	c := New(1<<20, 16)
 	s, _, _ := mustAcquire(t, c, toks(1, 2, 3))
-	if _, _, err := c.Extend(s, toks(4, 5)); err != nil {
+	if _, _, err := c.Extend(s, runsOf(toks(4, 5))); err != nil {
 		t.Fatal(err)
 	}
 	c.Drop(s)
 	if got := c.UsedTokens(); got != 0 {
 		t.Errorf("UsedTokens = %d after Drop of sole sequence, want 0", got)
 	}
-	if got := c.LongestCachedPrefix(toks(1, 2, 3, 4, 5)); got != 0 {
+	if got := c.LongestCachedPrefix(runsOf(toks(1, 2, 3, 4, 5))); got != 0 {
 		t.Errorf("dropped sequence still resident: prefix=%d", got)
 	}
 }
@@ -30,12 +30,12 @@ func TestDropKeepsSharedAncestors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Extend(decode, toks(8, 9)); err != nil {
+	if _, _, err := c.Extend(decode, runsOf(toks(8, 9))); err != nil {
 		t.Fatal(err)
 	}
 	c.Drop(decode)
 	// The decode suffix is gone, the prompt path (still pinned) is intact.
-	if got := c.LongestCachedPrefix(toks(1, 2, 3, 8, 9)); got != 3 {
+	if got := c.LongestCachedPrefix(runsOf(toks(1, 2, 3, 8, 9))); got != 3 {
 		t.Errorf("prefix after Drop = %d, want 3 (suffix evicted)", got)
 	}
 	if got := c.UsedTokens(); got != 3 {
@@ -43,7 +43,7 @@ func TestDropKeepsSharedAncestors(t *testing.T) {
 	}
 	// Dropping again is a no-op, and the prompt handle still works.
 	c.Drop(decode)
-	if _, _, err := c.Extend(prompt, toks(4)); err != nil {
+	if _, _, err := c.Extend(prompt, runsOf(toks(4))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -55,7 +55,7 @@ func TestDropKeepsBranchedChildren(t *testing.T) {
 	c.Release(other)
 	// s's leaf path (1,2) has a child (7): Drop must stop at the branch.
 	c.Drop(s)
-	if got := c.LongestCachedPrefix(toks(1, 2, 7)); got != 3 {
+	if got := c.LongestCachedPrefix(runsOf(toks(1, 2, 7))); got != 3 {
 		t.Errorf("sibling branch evicted by Drop: prefix=%d", got)
 	}
 }
@@ -89,7 +89,7 @@ func TestPropertyConservationAndPinning(t *testing.T) {
 				return false
 			}
 			for _, l := range lives {
-				if c.LongestCachedPrefix(l.tk) != len(l.tk) {
+				if c.LongestCachedPrefix(runsOf(l.tk)) != len(l.tk) {
 					return false
 				}
 			}
@@ -119,7 +119,7 @@ func TestPropertyConservationAndPinning(t *testing.T) {
 				if lives[i].seq.Len()+len(add) > 60 {
 					continue
 				}
-				if _, _, err := c.Extend(lives[i].seq, add); err != nil {
+				if _, _, err := c.Extend(lives[i].seq, runsOf(add)); err != nil {
 					if errors.Is(err, ErrPinned) || errors.Is(err, ErrTooLarge) {
 						continue
 					}

@@ -72,7 +72,11 @@ func (c Config) Validate() error {
 // Decode tokens are private per admitted session: ordinal o's token j is
 // 1<<31 | (o mod 8Ki)<<18 | j. Ordinals wrap after 8192 live admissions
 // per device; a wrap could only alias against long-dropped garbage and is
-// deterministic either way.
+// deterministic either way. Both clamps keep j below its field, so a
+// prompt is the single kvcache.Run {s<<16, n}, a session's decode chain
+// the single run {1<<31 | (o mod 8Ki)<<18, n}, and no token array is ever
+// built: admission, growth, shrink and the router's residency probe each
+// hand the cache one or two runs.
 const (
 	promptTokenBits = 16
 	decodeTokenBits = 18
@@ -102,13 +106,12 @@ type Stats struct {
 // prefix plus a private decode chain that grows and shrinks with the
 // solver's live beam state.
 type Session struct {
-	prompt     *kvcache.Seq // nil when the prompt could not be cached
-	promptToks []kvcache.Token
-	dec        *kvcache.Seq
-	decToks    []kvcache.Token // full decode token stream ever generated
-	decLen     int             // currently resident decode tokens
-	ordinal    uint64
-	finished   bool
+	prompt    *kvcache.Seq // nil when the prompt could not be cached
+	promptRun kvcache.Run
+	dec       *kvcache.Seq
+	decLen    int // currently resident decode tokens
+	ordinal   uint64
+	finished  bool
 }
 
 // Plane is one device's KV memory plane. It is confined to the device's
@@ -146,24 +149,9 @@ func New(cfg Config, gpu hw.GPU, gen model.Config) *Plane {
 	}
 }
 
-// promptTokens materializes the synthetic token sequence for a prefix
-// key, assigning the key's stream id on first use.
-func (p *Plane) promptTokens(key string, n int) []kvcache.Token {
-	if n > 1<<promptTokenBits {
-		n = 1 << promptTokenBits
-	}
-	id, ok := p.streams[key]
-	if !ok {
-		id = p.nextStr
-		p.nextStr++
-		p.streams[key] = id
-	}
-	toks := make([]kvcache.Token, n)
-	base := kvcache.Token(id) << promptTokenBits
-	for j := range toks {
-		toks[j] = base | kvcache.Token(j)
-	}
-	return toks
+// promptRun is the first n (clamped) tokens of prompt stream id.
+func promptRun(id uint32, n int) kvcache.Run {
+	return kvcache.Run{First: kvcache.Token(id) << promptTokenBits, N: min(n, 1<<promptTokenBits)}
 }
 
 // Admit charges an arriving request's prompt prefix against the cache and
@@ -178,8 +166,14 @@ func (p *Plane) Admit(key string, promptTokens int) (*Session, float64) {
 	if promptTokens <= 0 {
 		return s, 0
 	}
-	s.promptToks = p.promptTokens(key, promptTokens)
-	seq, hit, miss, err := p.cache.Acquire(s.promptToks)
+	id, ok := p.streams[key]
+	if !ok {
+		id = p.nextStr
+		p.nextStr++
+		p.streams[key] = id
+	}
+	s.promptRun = promptRun(id, promptTokens)
+	seq, hit, miss, err := p.cache.AcquireRuns([]kvcache.Run{s.promptRun})
 	if err != nil {
 		// ErrTooLarge / ErrPinned: run without residency.
 		hit, miss = 0, promptTokens
@@ -204,15 +198,11 @@ func (p *Plane) reprefillCost(miss, contextLen int) float64 {
 	return p.gpu.Roofline(p.gen.PrefillFLOPs(miss, contextLen), p.gen.PrefillBytes(miss))
 }
 
-// decodeToken returns the session's j'th private decode token.
-func (s *Session) decodeToken(j int) kvcache.Token {
+// decodeRun returns the session's private decode tokens from through
+// to-1.
+func (s *Session) decodeRun(from, to int) kvcache.Run {
 	ord := kvcache.Token(s.ordinal % decodeStreamCap)
-	return decodeStreamTag | ord<<decodeTokenBits | kvcache.Token(j)
-}
-
-// fullPath returns the session's resident path at decode length n.
-func (s *Session) fullPath(n int) []kvcache.Token {
-	return append(append([]kvcache.Token(nil), s.promptToks...), s.decToks[:n]...)
+	return kvcache.Run{First: decodeStreamTag | ord<<decodeTokenBits | kvcache.Token(from), N: to - from}
 }
 
 // SyncDecode reconciles the session's resident decode footprint with the
@@ -232,10 +222,7 @@ func (p *Plane) SyncDecode(s *Session, want int) {
 	}
 	switch {
 	case want > s.decLen:
-		add := make([]kvcache.Token, 0, want-s.decLen)
-		for j := s.decLen; j < want; j++ {
-			add = append(add, s.decodeToken(j))
-		}
+		add := []kvcache.Run{s.decodeRun(s.decLen, want)}
 		if s.dec == nil {
 			var err error
 			if s.prompt != nil {
@@ -247,7 +234,7 @@ func (p *Plane) SyncDecode(s *Session, want int) {
 						s.dec = fork
 					}
 				}
-			} else if s.dec, _, _, err = p.cache.Acquire(add); err != nil {
+			} else if s.dec, _, _, err = p.cache.AcquireRuns(add); err != nil {
 				s.dec = nil
 			}
 			if s.dec == nil {
@@ -256,21 +243,18 @@ func (p *Plane) SyncDecode(s *Session, want int) {
 		} else if _, _, err := p.cache.Extend(s.dec, add); err != nil {
 			return // growth skipped, footprint stays at decLen
 		}
-		s.decToks = append(s.decToks[:s.decLen], add...)
 		s.decLen = want
 	case want < s.decLen:
 		old := s.dec
 		s.dec = nil
 		if want > 0 {
-			var path []kvcache.Token
-			if s.prompt != nil {
-				path = s.fullPath(want)
-			} else {
-				path = append([]kvcache.Token(nil), s.decToks[:want]...)
+			path := []kvcache.Run{s.promptRun, s.decodeRun(0, want)}
+			if s.prompt == nil {
+				path = path[1:]
 			}
 			// The shorter path is fully resident (still pinned by old), so
 			// this acquire inserts nothing and cannot fail.
-			if seq, _, _, err := p.cache.Acquire(path); err == nil {
+			if seq, _, _, err := p.cache.AcquireRuns(path); err == nil {
 				s.dec = seq
 			}
 		}
@@ -308,15 +292,7 @@ func (p *Plane) ResidentPromptTokens(key string, promptTokens int) int {
 	if !ok {
 		return 0
 	}
-	if promptTokens > 1<<promptTokenBits {
-		promptTokens = 1 << promptTokenBits
-	}
-	toks := make([]kvcache.Token, promptTokens)
-	base := kvcache.Token(id) << promptTokenBits
-	for j := range toks {
-		toks[j] = base | kvcache.Token(j)
-	}
-	return p.cache.LongestCachedPrefix(toks)
+	return p.cache.LongestCachedPrefix([]kvcache.Run{promptRun(id, promptTokens)})
 }
 
 // OccupiedFraction returns used/capacity in [0,1].

@@ -201,3 +201,18 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 }
+
+// The cache-aware router probes every device on every routed arrival; the
+// probe is one run handed to a read-only lookup and allocates nothing.
+func TestResidentPromptTokensAllocatesNothing(t *testing.T) {
+	p := newTestPlane(10000)
+	s, _ := p.Admit("fewshot/1", 4800)
+	p.SyncDecode(s, 512)
+	var got int
+	if allocs := testing.AllocsPerRun(100, func() { got = p.ResidentPromptTokens("fewshot/1", 4800) }); allocs != 0 {
+		t.Errorf("ResidentPromptTokens: %v allocs per call, want 0", allocs)
+	}
+	if got != 4800 {
+		t.Errorf("ResidentPromptTokens = %d, want 4800", got)
+	}
+}

@@ -45,10 +45,10 @@ type Verifier struct {
 type Request struct {
 	// Tokens is the committed path: prompt plus all verified thinking
 	// steps, including the step generated this iteration.
-	Tokens []kvcache.Token
+	Tokens []kvcache.Run
 	// SpecTokens is the retained speculative continuation; co-verified
 	// only when LookAhead is enabled.
-	SpecTokens []kvcache.Token
+	SpecTokens []kvcache.Run
 	// Covered counts leading tokens already scored by an earlier
 	// LookAhead pass (§4.1.3). A discriminative PRM emits per-step scores
 	// in one forward pass, so covered steps need no further engine work;
@@ -73,6 +73,7 @@ func (v *Verifier) ScoreAll(reqs []Request) []float64 {
 	}
 	var items []engine.PrefillItem
 	var held []*kvcache.Seq
+	var merged []kvcache.Run // committed + speculative path, reused
 	flush := func() {
 		v.Eng.PrefillBatch(items, trace.PhaseVerify)
 		items = items[:0]
@@ -84,7 +85,8 @@ func (v *Verifier) ScoreAll(reqs []Request) []float64 {
 	for i, req := range reqs {
 		tk := req.Tokens
 		if v.LookAhead && len(req.SpecTokens) > 0 {
-			tk = append(append([]kvcache.Token(nil), tk...), req.SpecTokens...)
+			merged = append(append(merged[:0], tk...), req.SpecTokens...)
+			tk = merged
 		}
 		covered := 0
 		if v.PrefixCache {
@@ -108,17 +110,18 @@ func (v *Verifier) ScoreAll(reqs []Request) []float64 {
 // enabled. Covered tokens are charged at most once across the path's
 // lifetime: their per-step scores were produced by an earlier merged
 // pass, so the verifier only processes the uncovered suffix.
-func (v *Verifier) charge(tk []kvcache.Token, covered int, held *[]*kvcache.Seq) (engine.PrefillItem, bool) {
+func (v *Verifier) charge(tk []kvcache.Run, covered int, held *[]*kvcache.Seq) (engine.PrefillItem, bool) {
+	total := kvcache.Len(tk)
 	if !v.PrefixCache {
-		return engine.PrefillItem{NewTokens: len(tk), CtxTokens: len(tk)}, true
+		return engine.PrefillItem{NewTokens: total, CtxTokens: total}, true
 	}
-	uncovered := len(tk) - covered
+	uncovered := total - covered
 	if uncovered <= 0 {
 		// Fully covered by a previous LookAhead pass: no verifier call.
 		return engine.PrefillItem{}, false
 	}
 	newTokens := uncovered
-	seq, _, miss, err := v.Eng.Cache.Acquire(tk)
+	seq, _, miss, err := v.Eng.Cache.AcquireRuns(tk)
 	switch {
 	case err == nil:
 		*held = append(*held, seq)
@@ -129,5 +132,5 @@ func (v *Verifier) charge(tk []kvcache.Token, covered int, held *[]*kvcache.Seq)
 		// The running batch pins the whole cache; stream uncached.
 	default: // ErrTooLarge: path exceeds the verifier cache entirely.
 	}
-	return engine.PrefillItem{NewTokens: newTokens, CtxTokens: len(tk)}, true
+	return engine.PrefillItem{NewTokens: newTokens, CtxTokens: total}, true
 }

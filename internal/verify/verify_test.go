@@ -28,15 +28,11 @@ func newVerifier(t *testing.T, prefixCache, lookahead bool, kvBytes int64) (*Ver
 	}, clk
 }
 
-func seqTok(node, n int) []kvcache.Token {
-	out := make([]kvcache.Token, n)
-	for i := range out {
-		out[i] = kvcache.Token(node<<12 | i)
-	}
-	return out
+func seqTok(node, n int) []kvcache.Run {
+	return []kvcache.Run{{First: kvcache.Token(node << 12), N: n}}
 }
 
-func req(tokens []kvcache.Token, st *workload.PathState, r *rng.Stream) Request {
+func req(tokens []kvcache.Run, st *workload.PathState, r *rng.Stream) Request {
 	return Request{Tokens: tokens, State: st, R: r}
 }
 
@@ -70,7 +66,7 @@ func TestPrefixCacheSavesRepeatScoring(t *testing.T) {
 		base := seqTok(1, 500)
 		v.ScoreAll([]Request{req(base, st, r)})
 		t1 := clk.Now()
-		longer := append(append([]kvcache.Token(nil), base...), seqTok(2, 100)...)
+		longer := append(append([]kvcache.Run(nil), base...), seqTok(2, 100)...)
 		v.ScoreAll([]Request{req(longer, st, r)})
 		return clk.Now() - t1
 	}
@@ -87,8 +83,8 @@ func TestSiblingSharingWithinBatch(t *testing.T) {
 	v, clk := newVerifier(t, true, false, 1<<30)
 	r := rng.New(3)
 	parent := seqTok(1, 500)
-	a := append(append([]kvcache.Token(nil), parent...), seqTok(2, 50)...)
-	b := append(append([]kvcache.Token(nil), parent...), seqTok(3, 50)...)
+	a := append(append([]kvcache.Run(nil), parent...), seqTok(2, 50)...)
+	b := append(append([]kvcache.Run(nil), parent...), seqTok(3, 50)...)
 	st := &workload.PathState{}
 	v.ScoreAll([]Request{req(a, st, r)})
 	t1 := clk.Now()
