@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint bench cover scenarios bench-regress bench-perf bench-cache bench-metrics bench-strategy bench-trace benchmark benchmark-smoke golden
+.PHONY: all build test lint bench cover scenarios bench-regress bench-perf bench-cache bench-metrics bench-strategy bench-trace benchmark benchmark-smoke profile-solver golden
 
 all: build lint test
 
@@ -125,6 +125,20 @@ benchmark:
 
 benchmark-smoke:
 	$(GO) run ./benchmark -scale 0.02 -passes 1
+
+# Where the solver's host time and allocations go: CPU and allocation
+# profiles of BenchmarkServeBeam64 (the solver-beam workload in miniature,
+# internal/core/beam_test.go), top 25 of each. The benchmark under
+# benchmark/ has no profile flag and may not be edited by a PR that claims
+# a gain, so a hot-path PR profiles here and attaches both lists.
+# Everything lands in bench-smoke/ (gitignored).
+profile-solver:
+	mkdir -p bench-smoke
+	$(GO) test -run '^$$' -bench 'BenchmarkServeBeam64' -benchmem \
+		-cpuprofile bench-smoke/solver.cpu -memprofile bench-smoke/solver.mem \
+		-o bench-smoke/core.test ./internal/core
+	$(GO) tool pprof -top -nodecount=25 bench-smoke/core.test bench-smoke/solver.cpu
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/core.test bench-smoke/solver.mem
 
 # Regenerate the golden traces after an *intentional* behavior change.
 # Review the resulting diff like code before committing it.

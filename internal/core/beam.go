@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"fasttts/internal/kvcache"
 	"fasttts/internal/rng"
 	"fasttts/internal/sched"
@@ -11,7 +13,7 @@ import (
 // speculative branch) gets a unique node ID, and token j of node k has the
 // value k<<tokenShift | j — so a node's tokens are one kvcache.Run starting
 // at k<<tokenShift, and a beam's path is one run per node on its genealogy
-// (nodeRuns), never a materialized token array. Children copy their
+// (appendNodeRuns), never a materialized token array. Children copy their
 // parent's runs, so equal genealogy prefixes are equal token sequences and
 // the radix caches share them physically.
 const tokenShift = 12 // up to 4096 tokens per node, 2^20 nodes per solve
@@ -42,8 +44,6 @@ func appendNodeRuns(dst []kvcache.Run, node, count int) []kvcache.Run {
 	return dst
 }
 
-func nodeRuns(node, count int) []kvcache.Run { return appendNodeRuns(nil, node, count) }
-
 // specBranch is one speculative continuation generated for a finished
 // beam during the current iteration (§4.1.1).
 type specBranch struct {
@@ -53,7 +53,9 @@ type specBranch struct {
 	ctxLen int // context length when the branch started (for ctx sums)
 }
 
-// beam is one active reasoning path.
+// beam is one active reasoning path. Beams are recycled through their
+// solver's free list (solver.newBeam/freeBeam) with the capacity of every
+// slice below; nothing may hold a *beam past the iteration that freed it.
 type beam struct {
 	id      int
 	subtree int
@@ -82,7 +84,8 @@ type beam struct {
 	stepTerminal bool // step concludes the path
 	rem          int  // decode rounds still needed this iteration
 	specs        []specBranch
-	specEligible int // M_i: remaining speculative branches allowed
+	specEligible int  // M_i: remaining speculative branches allowed
+	selected     bool // picked by this iteration's selection (selectAndBranch only)
 
 	// nextSteps is the queue of pre-sampled upcoming thinking steps
 	// (drawn as speculation advances, §4.1.3); commitStep consumes them
@@ -100,10 +103,12 @@ type beam struct {
 	// coVerified is how many uncommitted tokens the last LookAhead pass
 	// covered (diagnostics).
 	coVerified int
-	seq        *kvcache.Seq // generator-cache handle while resident
-	r          *rng.Stream  // step-sampling stream
-	obsR       *rng.Stream  // verifier-score and answer stream
-	specR      *rng.Stream  // speculation-only stream (truncation draws)
+	seq        kvcache.Seq   // generator-cache handle, live while resident
+	resident   bool          // seq pins the beam's path (execTrie only)
+	chain      []kvcache.Run // specChain's result, rebuilt per call
+	r          rng.Stream    // step-sampling stream
+	obsR       rng.Stream    // verifier-score and answer stream
+	specR      rng.Stream    // speculation-only stream (truncation draws)
 	answer     int
 }
 
@@ -124,63 +129,60 @@ func (b *beam) takePending(n int) int {
 	b.tokLen += n
 	b.pendLen -= n
 	// Move runs across, splitting the last one if needed.
-	remaining := n
-	for remaining > 0 {
-		run := b.pending[0]
+	k := 0 // pending runs wholly consumed
+	for remaining := n; remaining > 0; {
+		run := b.pending[k]
 		if run.N <= remaining {
-			b.pending = b.pending[1:]
+			k++
 		} else {
-			b.pending[0] = kvcache.Run{First: run.First + kvcache.Token(remaining), N: run.N - remaining}
+			b.pending[k] = kvcache.Run{First: run.First + kvcache.Token(remaining), N: run.N - remaining}
 			run.N = remaining
 		}
 		b.tokens = append(b.tokens, run)
 		remaining -= run.N
 	}
+	// Shifted down, not resliced: the slice keeps its backing array's full
+	// capacity for the beam's next life.
+	b.pending = slices.Delete(b.pending, 0, k)
 	// Move lineage refs across likewise.
-	remaining = n
-	for remaining > 0 {
-		ref := b.pendingLin[0]
+	k = 0
+	for remaining := n; remaining > 0; {
+		ref := b.pendingLin[k]
 		if ref.Tokens <= remaining {
 			b.lineage = append(b.lineage, ref)
 			remaining -= ref.Tokens
-			b.pendingLin = b.pendingLin[1:]
+			k++
 		} else {
 			b.lineage = append(b.lineage, sched.NodeRef{Node: ref.Node, Tokens: remaining})
-			b.pendingLin[0] = sched.NodeRef{Node: ref.Node, Tokens: ref.Tokens - remaining}
+			b.pendingLin[k] = sched.NodeRef{Node: ref.Node, Tokens: ref.Tokens - remaining}
 			remaining = 0
 		}
 	}
+	b.pendingLin = slices.Delete(b.pendingLin, 0, k)
 	return n
-}
-
-// child clones the beam into a new successor sharing the committed
-// sequence (branching). The caller sets pending/streams afterwards.
-func (b *beam) child(id int, r, obsR, specR *rng.Stream) *beam {
-	return &beam{
-		id:       id,
-		subtree:  b.subtree,
-		state:    b.state,
-		tokens:   append([]kvcache.Run(nil), b.tokens...),
-		tokLen:   b.tokLen,
-		lineage:  append([]sched.NodeRef(nil), b.lineage...),
-		score:    b.score,
-		hasScore: b.hasScore,
-		r:        r,
-		obsR:     obsR,
-		specR:    specR,
-	}
 }
 
 // specChain returns all currently known speculative tokens for the
 // beam: leftover pending plus the primary (first) spec branch, in decode
-// order, with their node structure. Used by LookAhead Verification and by
-// branching.
-func (b *beam) specChain() ([]kvcache.Run, []sched.NodeRef) {
-	runs := append([]kvcache.Run(nil), b.pending...)
-	lin := append([]sched.NodeRef(nil), b.pendingLin...)
+// order. LookAhead Verification scores them with the committed path. The
+// result lives in the beam and is valid until its next specChain call.
+func (b *beam) specChain() []kvcache.Run {
+	b.chain = append(b.chain[:0], b.pending...)
 	if len(b.specs) > 0 && b.specs[0].count > 0 {
-		runs = appendNodeRuns(runs, b.specs[0].node, b.specs[0].count)
-		lin = append(lin, sched.NodeRef{Node: b.specs[0].node, Tokens: b.specs[0].count})
+		b.chain = appendNodeRuns(b.chain, b.specs[0].node, b.specs[0].count)
 	}
-	return runs, lin
+	return b.chain
+}
+
+// adoptSpecChain turns the beam's primary spec branch into pending tokens
+// behind whatever is pending already — the head start a selected beam
+// carries into the next iteration — and drops all spec branches.
+func (b *beam) adoptSpecChain() {
+	if len(b.specs) > 0 && b.specs[0].count > 0 {
+		sp := b.specs[0]
+		b.pending = appendNodeRuns(b.pending, sp.node, sp.count)
+		b.pendingLin = append(b.pendingLin, sched.NodeRef{Node: sp.node, Tokens: sp.count})
+		b.pendLen += sp.count
+	}
+	b.specs = b.specs[:0]
 }

@@ -220,6 +220,13 @@ type Loop struct {
 
 	candBuf []sched.ServeRequest // reused policy-view buffer (per-slice)
 
+	// freeSolvers holds the solvers of sessions that ended (finished,
+	// cancelled or withdrawn by fail-stop); the next request to start takes
+	// one and re-initialises it in place instead of building a search stack.
+	// A plain slice, not a sync.Pool: the Loop is goroutine-confined, and the
+	// solvers must die with it rather than linger in a process-wide pool.
+	freeSolvers []*solver
+
 	// obs is the loop's span flight-recorder track; nil (the default)
 	// disables every emission site at the cost of one pointer check.
 	obs *obs.Track
@@ -379,6 +386,7 @@ func (l *Loop) Fail() []Request {
 			c.done = true
 			l.inFlight--
 			out = append(out, c.req)
+			l.retireSolver(c)
 			if c.mem != nil {
 				l.plane.Finish(c.mem)
 			}
@@ -433,6 +441,7 @@ func (l *Loop) Cancel(tag int) (started, ok bool) {
 			l.dropSession(c)
 			l.liveWork -= c.lastRem
 			l.reanchorWork()
+			l.retireSolver(c)
 			if c.mem != nil {
 				l.plane.Finish(c.mem)
 			}
@@ -587,7 +596,7 @@ func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
 				}
 				cfg.Policy = pol
 			}
-			sv, err := newSolver(cfg, c.req.Problem, nil)
+			sv, err := l.takeSolver(cfg, c.req.Problem)
 			if err != nil {
 				return out, fmt.Errorf("core: serving %s/%d: %w", c.req.Problem.Dataset, c.req.Problem.Index, err)
 			}
@@ -671,6 +680,7 @@ func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
 			l.dropSession(c)
 			l.liveWork -= c.lastRem
 			l.reanchorWork()
+			l.retireSolver(c)
 			if c.mem != nil {
 				// Decode state is garbage now; the prompt prefix stays
 				// resident for future admissions to hit.
@@ -698,6 +708,31 @@ func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
 		}
 	}
 	return out, nil
+}
+
+// takeSolver returns a solver initialised for the problem: a retired one
+// when the loop has any, else a new one.
+func (l *Loop) takeSolver(cfg Config, p *workload.Problem) (*solver, error) {
+	k := len(l.freeSolvers) - 1
+	if k < 0 {
+		return newSolver(cfg, p, nil)
+	}
+	sv := l.freeSolvers[k]
+	l.freeSolvers[k] = nil
+	l.freeSolvers = l.freeSolvers[:k]
+	if err := sv.init(cfg, p, nil); err != nil {
+		return nil, err
+	}
+	return sv, nil
+}
+
+// retireSolver puts an ended session's solver, if it ever started, on the
+// free list. The Result already assembled from it shares nothing with it.
+func (l *Loop) retireSolver(c *session) {
+	if c.solver != nil {
+		l.freeSolvers = append(l.freeSolvers, c.solver)
+		c.solver = nil
+	}
 }
 
 // dropSession prunes a completed session so the runnable and

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"fasttts/internal/alloc"
 	"fasttts/internal/engine"
@@ -21,7 +21,8 @@ import (
 
 // Runner executes TTS searches for a fixed deployment configuration.
 // Each Solve call runs on a fresh virtual serving stack, so Runners are
-// reusable across problems.
+// reusable across problems and — unlike a Loop, which recycles its stacks —
+// safe to share between goroutines.
 type Runner struct {
 	cfg Config
 }
@@ -57,25 +58,28 @@ func (r *Runner) SolveWithPreemption(p *workload.Problem, preempt func(now float
 
 const promptNode = 0
 
+// solver runs one request's search. Its fields up to stack are the
+// request's state, rebuilt from scratch by init; the embedded stack is the
+// storage that outlives the request when a Loop recycles the solver.
 type solver struct {
 	cfg Config
 	p   *workload.Problem
 
-	clk *sim.Clock
-	gen *engine.Engine
-	ver *verify.Verifier
-
-	root      *rng.Stream
-	orderRand *rng.Stream
-	selRand   *rng.Stream
+	// Streams are held by value and derived in place; seedRoot exists so
+	// root's parent pointer (rng.Stream.Path) stays inside the solver.
+	seedRoot  rng.Stream
+	root      rng.Stream
+	orderRand rng.Stream
+	selRand   rng.Stream
 
 	kvBudget int64
 	offload  bool
 	meanStep int
 
-	nextNode  int
-	nextBeam  int
-	active    []*beam
+	nextNode int
+	nextBeam int
+	// finished is handed to the caller in Result and therefore never
+	// recycled: every request grows its own.
 	finished  []FinalPath
 	iter      int
 	abandoned int
@@ -87,28 +91,94 @@ type solver struct {
 	maxIters int
 	begun    bool
 
-	specExt []kvcache.Run // execTrie's speculative-extension path, reused
-
 	// preempt is probed during decode rounds; while it returns true,
 	// speculative execution is suspended (§4.1.2). The multi-tenant server
 	// swaps it per device slice.
 	preempt func(now float64) bool
+
+	stack
+}
+
+// stack is the part of a solver a request does not own: the virtual serving
+// stack (clock, the two engines with their KV caches, the verifier), the
+// beam pool, and every per-iteration temporary. init returns the serving
+// stack to its just-built state (sim.Clock.Reset, engine.Engine.Reset) and
+// leaves the rest as is — each temporary is truncated where it is filled,
+// so nothing in here carries meaning from one request, or one iteration,
+// to the next. See docs/ARCHITECTURE.md, "Solver lifetime and ownership".
+type stack struct {
+	clk *sim.Clock
+	gen *engine.Engine
+	ver *verify.Verifier
+
+	active    []*beam // the search frontier; the only beams alive between iterations
+	freeBeams []*beam
+
+	sched      sched.Scratch
+	nodes      sched.NodeSet        // generatorWorkingSetBytes' distinct-node count
+	byID       []*beam              // beam ID → active beam, rebuilt by stepOnce
+	paths      []sched.Path         // the frontier as the scheduler sees it
+	ordered    []*beam              // the frontier in scheduling order
+	groupEnds  []int                // ordered[groupEnds[i-1]:groupEnds[i]] is memory-resident group i
+	recomp     []engine.PrefillItem // execTrie's recompute batch
+	byRem      []*beam              // decodeRounds: the group's decoding beams by rounds left
+	specQueue  specHeap             // decodeRounds: speculative fill queue
+	specSlots  []specSlot           // decodeRounds: running speculative branches
+	runs       []kvcache.Run        // a path under construction (prompt, speculative extension)
+	seq        kvcache.Seq          // handle for acquire-then-release and speculative forks
+	reqs       []verify.Request     // verificationPhase's batch
+	continuing []*beam              // selectAndBranch: beams that did not terminate
+	cands      []search.Candidate   // selectAndBranch: the policy's view of them
+	next       []*beam              // selectAndBranch: the frontier being built
 }
 
 func newSolver(cfg Config, p *workload.Problem, preempt func(float64) bool) (*solver, error) {
+	s := &solver{}
+	if err := s.init(cfg, p, preempt); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// init readies s for a request, building the serving stack on first use and
+// resetting it in place afterwards. A recycled solver is only re-initialised
+// by the Loop that retired it, so the deployment (GPU, models, recorder) is
+// the one its engines were built for; only policy and strategy vary.
+func (s *solver) init(cfg Config, p *workload.Problem, preempt func(float64) bool) error {
 	budget, err := cfg.KVBudget()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	clk := &sim.Clock{}
-	genEng, err := engine.New("generator", cfg.Generator, cfg.GPU, budget/2, clk, cfg.Recorder)
-	if err != nil {
-		return nil, err
+	st := s.stack
+	if st.clk == nil {
+		st.clk = &sim.Clock{}
+		if st.gen, err = engine.New("generator", cfg.Generator, cfg.GPU, budget/2, st.clk, cfg.Recorder); err != nil {
+			return err
+		}
+		verEng, err := engine.New("verifier", cfg.Verifier, cfg.GPU, budget/2, st.clk, cfg.Recorder)
+		if err != nil {
+			return err
+		}
+		st.ver = &verify.Verifier{Eng: verEng}
+	} else {
+		st.clk.Reset()
+		if err := st.gen.Reset(budget / 2); err != nil {
+			return err
+		}
+		if err := st.ver.Eng.Reset(budget / 2); err != nil {
+			return err
+		}
 	}
-	verEng, err := engine.New("verifier", cfg.Verifier, cfg.GPU, budget/2, clk, cfg.Recorder)
-	if err != nil {
-		return nil, err
-	}
+	st.ver.Skill = cfg.VerSkill
+	st.ver.BatchSize = 1
+	st.ver.PrefixCache = cfg.Opts.VerifierPrefixCache
+	st.ver.LookAhead = cfg.Opts.LookAhead && cfg.Opts.Speculative
+	st.ver.Scored = 0
+	// Beams the previous request left on the frontier (abandoned by a
+	// strategy, a deadline cut, a cancel or a fail-stop) rejoin the pool.
+	st.freeBeams = append(st.freeBeams, st.active...)
+	st.active = st.active[:0]
+
 	// The strategy's launch cap (first-finish's k chains) narrows the
 	// policy exactly like the elastic governor's width knob, so algorithm
 	// invariants (n >= b) hold by construction.
@@ -116,34 +186,52 @@ func newSolver(cfg Config, p *workload.Problem, preempt func(float64) bool) (*so
 		if w := cfg.Strategy.ChainWidth(cfg.Policy.Width()); w != cfg.Policy.Width() {
 			pol, err := search.WithWidth(cfg.Policy, w)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cfg.Policy = pol
 		}
 	}
-	root := rng.New(cfg.Seed).ChildN(p.Dataset, p.Index)
-	spec := p.Spec()
-	s := &solver{
-		cfg:       cfg,
-		p:         p,
-		clk:       clk,
-		gen:       genEng,
-		root:      root,
-		orderRand: root.Child("order"),
-		selRand:   root.Child("select"),
-		kvBudget:  budget,
-		meanStep:  meanStepTokens(spec),
-		nextNode:  promptNode + 1,
-		preempt:   preempt,
+	*s = solver{
+		cfg:      cfg,
+		p:        p,
+		seedRoot: rng.Make(cfg.Seed),
+		kvBudget: budget,
+		meanStep: meanStepTokens(p.Spec()),
+		nextNode: promptNode + 1,
+		preempt:  preempt,
+		stack:    st,
 	}
-	s.ver = &verify.Verifier{
-		Eng:         verEng,
-		Skill:       cfg.VerSkill,
-		BatchSize:   1,
-		PrefixCache: cfg.Opts.VerifierPrefixCache,
-		LookAhead:   cfg.Opts.LookAhead && cfg.Opts.Speculative,
+	s.root = s.seedRoot.DeriveN(p.Dataset, p.Index)
+	s.orderRand = s.root.Derive("order")
+	s.selRand = s.root.Derive("select")
+	return nil
+}
+
+// newBeam returns a blank beam, recycled if one is free, with whatever
+// capacity its slices grew to in earlier lives.
+func (s *solver) newBeam() *beam {
+	k := len(s.freeBeams) - 1
+	if k < 0 {
+		return &beam{}
 	}
-	return s, nil
+	b := s.freeBeams[k]
+	s.freeBeams = s.freeBeams[:k]
+	*b = beam{
+		tokens: b.tokens[:0], lineage: b.lineage[:0],
+		pending: b.pending[:0], pendingLin: b.pendingLin[:0],
+		specs: b.specs[:0], nextSteps: b.nextSteps[:0], chain: b.chain[:0],
+	}
+	return b
+}
+
+// freeBeam returns a beam that left the frontier to the pool.
+func (s *solver) freeBeam(b *beam) { s.freeBeams = append(s.freeBeams, b) }
+
+// deriveStreams seeds the beam's three private streams from its ID.
+func (s *solver) deriveStreams(b *beam) {
+	b.r = s.root.DeriveN("beam", b.id)
+	b.obsR = s.root.DeriveN("obs", b.id)
+	b.specR = s.root.DeriveN("spec", b.id)
 }
 
 func meanStepTokens(spec workload.DatasetSpec) int {
@@ -167,27 +255,25 @@ func (s *solver) run() (*Result, error) {
 func (s *solver) begin() {
 	pol := s.cfg.Policy
 	// Root beams share the prompt.
-	prompt := nodeRuns(promptNode, s.p.PromptTokens)
-	s.gen.PrefillBatch([]engine.PrefillItem{
-		{NewTokens: s.p.PromptTokens, CtxTokens: s.p.PromptTokens},
-	}, trace.PhaseGenerate)
-	if seq, _, _, err := s.gen.Cache.AcquireRuns(prompt); err == nil {
-		s.gen.Cache.Release(seq) // stays resident, unreferenced
+	s.runs = appendNodeRuns(s.runs[:0], promptNode, s.p.PromptTokens)
+	prompt := s.runs
+	s.recomp = append(s.recomp[:0], engine.PrefillItem{NewTokens: s.p.PromptTokens, CtxTokens: s.p.PromptTokens})
+	s.gen.PrefillBatch(s.recomp, trace.PhaseGenerate)
+	if _, _, err := s.gen.Cache.AcquireInto(&s.seq, prompt); err == nil {
+		s.gen.Cache.Release(&s.seq) // stays resident, unreferenced
 	}
 	for i := 0; i < pol.Width(); i++ {
-		id := s.nextBeam
+		b := s.newBeam()
+		b.id = s.nextBeam
 		s.nextBeam++
-		s.active = append(s.active, &beam{
-			id:      id,
-			subtree: pol.InitialSubtree(i),
-			tokens:  append([]kvcache.Run(nil), prompt...),
-			tokLen:  s.p.PromptTokens,
-			lineage: []sched.NodeRef{{Node: promptNode, Tokens: s.p.PromptTokens}},
-			r:       s.root.ChildN("beam", id),
-			obsR:    s.root.ChildN("obs", id),
-			specR:   s.root.ChildN("spec", id),
-		})
+		b.subtree = pol.InitialSubtree(i)
+		b.tokens = append(b.tokens, prompt...)
+		b.tokLen = s.p.PromptTokens
+		b.lineage = append(b.lineage, sched.NodeRef{Node: promptNode, Tokens: s.p.PromptTokens})
+		s.deriveStreams(b)
+		s.active = append(s.active, b)
 	}
+	s.finished = make([]FinalPath, 0, pol.Width())
 	s.maxIters = s.p.Spec().MaxSteps + 4
 	s.begun = true
 }
@@ -201,11 +287,16 @@ func (s *solver) stepOnce() error {
 			return err
 		}
 	}
-	ordered, err := s.generationPhase()
-	if err != nil {
-		return err
+	// The one ID → beam lookup of the iteration: scheduling and selection
+	// both hand back IDs of beams on this frontier.
+	if len(s.byID) < s.nextBeam {
+		s.byID = append(s.byID, make([]*beam, s.nextBeam-len(s.byID))...)
 	}
-	s.verificationPhase(ordered)
+	for _, b := range s.active {
+		s.byID[b.id] = b
+	}
+	s.generationPhase()
+	s.verificationPhase()
 	s.selectAndBranch()
 	s.iter++
 	return nil
@@ -257,7 +348,13 @@ func (s *solver) cutDeadline() {
 			CompletedAt: s.clk.Now(),
 		})
 	}
+	s.abandon()
+}
+
+// abandon discards the remaining frontier.
+func (s *solver) abandon() {
 	s.abandoned += len(s.active)
+	s.freeBeams = append(s.freeBeams, s.active...)
 	s.active = s.active[:0]
 }
 
@@ -269,8 +366,7 @@ func (s *solver) result() (*Result, error) {
 		if !s.strategySatisfied() {
 			return nil, fmt.Errorf("core: search did not converge after %d iterations", s.maxIters)
 		}
-		s.abandoned += len(s.active)
-		s.active = s.active[:0]
+		s.abandon()
 	}
 
 	res := &Result{
@@ -378,12 +474,11 @@ func (s *solver) allocate() error {
 // reasoning tree plus one expected step (and speculation headroom) per
 // beam, with slack.
 func (s *solver) generatorWorkingSetBytes() int64 {
-	seen := map[int]bool{}
+	s.nodes.Clear()
 	unique := 0
 	for _, b := range s.active {
 		for _, ref := range b.lineage {
-			if !seen[ref.Node] {
-				seen[ref.Node] = true
+			if s.nodes.Add(ref.Node) {
 				unique += ref.Tokens
 			}
 		}
@@ -398,57 +493,50 @@ func (s *solver) generatorWorkingSetBytes() int64 {
 }
 
 // generationPhase samples and commits one thinking step per active beam,
-// then executes the decode work trie by trie. It returns the scheduling
-// order used (reused by verification).
-func (s *solver) generationPhase() ([]*beam, error) {
+// then executes the decode work trie by trie. It leaves the scheduling
+// order used in s.ordered (reused by verification).
+func (s *solver) generationPhase() {
 	for _, b := range s.active {
 		s.commitStep(b)
 	}
 	s.assignSpecEligibility()
 
-	ordered := s.orderBeams()
-	paths := make([]sched.Path, len(ordered))
-	byID := make(map[int]*beam, len(ordered))
-	for i, b := range ordered {
-		paths[i] = b.schedPath()
-		byID[b.id] = b
-	}
+	ordered, paths := s.orderBeams()
 	capacity := int(s.gen.Cache.CapacityTokens())
-	var groups [][]*beam
+	// Memory-resident groups are consecutive runs of the schedule, so each
+	// is recorded by where it ends.
+	s.groupEnds = s.groupEnds[:0]
 	if s.cfg.Opts.GeneratorPrefixCache {
 		// Tries share prefixes physically: capacity counts unique tokens.
-		for _, tr := range sched.PackTries(paths, capacity) {
-			group := make([]*beam, len(tr.Paths))
-			for i, p := range tr.Paths {
-				group[i] = byID[p.ID]
-			}
-			groups = append(groups, group)
+		end := 0
+		for _, tr := range s.sched.PackTries(paths, capacity) {
+			end += len(tr.Paths)
+			s.groupEnds = append(s.groupEnds, end)
 		}
 	} else {
 		// Without prefix reuse every beam occupies its full length.
-		var cur []*beam
-		used := 0
-		for _, p := range paths {
+		start, used := 0, 0
+		for i, p := range paths {
 			n := p.TotalTokens()
-			if len(cur) > 0 && used+n > capacity {
-				groups = append(groups, cur)
-				cur, used = nil, 0
+			if i > start && used+n > capacity {
+				s.groupEnds = append(s.groupEnds, i)
+				start, used = i, 0
 			}
-			cur = append(cur, byID[p.ID])
 			used += n
 		}
-		if len(cur) > 0 {
-			groups = append(groups, cur)
+		if len(paths) > start {
+			s.groupEnds = append(s.groupEnds, len(paths))
 		}
 	}
 
 	if s.offload {
 		s.swapForGeneration()
 	}
-	for _, group := range groups {
-		s.execTrie(group)
+	start := 0
+	for _, end := range s.groupEnds {
+		s.execTrie(ordered[start:end])
+		start = end
 	}
-	return ordered, nil
 }
 
 // commitStep samples the beam's next thinking step (or, for policies
@@ -465,9 +553,9 @@ func (s *solver) commitStep(b *beam) {
 			// stored draw keeps the step stream aligned with a
 			// speculation-free run.
 			step = b.nextSteps[0]
-			b.nextSteps = b.nextSteps[1:]
+			b.nextSteps = slices.Delete(b.nextSteps, 0, 1)
 		} else {
-			step = workload.SampleStep(s.p, &b.state, s.cfg.GenSkill, pol.StepBudget(b.state.Steps), b.r)
+			step = workload.SampleStep(s.p, &b.state, s.cfg.GenSkill, pol.StepBudget(b.state.Steps), &b.r)
 		}
 		workload.ApplyStep(&b.state, step)
 		b.stepTerminal = step.Terminal
@@ -476,7 +564,7 @@ func (s *solver) commitStep(b *beam) {
 		// Best-of-N / CoT: the chain runs to termination without
 		// verification barriers — one mega-step.
 		for !b.state.Terminated {
-			step := workload.SampleStep(s.p, &b.state, s.cfg.GenSkill, pol.StepBudget(b.state.Steps), b.r)
+			step := workload.SampleStep(s.p, &b.state, s.cfg.GenSkill, pol.StepBudget(b.state.Steps), &b.r)
 			workload.ApplyStep(&b.state, step)
 			total += step.Tokens
 		}
@@ -539,27 +627,24 @@ func (s *solver) assignSpecEligibility() {
 }
 
 // orderBeams applies Dynamic Prefix-Aware Scheduling (or the baseline's
-// arbitrary order, which vLLM's preemption and queueing induce).
-func (s *solver) orderBeams() []*beam {
-	paths := make([]sched.Path, len(s.active))
-	for i, b := range s.active {
-		paths[i] = b.schedPath()
-	}
-	var ordered []sched.Path
-	if s.cfg.Opts.PrefixAware {
-		ordered = sched.PrefixAwareOrder(paths)
-	} else {
-		ordered = sched.RandomOrder(paths, s.orderRand)
-	}
-	byID := make(map[int]*beam, len(s.active))
+// arbitrary order, which vLLM's preemption and queueing induce) and returns
+// the frontier in that order, as beams (s.ordered) and as scheduler paths.
+func (s *solver) orderBeams() ([]*beam, []sched.Path) {
+	s.paths = s.paths[:0]
 	for _, b := range s.active {
-		byID[b.id] = b
+		s.paths = append(s.paths, b.schedPath())
 	}
-	out := make([]*beam, len(ordered))
-	for i, p := range ordered {
-		out[i] = byID[p.ID]
+	var paths []sched.Path
+	if s.cfg.Opts.PrefixAware {
+		paths = s.sched.PrefixAwareOrder(s.paths)
+	} else {
+		paths = sched.RandomOrder(s.paths, &s.orderRand)
 	}
-	return out
+	s.ordered = s.ordered[:0]
+	for _, p := range paths {
+		s.ordered = append(s.ordered, s.byID[p.ID])
+	}
+	return s.ordered, paths
 }
 
 // execTrie runs one memory-resident group: acquire KV (charging recompute
@@ -569,7 +654,7 @@ func (s *solver) execTrie(group []*beam) {
 	// Acquire committed prefixes; extend with this step's fresh tokens.
 	// Without a generator prefix cache (the vLLM baseline), every beam's
 	// full path is re-prefilled as a fresh prompt each iteration.
-	var recomp []engine.PrefillItem
+	recomp := s.recomp[:0]
 	for _, b := range group {
 		prevLen := b.tokLen - b.rem
 		if !s.cfg.Opts.GeneratorPrefixCache {
@@ -577,24 +662,24 @@ func (s *solver) execTrie(group []*beam) {
 			s.recomputed += int64(prevLen)
 			continue
 		}
-		seq, _, miss, err := s.gen.Cache.AcquireRuns(b.tokens[:b.freshAt])
+		_, miss, err := s.gen.Cache.AcquireInto(&b.seq, b.tokens[:b.freshAt])
+		b.resident = err == nil
 		if err != nil {
 			// Pinned-full or oversized path: stream uncached.
 			miss = prevLen
-			seq = nil
 		}
 		if miss > 0 {
 			recomp = append(recomp, engine.PrefillItem{NewTokens: miss, CtxTokens: prevLen})
 			s.recomputed += int64(miss)
 		}
-		if seq != nil && b.rem > 0 {
-			if _, _, err := s.gen.Cache.Extend(seq, b.tokens[b.freshAt:]); err != nil {
-				s.gen.Cache.Release(seq)
-				seq = nil
+		if b.resident && b.rem > 0 {
+			if _, _, err := s.gen.Cache.Extend(&b.seq, b.tokens[b.freshAt:]); err != nil {
+				s.gen.Cache.Release(&b.seq)
+				b.resident = false
 			}
 		}
-		b.seq = seq
 	}
+	s.recomp = recomp
 	if len(recomp) > 0 {
 		s.gen.PrefillBatch(recomp, trace.PhaseRecompute)
 	}
@@ -605,7 +690,7 @@ func (s *solver) execTrie(group []*beam) {
 	// survives to the next iteration (dropped silently under pressure —
 	// speculation is opportunistic).
 	for _, b := range group {
-		if b.seq == nil {
+		if !b.resident {
 			continue
 		}
 		for _, sp := range b.specs {
@@ -619,19 +704,18 @@ func (s *solver) execTrie(group []*beam) {
 				// (recompute-on-adopt handles residency).
 				continue
 			}
-			fork, err := s.gen.Cache.Fork(b.seq)
-			if err != nil {
+			if err := s.gen.Cache.ForkInto(&s.seq, &b.seq); err != nil {
 				continue
 			}
-			s.specExt = appendNodeRuns(append(s.specExt[:0], b.pending...), sp.node, sp.count)
-			s.gen.Cache.Extend(fork, s.specExt)
-			s.gen.Cache.Release(fork)
+			s.runs = appendNodeRuns(append(s.runs[:0], b.pending...), sp.node, sp.count)
+			s.gen.Cache.Extend(&s.seq, s.runs)
+			s.gen.Cache.Release(&s.seq)
 		}
 	}
 	for _, b := range group {
-		if b.seq != nil {
-			s.gen.Cache.Release(b.seq)
-			b.seq = nil
+		if b.resident {
+			s.gen.Cache.Release(&b.seq)
+			b.resident = false
 		}
 	}
 }
@@ -643,25 +727,63 @@ type specCandidate struct {
 	priority int
 }
 
+// before is the queue order. A beam is queued at most once at a time and
+// IDs are unique, so the order is total and pops come out the same however
+// the heap happens to be laid out.
+func (c specCandidate) before(d specCandidate) bool {
+	if c.priority != d.priority {
+		return c.priority > d.priority
+	}
+	if c.b.score != d.b.score {
+		return c.b.score > d.b.score
+	}
+	return c.b.id < d.b.id
+}
+
+// specHeap is a binary min-heap under before, typed so candidates are not
+// boxed into interfaces the way container/heap would.
 type specHeap []specCandidate
 
-func (h specHeap) Len() int { return len(h) }
-func (h specHeap) Less(i, j int) bool {
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
+func (h *specHeap) push(c specCandidate) {
+	q := append(*h, c)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
 	}
-	if h[i].b.score != h[j].b.score {
-		return h[i].b.score > h[j].b.score
-	}
-	return h[i].b.id < h[j].b.id
+	*h = q
 }
-func (h specHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *specHeap) Push(x any)   { *h = append(*h, x.(specCandidate)) }
-func (h *specHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+
+func (h *specHeap) pop() specCandidate {
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	q[last] = specCandidate{}
+	q = q[:last]
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < last; c++ {
+			if q[c].before(q[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
+}
+
+// specSlot is one speculative branch occupying a decode slot.
+type specSlot struct {
+	b   *beam
+	idx int // index into b.specs
 }
 
 // decodeRounds is the generation while-loop of Algorithm 1: one token per
@@ -672,30 +794,27 @@ func (h *specHeap) Pop() any {
 // next step, which preserves per-stream draw order and therefore
 // algorithmic equivalence.
 func (s *solver) decodeRounds(group []*beam) {
-	maxRem := 0
-	for _, b := range group {
-		if b.rem > maxRem {
-			maxRem = b.rem
-		}
-	}
-	buckets := make([][]*beam, maxRem+1)
-	active := 0
+	// The decoding beams, ordered by the round they finish in; beams
+	// finishing together keep group order (the sort is stable).
+	byRem := s.byRem[:0]
 	var ctx int64
 	for _, b := range group {
 		if b.rem > 0 {
-			active++
-			buckets[b.rem] = append(buckets[b.rem], b)
+			byRem = append(byRem, b)
 			ctx += int64(b.tokLen - b.rem)
 		}
 	}
+	s.byRem = byRem
+	slices.SortStableFunc(byRem, func(a, b *beam) int { return a.rem - b.rem })
+	active := len(byRem)
 	speculating := s.cfg.Opts.Speculative && s.cfg.Policy.UsesVerifier()
-	var cand specHeap
+	cand := s.specQueue[:0]
 	pushCand := func(b *beam) {
 		if !speculating || b.stepTerminal {
 			return // terminal paths have no future step to speculate
 		}
 		if b.specEligible > len(b.specs) {
-			heap.Push(&cand, specCandidate{b: b, priority: b.specEligible - len(b.specs)})
+			cand.push(specCandidate{b: b, priority: b.specEligible - len(b.specs)})
 		}
 	}
 	if speculating {
@@ -706,11 +825,7 @@ func (s *solver) decodeRounds(group []*beam) {
 		}
 	}
 	slots := len(group)
-	type slot struct {
-		b   *beam
-		idx int // index into b.specs
-	}
-	var specActive []slot
+	specActive := s.specSlots[:0]
 	// Speculative context budget: spec slots add KV reads to every round,
 	// so their total context is capped at a fraction of the weight-read
 	// cost, keeping speculation effectively free under the roofline.
@@ -725,12 +840,11 @@ func (s *solver) decodeRounds(group []*beam) {
 		if !speculating || s.isPreempted() {
 			return
 		}
-		for active+len(specActive) < slots && cand.Len() > 0 {
-			c := heap.Pop(&cand).(specCandidate)
-			b := c.b
+		for active+len(specActive) < slots && len(cand) > 0 {
+			b := cand.pop().b
 			if len(b.nextSteps) == 0 {
 				st := workload.SampleStep(s.p, &b.state, s.cfg.GenSkill,
-					s.cfg.Policy.StepBudget(b.state.Steps), b.r)
+					s.cfg.Policy.StepBudget(b.state.Steps), &b.r)
 				b.nextSteps = append(b.nextSteps, st)
 			}
 			capTok := b.nextSteps[0].Tokens - b.pendLen
@@ -746,13 +860,14 @@ func (s *solver) decodeRounds(group []*beam) {
 				node: node, cap: capTok,
 				ctxLen: b.tokLen + b.pendLen,
 			})
-			specActive = append(specActive, slot{b: b, idx: len(b.specs) - 1})
+			specActive = append(specActive, specSlot{b: b, idx: len(b.specs) - 1})
 			ctx += base
 			specCtx += base
 			pushCand(b) // re-queue with reduced priority if still eligible
 		}
 	}
 	fill()
+	done := 0 // byRem[:done] have finished decoding
 	for r := 1; active > 0; r++ {
 		if s.isPreempted() && len(specActive) > 0 {
 			// Preemption: stop all speculative execution immediately
@@ -761,7 +876,7 @@ func (s *solver) decodeRounds(group []*beam) {
 				ctx -= int64(sl.b.specs[sl.idx].ctxLen + sl.b.specs[sl.idx].count)
 				specCtx -= int64(sl.b.specs[sl.idx].ctxLen + sl.b.specs[sl.idx].count)
 			}
-			specActive = nil
+			specActive = specActive[:0]
 		}
 		batch := active + len(specActive)
 		s.gen.DecodeRound(batch, ctx, trace.PhaseGenerate)
@@ -787,15 +902,17 @@ func (s *solver) decodeRounds(group []*beam) {
 			}
 		}
 		specActive = keep
-		if r < len(buckets) {
-			for _, b := range buckets[r] {
-				active--
-				ctx -= int64(b.tokLen)
-				pushCand(b)
-			}
+		for ; done < len(byRem) && byRem[done].rem == r; done++ {
+			b := byRem[done]
+			active--
+			ctx -= int64(b.tokLen)
+			pushCand(b)
 		}
 		fill()
 	}
+	// Hand the (possibly regrown) buffers back, emptied of beam pointers.
+	clear(cand)
+	s.specQueue, s.specSlots = cand[:0], specActive[:0]
 }
 
 // maxSpecDepth bounds how many future steps the primary speculative
@@ -821,7 +938,7 @@ func (s *solver) chainSpec(b *beam, br *specBranch) bool {
 		workload.ApplyStep(&proj, st)
 	}
 	st := workload.SampleStep(s.p, &proj, s.cfg.GenSkill,
-		s.cfg.Policy.StepBudget(proj.Steps), b.r)
+		s.cfg.Policy.StepBudget(proj.Steps), &b.r)
 	b.nextSteps = append(b.nextSteps, st)
 	br.cap += st.Tokens
 	return true
@@ -836,7 +953,8 @@ func (s *solver) isPreempted() bool {
 
 // verificationPhase scores every beam's committed path (plus retained
 // speculative tokens under LookAhead Verification) in scheduling order.
-func (s *solver) verificationPhase(ordered []*beam) {
+func (s *solver) verificationPhase() {
+	ordered := s.ordered
 	if len(ordered) == 0 {
 		return
 	}
@@ -847,23 +965,24 @@ func (s *solver) verificationPhase(ordered []*beam) {
 	if bins <= 0 {
 		bins = s.cfg.Policy.BranchFactor()
 	}
-	reqs := make([]verify.Request, len(ordered))
-	for i, b := range ordered {
+	reqs := s.reqs[:0]
+	for _, b := range ordered {
 		var spec []kvcache.Run
 		// Co-verify speculative chains only for top-bin beams — the ones
 		// most likely to survive selection (§4.1.1's priority heuristic
 		// applied to verification spend).
 		if s.ver.LookAhead && !b.stepTerminal && b.specEligible >= bins {
-			spec, _ = b.specChain()
+			spec = b.specChain()
 		}
-		reqs[i] = verify.Request{
+		reqs = append(reqs, verify.Request{
 			Tokens:     b.tokens,
 			SpecTokens: spec,
 			Covered:    b.verifiedLen,
 			State:      &b.state,
-			R:          b.obsR,
-		}
+			R:          &b.obsR,
+		})
 	}
+	s.reqs = reqs
 	scores := s.ver.ScoreAll(reqs)
 	for i, b := range ordered {
 		b.score = scores[i]
@@ -885,10 +1004,10 @@ func (s *solver) verificationPhase(ordered []*beam) {
 // (truncation ratio R, §4.1).
 func (s *solver) selectAndBranch() {
 	now := s.clk.Now()
-	var continuing []*beam
+	continuing := s.continuing[:0]
 	for _, b := range s.active {
 		if b.stepTerminal {
-			b.answer = workload.Answer(s.p, &b.state, b.obsR)
+			b.answer = workload.Answer(s.p, &b.state, &b.obsR)
 			s.finished = append(s.finished, FinalPath{
 				BeamID:      b.id,
 				Steps:       b.state.Steps,
@@ -897,53 +1016,70 @@ func (s *solver) selectAndBranch() {
 				Score:       b.score,
 				CompletedAt: now,
 			})
+			s.freeBeam(b)
 			continue
 		}
 		continuing = append(continuing, b)
 	}
-	if len(continuing) == 0 {
-		s.active = nil
-		return
-	}
 	pol := s.cfg.Policy
-	if !pol.UsesVerifier() {
-		s.active = continuing
+	if len(continuing) == 0 || !pol.UsesVerifier() {
+		s.active, s.continuing = continuing, s.active[:0]
 		return
 	}
-	cands := make([]search.Candidate, len(continuing))
-	byID := make(map[int]*beam, len(continuing))
-	for i, b := range continuing {
-		cands[i] = search.Candidate{ID: b.id, Subtree: b.subtree, Score: b.score}
-		byID[b.id] = b
+	s.continuing = continuing
+	cands := s.cands[:0]
+	for _, b := range continuing {
+		cands = append(cands, search.Candidate{ID: b.id, Subtree: b.subtree, Score: b.score})
 	}
-	branches := pol.Select(cands, s.selRand)
-	var next []*beam
+	s.cands = cands
+	branches := pol.Select(cands, &s.selRand)
+	// Pruned beams go back to the pool before the survivors branch, so the
+	// duplicates below are built from them.
 	for _, br := range branches {
-		b := byID[br.ID]
-		// Original adopts its full speculative chain as pending tokens.
-		chainRuns, chainLin := b.specChain()
+		s.byID[br.ID].selected = true
+	}
+	for _, b := range continuing {
+		if !b.selected {
+			s.freeBeam(b)
+		}
+		b.selected = false
+	}
+	next := s.next[:0]
+	for _, br := range branches {
+		b := s.byID[br.ID]
 		if len(b.specs) > 0 {
 			s.specRetained += int64(b.specs[0].count)
 		}
 		next = append(next, b)
 		for c := 1; c < br.Children; c++ {
-			id := s.nextBeam
-			s.nextBeam++
-			child := b.child(id,
-				s.root.ChildN("beam", id),
-				s.root.ChildN("obs", id),
-				s.root.ChildN("spec", id))
-			child.verifiedLen = child.tokLen
+			child := s.branch(b)
 			if s.cfg.Opts.Speculative {
 				s.seedChildPending(b, child, c)
 			}
 			next = append(next, child)
 		}
-		b.pending, b.pendLen = chainRuns, kvcache.Len(chainRuns)
-		b.pendingLin = chainLin
-		b.specs = nil
+		// Original adopts its full speculative chain as pending tokens.
+		b.adoptSpecChain()
 	}
-	s.active = next
+	s.active, s.next = next, s.active[:0]
+}
+
+// branch clones b into a new successor sharing the committed sequence: its
+// own ID and streams, b's path, state and score, nothing pending, and
+// everything committed counted as verified.
+func (s *solver) branch(b *beam) *beam {
+	child := s.newBeam()
+	child.id = s.nextBeam
+	s.nextBeam++
+	child.subtree = b.subtree
+	child.state = b.state
+	child.tokens = append(child.tokens, b.tokens...)
+	child.tokLen = b.tokLen
+	child.lineage = append(child.lineage, b.lineage...)
+	child.score, child.hasScore = b.score, b.hasScore
+	child.verifiedLen = child.tokLen
+	s.deriveStreams(child)
+	return child
 }
 
 // seedChildPending gives duplicate c of beam b a truncated speculative
@@ -966,8 +1102,8 @@ func (s *solver) seedChildPending(b, child *beam, c int) {
 	if keep <= 0 {
 		return
 	}
-	child.pending, child.pendLen = nodeRuns(sp.node, keep), keep
-	child.pendingLin = []sched.NodeRef{{Node: sp.node, Tokens: keep}}
+	child.pending, child.pendLen = appendNodeRuns(child.pending, sp.node, keep), keep
+	child.pendingLin = append(child.pendingLin, sched.NodeRef{Node: sp.node, Tokens: keep})
 	s.specRetained += int64(keep)
 }
 

@@ -58,6 +58,20 @@ func New(name string, m model.Config, g hw.GPU, kvBytes int64, clk *sim.Clock, r
 	}, nil
 }
 
+// Reset returns the engine to its just-constructed state with a KV cache of
+// kvBytes: counters zero, cache empty (see kvcache.Cache.Reset). Model, GPU,
+// clock and recorder are kept; the serving loop resets one engine per
+// request instead of building one.
+func (e *Engine) Reset(kvBytes int64) error {
+	if kvBytes <= 0 {
+		return fmt.Errorf("engine %s: non-positive KV budget %d", e.Name, kvBytes)
+	}
+	e.Cache.Reset(kvBytes)
+	e.BusyTime, e.TransferTime = 0, 0
+	e.DecodedTokens, e.PrefilledTokens = 0, 0
+	return nil
+}
+
 // DecodeRound charges one decode step for a batch of `batch` sequences
 // whose cached contexts total ctxTokens, attributing the sample to phase.
 // realBatch is the number of non-speculative sequences (used only for the
@@ -75,11 +89,13 @@ func (e *Engine) DecodeRound(batch int, ctxTokens int64, phase trace.Phase) floa
 	e.Clock.Advance(dt)
 	e.BusyTime += dt
 	e.DecodedTokens += int64(batch)
-	e.Rec.Record(trace.Sample{
-		Start: start, End: start + dt, Phase: phase,
-		Util:  e.GPU.Utilization(flops, dt),
-		Batch: batch, KVBytes: e.Cache.UsedBytes(),
-	})
+	if e.Rec != nil {
+		e.Rec.Record(trace.Sample{
+			Start: start, End: start + dt, Phase: phase,
+			Util:  e.GPU.Utilization(flops, dt),
+			Batch: batch, KVBytes: e.Cache.UsedBytes(),
+		})
+	}
 	return dt
 }
 
@@ -110,11 +126,13 @@ func (e *Engine) PrefillBatch(items []PrefillItem, phase trace.Phase) float64 {
 	e.Clock.Advance(dt)
 	e.BusyTime += dt
 	e.PrefilledTokens += int64(newTotal)
-	e.Rec.Record(trace.Sample{
-		Start: start, End: start + dt, Phase: phase,
-		Util:  e.GPU.Utilization(flops, dt),
-		Batch: len(items), KVBytes: e.Cache.UsedBytes(),
-	})
+	if e.Rec != nil {
+		e.Rec.Record(trace.Sample{
+			Start: start, End: start + dt, Phase: phase,
+			Util:  e.GPU.Utilization(flops, dt),
+			Batch: len(items), KVBytes: e.Cache.UsedBytes(),
+		})
+	}
 	return dt
 }
 
@@ -129,10 +147,12 @@ func (e *Engine) SwapTransfer(bytes int64) float64 {
 	e.Clock.Advance(dt)
 	e.TransferTime += dt
 	e.BusyTime += dt
-	e.Rec.Record(trace.Sample{
-		Start: start, End: start + dt, Phase: trace.PhaseTransfer,
-		Util: 0, Batch: 0, KVBytes: e.Cache.UsedBytes(),
-	})
+	if e.Rec != nil {
+		e.Rec.Record(trace.Sample{
+			Start: start, End: start + dt, Phase: trace.PhaseTransfer,
+			Util: 0, Batch: 0, KVBytes: e.Cache.UsedBytes(),
+		})
+	}
 	return dt
 }
 

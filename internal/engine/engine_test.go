@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fasttts/internal/hw"
+	"fasttts/internal/kvcache"
 	"fasttts/internal/model"
 	"fasttts/internal/sim"
 	"fasttts/internal/trace"
@@ -156,5 +157,99 @@ func TestResizeCache(t *testing.T) {
 	}
 	if got := e.Cache.CapacityTokens(); got != (1<<30)/e.Model.KVBytesPerToken() {
 		t.Errorf("capacity = %d", got)
+	}
+}
+
+// The sample blocks are skipped for a nil recorder; skipping them must not
+// change what the engine charges, and a non-nil recorder must still see one
+// sample per charged operation with the fields the unguarded code computed.
+func TestRecorderGuardChangesNothing(t *testing.T) {
+	m, g := model.Qwen25Math1_5B, hw.RTX4090
+	for _, tc := range []struct {
+		name    string
+		op      func(e *Engine) float64
+		phase   trace.Phase
+		batch   int
+		flops   float64 // utilization numerator; 0 for transfers
+		samples int
+	}{
+		{"decode", func(e *Engine) float64 { return e.DecodeRound(8, 8*512, trace.PhaseGenerate) },
+			trace.PhaseGenerate, 8, 8 * m.DecodeFLOPsPerToken(512), 1},
+		{"decode zero batch", func(e *Engine) float64 { return e.DecodeRound(0, 0, trace.PhaseGenerate) },
+			trace.PhaseGenerate, 0, 0, 0},
+		{"prefill", func(e *Engine) float64 {
+			return e.PrefillBatch([]PrefillItem{{NewTokens: 300, CtxTokens: 900}, {NewTokens: 0, CtxTokens: 5}}, trace.PhaseVerify)
+		}, trace.PhaseVerify, 2, m.PrefillFLOPs(300, 900), 1},
+		{"prefill nothing new", func(e *Engine) float64 { return e.PrefillBatch([]PrefillItem{{CtxTokens: 5}}, trace.PhaseVerify) },
+			trace.PhaseVerify, 0, 0, 0},
+		{"swap", func(e *Engine) float64 { return e.SwapTransfer(64 << 20) }, trace.PhaseTransfer, 0, 0, 1},
+		{"swap nothing", func(e *Engine) float64 { return e.SwapTransfer(0) }, trace.PhaseTransfer, 0, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &trace.Recorder{}
+			var engines [2]*Engine
+			var dts [2]float64
+			for i, r := range []*trace.Recorder{nil, rec} {
+				e, err := New("gen", m, g, 2<<30, &sim.Clock{}, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, _, err := e.Cache.AcquireRuns([]kvcache.Run{{First: 0, N: 700}}); err != nil {
+					t.Fatal(err)
+				}
+				e.Clock.Advance(1.5) // samples must start at the clock, not at 0
+				engines[i], dts[i] = e, tc.op(e)
+			}
+			off, on := engines[0], engines[1]
+			if dts[0] != dts[1] || off.Clock.Now() != on.Clock.Now() || off.BusyTime != on.BusyTime ||
+				off.TransferTime != on.TransferTime || off.DecodedTokens != on.DecodedTokens ||
+				off.PrefilledTokens != on.PrefilledTokens {
+				t.Errorf("nil recorder: dt=%v clock=%v %+v\nrecorder:     dt=%v clock=%v %+v",
+					dts[0], off.Clock.Now(), counters(off), dts[1], on.Clock.Now(), counters(on))
+			}
+			if len(rec.Samples) != tc.samples {
+				t.Fatalf("%d samples, want %d", len(rec.Samples), tc.samples)
+			}
+			if tc.samples == 0 {
+				return
+			}
+			want := trace.Sample{
+				Start: 1.5, End: 1.5 + dts[1], Phase: tc.phase, Batch: tc.batch,
+				KVBytes: 700 * m.KVBytesPerToken(),
+			}
+			if tc.flops > 0 {
+				want.Util = g.Utilization(tc.flops, dts[1])
+			}
+			if rec.Samples[0] != want {
+				t.Errorf("sample = %+v\nwant     %+v", rec.Samples[0], want)
+			}
+		})
+	}
+}
+
+func counters(e *Engine) [4]float64 {
+	return [4]float64{e.BusyTime, e.TransferTime, float64(e.DecodedTokens), float64(e.PrefilledTokens)}
+}
+
+func TestResetMatchesNew(t *testing.T) {
+	e, clk := newTestEngine(t, model.Qwen25Math1_5B, 2<<30)
+	e.Cache.AcquireRuns([]kvcache.Run{{First: 0, N: 700}})
+	e.DecodeRound(8, 8*512, trace.PhaseGenerate)
+	e.PrefillBatch([]PrefillItem{{NewTokens: 300, CtxTokens: 900}}, trace.PhaseVerify)
+	e.SwapTransfer(1 << 20)
+	if err := e.Reset(1 << 30); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New("test", model.Qwen25Math1_5B, hw.RTX4090, 1<<30, clk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counters(e) != counters(fresh) || e.Cache.UsedTokens() != 0 || e.Cache.Stats() != fresh.Cache.Stats() ||
+		e.Cache.CapacityTokens() != fresh.Cache.CapacityTokens() {
+		t.Errorf("reset engine %+v used=%d stats=%+v cap=%d differs from a new one",
+			counters(e), e.Cache.UsedTokens(), e.Cache.Stats(), e.Cache.CapacityTokens())
+	}
+	if err := e.Reset(0); err == nil {
+		t.Error("Reset accepted a non-positive KV budget")
 	}
 }

@@ -19,12 +19,29 @@
 // costs O(runs on the path), not O(tokens), while node boundaries — and
 // with them every hit, miss and eviction number — are exactly those of a
 // token-by-token radix tree (oracle_test.go holds one and checks).
+//
+// Storage and lifetimes. A node keeps its children in a slice of (first
+// span token, child) pairs sorted by that token and binary-searched —
+// siblings never share a first token; fan-out is the search's branching
+// factor nearly everywhere (one child fits inline) and the number of
+// resident prompts under the root; and a slice keeps its backing array when
+// the node is recycled, which a map cannot. Nothing depends on the order
+// beyond the search: children are otherwise only summed over and
+// re-parented wholesale. Nodes a cache evicts or sheds on Reset go onto its
+// free list with their span and children storage and are handed out again by
+// the next insert, so a cache in steady state allocates nothing. A Seq
+// handle's storage belongs to the caller: AcquireRuns and Fork allocate one,
+// AcquireInto and ForkInto fill one the caller supplies (a released or zero
+// Seq) and allocate nothing. A handle is valid from a successful acquire
+// until Release/Drop, or until the cache's Reset, which invalidates every
+// handle — live or released — at once.
 package kvcache
 
 import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Token is a synthetic token identifier. The simulator derives token
@@ -147,14 +164,46 @@ type Stats struct {
 
 type node struct {
 	parent   *node
-	children map[Token]*node // keyed by first span token; nil until the first child
-	span     []Run           // merged runs; starts out backed by one
-	one      [1]Run          // inline storage for the common single-run span
-	length   int             // tokens in span
-	refs     int             // live sequences whose pinned path passes through here
-	owners   *Seq            // handles ending here, linked through Seq.next
-	lastUsed uint64          // LRU clock value
-	heapIdx  int             // index in the eviction heap, -1 if absent
+	children []childRef  // sorted by first; starts out backed by kid
+	kid      [1]childRef // inline storage for the common single child
+	span     []Run       // merged runs; starts out backed by one
+	one      [1]Run      // inline storage for the common single-run span
+	length   int         // tokens in span
+	refs     int         // live sequences whose pinned path passes through here
+	owners   *Seq        // handles ending here, linked through Seq.next
+	lastUsed uint64      // LRU clock value
+	heapIdx  int         // index in the eviction heap, -1 if absent
+}
+
+// childRef files a child under the first token of its span, held beside the
+// pointer so a lookup stays inside one contiguous array.
+type childRef struct {
+	first Token
+	n     *node
+}
+
+// find returns where the child filed under first is, or would go, in
+// n.children, and whether it is there. Written out because every step of
+// every walk comes through here: slices.BinarySearchFunc's comparator calls
+// made a resident AcquireInto a quarter slower.
+func (n *node) find(first Token) (int, bool) {
+	lo, hi := 0, len(n.children)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); n.children[mid].first < first {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(n.children) && n.children[lo].first == first
+}
+
+// child returns the child whose span starts with first, or nil.
+func (n *node) child(first Token) *node {
+	if i, ok := n.find(first); ok {
+		return n.children[i].n
+	}
+	return nil
 }
 
 func (n *node) evictable() bool {
@@ -163,6 +212,7 @@ func (n *node) evictable() bool {
 
 // Seq is a handle to an acquired sequence. While held, the sequence's
 // entire path is pinned in cache. Release the handle to make it evictable.
+// A Seq must not be copied while live: the tree links handles by address.
 type Seq struct {
 	leaf       *node
 	length     int // tokens along the path
@@ -190,7 +240,8 @@ type Cache struct {
 	clock         uint64
 	evictHeap     evictHeap
 	stats         Stats
-	scratch       []Run // Acquire's run-compressed argument, reused
+	scratch       []Run   // Acquire's run-compressed argument, reused
+	free          []*node // evicted and reset nodes awaiting reuse, storage attached
 }
 
 // ErrTooLarge is returned when a single sequence cannot fit in the cache
@@ -217,12 +268,13 @@ func NewBlocked(capacityBytes, bytesPerToken int64, blockTokens int) *Cache {
 	if blockTokens < 1 {
 		panic("kvcache: blockTokens must be >= 1")
 	}
-	return &Cache{
+	c := &Cache{
 		bytesPerToken: bytesPerToken,
 		capacity:      capacityBytes,
 		blockTokens:   blockTokens,
-		root:          &node{heapIdx: -1},
 	}
+	c.root = c.newNode()
+	return c
 }
 
 // blockCost returns the allocated token slots for n logical tokens.
@@ -254,7 +306,7 @@ func (c *Cache) PinnedTokens() int64 {
 			pinned += int64(n.length)
 		}
 		for _, ch := range n.children {
-			walk(ch)
+			walk(ch.n)
 		}
 	}
 	walk(c.root)
@@ -272,7 +324,7 @@ func (c *Cache) NodeCount() int {
 	walk = func(n *node) {
 		count++
 		for _, ch := range n.children {
-			walk(ch)
+			walk(ch.n)
 		}
 	}
 	walk(c.root)
@@ -291,8 +343,8 @@ func (c *Cache) walk(start *node, q *cursor) (*node, int) {
 	n := start
 	matched := 0
 	for !q.done() {
-		child, ok := n.children[q.next()]
-		if !ok {
+		child := n.child(q.next())
+		if child == nil {
 			break
 		}
 		k := q.match(child.span)
@@ -322,6 +374,41 @@ func (c *Cache) Acquire(tokens []Token) (seq *Seq, hit, miss int, err error) {
 // capacity, or ErrPinned if live sequences occupy all memory. The cache
 // keeps no reference to runs.
 func (c *Cache) AcquireRuns(runs []Run) (seq *Seq, hit, miss int, err error) {
+	n, hit, miss, err := c.acquire(runs)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	seq = &Seq{}
+	c.bind(seq, n, hit+miss)
+	return seq, hit, miss, nil
+}
+
+// AcquireInto is AcquireRuns with the handle's storage supplied by the
+// caller: s must be a zero or released Seq, and is left untouched on error.
+func (c *Cache) AcquireInto(s *Seq, runs []Run) (hit, miss int, err error) {
+	if s.live() {
+		return 0, 0, errLiveHandle
+	}
+	n, hit, miss, err := c.acquire(runs)
+	if err != nil {
+		return 0, 0, err
+	}
+	c.bind(s, n, hit+miss)
+	return hit, miss, nil
+}
+
+var errLiveHandle = errors.New("kvcache: acquire into a live sequence handle")
+
+func (s *Seq) live() bool { return s.leaf != nil && !s.released }
+
+// bind makes s the handle of the pinned path ending at leaf.
+func (c *Cache) bind(s *Seq, leaf *node, length int) {
+	*s = Seq{leaf: leaf, length: length}
+	c.addOwner(leaf, s)
+}
+
+// acquire pins the path and returns its leaf.
+func (c *Cache) acquire(runs []Run) (leaf *node, hit, miss int, err error) {
 	total := Len(runs)
 	if !c.Fits(total) {
 		return nil, 0, 0, ErrTooLarge
@@ -340,11 +427,9 @@ func (c *Cache) AcquireRuns(runs []Run) (seq *Seq, hit, miss int, err error) {
 		}
 		n = c.attachChild(n, &q, miss)
 	}
-	s := &Seq{leaf: n, length: total}
-	c.addOwner(n, s)
 	c.stats.HitTokens += int64(hit)
 	c.stats.MissTokens += int64(miss)
-	return s, hit, miss, nil
+	return n, hit, miss, nil
 }
 
 // Extend appends a path to an acquired sequence. Tokens already cached
@@ -404,14 +489,26 @@ func (c *Cache) Extend(s *Seq, runs []Run) (hit, miss int, err error) {
 // branching uses this: the duplicate shares every cached token with the
 // original at zero memory cost.
 func (c *Cache) Fork(s *Seq) (*Seq, error) {
+	f := &Seq{}
+	if err := c.ForkInto(f, s); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// ForkInto is Fork with the new handle's storage supplied by the caller:
+// dst must be a zero or released Seq, and is left untouched on error.
+func (c *Cache) ForkInto(dst, s *Seq) error {
 	if s.released {
-		return nil, errors.New("kvcache: fork of released sequence")
+		return errors.New("kvcache: fork of released sequence")
+	}
+	if dst.live() {
+		return errLiveHandle
 	}
 	c.clock++
 	c.pinSegment(s.leaf, nil)
-	f := &Seq{leaf: s.leaf, length: s.length}
-	c.addOwner(s.leaf, f)
-	return f, nil
+	c.bind(dst, s.leaf, s.length)
+	return nil
 }
 
 // Release unpins a sequence. Its nodes stay cached until evicted.
@@ -452,8 +549,8 @@ func (c *Cache) LongestCachedPrefix(runs []Run) int {
 	n := c.root
 	matched := 0
 	for !q.done() {
-		child, ok := n.children[q.next()]
-		if !ok {
+		child := n.child(q.next())
+		if child == nil {
 			break
 		}
 		k := q.match(child.span)
@@ -493,19 +590,64 @@ func (c *Cache) Resize(capacityBytes int64) error {
 	return nil
 }
 
+// Reset returns the cache to its just-constructed state at the given
+// capacity — empty tree, LRU clock, eviction heap, usage and Stats all zero,
+// so every later operation answers exactly as on a New cache — while keeping
+// every node's storage for reuse. All outstanding handles become invalid.
+func (c *Cache) Reset(capacityBytes int64) {
+	// Breadth-first, with the free list's tail as the queue.
+	i := len(c.free)
+	c.free = c.root.shed(c.free)
+	for ; i < len(c.free); i++ {
+		c.free = c.free[i].shed(c.free)
+	}
+	clear(c.evictHeap)
+	*c = Cache{
+		bytesPerToken: c.bytesPerToken,
+		capacity:      capacityBytes,
+		blockTokens:   c.blockTokens,
+		root:          c.root,
+		evictHeap:     c.evictHeap[:0],
+		scratch:       c.scratch,
+		free:          c.free,
+	}
+	c.root.refs, c.root.owners, c.root.lastUsed = 0, nil, 0
+}
+
+// shed moves n's children onto dst, leaving n childless.
+func (n *node) shed(dst []*node) []*node {
+	for _, ch := range n.children {
+		dst = append(dst, ch.n)
+	}
+	clear(n.children)
+	n.children = n.children[:0]
+	return dst
+}
+
 // --- internals ---
+
+// newNode returns a blank node, recycled if one is free. Its span and
+// children are empty but keep whatever capacity they grew to.
+func (c *Cache) newNode() *node {
+	k := len(c.free) - 1
+	if k < 0 {
+		n := &node{heapIdx: -1}
+		n.children, n.span = n.kid[:0], n.one[:0]
+		return n
+	}
+	n := c.free[k]
+	c.free[k] = nil
+	c.free = c.free[:k]
+	*n = node{children: n.children[:0], span: n.span[:0], heapIdx: -1}
+	return n
+}
 
 // attachChild creates a pinned (refs=1) child of n holding the length
 // tokens q has left.
 func (c *Cache) attachChild(n *node, q *cursor, length int) *node {
-	child := &node{
-		parent:   n,
-		length:   length,
-		refs:     1,
-		lastUsed: c.clock,
-		heapIdx:  -1,
-	}
-	child.span = q.rest(child.one[:0])
+	child := c.newNode()
+	child.parent, child.length, child.refs, child.lastUsed = n, length, 1, c.clock
+	child.span = q.rest(child.span)
 	n.link(child)
 	c.unqueue(n) // n gained a child; no longer an evictable leaf
 	c.usedTokens += c.blockCost(length)
@@ -514,10 +656,16 @@ func (c *Cache) attachChild(n *node, q *cursor, length int) *node {
 
 // link files child under its first span token.
 func (n *node) link(child *node) {
-	if n.children == nil {
-		n.children = map[Token]*node{}
+	first := child.span[0].First
+	i, _ := n.find(first)
+	n.children = slices.Insert(n.children, i, childRef{first: first, n: child})
+}
+
+// unlink removes child from n's children.
+func (n *node) unlink(child *node) {
+	if i, ok := n.find(child.span[0].First); ok {
+		n.children = slices.Delete(n.children, i, i+1)
 	}
-	n.children[child.span[0].First] = child
 }
 
 // pinSegment increments refs from n up to (but excluding) stop. A nil
@@ -570,22 +718,19 @@ func (c *Cache) split(n *node, k int) {
 	if k <= 0 || k >= n.length {
 		return
 	}
-	suffix := &node{
-		parent:   n,
-		children: n.children,
-		length:   n.length - k,
-		refs:     n.refs,
-		owners:   n.owners,
-		lastUsed: n.lastUsed,
-		heapIdx:  -1,
-	}
+	suffix := c.newNode()
+	suffix.parent, suffix.length, suffix.refs = n, n.length-k, n.refs
+	suffix.owners, suffix.lastUsed = n.owners, n.lastUsed
+	// Copied, not handed over: a node's children storage (inline or grown)
+	// stays its own for as long as the node is recycled.
+	suffix.children = append(suffix.children, n.children...)
 	// Find the run holding token k; off is how much of it stays with n.
 	i, off := 0, k
 	for off >= n.span[i].N {
 		off -= n.span[i].N
 		i++
 	}
-	suffix.span = append(suffix.one[:0], n.span[i:]...)
+	suffix.span = append(suffix.span, n.span[i:]...)
 	suffix.span[0].First += Token(off)
 	suffix.span[0].N -= off
 	if off > 0 {
@@ -594,14 +739,15 @@ func (c *Cache) split(n *node, k int) {
 	}
 	n.span = n.span[:i]
 	for _, ch := range suffix.children {
-		ch.parent = suffix
+		ch.n.parent = suffix
 	}
 	for s := suffix.owners; s != nil; s = s.next {
 		s.leaf = suffix
 	}
 	whole := c.blockCost(n.length)
 	n.length = k
-	n.children = nil
+	clear(n.children)
+	n.children = n.children[:0]
 	n.link(suffix)
 	n.owners = nil
 	// Block rounding: two nodes may occupy more slots than one did.
@@ -629,11 +775,12 @@ func (c *Cache) ensure(needTokens int64) error {
 // evict removes a single evictable leaf from the tree.
 func (c *Cache) evict(n *node) {
 	parent := n.parent
-	delete(parent.children, n.span[0].First)
+	parent.unlink(n)
 	c.usedTokens -= c.blockCost(n.length)
 	c.stats.EvictedTokens += int64(n.length)
 	c.stats.Evictions++
 	n.parent = nil
+	c.free = append(c.free, n)
 	if parent.evictable() {
 		c.enqueue(parent)
 	}

@@ -476,6 +476,9 @@ func TestAllocsPerOperation(t *testing.T) {
 	}
 	tokens := expand(path)
 	c.Acquire(tokens) // sizes the adapter's reusable run buffer
+	var own, own2 Seq // caller-owned handle storage
+	branch := []Run{{First: 0, N: 4800}, {First: 9 << 12, N: 40}, {First: 7 << 12, N: 40}}
+	half := []Run{{First: 0, N: 4800}, {First: 9 << 12, N: 20}}
 	for _, tc := range []struct {
 		name string
 		want float64
@@ -494,6 +497,24 @@ func TestAllocsPerOperation(t *testing.T) {
 			c.Release(f)
 		}},
 		{"LongestCachedPrefix", 0, func() { c.LongestCachedPrefix(path) }},
+		{"AcquireInto of a resident path", 0, func() {
+			c.AcquireInto(&own, path)
+			c.Release(&own)
+		}},
+		{"ForkInto", 0, func() {
+			c.ForkInto(&own, held)
+			c.Release(&own)
+		}},
+		// Steady state under eviction: the nodes of the evicted branch, with
+		// their span and children storage, serve the next insert.
+		{"AcquireInto, split, extend and evict", 0, func() {
+			c.AcquireInto(&own, branch)
+			c.Extend(&own, branch[:1])
+			c.AcquireInto(&own2, half) // splits the branch node
+			c.Release(&own)
+			c.Release(&own2)
+			c.EvictAll()
+		}},
 	} {
 		if got := testing.AllocsPerRun(100, tc.op); got != tc.want {
 			t.Errorf("%s: %v allocs, want %v", tc.name, got, tc.want)

@@ -54,10 +54,23 @@ func errKind(err error) string {
 type diffPair struct {
 	c     *Cache
 	o     *oracle
+	block int
 	seqs  []*Seq
 	oseqs []*oseq
 	paths [][]Run // path of each live handle
 	pool  [][]Run // every path ever used, to draw shared prefixes from
+	spare []*Seq  // released handles, refilled through AcquireInto/ForkInto
+}
+
+// handle returns storage for a caller-owned handle: a released one when
+// there is any, so reuse of handle storage is exercised, else a zero Seq.
+func (d *diffPair) handle() *Seq {
+	if k := len(d.spare) - 1; k >= 0 {
+		s := d.spare[k]
+		d.spare = d.spare[:k]
+		return s
+	}
+	return new(Seq)
 }
 
 // state is everything the issue's equality covers.
@@ -109,6 +122,7 @@ func (d *diffPair) randPath(r *rng.Stream) []Run {
 }
 
 func (d *diffPair) drop(i int) {
+	d.spare = append(d.spare, d.seqs[i])
 	last := len(d.seqs) - 1
 	d.seqs[i], d.oseqs[i], d.paths[i] = d.seqs[last], d.oseqs[last], d.paths[last]
 	d.seqs, d.oseqs, d.paths = d.seqs[:last], d.oseqs[:last], d.paths[:last]
@@ -121,18 +135,36 @@ func (d *diffPair) step(r *rng.Stream) (op, got, want string) {
 		return fmt.Sprintf("hit=%d miss=%d err=%s", hit, miss, errKind(err))
 	}
 	pick := func() int { return r.IntN(len(d.seqs)) }
+	if r.IntN(80) == 0 {
+		// A reset cache must be indistinguishable from a new one: the
+		// oracle is simply rebuilt. Every handle dies with the reset.
+		bytes := int64(r.IntN(400)+60) * 16
+		d.c.Reset(bytes)
+		d.o = newOracleBlocked(bytes, 16, d.block)
+		d.seqs, d.oseqs, d.paths, d.spare = nil, nil, nil, nil
+		return fmt.Sprintf("reset %d", bytes), "", ""
+	}
 	switch k := r.IntN(16); {
 	case k < 4 || len(d.seqs) == 0:
 		p := d.randPath(r)
 		os, ohit, omiss, oerr := d.o.Acquire(expand(p))
 		s, hit, miss, err := d.c.AcquireRuns(p)
-		if r.IntN(4) == 0 { // the token-slice adapter must agree too
+		switch r.IntN(4) {
+		case 0: // the token-slice adapter must agree too
 			if err == nil {
 				d.c.Release(s)
 				d.o.Release(os)
 			}
 			os, ohit, omiss, oerr = d.o.Acquire(expand(p))
 			s, hit, miss, err = d.c.Acquire(expand(p))
+		case 1: // and so must a caller-owned handle
+			if err == nil {
+				d.c.Release(s)
+				d.o.Release(os)
+			}
+			os, ohit, omiss, oerr = d.o.Acquire(expand(p))
+			s = d.handle()
+			hit, miss, err = d.c.AcquireInto(s, p)
 		}
 		if err == nil && oerr == nil {
 			d.seqs, d.oseqs, d.paths = append(d.seqs, s), append(d.oseqs, os), append(d.paths, p)
@@ -161,7 +193,14 @@ func (d *diffPair) step(r *rng.Stream) (op, got, want string) {
 		return fmt.Sprintf("extend #%d by %v", i, p), res(hit, miss, err), res(ohit, omiss, oerr)
 	case k < 9:
 		i := pick()
-		s, err := d.c.Fork(d.seqs[i])
+		var s *Seq
+		var err error
+		if r.IntN(2) == 0 {
+			s, err = d.c.Fork(d.seqs[i])
+		} else {
+			s = d.handle()
+			err = d.c.ForkInto(s, d.seqs[i])
+		}
 		os, oerr := d.o.Fork(d.oseqs[i])
 		if err == nil && oerr == nil {
 			d.seqs, d.oseqs, d.paths = append(d.seqs, s), append(d.oseqs, os), append(d.paths, d.paths[i])
@@ -199,8 +238,9 @@ func TestDifferentialOracle(t *testing.T) {
 		block := []int{1, 1, 4, 16}[cse%4] // exact and blocked allocation
 		capacity := int64(r.IntN(400)+60) * 16
 		d := &diffPair{
-			c: NewBlocked(capacity, 16, block),
-			o: newOracleBlocked(capacity, 16, block),
+			c:     NewBlocked(capacity, 16, block),
+			o:     newOracleBlocked(capacity, 16, block),
+			block: block,
 		}
 		for i := 0; i < *quickMaxItems; i++ {
 			op, got, want := d.step(r)

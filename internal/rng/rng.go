@@ -44,18 +44,32 @@ func fnvString(h uint64, s string) uint64 {
 }
 
 // Stream is a deterministic random stream. The zero value is not usable;
-// construct streams with New or Stream.Child.
+// construct streams with New, Make, or a derivation method. A Stream is a
+// plain value: owners that recycle their storage (a search beam keeps three)
+// hold it by value and re-derive in place with Derive/DeriveN, which seed
+// exactly as Child/ChildN do. Copying a Stream forks its state; derived
+// streams keep a pointer to their parent only for Path.
 type Stream struct {
 	seed  uint64
 	hash  uint64  // FNV-1a state over seed bytes + label path
 	label string  // this stream's own path segment ("" for the root)
 	up    *Stream // parent, for lazy Path reconstruction
 	pcg   rand.PCG
-	rand  *rand.Rand
 }
+
+// rand views the stream's generator state as a *rand.Rand. The Rand is a
+// one-word wrapper that never escapes the calling method, so building it per
+// draw costs nothing and keeps Stream free of self-referential pointers.
+func (s *Stream) rand() *rand.Rand { return rand.New(&s.pcg) }
 
 // New returns the root stream for the given seed.
 func New(seed uint64) *Stream {
+	s := Make(seed)
+	return &s
+}
+
+// Make is New returning the stream by value.
+func Make(seed uint64) Stream {
 	h := uint64(fnvOffset64)
 	for i := 0; i < 8; i++ {
 		h = fnvByte(h, byte(seed>>(8*i)))
@@ -66,13 +80,10 @@ func New(seed uint64) *Stream {
 // fromState finishes a derivation: h is the FNV-1a state over the seed
 // bytes and full label path. A second, independent word is drawn for the
 // PCG state by extending the hash with a fixed suffix.
-func fromState(seed, h uint64, label string, up *Stream) *Stream {
+func fromState(seed, h uint64, label string, up *Stream) Stream {
 	s1 := h
 	s2 := fnvByte(fnvByte(fnvByte(fnvByte(h, 0x9e), 0x37), 0x79), 0xb9)
-	s := &Stream{seed: seed, hash: h, label: label, up: up}
-	s.pcg = *rand.NewPCG(s1, s2)
-	s.rand = rand.New(&s.pcg)
-	return s
+	return Stream{seed: seed, hash: h, label: label, up: up, pcg: *rand.NewPCG(s1, s2)}
 }
 
 // Child derives an independent stream for the given label. Children with
@@ -80,13 +91,25 @@ func fromState(seed, h uint64, label string, up *Stream) *Stream {
 // yields the same stream regardless of how many values the parent has
 // consumed.
 func (s *Stream) Child(label string) *Stream {
+	c := s.Derive(label)
+	return &c
+}
+
+// Derive is Child returning the stream by value.
+func (s *Stream) Derive(label string) Stream {
 	return fromState(s.seed, fnvString(fnvByte(s.hash, '/'), label), label, s)
 }
 
 // ChildN is Child(label + "/" + decimal n) without building the label
-// string — the allocation-free spelling of the hot indexed derivations
-// (per-problem, per-beam, per-request streams).
+// string — the spelling of the hot indexed derivations (per-problem,
+// per-beam, per-request streams).
 func (s *Stream) ChildN(label string, n int) *Stream {
+	c := s.DeriveN(label, n)
+	return &c
+}
+
+// DeriveN is ChildN returning the stream by value.
+func (s *Stream) DeriveN(label string, n int) Stream {
 	h := fnvString(fnvByte(s.hash, '/'), label)
 	h = fnvByte(h, '/')
 	var buf [20]byte
@@ -107,18 +130,18 @@ func (s *Stream) Path() string {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (s *Stream) Float64() float64 { return s.rand.Float64() }
+func (s *Stream) Float64() float64 { return s.rand().Float64() }
 
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
-func (s *Stream) IntN(n int) int { return s.rand.IntN(n) }
+func (s *Stream) IntN(n int) int { return s.rand().IntN(n) }
 
 // Uint64 returns a uniform 64-bit value.
-func (s *Stream) Uint64() uint64 { return s.rand.Uint64() }
+func (s *Stream) Uint64() uint64 { return s.rand().Uint64() }
 
 // Norm returns a normally distributed value with the given mean and
 // standard deviation.
 func (s *Stream) Norm(mean, stddev float64) float64 {
-	return mean + stddev*s.rand.NormFloat64()
+	return mean + stddev*s.rand().NormFloat64()
 }
 
 // LogNormal returns a lognormally distributed value: exp(N(mu, sigma)).
@@ -145,17 +168,21 @@ func (s *Stream) Exp(rate float64) float64 {
 	if rate <= 0 {
 		panic("rng: non-positive exponential rate")
 	}
-	return -math.Log(1-s.rand.Float64()) / rate
+	return -math.Log(1-s.rand().Float64()) / rate
 }
 
 // Bool returns true with probability p.
-func (s *Stream) Bool(p float64) bool { return s.rand.Float64() < p }
+func (s *Stream) Bool(p float64) bool { return s.rand().Float64() < p }
 
 // Perm returns a pseudo-random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.rand.Perm(n) }
+func (s *Stream) Perm(n int) []int { return s.rand().Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rand.Shuffle(n, swap) }
+func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rand().Shuffle(n, swap) }
+
+// zipfBuf is the support Zipf weighs without allocating; the largest the
+// workloads draw from is 249 (AIME's answer space less the correct one).
+const zipfBuf = 256
 
 // Zipf returns a Zipf-ish sample over [0, n): index k is drawn with
 // probability proportional to 1/(k+1)^a. Used to scatter wrong answers so
@@ -164,15 +191,23 @@ func (s *Stream) Zipf(n int, a float64) int {
 	if n <= 1 {
 		return 0
 	}
-	// Inverse-CDF over the (small) discrete support.
+	// Inverse-CDF over the (small) discrete support. The weights are
+	// computed once and summed twice in the same order, so the draw equals
+	// the two-pass evaluation bit for bit at half the math.Pow calls.
+	var buf [zipfBuf]float64
+	w := buf[:]
+	if n > len(w) {
+		w = make([]float64, n)
+	}
 	total := 0.0
 	for k := 0; k < n; k++ {
-		total += 1 / math.Pow(float64(k+1), a)
+		w[k] = 1 / math.Pow(float64(k+1), a)
+		total += w[k]
 	}
 	u := s.Float64() * total
 	acc := 0.0
 	for k := 0; k < n; k++ {
-		acc += 1 / math.Pow(float64(k+1), a)
+		acc += w[k]
 		if u < acc {
 			return k
 		}

@@ -165,3 +165,87 @@ func TestPathLabel(t *testing.T) {
 		t.Errorf("Path() = %q, want %q", got, "/a/b")
 	}
 }
+
+// zipfTwoPass is Zipf as it was before the weights were buffered: every
+// 1/(k+1)^a evaluated once for the total and again for the running sum.
+func zipfTwoPass(s *Stream, n int, a float64) int {
+	if n <= 1 {
+		return 0
+	}
+	total := 0.0
+	for k := 0; k < n; k++ {
+		total += 1 / math.Pow(float64(k+1), a)
+	}
+	u := s.Float64() * total
+	acc := 0.0
+	for k := 0; k < n; k++ {
+		acc += 1 / math.Pow(float64(k+1), a)
+		if u < acc {
+			return k
+		}
+	}
+	return n - 1
+}
+
+// Zipf must reproduce the two-pass evaluation draw for draw: every answer
+// of every golden comes out of it. 300 exceeds the stack buffer.
+func TestZipfMatchesTwoPass(t *testing.T) {
+	for _, n := range []int{5, 19, 39, 249, zipfBuf + 44} {
+		for _, a := range []float64{0.8, 1.2} {
+			got, want := New(11).ChildN("zipf", n), New(11).ChildN("zipf", n)
+			for i := 0; i < 10000; i++ {
+				if g, w := got.Zipf(n, a), zipfTwoPass(want, n, a); g != w {
+					t.Fatalf("n=%d a=%g draw %d: Zipf = %d, two-pass = %d", n, a, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// Value derivations seed exactly as the pointer ones, and a derivation is a
+// single allocation (the Stream itself) or none.
+func TestDeriveMatchesChild(t *testing.T) {
+	root := New(42)
+	byValue := Make(42)
+	pairs := []struct {
+		name string
+		p    *Stream
+		v    Stream
+	}{
+		{"root", root, byValue},
+		{"child", root.Child("order"), byValue.Derive("order")},
+		{"childN", root.ChildN("beam", 1234), byValue.DeriveN("beam", 1234)},
+	}
+	for _, pr := range pairs {
+		for i := 0; i < 64; i++ {
+			if a, b := pr.p.Uint64(), pr.v.Uint64(); a != b {
+				t.Fatalf("%s draw %d: pointer %d, value %d", pr.name, i, a, b)
+			}
+		}
+		if pr.p.Path() != pr.v.Path() {
+			t.Errorf("%s: Path %q vs %q", pr.name, pr.p.Path(), pr.v.Path())
+		}
+	}
+}
+
+func TestAllocsPerDerivation(t *testing.T) {
+	root := New(1)
+	var sink *Stream
+	v := root.Derive("v")
+	var f float64
+	for _, tc := range []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"Child", 1, func() { sink = root.Child("a") }},
+		{"ChildN", 1, func() { sink = root.ChildN("beam", 17) }},
+		{"DeriveN", 0, func() { v = root.DeriveN("beam", 17) }},
+		{"draws", 0, func() { f = v.Float64() + v.Norm(0, 1) + float64(v.IntN(9)+v.Zipf(39, 0.8)) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.fn); got != tc.want {
+			t.Errorf("%s: %v allocs, want %v", tc.name, got, tc.want)
+		}
+	}
+	_, _ = sink, f
+}

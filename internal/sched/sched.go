@@ -11,17 +11,28 @@
 // scheduler orders paths to maximize Σ P(cₖ, cₖ₊₁), which — given the
 // constant-total-work assumption (Appendix A.1) — minimizes KV-cache
 // evictions between consecutively executed groups.
+//
+// The two functions a solver calls every search iteration, PrefixAwareOrder
+// and PackTries, run on a Scratch: tables indexed by node ID and stamped
+// with a call epoch, so a call neither clears nor allocates anything once
+// the tables have grown to the tree's size. That is why node IDs must be
+// small non-negative integers (a solve numbers its nodes consecutively from
+// zero). The package-level functions of the same names are those methods on
+// a throwaway Scratch, for callers that schedule once.
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"fasttts/internal/rng"
 )
 
 // NodeRef is one reasoning-tree node along a path's lineage.
 type NodeRef struct {
-	Node   int // globally unique node ID
+	// Node is the node's ID, unique within the reasoning tree. IDs index the
+	// scheduler's tables: they must be non-negative and dense enough that a
+	// table of max ID + 1 entries is affordable.
+	Node   int
 	Tokens int // tokens stored at this node
 }
 
@@ -62,6 +73,53 @@ func ScheduleScore(ordered []Path) int {
 	return score
 }
 
+// NodeSet is a set of node IDs backed by a table indexed by ID, emptied in
+// O(1): stamp[node] == epoch means node is a member, and bumping epoch
+// forgets every member at once. The zero value is an empty set.
+type NodeSet struct {
+	epoch uint32
+	stamp []uint32
+}
+
+// Clear empties the set, keeping its table.
+func (s *NodeSet) Clear() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(s.stamp)
+		s.epoch = 1
+	}
+}
+
+// Has reports whether node is a member.
+func (s *NodeSet) Has(node int) bool {
+	return node < len(s.stamp) && s.stamp[node] == s.epoch
+}
+
+// Add makes node a member and reports whether it was not one already.
+func (s *NodeSet) Add(node int) bool {
+	if s.epoch == 0 {
+		s.epoch = 1 // zero value: the table is still empty, so 1 marks members
+	}
+	if node >= len(s.stamp) {
+		s.stamp = append(s.stamp, make([]uint32, node+1-len(s.stamp))...)
+	}
+	if s.stamp[node] == s.epoch {
+		return false
+	}
+	s.stamp[node] = s.epoch
+	return true
+}
+
+// Scratch is the reusable working storage of PrefixAwareOrder and
+// PackTries. The zero value is ready. What a method returns is the
+// scratch's own storage, overwritten by the next call of that method.
+type Scratch struct {
+	nodes NodeSet // seen by the call or, in PackTries, the open trie
+	rank  []int32 // per node ID: first-appearance rank, for members of nodes
+	order []Path
+	tries []Trie
+}
+
 // PrefixAwareOrder is the production implementation of the greedy policy:
 // beams spawned from the same parent are grouped adjacently while the
 // relative order of parents is preserved across iterations (§4.2 final
@@ -69,29 +127,41 @@ func ScheduleScore(ordered []Path) int {
 // sibling order follows first appearance in the input queue, and runs in
 // O(n·d·log n) rather than the O(n²) literal greedy.
 func PrefixAwareOrder(paths []Path) []Path {
+	var s Scratch
+	return s.PrefixAwareOrder(paths)
+}
+
+// PrefixAwareOrder orders paths as the package-level function does.
+func (s *Scratch) PrefixAwareOrder(paths []Path) []Path {
 	// Rank nodes by first appearance so the sort preserves queue order.
-	rank := map[int]int{}
-	next := 0
+	s.nodes.Clear()
+	next := int32(0)
 	for _, p := range paths {
 		for _, n := range p.Lineage {
-			if _, ok := rank[n.Node]; !ok {
-				rank[n.Node] = next
+			if s.nodes.Add(n.Node) {
+				if n.Node >= len(s.rank) {
+					s.rank = append(s.rank, make([]int32, n.Node+1-len(s.rank))...)
+				}
+				s.rank[n.Node] = next
 				next++
 			}
 		}
 	}
-	out := append([]Path(nil), paths...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i].Lineage, out[j].Lineage
-		for k := 0; k < len(a) && k < len(b); k++ {
-			ra, rb := rank[a[k].Node], rank[b[k].Node]
-			if ra != rb {
-				return ra < rb
-			}
+	s.order = append(s.order[:0], paths...)
+	slices.SortStableFunc(s.order, s.byRank)
+	return s.order
+}
+
+// byRank compares two paths node by node in first-appearance rank; a path
+// sorts before its extensions.
+func (s *Scratch) byRank(x, y Path) int {
+	a, b := x.Lineage, y.Lineage
+	for k := 0; k < len(a) && k < len(b); k++ {
+		if ra, rb := s.rank[a[k].Node], s.rank[b[k].Node]; ra != rb {
+			return int(ra - rb)
 		}
-		return len(a) < len(b)
-	})
-	return out
+	}
+	return len(a) - len(b)
 }
 
 // GreedyOrder is the literal §4.2 invariant: starting from the first
@@ -200,54 +270,72 @@ func MaxGrowthOrder(paths []Path) []Path {
 // Trie is one memory-resident batch: the largest group of consecutively
 // scheduled paths whose union of lineage nodes fits the KV budget (§4.2).
 type Trie struct {
+	// Paths is the trie's run of the ordered schedule — a sub-slice of the
+	// slice given to PackTries, not a copy.
 	Paths []Path
 	// UniqueTokens is Nodes(T) in token units: the KV footprint of the
 	// group with perfect prefix sharing.
 	UniqueTokens int
-	nodes        map[int]int // node ID → tokens
 }
 
 // PackTries partitions an ordered schedule into consecutive tries, each
 // fitting capacityTokens of KV memory. A single path larger than the
 // budget gets its own (oversized) trie; the engine streams it.
 func PackTries(ordered []Path, capacityTokens int) []Trie {
-	var tries []Trie
-	cur := Trie{nodes: map[int]int{}}
-	flush := func() {
-		if len(cur.Paths) > 0 {
-			tries = append(tries, cur)
-			cur = Trie{nodes: map[int]int{}}
-		}
-	}
-	for _, p := range ordered {
+	var s Scratch
+	return s.PackTries(ordered, capacityTokens)
+}
+
+// PackTries packs ordered as the package-level function does.
+func (s *Scratch) PackTries(ordered []Path, capacityTokens int) []Trie {
+	s.tries = s.tries[:0]
+	s.nodes.Clear()
+	start, unique := 0, 0 // the open trie is ordered[start:i]
+	for i, p := range ordered {
 		added := 0
 		for _, n := range p.Lineage {
-			if _, ok := cur.nodes[n.Node]; !ok {
+			if !s.nodes.Has(n.Node) {
 				added += n.Tokens
 			}
 		}
-		if len(cur.Paths) > 0 && cur.UniqueTokens+added > capacityTokens {
-			flush()
+		if i > start && unique+added > capacityTokens {
+			s.tries = append(s.tries, Trie{Paths: ordered[start:i:i], UniqueTokens: unique})
+			s.nodes.Clear()
+			start, unique = i, 0
 			added = p.TotalTokens()
 		}
 		for _, n := range p.Lineage {
-			if _, ok := cur.nodes[n.Node]; !ok {
-				cur.nodes[n.Node] = n.Tokens
+			s.nodes.Add(n.Node)
+		}
+		unique += added
+	}
+	if n := len(ordered); n > start {
+		s.tries = append(s.tries, Trie{Paths: ordered[start:n:n], UniqueTokens: unique})
+	}
+	return s.tries
+}
+
+// nodeTokens returns the trie's node set: node ID → tokens, as first seen
+// along its paths.
+func (t Trie) nodeTokens() map[int]int {
+	nodes := map[int]int{}
+	for _, p := range t.Paths {
+		for _, n := range p.Lineage {
+			if _, ok := nodes[n.Node]; !ok {
+				nodes[n.Node] = n.Tokens
 			}
 		}
-		cur.Paths = append(cur.Paths, p)
-		cur.UniqueTokens += added
 	}
-	flush()
-	return tries
+	return nodes
 }
 
 // SharedTokens returns the tokens of nodes present in both tries
 // (P(Tᵢ, Tᵢ₊₁) in token units).
 func SharedTokens(a, b Trie) int {
 	shared := 0
-	for node, tokens := range a.nodes {
-		if _, ok := b.nodes[node]; ok {
+	inB := b.nodeTokens()
+	for node, tokens := range a.nodeTokens() {
+		if _, ok := inB[node]; ok {
 			shared += tokens
 		}
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -416,5 +417,22 @@ func TestMaxGrowthDominatesGrowth(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestNodeSet(t *testing.T) {
+	var s NodeSet
+	if s.Has(3) || !s.Add(3) || s.Add(3) || !s.Has(3) || s.Has(2) || s.Has(400) {
+		t.Fatal("zero-value set: Add/Has disagree")
+	}
+	s.Clear()
+	if s.Has(3) || !s.Add(3) {
+		t.Error("Clear kept a member")
+	}
+	s.epoch = math.MaxUint32 // the next Clear wraps
+	s.Add(7)
+	s.Clear()
+	if s.Has(7) || s.Has(3) || !s.Add(7) || !s.Has(7) {
+		t.Error("members survived an epoch wrap")
 	}
 }

@@ -14,6 +14,7 @@ package verify
 
 import (
 	"errors"
+	"slices"
 
 	"fasttts/internal/engine"
 	"fasttts/internal/kvcache"
@@ -39,6 +40,13 @@ type Verifier struct {
 
 	// Scored counts scoring requests served.
 	Scored int64
+
+	// Per-call working storage, reused across ScoreAll calls.
+	scores  []float64
+	items   []engine.PrefillItem
+	merged  []kvcache.Run  // committed + speculative path of the request in hand
+	handles []*kvcache.Seq // cache handles; the first held are pinned by the open batch
+	held    int
 }
 
 // Request is one path to score.
@@ -64,53 +72,54 @@ type Request struct {
 }
 
 // ScoreAll scores every request, charging the verifier engine for the
-// prefill work, and returns the scores aligned with reqs.
+// prefill work, and returns the scores aligned with reqs. The returned
+// slice is the verifier's own and is overwritten by the next call.
 func (v *Verifier) ScoreAll(reqs []Request) []float64 {
-	scores := make([]float64, len(reqs))
+	v.scores = slices.Grow(v.scores[:0], len(reqs))[:len(reqs)]
 	batch := v.BatchSize
 	if batch < 1 {
 		batch = 1
 	}
-	var items []engine.PrefillItem
-	var held []*kvcache.Seq
-	var merged []kvcache.Run // committed + speculative path, reused
-	flush := func() {
-		v.Eng.PrefillBatch(items, trace.PhaseVerify)
-		items = items[:0]
-		for _, s := range held {
-			v.Eng.Cache.Release(s)
-		}
-		held = held[:0]
-	}
-	for i, req := range reqs {
+	for i := range reqs {
+		req := &reqs[i]
 		tk := req.Tokens
 		if v.LookAhead && len(req.SpecTokens) > 0 {
-			merged = append(append(merged[:0], tk...), req.SpecTokens...)
-			tk = merged
+			v.merged = append(append(v.merged[:0], tk...), req.SpecTokens...)
+			tk = v.merged
 		}
 		covered := 0
 		if v.PrefixCache {
 			covered = req.Covered
 		}
-		if it, needed := v.charge(tk, covered, &held); needed {
-			items = append(items, it)
-			if len(items) >= batch {
-				flush()
+		if it, needed := v.charge(tk, covered); needed {
+			v.items = append(v.items, it)
+			if len(v.items) >= batch {
+				v.flush()
 			}
 		}
 		// The score observes the committed state only.
-		scores[i] = workload.Score(req.State, v.Skill, req.R)
+		v.scores[i] = workload.Score(req.State, v.Skill, req.R)
 		v.Scored++
 	}
-	flush()
-	return scores
+	v.flush()
+	return v.scores
+}
+
+// flush charges the open prefill batch and unpins its paths.
+func (v *Verifier) flush() {
+	v.Eng.PrefillBatch(v.items, trace.PhaseVerify)
+	v.items = v.items[:0]
+	for _, s := range v.handles[:v.held] {
+		v.Eng.Cache.Release(s)
+	}
+	v.held = 0
 }
 
 // charge computes the prefill item for one request, using the cache when
 // enabled. Covered tokens are charged at most once across the path's
 // lifetime: their per-step scores were produced by an earlier merged
 // pass, so the verifier only processes the uncovered suffix.
-func (v *Verifier) charge(tk []kvcache.Run, covered int, held *[]*kvcache.Seq) (engine.PrefillItem, bool) {
+func (v *Verifier) charge(tk []kvcache.Run, covered int) (engine.PrefillItem, bool) {
 	total := kvcache.Len(tk)
 	if !v.PrefixCache {
 		return engine.PrefillItem{NewTokens: total, CtxTokens: total}, true
@@ -121,10 +130,13 @@ func (v *Verifier) charge(tk []kvcache.Run, covered int, held *[]*kvcache.Seq) (
 		return engine.PrefillItem{}, false
 	}
 	newTokens := uncovered
-	seq, _, miss, err := v.Eng.Cache.AcquireRuns(tk)
+	if v.held == len(v.handles) {
+		v.handles = append(v.handles, new(kvcache.Seq))
+	}
+	_, miss, err := v.Eng.Cache.AcquireInto(v.handles[v.held], tk)
 	switch {
 	case err == nil:
-		*held = append(*held, seq)
+		v.held++
 		if miss < newTokens {
 			newTokens = miss
 		}

@@ -225,3 +225,25 @@ func TestPinnedCacheFallsBackToStreaming(t *testing.T) {
 		t.Errorf("prefilled = %d, want 300", v.Eng.PrefilledTokens)
 	}
 }
+
+// A warm verifier scores a batch — merged LookAhead paths, cache handles,
+// prefill items, the score slice — out of its own storage.
+func TestScoreAllWarmAllocatesNothing(t *testing.T) {
+	v, _ := newVerifier(t, true, true, 1<<30)
+	v.BatchSize = 4
+	r := rng.New(12)
+	var reqs []Request
+	for i := 0; i < 10; i++ {
+		reqs = append(reqs, Request{
+			Tokens: seqTok(i+1, 50), SpecTokens: seqTok(100+i, 20),
+			State: &workload.PathState{}, R: r.ChildN("beam", i),
+		})
+	}
+	first := append([]float64(nil), v.ScoreAll(reqs)...)
+	if got := testing.AllocsPerRun(20, func() { v.ScoreAll(reqs) }); got != 0 {
+		t.Errorf("warm ScoreAll: %v allocs, want 0", got)
+	}
+	if len(first) != 10 || v.held != 0 || len(v.items) != 0 {
+		t.Errorf("scores=%d held=%d items=%d after ScoreAll", len(first), v.held, len(v.items))
+	}
+}
