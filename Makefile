@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint bench cover scenarios bench-regress bench-perf bench-cache bench-metrics bench-strategy bench-trace benchmark benchmark-smoke profile-solver golden
+.PHONY: all build test lint bench cover scenarios bench-regress bench-perf bench-cache bench-metrics bench-strategy bench-trace benchmark benchmark-smoke profile-solver profile-observed golden
 
 all: build lint test
 
@@ -139,6 +139,18 @@ profile-solver:
 		-o bench-smoke/core.test ./internal/core
 	$(GO) tool pprof -top -nodecount=25 bench-smoke/core.test bench-smoke/solver.cpu
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/core.test bench-smoke/solver.mem
+
+# Where a recorded fleet run's host time and allocations go: the same two
+# profiles of BenchmarkFleetRun32Observed (the fleet-observed workload's
+# pass — recorder on, then Spans, Attribute, WritePerfetto — in
+# internal/cluster/perf_test.go), so a recorder PR is sized here.
+profile-observed:
+	mkdir -p bench-smoke
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetRun32Observed' -benchtime 10x -benchmem \
+		-cpuprofile bench-smoke/observed.cpu -memprofile bench-smoke/observed.mem \
+		-o bench-smoke/cluster.test ./internal/cluster
+	$(GO) tool pprof -top -nodecount=25 bench-smoke/cluster.test bench-smoke/observed.cpu
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/cluster.test bench-smoke/observed.mem
 
 # Regenerate the golden traces after an *intentional* behavior change.
 # Review the resulting diff like code before committing it.

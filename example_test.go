@@ -144,7 +144,7 @@ func ExampleRecorder() {
 	fmt.Println("attributed:", attr.Requests, "of", len(run.Results))
 	fmt.Println("perfetto:", rec.WritePerfetto(io.Discard) == nil)
 	// Output:
-	// spans: 360
+	// spans: 288
 	// verified: true
 	// attributed: 24 of 24
 	// perfetto: true

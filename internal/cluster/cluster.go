@@ -336,12 +336,13 @@ type run struct {
 	el *elastic // nil without a controller
 
 	// Observability state (all nil/false without a recorder): obs is the
-	// fleet recorder, ctl its control-plane track, candSpans whether
-	// routing emits scored-candidate spans — only for view-reading
-	// routers, whose arrivals are event barriers in both engines (the
-	// sharded span fast path intentionally routes view-oblivious
-	// arrivals against stale views, so candidate loads there would
-	// diverge between engines; the decisions themselves never read them).
+	// fleet recorder, ctl its control-plane track, candSpans whether a
+	// routing decision records loads (the pick's, and a runner-up span)
+	// — only for view-reading routers, whose arrivals are event barriers
+	// in both engines (the sharded span fast path intentionally routes
+	// view-oblivious arrivals against stale views, so candidate loads
+	// there would diverge between engines; the decisions themselves
+	// never read them).
 	obs       *obs.Recorder
 	ctl       *obs.Track
 	candSpans bool
@@ -854,7 +855,7 @@ func (r *run) routeArrival(pr pendingReq) error {
 			r.f.cfg.Router.Name(), pick, len(r.vs))
 	}
 	di := r.vs[pick].Index
-	r.emitRoute(rv.Tag, at, di)
+	r.emitRoute(rv.Tag, at, r.vs, pick)
 	r.applyStrategy(&pr.req, di)
 	r.pushTo(di, pr.req, rv.PrefixKey)
 	if r.hedging() && pr.requeues == 0 && len(r.vs) >= 2 {
@@ -863,23 +864,48 @@ func (r *run) routeArrival(pr pendingReq) error {
 	return nil
 }
 
-// emitRoute records one routing decision on the control track: the
-// scored candidates (view-reading routers only, whose arrivals are
-// event barriers in both engines — see run.candSpans), then the pick.
-// Shared by the sequential route path and the sharded span pre-route so
-// both engines emit the identical control-track sequence.
-func (r *run) emitRoute(tag int, at float64, di int) {
+// emitRoute records one routing decision over the candidate slice vs on
+// the control track — O(1) spans however many devices were scored: the
+// pick, then (view-reading routers only, whose arrivals are event
+// barriers in both engines — see run.candSpans) its runner-up, so the
+// decision margin cand.V1 − route.V2 stays in the trace. Shared by the
+// primary route, the hedged twin route and the sharded span pre-route,
+// so both engines emit the identical control-track sequence.
+func (r *run) emitRoute(tag int, at float64, vs []DeviceView, pick int) {
 	if r.ctl == nil {
 		return
 	}
-	if r.candSpans {
-		for _, v := range r.vs {
-			r.ctl.Emit(obs.Span{Kind: obs.KindRouteCand, Tag: tag, Start: at, End: at,
-				N: v.Index, V1: v.OutstandingWork, V2: float64(v.Pending)})
+	route := obs.Span{Kind: obs.KindRoute, Tag: tag, Start: at, End: at,
+		V1: float64(vs[pick].Index), N: len(vs)}
+	if !r.candSpans {
+		r.ctl.Emit(route)
+		return
+	}
+	route.V2 = vs[pick].OutstandingWork
+	r.ctl.Emit(route)
+	ru := -1
+	for i := range vs {
+		if i != pick && (ru < 0 || lessOutstanding(&vs[i], &vs[ru])) {
+			ru = i
 		}
 	}
-	r.ctl.Emit(obs.Span{Kind: obs.KindRoute, Tag: tag, Start: at, End: at,
-		V1: float64(di), N: len(r.vs)})
+	if ru >= 0 {
+		v := &vs[ru]
+		r.ctl.Emit(obs.Span{Kind: obs.KindRouteCand, Tag: tag, Start: at, End: at,
+			N: v.Index, V1: v.OutstandingWork, V2: float64(v.Pending)})
+	}
+}
+
+// lessOutstanding orders routing candidates for the runner-up span:
+// least outstanding work, then fewest pending, then lowest fleet index.
+func lessOutstanding(a, b *DeviceView) bool {
+	if a.OutstandingWork != b.OutstandingWork {
+		return a.OutstandingWork < b.OutstandingWork
+	}
+	if a.Pending != b.Pending {
+		return a.Pending < b.Pending
+	}
+	return a.Index < b.Index
 }
 
 // applyStrategy stamps the request's effective strategy at routing: the
@@ -941,15 +967,8 @@ func (r *run) routeTwin(rq core.Request, rv RequestView, primaryPick int) error 
 			r.f.cfg.Router.Name(), pick, len(twinVs))
 	}
 	ti := twinVs[pick].Index
+	r.emitRoute(rq.Tag, rv.Arrival, twinVs, pick)
 	if r.ctl != nil {
-		if r.candSpans {
-			for _, v := range twinVs {
-				r.ctl.Emit(obs.Span{Kind: obs.KindRouteCand, Tag: rq.Tag, Start: rv.Arrival, End: rv.Arrival,
-					N: v.Index, V1: v.OutstandingWork, V2: float64(v.Pending)})
-			}
-		}
-		r.ctl.Emit(obs.Span{Kind: obs.KindRoute, Tag: rq.Tag, Start: rv.Arrival, End: rv.Arrival,
-			V1: float64(ti), N: len(twinVs)})
 		r.ctl.Emit(obs.Span{Kind: obs.KindHedge, Tag: orig, Start: rv.Arrival, End: rv.Arrival,
 			V1: float64(r.vs[primaryPick].Index), V2: float64(ti)})
 	}

@@ -10,6 +10,7 @@ package cluster
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -73,11 +74,40 @@ func checkTrace(t *testing.T, label string, out *Outcome, spans []obs.Span) {
 	if err := obs.CheckSums(attrs); err != nil {
 		t.Errorf("%s: attribution components do not sum to wall: %v", label, err)
 	}
+	if want := attributeByMap(spans); !reflect.DeepEqual(attrs, want) {
+		t.Errorf("%s: index-grouped attribution diverges from the map-grouped reference", label)
+	}
 	if out.Attribution == nil {
 		t.Errorf("%s: traced outcome missing Attribution", label)
 	} else if got := obs.Summarize(attrs); *out.Attribution != got {
 		t.Errorf("%s: outcome attribution %+v != recomputed %+v", label, *out.Attribution, got)
 	}
+}
+
+// attributeByMap is the grouping Attribute replaced, kept as its
+// reference: copy every span into a per-request map bucket (hedge twins
+// folded onto their original tag), then attribute the buckets one
+// request at a time in tag order. Attribute itself groups all requests
+// at once by index; the two must agree record for record.
+func attributeByMap(spans []obs.Span) []obs.RequestAttribution {
+	groups := make(map[int][]obs.Span)
+	var order []int
+	for _, s := range spans {
+		o := s.Tag
+		if o < 0 {
+			o = ^o
+		}
+		if _, ok := groups[o]; !ok {
+			order = append(order, o)
+		}
+		groups[o] = append(groups[o], s)
+	}
+	sort.Ints(order)
+	var out []obs.RequestAttribution
+	for _, tag := range order {
+		out = append(out, obs.Attribute(groups[tag])...)
+	}
+	return out
 }
 
 // TestTraceEngineEquivalence is the headline trace-determinism test:
@@ -277,5 +307,55 @@ func TestTraceLifecycleProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, qc(t, 40)); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSpansPerRequest pins the recorder's span budget on the benchmark's
+// fleet-observed shape, scaled down: a routing decision costs O(1)
+// control-track spans however many devices were scored — the route and
+// its runner-up — so the trace stays within 8 spans per request, a
+// 64-device fleet records exactly what an 8-device fleet records per
+// arrival, and the decision margin is still readable off the pair.
+func TestSpansPerRequest(t *testing.T) {
+	const requests = 2000
+	perArrival := func(devices int) map[int]int {
+		mk, reqs := observedFleet(t, devices, requests)
+		out, spans := runTraced(t, mk, reqs, 0)
+		checkTrace(t, strconv.Itoa(devices)+" devices", out, spans)
+		if per := float64(len(spans)) / requests; per > 8 {
+			t.Errorf("%d devices: %.1f spans per request, want <= 8", devices, per)
+		}
+		ctl := make(map[int]int)
+		for i, s := range spans {
+			if s.Track != obs.ControlTrack {
+				continue
+			}
+			switch s.Kind {
+			case obs.KindRoute:
+				ctl[s.Tag]++
+				if i+1 == len(spans) || spans[i+1].Kind != obs.KindRouteCand {
+					t.Errorf("%d devices: route of request %d has no runner-up span", devices, s.Tag)
+					continue
+				}
+				// Least-work over equal-speed devices picks the least
+				// outstanding work, so the runner-up is never below it.
+				ru := spans[i+1]
+				if ru.Tag != s.Tag || ru.N == int(s.V1) || ru.V1 < s.V2 {
+					t.Errorf("%d devices: route %+v followed by runner-up %+v", devices, s, ru)
+				}
+			case obs.KindRouteCand:
+				ctl[s.Tag]++
+			}
+		}
+		return ctl
+	}
+	small, large := perArrival(8), perArrival(64)
+	if len(small) != requests || len(large) != requests {
+		t.Fatalf("routed %d and %d of %d arrivals", len(small), len(large), requests)
+	}
+	for tag, n := range small {
+		if n != 2 || large[tag] != n {
+			t.Fatalf("request %d: %d routing spans at 8 devices, %d at 64, want 2 and 2", tag, n, large[tag])
+		}
 	}
 }

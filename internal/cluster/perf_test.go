@@ -4,12 +4,16 @@ package cluster
 // event-heap core.
 
 import (
+	"io"
 	"strings"
 	"testing"
 
+	"fasttts/internal/control"
 	"fasttts/internal/core"
 	"fasttts/internal/hw"
+	"fasttts/internal/metrics"
 	"fasttts/internal/model"
+	"fasttts/internal/obs"
 	"fasttts/internal/rng"
 	"fasttts/internal/sched"
 	"fasttts/internal/search"
@@ -72,11 +76,13 @@ var benchSpec = workload.DatasetSpec{
 	AnswerSpace: 10, QualityDriftScale: 1.0,
 }
 
-func benchFleet(b *testing.B, n int) ([]Device, []core.Request) {
-	b.Helper()
+// benchDevices builds n homogeneous RTX 4090s serving chain-of-thought
+// requests FCFS behind an admission limit, seeded from seed.
+func benchDevices(tb testing.TB, n int, seed uint64) []Device {
+	tb.Helper()
 	pol, err := search.New(search.SingleCoT, 1, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	devs := make([]Device, n)
 	for i := range devs {
@@ -87,14 +93,21 @@ func benchFleet(b *testing.B, n int) ([]Device, []core.Request) {
 				Verifier:  model.Qwen25Math1_5B,
 				Policy:    pol,
 				Opts:      core.BaselineOptions(),
-				Seed:      42 + uint64(i),
+				Seed:      seed + uint64(i),
 			},
 			Policy: sched.AdmissionLimit{Inner: sched.FCFS{}, MaxInFlight: 32},
 		}
 	}
+	return devs
+}
+
+// benchFleet is an n-device fleet plus a Poisson stream of the given
+// length at 30 req/s per device, far above the service rate.
+func benchFleet(tb testing.TB, n, requests int) ([]Device, []core.Request) {
+	tb.Helper()
+	devs := benchDevices(tb, n, 42)
 	root := rng.New(42)
 	ds := workload.NewDataset(benchSpec, root)
-	const requests = 2000
 	times := workload.PoissonArrivals(requests, 30*float64(n), root.Child("bench/arrivals"))
 	reqs := make([]core.Request, requests)
 	for i := range reqs {
@@ -104,7 +117,7 @@ func benchFleet(b *testing.B, n int) ([]Device, []core.Request) {
 }
 
 func benchmarkFleetRun(b *testing.B, devices int, router string) {
-	devs, reqs := benchFleet(b, devices)
+	devs, reqs := benchFleet(b, devices, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := RouterByName(router)
@@ -125,3 +138,48 @@ func BenchmarkFleetRun64LeastWork(b *testing.B)  { benchmarkFleetRun(b, 64, "lea
 func BenchmarkFleetRun64RoundRobin(b *testing.B) { benchmarkFleetRun(b, 64, "rr") }
 func BenchmarkFleetRun256LeastWork(b *testing.B) { benchmarkFleetRun(b, 256, "least-work") }
 func BenchmarkFleetRun256P2C(b *testing.B)       { benchmarkFleetRun(b, 256, "p2c") }
+
+// observedFleet is the benchmark's fleet-observed workload at a chosen
+// size: least-work routing over n devices with streaming metrics, an SLO
+// and a threshold controller that ticks 64 times over the stream's
+// expected span and may scale into an 8-slot warm pool. mk builds a
+// fresh Config per run (the controller carries state); the caller
+// attaches the recorder.
+func observedFleet(tb testing.TB, n, requests int) (mk func() Config, reqs []core.Request) {
+	tb.Helper()
+	devs, reqs := benchFleet(tb, n, requests)
+	warm := benchDevices(tb, 8, 1042)
+	interval := float64(requests) / (30 * float64(n)) / 64
+	return func() Config {
+		return Config{
+			Devices: devs, Router: LeastWork{}, Seed: 42,
+			Metrics: metrics.ModeStreaming, SLOLatency: 10,
+			Control: &ControlConfig{
+				Controller: control.NewThreshold(), Interval: interval,
+				Warm: warm, WarmupDelay: interval / 2, SLOLatency: 10,
+			},
+		}
+	}, reqs
+}
+
+// BenchmarkFleetRun32Observed is the shape of the benchmark's
+// fleet-observed pass: serve with the span recorder attached, then do
+// what a monitored deployment does with it — merge the tracks, attribute
+// every request's latency, export the Perfetto trace.
+func BenchmarkFleetRun32Observed(b *testing.B) {
+	mk, reqs := observedFleet(b, 32, 20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	recorded := 0
+	for i := 0; i < b.N; i++ {
+		_, spans := runTraced(b, mk, reqs, 0)
+		if attrs := obs.Attribute(spans); len(attrs) == 0 {
+			b.Fatal("no request attributed")
+		}
+		if err := obs.WritePerfetto(io.Discard, spans); err != nil {
+			b.Fatal(err)
+		}
+		recorded = len(spans)
+	}
+	b.ReportMetric(float64(recorded)/float64(len(reqs)), "spans/req")
+}

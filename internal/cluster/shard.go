@@ -314,7 +314,7 @@ func (ss *shardSet) runSpan(r *run, structAt float64, bounded bool) error {
 				router.Name(), pick, len(r.vs))
 		}
 		di := r.vs[pick].Index
-		r.emitRoute(rv.Tag, pr.req.Arrival, di)
+		r.emitRoute(rv.Tag, pr.req.Arrival, r.vs, pick)
 		r.applyStrategy(&pr.req, di)
 		if len(ss.pushes[di]) == 0 {
 			touched = append(touched, di)

@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fasttts/internal/metrics"
 )
@@ -57,36 +58,24 @@ func origTag(t int) int {
 // loser's executed slices become HedgeWaste. The pass is deterministic:
 // identical span streams yield identical attributions.
 func Attribute(spans []Span) []RequestAttribution {
-	groups := make(map[int][]Span)
-	var order []int
-	for _, s := range spans {
-		if !s.Kind.requestScoped() {
-			continue
-		}
-		o := origTag(s.Tag)
-		if _, ok := groups[o]; !ok {
-			order = append(order, o)
-		}
-		groups[o] = append(groups[o], s)
-	}
-	sort.Ints(order)
-
-	var out []RequestAttribution
-	for _, tag := range order {
-		g := groups[tag]
+	idx, bounds := groupByRequest(spans)
+	out := make([]RequestAttribution, 0, len(bounds)-1)
+	for k := 0; k+1 < len(bounds); k++ {
+		g := idx[bounds[k]:bounds[k+1]]
+		tag := origTag(spans[g[0]].Tag)
 		// Winning finish. A hedge resolution span names the copy the
 		// fleet delivered (delivery order is device-index order within an
 		// event window, so it can differ from the earliest finish);
 		// without one — the server target, unhedged requests — the single
 		// finish wins, earliest End and lower track breaking ties.
 		var win *Span
-		for i := range g {
-			s := &g[i]
+		for _, i := range g {
+			s := &spans[i]
 			if s.Kind != KindHedgeWin {
 				continue
 			}
-			for j := range g {
-				f := &g[j]
+			for _, j := range g {
+				f := &spans[j]
 				if f.Kind == KindFinish && f.Tag == s.Tag && f.Track == int(s.V1) {
 					win = f
 					break
@@ -95,8 +84,8 @@ func Attribute(spans []Span) []RequestAttribution {
 			break
 		}
 		if win == nil {
-			for i := range g {
-				s := &g[i]
+			for _, i := range g {
+				s := &spans[i]
 				if s.Kind != KindFinish {
 					continue
 				}
@@ -112,7 +101,8 @@ func Attribute(spans []Span) []RequestAttribution {
 
 		arrival := math.Inf(1)
 		start := math.NaN()
-		for _, s := range g {
+		for _, i := range g {
+			s := &spans[i]
 			if s.Start < arrival {
 				arrival = s.Start
 			}
@@ -155,7 +145,61 @@ func Attribute(spans []Span) []RequestAttribution {
 		a.Preemption = a.Wall - (((a.Queue + a.Service) + a.Reprefill) + a.Straggler)
 		out = append(out, a)
 	}
+	if len(out) == 0 {
+		return nil // no finished request: nil, as an un-presized result would be
+	}
 	return out
+}
+
+// groupByRequest groups a span stream by request without copying a
+// span: idx holds the indices of the request-scoped spans as one
+// contiguous run per request — runs in ascending original-tag order,
+// each run in stream order — and request k's run is
+// idx[bounds[k]:bounds[k+1]]. It is a counting sort over the requests,
+// so its cost is linear in the spans and its allocations are a fixed
+// handful of slices plus one map entry per request.
+func groupByRequest(spans []Span) (idx, bounds []int) {
+	group := make([]int, len(spans)) // span -> request number, -1 when not request-scoped
+	number := make(map[int]int)      // original tag -> request number, by first appearance
+	var tags, sizes []int            // per request number
+	for i := range spans {
+		if !spans[i].Kind.requestScoped() {
+			group[i] = -1
+			continue
+		}
+		o := origTag(spans[i].Tag)
+		g, ok := number[o]
+		if !ok {
+			g = len(tags)
+			number[o] = g
+			tags = append(tags, o)
+			sizes = append(sizes, 0)
+		}
+		group[i] = g
+		sizes[g]++
+	}
+	byTag := make([]int, len(tags)) // request numbers in ascending tag order
+	for g := range byTag {
+		byTag[g] = g
+	}
+	slices.SortFunc(byTag, func(a, b int) int { return cmp.Compare(tags[a], tags[b]) })
+	bounds = make([]int, 0, len(tags)+1)
+	next := make([]int, len(tags)) // where request g's next index goes
+	total := 0
+	for _, g := range byTag {
+		bounds = append(bounds, total)
+		next[g] = total
+		total += sizes[g]
+	}
+	bounds = append(bounds, total)
+	idx = make([]int, total)
+	for i, g := range group {
+		if g >= 0 {
+			idx[next[g]] = i
+			next[g]++
+		}
+	}
+	return idx, bounds
 }
 
 // ComponentSum folds the serial components in the canonical

@@ -21,9 +21,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Kind discriminates span types. Device-track kinds describe one
@@ -66,13 +67,18 @@ const (
 	// Control-track kinds.
 
 	// KindRoute is one routing decision (instant at the arrival): V1 is
-	// the chosen fleet device index, N the routable device count.
+	// the chosen fleet device index, N the routable device count, and —
+	// for view-reading routers — V2 the chosen device's outstanding work
+	// as the router saw it.
 	KindRoute
-	// KindRouteCand is one scored routing candidate, emitted before its
-	// KindRoute for view-reading routers only (view-oblivious routers
-	// never read load, and the sharded engine routes their spans against
-	// intentionally stale views): N is the candidate's fleet index, V1
-	// its outstanding work, V2 its pending population.
+	// KindRouteCand is the decision's runner-up — the routable device not
+	// chosen with the least outstanding work (ties: fewer pending, lower
+	// index) — emitted right after its KindRoute for view-reading routers
+	// only (view-oblivious routers never read load, and the sharded engine
+	// routes their spans against intentionally stale views): N is the
+	// runner-up's fleet index, V1 its outstanding work, V2 its pending
+	// population. The decision margin is cand.V1 - route.V2; a decision
+	// over a single routable device has no runner-up.
 	KindRouteCand
 	// KindHedge records a hedged twin placement: V1 the primary device,
 	// V2 the twin device (the twin runs under the bit-complement tag).
@@ -259,20 +265,88 @@ func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	out := make([]Span, 0, r.SpanCount())
-	if r.control != nil {
-		out = append(out, r.control.spans...)
-	}
-	for _, t := range r.devices {
-		out = append(out, t.spans...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	// Order each track by Start on 16-byte keys (tracks are near-sorted:
+	// only queue and admit spans, emitted late with Start = arrival, sit
+	// out of place), then k-way merge the tracks by (Start, track),
+	// copying every 72-byte span exactly once.
+	n := r.SpanCount()
+	keys := make([]spanKey, 0, n)
+	h := make(mergeHeap, 0, len(r.devices)+1)
+	add := func(t *Track) {
+		if t.Len() == 0 {
+			return
 		}
-		return out[i].Track < out[j].Track
-	})
+		lo := len(keys)
+		for i := range t.spans {
+			keys = append(keys, spanKey{start: t.spans[i].Start, pos: i})
+		}
+		order := keys[lo:]
+		slices.SortFunc(order, func(a, b spanKey) int {
+			if c := cmp.Compare(a.start, b.start); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.pos, b.pos) // total, so the order is the stable one
+		})
+		h = append(h, mergeCursor{track: t, order: order})
+	}
+	add(r.control)
+	for _, t := range r.devices {
+		add(t)
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	out := make([]Span, 0, n)
+	for len(h) > 0 {
+		c := &h[0]
+		out = append(out, c.track.spans[c.order[0].pos])
+		if c.order = c.order[1:]; len(c.order) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		h.down(0)
+	}
 	return out
+}
+
+// spanKey is one span's place within its track's Start order.
+type spanKey struct {
+	start float64
+	pos   int // emission position in the track
+}
+
+// mergeCursor is one track's unmerged remainder, in Start order.
+type mergeCursor struct {
+	track *Track
+	order []spanKey
+}
+
+// mergeHeap is a binary min-heap of non-empty cursors keyed by
+// (next Start, track id).
+type mergeHeap []mergeCursor
+
+func (h mergeHeap) less(i, j int) bool {
+	if c := cmp.Compare(h[i].order[0].start, h[j].order[0].start); c != 0 {
+		return c < 0
+	}
+	return h[i].track.id < h[j].track.id
+}
+
+func (h mergeHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Verify checks the span stream's lifecycle invariants — the flight

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -63,6 +64,65 @@ func TestRecorderMergeOrder(t *testing.T) {
 	r.Reset()
 	if r.SpanCount() != 0 {
 		t.Fatalf("SpanCount after Reset = %d, want 0", r.SpanCount())
+	}
+}
+
+// TestRecorderMergeMatchesStableSort is the merge's differential
+// oracle: Spans — per-track key sort plus k-way merge — returns element
+// for element what the reflection-based sort.SliceStable over the
+// concatenated tracks returned before it, on random track sets with
+// Start collisions across and within tracks, Start running backwards
+// within a track (queue and admit spans are emitted late, with Start =
+// arrival), empty tracks, and no control track.
+func TestRecorderMergeMatchesStableSort(t *testing.T) {
+	rnd := quickRand(t)
+	for round := 0; round < 300; round++ {
+		r := NewRecorder()
+		serial := 0
+		fill := func(tr *Track) {
+			clock := 0.0
+			for n := rnd.Intn(80); n > 0; n-- {
+				clock += float64(rnd.Intn(3)) * 0.25 // coarse grid: collisions everywhere
+				start := clock
+				if rnd.Intn(3) == 0 {
+					start -= float64(rnd.Intn(8)) * 0.25 // emitted late
+				}
+				serial++
+				tr.Emit(Span{Kind: Kind(1 + rnd.Intn(int(KindDrain))), Tag: serial, Start: start, End: clock})
+			}
+		}
+		if rnd.Intn(4) > 0 {
+			fill(r.Control())
+		}
+		for d := rnd.Intn(7); d > 0; d-- {
+			tr := r.Device(rnd.Intn(12))
+			if rnd.Intn(5) > 0 {
+				fill(tr)
+			}
+		}
+
+		var want []Span
+		if r.control != nil {
+			want = append(want, r.control.spans...)
+		}
+		for _, tr := range r.devices {
+			want = append(want, tr.spans...)
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Start != want[j].Start {
+				return want[i].Start < want[j].Start
+			}
+			return want[i].Track < want[j].Track
+		})
+		got := r.Spans()
+		if len(got) != len(want) {
+			t.Fatalf("round %d: merged %d spans, want %d", round, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: span %d is %+v, the stable sort has %+v", round, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -353,5 +413,40 @@ func TestAttributeRequeueLostWork(t *testing.T) {
 	}
 	if err := Verify(r.Spans()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAttributeAllocsIndependentOfSpansPerRequest pins the grouping's
+// allocation profile: Attribute groups by index, so a request with forty
+// slices costs no more objects than one with four — only the request
+// count shows (one map entry each).
+func TestAttributeAllocsIndependentOfSpansPerRequest(t *testing.T) {
+	const requests = 500
+	stream := func(slices int) []Span {
+		r := NewRecorder()
+		for tag := 0; tag < requests; tag++ {
+			at := float64(tag)
+			r.Control().Emit(Span{Kind: KindRoute, Tag: tag, Start: at, End: at, N: 1})
+			d := r.Device(0)
+			d.Emit(Span{Kind: KindAdmit, Tag: tag, Start: at, End: at})
+			d.Emit(Span{Kind: KindQueue, Tag: tag, Start: at, End: at})
+			step := 0.5 / float64(slices)
+			for i := 0; i < slices; i++ {
+				d.Emit(Span{Kind: KindSlice, Tag: tag, Start: at + float64(i)*step, End: at + float64(i+1)*step, V1: step})
+			}
+			d.Emit(Span{Kind: KindFinish, Tag: tag, Start: at + 0.5, End: at + 0.5, N: slices})
+		}
+		return r.Spans()
+	}
+	measure := func(spans []Span) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if got := len(Attribute(spans)); got != requests {
+				t.Fatalf("attributed %d of %d requests", got, requests)
+			}
+		})
+	}
+	few, many := measure(stream(4)), measure(stream(40))
+	if many > few {
+		t.Fatalf("Attribute allocates %.0f objects at 4 slices per request but %.0f at 40", few, many)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // lifecycle — arrival, queueing, admission (with its KV re-prefill
 // penalty), each executed device slice, and the closing finish, cancel,
 // or fail-stop withdrawal — plus the fleet's control plane: routing
-// decisions with their scored candidates, hedge twin placements,
+// decisions with their runner-up candidate, hedge twin placements,
 // failure requeues, control ticks, joins, and drains.
 //
 // Tracing is strictly observational: attaching a recorder never
