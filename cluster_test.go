@@ -1,6 +1,7 @@
 package fasttts
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -124,6 +125,40 @@ func TestClusterHeterogeneousFleet(t *testing.T) {
 	}
 	if st.SLOAttainment < 0 || st.SLOAttainment > 1 {
 		t.Errorf("SLO attainment %v outside [0,1]", st.SLOAttainment)
+	}
+}
+
+// TestCacheAwareRoutingGainsUnderPressure is the KV memory plane's
+// success metric on the cache-thrash few-shot stream (72 requests, seed
+// 42): residency-aware routing (the better of cache-aware and prefix)
+// beats load-only jsq on p99, and by more under tight 512 MiB planes than
+// under 8 GiB planes where every prompt stays resident — locality pays
+// only when memory is scarce. Under pressure cache-aware must also beat
+// least-work, its twin without the re-prefill debt term.
+func TestCacheAwareRoutingGainsUnderPressure(t *testing.T) {
+	const tightPlane, roomyPlane = 512 << 20, 8 << 30
+	p99 := func(planeBytes int64, router string) float64 {
+		t.Helper()
+		run, err := RunScenario("cache-thrash", ScenarioOptions{
+			Target: ScenarioCluster, Requests: 72, Seed: 42,
+			Router: router, KVPlaneBytes: planeBytes,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run.FleetStats.P99Latency
+	}
+	gain := func(planeBytes int64) float64 {
+		return p99(planeBytes, "jsq") - math.Min(p99(planeBytes, "cache-aware"), p99(planeBytes, "prefix"))
+	}
+	tight, roomy := gain(tightPlane), gain(roomyPlane)
+	t.Logf("p99 gain over jsq: %.2fs under 512 MiB planes, %.2fs under 8 GiB", tight, roomy)
+	if tight <= 0 || tight <= roomy {
+		t.Errorf("p99 gain over jsq is %.2fs under 512 MiB planes and %.2fs under 8 GiB; want > 0 and larger under pressure",
+			tight, roomy)
+	}
+	if ca, lw := p99(tightPlane, "cache-aware"), p99(tightPlane, "least-work"); ca >= lw {
+		t.Errorf("under 512 MiB planes cache-aware p99 %.2fs does not beat least-work's %.2fs", ca, lw)
 	}
 }
 

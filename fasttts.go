@@ -83,7 +83,7 @@
 // than per-request scans — fleets of hundreds to thousands of devices
 // serve high-rate streams with scheduling overhead that grows with
 // events·log(devices), not events·devices (see README "Performance" and
-// the committed BENCH_core.json trajectory).
+// the fleet-dispatch workload of the repository benchmark, benchmark/).
 //
 //	cl, _ := fasttts.NewCluster(fasttts.ClusterConfig{
 //		Devices: []fasttts.DeviceSpec{
@@ -162,8 +162,8 @@
 // degrades strategies to first-finish under storm tiers and restores
 // them when load clears. Strategies are off by default — an empty
 // Strategy reproduces prior traces bit-identically on both execution
-// engines (see README "Test-time-compute strategies" and
-// `make bench-strategy` for the measured latency/accuracy trade).
+// engines (see README "Test-time-compute strategies"; TestStrategyTailGains
+// pins each strategy's p99 win on its home-turf scenario).
 //
 // # Streaming metrics
 //
@@ -180,7 +180,8 @@
 // every Parallelism setting. Use streaming for million-request runs
 // where exact retention is the memory ceiling; keep exact wherever
 // conformance against recorded values matters (see README "Streaming
-// metrics" and `make bench-metrics` for the measured error sweep).
+// metrics"; TestRecorderAttribution holds every catalog scenario's
+// sketch percentiles to the error bound).
 //
 // # Workload scenarios and golden-trace regression
 //

@@ -391,6 +391,9 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 				"cluster: hedged strategy reserves negative tags for twin copies; request tag %d must be >= 0",
 				rq.Tag)
 		}
+		if math.IsNaN(rq.Arrival) || math.IsInf(rq.Arrival, 0) {
+			return nil, fmt.Errorf("cluster: request tag %d has non-finite arrival time %v", rq.Tag, rq.Arrival)
+		}
 		stream[i] = pendingReq{req: rq, seq: i}
 		origArrival[rq.Tag] = rq.Arrival
 	}

@@ -65,8 +65,9 @@ func TestDuplicateTagsRejected(t *testing.T) {
 	}
 }
 
-// benchSpec mirrors the fastttsbench -perf workload: tiny prompts and
-// chains so the fleet core, not token arithmetic, dominates.
+// benchSpec mirrors the fleet-dispatch benchmark workload's dataset
+// (benchmark/workloads.go): tiny prompts and chains so the fleet core,
+// not token arithmetic, dominates.
 var benchSpec = workload.DatasetSpec{
 	Name: "BENCH", Problems: 64,
 	DiffLo: 0.30, DiffHi: 0.70,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"fasttts/internal/memplane"
@@ -128,14 +129,24 @@ func (s *Server) Policy() sched.ServePolicy { return s.pol }
 
 // Run serves an open-loop request stream and returns per-request results
 // in completion order (rejected requests appear at their rejection time).
+// A NaN or infinite arrival time is an error.
 func (s *Server) Run(reqs []Request) ([]ServedResult, error) {
+	for _, rq := range reqs {
+		if math.IsNaN(rq.Arrival) || math.IsInf(rq.Arrival, 0) {
+			return nil, fmt.Errorf("core: request tag %d has non-finite arrival time %v", rq.Tag, rq.Arrival)
+		}
+	}
 	return s.NewLoop(reqs).StepTo(NoHorizon)
 }
 
 // RunClosedLoop serves the problems under a fixed-concurrency closed
 // loop: cl.Concurrency clients each keep one request outstanding and
 // issue their next request cl.Think seconds after the previous finishes.
+// A NaN or infinite think time is an error.
 func (s *Server) RunClosedLoop(probs []*workload.Problem, cl workload.ClosedLoop) ([]ServedResult, error) {
+	if math.IsNaN(cl.Think) || math.IsInf(cl.Think, 0) {
+		return nil, fmt.Errorf("core: non-finite closed-loop think time %v", cl.Think)
+	}
 	conc := cl.Concurrency
 	if conc < 1 {
 		conc = 1

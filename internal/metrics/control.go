@@ -1,11 +1,8 @@
 package metrics
 
 // Controller-level aggregates for the elastic control plane: what the
-// feedback loop actually did (scaling actions, budget-tier moves), what
-// the elasticity cost (device-seconds), and the SLO-vs-cost frontier
-// used to compare controllers.
-
-import "sort"
+// feedback loop actually did (scaling actions, budget-tier moves) and
+// what the elasticity cost (device-seconds).
 
 // ControlStats summarizes one controller-driven fleet run. The zero
 // value describes a run without a controller.
@@ -24,106 +21,4 @@ type ControlStats struct {
 	// DegradedRequests counts requests routed while the budget tier was
 	// above 0 (served with a narrowed search width).
 	DegradedRequests int
-}
-
-// CostPoint is one run on the SLO-vs-cost plane: the device-seconds the
-// fleet consumed against the SLO attainment it bought.
-type CostPoint struct {
-	// Label names the run (typically the controller name).
-	Label string
-	// DeviceSeconds is the summed live time of every fleet member.
-	DeviceSeconds float64
-	// SLOAttainment is the run's SLO attainment in [0, 1].
-	SLOAttainment float64
-}
-
-// StrategyPoint is one test-time-compute strategy on the
-// compute-vs-latency plane: the decode tokens a strategy spent per
-// request against the tail latency it delivered, with the accuracy it
-// bought — the axes along which first-finish, deadline cuts, and
-// hedging trade against the full beam.
-type StrategyPoint struct {
-	// Strategy names the configuration (search.Strategy.Name()).
-	Strategy string
-	// TokensPerRequest is the mean decode tokens spent per served
-	// request, including work later abandoned or cancelled.
-	TokensPerRequest float64
-	// P99Latency is the p99 wall latency in virtual seconds.
-	P99Latency float64
-	// Accuracy is the fraction of served requests whose selected path
-	// answered correctly, in [0, 1].
-	Accuracy float64
-}
-
-// StrategyFrontier returns the Pareto-efficient subset of the
-// compute-vs-latency points — the strategies for which no other point
-// spends at most the same tokens for at most the same tail latency
-// while improving one of the two — sorted by ascending tokens per
-// request, ties by ascending p99 then name for determinism. Accuracy
-// rides along as context and does not enter dominance: the bench gate
-// compares it separately at equal accounting.
-func StrategyFrontier(points []StrategyPoint) []StrategyPoint {
-	var out []StrategyPoint
-	for i, p := range points {
-		dominated := false
-		for j, q := range points {
-			if i == j {
-				continue
-			}
-			betterTokens := q.TokensPerRequest < p.TokensPerRequest
-			betterTail := q.P99Latency < p.P99Latency
-			noWorse := q.TokensPerRequest <= p.TokensPerRequest && q.P99Latency <= p.P99Latency
-			if noWorse && (betterTokens || betterTail) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TokensPerRequest != out[j].TokensPerRequest {
-			return out[i].TokensPerRequest < out[j].TokensPerRequest
-		}
-		if out[i].P99Latency != out[j].P99Latency {
-			return out[i].P99Latency < out[j].P99Latency
-		}
-		return out[i].Strategy < out[j].Strategy
-	})
-	return out
-}
-
-// Frontier returns the Pareto-efficient subset of the SLO-vs-cost
-// points — the runs for which no other run attains at least the same SLO
-// fraction at lower cost (or more at the same cost) — sorted by
-// ascending device-seconds, ties by label for determinism. Dominated
-// controllers are exactly the ones not worth running.
-func Frontier(points []CostPoint) []CostPoint {
-	var out []CostPoint
-	for i, p := range points {
-		dominated := false
-		for j, q := range points {
-			if i == j {
-				continue
-			}
-			betterCost := q.DeviceSeconds < p.DeviceSeconds
-			betterSLO := q.SLOAttainment > p.SLOAttainment
-			noWorse := q.DeviceSeconds <= p.DeviceSeconds && q.SLOAttainment >= p.SLOAttainment
-			if noWorse && (betterCost || betterSLO) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].DeviceSeconds != out[j].DeviceSeconds {
-			return out[i].DeviceSeconds < out[j].DeviceSeconds
-		}
-		return out[i].Label < out[j].Label
-	})
-	return out
 }

@@ -1,80 +1,6 @@
 package metrics
 
-import (
-	"reflect"
-	"testing"
-)
-
-func TestFrontier(t *testing.T) {
-	pts := []CostPoint{
-		{Label: "static", DeviceSeconds: 300, SLOAttainment: 0.95},
-		{Label: "threshold", DeviceSeconds: 210, SLOAttainment: 0.95}, // dominates static
-		{Label: "budget", DeviceSeconds: 180, SLOAttainment: 0.80},
-		{Label: "bad", DeviceSeconds: 250, SLOAttainment: 0.70}, // dominated twice over
-	}
-	got := Frontier(pts)
-	want := []CostPoint{
-		{Label: "budget", DeviceSeconds: 180, SLOAttainment: 0.80},
-		{Label: "threshold", DeviceSeconds: 210, SLOAttainment: 0.95},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Frontier = %+v, want %+v", got, want)
-	}
-}
-
-func TestFrontierDegenerate(t *testing.T) {
-	if got := Frontier(nil); len(got) != 0 {
-		t.Errorf("Frontier(nil) = %v", got)
-	}
-	one := []CostPoint{{Label: "only", DeviceSeconds: 10, SLOAttainment: 0.5}}
-	if got := Frontier(one); !reflect.DeepEqual(got, one) {
-		t.Errorf("single point dropped: %v", got)
-	}
-	// Exact duplicates are not mutually dominating: both survive.
-	dup := []CostPoint{
-		{Label: "a", DeviceSeconds: 10, SLOAttainment: 0.5},
-		{Label: "b", DeviceSeconds: 10, SLOAttainment: 0.5},
-	}
-	if got := Frontier(dup); len(got) != 2 {
-		t.Errorf("duplicate points: got %v, want both", got)
-	}
-}
-
-func TestStrategyFrontier(t *testing.T) {
-	pts := []StrategyPoint{
-		{Strategy: "full-beam", TokensPerRequest: 9000, P99Latency: 40, Accuracy: 0.80},
-		{Strategy: "first-finish", TokensPerRequest: 4000, P99Latency: 22, Accuracy: 0.78}, // dominates full-beam
-		{Strategy: "hedged", TokensPerRequest: 16000, P99Latency: 18, Accuracy: 0.80},      // buys tail with tokens
-		{Strategy: "deadline", TokensPerRequest: 5000, P99Latency: 30, Accuracy: 0.75},     // dominated by first-finish
-	}
-	got := StrategyFrontier(pts)
-	want := []StrategyPoint{
-		{Strategy: "first-finish", TokensPerRequest: 4000, P99Latency: 22, Accuracy: 0.78},
-		{Strategy: "hedged", TokensPerRequest: 16000, P99Latency: 18, Accuracy: 0.80},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("StrategyFrontier = %+v, want %+v", got, want)
-	}
-}
-
-func TestStrategyFrontierDegenerate(t *testing.T) {
-	if got := StrategyFrontier(nil); len(got) != 0 {
-		t.Errorf("StrategyFrontier(nil) = %v", got)
-	}
-	one := []StrategyPoint{{Strategy: "only", TokensPerRequest: 10, P99Latency: 5}}
-	if got := StrategyFrontier(one); !reflect.DeepEqual(got, one) {
-		t.Errorf("single point dropped: %v", got)
-	}
-	// Accuracy never enters dominance: a strictly less accurate but
-	// cheaper, faster point still wins the plane.
-	acc := []StrategyPoint{
-		{Strategy: "fast", TokensPerRequest: 10, P99Latency: 5, Accuracy: 0.1},
-		{Strategy: "slow", TokensPerRequest: 20, P99Latency: 9, Accuracy: 0.9},
-	}
-	if got := StrategyFrontier(acc); len(got) != 1 || got[0].Strategy != "fast" {
-		t.Errorf("accuracy leaked into dominance: %+v", got)
-	}
-}
+import "testing"
 
 // TestSummarizeFleetDeviceSeconds pins the capacity-cost aggregate: the
 // sum of live intervals, whatever ended them.

@@ -47,7 +47,8 @@ const (
 	// SketchRelErr is the documented worst-case relative error of
 	// Sketch.Quantile and Sketch.Mean for samples within
 	// [1µs, 10⁵ s]: √1.02 − 1 ≈ 0.00995, published as 1%. The
-	// bench-metrics sweep and the property tests assert against it.
+	// distribution and property tests, and the root catalog test
+	// TestRecorderAttribution, assert against it.
 	SketchRelErr = 0.01
 )
 

@@ -183,7 +183,8 @@ func TestSketchMergeBitIdentical(t *testing.T) {
 
 // TestSketchAccuracyDistributions asserts the documented error bound
 // across the distribution shapes serving fleets produce: uniform,
-// Pareto heavy tail, and a bimodal fast/slow-path mix.
+// Pareto heavy tail, a bimodal fast/slow-path mix, and a tight
+// steady-state lognormal (service around 20 s plus a short queue).
 func TestSketchAccuracyDistributions(t *testing.T) {
 	const n = 50_000
 	gen := map[string]func(r *rng.Stream) float64{
@@ -194,6 +195,9 @@ func TestSketchAccuracyDistributions(t *testing.T) {
 				return math.Max(math.Abs(r.Norm(8, 2)), 1e-3)
 			}
 			return math.Max(math.Abs(r.Norm(120, 15)), 1e-3)
+		},
+		"lognormal": func(r *rng.Stream) float64 {
+			return r.LogNormal(math.Log(20), 0.4) + r.LogNormal(math.Log(0.5), 0.3)
 		},
 	}
 	for name, g := range gen {

@@ -189,6 +189,22 @@ func TestServeAccumMergeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestServeAccumObserveAllocs is the constant-memory claim: once its
+// sketch buckets exist, an accumulator folds any number of samples
+// without allocating, so a stream of any length holds only the
+// accumulator's fixed state.
+func TestServeAccumObserveAllocs(t *testing.T) {
+	samples := randomServeSamples(5, 50_000)
+	a := NewServeAccum(20)
+	if got := testing.AllocsPerRun(1, func() {
+		for _, sm := range samples {
+			a.Observe(sm)
+		}
+	}); got != 0 {
+		t.Errorf("folding %d samples allocated %v times, want 0", len(samples), got)
+	}
+}
+
 func TestServeAccumMergeSLOMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -12,6 +12,8 @@ import (
 	"math"
 	"os"
 	"testing"
+
+	"fasttts/internal/metrics"
 )
 
 // TestGoldenScenarioTracesWithRecorder replays every golden with the
@@ -94,53 +96,77 @@ func TestRecorderTraceDeterministicAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestRecorderAttribution exercises the public attribution surface on a
-// fleet run with failures and requeues: components must sum to each
-// request's wall latency, and the rollup must agree with the fleet
-// stats' copy.
+// TestRecorderAttribution exercises the public attribution surface on
+// every catalog scenario's fleet run (seed 42, default size): spans
+// verify, components sum to each request's wall latency within 1 ulp,
+// every served request is attributed exactly once, and the rollup agrees
+// with the fleet stats' copy. The same loop holds the streaming sketch
+// to its error bound: each run's served stream, summarized through the
+// sketch, lands within metrics.SketchRelErr of the exact percentiles and
+// mean.
 func TestRecorderAttribution(t *testing.T) {
 	rec := NewRecorder()
-	run, err := RunScenario("fleet-churn", ScenarioOptions{
-		Target: ScenarioCluster, Requests: 30, Seed: 7, Trace: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	attrs := rec.Attribution()
-	if len(attrs) == 0 {
-		t.Fatal("no requests attributed")
-	}
-	byTag := map[int]FleetResult{}
-	for _, r := range run.Fleet.Results {
-		byTag[r.Tag] = r
-	}
-	for _, a := range attrs {
-		sum := (((a.Queue + a.Service) + a.Reprefill) + a.Straggler) + a.Preemption
-		tol := math.Nextafter(math.Abs(a.Wall), math.Inf(1)) - math.Abs(a.Wall)
-		if math.Abs(sum-a.Wall) > tol {
-			t.Errorf("tag %d: components sum to %v, wall is %v", a.Tag, sum, a.Wall)
+	for _, info := range Scenarios() {
+		rec.Reset()
+		run, err := RunScenario(info.Name, ScenarioOptions{Target: ScenarioCluster, Seed: 42, Trace: rec})
+		if err != nil {
+			t.Fatal(err)
 		}
-		r, ok := byTag[a.Tag]
-		if !ok || r.Rejected {
-			t.Errorf("tag %d attributed but not served", a.Tag)
-			continue
+		if err := rec.Verify(); err != nil {
+			t.Errorf("%s: span lifecycle invariants violated: %v", info.Name, err)
 		}
-		if a.Wall != r.WallLatency || a.Device != r.Device || a.Requeues != r.Requeues {
-			t.Errorf("tag %d: attribution wall/device/requeues %v/%d/%d vs result %v/%d/%d",
-				a.Tag, a.Wall, a.Device, a.Requeues, r.WallLatency, r.Device, r.Requeues)
+		attrs := rec.Attribution()
+		if len(attrs) != run.Stats.Served {
+			t.Errorf("%s: attributed %d requests, served %d", info.Name, len(attrs), run.Stats.Served)
 		}
-	}
-	if got := rec.AttributionSummary(); got != *run.FleetStats.Attribution {
-		t.Errorf("AttributionSummary %+v != FleetStats.Attribution %+v",
-			got, *run.FleetStats.Attribution)
-	}
-	if run.FleetStats.Requeues > 0 {
+		byTag := map[int]FleetResult{}
+		samples := make([]metrics.ServeSample, len(run.Fleet.Results))
+		for i, r := range run.Fleet.Results {
+			byTag[r.Tag] = r
+			samples[i] = metrics.ServeSample{
+				Arrival: r.ArrivalTime, Start: r.StartTime, Finish: r.FinishTime,
+				Tokens: r.UsefulTokens, Rejected: r.Rejected,
+			}
+		}
 		lost := 0.0
 		for _, a := range attrs {
 			lost += a.LostWork
+			sum := (((a.Queue + a.Service) + a.Reprefill) + a.Straggler) + a.Preemption
+			tol := math.Nextafter(math.Abs(a.Wall), math.Inf(1)) - math.Abs(a.Wall)
+			if math.Abs(sum-a.Wall) > tol {
+				t.Errorf("%s tag %d: components sum to %v, wall is %v", info.Name, a.Tag, sum, a.Wall)
+			}
+			r, ok := byTag[a.Tag]
+			if !ok || r.Rejected {
+				t.Errorf("%s tag %d attributed but not served", info.Name, a.Tag)
+				continue
+			}
+			if a.Wall != r.WallLatency || a.Device != r.Device || a.Requeues != r.Requeues {
+				t.Errorf("%s tag %d: attribution wall/device/requeues %v/%d/%d vs result %v/%d/%d",
+					info.Name, a.Tag, a.Wall, a.Device, a.Requeues, r.WallLatency, r.Device, r.Requeues)
+			}
 		}
-		if lost == 0 {
-			t.Error("fleet saw requeues but attribution found no lost work")
+		if got := rec.AttributionSummary(); got != *run.FleetStats.Attribution {
+			t.Errorf("%s: AttributionSummary %+v != FleetStats.Attribution %+v",
+				info.Name, got, *run.FleetStats.Attribution)
+		}
+		if run.FleetStats.Requeues > 0 && lost == 0 {
+			t.Errorf("%s: fleet saw requeues but attribution found no lost work", info.Name)
+		}
+		exact, sketch := run.Stats, metrics.SummarizeServeStreaming(samples, 0)
+		for _, q := range []struct {
+			name          string
+			sketch, exact float64
+		}{
+			{"p50", sketch.P50Latency, exact.P50Latency},
+			{"p95", sketch.P95Latency, exact.P95Latency},
+			{"p99", sketch.P99Latency, exact.P99Latency},
+			{"mean", sketch.MeanLatency, exact.MeanLatency},
+		} {
+			if math.Abs(q.sketch-q.exact) > metrics.SketchRelErr*math.Max(q.exact, 1e-6) {
+				t.Errorf("%s: sketch %s %v vs exact %v, outside the %v relative bound",
+					info.Name, q.name, q.sketch, q.exact, metrics.SketchRelErr)
+			}
 		}
 	}
 	// Reset empties the recorder for the next run.

@@ -61,13 +61,13 @@ type ScenarioOptions struct {
 	// server target.
 	Parallelism int
 	// Router, when non-empty, overrides the scenario's fleet routing
-	// discipline on the cluster target (the bench sweeps use it to
-	// compare routers on one stream). Empty keeps the scenario's own
+	// discipline on the cluster target (the cache-plane gate test uses it
+	// to compare routers on one stream). Empty keeps the scenario's own
 	// router, so goldens are unaffected.
 	Router string
 	// Strategy, when non-empty, overrides the scenario's test-time-compute
-	// strategy on both targets (the bench uses it to compare strategies on
-	// one stream): "full-beam", "first-finish[:k]", "deadline", or
+	// strategy on both targets (TestStrategyTailGains uses it to compare
+	// strategies on one stream): "full-beam", "first-finish[:k]", "deadline", or
 	// "hedged". Empty keeps the scenario's own strategy, so goldens are
 	// unaffected.
 	Strategy string

@@ -1,8 +1,10 @@
 package fasttts_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"fasttts"
 )
@@ -105,6 +107,58 @@ func TestServeAdmissionControl(t *testing.T) {
 	st := srv.Stats(served)
 	if st.Served != 2 || st.Rejected != 4 {
 		t.Errorf("served/rejected = %d/%d, want 2/4", st.Served, st.Rejected)
+	}
+}
+
+// TestNonFiniteTimesRejected: a NaN or infinite arrival or think time
+// makes every entry point return an error. Each call runs under its own
+// deadline, because the failure this guards against is a hang (the event
+// loop never reaches a NaN wake time) or, for +Inf on a fleet, results
+// that the stats silently drop.
+func TestNonFiniteTimesRejected(t *testing.T) {
+	probs := loadServeProblems(t, 3)
+	srv, err := fasttts.NewServer(testServeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := fasttts.NewCluster(fasttts.ClusterConfig{Devices: []fasttts.DeviceSpec{
+		{Config: testServeConfig()}, {Config: testServeConfig()},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withArrival := func(at float64) []fasttts.Request {
+		reqs := fasttts.PoissonRequests(probs, 0.5, 11)
+		reqs[1].ArrivalTime = at
+		return reqs
+	}
+	type row struct {
+		name string
+		call func() error
+	}
+	var rows []row
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rows = append(rows,
+			row{fmt.Sprintf("Server.Run arrival %v", v), func() error { _, err := srv.Run(withArrival(v)); return err }},
+			row{fmt.Sprintf("Cluster.Run arrival %v", v), func() error { _, err := cl.Run(withArrival(v)); return err }})
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		rows = append(rows, row{fmt.Sprintf("RunClosedLoop think %v", v),
+			func() error { _, err := srv.RunClosedLoop(probs, 2, v); return err }})
+	}
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() { done <- tc.call() }()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Error("accepted a non-finite time")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("did not return within 10s")
+			}
+		})
 	}
 }
 

@@ -119,6 +119,32 @@ func TestStrategyFirstFinishServesFullStream(t *testing.T) {
 	}
 }
 
+// TestStrategyTailGains pins each strategy's latency claim on its
+// home-turf scenario at seed 42 and the scenario's default size, against
+// full-beam on the identical stream: first-finish wins the p99 on
+// first-finish-mix (the First Finish Search claim), and hedged wins it on
+// hedged-tail, where the twin copy dodges the straggler.
+func TestStrategyTailGains(t *testing.T) {
+	p99 := func(scenario, strategy string) float64 {
+		t.Helper()
+		run, err := RunScenario(scenario, ScenarioOptions{Target: ScenarioCluster, Seed: 42, Strategy: strategy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run.FleetStats.P99Latency
+	}
+	for _, tc := range []struct{ scenario, strategy string }{
+		{"first-finish-mix", "first-finish"},
+		{"hedged-tail", "hedged"},
+	} {
+		full, got := p99(tc.scenario, "full-beam"), p99(tc.scenario, tc.strategy)
+		t.Logf("%s: %s p99 %.2fs, full-beam %.2fs", tc.scenario, tc.strategy, got, full)
+		if got >= full {
+			t.Errorf("%s: %s p99 %.2fs does not beat full-beam's %.2fs", tc.scenario, tc.strategy, got, full)
+		}
+	}
+}
+
 // TestStrategyHedgedServesEachRequestOnce: hedging replicates requests
 // across devices internally, but the served stream still carries exactly
 // one result per submitted tag.
