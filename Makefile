@@ -28,9 +28,9 @@ cover:
 
 # Scenario-conformance: replay every named scenario on both targets and
 # require bit-identical agreement with the committed golden traces. The
-# TestGoldenScenarioTraces prefix also matches ...TracesSharded, which
-# replays every cluster golden through the sharded engine (Parallelism 8
-# and -1) against the same bytes.
+# TestGoldenScenarioTraces prefix also matches ...TracesWithRecorder,
+# which replays every golden with the span recorder attached against the
+# same bytes.
 scenarios:
 	$(GO) test -count=1 -run 'TestGoldenScenarioTraces|TestGoldenTracesDecodable|TestScenarioRunDeterministic' -v .
 

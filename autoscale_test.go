@@ -76,6 +76,24 @@ func TestClusterConfigValidation(t *testing.T) {
 			wantErr: "Slowdown must be non-negative",
 		},
 		{
+			name: "infinite slowdown",
+			cfg: ClusterConfig{Devices: []DeviceSpec{
+				{Config: Config{NumBeams: 4}, Slowdown: math.Inf(1)},
+			}},
+			wantErr: "Slowdown must be non-negative and finite",
+		},
+		{
+			name: "infinite slowdown in warm pool",
+			cfg: ClusterConfig{
+				Devices: []DeviceSpec{testDeviceSpec("a")},
+				Autoscale: &AutoscaleConfig{
+					Policy: "threshold", Interval: 10,
+					WarmPool: []DeviceSpec{{Config: Config{NumBeams: 4}, Slowdown: math.Inf(1)}},
+				},
+			},
+			wantErr: "Slowdown must be non-negative and finite",
+		},
+		{
 			name: "negative count",
 			cfg: ClusterConfig{Devices: []DeviceSpec{
 				{Config: Config{NumBeams: 4}, Count: -1},

@@ -35,7 +35,8 @@ type DeviceSpec struct {
 	MaxInFlight int
 	// Slowdown is the straggler factor: wall-clock stretch of every
 	// device slice (thermal throttling, background load). 0 (the zero
-	// value) and 1 mean none; negative or NaN values are rejected.
+	// value) and 1 mean none; negative, NaN and infinite values are
+	// rejected.
 	Slowdown float64
 	// FailAt, when positive, fail-stops the device at that fleet time:
 	// it finishes its in-progress slice, then all its unfinished requests
@@ -108,29 +109,19 @@ type ClusterConfig struct {
 	Strategy string
 	// Autoscale, when non-nil, attaches the elastic control plane.
 	Autoscale *AutoscaleConfig
-	// Parallelism selects the fleet execution engine: 0 or 1 runs the
-	// sequential event loop (the default), >= 2 runs the deterministic
-	// sharded engine with that many device shards (worker goroutines),
-	// and any negative value uses one shard per available core
-	// (runtime.GOMAXPROCS). Every setting produces bit-identical results
-	// — Parallelism trades wall-clock time only. See
-	// docs/ARCHITECTURE.md for the sharding protocol.
-	Parallelism int
 	// Metrics selects Stats's aggregation mode: MetricsExact (default)
 	// retains every sample for exact percentiles; MetricsStreaming folds
-	// completions into mergeable quantile sketches as they finish —
-	// constant aggregation state, <1% relative error, and bit-identical
-	// for every Parallelism setting. SLO attainment in streaming mode is
-	// judged against SLOLatency at completion time. See the package
-	// docs' "Streaming metrics".
+	// completions into quantile sketches as they finish — constant
+	// aggregation state and <1% relative error. SLO attainment in
+	// streaming mode is judged against SLOLatency at completion time. See
+	// the package docs' "Streaming metrics".
 	Metrics MetricsMode
 	// Trace, when non-nil, attaches the span flight recorder: every Run
 	// records request lifecycles on each device plus the fleet control
 	// plane (routing decisions, hedge twins, requeues, ticks, joins,
 	// drains) without perturbing the run, and FleetStats gains the
-	// latency-attribution rollup. Traces are bit-identical at every
-	// Parallelism setting. The recorder accumulates across Runs; call
-	// Recorder.Reset between them for per-run traces. See Recorder.
+	// latency-attribution rollup. The recorder accumulates across Runs;
+	// call Recorder.Reset between them for per-run traces. See Recorder.
 	Trace *Recorder
 }
 
@@ -276,7 +267,6 @@ type Cluster struct {
 	router   string
 	seed     uint64
 	slo      float64
-	shards   int
 	mode     metrics.Mode
 	strategy search.Strategy
 	trace    *Recorder
@@ -309,8 +299,8 @@ func expandDeviceSpecs(specs []DeviceSpec, kind, defPrefix string, seen map[stri
 			return nil, nil, fmt.Errorf("fasttts: %s %d (%s): Count must be positive, got %d (0 selects 1)",
 				kind, i, describeSpec(spec, i), spec.Count)
 		}
-		if spec.Slowdown < 0 || math.IsNaN(spec.Slowdown) {
-			return nil, nil, fmt.Errorf("fasttts: %s %d (%s): Slowdown must be non-negative, got %v (0 means none)",
+		if spec.Slowdown < 0 || math.IsNaN(spec.Slowdown) || math.IsInf(spec.Slowdown, 1) {
+			return nil, nil, fmt.Errorf("fasttts: %s %d (%s): Slowdown must be non-negative and finite, got %v (0 means none)",
 				kind, i, describeSpec(spec, i), spec.Slowdown)
 		}
 		if spec.KVPlaneBytes < 0 {
@@ -407,7 +397,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fasttts: %w", err)
 	}
-	c := &Cluster{devices: devices, names: names, router: cc.Router, seed: cc.Seed, slo: cc.SLOLatency, shards: cc.Parallelism, mode: mode, strategy: strat, trace: cc.Trace}
+	c := &Cluster{devices: devices, names: names, router: cc.Router, seed: cc.Seed, slo: cc.SLOLatency, mode: mode, strategy: strat, trace: cc.Trace}
 	if cc.Autoscale != nil {
 		auto := *cc.Autoscale
 		if _, err := control.ByName(auto.Policy); err != nil {
@@ -435,7 +425,7 @@ func (c *Cluster) newFleet() (*cluster.Fleet, error) {
 		return nil, err
 	}
 	cfg := cluster.Config{
-		Devices: c.devices, Router: router, Seed: c.seed, Shards: c.shards,
+		Devices: c.devices, Router: router, Seed: c.seed,
 		Metrics: c.mode, SLOLatency: c.slo, Strategy: c.strategy,
 		Obs: c.trace.rec(),
 	}

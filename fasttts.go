@@ -110,8 +110,7 @@
 // debt against load balance using actual per-device residency, and
 // FleetStats reports per-device occupancy plus fleet hit/miss/eviction
 // token counts and total re-prefill seconds. The plane is off by
-// default; zero capacity reproduces prior traces bit-identically on
-// both execution engines.
+// default; zero capacity reproduces prior traces bit-identically.
 //
 // # Elastic serving
 //
@@ -161,8 +160,8 @@
 // copies and requeueing the last live one. The compute-budget governor
 // degrades strategies to first-finish under storm tiers and restores
 // them when load clears. Strategies are off by default — an empty
-// Strategy reproduces prior traces bit-identically on both execution
-// engines (see README "Test-time-compute strategies"; TestStrategyTailGains
+// Strategy reproduces prior traces bit-identically (see README
+// "Test-time-compute strategies"; TestStrategyTailGains
 // pins each strategy's p99 win on its home-turf scenario).
 //
 // # Streaming metrics
@@ -171,13 +170,11 @@
 // aggregates latency distributions. MetricsExact (the default) buffers
 // and sorts every wall latency: exact nearest-rank percentiles, O(requests)
 // memory, and the mode all committed golden traces are recorded under.
-// MetricsStreaming folds completions into mergeable fixed-boundary
-// quantile sketches as they finish (internal/metrics): aggregation
-// state is constant (~20 KiB) no matter how many requests a run
-// serves, percentiles and means stay within a documented <1% relative
-// error of exact, and — because sketch merges are plain integer sums —
-// the sharded fleet engine produces bit-identical streaming stats for
-// every Parallelism setting. Use streaming for million-request runs
+// MetricsStreaming folds completions into fixed-boundary quantile
+// sketches as they finish (internal/metrics): aggregation state is
+// constant (~20 KiB) no matter how many requests a run serves, and
+// percentiles and means stay within a documented <1% relative error of
+// exact. Use streaming for million-request runs
 // where exact retention is the memory ceiling; keep exact wherever
 // conformance against recorded values matters (see README "Streaming
 // metrics"; TestRecorderAttribution holds every catalog scenario's
@@ -263,10 +260,9 @@ const (
 	// nearest-rank percentiles, O(requests) memory. The default, and
 	// the golden-trace conformance mode.
 	MetricsExact MetricsMode = "exact"
-	// MetricsStreaming aggregates mergeable quantile sketches instead
-	// of retaining samples: constant memory, percentiles within a
-	// documented <1% relative error of exact, bit-identical across
-	// execution engines and shard counts.
+	// MetricsStreaming aggregates quantile sketches instead of
+	// retaining samples: constant memory, percentiles within a
+	// documented <1% relative error of exact.
 	MetricsStreaming MetricsMode = "streaming"
 )
 

@@ -24,22 +24,12 @@
 // extending the serving engine's determinism guarantee: equal seeds give
 // bit-identical fleet-served streams under every router — and, with a
 // controller attached, bit-identical controller action logs.
-//
-// The fleet has two execution engines behind one contract. The default
-// sequential event loop processes global events one at a time. With
-// Config.Shards >= 2 the sharded engine (shard.go) partitions devices
-// into per-shard wake heaps and advances them on parallel workers
-// between cross-shard events, merging completions in the sequential
-// engine's canonical order — outputs are bit-identical byte for byte,
-// at any GOMAXPROCS, for every router and controller. See
-// docs/ARCHITECTURE.md for the barrier protocol.
 package cluster
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"fasttts/internal/core"
@@ -81,19 +71,11 @@ type Config struct {
 	// feedback controller observing the fleet at a fixed interval and
 	// actuating warm-pool joins, drains, and compute-budget tiers.
 	Control *ControlConfig
-	// Shards selects the execution engine: 0 or 1 runs the sequential
-	// event loop, >= 2 runs the deterministic sharded engine with that
-	// many device shards (worker goroutines), and any negative value
-	// uses runtime.GOMAXPROCS(0) shards. Every setting produces
-	// bit-identical outcomes; Shards trades wall-clock time only.
-	Shards int
 	// Metrics selects the latency-aggregation mode. ModeExact (the
 	// default, and the golden-conformance path) retains every sample and
 	// sorts once at Stats time. ModeStreaming folds completions into
-	// mergeable quantile sketches as they finish — constant aggregation
-	// state, percentiles within metrics.SketchRelErr of exact, and
-	// bit-identical across engines and shard counts (sketch merges are
-	// integer sums).
+	// quantile sketches as they finish — constant aggregation state and
+	// percentiles within metrics.SketchRelErr of exact.
 	Metrics metrics.Mode
 	// SLOLatency is the wall-latency target streaming-mode SLO
 	// attainment is counted against (<= 0: no target). Streaming
@@ -117,9 +99,7 @@ type Config struct {
 	// included), and the fleet driver emits routing decisions, requeue
 	// hops, hedge placements, and control actions onto the control
 	// track. nil (the default) is strictly off — no allocations, no
-	// behavioral difference. Both engines emit identical per-track
-	// sequences, so sequential-vs-sharded traces are bit-identical at
-	// every shard count.
+	// behavioral difference.
 	Obs *obs.Recorder
 }
 
@@ -273,8 +253,8 @@ type device struct {
 // prefixAcct is the deferred hit/miss accounting of one routed request:
 // counters move only once the device actually serves it — a request shed
 // by admission control prefills nothing. Entries live in the routed
-// device's own acct map (shard-owned state); a fail-stop strands its
-// entries harmlessly, since a failed device never settles.
+// device's own acct map; a fail-stop strands its entries harmlessly,
+// since a failed device never settles.
 type prefixAcct struct {
 	key    string
 	tokens int64
@@ -320,11 +300,14 @@ type run struct {
 	vs      []DeviceView
 	posInVs []int
 
-	wake   *wakeHeap // sequential engine's wake index; nil when sharded
+	wake   *wakeHeap
 	dueBuf []int
 
-	sh  *shardSet          // sharded engine's state; nil when sequential
-	acc metrics.FleetAccum // prefix hit/miss counters, folded into out by finish
+	// prefixHits / prefixMisses are the settled prefix counters, folded
+	// into out by finish; serve is the streaming aggregation of the served
+	// stream (nil in exact mode).
+	prefixHits, prefixMisses int64
+	serve                    *metrics.ServeAccum
 
 	// Hedging state (nil / empty unless the fleet strategy hedges):
 	// hedges maps an original request tag to its pair state, cancels is
@@ -338,11 +321,8 @@ type run struct {
 	// Observability state (all nil/false without a recorder): obs is the
 	// fleet recorder, ctl its control-plane track, candSpans whether a
 	// routing decision records loads (the pick's, and a runner-up span)
-	// — only for view-reading routers, whose arrivals are event barriers
-	// in both engines (the sharded span fast path intentionally routes
-	// view-oblivious arrivals against stale views, so candidate loads
-	// there would diverge between engines; the decisions themselves
-	// never read them).
+	// — only for view-reading routers: a view-oblivious router's decision
+	// never reads load, so candidate loads would explain nothing.
 	obs       *obs.Recorder
 	ctl       *obs.Track
 	candSpans bool
@@ -423,7 +403,7 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 		}
 	}
 	if f.cfg.Metrics == metrics.ModeStreaming {
-		r.acc.EnableStreaming(f.cfg.SLOLatency)
+		r.serve = metrics.NewServeAccum(f.cfg.SLOLatency)
 	}
 	r.vs = make([]DeviceView, len(devs))
 	r.posInVs = make([]int, len(devs))
@@ -490,11 +470,9 @@ func (r *run) popArrival() pendingReq {
 }
 
 // settlePrefix resolves a result's deferred prefix accounting: counts
-// the hit/miss when the device served the request, refunds the
-// optimistic directory mark when admission shed it before prefill. It
-// touches only the device's own maps and the caller's accumulator, so
-// shard workers settle their devices' results without coordination.
-func (d *device) settlePrefix(sv core.ServedResult, acc *metrics.FleetAccum) {
+// the hit/miss when device d served the request, refunds the optimistic
+// directory mark when admission shed it before prefill.
+func (r *run) settlePrefix(d *device, sv core.ServedResult) {
 	a, ok := d.acct[sv.Tag]
 	if !ok {
 		return
@@ -502,9 +480,9 @@ func (d *device) settlePrefix(sv core.ServedResult, acc *metrics.FleetAccum) {
 	delete(d.acct, sv.Tag)
 	switch {
 	case !sv.Rejected && a.hit:
-		acc.PrefixHits += a.tokens
+		r.prefixHits += a.tokens
 	case !sv.Rejected:
-		acc.PrefixMisses += a.tokens
+		r.prefixMisses += a.tokens
 		if d.marker[a.key] == sv.Tag {
 			delete(d.marker, a.key) // residency confirmed
 		}
@@ -517,8 +495,7 @@ func (d *device) settlePrefix(sv core.ServedResult, acc *metrics.FleetAccum) {
 // buildResult turns one device completion into a fleet Result. A
 // requeued request keeps its original submission time in the
 // client-facing telemetry: the wait on its failed device still
-// happened. Safe on shard workers: requeue maps are read-only between
-// structural events.
+// happened.
 func (r *run) buildResult(sv core.ServedResult, dev int) Result {
 	if rq := r.requeues[sv.Tag]; rq > 0 {
 		sv.Arrival = r.origArrival[sv.Tag]
@@ -562,42 +539,14 @@ func (r *run) dropView(dev int) {
 	}
 }
 
-// updateWake, wakeRemove, wakeGrow, and wakeLen address whichever wake
-// index drives this run: the sequential engine's single heap or the
-// sharded engine's per-shard heaps.
+// updateWake re-keys the device in the wake heap from its loop's next
+// wake time, removing it when the loop has nothing to do.
 func (r *run) updateWake(dev int) {
-	if r.sh != nil {
-		r.sh.updateWakeLocal(r, r.sh.shardOf(dev), dev)
-		return
-	}
 	if at, ok := r.devs[dev].loop.Wake(); ok {
 		r.wake.update(dev, at)
 	} else {
 		r.wake.remove(dev)
 	}
-}
-
-func (r *run) wakeRemove(dev int) {
-	if r.sh != nil {
-		r.sh.wakeRemove(dev)
-		return
-	}
-	r.wake.remove(dev)
-}
-
-func (r *run) wakeGrow(n int) {
-	if r.sh != nil {
-		r.sh.wakeGrow(n)
-		return
-	}
-	r.wake.grow(n)
-}
-
-func (r *run) wakeLen() int {
-	if r.sh != nil {
-		return r.sh.wakeLen()
-	}
-	return r.wake.Len()
 }
 
 // collect steps the devices whose wake time falls within the horizon, in
@@ -634,11 +583,9 @@ func (r *run) collect(horizon float64) error {
 // complete wins the request (scheduling a cancellation for its twin),
 // later copies are swallowed. Losers still settle their deferred prefix
 // accounting — the device work was real — but never count as served.
-// Both engines call deliver in the canonical completion-merge order, so
-// hedge resolution is bit-identical across engines and shard counts.
 func (r *run) deliver(dev int, sv core.ServedResult) {
 	d := r.devs[dev]
-	d.settlePrefix(sv, &r.acc)
+	r.settlePrefix(d, sv)
 	if r.hedging() {
 		out, ok := r.filterHedge(sv)
 		if !ok {
@@ -648,8 +595,8 @@ func (r *run) deliver(dev int, sv core.ServedResult) {
 	}
 	res := r.buildResult(sv, dev)
 	r.out.Results = append(r.out.Results, res)
-	if r.acc.Streaming() {
-		r.acc.AddSample(0, serveSample(res))
+	if r.serve != nil {
+		r.serve.Observe(serveSample(res))
 	}
 	if !sv.Rejected {
 		d.served++
@@ -658,10 +605,7 @@ func (r *run) deliver(dev int, sv core.ServedResult) {
 	if r.el != nil {
 		// Observe the settled result (requeue-adjusted arrival and
 		// latencies), not the raw device completion: the control window
-		// must see the client-perceived telemetry, and the sharded
-		// engine already observes the built result — feeding the raw
-		// one here would let the engines' control signals drift apart
-		// on requeued requests.
+		// must see the client-perceived telemetry.
 		r.el.observe(res.ServedResult, d)
 	}
 }
@@ -771,7 +715,7 @@ func (r *run) failDevice(ft float64, fi int) {
 	d := r.devs[fi]
 	d.alive = false
 	d.failedAt = ft
-	r.wakeRemove(fi)
+	r.wake.remove(fi)
 	r.dropView(fi)
 	requeued := 0
 	for _, rq := range d.loop.Fail() {
@@ -834,8 +778,8 @@ func (r *run) routeArrival(pr pendingReq) error {
 			Requeues: pr.requeues,
 		}
 		r.out.Results = append(r.out.Results, res)
-		if r.acc.Streaming() {
-			r.acc.AddSample(0, serveSample(res))
+		if r.serve != nil {
+			r.serve.Observe(serveSample(res))
 		}
 		if r.el != nil {
 			r.el.win.Rejected++
@@ -869,11 +813,9 @@ func (r *run) routeArrival(pr pendingReq) error {
 
 // emitRoute records one routing decision over the candidate slice vs on
 // the control track — O(1) spans however many devices were scored: the
-// pick, then (view-reading routers only, whose arrivals are event
-// barriers in both engines — see run.candSpans) its runner-up, so the
-// decision margin cand.V1 − route.V2 stays in the trace. Shared by the
-// primary route, the hedged twin route and the sharded span pre-route,
-// so both engines emit the identical control-track sequence.
+// pick, then (view-reading routers only — see run.candSpans) its
+// runner-up, so the decision margin cand.V1 − route.V2 stays in the
+// trace. Shared by the primary route and the hedged twin route.
 func (r *run) emitRoute(tag int, at float64, vs []DeviceView, pick int) {
 	if r.ctl == nil {
 		return
@@ -918,8 +860,6 @@ func lessOutstanding(a, b *DeviceView) bool {
 // width and the strategy at its current tier. The deadline strategy
 // derives the request's deadline from the fleet SLO, measured from the
 // original submission so a requeued request's deadline does not reset.
-// Shared verbatim by the sequential route path and the sharded span
-// pre-route so both engines stamp identical requests.
 func (r *run) applyStrategy(rq *core.Request, di int) {
 	if st := r.f.cfg.Strategy; st != nil {
 		rq.Strategy = st
@@ -996,10 +936,6 @@ func (r *run) routeTwin(rq core.Request, rv RequestView, primaryPick int) error 
 // refreshed incrementally for exactly the devices an event touched —
 // O(events·log devices) overall instead of the O(events·devices) full
 // re-scan per event.
-//
-// With Config.Shards >= 2, Run dispatches to the sharded engine
-// (shard.go), which produces bit-identical outcomes while advancing
-// device shards on parallel workers between cross-shard events.
 func (f *Fleet) Run(reqs []core.Request) (*Outcome, error) {
 	if f.used {
 		return nil, fmt.Errorf("cluster: Fleet is single-run; build a new Fleet per stream")
@@ -1008,13 +944,6 @@ func (f *Fleet) Run(reqs []core.Request) (*Outcome, error) {
 	r, err := f.newRun(reqs)
 	if err != nil {
 		return nil, err
-	}
-	if ns := f.shards(); ns > 1 {
-		// Swap the wake index before any device has an entry: the sharded
-		// engine owns per-shard heaps instead of the single heap.
-		r.wake = nil
-		r.sh = newShardSet(r, ns)
-		return f.runSharded(r)
 	}
 
 	for {
@@ -1073,9 +1002,6 @@ func (f *Fleet) Run(reqs []core.Request) (*Outcome, error) {
 // run to the end.
 func (r *run) drain() error {
 	if !r.hedging() {
-		if r.sh != nil {
-			return r.sh.collect(r, core.NoHorizon)
-		}
 		return r.collect(core.NoHorizon)
 	}
 	for {
@@ -1083,7 +1009,7 @@ func (r *run) drain() error {
 			r.applyCancel(r.cancels[r.cp])
 			r.cp++
 		}
-		at, ok := r.nextWake()
+		at, ok := r.wake.min()
 		if !ok {
 			return nil
 		}
@@ -1092,33 +1018,10 @@ func (r *run) drain() error {
 		// ulp past the earliest wake so every round advances at least one
 		// atomic slice (the slice in progress finishes past the horizon
 		// by the StepTo contract).
-		horizon := math.Nextafter(at, math.Inf(1))
-		if r.sh != nil {
-			if err := r.sh.collect(r, horizon); err != nil {
-				return err
-			}
-		} else if err := r.collect(horizon); err != nil {
+		if err := r.collect(math.Nextafter(at, math.Inf(1))); err != nil {
 			return err
 		}
 	}
-}
-
-// nextWake is the earliest pending device wake across whichever wake
-// index drives this run.
-func (r *run) nextWake() (float64, bool) {
-	if r.sh != nil {
-		return r.sh.wakeMin()
-	}
-	return r.wake.min()
-}
-
-// shards resolves Config.Shards: <0 means one shard per available core,
-// 0 and 1 select the sequential engine.
-func (f *Fleet) shards() int {
-	if f.cfg.Shards < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return f.cfg.Shards
 }
 
 // failAt is the time of the next scheduled fail-stop (meaningful only
@@ -1183,18 +1086,14 @@ func (r *run) finish() {
 			ReprefillSeconds:    ps.ReprefillSeconds,
 		}
 	}
-	r.out.PrefixHits = r.acc.PrefixHits
-	r.out.PrefixMisses = r.acc.PrefixMisses
-	r.out.Serve = r.acc.Serve()
+	r.out.PrefixHits = r.prefixHits
+	r.out.PrefixMisses = r.prefixMisses
+	r.out.Serve = r.serve
 	if r.el != nil {
 		r.el.finish(r.out)
 	}
 	if r.obs != nil {
-		// Latency attribution runs once, on the driver, over the merged
-		// span stream — after every worker has joined, so the read is
-		// ordered by the barrier protocol.
 		st := obs.Summarize(obs.Attribute(r.obs.Spans()))
-		r.acc.Attr = st
 		r.out.Attribution = &st
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"fasttts/internal/core"
 	"fasttts/internal/hw"
+	"fasttts/internal/metrics"
 	"fasttts/internal/model"
 	"fasttts/internal/rng"
 	"fasttts/internal/sched"
@@ -48,6 +49,18 @@ func hetero4(t testing.TB) []Device {
 		{Config: devConfig(t, hw.RTX4090, 8, 43), Slowdown: 4},
 		{Config: devConfig(t, hw.RTX4070Ti, 8, 44)},
 		{Config: devConfig(t, hw.RTX3070Ti, 8, 45)},
+	}
+}
+
+// equivFleet builds a small heterogeneous fleet: a fast founder, a
+// straggler, a mid-run fail-stop, and a fourth plain member.
+func equivFleet(t testing.TB) []Device {
+	t.Helper()
+	return []Device{
+		{Config: devConfig(t, hw.RTX4090, 4, 40)},
+		{Config: devConfig(t, hw.RTX4070Ti, 4, 41), Slowdown: 2.5},
+		{Config: devConfig(t, hw.RTX3070Ti, 4, 42), FailAt: 12},
+		{Config: devConfig(t, hw.RTX4070Ti, 4, 43)},
 	}
 }
 
@@ -397,5 +410,52 @@ func TestNewValidates(t *testing.T) {
 	bad.GPU = hw.GPU{}
 	if _, err := New(Config{Devices: []Device{{Config: bad}}}); err == nil {
 		t.Error("New accepted an invalid device config")
+	}
+}
+
+// TestStreamingStatsNearExact compares a streaming run's fleet stats to
+// the same run in exact mode: counters and maxima identical, latency
+// distribution within the sketch's documented error.
+func TestStreamingStatsNearExact(t *testing.T) {
+	reqs := taggedStream(t, repeatedProblems(t, 80, 5), 2.0, 13)
+	const slo = 30.0
+	run := func(mode metrics.Mode) metrics.FleetStats {
+		rt, err := RouterByName("least-work")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := New(Config{Devices: equivFleet(t), Router: rt, Seed: 3, Metrics: mode, SLOLatency: slo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := f.Run(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Stats(slo)
+	}
+	exact := run(metrics.ModeExact)
+	stream := run(metrics.ModeStreaming)
+	if stream.Served != exact.Served || stream.Rejected != exact.Rejected ||
+		stream.Makespan != exact.Makespan || stream.Goodput != exact.Goodput ||
+		stream.SLOAttainment != exact.SLOAttainment {
+		t.Errorf("exact-agreement fields diverge:\n  stream: %+v\n  exact: %+v", stream, exact)
+	}
+	for _, c := range []struct {
+		label         string
+		stream, exact float64
+	}{
+		{"p50", stream.P50Latency, exact.P50Latency},
+		{"p95", stream.P95Latency, exact.P95Latency},
+		{"p99", stream.P99Latency, exact.P99Latency},
+		{"mean latency", stream.MeanLatency, exact.MeanLatency},
+	} {
+		if c.exact == 0 {
+			continue
+		}
+		if rel := math.Abs(c.stream-c.exact) / c.exact; rel > metrics.SketchRelErr {
+			t.Errorf("%s: streaming %v vs exact %v, relative error %v > %v",
+				c.label, c.stream, c.exact, rel, metrics.SketchRelErr)
+		}
 	}
 }

@@ -121,9 +121,7 @@ type elastic struct {
 
 	// win accumulates the tick window incrementally (completions,
 	// arrivals, SLO hits, queue-delay sum) — the shared metrics-layer
-	// window primitive, reset every tick. Both engines observe
-	// completions in the same canonical order, so its one float sum is
-	// bit-identical between them.
+	// window primitive, reset every tick.
 	win metrics.TickWindow
 }
 
@@ -156,7 +154,7 @@ func (el *elastic) nextJoin() (float64, int, bool) {
 // are exhausted the controller has nothing left to influence and the
 // tick stream ends (the run then drains to completion).
 func (el *elastic) nextTickEvent(r *run, haveArrival bool) (float64, int, bool) {
-	if !haveArrival && r.wakeLen() == 0 && el.jp >= len(el.joins) {
+	if !haveArrival && r.wake.Len() == 0 && el.jp >= len(el.joins) {
 		return 0, evTick, false
 	}
 	return el.nextTick, evTick, true
@@ -289,7 +287,7 @@ func (el *elastic) scaleUp(r *run, now float64, n int) ActionRecord {
 		idx := len(r.devs)
 		r.devs = append(r.devs, dev)
 		r.posInVs = append(r.posInVs, -1)
-		r.wakeGrow(1)
+		r.wake.grow(1)
 		if r.obs != nil {
 			dev.loop.SetObs(r.obs.Device(idx))
 		}

@@ -12,8 +12,7 @@ import (
 	"sort"
 )
 
-// Event kinds at one instant resolve in a fixed priority — the shared
-// ordering contract of both execution engines:
+// Event kinds at one instant resolve in a fixed priority:
 //
 //	join < fail < cancel < tick < arrival
 //
@@ -33,9 +32,9 @@ const (
 
 // cancelEvent is one scheduled fleet-level cancellation: at the instant
 // a hedged request's first copy completed, the losing copy (tag) on dev
-// is released. Cancels are consumed in insertion order — the canonical
-// completion-merge order shared by both engines — so equal seeds give
-// bit-identical cancellation sequences.
+// is released. Cancels are consumed in insertion order — the fleet's
+// completion order — so equal seeds give bit-identical cancellation
+// sequences.
 type cancelEvent struct {
 	at  float64
 	dev int

@@ -173,7 +173,7 @@ func BenchmarkFleetRun32Observed(b *testing.B) {
 	b.ResetTimer()
 	recorded := 0
 	for i := 0; i < b.N; i++ {
-		_, spans := runTraced(b, mk, reqs, 0)
+		_, spans := runTraced(b, mk, reqs)
 		if attrs := obs.Attribute(spans); len(attrs) == 0 {
 			b.Fatal("no request attributed")
 		}

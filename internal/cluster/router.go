@@ -53,8 +53,8 @@ type DeviceView struct {
 	Speed float64
 	// Mem is the device's KV memory plane; nil when the plane is
 	// disabled. Routers may probe it (prefix residency, occupancy) only
-	// inside Route — the fleet quiesces every device at the arrival's
-	// event barrier before routing, on both execution engines.
+	// inside Route — the fleet steps every device due by the arrival
+	// instant before routing it.
 	Mem *memplane.Plane
 	// CacheOccupancy is the plane's used/capacity fraction as of the
 	// device's last refresh; 0 when the plane is disabled.
@@ -73,12 +73,11 @@ type Router interface {
 
 // ViewOblivious marks routers whose decisions never read device *load*
 // — DeviceView.Now, Pending, or OutstandingWork — only the routable
-// set's size and order plus private state. The sharded engine
-// (Config.Shards >= 2) can pre-route whole arrival spans for such
-// routers and replay devices barrier-free; view-reading routers make
-// every arrival a cross-shard synchronization point. A router that
-// reads load but implements this interface returning true breaks the
-// engines' bit-identity contract.
+// set's size and order plus private state. The span recorder omits the
+// candidate loads of such routers' decisions (the runner-up span and the
+// pick's outstanding work), since the decision never read them. A router
+// that reads load but returns true here loses those spans from its
+// traces.
 type ViewOblivious interface {
 	RouteViewOblivious() bool
 }

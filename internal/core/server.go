@@ -124,9 +124,6 @@ func NewServerWithPolicy(cfg Config, pol sched.ServePolicy) (*Server, error) {
 	return &Server{cfg: cfg, pol: pol}, nil
 }
 
-// Policy returns the server's admission/ordering policy.
-func (s *Server) Policy() sched.ServePolicy { return s.pol }
-
 // Run serves an open-loop request stream and returns per-request results
 // in completion order (rejected requests appear at their rejection time).
 // A NaN or infinite arrival time is an error.
@@ -186,17 +183,14 @@ const NoHorizon = -1.0
 // Loop must come from a single goroutine (or be externally ordered), but
 // distinct Loops share no mutable state even when built from one Server
 // (the Server is read-only after construction; each Loop owns its clock,
-// queue, sessions, solver, and rng streams), so any number of Loops may
-// be stepped concurrently. The sharded fleet engine relies on exactly
-// this: each shard worker steps only the Loops of the devices it owns.
+// queue, sessions, solver, and rng streams).
 //
 // Determinism contract: StepTo is horizon-sensitive. The horizon is not
 // just a stopping time — it feeds the speculation-preemption probe as a
 // pending boundary, so StepTo(t1) followed by StepTo(t2) may slice work
-// differently than StepTo(t2) alone. Drivers that must reproduce each
-// other bit-for-bit (the sequential and sharded fleet engines) must
-// therefore present each Loop with the identical sequence of horizons,
-// not just the same final time.
+// differently than StepTo(t2) alone. A replay must therefore present the
+// Loop with the identical sequence of horizons, not just the same final
+// time.
 type Loop struct {
 	s        *Server
 	queue    []Request
@@ -279,7 +273,7 @@ func (s *Server) newPlane() *memplane.Plane {
 
 // Plane returns the loop's KV memory plane; nil when disabled. The fleet
 // layer attaches it to the device's routing view so cache-aware routers
-// can probe prefix residency at event barriers.
+// can probe prefix residency when they route.
 func (l *Loop) Plane() *memplane.Plane { return l.plane }
 
 // PlaneStats returns the memory plane's cumulative telemetry; the zero
@@ -372,9 +366,6 @@ func (l *Loop) reanchorWork() {
 		l.queuedWork = l.s.estimateWork(l.queue[l.next])
 	}
 }
-
-// Failed reports whether Fail has been called.
-func (l *Loop) Failed() bool { return l.failed }
 
 // Idle reports whether the loop has no runnable session and no queued
 // arrival: StepTo would return immediately.

@@ -22,8 +22,8 @@
 // wall clocks, or randomness. A zero-capacity plane is never constructed
 // (the loop carries a nil plane), so the disabled configuration is
 // bit-identical to builds without the plane. Cross-device reads (the
-// router probes below) happen only at fleet event barriers, when every
-// device loop is quiesced at the event's horizon.
+// router probes below) happen only when the fleet routes an arrival,
+// after it has stepped every device due by that instant.
 package memplane
 
 import (
@@ -114,9 +114,9 @@ type Session struct {
 	finished  bool
 }
 
-// Plane is one device's KV memory plane. It is confined to the device's
-// loop goroutine for mutations; the router probes (ResidentPromptTokens,
-// OccupiedFraction) are read-only and called only at fleet barriers.
+// Plane is one device's KV memory plane. Only the device's loop mutates
+// it; the router probes (ResidentPromptTokens, OccupiedFraction) are
+// read-only and called only when the fleet routes.
 type Plane struct {
 	cache   *kvcache.Cache
 	gpu     hw.GPU

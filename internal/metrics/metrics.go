@@ -7,14 +7,12 @@
 //     (nearest-rank latency percentiles, queue delay, goodput, SLO
 //     attainment); the golden-conformance path.
 //   - sketch.go / streaming.go: the constant-memory streaming
-//     counterpart — a deterministic mergeable quantile sketch
-//     (Sketch), the ServeAccum stream accumulator, and the TickWindow
-//     control-plane window. Percentiles carry the documented
-//     SketchRelErr (< 1%) bound; merges are bit-identical in any
-//     order.
-//   - fleet.go / accum.go: fleet-level aggregates (per-device
-//     utilization, imbalance, cache telemetry) and the mergeable
-//     per-shard FleetAccum the sharded engine folds on the driver.
+//     counterpart — a deterministic quantile sketch (Sketch), the
+//     ServeAccum stream accumulator, and the TickWindow control-plane
+//     window. Percentiles carry the documented SketchRelErr (< 1%)
+//     bound.
+//   - fleet.go: fleet-level aggregates (per-device utilization,
+//     imbalance, cache telemetry).
 //   - control.go: elastic-control-plane summaries and the SLO-vs-cost
 //     frontier.
 package metrics

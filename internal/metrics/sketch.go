@@ -1,18 +1,15 @@
 package metrics
 
-// A deterministic, mergeable quantile sketch for constant-memory
-// streaming percentiles.
+// A deterministic quantile sketch for constant-memory streaming
+// percentiles.
 //
 // The sketch is a fixed-boundary log-bucketed histogram (DDSketch-style,
 // but with boundaries pinned at construction rather than collapsed
 // dynamically): bucket i covers (min·γ^i, min·γ^(i+1)] with γ = 1.02,
-// spanning 1µs to 10⁵ s in ~1.3k buckets (~10 KiB of state). Because
-// the boundaries never move and every piece of state is an integer count
-// or an order-independent min/max, Merge is a plain element-wise sum —
-// merging per-shard sketches in ANY order or grouping yields bit-identical
-// quantiles to one sketch that saw every sample. That property is what
-// lets the sharded fleet engine accumulate latency distributions on
-// parallel workers without perturbing results.
+// spanning 1µs to 10⁵ s in ~1.3k buckets (~10 KiB of state). The
+// boundaries never move and every piece of state is an integer count or
+// an order-independent min/max, so the sketch's quantiles do not depend
+// on the order its samples arrived in.
 //
 // Error contract (see SketchRelErr):
 //
@@ -60,11 +57,10 @@ var (
 	sketchBuckets     = int(math.Ceil(math.Log(sketchMax/sketchMin)*sketchInvLogGamma)) + 1
 )
 
-// Sketch is a mergeable quantile sketch over non-negative finite
-// samples. The zero value is an empty sketch ready to use; bucket
-// storage is allocated lazily on the first in-range Add. Sketch is not
-// safe for concurrent use — shard workers own private sketches and the
-// driver merges them.
+// Sketch is a quantile sketch over non-negative finite samples. The
+// zero value is an empty sketch ready to use; bucket storage is
+// allocated lazily on the first in-range Add. Sketch is not safe for
+// concurrent use.
 type Sketch struct {
 	n    uint64   // total samples
 	low  uint64   // samples ≤ sketchMin (including exact zeros)
@@ -104,41 +100,6 @@ func (s *Sketch) Add(v float64) {
 		i = sketchBuckets - 1
 	}
 	s.bkts[i]++
-}
-
-// Merge folds b into s. Every piece of state is an integer sum or an
-// order-independent min/max, so any merge order or grouping of shard
-// sketches produces bit-identical state. b is unchanged.
-func (s *Sketch) Merge(b *Sketch) {
-	if b.n == 0 {
-		return
-	}
-	if s.n == 0 || b.min < s.min {
-		s.min = b.min
-	}
-	if b.max > s.max {
-		s.max = b.max
-	}
-	s.n += b.n
-	s.low += b.low
-	if b.bkts != nil {
-		if s.bkts == nil {
-			s.bkts = make([]uint64, sketchBuckets)
-		}
-		for i, c := range b.bkts {
-			s.bkts[i] += c
-		}
-	}
-}
-
-// Reset empties the sketch in place, keeping allocated bucket storage
-// so reuse (shard workers between passes) stays allocation-free.
-func (s *Sketch) Reset() {
-	s.n, s.low = 0, 0
-	s.min, s.max = 0, 0
-	for i := range s.bkts {
-		s.bkts[i] = 0
-	}
 }
 
 // Count reports the number of samples recorded.
@@ -206,7 +167,7 @@ func (s *Sketch) Quantile(p float64) float64 {
 
 // Sum estimates the sum of all samples from bucket representatives,
 // iterating buckets in fixed index order — deterministic and
-// merge-order-independent, within SketchRelErr relatively (low-bucket
+// independent of sample order, within SketchRelErr relatively (low-bucket
 // samples contribute the exact minimum each: ≤ 1µs absolute apiece).
 func (s *Sketch) Sum() float64 {
 	if s.n == 0 {

@@ -113,21 +113,6 @@ func TestSketchAddPanics(t *testing.T) {
 	}
 }
 
-func TestSketchReset(t *testing.T) {
-	s := sketchOf([]float64{1, 2, 3})
-	s.Reset()
-	if s.Count() != 0 || s.Quantile(50) != 0 || s.Min() != 0 || s.Max() != 0 {
-		t.Fatalf("reset sketch not empty: %+v", s)
-	}
-	// Reset keeps the bucket allocation; the sketch must be reusable and
-	// agree with a fresh one bit-for-bit.
-	s.Add(7)
-	fresh := sketchOf([]float64{7})
-	if s.Quantile(50) != fresh.Quantile(50) || s.Count() != fresh.Count() {
-		t.Errorf("reused sketch diverged from fresh: %v vs %v", s.Quantile(50), fresh.Quantile(50))
-	}
-}
-
 func TestSketchStateBytes(t *testing.T) {
 	var s Sketch
 	s.Add(1)
@@ -136,45 +121,25 @@ func TestSketchStateBytes(t *testing.T) {
 	}
 }
 
-// TestSketchMergeBitIdentical is the determinism keystone: merging
-// per-shard sketches — any split, any order — must produce state
-// bit-identical to one sketch that saw every sample. testing/quick
-// drives random sample sets and random shard assignments.
-func TestSketchMergeBitIdentical(t *testing.T) {
-	prop := func(seed uint64, nSamples uint16, nShards uint8) bool {
+// TestSketchOrderIndependent is the determinism keystone: the same
+// samples added in any order give bit-identical observable state.
+// testing/quick drives random sample sets and random permutations.
+func TestSketchOrderIndependent(t *testing.T) {
+	prop := func(seed uint64, nSamples uint16) bool {
 		n := int(nSamples)%2000 + 1
-		shards := int(nShards)%7 + 1
-		r := rng.New(seed).Child("quick/sketch-merge")
-		whole := &Sketch{}
-		parts := make([]*Sketch, shards)
-		for i := range parts {
-			parts[i] = &Sketch{}
-		}
-		for i := 0; i < n; i++ {
+		r := rng.New(seed).Child("quick/sketch-order")
+		xs := make([]float64, n)
+		for i := range xs {
 			// Mix scales so low bucket, log range, and top clamp all see
 			// traffic: 1e-9 … 1e7 seconds.
-			v := math.Pow(10, -9+16*r.Float64())
-			whole.Add(v)
-			parts[r.IntN(shards)].Add(v)
+			xs[i] = math.Pow(10, -9+16*r.Float64())
 		}
-		merged := &Sketch{}
-		for _, ord := range r.Perm(shards) {
-			merged.Merge(parts[ord])
+		inOrder := sketchOf(xs)
+		shuffled := &Sketch{}
+		for _, i := range r.Perm(n) {
+			shuffled.Add(xs[i])
 		}
-		// Bucket storage may be nil vs allocated-but-zero depending on the
-		// split; compare observable state exactly instead.
-		if merged.Count() != whole.Count() || merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-			return false
-		}
-		if merged.Sum() != whole.Sum() {
-			return false
-		}
-		for p := 0.0; p <= 100; p += 2.5 {
-			if merged.Quantile(p) != whole.Quantile(p) {
-				return false
-			}
-		}
-		return true
+		return reflect.DeepEqual(inOrder, shuffled)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -230,19 +195,5 @@ func TestSketchQuantileMatchesNearestRankRule(t *testing.T) {
 	for p := 0.0; p <= 100; p += 0.5 {
 		exact := exactNearestRank(xs, p)
 		assertWithinSketchErr(t, "rank rule", s.Quantile(p), exact)
-	}
-}
-
-func TestSketchMergeEmpty(t *testing.T) {
-	a := sketchOf([]float64{1, 2, 3})
-	before := *a
-	a.Merge(&Sketch{})
-	if !reflect.DeepEqual(*a, before) {
-		t.Error("merging an empty sketch changed state")
-	}
-	empty := &Sketch{}
-	empty.Merge(a)
-	if empty.Count() != 3 || empty.Min() != 1 || empty.Max() != 3 {
-		t.Errorf("empty.Merge(a) state: count=%d min=%v max=%v", empty.Count(), empty.Min(), empty.Max())
 	}
 }

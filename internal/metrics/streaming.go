@@ -6,11 +6,9 @@ package metrics
 // grows O(requests) — the real ceiling on million-user runs. ServeAccum
 // replaces the sample buffers with two Sketches (~10 KiB each) plus a
 // handful of counters, all of it order-independent: integer counts,
-// exact min/max, and sums of integers. Merging per-shard accumulators in
-// any order yields bit-identical ServeStats, including the means, which
-// are derived from sketch buckets in fixed index order rather than from
-// sample-order float sums (a float sum over shard-ordered samples would
-// not be bit-identical across shard counts).
+// exact min/max, and sums of integers. Even the means are derived from
+// sketch buckets in fixed index order rather than from a sample-order
+// float sum.
 //
 // Exact mode remains the default everywhere: the committed golden traces
 // record exact percentiles, and conformance must stay bit-identical
@@ -29,8 +27,8 @@ const (
 	// percentiles, O(requests) memory. The default, and the golden-trace
 	// conformance path.
 	ModeExact Mode = "exact"
-	// ModeStreaming accumulates mergeable quantile sketches: constant
-	// memory, percentiles within SketchRelErr of exact.
+	// ModeStreaming accumulates quantile sketches: constant memory,
+	// percentiles within SketchRelErr of exact.
 	ModeStreaming Mode = "streaming"
 )
 
@@ -104,40 +102,6 @@ func (a *ServeAccum) Observe(sm ServeSample) {
 	a.wall.Add(w)
 }
 
-// Merge folds b into a. Both sides must share the SLO target —
-// attainment was already counted against it. Every field is an integer
-// sum, sketch merge, or order-independent max, so any merge order or
-// grouping of shard accumulators yields bit-identical Stats. b is
-// unchanged.
-func (a *ServeAccum) Merge(b *ServeAccum) {
-	if a.SLOLatency != b.SLOLatency {
-		panic(fmt.Sprintf("metrics: ServeAccum.Merge: SLO targets differ (%v vs %v)", a.SLOLatency, b.SLOLatency))
-	}
-	a.served += b.served
-	a.rejected += b.rejected
-	a.nonFinite += b.nonFinite
-	a.attained += b.attained
-	a.tokens += b.tokens
-	if b.makespan > a.makespan {
-		a.makespan = b.makespan
-	}
-	if b.maxQueue > a.maxQueue {
-		a.maxQueue = b.maxQueue
-	}
-	a.wall.Merge(&b.wall)
-	a.queue.Merge(&b.queue)
-}
-
-// Reset empties the accumulator in place, keeping the SLO target and
-// any allocated sketch buckets (shard workers reset between passes).
-func (a *ServeAccum) Reset() {
-	a.served, a.rejected, a.nonFinite, a.attained = 0, 0, 0, 0
-	a.tokens = 0
-	a.makespan, a.maxQueue = 0, 0
-	a.wall.Reset()
-	a.queue.Reset()
-}
-
 // Observed reports how many samples were folded in (served + rejected +
 // non-finite).
 func (a *ServeAccum) Observed() int { return a.served + a.rejected + a.nonFinite }
@@ -197,9 +161,7 @@ func SummarizeServeStreaming(samples []ServeSample, sloLatency float64) ServeSta
 // incrementally — the per-tick counterpart of ServeAccum, shared with
 // the fleet's elastic controller so window signals never re-scan served
 // results. All state is counters plus one float sum accumulated in
-// observation order, so the sequential and sharded engines (which
-// observe completions in the same canonical order) produce bit-identical
-// signals.
+// observation order.
 type TickWindow struct {
 	// Served / Rejected count completions in the window; Arrivals counts
 	// routed requests.

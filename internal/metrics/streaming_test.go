@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"fasttts/internal/rng"
 )
@@ -159,36 +158,6 @@ func TestPercentileDomain(t *testing.T) {
 	}
 }
 
-// TestServeAccumMergeBitIdentical: random streams split across random
-// shard counts, merged in random order, must produce ServeStats equal
-// to the unsharded accumulator — every float compared with ==.
-func TestServeAccumMergeBitIdentical(t *testing.T) {
-	prop := func(seed uint64, nSamples uint16, nShards uint8) bool {
-		n := int(nSamples)%3000 + 1
-		shards := int(nShards)%8 + 1
-		const slo = 20.0
-		samples := randomServeSamples(seed, n)
-		whole := NewServeAccum(slo)
-		parts := make([]*ServeAccum, shards)
-		for i := range parts {
-			parts[i] = NewServeAccum(slo)
-		}
-		r := rng.New(seed).Child("quick/accum-split")
-		for _, sm := range samples {
-			whole.Observe(sm)
-			parts[r.IntN(shards)].Observe(sm)
-		}
-		merged := NewServeAccum(slo)
-		for _, i := range r.Perm(shards) {
-			merged.Merge(parts[i])
-		}
-		return merged.Stats() == whole.Stats()
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestServeAccumObserveAllocs is the constant-memory claim: once its
 // sketch buckets exist, an accumulator folds any number of samples
 // without allocating, so a stream of any length holds only the
@@ -203,15 +172,6 @@ func TestServeAccumObserveAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("folding %d samples allocated %v times, want 0", len(samples), got)
 	}
-}
-
-func TestServeAccumMergeSLOMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Merge with mismatched SLO targets did not panic")
-		}
-	}()
-	NewServeAccum(1).Merge(NewServeAccum(2))
 }
 
 // TestServeAccumDegenerate reuses the exact path's degenerate-stream
@@ -237,31 +197,6 @@ func TestServeAccumDegenerate(t *testing.T) {
 			}
 			assertFinite(t, got)
 		})
-	}
-}
-
-// TestServeAccumResetReuse pins the shard-worker reuse contract: Reset
-// keeps the SLO target and bucket storage but clears every aggregate, so
-// a reused accumulator is bit-identical to a fresh one.
-func TestServeAccumResetReuse(t *testing.T) {
-	a := NewServeAccum(15)
-	for _, sm := range randomServeSamples(3, 500) {
-		a.Observe(sm)
-	}
-	a.Reset()
-	if a.Observed() != 0 {
-		t.Fatalf("Observed after Reset = %d, want 0", a.Observed())
-	}
-	fresh := NewServeAccum(15)
-	for _, sm := range randomServeSamples(4, 500) {
-		a.Observe(sm)
-		fresh.Observe(sm)
-	}
-	if a.Stats() != fresh.Stats() {
-		t.Errorf("reused accumulator diverged:\n got %+v\nwant %+v", a.Stats(), fresh.Stats())
-	}
-	if a.StateBytes() != fresh.StateBytes() {
-		t.Errorf("StateBytes diverged after reuse: %d vs %d", a.StateBytes(), fresh.StateBytes())
 	}
 }
 

@@ -11,13 +11,10 @@
 // timeline, admissions, completions, withdrawals) plus one control-plane
 // track (routing decisions, requeue hops, hedge placements, control
 // ticks, joins, drains). Tracks are single-writer: a device track is
-// written only by the goroutine stepping that device's loop (a shard
-// worker in the sharded engine, the driver at event barriers), and the
-// control track only by the fleet driver. The merged span stream
-// (Recorder.Spans) is a pure function of per-track content, so the
-// sequential and sharded fleet engines — which produce identical
-// per-track sequences by the engines' bit-identity contract — produce
-// bit-identical traces at every shard count.
+// written only by that device's loop, and the control track only by the
+// fleet driver. The merged span stream (Recorder.Spans) is a pure
+// function of per-track content, so equal seeds give bit-identical
+// traces.
 package obs
 
 import (
@@ -74,8 +71,7 @@ const (
 	// KindRouteCand is the decision's runner-up — the routable device not
 	// chosen with the least outstanding work (ties: fewer pending, lower
 	// index) — emitted right after its KindRoute for view-reading routers
-	// only (view-oblivious routers never read load, and the sharded engine
-	// routes their spans against intentionally stale views): N is the
+	// only (view-oblivious routers never read load): N is the
 	// runner-up's fleet index, V1 its outstanding work, V2 its pending
 	// population. The decision margin is cand.V1 - route.V2; a decision
 	// over a single routable device has no runner-up.
@@ -85,8 +81,8 @@ const (
 	KindHedge
 	// KindHedgeWin records hedge resolution: the copy whose completion
 	// the fleet delivered first won the request. Delivery follows the
-	// engines' canonical completion-merge order, which within one event
-	// window is device-index order — not necessarily the earliest finish
+	// fleet's completion order, which within one event window is
+	// device-index order — not necessarily the earliest finish
 	// instant — so the attribution pass keys its winner selection on
 	// this span. Tag is the winning copy's tag (^orig when the twin
 	// won), V1 the winning device.
@@ -193,11 +189,9 @@ func (t *Track) Len() int {
 // use; a nil *Recorder is the disabled recorder — Control and Device
 // return nil tracks that swallow every emission.
 //
-// Concurrency contract: Control, Device, Spans, SpanCount, and Reset
-// must be called from the driving goroutine only (they may grow the
-// track set); the *Track pointers they return are stable and may be
-// written by whichever single goroutine owns that track at a time, as
-// the fleet engines' barrier protocol guarantees.
+// A Recorder is not safe for concurrent use: Control and Device may grow
+// the track set. The *Track pointers they return are stable across
+// growth.
 type Recorder struct {
 	control *Track
 	devices []*Track
@@ -258,9 +252,8 @@ func (r *Recorder) Reset() {
 // Spans merges every track into one canonically ordered stream: spans
 // sort by Start, then by track (control plane first), preserving each
 // track's emission order among equal keys. The result is a pure
-// function of per-track content — engines that produce identical
-// per-track sequences produce bit-identical merged traces, which is
-// exactly the sequential-vs-sharded trace equivalence contract.
+// function of per-track content: identical per-track sequences give a
+// bit-identical merged trace.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil

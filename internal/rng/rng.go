@@ -8,12 +8,10 @@
 // tests rely on.
 //
 // A Stream is single-owner mutable state: it is not safe for concurrent
-// use, and its outputs depend on the call sequence. Components that run
-// on parallel workers (the sharded fleet engine's device loops) each own
-// their private streams, derived once at construction; fleet-global
-// streams (the router's, the controller's) live on the driver goroutine
-// and are advanced only by the deterministic event order — which is how
-// parallel execution reproduces sequential runs bit for bit.
+// use, and its outputs depend on the call sequence. Each device loop owns
+// its private streams, derived once at construction; fleet-global
+// streams (the router's, the controller's) are advanced only by the
+// deterministic event order.
 package rng
 
 import (

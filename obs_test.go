@@ -2,8 +2,8 @@ package fasttts
 
 // Public-API contract of the span flight recorder: tracing never
 // perturbs a run (every committed golden replays byte-identically with
-// a recorder attached), traces themselves are deterministic across the
-// fleet engines, and the Perfetto/attribution surfaces work end to end.
+// a recorder attached), traces themselves are deterministic, and the
+// Perfetto/attribution surfaces work end to end.
 
 import (
 	"bytes"
@@ -63,15 +63,14 @@ func TestGoldenScenarioTracesWithRecorder(t *testing.T) {
 	}
 }
 
-// TestRecorderTraceDeterministicAcrossEngines pins the public half of
-// the trace-determinism contract: the Perfetto export bytes are
-// identical across runs and across Parallelism settings.
-func TestRecorderTraceDeterministicAcrossEngines(t *testing.T) {
-	export := func(parallelism int) []byte {
+// TestRecorderTraceDeterministic pins the public half of the
+// trace-determinism contract: two runs with equal options export
+// identical Perfetto bytes.
+func TestRecorderTraceDeterministic(t *testing.T) {
+	export := func() []byte {
 		rec := NewRecorder()
 		if _, err := RunScenario("fleet-churn", ScenarioOptions{
-			Target: ScenarioCluster, Requests: 20, Seed: 7,
-			Parallelism: parallelism, Trace: rec,
+			Target: ScenarioCluster, Requests: 20, Seed: 7, Trace: rec,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -81,14 +80,12 @@ func TestRecorderTraceDeterministicAcrossEngines(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	seq := export(0)
-	for _, p := range []int{4, -1} {
-		if !bytes.Equal(seq, export(p)) {
-			t.Fatalf("Perfetto export differs between sequential and Parallelism=%d", p)
-		}
+	first := export()
+	if !bytes.Equal(first, export()) {
+		t.Fatal("Perfetto export differs between two runs with equal options")
 	}
 	var doc map[string]any
-	if err := json.Unmarshal(seq, &doc); err != nil {
+	if err := json.Unmarshal(first, &doc); err != nil {
 		t.Fatalf("Perfetto export is not valid JSON: %v", err)
 	}
 	if _, ok := doc["traceEvents"]; !ok {

@@ -53,13 +53,6 @@ type ScenarioOptions struct {
 	// router); 0 means the scenario default (42). Equal options give
 	// bit-identical runs and therefore bit-identical traces.
 	Seed uint64
-	// Parallelism selects the cluster target's execution engine, exactly
-	// as ClusterConfig.Parallelism: 0 or 1 sequential, >= 2 that many
-	// device shards, negative one shard per core. Traces are bit-identical
-	// at every setting — the committed goldens replay unchanged — so this
-	// only trades wall-clock time on large scenarios. Ignored by the
-	// server target.
-	Parallelism int
 	// Router, when non-empty, overrides the scenario's fleet routing
 	// discipline on the cluster target (the cache-plane gate test uses it
 	// to compare routers on one stream). Empty keeps the scenario's own
@@ -211,14 +204,13 @@ func RunScenario(name string, opts ScenarioOptions) (*ScenarioRun, error) {
 			}
 		}
 		cl, err := NewCluster(ClusterConfig{
-			Devices:     devices,
-			Router:      spec.Router,
-			Seed:        spec.Seed,
-			SLOLatency:  spec.SLOLatency,
-			Strategy:    spec.Strategy,
-			Autoscale:   auto,
-			Parallelism: opts.Parallelism,
-			Trace:       opts.Trace,
+			Devices:    devices,
+			Router:     spec.Router,
+			Seed:       spec.Seed,
+			SLOLatency: spec.SLOLatency,
+			Strategy:   spec.Strategy,
+			Autoscale:  auto,
+			Trace:      opts.Trace,
 		})
 		if err != nil {
 			return nil, err

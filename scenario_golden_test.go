@@ -60,41 +60,6 @@ func TestGoldenScenarioTraces(t *testing.T) {
 	}
 }
 
-// TestGoldenScenarioTracesSharded replays every cluster-target golden on
-// the sharded engine: the same committed files must reproduce
-// bit-identically with parallel event dispatch, at a fixed shard count
-// and at one-shard-per-core — the engines share one behavioral contract,
-// so there is exactly one golden corpus. CI runs this at GOMAXPROCS 1
-// and 8; the bytes must not depend on either knob.
-func TestGoldenScenarioTracesSharded(t *testing.T) {
-	if *updateGolden {
-		t.Skip("goldens are generated by the sequential engine only")
-	}
-	for _, info := range Scenarios() {
-		for _, parallelism := range []int{8, -1} {
-			info, parallelism := info, parallelism
-			t.Run(fmt.Sprintf("%s/parallelism=%d", info.Name, parallelism), func(t *testing.T) {
-				run, err := RunScenario(info.Name, ScenarioOptions{Target: ScenarioCluster, Parallelism: parallelism})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := run.TraceJSONL()
-				if err != nil {
-					t.Fatal(err)
-				}
-				path := goldenPath(info.Name, ScenarioCluster)
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden trace %s (run `make golden` and commit the result): %v", path, err)
-				}
-				if ok, detail := trace.Conform(got, want); !ok {
-					t.Fatalf("sharded replay diverges from %s: %s", path, detail)
-				}
-			})
-		}
-	}
-}
-
 // TestGoldenTracesDecodable keeps the committed corpus well-formed: every
 // golden file must decode, carry the current schema, and agree with its
 // filename.
