@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint bench cover scenarios bench-regress benchmark benchmark-smoke profile-solver profile-observed golden
+.PHONY: all build test lint bench cover scenarios benchmark benchmark-smoke profile-solver profile-observed golden
 
 all: build lint test
 
@@ -33,12 +33,6 @@ cover:
 # same bytes.
 scenarios:
 	$(GO) test -count=1 -run 'TestGoldenScenarioTraces|TestGoldenTracesDecodable|TestScenarioRunDeterministic' -v .
-
-# Regression sweep: run the full scenario matrix through fastttsbench,
-# check it against the goldens, and emit BENCH_scenarios.json (the CI
-# gate artifact). Fails on any mismatch or missing golden.
-bench-regress:
-	$(GO) run ./cmd/fastttsbench -scenarios -golden testdata/golden -out .
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): four
 # ~2 s-per-pass workloads, eleven end-to-end metrics each, every pass

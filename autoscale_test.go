@@ -124,6 +124,25 @@ func TestClusterConfigValidation(t *testing.T) {
 			wantErr: "interval must be positive",
 		},
 		{
+			name: "infinite control interval",
+			cfg: ClusterConfig{
+				Devices:   []DeviceSpec{testDeviceSpec("a")},
+				Autoscale: &AutoscaleConfig{Policy: "threshold", Interval: math.Inf(1)},
+			},
+			wantErr: "interval must be positive and finite",
+		},
+		{
+			name: "infinite warm-up delay",
+			cfg: ClusterConfig{
+				Devices: []DeviceSpec{testDeviceSpec("a")},
+				Autoscale: &AutoscaleConfig{
+					Policy: "threshold", Interval: 10, WarmupDelay: math.Inf(1),
+					WarmPool: []DeviceSpec{testDeviceSpec("b")},
+				},
+			},
+			wantErr: "warm-up delay must be non-negative and finite",
+		},
+		{
 			name: "FailAt in warm pool",
 			cfg: ClusterConfig{
 				Devices: []DeviceSpec{testDeviceSpec("a")},

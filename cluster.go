@@ -54,7 +54,8 @@ type AutoscaleConfig struct {
 	// (PID-style queue-delay tracking), or "budget" (vertical-only
 	// compute-budget governor). Empty means static.
 	Policy string
-	// Interval is the control period in fleet seconds; required > 0.
+	// Interval is the control period in fleet seconds; required > 0 and
+	// finite.
 	Interval float64
 	// WarmPool holds device templates scale-ups instantiate (round-robin;
 	// a drained instance returns its slot). Templates must not carry
@@ -62,6 +63,7 @@ type AutoscaleConfig struct {
 	WarmPool []DeviceSpec
 	// WarmupDelay is how long after a scale-up decision the new device
 	// becomes routable (model load and cache prefill); 0 joins instantly.
+	// It must be finite.
 	WarmupDelay float64
 	// MinDevices floors the routable device count drains may reach
 	// (default 1); MaxDevices caps routable+warming devices (default
@@ -109,12 +111,11 @@ type ClusterConfig struct {
 	Strategy string
 	// Autoscale, when non-nil, attaches the elastic control plane.
 	Autoscale *AutoscaleConfig
-	// Metrics selects Stats's aggregation mode: MetricsExact (default)
-	// retains every sample for exact percentiles; MetricsStreaming folds
-	// completions into quantile sketches as they finish — constant
-	// aggregation state and <1% relative error. SLO attainment in
-	// streaming mode is judged against SLOLatency at completion time. See
-	// the package docs' "Streaming metrics".
+	// Metrics selects Stats's latency aggregation: MetricsExact (default)
+	// sorts every wall latency for exact percentiles; MetricsStreaming
+	// reads percentiles and means from quantile sketches, within 1%
+	// relative error. Every result is returned either way. See the
+	// package docs' "Streaming metrics".
 	Metrics MetricsMode
 	// Trace, when non-nil, attaches the span flight recorder: every Run
 	// records request lifecycles on each device plus the fleet control

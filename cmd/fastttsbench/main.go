@@ -1,9 +1,5 @@
 // Command fastttsbench regenerates the paper's evaluation figures from
-// the simulated serving stack and prints (or writes) each as TSV. It is
-// also the scenario-regression runner: -scenarios sweeps the named
-// workload-scenario matrix (catalog × server/cluster), checks every
-// trace against the committed goldens, and emits BENCH_scenarios.json
-// for the CI conformance gate.
+// the simulated serving stack and prints (or writes) each as TSV.
 //
 // Usage:
 //
@@ -11,9 +7,6 @@
 //	fastttsbench -fig 12 -problems 12     # one figure, bigger sample
 //	fastttsbench -fig 13 -out results/    # write results/fig13.tsv
 //	fastttsbench -list                    # list figure IDs and scenarios
-//	fastttsbench -scenarios -golden testdata/golden -out .
-//	                                      # regression sweep -> ./BENCH_scenarios.json,
-//	                                      # nonzero exit on any golden mismatch
 package main
 
 import (
@@ -37,10 +30,6 @@ func main() {
 		out      = flag.String("out", "", "directory to write fig<ID>.<format> files (default stdout)")
 		format   = flag.String("format", "tsv", "output format: tsv or jsonl")
 		list     = flag.Bool("list", false, "list available figures and scenarios, then exit")
-
-		scenarios = flag.Bool("scenarios", false, "run the scenario-regression sweep instead of figures")
-		golden    = flag.String("golden", "", "golden-trace directory to check scenario runs against (e.g. testdata/golden)")
-		requests  = flag.Int("requests", 0, "scenario stream length (0 = scenario default)")
 	)
 	flag.Parse()
 
@@ -53,18 +42,6 @@ func main() {
 		}
 		for _, s := range fasttts.Scenarios() {
 			fmt.Printf("%-12s %s (scenario)\n", s.Name, s.Description)
-		}
-		return
-	}
-
-	if *scenarios {
-		if *out != "" {
-			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fatal(err)
-			}
-		}
-		if err := runScenarioRegress(*golden, *out, *requests, *seed); err != nil {
-			fatal(err)
 		}
 		return
 	}

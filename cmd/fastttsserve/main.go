@@ -5,8 +5,8 @@
 // across a heterogeneous edge fleet under a chosen router, with optional
 // straggler and fail-stop injection. It prints per-request telemetry plus
 // the server- or fleet-level aggregates, or the full stats struct as JSON
-// with -json. Aggregates default to the constant-memory streaming sketch
-// (percentiles within 1% of exact); -exact restores the sort-based path.
+// with -json. Latency percentiles and means default to quantile sketches
+// (within 1% of exact); -exact sorts every latency instead.
 //
 // Usage:
 //
@@ -72,13 +72,13 @@ func main() {
 		minDevices  = flag.Int("min-devices", 0, "drain floor for scale-down (0 = default 1)")
 		maxDevices  = flag.Int("max-devices", 0, "cap on routable+warming devices (0 = fleet + warm pool)")
 		maxTier     = flag.Int("max-tier", 0, "deepest compute-budget degradation tier (0 = default 2)")
-		exact       = flag.Bool("exact", false, "exact sort-based percentiles (O(requests) memory) instead of the default constant-memory streaming sketch (<1% relative error)")
+		exact       = flag.Bool("exact", false, "exact sort-based percentiles instead of the default streaming sketch (<1% relative error)")
 	)
 	flag.Parse()
 
-	// The load-test tool defaults to the streaming sketch — the mode a
-	// long-running harness would use — and -exact restores the sort path.
-	// Library and scenario/golden defaults remain exact.
+	// The load-test tool defaults to the streaming sketch and -exact
+	// restores the sort path. Library and scenario/golden defaults remain
+	// exact.
 	metricsMode := fasttts.MetricsStreaming
 	if *exact {
 		metricsMode = fasttts.MetricsExact
@@ -240,9 +240,9 @@ type fleetArgs struct {
 // describeMetrics renders the aggregation mode for the preamble.
 func describeMetrics(m fasttts.MetricsMode) string {
 	if m == fasttts.MetricsStreaming {
-		return "streaming (constant-memory sketch, <1% relative error; -exact for sort-based percentiles)"
+		return "streaming (sketch percentiles, <1% relative error; -exact for sort-based percentiles)"
 	}
-	return "exact (sort-based percentiles, O(requests) memory)"
+	return "exact (sort-based percentiles)"
 }
 
 func runFleet(a fleetArgs) {

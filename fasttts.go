@@ -167,18 +167,17 @@
 // # Streaming metrics
 //
 // ServeConfig.Metrics and ClusterConfig.Metrics select how Stats
-// aggregates latency distributions. MetricsExact (the default) buffers
-// and sorts every wall latency: exact nearest-rank percentiles, O(requests)
-// memory, and the mode all committed golden traces are recorded under.
-// MetricsStreaming folds completions into fixed-boundary quantile
-// sketches as they finish (internal/metrics): aggregation state is
-// constant (~20 KiB) no matter how many requests a run serves, and
-// percentiles and means stay within a documented <1% relative error of
-// exact. Use streaming for million-request runs
-// where exact retention is the memory ceiling; keep exact wherever
-// conformance against recorded values matters (see README "Streaming
-// metrics"; TestRecorderAttribution holds every catalog scenario's
-// sketch percentiles to the error bound).
+// aggregates latency distributions. Stats summarizes the returned
+// results in one pass either way, and every result is still returned.
+// MetricsExact (the default) sorts every wall latency: exact
+// nearest-rank percentiles, and the mode all committed golden traces are
+// recorded under. MetricsStreaming reads percentiles and means from
+// fixed-boundary quantile sketches (internal/metrics), within a
+// documented <1% relative error of exact; counts, maxima, goodput and SLO
+// attainment stay exact. Keep exact wherever conformance against
+// recorded values matters (see README "Streaming metrics";
+// TestRecorderAttribution holds every catalog scenario's sketch
+// percentiles to the error bound).
 //
 // # Workload scenarios and golden-trace regression
 //
@@ -193,9 +192,8 @@
 // so a run is bit-identically reproducible; ScenarioRun.TraceJSONL
 // renders it as a canonical record/replay trace (internal/trace), and
 // the committed goldens under testdata/golden gate CI: replaying every
-// scenario must reproduce its golden byte-for-byte (`make scenarios`,
-// `make bench-regress`, regenerate intentional changes with
-// `make golden`).
+// scenario must reproduce its golden byte-for-byte (`make scenarios`;
+// regenerate intentional changes with `make golden`).
 //
 //	run, _ := fasttts.RunScenario("fleet-churn", fasttts.ScenarioOptions{
 //		Target: fasttts.ScenarioCluster,
@@ -207,10 +205,9 @@
 // CI (.github/workflows/ci.yml) gates every change on go build, go vet,
 // gofmt, go test -race, a coverage-profile run with a per-function
 // summary and an uploaded profile artifact, a one-iteration benchmark
-// smoke run, and the scenario-conformance job (golden-trace replay plus
-// the BENCH_scenarios.json regression sweep); `make build / lint / test
-// / bench / cover / scenarios / bench-regress` mirror the same gates
-// locally.
+// smoke run, and the scenario-conformance job (golden-trace replay);
+// `make build / lint / test / bench / cover / scenarios` mirror the same
+// gates locally.
 package fasttts
 
 import (
@@ -221,7 +218,6 @@ import (
 	"fasttts/internal/memplane"
 	"fasttts/internal/model"
 	"fasttts/internal/search"
-	"fasttts/internal/trace"
 	"fasttts/internal/workload"
 )
 
@@ -256,13 +252,12 @@ const (
 type MetricsMode string
 
 const (
-	// MetricsExact buffers every sample and sorts once: exact
-	// nearest-rank percentiles, O(requests) memory. The default, and
-	// the golden-trace conformance mode.
+	// MetricsExact sorts every wall latency once: exact nearest-rank
+	// percentiles. The default, and the golden-trace conformance mode.
 	MetricsExact MetricsMode = "exact"
-	// MetricsStreaming aggregates quantile sketches instead of
-	// retaining samples: constant memory, percentiles within a
-	// documented <1% relative error of exact.
+	// MetricsStreaming reads percentiles and means from quantile
+	// sketches, within a documented <1% relative error of exact. Every
+	// result is still returned.
 	MetricsStreaming MetricsMode = "streaming"
 )
 
@@ -317,8 +312,6 @@ type Config struct {
 	Strategy string
 	// Seed drives all randomness; equal seeds give bit-identical runs.
 	Seed uint64
-	// Recorder, when set, captures per-kernel utilization samples.
-	Recorder *trace.Recorder
 }
 
 // Optimizations exposes the ablation toggles (Fig 16's P/M/S axes).
@@ -423,7 +416,6 @@ func buildCoreConfig(c Config) (core.Config, error) {
 		Policy:           pol,
 		Strategy:         strat,
 		Opts:             opts,
-		Recorder:         c.Recorder,
 		Seed:             c.Seed,
 	}
 	if c.KVPlaneBytes < 0 {

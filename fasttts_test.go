@@ -1,10 +1,6 @@
 package fasttts
 
-import (
-	"testing"
-
-	"fasttts/internal/trace"
-)
+import "testing"
 
 func TestNewDefaults(t *testing.T) {
 	sys, err := New(Config{})
@@ -207,21 +203,6 @@ func TestServerIdleArrivals(t *testing.T) {
 		if sv.SpecTokens == 0 {
 			t.Errorf("request %d did not speculate on an idle server", i)
 		}
-	}
-}
-
-func TestRecorderWiring(t *testing.T) {
-	rec := &trace.Recorder{}
-	sys, err := New(Config{NumBeams: 16, Seed: 42, Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, _ := LoadDataset("AIME24", 7)
-	if _, err := sys.Solve(ds.Problems[0]); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Samples) == 0 {
-		t.Error("recorder captured nothing")
 	}
 }
 

@@ -71,19 +71,14 @@ type Config struct {
 	// feedback controller observing the fleet at a fixed interval and
 	// actuating warm-pool joins, drains, and compute-budget tiers.
 	Control *ControlConfig
-	// Metrics selects the latency-aggregation mode. ModeExact (the
-	// default, and the golden-conformance path) retains every sample and
-	// sorts once at Stats time. ModeStreaming folds completions into
-	// quantile sketches as they finish — constant aggregation state and
-	// percentiles within metrics.SketchRelErr of exact.
+	// Metrics selects how Outcome.Stats aggregates latencies (see
+	// metrics.Mode): exact percentiles by default (the golden-conformance
+	// path), or sketch percentiles and means within metrics.SketchRelErr.
+	// Either way every result is kept in Outcome.Results.
 	Metrics metrics.Mode
-	// SLOLatency is the wall-latency target streaming-mode SLO
-	// attainment is counted against (<= 0: no target). Streaming
-	// aggregation judges attainment at completion time because samples
-	// are not retained, so Outcome.Stats must later be called with the
-	// same target; exact mode ignores this field and uses the Stats
-	// argument. The deadline strategy also derives per-request deadlines
-	// from this target.
+	// SLOLatency is the wall-latency target (<= 0: none) the deadline
+	// strategy derives per-request deadlines from. Outcome.Stats takes
+	// its own target.
 	SLOLatency float64
 	// Strategy is the fleet-wide test-time-compute strategy
 	// (search.ParseStrategy): full-beam and first-finish shape each
@@ -137,49 +132,32 @@ type Outcome struct {
 	Actions []ActionRecord
 	// Control summarizes the controller's activity; nil without one.
 	Control *metrics.ControlStats
-	// Serve is the streaming aggregation of the served stream; nil in
-	// exact mode. It already folded every completion (against
-	// Config.SLOLatency), so Stats can summarize without rescanning
-	// Results.
-	Serve *metrics.ServeAccum
+	// Metrics is the run's latency-aggregation mode (Config.Metrics),
+	// which Stats summarizes Results under.
+	Metrics metrics.Mode
 	// Attribution is the latency-attribution rollup of the run's span
 	// recorder (obs.Attribute over the merged trace); nil when the run
 	// had no recorder attached.
 	Attribution *metrics.AttributionStats
 }
 
-// Stats reduces the outcome to fleet-level aggregates. sloLatency is the
-// wall-latency target in seconds (<= 0: none). A streaming-mode run
-// whose Serve accumulator was built against the same target summarizes
-// from the sketches; otherwise (exact mode, or a different target than
-// the run was configured with) the Results are rescanned exactly.
+// Stats reduces the outcome to fleet-level aggregates, summarizing
+// Results under the run's metrics mode. sloLatency is the wall-latency
+// target in seconds (<= 0: none); it changes only SLOAttainment.
 func (o *Outcome) Stats(sloLatency float64) metrics.FleetStats {
-	in := metrics.FleetInput{
+	acc := metrics.NewServeAccum(o.Metrics, sloLatency)
+	for _, r := range o.Results {
+		acc.Observe(r.Sample())
+	}
+	return metrics.SummarizeFleet(metrics.FleetInput{
+		Serve:        acc.Stats(),
 		Devices:      o.Devices,
 		Requeues:     o.Requeues,
 		PrefixHits:   o.PrefixHits,
 		PrefixMisses: o.PrefixMisses,
-		SLOLatency:   sloLatency,
 		Control:      o.Control,
 		Attribution:  o.Attribution,
-	}
-	if o.Serve != nil && o.Serve.SLOLatency == sloLatency {
-		in.Serve = o.Serve
-		return metrics.SummarizeFleet(in)
-	}
-	in.Samples = make([]metrics.ServeSample, len(o.Results))
-	for i, r := range o.Results {
-		in.Samples[i] = serveSample(r)
-	}
-	return metrics.SummarizeFleet(in)
-}
-
-// serveSample projects one fleet result onto the metrics layer's sample.
-func serveSample(r Result) metrics.ServeSample {
-	return metrics.ServeSample{
-		Arrival: r.Arrival, Start: r.Start, Finish: r.Finish,
-		Tokens: r.UsefulTokens, Rejected: r.Rejected,
-	}
+	})
 }
 
 // Fleet is a configured fleet simulator. A Fleet is single-run: routers
@@ -304,10 +282,8 @@ type run struct {
 	dueBuf []int
 
 	// prefixHits / prefixMisses are the settled prefix counters, folded
-	// into out by finish; serve is the streaming aggregation of the served
-	// stream (nil in exact mode).
+	// into out by finish.
 	prefixHits, prefixMisses int64
-	serve                    *metrics.ServeAccum
 
 	// Hedging state (nil / empty unless the fleet strategy hedges):
 	// hedges maps an original request tag to its pair state, cancels is
@@ -382,7 +358,7 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 	r := &run{
 		f:           f,
 		devs:        devs,
-		out:         &Outcome{},
+		out:         &Outcome{Metrics: f.cfg.Metrics},
 		stream:      stream,
 		nextSeq:     len(reqs),
 		origArrival: origArrival,
@@ -401,9 +377,6 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 		for i, d := range devs {
 			d.loop.SetObs(f.cfg.Obs.Device(i))
 		}
-	}
-	if f.cfg.Metrics == metrics.ModeStreaming {
-		r.serve = metrics.NewServeAccum(f.cfg.SLOLatency)
 	}
 	r.vs = make([]DeviceView, len(devs))
 	r.posInVs = make([]int, len(devs))
@@ -595,9 +568,6 @@ func (r *run) deliver(dev int, sv core.ServedResult) {
 	}
 	res := r.buildResult(sv, dev)
 	r.out.Results = append(r.out.Results, res)
-	if r.serve != nil {
-		r.serve.Observe(serveSample(res))
-	}
 	if !sv.Rejected {
 		d.served++
 		d.tokens += sv.UsefulTokens
@@ -778,9 +748,6 @@ func (r *run) routeArrival(pr pendingReq) error {
 			Requeues: pr.requeues,
 		}
 		r.out.Results = append(r.out.Results, res)
-		if r.serve != nil {
-			r.serve.Observe(serveSample(res))
-		}
 		if r.el != nil {
 			r.el.win.Rejected++
 		}
@@ -1088,7 +1055,6 @@ func (r *run) finish() {
 	}
 	r.out.PrefixHits = r.prefixHits
 	r.out.PrefixMisses = r.prefixMisses
-	r.out.Serve = r.serve
 	if r.el != nil {
 		r.el.finish(r.out)
 	}

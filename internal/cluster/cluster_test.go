@@ -413,29 +413,49 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
+// streamingTestRun serves the metrics-mode test stream on the
+// equivalence fleet under least-work routing.
+func streamingTestRun(t *testing.T, mode metrics.Mode, slo float64) *Outcome {
+	t.Helper()
+	rt, err := RouterByName("least-work")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(Config{Devices: equivFleet(t), Router: rt, Seed: 3, Metrics: mode, SLOLatency: slo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := f.Run(taggedStream(t, repeatedProblems(t, 80, 5), 2.0, 13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestStreamingStatsSLOOnlyMovesAttainment: a streaming run's Stats must
+// summarize the same latencies whatever target it is asked about — only
+// SLOAttainment follows the argument.
+func TestStreamingStatsSLOOnlyMovesAttainment(t *testing.T) {
+	out := streamingTestRun(t, metrics.ModeStreaming, 30)
+	at30, none := out.Stats(30), out.Stats(0)
+	if at30.SLOAttainment != 0.1375 || none.SLOAttainment != 1 {
+		t.Errorf("attainment %v under Stats(30), %v under Stats(0); want 0.1375 and 1",
+			at30.SLOAttainment, none.SLOAttainment)
+	}
+	at30.SLOAttainment, none.SLOAttainment = 0, 0
+	if !reflect.DeepEqual(at30, none) {
+		t.Errorf("Stats(30) and Stats(0) differ beyond attainment:\n  Stats(30): %+v\n  Stats(0):  %+v",
+			at30.ServeStats, none.ServeStats)
+	}
+}
+
 // TestStreamingStatsNearExact compares a streaming run's fleet stats to
 // the same run in exact mode: counters and maxima identical, latency
 // distribution within the sketch's documented error.
 func TestStreamingStatsNearExact(t *testing.T) {
-	reqs := taggedStream(t, repeatedProblems(t, 80, 5), 2.0, 13)
 	const slo = 30.0
-	run := func(mode metrics.Mode) metrics.FleetStats {
-		rt, err := RouterByName("least-work")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := New(Config{Devices: equivFleet(t), Router: rt, Seed: 3, Metrics: mode, SLOLatency: slo})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := f.Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out.Stats(slo)
-	}
-	exact := run(metrics.ModeExact)
-	stream := run(metrics.ModeStreaming)
+	exact := streamingTestRun(t, metrics.ModeExact, slo).Stats(slo)
+	stream := streamingTestRun(t, metrics.ModeStreaming, slo).Stats(slo)
 	if stream.Served != exact.Served || stream.Rejected != exact.Rejected ||
 		stream.Makespan != exact.Makespan || stream.Goodput != exact.Goodput ||
 		stream.SLOAttainment != exact.SLOAttainment {

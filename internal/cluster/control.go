@@ -38,7 +38,8 @@ type ControlConfig struct {
 	// Controller decides scaling and budget actions; nil means static
 	// (ticks observe, nothing actuates).
 	Controller control.Controller
-	// Interval is the control period in fleet seconds; required > 0.
+	// Interval is the control period in fleet seconds; required > 0 and
+	// finite.
 	Interval float64
 	// Warm holds the warm-pool device templates. Scale-ups instantiate
 	// them round-robin; at most len(Warm) controller-added instances are
@@ -47,6 +48,7 @@ type ControlConfig struct {
 	Warm []Device
 	// WarmupDelay is how long after a scale-up decision the new device
 	// becomes routable (model load and cache prefill); 0 joins instantly.
+	// It must be finite.
 	WarmupDelay float64
 	// MinDevices floors the routable device count drains may reach
 	// (default 1); MaxDevices caps routable+warming devices (default
@@ -63,11 +65,11 @@ type ControlConfig struct {
 // validate checks the control configuration and builds the (stateless)
 // per-template servers the warm pool instantiates from.
 func (cc *ControlConfig) validate(founding int) ([]*core.Server, error) {
-	if cc.Interval <= 0 || math.IsNaN(cc.Interval) {
-		return nil, fmt.Errorf("cluster: control interval must be positive, got %v", cc.Interval)
+	if cc.Interval <= 0 || math.IsNaN(cc.Interval) || math.IsInf(cc.Interval, 1) {
+		return nil, fmt.Errorf("cluster: control interval must be positive and finite, got %v", cc.Interval)
 	}
-	if cc.WarmupDelay < 0 || math.IsNaN(cc.WarmupDelay) {
-		return nil, fmt.Errorf("cluster: warm-up delay must be non-negative, got %v", cc.WarmupDelay)
+	if cc.WarmupDelay < 0 || math.IsNaN(cc.WarmupDelay) || math.IsInf(cc.WarmupDelay, 1) {
+		return nil, fmt.Errorf("cluster: warm-up delay must be non-negative and finite, got %v", cc.WarmupDelay)
 	}
 	if cc.MinDevices < 0 || cc.MaxTier < 0 {
 		return nil, fmt.Errorf("cluster: MinDevices and MaxTier must be non-negative")

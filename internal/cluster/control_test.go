@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -317,7 +318,9 @@ func TestControlConfigValidation(t *testing.T) {
 	}{
 		{"zero interval", ControlConfig{Interval: 0}},
 		{"negative interval", ControlConfig{Interval: -1}},
+		{"infinite interval", ControlConfig{Interval: math.Inf(1)}},
 		{"negative warmup", ControlConfig{Interval: 10, WarmupDelay: -2}},
+		{"infinite warmup", ControlConfig{Interval: 10, WarmupDelay: math.Inf(1)}},
 		{"failat in warm pool", ControlConfig{Interval: 10, Warm: []Device{{Config: dev.Config, FailAt: 50}}}},
 		{"negative min devices", ControlConfig{Interval: 10, MinDevices: -1}},
 	}

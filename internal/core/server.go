@@ -822,15 +822,21 @@ func (s *Server) effectiveWidth(rq Request) int {
 	return search.ClampWidth(s.cfg.Policy, rq.Width)
 }
 
-// Stats reduces served results to the server-level aggregates of package
-// metrics. sloLatency is the wall-latency target in seconds (<= 0: none).
+// Stats reduces served results to the exact server-level aggregates of
+// package metrics. sloLatency is the wall-latency target in seconds
+// (<= 0: none).
 func Stats(served []ServedResult, sloLatency float64) metrics.ServeStats {
-	samples := make([]metrics.ServeSample, len(served))
-	for i, sv := range served {
-		samples[i] = metrics.ServeSample{
-			Arrival: sv.Arrival, Start: sv.Start, Finish: sv.Finish,
-			Tokens: sv.UsefulTokens, Rejected: sv.Rejected,
-		}
+	acc := metrics.NewServeAccum(metrics.ModeExact, sloLatency)
+	for _, sv := range served {
+		acc.Observe(sv.Sample())
 	}
-	return metrics.SummarizeServe(samples, sloLatency)
+	return acc.Stats()
+}
+
+// Sample projects the result onto the metrics layer's serve sample.
+func (sv ServedResult) Sample() metrics.ServeSample {
+	return metrics.ServeSample{
+		Arrival: sv.Arrival, Start: sv.Start, Finish: sv.Finish,
+		Tokens: sv.UsefulTokens, Rejected: sv.Rejected,
+	}
 }

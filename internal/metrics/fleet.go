@@ -105,14 +105,9 @@ type FleetStats struct {
 
 // FleetInput bundles the inputs of SummarizeFleet.
 type FleetInput struct {
-	// Samples is the merged fleet stream (exact mode; nil when Serve is
-	// set).
-	Samples []ServeSample
-	// Serve, when non-nil, is a streaming accumulator that already
-	// folded the fleet stream — SummarizeFleet takes its Stats instead
-	// of summarizing Samples, and the latency distribution carries the
-	// sketch's SketchRelErr bound.
-	Serve *ServeAccum
+	// Serve is the server-level summary of the merged fleet stream
+	// (ServeAccum.Stats), carried through to FleetStats.ServeStats.
+	Serve ServeStats
 	// Devices is the per-device telemetry, indexed by device.
 	Devices []FleetDevice
 	// Requeues counts failure-induced request migrations.
@@ -120,9 +115,6 @@ type FleetInput struct {
 	// PrefixHits / PrefixMisses count prompt-prefix tokens found / not
 	// found in the serving device's radix cache directory.
 	PrefixHits, PrefixMisses int64
-	// SLOLatency is the wall-latency target in seconds; <= 0 disables SLO
-	// accounting.
-	SLOLatency float64
 	// Control, when non-nil, is the controller activity summary carried
 	// through to FleetStats.Control.
 	Control *ControlStats
@@ -131,18 +123,14 @@ type FleetInput struct {
 	Attribution *AttributionStats
 }
 
-// SummarizeFleet reduces a fleet-served stream plus per-device telemetry
-// to fleet-level aggregates.
+// SummarizeFleet reduces a fleet stream's summary plus per-device
+// telemetry to fleet-level aggregates.
 func SummarizeFleet(in FleetInput) FleetStats {
 	st := FleetStats{
+		ServeStats:  in.Serve,
 		Requeues:    in.Requeues,
 		Control:     in.Control,
 		Attribution: in.Attribution,
-	}
-	if in.Serve != nil {
-		st.ServeStats = in.Serve.Stats()
-	} else {
-		st.ServeStats = SummarizeServe(in.Samples, in.SLOLatency)
 	}
 	// The imbalance coefficient compares per-device busy time, but a
 	// device the control plane added late (or drained early) was only

@@ -26,11 +26,11 @@ func TestCoefficientOfVariation(t *testing.T) {
 
 func TestSummarizeFleet(t *testing.T) {
 	in := FleetInput{
-		Samples: []ServeSample{
+		Serve: summarize(ModeExact, []ServeSample{
 			{Arrival: 0, Start: 0, Finish: 10, Tokens: 100},
 			{Arrival: 1, Start: 2, Finish: 20, Tokens: 300},
 			{Arrival: 2, Rejected: true},
-		},
+		}, 15),
 		Devices: []FleetDevice{
 			{Busy: 9, Lifetime: 20, Served: 1, Tokens: 100},
 			{Busy: 3, Lifetime: 5, Served: 1, Tokens: 300, Failed: true},
@@ -38,7 +38,6 @@ func TestSummarizeFleet(t *testing.T) {
 		Requeues:     2,
 		PrefixHits:   60,
 		PrefixMisses: 40,
-		SLOLatency:   15,
 	}
 	st := SummarizeFleet(in)
 
@@ -95,13 +94,12 @@ func TestSummarizeFleetDegenerate(t *testing.T) {
 		in   FleetInput
 	}{
 		{name: "zero input"},
-		{name: "empty with SLO", in: FleetInput{SLOLatency: 5}},
+		{name: "empty with SLO", in: FleetInput{Serve: summarize(ModeExact, nil, 5)}},
 		{
 			name: "all rejected, dead zero-lifetime device",
 			in: FleetInput{
-				Samples:    []ServeSample{{Arrival: 1, Rejected: true}, {Arrival: 2, Rejected: true}},
-				Devices:    []FleetDevice{{Failed: true}, {Lifetime: 0, Busy: 0}},
-				SLOLatency: 5,
+				Serve:   summarize(ModeExact, []ServeSample{{Arrival: 1, Rejected: true}, {Arrival: 2, Rejected: true}}, 5),
+				Devices: []FleetDevice{{Failed: true}, {Lifetime: 0, Busy: 0}},
 			},
 		},
 	}

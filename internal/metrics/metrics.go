@@ -3,18 +3,17 @@
 // voting, Pass@N accuracy with verifier-score ranking — plus the
 // serving-side aggregation layers built on them:
 //
-//   - serve.go: exact server-level aggregates over a served stream
-//     (nearest-rank latency percentiles, queue delay, goodput, SLO
-//     attainment); the golden-conformance path.
-//   - sketch.go / streaming.go: the constant-memory streaming
-//     counterpart — a deterministic quantile sketch (Sketch), the
-//     ServeAccum stream accumulator, and the TickWindow control-plane
-//     window. Percentiles carry the documented SketchRelErr (< 1%)
-//     bound.
+//   - serve.go: server-level aggregates over a served stream (latency
+//     percentiles, queue delay, goodput, SLO attainment), all computed
+//     by one accumulator, ServeAccum. Exact mode sorts every wall
+//     latency (the golden-conformance path); streaming mode reads them
+//     from sketches instead.
+//   - sketch.go: the deterministic quantile sketch behind streaming
+//     mode, within the documented SketchRelErr (< 1%) bound.
 //   - fleet.go: fleet-level aggregates (per-device utilization,
 //     imbalance, cache telemetry).
-//   - control.go: elastic-control-plane summaries and the SLO-vs-cost
-//     frontier.
+//   - control.go: elastic-control-plane summaries and the TickWindow
+//     control-plane window.
 package metrics
 
 import (

@@ -2,7 +2,8 @@ package metrics
 
 // Server-level aggregates for the multi-tenant serving engine: latency
 // percentiles, queueing delay, server goodput, and SLO attainment over a
-// whole served request stream.
+// whole served request stream. ServeAccum is the one path from a served
+// stream to ServeStats; its Mode only picks where latencies go.
 
 import (
 	"fmt"
@@ -97,70 +98,134 @@ func sortedPercentile(sorted []float64, p float64) float64 {
 	return sorted[rank]
 }
 
-// SummarizeServe reduces a served stream to server-level aggregates.
-// sloLatency is the wall-latency target in seconds; <= 0 disables the
-// SLO-attainment metric (reported as 1). This is the exact path — it
-// buffers and sorts every wall latency, so memory grows with the
-// stream; SummarizeServeStreaming is the constant-memory alternative.
-//
-// Empty and all-rejected streams are well-defined, never NaN/Inf: every
-// aggregate is zero-valued, except SLOAttainment, which is 1 (vacuous)
-// on an empty stream and 0 when load was submitted under a target but
-// nothing met it. Served samples whose queue or wall latency is NaN or
-// ±Inf are dropped from every aggregate and counted in NonFinite.
-func SummarizeServe(samples []ServeSample, sloLatency float64) ServeStats {
-	s := ServeStats{SLOAttainment: 1}
-	var queued, wall []float64
-	var tokens int64
-	attained := 0
-	for _, sm := range samples {
-		if sm.Rejected {
-			s.Rejected++
-			continue
-		}
-		q := sm.Start - sm.Arrival
-		w := sm.Finish - sm.Arrival
-		if !isFinite(q) || !isFinite(w) {
-			s.NonFinite++
-			continue
-		}
-		s.Served++
-		queued = append(queued, q)
-		wall = append(wall, w)
-		tokens += sm.Tokens
-		if q > s.MaxQueueDelay {
-			s.MaxQueueDelay = q
-		}
-		if sm.Finish > s.Makespan {
-			s.Makespan = sm.Finish
-		}
-		if w <= sloLatency {
-			attained++
-		}
+// Mode selects how a ServeAccum aggregates the latency distribution.
+type Mode string
+
+const (
+	// ModeExact keeps every wall latency and sorts them once at Stats
+	// time: exact nearest-rank percentiles, and means summed in
+	// observation order. The default, and the golden-trace conformance
+	// path.
+	ModeExact Mode = "exact"
+	// ModeStreaming folds wall and queue latencies into two quantile
+	// sketches: percentiles and means within SketchRelErr of exact.
+	ModeStreaming Mode = "streaming"
+)
+
+// ParseMode maps a config string to a Mode. Empty means ModeExact.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "", string(ModeExact):
+		return ModeExact, nil
+	case string(ModeStreaming), "sketch":
+		return ModeStreaming, nil
+	default:
+		return "", fmt.Errorf("metrics: unknown metrics mode %q (want %q or %q)", s, ModeExact, ModeStreaming)
 	}
-	if s.Served == 0 {
-		// Empty or all-rejected: no served sample exists to aggregate, so
-		// every percentile, delay, and rate stays zero-valued rather than
-		// risking 0/0 down the line. Rejected load under a target is still
-		// all-missed load.
-		if sloLatency > 0 && s.Rejected > 0 {
+}
+
+// ServeAccum reduces a served request stream to ServeStats: build it
+// with NewServeAccum, Observe every sample, then call Stats. Counters,
+// maxima, goodput and SLO attainment are exact in both modes; the mode
+// picks only where latencies go.
+type ServeAccum struct {
+	streaming bool
+	slo       float64
+
+	served, rejected, nonFinite, attained int
+	tokens                                int64
+	makespan, maxQueue                    float64
+
+	// Exact mode: every wall latency, sorted by Stats, and the
+	// observation-order sums the means divide.
+	walls             []float64
+	wallSum, queueSum float64
+	// Streaming mode: the latency sketches.
+	wall, queue Sketch
+}
+
+// NewServeAccum returns an empty accumulator judging SLO attainment
+// against sloLatency (<= 0: no target). ModeStreaming sketches the
+// latencies; every other mode, the empty one included, is exact.
+func NewServeAccum(mode Mode, sloLatency float64) *ServeAccum {
+	return &ServeAccum{streaming: mode == ModeStreaming, slo: sloLatency}
+}
+
+// Observe folds one sample in. Served samples whose queue or wall
+// latency is NaN or ±Inf are counted in NonFinite and otherwise ignored.
+// Streaming mode needs causally valid samples (Start ≥ Arrival,
+// Finish ≥ Arrival): negative latencies panic in the sketch.
+func (a *ServeAccum) Observe(sm ServeSample) {
+	if sm.Rejected {
+		a.rejected++
+		return
+	}
+	q := sm.Start - sm.Arrival
+	w := sm.Finish - sm.Arrival
+	if !isFinite(q) || !isFinite(w) {
+		a.nonFinite++
+		return
+	}
+	a.served++
+	a.tokens += sm.Tokens
+	if q > a.maxQueue {
+		a.maxQueue = q
+	}
+	if sm.Finish > a.makespan {
+		a.makespan = sm.Finish
+	}
+	if w <= a.slo {
+		a.attained++
+	}
+	if a.streaming {
+		a.queue.Add(q)
+		a.wall.Add(w)
+		return
+	}
+	a.queueSum += q
+	a.wallSum += w
+	a.walls = append(a.walls, w)
+}
+
+// Stats materializes the aggregates. Empty and all-rejected streams are
+// well-defined, never NaN/Inf: every aggregate is zero-valued, except
+// SLOAttainment, which is 1 (vacuous) on an empty stream and 0 when load
+// was submitted under a target but nothing met it.
+func (a *ServeAccum) Stats() ServeStats {
+	s := ServeStats{
+		SLOAttainment: 1,
+		Served:        a.served,
+		Rejected:      a.rejected,
+		NonFinite:     a.nonFinite,
+	}
+	if a.served == 0 {
+		if a.slo > 0 && a.rejected > 0 {
 			s.SLOAttainment = 0
 		}
 		return s
 	}
-	s.MeanQueueDelay = Mean(queued)
-	s.MeanLatency = Mean(wall) // before sorting: the sum is order-sensitive
-	// One sort serves all three percentiles; wall is local, so sorting in
-	// place is safe and avoids Percentile's per-call copy + re-sort.
-	sort.Float64s(wall)
-	s.P50Latency = sortedPercentile(wall, 50)
-	s.P95Latency = sortedPercentile(wall, 95)
-	s.P99Latency = sortedPercentile(wall, 99)
-	if s.Makespan > 0 {
-		s.Goodput = float64(tokens) / s.Makespan
+	s.Makespan = a.makespan
+	s.MaxQueueDelay = a.maxQueue
+	if a.streaming {
+		s.MeanQueueDelay = a.queue.Mean()
+		s.MeanLatency = a.wall.Mean()
+		s.P50Latency = a.wall.Quantile(50)
+		s.P95Latency = a.wall.Quantile(95)
+		s.P99Latency = a.wall.Quantile(99)
+	} else {
+		s.MeanQueueDelay = a.queueSum / float64(a.served)
+		s.MeanLatency = a.wallSum / float64(a.served)
+		// One sort serves all three percentiles.
+		sort.Float64s(a.walls)
+		s.P50Latency = sortedPercentile(a.walls, 50)
+		s.P95Latency = sortedPercentile(a.walls, 95)
+		s.P99Latency = sortedPercentile(a.walls, 99)
 	}
-	if total := s.Served + s.Rejected; sloLatency > 0 {
-		s.SLOAttainment = float64(attained) / float64(total)
+	if s.Makespan > 0 {
+		s.Goodput = float64(a.tokens) / s.Makespan
+	}
+	if a.slo > 0 {
+		s.SLOAttainment = float64(a.attained) / float64(a.served+a.rejected)
 	}
 	return s
 }

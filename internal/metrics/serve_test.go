@@ -31,6 +31,15 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// summarize folds samples through a fresh accumulator.
+func summarize(mode Mode, samples []ServeSample, slo float64) ServeStats {
+	a := NewServeAccum(mode, slo)
+	for _, sm := range samples {
+		a.Observe(sm)
+	}
+	return a.Stats()
+}
+
 func TestSummarizeServe(t *testing.T) {
 	samples := []ServeSample{
 		{Arrival: 0, Start: 0, Finish: 10, Tokens: 100},
@@ -38,7 +47,7 @@ func TestSummarizeServe(t *testing.T) {
 		{Arrival: 4, Start: 20, Finish: 25, Tokens: 100},
 		{Arrival: 5, Rejected: true},
 	}
-	s := SummarizeServe(samples, 18)
+	s := summarize(ModeExact, samples, 18)
 	if s.Served != 3 || s.Rejected != 1 {
 		t.Fatalf("served/rejected = %d/%d, want 3/1", s.Served, s.Rejected)
 	}
@@ -64,10 +73,10 @@ func TestSummarizeServe(t *testing.T) {
 		t.Errorf("SLO attainment %v, want %v", s.SLOAttainment, want)
 	}
 
-	if s := SummarizeServe(samples, 0); s.SLOAttainment != 1 {
+	if s := summarize(ModeExact, samples, 0); s.SLOAttainment != 1 {
 		t.Errorf("no-SLO attainment %v, want 1 (metric disabled)", s.SLOAttainment)
 	}
-	if s := SummarizeServe(nil, 1); s.Served != 0 || s.SLOAttainment != 1 {
+	if s := summarize(ModeExact, nil, 1); s.Served != 0 || s.SLOAttainment != 1 {
 		t.Errorf("empty stream: %+v", s)
 	}
 }
@@ -112,7 +121,7 @@ func TestSummarizeServeDegenerateStreams(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := SummarizeServe(tc.samples, tc.slo)
+			got := summarize(ModeExact, tc.samples, tc.slo)
 			if got != tc.want {
 				t.Errorf("got %+v\nwant %+v", got, tc.want)
 			}
@@ -136,15 +145,15 @@ func assertFinite(t *testing.T, v any) {
 	}
 }
 
-// TestSummarizeServePercentilesBitIdentical pins the single-sort
-// percentile computation to the reference spelling it replaced: three
+// TestSummarizeServePercentilesBitIdentical pins exact mode to the
+// reference spelling: Mean over the sample-order latencies and three
 // independent Percentile calls, each copying and re-sorting the wall
 // latencies. The aggregates must agree bit-for-bit — golden traces
-// record these values, so "faster" must not mean "different".
+// record these values.
 func TestSummarizeServePercentilesBitIdentical(t *testing.T) {
 	r := rng.New(99)
 	samples := make([]ServeSample, 257) // odd, non-power-of-two length
-	var wall []float64
+	var wall, queue []float64
 	for i := range samples {
 		arr := float64(i) * 0.25
 		dur := 0.5 + 40*r.Float64()
@@ -155,9 +164,16 @@ func TestSummarizeServePercentilesBitIdentical(t *testing.T) {
 		}
 		if !rejected {
 			wall = append(wall, samples[i].Finish-samples[i].Arrival)
+			queue = append(queue, samples[i].Start-samples[i].Arrival)
 		}
 	}
-	st := SummarizeServe(samples, 30)
+	st := summarize(ModeExact, samples, 30)
+	if got, want := st.MeanLatency, Mean(wall); got != want {
+		t.Errorf("MeanLatency = %v, reference Mean = %v", got, want)
+	}
+	if got, want := st.MeanQueueDelay, Mean(queue); got != want {
+		t.Errorf("MeanQueueDelay = %v, reference Mean = %v", got, want)
+	}
 	if got, want := st.P50Latency, Percentile(wall, 50); got != want {
 		t.Errorf("P50 = %v, reference Percentile = %v", got, want)
 	}

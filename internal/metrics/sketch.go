@@ -1,7 +1,7 @@
 package metrics
 
-// A deterministic quantile sketch for constant-memory streaming
-// percentiles.
+// A deterministic quantile sketch: where ServeAccum's streaming mode puts
+// latencies.
 //
 // The sketch is a fixed-boundary log-bucketed histogram (DDSketch-style,
 // but with boundaries pinned at construction rather than collapsed
@@ -189,10 +189,4 @@ func (s *Sketch) Mean() float64 {
 		return 0
 	}
 	return s.Sum() / float64(s.n)
-}
-
-// StateBytes reports the sketch's heap footprint — the constant that
-// replaces the O(requests) sample buffer.
-func (s *Sketch) StateBytes() int {
-	return 8 * (len(s.bkts) + 6)
 }

@@ -113,14 +113,6 @@ func TestSketchAddPanics(t *testing.T) {
 	}
 }
 
-func TestSketchStateBytes(t *testing.T) {
-	var s Sketch
-	s.Add(1)
-	if got := s.StateBytes(); got < 8*sketchBuckets || got > 16*1024 {
-		t.Errorf("StateBytes = %d, want ~%d (constant ~10KiB)", got, 8*sketchBuckets)
-	}
-}
-
 // TestSketchOrderIndependent is the determinism keystone: the same
 // samples added in any order give bit-identical observable state.
 // testing/quick drives random sample sets and random permutations.

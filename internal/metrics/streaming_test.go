@@ -48,14 +48,14 @@ func randomServeSamples(seed uint64, n int) []ServeSample {
 	return out
 }
 
-// TestSummarizeServeStreamingMatchesExact pins the streaming path to the
-// exact path: every counter, max, and rate agrees exactly; the latency
+// TestSummarizeServeStreamingMatchesExact pins streaming mode to exact
+// mode: every counter, max, and rate agrees exactly; the latency
 // distribution (means, percentiles) agrees within SketchRelErr.
 func TestSummarizeServeStreamingMatchesExact(t *testing.T) {
 	samples := randomServeSamples(17, 20_000)
 	const slo = 25.0
-	exact := SummarizeServe(samples, slo)
-	stream := SummarizeServeStreaming(samples, slo)
+	exact := summarize(ModeExact, samples, slo)
+	stream := summarize(ModeStreaming, samples, slo)
 
 	if stream.Served != exact.Served || stream.Rejected != exact.Rejected || stream.NonFinite != exact.NonFinite {
 		t.Errorf("counters diverge: streaming %+v exact %+v", stream, exact)
@@ -86,8 +86,8 @@ func TestSummarizeServeStreamingMatchesExact(t *testing.T) {
 
 // TestSummarizeServeNonFinite is the regression for the NaN-poisoning
 // bug: non-finite telemetry used to flow into sort.Float64s and float
-// sums, poisoning every percentile and mean. Both paths must now filter
-// and count such samples, leaving all aggregates finite.
+// sums, poisoning every percentile and mean. Both modes must filter and
+// count such samples, leaving all aggregates finite.
 func TestSummarizeServeNonFinite(t *testing.T) {
 	nan := math.NaN()
 	samples := []ServeSample{
@@ -100,15 +100,9 @@ func TestSummarizeServeNonFinite(t *testing.T) {
 		{Arrival: 5, Start: 6, Finish: 15, Tokens: 100},
 		{Arrival: 6, Rejected: true},
 	}
-	for _, tc := range []struct {
-		name string
-		fn   func([]ServeSample, float64) ServeStats
-	}{
-		{"exact", SummarizeServe},
-		{"streaming", SummarizeServeStreaming},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := tc.fn(samples, 12)
+	for _, mode := range []Mode{ModeExact, ModeStreaming} {
+		t.Run(string(mode), func(t *testing.T) {
+			s := summarize(mode, samples, 12)
 			if s.Served != 2 || s.Rejected != 1 || s.NonFinite != 5 {
 				t.Errorf("served/rejected/nonfinite = %d/%d/%d, want 2/1/5", s.Served, s.Rejected, s.NonFinite)
 			}
@@ -158,13 +152,12 @@ func TestPercentileDomain(t *testing.T) {
 	}
 }
 
-// TestServeAccumObserveAllocs is the constant-memory claim: once its
-// sketch buckets exist, an accumulator folds any number of samples
-// without allocating, so a stream of any length holds only the
-// accumulator's fixed state.
+// TestServeAccumObserveAllocs: once its sketch buckets exist, a
+// streaming-mode accumulator folds any number of samples without
+// allocating.
 func TestServeAccumObserveAllocs(t *testing.T) {
 	samples := randomServeSamples(5, 50_000)
-	a := NewServeAccum(20)
+	a := NewServeAccum(ModeStreaming, 20)
 	if got := testing.AllocsPerRun(1, func() {
 		for _, sm := range samples {
 			a.Observe(sm)
@@ -174,7 +167,7 @@ func TestServeAccumObserveAllocs(t *testing.T) {
 	}
 }
 
-// TestServeAccumDegenerate reuses the exact path's degenerate-stream
+// TestServeAccumDegenerate reuses exact mode's degenerate-stream
 // contract: the streaming stats must agree field-for-field on empty and
 // all-rejected streams.
 func TestServeAccumDegenerate(t *testing.T) {
@@ -190,46 +183,12 @@ func TestServeAccumDegenerate(t *testing.T) {
 		{"all rejected with SLO", []ServeSample{rej(1), rej(2), rej(3)}, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := SummarizeServeStreaming(tc.samples, tc.slo)
-			want := SummarizeServe(tc.samples, tc.slo)
+			got := summarize(ModeStreaming, tc.samples, tc.slo)
+			want := summarize(ModeExact, tc.samples, tc.slo)
 			if got != want {
 				t.Errorf("streaming %+v, exact %+v", got, want)
 			}
 			assertFinite(t, got)
 		})
-	}
-}
-
-func TestTickWindow(t *testing.T) {
-	var w TickWindow
-	if w.Completions() != 0 || w.MeanQueueDelay() != 0 || w.Attainment(5) != 1 {
-		t.Fatal("zero window must be vacuous")
-	}
-	w.Observe(1, 4, false, 5) // hit
-	w.Observe(3, 9, false, 5) // miss
-	w.Observe(0, 0, true, 5)  // rejection: completion, no hit
-	w.Arrivals = 7
-	if w.Served != 2 || w.Rejected != 1 || w.Completions() != 3 {
-		t.Errorf("served/rejected/completions = %d/%d/%d, want 2/1/3", w.Served, w.Rejected, w.Completions())
-	}
-	if got := w.MeanQueueDelay(); got != 2 {
-		t.Errorf("mean queue delay %v, want 2", got)
-	}
-	if got, want := w.Attainment(5), 1.0/3; math.Abs(got-want) > 1e-12 {
-		t.Errorf("attainment %v, want %v", got, want)
-	}
-	if got := w.Attainment(0); got != 1 {
-		t.Errorf("no-target attainment %v, want 1", got)
-	}
-	w.Reset()
-	if w != (TickWindow{}) {
-		t.Errorf("Reset left state: %+v", w)
-	}
-
-	// No target at observe time: every served completion is a hit.
-	var w2 TickWindow
-	w2.Observe(0, 99, false, 0)
-	if w2.SLOHits != 1 {
-		t.Errorf("no-target observe SLOHits = %d, want 1", w2.SLOHits)
 	}
 }

@@ -173,10 +173,9 @@ func DecodeJSONL(data []byte) (*RunTrace, error) {
 	return t, nil
 }
 
-// Conform is the golden-trace verdict shared by the conformance tests
-// and the bench regression runner: byte equality is the contract; on
-// divergence both sides are decoded so the detail names the first
-// divergent field rather than a byte offset.
+// Conform is the golden-trace verdict of the conformance tests: byte
+// equality is the contract; on divergence both sides are decoded so the
+// detail names the first divergent field rather than a byte offset.
 func Conform(got, want []byte) (ok bool, detail string) {
 	if bytes.Equal(got, want) {
 		return true, ""

@@ -117,13 +117,13 @@ func TestRecorderAttribution(t *testing.T) {
 			t.Errorf("%s: attributed %d requests, served %d", info.Name, len(attrs), run.Stats.Served)
 		}
 		byTag := map[int]FleetResult{}
-		samples := make([]metrics.ServeSample, len(run.Fleet.Results))
-		for i, r := range run.Fleet.Results {
+		acc := metrics.NewServeAccum(metrics.ModeStreaming, 0)
+		for _, r := range run.Fleet.Results {
 			byTag[r.Tag] = r
-			samples[i] = metrics.ServeSample{
+			acc.Observe(metrics.ServeSample{
 				Arrival: r.ArrivalTime, Start: r.StartTime, Finish: r.FinishTime,
 				Tokens: r.UsefulTokens, Rejected: r.Rejected,
-			}
+			})
 		}
 		lost := 0.0
 		for _, a := range attrs {
@@ -150,7 +150,7 @@ func TestRecorderAttribution(t *testing.T) {
 		if run.FleetStats.Requeues > 0 && lost == 0 {
 			t.Errorf("%s: fleet saw requeues but attribution found no lost work", info.Name)
 		}
-		exact, sketch := run.Stats, metrics.SummarizeServeStreaming(samples, 0)
+		exact, sketch := run.Stats, acc.Stats()
 		for _, q := range []struct {
 			name          string
 			sketch, exact float64

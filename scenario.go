@@ -39,9 +39,6 @@ func Scenarios() []ScenarioInfo {
 	return out
 }
 
-// ScenarioNames lists the scenario names in display order.
-func ScenarioNames() []string { return scenario.Names() }
-
 // ScenarioOptions scales a scenario run. The zero value selects the
 // server target and the scenario's default stream length and seed.
 type ScenarioOptions struct {

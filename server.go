@@ -71,8 +71,8 @@ type ServeConfig struct {
 	// SLOLatency is the per-request wall-latency target in seconds used
 	// by Stats; 0 disables SLO accounting.
 	SLOLatency float64
-	// Metrics selects Stats's aggregation mode: MetricsExact (default)
-	// or MetricsStreaming (constant-memory sketch percentiles, <1%
+	// Metrics selects Stats's latency aggregation: MetricsExact (default)
+	// or MetricsStreaming (sketch percentiles and means, within 1%
 	// relative error). See the package docs' "Streaming metrics".
 	Metrics MetricsMode
 	// Trace, when non-nil, attaches the span flight recorder: the engine
@@ -182,17 +182,14 @@ func (s *Server) RunClosedLoop(probs []*Problem, concurrency int, think float64)
 // Stats reduces served results to server-level aggregates, applying the
 // configured SLOLatency and metrics mode.
 func (s *Server) Stats(served []ServedResult) ServeStats {
-	samples := make([]metrics.ServeSample, len(served))
-	for i, sv := range served {
-		samples[i] = metrics.ServeSample{
+	acc := metrics.NewServeAccum(s.mode, s.slo)
+	for _, sv := range served {
+		acc.Observe(metrics.ServeSample{
 			Arrival: sv.ArrivalTime, Start: sv.StartTime, Finish: sv.FinishTime,
 			Tokens: sv.UsefulTokens, Rejected: sv.Rejected,
-		}
+		})
 	}
-	if s.mode == metrics.ModeStreaming {
-		return wrapServeStats(metrics.SummarizeServeStreaming(samples, s.slo))
-	}
-	return wrapServeStats(metrics.SummarizeServe(samples, s.slo))
+	return wrapServeStats(acc.Stats())
 }
 
 // wrapServeStats converts the internal serve aggregates to the public
