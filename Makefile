@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint bench cover scenarios benchmark benchmark-smoke profile-solver profile-observed golden
+.PHONY: all build test lint bench cover scenarios benchmark benchmark-smoke profile-solver profile-observed profile-dispatch golden
 
 all: build lint test
 
@@ -72,6 +72,20 @@ profile-observed:
 		-o bench-smoke/cluster.test ./internal/cluster
 	$(GO) tool pprof -top -nodecount=25 bench-smoke/cluster.test bench-smoke/observed.cpu
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/cluster.test bench-smoke/observed.mem
+
+# Where an untraced fleet pass's host time and allocations go: the same
+# two profiles of BenchmarkFleetDispatch (the fleet-dispatch workload's
+# pass — 256 devices, 100k requests, least-work — in
+# internal/cluster/perf_test.go). The benchmark's traced run wraps the
+# router, which hides it from the least-work index, so a dispatch PR shows
+# its routing cost here.
+profile-dispatch:
+	mkdir -p bench-smoke
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetDispatch' -benchtime 3x -benchmem \
+		-cpuprofile bench-smoke/dispatch.cpu -memprofile bench-smoke/dispatch.mem \
+		-o bench-smoke/cluster.test ./internal/cluster
+	$(GO) tool pprof -top -nodecount=25 bench-smoke/cluster.test bench-smoke/dispatch.cpu
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/cluster.test bench-smoke/dispatch.mem
 
 # Regenerate the golden traces after an *intentional* behavior change.
 # Review the resulting diff like code before committing it.

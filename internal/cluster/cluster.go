@@ -11,12 +11,16 @@
 // (request arrivals, device failures, warm-pool joins, and control
 // ticks) with an event-heap core: a stable min-heap of pending arrivals,
 // a pre-sorted fail-stop schedule, and an indexed min-heap of per-device
-// wake times, so each event steps only the devices it concerns and
-// dispatch is O(log devices) instead of an O(devices) re-scan per event.
-// Router load signals (device clock, pending population, outstanding
-// work) are read from the loops' O(1) incremental indexes and cached in
-// views refreshed only for touched devices, which keeps work-aware
-// routing (least-work, JSQ, P2C, prefix fallback) cheap at fleet scale.
+// wake times, so each event steps only the devices it concerns instead
+// of re-scanning all of them. Router load signals (device clock, pending
+// population, outstanding work) are read from the loops' O(1)
+// incremental indexes and cached in views refreshed only for touched
+// devices. Under the LeastWork router a tournament tree over those views
+// keeps the pick current as they refresh, so routing an arrival is
+// O(log devices) too. Every other router, and LeastWork behind a wrapper
+// or as a fallback, sees the view slice: p2c reads two views, while jsq,
+// cache-aware (which probes each device's prompt residency per request)
+// and the prefix router's minimum-backlog pass scan all of them.
 //
 // A request is routed once, at its arrival instant, using the routers'
 // view of live device state; when a device fail-stops, its unfinished
@@ -38,7 +42,6 @@ import (
 	"fasttts/internal/rng"
 	"fasttts/internal/sched"
 	"fasttts/internal/search"
-	"fasttts/internal/workload"
 )
 
 // Device describes one fleet member.
@@ -197,10 +200,14 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{cfg: cfg, srvs: srvs}
 	if cfg.Control != nil {
-		warm, err := cfg.Control.validate(len(cfg.Devices))
+		// validate fills in defaults: do it on the fleet's own copy, so a
+		// ControlConfig the caller reuses keeps its unset bounds unset.
+		cc := *cfg.Control
+		warm, err := cc.validate(len(cfg.Devices))
 		if err != nil {
 			return nil, err
 		}
+		f.cfg.Control = &cc
 		f.warmSrvs = warm
 	}
 	return f, nil
@@ -274,9 +281,13 @@ type run struct {
 
 	// Router device views: vs holds one view per routable device in index
 	// order, posInVs maps a device index to its position in vs (-1 while
-	// warming, draining, or failed).
+	// warming, draining, or failed). best indexes vs for the LeastWork
+	// router (nil under any other): its root is LeastWork's pick. twinVs
+	// is the hedged twin route's candidate buffer.
 	vs      []DeviceView
 	posInVs []int
+	best    *bestTree
+	twinVs  []DeviceView
 
 	wake   *wakeHeap
 	dueBuf []int
@@ -358,7 +369,7 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 	r := &run{
 		f:           f,
 		devs:        devs,
-		out:         &Outcome{Metrics: f.cfg.Metrics},
+		out:         &Outcome{Metrics: f.cfg.Metrics, Results: make([]Result, 0, len(reqs))},
 		stream:      stream,
 		nextSeq:     len(reqs),
 		origArrival: origArrival,
@@ -383,6 +394,10 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 	for i, d := range devs {
 		r.vs[i] = DeviceView{Index: i, Speed: d.speed, Mem: d.loop.Plane()}
 		r.posInVs[i] = i
+	}
+	if _, ok := f.cfg.Router.(LeastWork); ok {
+		r.best = &bestTree{}
+		r.reindex()
 	}
 	r.wake = newWakeHeap(len(devs))
 	if r.hedging() {
@@ -480,8 +495,8 @@ func (r *run) buildResult(sv core.ServedResult, dev int) Result {
 	return Result{ServedResult: sv, Device: dev, Requeues: r.requeues[sv.Tag]}
 }
 
-// refreshView is O(1) and called only for devices an event actually
-// touched.
+// refreshView is O(1) — O(log devices) with the least-work index — and
+// called only for devices an event actually touched.
 func (r *run) refreshView(dev int) {
 	p := r.posInVs[dev]
 	if p < 0 {
@@ -497,6 +512,9 @@ func (r *run) refreshView(dev int) {
 	if v.Mem != nil {
 		v.CacheOccupancy = v.Mem.OccupiedFraction()
 	}
+	if r.best != nil {
+		r.best.fix(r.vs, p)
+	}
 }
 
 func (r *run) dropView(dev int) {
@@ -509,6 +527,15 @@ func (r *run) dropView(dev int) {
 	r.posInVs[dev] = -1
 	for q := p; q < len(r.vs); q++ {
 		r.posInVs[r.vs[q].Index] = q
+	}
+	r.reindex()
+}
+
+// reindex rebuilds the least-work index after vs changed membership
+// (fail-stops, drains and joins — rare next to arrivals).
+func (r *run) reindex() {
+	if r.best != nil {
+		r.best.rebuild(r.vs)
 	}
 }
 
@@ -759,11 +786,16 @@ func (r *run) routeArrival(pr pendingReq) error {
 	rv := RequestView{
 		Tag:          pr.req.Tag,
 		Arrival:      at,
-		PrefixKey:    prefixKey(pr.req.Problem),
+		PrefixKey:    pr.req.Problem.Key(),
 		PromptTokens: pr.req.Problem.PromptTokens,
 		Requeued:     pr.requeues > 0,
 	}
-	pick := r.f.cfg.Router.Route(rv, r.vs, r.routeRand)
+	var pick int
+	if r.best != nil {
+		pick = r.best.root()
+	} else {
+		pick = r.f.cfg.Router.Route(rv, r.vs, r.routeRand)
+	}
 	if pick < 0 || pick >= len(r.vs) {
 		return fmt.Errorf("cluster: router %s picked %d of %d alive devices",
 			r.f.cfg.Router.Name(), pick, len(r.vs))
@@ -865,9 +897,9 @@ func (r *run) pushTo(di int, rq core.Request, key string) {
 // primary's budgeted width, strategy, and deadline, so the two copies
 // run the identical solve and only placement differs.
 func (r *run) routeTwin(rq core.Request, rv RequestView, primaryPick int) error {
-	twinVs := make([]DeviceView, 0, len(r.vs)-1)
-	twinVs = append(twinVs, r.vs[:primaryPick]...)
+	twinVs := append(r.twinVs[:0], r.vs[:primaryPick]...)
 	twinVs = append(twinVs, r.vs[primaryPick+1:]...)
+	r.twinVs = twinVs
 	orig := rq.Tag
 	rq.Tag = ^orig
 	rv.Tag = rq.Tag
@@ -1062,10 +1094,4 @@ func (r *run) finish() {
 		st := obs.Summarize(obs.Attribute(r.obs.Spans()))
 		r.out.Attribution = &st
 	}
-}
-
-// prefixKey identifies a request's shared prompt prefix: requests for the
-// same problem share the prompt's radix-cache path.
-func prefixKey(p *workload.Problem) string {
-	return fmt.Sprintf("%s/%d", p.Dataset, p.Index)
 }

@@ -311,6 +311,7 @@ func (el *elastic) completeJoin(r *run) {
 	d.warming = false
 	r.posInVs[j.dev] = len(r.vs)
 	r.vs = append(r.vs, DeviceView{Index: j.dev, Speed: d.speed, Mem: d.loop.Plane()})
+	r.reindex()
 	r.refreshView(j.dev)
 	if n := len(r.vs); n > el.stats.PeakDevices {
 		el.stats.PeakDevices = n

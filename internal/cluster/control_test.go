@@ -331,13 +331,38 @@ func TestControlConfigValidation(t *testing.T) {
 			t.Errorf("%s: New accepted %+v", tc.name, tc.cc)
 		}
 	}
-	// Defaults fill in.
+	// Defaults fill in, on the fleet's copy.
 	cc := ControlConfig{Interval: 10, Warm: []Device{dev}}
-	if _, err := New(Config{Devices: []Device{dev}, Control: &cc}); err != nil {
+	f, err := New(Config{Devices: []Device{dev}, Control: &cc})
+	if err != nil {
 		t.Fatalf("valid control config rejected: %v", err)
 	}
-	if cc.MinDevices != 1 || cc.MaxDevices != 2 {
-		t.Errorf("defaults not applied: MinDevices=%d MaxDevices=%d", cc.MinDevices, cc.MaxDevices)
+	if got := f.cfg.Control; got.MinDevices != 1 || got.MaxDevices != 2 {
+		t.Errorf("defaults not applied: MinDevices=%d MaxDevices=%d", got.MinDevices, got.MaxDevices)
+	}
+}
+
+// TestControlConfigReuse: New used to write its defaults into the
+// caller's ControlConfig, so one config shared by two fleets capped the
+// second at the first's founding + warm count — an 8-founder fleet reusing
+// a 2-founder config got MaxDevices 4 and could never scale up.
+func TestControlConfigReuse(t *testing.T) {
+	small := elasticConfig(t, control.NewThreshold(), 30)
+	if _, err := New(small); err != nil {
+		t.Fatal(err)
+	}
+	if small.Control.MinDevices != 0 || small.Control.MaxDevices != 0 {
+		t.Errorf("New wrote defaults into the caller's config: MinDevices=%d MaxDevices=%d",
+			small.Control.MinDevices, small.Control.MaxDevices)
+	}
+	big := small
+	big.Devices = benchDevices(t, 8, 1)
+	f, err := New(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.cfg.Control.MaxDevices; got != 10 {
+		t.Errorf("8 founders + 2 warm reusing a 2-founder config: MaxDevices = %d, want 10", got)
 	}
 }
 

@@ -140,6 +140,25 @@ func BenchmarkFleetRun64RoundRobin(b *testing.B) { benchmarkFleetRun(b, 64, "rr"
 func BenchmarkFleetRun256LeastWork(b *testing.B) { benchmarkFleetRun(b, 256, "least-work") }
 func BenchmarkFleetRun256P2C(b *testing.B)       { benchmarkFleetRun(b, 256, "p2c") }
 
+// BenchmarkFleetDispatch is the shape of the benchmark's fleet-dispatch
+// pass: 256 devices, 100k requests, least-work routing, every optional
+// hook off (make profile-dispatch profiles it).
+func BenchmarkFleetDispatch(b *testing.B) {
+	devs, reqs := benchFleet(b, 256, 100000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := New(Config{Devices: devs, Router: LeastWork{}, Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.Run(reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/req")
+}
+
 // observedFleet is the benchmark's fleet-observed workload at a chosen
 // size: least-work routing over n devices with streaming metrics, an SLO
 // and a threshold controller that ticks 64 times over the stream's

@@ -32,6 +32,9 @@ func qc(t *testing.T, maxCount int) *quick.Config {
 	}
 }
 
+// quickGPUs is the device table the randomized cases pick GPUs from.
+var quickGPUs = []hw.GPU{hw.RTX4090, hw.RTX4070Ti, hw.RTX3070Ti}
+
 // fleetCase is one randomized fleet scenario: a heterogeneous device set
 // with optional stragglers and fail-stops, a random request stream, and a
 // random router.
@@ -45,11 +48,10 @@ type fleetCase struct {
 }
 
 func (fleetCase) Generate(r *rand.Rand, _ int) reflect.Value {
-	gpus := []hw.GPU{hw.RTX4090, hw.RTX4070Ti, hw.RTX3070Ti}
 	nd := 1 + r.Intn(3)
 	c := fleetCase{Router: r.Intn(len(RouterNames()))}
 	for i := 0; i < nd; i++ {
-		c.GPUs = append(c.GPUs, r.Intn(len(gpus)))
+		c.GPUs = append(c.GPUs, r.Intn(len(quickGPUs)))
 		slow := 1.0
 		if r.Intn(3) == 0 {
 			slow = 1 + 2*r.Float64()
@@ -71,26 +73,37 @@ func (fleetCase) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(c)
 }
 
+// devices builds the case's fleet.
+func (c fleetCase) devices(t testing.TB) []Device {
+	var devices []Device
+	for i := range c.GPUs {
+		devices = append(devices, Device{
+			Config:   devConfig(t, quickGPUs[c.GPUs[i]], 4, uint64(40+i)),
+			Slowdown: c.Slowdowns[i],
+			FailAt:   c.FailAts[i],
+		})
+	}
+	return devices
+}
+
+// requests builds the case's stream over ds, tagged by stream index.
+func (c fleetCase) requests(ds *workload.Dataset) []core.Request {
+	reqs := make([]core.Request, len(c.Probs))
+	for i, pi := range c.Probs {
+		reqs[i] = core.Request{Problem: ds.Problems[pi], Arrival: c.Arrivals[i], Tag: i}
+	}
+	return reqs
+}
+
 // TestEveryRouterPreservesRequestMultiset is the fleet's conservation
 // law: under random arrivals, stragglers, fail-stops, and requeues, no
 // router loses or duplicates a request — every submitted request comes
 // back exactly once, served or rejected, and its telemetry is sane.
 func TestEveryRouterPreservesRequestMultiset(t *testing.T) {
-	gpus := []hw.GPU{hw.RTX4090, hw.RTX4070Ti, hw.RTX3070Ti}
 	ds := workload.NewDataset(workload.MATH500, rng.New(7))
 	prop := func(c fleetCase) bool {
-		var devices []Device
-		for i := range c.GPUs {
-			devices = append(devices, Device{
-				Config:   devConfig(t, gpus[c.GPUs[i]], 4, uint64(40+i)),
-				Slowdown: c.Slowdowns[i],
-				FailAt:   c.FailAts[i],
-			})
-		}
-		reqs := make([]core.Request, len(c.Probs))
-		for i, pi := range c.Probs {
-			reqs[i] = core.Request{Problem: ds.Problems[pi], Arrival: c.Arrivals[i], Tag: i}
-		}
+		devices := c.devices(t)
+		reqs := c.requests(ds)
 		router, err := RouterByName(RouterNames()[c.Router])
 		if err != nil {
 			t.Log(err)
@@ -162,6 +175,28 @@ func (hedgedCase) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(hedgedCase{Fleet: fc, Extra: r.Intn(3), Compress: r.Intn(2) == 0})
 }
 
+// devices builds the case's fleet. Hedging validates a >= 2-device
+// fleet; the extra device is fault-free so at least one replica target
+// always exists.
+func (hc hedgedCase) devices(t testing.TB) []Device {
+	devices := hc.Fleet.devices(t)
+	if len(devices) < 2 {
+		devices = append(devices, Device{Config: devConfig(t, quickGPUs[hc.Extra], 4, uint64(60))})
+	}
+	return devices
+}
+
+// requests builds the case's stream, arrival gaps halved under Compress.
+func (hc hedgedCase) requests(ds *workload.Dataset) []core.Request {
+	reqs := hc.Fleet.requests(ds)
+	if hc.Compress {
+		for i := range reqs {
+			reqs[i].Arrival /= 2
+		}
+	}
+	return reqs
+}
+
 // TestHedgedCancellationPreservesRequestMultiset extends the
 // conservation law to the hedged strategy: every arrival is replicated
 // to a twin device and the loser is cancelled mid-flight, composed with
@@ -171,32 +206,11 @@ func (hedgedCase) Generate(r *rand.Rand, size int) reflect.Value {
 // with sane telemetry — no lost winners, duplicated twins, or leaked
 // internal twin tags.
 func TestHedgedCancellationPreservesRequestMultiset(t *testing.T) {
-	gpus := []hw.GPU{hw.RTX4090, hw.RTX4070Ti, hw.RTX3070Ti}
 	ds := workload.NewDataset(workload.MATH500, rng.New(7))
 	prop := func(hc hedgedCase) bool {
-		c := hc.Fleet
-		var devices []Device
-		for i := range c.GPUs {
-			devices = append(devices, Device{
-				Config:   devConfig(t, gpus[c.GPUs[i]], 4, uint64(40+i)),
-				Slowdown: c.Slowdowns[i],
-				FailAt:   c.FailAts[i],
-			})
-		}
-		if len(devices) < 2 {
-			// Hedging validates a >= 2-device fleet; keep the extra device
-			// fault-free so at least one replica target always exists.
-			devices = append(devices, Device{Config: devConfig(t, gpus[hc.Extra], 4, uint64(60))})
-		}
-		reqs := make([]core.Request, len(c.Probs))
-		for i, pi := range c.Probs {
-			at := c.Arrivals[i]
-			if hc.Compress {
-				at /= 2
-			}
-			reqs[i] = core.Request{Problem: ds.Problems[pi], Arrival: at, Tag: i}
-		}
-		router, err := RouterByName(RouterNames()[c.Router])
+		devices := hc.devices(t)
+		reqs := hc.requests(ds)
+		router, err := RouterByName(RouterNames()[hc.Fleet.Router])
 		if err != nil {
 			t.Log(err)
 			return false
@@ -274,6 +288,27 @@ func (elasticCase) Generate(r *rand.Rand, size int) reflect.Value {
 	})
 }
 
+// control builds the case's control plane around a fresh controller
+// (controllers carry state, so every run needs its own).
+func (ec elasticCase) control(t testing.TB) (*ControlConfig, error) {
+	ctl, err := control.ByName(control.Names()[ec.Controller])
+	if err != nil {
+		return nil, err
+	}
+	var warm []Device
+	for i := 0; i < ec.WarmCount; i++ {
+		warm = append(warm, Device{Config: devConfig(t, quickGPUs[i%len(quickGPUs)], 4, uint64(70+i))})
+	}
+	return &ControlConfig{
+		Controller:  ctl,
+		Interval:    ec.Interval,
+		Warm:        warm,
+		WarmupDelay: ec.Warmup,
+		MaxTier:     ec.MaxTier,
+		SLOLatency:  60,
+	}, nil
+}
+
 // TestDynamicMembershipPreservesRequestMultiset extends the conservation
 // law to the elastic control plane: under randomized controller
 // schedules — joins mid-stream, drains, budget-tier moves — composed
@@ -281,44 +316,22 @@ func (elasticCase) Generate(r *rand.Rand, size int) reflect.Value {
 // lost or duplicated, and drained devices never serve requests routed
 // after their drain.
 func TestDynamicMembershipPreservesRequestMultiset(t *testing.T) {
-	gpus := []hw.GPU{hw.RTX4090, hw.RTX4070Ti, hw.RTX3070Ti}
 	ds := workload.NewDataset(workload.MATH500, rng.New(7))
 	prop := func(ec elasticCase) bool {
-		c := ec.Fleet
-		var devices []Device
-		for i := range c.GPUs {
-			devices = append(devices, Device{
-				Config:   devConfig(t, gpus[c.GPUs[i]], 4, uint64(40+i)),
-				Slowdown: c.Slowdowns[i],
-				FailAt:   c.FailAts[i],
-			})
-		}
-		var warm []Device
-		for i := 0; i < ec.WarmCount; i++ {
-			warm = append(warm, Device{Config: devConfig(t, gpus[i%len(gpus)], 4, uint64(70+i))})
-		}
-		reqs := make([]core.Request, len(c.Probs))
-		for i, pi := range c.Probs {
-			reqs[i] = core.Request{Problem: ds.Problems[pi], Arrival: c.Arrivals[i], Tag: i}
-		}
-		router, err := RouterByName(RouterNames()[c.Router])
+		devices := ec.Fleet.devices(t)
+		reqs := ec.Fleet.requests(ds)
+		router, err := RouterByName(RouterNames()[ec.Fleet.Router])
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		ctl, err := control.ByName(control.Names()[ec.Controller])
+		cc, err := ec.control(t)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		f, err := New(Config{Devices: devices, Router: router, Seed: 3, Control: &ControlConfig{
-			Controller:  ctl,
-			Interval:    ec.Interval,
-			Warm:        warm,
-			WarmupDelay: ec.Warmup,
-			MaxTier:     ec.MaxTier,
-			SLOLatency:  60,
-		}})
+		ctl := cc.Controller
+		f, err := New(Config{Devices: devices, Router: router, Seed: 3, Control: cc})
 		if err != nil {
 			t.Log(err)
 			return false
@@ -369,4 +382,77 @@ func TestDynamicMembershipPreservesRequestMultiset(t *testing.T) {
 	if err := quick.Check(prop, qc(t, 40)); err != nil {
 		t.Error(err)
 	}
+}
+
+// scanLeastWork is LeastWork with its type hidden from the fleet, which
+// then routes by calling the LeastWork.Route scan instead of reading the
+// root of its least-work index.
+type scanLeastWork struct{ LeastWork }
+
+// TestLeastWorkIndexMatchesScan is the differential check of the
+// least-work index: each fleet, hedged and elastic case of the
+// conservation properties above — stragglers, fail-stops, twin
+// placements and cancels, joins and drains — runs once under LeastWork
+// (routed by the index) and once under scanLeastWork (routed by the
+// scan), and the two outcomes must be deeply equal.
+func TestLeastWorkIndexMatchesScan(t *testing.T) {
+	ds := workload.NewDataset(workload.MATH500, rng.New(7))
+	same := func(t *testing.T, mk func(Router) (Config, error), reqs []core.Request) bool {
+		var outs [2]*Outcome
+		for i, router := range []Router{LeastWork{}, scanLeastWork{}} {
+			cfg, err := mk(router)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			f, err := New(cfg)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			if outs[i], err = f.Run(reqs); err != nil {
+				t.Log(err)
+				return false
+			}
+		}
+		if !reflect.DeepEqual(outs[0], outs[1]) {
+			t.Logf("index and scan outcomes differ over %d requests", len(reqs))
+			return false
+		}
+		return true
+	}
+	t.Run("fleet", func(t *testing.T) {
+		prop := func(c fleetCase) bool {
+			devices := c.devices(t)
+			return same(t, func(r Router) (Config, error) {
+				return Config{Devices: devices, Router: r, Seed: 3}, nil
+			}, c.requests(ds))
+		}
+		if err := quick.Check(prop, qc(t, 60)); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Run("hedged", func(t *testing.T) {
+		prop := func(hc hedgedCase) bool {
+			devices := hc.devices(t)
+			return same(t, func(r Router) (Config, error) {
+				return Config{Devices: devices, Router: r, Seed: 3, Strategy: search.Hedged{}}, nil
+			}, hc.requests(ds))
+		}
+		if err := quick.Check(prop, qc(t, 60)); err != nil {
+			t.Error(err)
+		}
+	})
+	t.Run("elastic", func(t *testing.T) {
+		prop := func(ec elasticCase) bool {
+			devices := ec.Fleet.devices(t)
+			return same(t, func(r Router) (Config, error) {
+				cc, err := ec.control(t)
+				return Config{Devices: devices, Router: r, Seed: 3, Control: cc}, err
+			}, ec.Fleet.requests(ds))
+		}
+		if err := quick.Check(prop, qc(t, 40)); err != nil {
+			t.Error(err)
+		}
+	})
 }

@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"fasttts/internal/memplane"
@@ -116,7 +117,11 @@ type WorkAware interface {
 // count, then index — the shared better() ordering). It is the
 // fleet-level analogue of the SJF serve policy — both consume
 // sched.EstimateDemand — and the strongest signal for heterogeneous
-// fleets, at the cost of full fleet-state inspection per request.
+// fleets. Route is an O(devices) scan. A fleet whose Config.Router is
+// LeastWork itself never calls it: it reads the same pick from the root
+// of a tournament tree over its views (bestTree), kept current in
+// O(log devices) per refreshed view. LeastWork behind a wrapper, as
+// PrefixAffinity's fallback, or on the hedged twin route still scans.
 type LeastWork struct{}
 
 func (LeastWork) Name() string               { return "least-work" }
@@ -124,14 +129,14 @@ func (LeastWork) NeedsOutstandingWork() bool { return true }
 func (LeastWork) Route(_ RequestView, devices []DeviceView, _ *rng.Stream) int {
 	best := 0
 	for i := 1; i < len(devices); i++ {
-		if better(devices[i], devices[best]) {
+		if better(&devices[i], &devices[best]) {
 			best = i
 		}
 	}
 	return best
 }
 
-func drainTime(d DeviceView) float64 {
+func drainTime(d *DeviceView) float64 {
 	if d.Speed <= 0 {
 		return d.OutstandingWork
 	}
@@ -170,15 +175,18 @@ func (PowerOfTwo) Route(_ RequestView, devices []DeviceView, r *rng.Stream) int 
 	if j >= i {
 		j++
 	}
-	if better(devices[j], devices[i]) {
+	if better(&devices[j], &devices[i]) {
 		return j
 	}
 	return i
 }
 
 // better orders devices by expected drain time, then pending count, then
-// index — the shared load comparison of the state-aware routers.
-func better(a, b DeviceView) bool {
+// index — the shared load comparison of the state-aware routers. Indexes
+// are unique, so on finite drain times it is a strict total order: any
+// way of taking the minimum (LeastWork's scan, bestTree's tournament)
+// picks the same device.
+func better(a, b *DeviceView) bool {
 	da, db := drainTime(a), drainTime(b)
 	if da != db {
 		return da < db
@@ -187,6 +195,54 @@ func better(a, b DeviceView) bool {
 		return a.Pending < b.Pending
 	}
 	return a.Index < b.Index
+}
+
+// bestTree is a tournament tree over the positions of a view slice, in
+// the 1-based heap layout: leaf leaves+p holds position p (-1 for the
+// padding past the end), every internal node the better() winner of its
+// two children. The root is therefore the position LeastWork.Route would
+// return. A changed view re-plays its leaf-to-root path in O(log n); a
+// membership change rebuilds the tree in O(n).
+type bestTree struct {
+	leaves int // a power of two >= len(vs)
+	node   []int
+}
+
+// rebuild plays every match over vs.
+func (t *bestTree) rebuild(vs []DeviceView) {
+	t.leaves = 1
+	for t.leaves < len(vs) {
+		t.leaves *= 2
+	}
+	t.node = slices.Grow(t.node[:0], 2*t.leaves)[:2*t.leaves]
+	for p := 0; p < t.leaves; p++ {
+		t.node[t.leaves+p] = -1
+		if p < len(vs) {
+			t.node[t.leaves+p] = p
+		}
+	}
+	for i := t.leaves - 1; i >= 1; i-- {
+		t.node[i] = match(vs, t.node[2*i], t.node[2*i+1])
+	}
+}
+
+// fix re-plays the matches above position p after vs[p] changed.
+func (t *bestTree) fix(vs []DeviceView, p int) {
+	for i := (t.leaves + p) / 2; i >= 1; i /= 2 {
+		t.node[i] = match(vs, t.node[2*i], t.node[2*i+1])
+	}
+}
+
+// root is the position of the best view in vs; -1 when vs is empty.
+func (t *bestTree) root() int { return t.node[1] }
+
+// match returns the winning position of a and b. Padding (-1) loses to
+// everything, and only ever stands to the right of a real position.
+func match(vs []DeviceView, a, b int) int {
+	if b < 0 || better(&vs[a], &vs[b]) {
+		return a
+	}
+	return b
 }
 
 // CacheAware routes by effective drain time including the memory cost of

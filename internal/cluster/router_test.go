@@ -4,9 +4,11 @@ package cluster
 // cache-aware router's residency-vs-load trade, its least-work
 // degeneration on plane-less fleets, and the bounded prefix-affinity
 // directory (deterministic FIFO eviction of the oldest-homed prefix).
+// Also the least-work index against the LeastWork scan it replaces.
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"fasttts/internal/hw"
@@ -171,6 +173,50 @@ func TestPrefixAffinityDirectoryDefaults(t *testing.T) {
 				t.Errorf("directory holds %d prefixes, want %d", len(p.home), tc.want)
 			}
 		})
+	}
+}
+
+// TestBestTreeMatchesScan drives the least-work index of a run through
+// random refreshes, drops (run.dropView, as a fail-stop or drain does)
+// and joins over views built to tie — drain times in {0, 1, 2} on mixed
+// speeds, pending in {0, 1} — and requires the tree's root to equal the
+// LeastWork scan after every operation. Reproduce a failure with
+// -quick.seed.
+func TestBestTreeMatchesScan(t *testing.T) {
+	t.Logf("quick.seed=%d", *quickSeed)
+	rnd := rand.New(rand.NewSource(int64(*quickSeed)))
+	for trial := 0; trial < 200; trial++ {
+		r := &run{best: &bestTree{}}
+		r.reindex()
+		join := func() {
+			r.posInVs = append(r.posInVs, len(r.vs))
+			r.vs = append(r.vs, DeviceView{Index: len(r.posInVs) - 1, Speed: float64(1 + rnd.Intn(2))})
+			r.reindex()
+		}
+		for n := rnd.Intn(9); n > 0; n-- {
+			join()
+		}
+		for op := 0; op < 60; op++ {
+			switch k := rnd.Intn(8); {
+			case k == 0:
+				join()
+			case k == 1 && len(r.vs) > 0:
+				r.dropView(r.vs[rnd.Intn(len(r.vs))].Index)
+			case len(r.vs) > 0:
+				p := rnd.Intn(len(r.vs))
+				v := &r.vs[p]
+				v.OutstandingWork = v.Speed * float64(rnd.Intn(3)) // drain time 0, 1 or 2
+				v.Pending = rnd.Intn(2)
+				r.best.fix(r.vs, p)
+			}
+			want := -1
+			if len(r.vs) > 0 {
+				want = LeastWork{}.Route(RequestView{}, r.vs, nil)
+			}
+			if got := r.best.root(); got != want {
+				t.Fatalf("trial %d op %d: tree root %d, scan %d over %+v", trial, op, got, want, r.vs)
+			}
+		}
 	}
 }
 

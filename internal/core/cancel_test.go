@@ -210,7 +210,7 @@ func TestCancelAccountingSettles(t *testing.T) {
 	promptResident := int64(0)
 	for i := 0; i < n; i++ {
 		p := ds.Problems[i%len(ds.Problems)]
-		promptResident += int64(l.Plane().ResidentPromptTokens(planeKey(p), p.PromptTokens))
+		promptResident += int64(l.Plane().ResidentPromptTokens(p.Key(), p.PromptTokens))
 	}
 	if got.UsedTokens != promptResident {
 		t.Fatalf("cancelled plane holds %d tokens but only %d prompt tokens are resident — decode state leaked",

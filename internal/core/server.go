@@ -285,12 +285,6 @@ func (l *Loop) PlaneStats() memplane.Stats {
 	return l.plane.Stats()
 }
 
-// planeKey is the prompt-prefix identity the memory plane caches under —
-// the same dataset/index key the fleet's prefix-affinity directory uses.
-func planeKey(p *workload.Problem) string {
-	return fmt.Sprintf("%s/%d", p.Dataset, p.Index)
-}
-
 // SetObs attaches a span flight-recorder track to the loop; the fleet
 // layer assigns each device its own track on the shared recorder. A nil
 // track (the default) disables every emission site. Call before the
@@ -543,7 +537,7 @@ func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
 				// Charge the prompt prefix against the memory plane; the
 				// re-prefill penalty for non-resident tokens lands in the
 				// session's first slice.
-				c.mem, c.penalty = l.plane.Admit(planeKey(rq.Problem), rq.Problem.PromptTokens)
+				c.mem, c.penalty = l.plane.Admit(rq.Problem.Key(), rq.Problem.PromptTokens)
 			}
 			if l.obs != nil {
 				l.obs.Emit(obs.Span{Kind: obs.KindAdmit, Tag: rq.Tag, Start: rq.Arrival, End: l.now, V1: c.penalty, V2: est})

@@ -21,6 +21,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"fasttts/internal/rng"
 )
@@ -134,10 +135,22 @@ type Problem struct {
 	PromptTokens int
 	AnswerSpace  int
 	spec         DatasetSpec
+	key          string // Key(), built once by NewDataset
 }
 
 // Spec returns the dataset spec the problem was drawn from.
 func (p *Problem) Spec() DatasetSpec { return p.spec }
+
+// Key identifies the problem's prompt prefix, "<Dataset>/<Index>":
+// requests for the same problem share the prompt's KV, so the fleet's
+// prefix directories and the memory plane cache under it. NewDataset
+// stores it once per problem; a hand-built Problem computes it per call.
+func (p *Problem) Key() string {
+	if p.key != "" {
+		return p.key
+	}
+	return p.Dataset + "/" + strconv.Itoa(p.Index)
+}
 
 // Dataset is a realized set of problems.
 type Dataset struct {
@@ -151,14 +164,16 @@ func NewDataset(spec DatasetSpec, root *rng.Stream) *Dataset {
 	r := root.Child("dataset/" + spec.Name)
 	for i := 0; i < spec.Problems; i++ {
 		pr := r.ChildN("problem", i)
-		ds.Problems = append(ds.Problems, &Problem{
+		p := &Problem{
 			Dataset:      spec.Name,
 			Index:        i,
 			Difficulty:   spec.DiffLo + pr.Float64()*(spec.DiffHi-spec.DiffLo),
 			PromptTokens: spec.PromptLo + pr.IntN(spec.PromptHi-spec.PromptLo+1),
 			AnswerSpace:  spec.AnswerSpace,
 			spec:         spec,
-		})
+		}
+		p.key = p.Key()
+		ds.Problems = append(ds.Problems, p)
 	}
 	return ds
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -76,6 +77,36 @@ func TestAIMEHarderThanAMC(t *testing.T) {
 	mb /= float64(len(amc.Problems))
 	if ma <= mb {
 		t.Errorf("mean difficulty AIME %.2f <= AMC %.2f", ma, mb)
+	}
+}
+
+// TestProblemKey pins Key to the "%s/%d" prefix identity the fleet's
+// prefix directories and the memory plane always cached under: on every
+// problem of every spec, stored once and allocation-free, and on a
+// hand-built Problem, computed per call.
+func TestProblemKey(t *testing.T) {
+	for _, spec := range []DatasetSpec{AIME24, AMC23, MATH500, HumanEval,
+		AIME24FewShot, AMC23FewShot, MATH500FewShot} {
+		ds := NewDataset(spec, rng.New(1))
+		for _, p := range ds.Problems {
+			if got, want := p.Key(), fmt.Sprintf("%s/%d", p.Dataset, p.Index); got != want {
+				t.Fatalf("%s problem %d: Key() = %q, want %q", spec.Name, p.Index, got, want)
+			}
+		}
+		var sink string
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, p := range ds.Problems {
+				sink = p.Key()
+			}
+		})
+		if allocs != 0 || sink == "" {
+			t.Errorf("%s: Key() over the dataset allocates %v times, want 0", spec.Name, allocs)
+		}
+	}
+	for _, p := range []*Problem{{Dataset: "custom", Index: 17}, {Index: -3}, {}} {
+		if got, want := p.Key(), fmt.Sprintf("%s/%d", p.Dataset, p.Index); got != want {
+			t.Errorf("hand-built %+v: Key() = %q, want %q", *p, got, want)
+		}
 	}
 }
 
