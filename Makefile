@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint bench cover scenarios benchmark benchmark-smoke profile-solver profile-observed profile-dispatch golden
+.PHONY: all build test lint bench cover scenarios benchmark benchmark-smoke profile-solver profile-observed profile-dispatch profile-kv golden
 
 all: build lint test
 
@@ -86,6 +86,20 @@ profile-dispatch:
 		-o bench-smoke/cluster.test ./internal/cluster
 	$(GO) tool pprof -top -nodecount=25 bench-smoke/cluster.test bench-smoke/dispatch.cpu
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/cluster.test bench-smoke/dispatch.mem
+
+# Where the kv-pressure pass's host time and allocations go: the same two
+# profiles of BenchmarkKVPressure (three GPUs behind 512 MiB KV planes,
+# cache-aware routing, 18 hot few-shot prompts, in
+# internal/cluster/perf_test.go). Long prompts and a 250-answer AIME space
+# make the solver's answer draws and kvcache eviction weigh more here than
+# on solver-beam.
+profile-kv:
+	mkdir -p bench-smoke
+	$(GO) test -run '^$$' -bench 'BenchmarkKVPressure' -benchtime 10x -benchmem \
+		-cpuprofile bench-smoke/kv.cpu -memprofile bench-smoke/kv.mem \
+		-o bench-smoke/cluster.test ./internal/cluster
+	$(GO) tool pprof -top -nodecount=25 bench-smoke/cluster.test bench-smoke/kv.cpu
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/cluster.test bench-smoke/kv.mem
 
 # Regenerate the golden traces after an *intentional* behavior change.
 # Review the resulting diff like code before committing it.

@@ -456,6 +456,33 @@ func TestAblationTruncationMonotone(t *testing.T) {
 	}
 }
 
+// The score-bin ablation's note, as far as it holds at quick size: any
+// binning beats treating every beam alike on goodput, and the most bins
+// keep a smaller fraction of their speculation than one bin does.
+func TestAblationSpecBinsTradeoff(t *testing.T) {
+	r, err := AblationSpecBins(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 4 || cell(t, r, 0, "bins") != "1" || cell(t, r, 3, "bins") != "8" {
+		t.Fatalf("rows = %v, want bins 1, 2, 4, 8", r.Rows)
+	}
+	one := cellF(t, r, 0, "goodput_tok_s")
+	for i := 1; i < len(r.Rows); i++ {
+		if g := cellF(t, r, i, "goodput_tok_s"); g <= one {
+			t.Errorf("%s bins: goodput %v not above one bin's %v", cell(t, r, i, "bins"), g, one)
+		}
+	}
+	for i := range r.Rows {
+		if f := cellF(t, r, i, "retained_frac"); f <= 0 || f > 1 {
+			t.Errorf("row %d: retained fraction %v outside (0, 1]", i, f)
+		}
+	}
+	if first, last := cellF(t, r, 0, "retained_frac"), cellF(t, r, 3, "retained_frac"); last >= first {
+		t.Errorf("retained fraction at 8 bins %v not below 1 bin's %v", last, first)
+	}
+}
+
 func TestAblationQuantizationHelps(t *testing.T) {
 	o := quick()
 	r, err := AblationQuantization(o)

@@ -11,6 +11,7 @@ import (
 	"fasttts/internal/control"
 	"fasttts/internal/core"
 	"fasttts/internal/hw"
+	"fasttts/internal/memplane"
 	"fasttts/internal/metrics"
 	"fasttts/internal/model"
 	"fasttts/internal/obs"
@@ -202,4 +203,53 @@ func BenchmarkFleetRun32Observed(b *testing.B) {
 		recorded = len(spans)
 	}
 	b.ReportMetric(float64(recorded)/float64(len(reqs)), "spans/req")
+}
+
+// kvPressureFleet is the benchmark's kv-pressure workload: a fast 4090 and
+// a 3070 Ti serving FCFS around a 4070 Ti serving SJF, each beam search
+// n=8 in FastTTS mode behind a 512 MiB KV plane, routed cache-aware; and
+// requests drawn uniformly from 18 hot few-shot prompts (the first six of
+// each few-shot tenant, thousands of prompt tokens each) arriving Poisson
+// at 0.1 req/s, so the planes admit, evict and re-prefill throughout.
+func kvPressureFleet(tb testing.TB, requests int) ([]Device, []core.Request) {
+	tb.Helper()
+	var devs []Device
+	for i, d := range []struct {
+		gpu    hw.GPU
+		policy sched.ServePolicy
+	}{{hw.RTX4090, sched.FCFS{}}, {hw.RTX4070Ti, sched.SJF{}}, {hw.RTX3070Ti, sched.FCFS{}}} {
+		cfg := devConfig(tb, d.gpu, 8, 43+uint64(i))
+		cfg.KVPlane = memplane.Config{CapacityBytes: 512 << 20}
+		devs = append(devs, Device{Config: cfg, Policy: d.policy})
+	}
+	var hot []*workload.Problem
+	for _, spec := range []workload.DatasetSpec{workload.MATH500FewShot, workload.AMC23FewShot, workload.AIME24FewShot} {
+		hot = append(hot, workload.NewDataset(spec, rng.New(42)).Subset(6)...)
+	}
+	r := rng.New(42).Child("bench/kv-pressure")
+	times := workload.PoissonArrivals(requests, 0.10, r.Child("arrivals"))
+	reqs := make([]core.Request, requests)
+	for i := range reqs {
+		reqs[i] = core.Request{Problem: hot[r.IntN(len(hot))], Arrival: times[i], Tag: i}
+	}
+	return devs, reqs
+}
+
+// BenchmarkKVPressure is the shape of the benchmark's kv-pressure pass,
+// the workload where the solver's answer draws, eviction heap and beam
+// sort weigh most (make profile-kv profiles it).
+func BenchmarkKVPressure(b *testing.B) {
+	devs, reqs := kvPressureFleet(b, 2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := New(Config{Devices: devs, Router: CacheAware{}, Seed: 42, SLOLatency: 60})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.Run(reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/req")
 }

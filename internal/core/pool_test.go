@@ -203,15 +203,15 @@ func TestPooledLoopMatchesRunnerSolve(t *testing.T) {
 }
 
 // One 64-beam MATH500 request (problem 17 of the rng.New(7) deck, FastTTS
-// options, 8 search iterations) served over and over on one Loop. At the
-// parent commit, where every request built two engines, two caches and every
-// beam anew, each serve cost 5,373 allocations. Recycled, the first serve
-// costs a few hundred while the pools grow and a warm one about 45: three per
-// iteration inside the search policy's Select, the rest the Result, its
-// paths, the session and the served slice. The pin is a fifth of the
-// parent's figure.
+// options) served over and over on one Loop. When every request built two
+// engines, two caches and every beam anew, each serve cost 5,373
+// allocations. Recycled, the first serve costs a few hundred while the
+// pools grow and a warm one 29: two per search iteration inside the search
+// policy's Select (sortByScore's copy and the branch slice), the rest the
+// Result, its paths, the session and the served slice. The pin leaves a
+// little room above that count, so a new per-request allocator shows.
 func TestWarmLoopAllocsPerRequest(t *testing.T) {
-	const parentAllocs = 5373
+	const parentAllocs, pin = 5373, 35
 	pol, err := search.New(search.BeamSearch, 64, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestWarmLoopAllocsPerRequest(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(5, serve)
 	t.Logf("%v allocations per warm request (parent: %d)", got, parentAllocs)
-	if got > parentAllocs/5 {
-		t.Errorf("warm request allocates %v times, want at most a fifth of the parent's %d", got, parentAllocs)
+	if got > pin {
+		t.Errorf("warm request allocates %v times, want at most %d", got, pin)
 	}
 }

@@ -38,7 +38,6 @@
 package kvcache
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"slices"
@@ -788,38 +787,94 @@ func (c *Cache) evict(n *node) {
 
 // --- eviction heap (min-heap by lastUsed, lazy removal) ---
 
+// evictHeap is a binary min-heap of evictable leaves by lastUsed; a node
+// records its own index. push and remove are container/heap's Push and
+// Remove written out for *node — the same sift steps making the same
+// comparisons — so leaves that tie on lastUsed leave in container/heap's
+// order (TestEvictHeapMatchesContainerHeap holds the two equal).
 type evictHeap []*node
 
-func (h evictHeap) Len() int           { return len(h) }
-func (h evictHeap) Less(i, j int) bool { return h[i].lastUsed < h[j].lastUsed }
-func (h evictHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
-func (h *evictHeap) Push(x any)        { n := x.(*node); n.heapIdx = len(*h); *h = append(*h, n) }
-func (h *evictHeap) Pop() any {
+func (h evictHeap) less(i, j int) bool { return h[i].lastUsed < h[j].lastUsed }
+
+func (h evictHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].heapIdx = i
+	h[j].heapIdx = j
+}
+
+func (h *evictHeap) push(n *node) {
+	n.heapIdx = len(*h)
+	*h = append(*h, n)
+	h.up(n.heapIdx)
+}
+
+// remove takes out and returns the node at index i; remove(0) is
+// container/heap's Pop.
+func (h *evictHeap) remove(i int) *node {
 	old := *h
-	n := old[len(old)-1]
-	old[len(old)-1] = nil
+	last := len(old) - 1
+	if last != i {
+		old.swap(i, last)
+		if !old.down(i, last) {
+			old.up(i)
+		}
+	}
+	n := old[last]
+	old[last] = nil
 	n.heapIdx = -1
-	*h = old[:len(old)-1]
+	*h = old[:last]
 	return n
+}
+
+func (h evictHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts index i0 down within h[:n] and reports whether it moved.
+func (h evictHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
 
 func (c *Cache) enqueue(n *node) {
 	if n.heapIdx >= 0 || !n.evictable() {
 		return
 	}
-	heap.Push(&c.evictHeap, n)
+	c.evictHeap.push(n)
 }
 
 func (c *Cache) unqueue(n *node) {
 	if n.heapIdx < 0 {
 		return
 	}
-	heap.Remove(&c.evictHeap, n.heapIdx)
+	c.evictHeap.remove(n.heapIdx)
 }
 
 func (c *Cache) popEvictable() *node {
-	for c.evictHeap.Len() > 0 {
-		n := heap.Pop(&c.evictHeap).(*node)
+	for len(c.evictHeap) > 0 {
+		n := c.evictHeap.remove(0)
 		if n.evictable() && n.parent != nil {
 			return n
 		}

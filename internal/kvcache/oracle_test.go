@@ -259,6 +259,53 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 }
 
+// TestEvictHeapMatchesContainerHeap drives the typed eviction heap and
+// container/heap (through the oracle's heap type) with the same random
+// push / remove / pop sequences over lastUsed values drawn from a handful,
+// so most comparisons tie, and demands the same array after every
+// operation. TestDifferentialOracle cannot reach a tie: the nodes sharing a
+// lastUsed value always lie on one root-to-leaf path — an operation stamps
+// one path, and a split suffix inherits the stamp as a child of its prefix
+// — so at most one of them is an evictable leaf at a time. The heap is held
+// to container/heap's sift order directly instead.
+func TestEvictHeapMatchesContainerHeap(t *testing.T) {
+	t.Logf("quick.seed=%d", *quickSeed)
+	r := rng.New(uint64(*quickSeed)).Child("evict-heap")
+	for cse := 0; cse < 200; cse++ {
+		var h evictHeap
+		var oh oracleHeap
+		id := map[*node]int{}
+		oid := map[*onode]int{}
+		for op := 0; op < 200; op++ {
+			switch k := r.IntN(5); {
+			case k < 3 || len(h) == 0:
+				used := uint64(r.IntN(4))
+				n, o := &node{lastUsed: used, heapIdx: -1}, &onode{lastUsed: used, heapIdx: -1}
+				id[n], oid[o] = op, op
+				h.push(n)
+				heap.Push(&oh, o)
+			case k < 4:
+				i := r.IntN(len(h))
+				if a, b := id[h.remove(i)], oid[heap.Remove(&oh, i).(*onode)]; a != b {
+					t.Fatalf("case %d op %d: remove(%d) took #%d, container/heap #%d", cse, op, i, a, b)
+				}
+			default:
+				if a, b := id[h.remove(0)], oid[heap.Pop(&oh).(*onode)]; a != b {
+					t.Fatalf("case %d op %d: pop took #%d, container/heap #%d", cse, op, a, b)
+				}
+			}
+			if len(h) != len(oh) {
+				t.Fatalf("case %d op %d: %d nodes, container/heap %d", cse, op, len(h), len(oh))
+			}
+			for i := range h {
+				if id[h[i]] != oid[oh[i]] || h[i].heapIdx != i {
+					t.Fatalf("case %d op %d: slot %d holds #%d (index %d), container/heap #%d", cse, op, i, id[h[i]], h[i].heapIdx, oid[oh[i]])
+				}
+			}
+		}
+	}
+}
+
 // --- the reference implementation (the pre-run-length kvcache.go) ---
 
 type onode struct {

@@ -178,37 +178,49 @@ func (s *Stream) Perm(n int) []int { return s.rand().Perm(n) }
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rand().Shuffle(n, swap) }
 
-// zipfBuf is the support Zipf weighs without allocating; the largest the
-// workloads draw from is 249 (AIME's answer space less the correct one).
-const zipfBuf = 256
+// ZipfTable draws Zipf-ish samples over [0, n): index k with probability
+// proportional to 1/(k+1)^a. Used to scatter wrong answers so that
+// majority voting is meaningful. The table holds the running sums of the
+// weights, built once, so a draw costs one Float64 and a binary search
+// instead of n math.Pow calls. A table is immutable and may be shared.
+type ZipfTable struct {
+	cum []float64 // cum[k] = Σ_{j≤k} 1/(j+1)^a, summed in ascending j
+}
 
-// Zipf returns a Zipf-ish sample over [0, n): index k is drawn with
-// probability proportional to 1/(k+1)^a. Used to scatter wrong answers so
-// that majority voting is meaningful.
-func (s *Stream) Zipf(n int, a float64) int {
+// NewZipfTable builds the table for support n and exponent a. The sums are
+// accumulated in the order an inverse-CDF walk would accumulate them, so
+// every draw equals that walk's bit for bit.
+func NewZipfTable(n int, a float64) *ZipfTable {
+	t := &ZipfTable{}
 	if n <= 1 {
+		return t
+	}
+	t.cum = make([]float64, n)
+	acc := 0.0
+	for k := range t.cum {
+		acc += 1 / math.Pow(float64(k+1), a)
+		t.cum[k] = acc
+	}
+	return t
+}
+
+// Draw returns the first k with u < cum[k], u = s.Float64()·cum[n-1], or
+// n-1 when rounding leaves no such k. A support of at most one point
+// returns 0 without consuming a draw.
+func (t *ZipfTable) Draw(s *Stream) int {
+	n := len(t.cum)
+	if n == 0 {
 		return 0
 	}
-	// Inverse-CDF over the (small) discrete support. The weights are
-	// computed once and summed twice in the same order, so the draw equals
-	// the two-pass evaluation bit for bit at half the math.Pow calls.
-	var buf [zipfBuf]float64
-	w := buf[:]
-	if n > len(w) {
-		w = make([]float64, n)
-	}
-	total := 0.0
-	for k := 0; k < n; k++ {
-		w[k] = 1 / math.Pow(float64(k+1), a)
-		total += w[k]
-	}
-	u := s.Float64() * total
-	acc := 0.0
-	for k := 0; k < n; k++ {
-		acc += w[k]
-		if u < acc {
-			return k
+	u := s.Float64() * t.cum[n-1]
+	// The sums never decrease, so u < cum[k] is monotone in k.
+	lo, hi := 0, n
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); u < t.cum[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return n - 1
+	return min(lo, n-1)
 }

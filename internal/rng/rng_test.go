@@ -110,7 +110,7 @@ func TestZipfBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		s := New(seed)
 		for n := 1; n <= 10; n++ {
-			k := s.Zipf(n, 1.2)
+			k := NewZipfTable(n, 1.2).Draw(s)
 			if k < 0 || k >= n {
 				return false
 			}
@@ -125,8 +125,9 @@ func TestZipfBounds(t *testing.T) {
 func TestZipfSkewsLow(t *testing.T) {
 	s := New(6)
 	counts := make([]int, 8)
+	z := NewZipfTable(8, 1.5)
 	for i := 0; i < 8000; i++ {
-		counts[s.Zipf(8, 1.5)]++
+		counts[z.Draw(s)]++
 	}
 	if counts[0] <= counts[7] {
 		t.Errorf("zipf not skewed: counts[0]=%d counts[7]=%d", counts[0], counts[7])
@@ -166,8 +167,9 @@ func TestPathLabel(t *testing.T) {
 	}
 }
 
-// zipfTwoPass is Zipf as it was before the weights were buffered: every
-// 1/(k+1)^a evaluated once for the total and again for the running sum.
+// zipfTwoPass is the inverse-CDF walk the table replaces, kept as the
+// reference: every 1/(k+1)^a evaluated once for the total and again for
+// the running sum, on every draw.
 func zipfTwoPass(s *Stream, n int, a float64) int {
 	if n <= 1 {
 		return 0
@@ -187,16 +189,24 @@ func zipfTwoPass(s *Stream, n int, a float64) int {
 	return n - 1
 }
 
-// Zipf must reproduce the two-pass evaluation draw for draw: every answer
-// of every golden comes out of it. 300 exceeds the stack buffer.
+// ZipfTable.Draw must reproduce the two-pass walk draw for draw — every
+// wrong answer of every golden comes out of it — and consume the stream
+// exactly as the walk does (none at all for n <= 1), without allocating.
 func TestZipfMatchesTwoPass(t *testing.T) {
-	for _, n := range []int{5, 19, 39, 249, zipfBuf + 44} {
+	for _, n := range []int{0, 1, 2, 5, 19, 39, 249, 300} {
 		for _, a := range []float64{0.8, 1.2} {
+			z := NewZipfTable(n, a)
 			got, want := New(11).ChildN("zipf", n), New(11).ChildN("zipf", n)
 			for i := 0; i < 10000; i++ {
-				if g, w := got.Zipf(n, a), zipfTwoPass(want, n, a); g != w {
-					t.Fatalf("n=%d a=%g draw %d: Zipf = %d, two-pass = %d", n, a, i, g, w)
+				if g, w := z.Draw(got), zipfTwoPass(want, n, a); g != w {
+					t.Fatalf("n=%d a=%g draw %d: Draw = %d, two-pass = %d", n, a, i, g, w)
 				}
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Fatalf("n=%d a=%g: the streams drifted apart", n, a)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { z.Draw(got) }); allocs != 0 {
+				t.Errorf("n=%d a=%g: Draw allocates %v times, want 0", n, a, allocs)
 			}
 		}
 	}
@@ -232,6 +242,7 @@ func TestAllocsPerDerivation(t *testing.T) {
 	root := New(1)
 	var sink *Stream
 	v := root.Derive("v")
+	z := NewZipfTable(39, 0.8)
 	var f float64
 	for _, tc := range []struct {
 		name string
@@ -241,7 +252,7 @@ func TestAllocsPerDerivation(t *testing.T) {
 		{"Child", 1, func() { sink = root.Child("a") }},
 		{"ChildN", 1, func() { sink = root.ChildN("beam", 17) }},
 		{"DeriveN", 0, func() { v = root.DeriveN("beam", 17) }},
-		{"draws", 0, func() { f = v.Float64() + v.Norm(0, 1) + float64(v.IntN(9)+v.Zipf(39, 0.8)) }},
+		{"draws", 0, func() { f = v.Float64() + v.Norm(0, 1) + float64(v.IntN(9)+z.Draw(&v)) }},
 	} {
 		if got := testing.AllocsPerRun(100, tc.fn); got != tc.want {
 			t.Errorf("%s: %v allocs, want %v", tc.name, got, tc.want)

@@ -158,6 +158,9 @@ func TestAdmissionLimit(t *testing.T) {
 	if err := quick.Check(prop, qc(t)); err != nil {
 		t.Error(err)
 	}
+	if got := pol.Name(); got != "sjf+limit3" {
+		t.Errorf("Name() = %q, want the inner policy's name and the cap, %q", got, "sjf+limit3")
+	}
 }
 
 func TestPolicyByName(t *testing.T) {

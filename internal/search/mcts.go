@@ -1,8 +1,9 @@
 package search
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"fasttts/internal/rng"
 )
@@ -73,16 +74,18 @@ func (p *mcts) Select(cands []Candidate, _ *rng.Stream) []Branch {
 		p.value[c.Subtree] += c.Score
 		p.total++
 	}
-	sort.Ints(subtrees)
+	slices.Sort(subtrees)
 	// Allocation: rank live subtrees by UCB; each keeps its local best
 	// candidate, and branching budget is distributed front-loaded so
 	// high-UCB subtrees expand more.
-	sort.SliceStable(subtrees, func(i, j int) bool {
-		ui, uj := p.ucb(subtrees[i]), p.ucb(subtrees[j])
-		if ui != uj {
-			return ui > uj
+	slices.SortStableFunc(subtrees, func(a, b int) int {
+		if ua, ub := p.ucb(a), p.ucb(b); ua != ub {
+			if ua > ub {
+				return -1
+			}
+			return 1
 		}
-		return subtrees[i] < subtrees[j]
+		return cmp.Compare(a, b)
 	})
 	budget := len(cands)
 	out := make([]Branch, 0, len(subtrees))

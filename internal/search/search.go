@@ -11,8 +11,9 @@
 package search
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fasttts/internal/rng"
 )
@@ -149,13 +150,21 @@ func DegradedWidth(width, tier int) int {
 // ascending ID for determinism.
 func sortByScore(cands []Candidate) []Candidate {
 	out := append([]Candidate(nil), cands...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
+	slices.SortStableFunc(out, byScore)
 	return out
+}
+
+// byScore is sortByScore's order: higher score first, then lower ID. The
+// scores are compared with != and > rather than cmp.Compare so that a NaN
+// score goes before nothing, as under >, instead of first.
+func byScore(a, b Candidate) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // --- Best-of-N ---
@@ -234,7 +243,7 @@ func (p dvts) Select(cands []Candidate, _ *rng.Stream) []Branch {
 			bySubtree[c.Subtree] = c
 		}
 	}
-	sort.Ints(order)
+	slices.Sort(order)
 	out := make([]Branch, 0, len(order))
 	for _, st := range order {
 		out = append(out, Branch{ID: bySubtree[st].ID, Children: p.b})
@@ -288,12 +297,20 @@ func (p dynamicBranching) Select(cands []Candidate, _ *rng.Stream) []Branch {
 		assigned += base
 	}
 	// Largest remainder for the leftover children.
-	sort.SliceStable(allocs, func(i, j int) bool { return allocs[i].frac > allocs[j].frac })
+	slices.SortStableFunc(allocs, func(a, b alloc) int {
+		switch {
+		case a.frac > b.frac:
+			return -1
+		case a.frac < b.frac:
+			return 1
+		}
+		return 0
+	})
 	for k := 0; assigned < budget && k < len(allocs); k++ {
 		allocs[k].base++
 		assigned++
 	}
-	sort.SliceStable(allocs, func(i, j int) bool { return allocs[i].idx < allocs[j].idx })
+	slices.SortStableFunc(allocs, func(a, b alloc) int { return cmp.Compare(a.idx, b.idx) })
 	out := make([]Branch, 0, len(sorted))
 	for i, a := range allocs {
 		if a.base > 0 {

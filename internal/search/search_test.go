@@ -1,6 +1,9 @@
 package search
 
 import (
+	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -176,6 +179,58 @@ func TestSingleCoT(t *testing.T) {
 	p, _ := New(SingleCoT, 99, 7) // width/branch are fixed to 1
 	if p.Width() != 1 || p.BranchFactor() != 1 || p.UsesVerifier() {
 		t.Errorf("CoT policy misconfigured: w=%d b=%d", p.Width(), p.BranchFactor())
+	}
+	if p.StepBudget(5) != DefaultStepBudget || p.InitialSubtree(3) != 3 {
+		t.Errorf("CoT step budget %d, subtree %d", p.StepBudget(5), p.InitialSubtree(3))
+	}
+	// The chain continues unbranched, whatever its score, in input order.
+	cands := []Candidate{{ID: 4, Score: 0.1}, {ID: 2, Score: 0.9}, {ID: 7}}
+	want := []Branch{{ID: 4, Children: 1}, {ID: 2, Children: 1}, {ID: 7, Children: 1}}
+	if got := p.Select(cands, rng.New(1)); !reflect.DeepEqual(got, want) {
+		t.Errorf("CoT select = %v, want %v", got, want)
+	}
+	if got := p.Select(nil, rng.New(1)); len(got) != 0 {
+		t.Errorf("CoT select of nothing = %v", got)
+	}
+}
+
+// sortByScoreReflect is sortByScore as it was, on sort.SliceStable: the
+// reference the typed sort must match element for element.
+func sortByScoreReflect(cands []Candidate) []Candidate {
+	out := append([]Candidate(nil), cands...)
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// TestSortByScoreMatchesSliceStable: on candidates drawn to tie — scores
+// from a handful of values (NaN among them), IDs repeated, so whole
+// candidates tie and only stability orders them, told apart by Subtree —
+// the typed sort equals the reflection-based one and leaves its input alone.
+func TestSortByScoreMatchesSliceStable(t *testing.T) {
+	scores := []float64{0, 0.25, 0.5, 0.5, 1, math.NaN()}
+	r := rng.New(3)
+	for trial := 0; trial < 2000; trial++ {
+		cands := make([]Candidate, r.IntN(80))
+		for i := range cands {
+			cands[i] = Candidate{ID: r.IntN(12), Subtree: i, Score: scores[r.IntN(len(scores))]}
+		}
+		orig := append([]Candidate(nil), cands...)
+		got, want := sortByScore(cands), sortByScoreReflect(cands)
+		for i := range want {
+			if got[i].ID != want[i].ID || got[i].Subtree != want[i].Subtree {
+				t.Fatalf("trial %d position %d: typed %+v, reflection %+v", trial, i, got[i], want[i])
+			}
+		}
+		for i := range orig {
+			if cands[i].Subtree != orig[i].Subtree {
+				t.Fatalf("trial %d: sortByScore reordered its input", trial)
+			}
+		}
 	}
 }
 

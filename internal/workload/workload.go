@@ -135,7 +135,8 @@ type Problem struct {
 	PromptTokens int
 	AnswerSpace  int
 	spec         DatasetSpec
-	key          string // Key(), built once by NewDataset
+	key          string         // Key(), built once by NewDataset
+	wrong        *rng.ZipfTable // Answer's distractor table, shared across a NewDataset
 }
 
 // Spec returns the dataset spec the problem was drawn from.
@@ -161,6 +162,7 @@ type Dataset struct {
 // NewDataset materializes the spec deterministically from the stream.
 func NewDataset(spec DatasetSpec, root *rng.Stream) *Dataset {
 	ds := &Dataset{Spec: spec}
+	wrong := wrongAnswers(spec.AnswerSpace)
 	r := root.Child("dataset/" + spec.Name)
 	for i := 0; i < spec.Problems; i++ {
 		pr := r.ChildN("problem", i)
@@ -171,6 +173,7 @@ func NewDataset(spec DatasetSpec, root *rng.Stream) *Dataset {
 			PromptTokens: spec.PromptLo + pr.IntN(spec.PromptHi-spec.PromptLo+1),
 			AnswerSpace:  spec.AnswerSpace,
 			spec:         spec,
+			wrong:        wrong,
 		}
 		p.key = p.Key()
 		ds.Problems = append(ds.Problems, p)
@@ -297,13 +300,23 @@ func Score(st *PathState, v VerifierSkill, r *rng.Stream) float64 {
 
 // Answer samples the final answer of a terminated path. Answer 0 is the
 // correct one; wrong answers are Zipf-distributed over the distractors so
-// that majority voting is meaningful.
+// that majority voting is meaningful. A NewDataset problem draws from its
+// dataset's table; a hand-built one builds the table per call.
 func Answer(p *Problem, st *PathState, r *rng.Stream) int {
 	pCorrect := logistic(4.0 * (st.Quality - answerBar(p)))
 	if r.Bool(pCorrect) {
 		return 0
 	}
-	return 1 + r.Zipf(p.AnswerSpace-1, 0.8)
+	wrong := p.wrong
+	if wrong == nil {
+		wrong = wrongAnswers(p.AnswerSpace)
+	}
+	return 1 + wrong.Draw(r)
+}
+
+// wrongAnswers is the Zipf table over an answer space's distractors.
+func wrongAnswers(answerSpace int) *rng.ZipfTable {
+	return rng.NewZipfTable(answerSpace-1, 0.8)
 }
 
 // answerBar is the quality threshold at which a path answers correctly

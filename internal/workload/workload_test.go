@@ -302,6 +302,39 @@ func TestAnswerDistribution(t *testing.T) {
 	}
 }
 
+// TestAnswerSharedTableMatchesHandBuilt: a NewDataset problem draws its
+// wrong answers from the dataset's shared Zipf table, a hand-built copy
+// from a table built inside Answer. From equal streams both must give the
+// same answers draw for draw, on every spec, over paths of every quality.
+func TestAnswerSharedTableMatchesHandBuilt(t *testing.T) {
+	for _, spec := range []DatasetSpec{AIME24, AMC23, MATH500, HumanEval,
+		AIME24FewShot, AMC23FewShot, MATH500FewShot} {
+		ds := NewDataset(spec, rng.New(37))
+		for _, p := range ds.Subset(5) {
+			if p.wrong == nil {
+				t.Fatalf("%s problem %d: NewDataset stored no table", spec.Name, p.Index)
+			}
+			hand := &Problem{Dataset: p.Dataset, Index: p.Index, Difficulty: p.Difficulty,
+				PromptTokens: p.PromptTokens, AnswerSpace: p.AnswerSpace}
+			got, want := rng.New(41).ChildN(spec.Name, p.Index), rng.New(41).ChildN(spec.Name, p.Index)
+			wrong := 0
+			for i := 0; i < 400; i++ {
+				st := &PathState{Quality: -3 + float64(i%9)*0.5}
+				g, w := Answer(p, st, got), Answer(hand, st, want)
+				if g != w {
+					t.Fatalf("%s problem %d draw %d: shared table %d, hand-built %d", spec.Name, p.Index, i, g, w)
+				}
+				if g != 0 {
+					wrong++
+				}
+			}
+			if wrong == 0 {
+				t.Fatalf("%s problem %d: no wrong answer drawn", spec.Name, p.Index)
+			}
+		}
+	}
+}
+
 func TestCorrectProbMonotoneInQuality(t *testing.T) {
 	ds := NewDataset(AIME24, rng.New(31))
 	p := ds.Problems[0]
