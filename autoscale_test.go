@@ -235,11 +235,11 @@ func TestAutoscaleRoundTrip(t *testing.T) {
 			WarmupDelay: 5,
 		},
 	}
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	runOnce := func() *FleetRun {
-		cl, err := NewCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		fr, err := cl.Run(UniformRequests(probs, 1.5))
 		if err != nil {
 			t.Fatal(err)
@@ -272,7 +272,8 @@ func TestAutoscaleRoundTrip(t *testing.T) {
 	if !sawWarm {
 		t.Errorf("no warm-pool instance in per-device stats: %+v", st.PerDevice)
 	}
-	// Reproducibility: equal configs give bit-identical runs and logs.
+	// Reproducibility: every Run builds a fresh fleet and controller, so
+	// reusing the Cluster gives bit-identical runs and logs.
 	b := runOnce()
 	if !reflect.DeepEqual(a.Actions, b.Actions) {
 		t.Errorf("action logs diverge:\n%v\nvs\n%v", a.Actions, b.Actions)
@@ -312,6 +313,33 @@ func TestElasticScenariosExerciseControllers(t *testing.T) {
 		}
 		if !tc.scaled && (st.Control.TierChanges == 0 || st.Control.DegradedRequests == 0) {
 			t.Errorf("%s: governor never degraded the budget: %+v", tc.name, st.Control)
+		}
+	}
+}
+
+// TestScenarioKVPlaneOverrideReachesWarmPool pins that
+// ScenarioOptions.KVPlaneBytes overrides the warm-pool templates as well
+// as the founding devices: a positive capacity gives every device that
+// ever served, warm joins included, a memory plane, and a negative one
+// turns every plane off.
+func TestScenarioKVPlaneOverrideReachesWarmPool(t *testing.T) {
+	for _, tc := range []struct {
+		bytes int64
+		on    bool
+	}{{512 << 20, true}, {-1, false}} {
+		run, err := RunScenario("autoscale-diurnal", ScenarioOptions{Target: ScenarioCluster, KVPlaneBytes: tc.bytes})
+		if err != nil {
+			t.Fatalf("KVPlaneBytes %d: %v", tc.bytes, err)
+		}
+		st := run.FleetStats
+		if st.Control == nil || st.Control.ScaleUps == 0 {
+			t.Fatalf("KVPlaneBytes %d: no warm-pool join to check: %+v", tc.bytes, st.Control)
+		}
+		for _, d := range st.PerDevice {
+			if on := d.CacheCapacityTokens > 0; on != tc.on {
+				t.Errorf("KVPlaneBytes %d: device %s has plane capacity %d tokens, want plane on = %v",
+					tc.bytes, d.Name, d.CacheCapacityTokens, tc.on)
+			}
 		}
 	}
 }

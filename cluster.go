@@ -260,17 +260,10 @@ type FleetStats struct {
 // of devices — scheduling overhead grows with events·log(devices), not
 // events·devices.
 type Cluster struct {
-	devices  []cluster.Device
-	names    []string
-	warm     []cluster.Device
-	warmN    []string
-	auto     *AutoscaleConfig
-	router   string
-	seed     uint64
-	slo      float64
-	mode     metrics.Mode
-	strategy search.Strategy
-	trace    *Recorder
+	// cfg is the validated fleet configuration. Its router and controller
+	// carry per-run state, so newFleet gives every Run fresh ones.
+	cfg          cluster.Config
+	names, warmN []string
 }
 
 // FleetRun is the outcome of one Cluster.Run.
@@ -382,7 +375,8 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if len(cc.Devices) == 0 {
 		return nil, fmt.Errorf("fasttts: cluster needs at least one device")
 	}
-	if _, err := cluster.RouterByName(cc.Router); err != nil {
+	router, err := cluster.RouterByName(cc.Router)
+	if err != nil {
 		return nil, err
 	}
 	seen := make(map[string]bool)
@@ -398,20 +392,35 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fasttts: %w", err)
 	}
-	c := &Cluster{devices: devices, names: names, router: cc.Router, seed: cc.Seed, slo: cc.SLOLatency, mode: mode, strategy: strat, trace: cc.Trace}
-	if cc.Autoscale != nil {
-		auto := *cc.Autoscale
-		if _, err := control.ByName(auto.Policy); err != nil {
-			return nil, err
-		}
-		c.warm, c.warmN, err = expandDeviceSpecs(auto.WarmPool, "warm-pool template", "tmpl", seen)
+	c := &Cluster{names: names, cfg: cluster.Config{
+		Devices: devices, Router: router, Seed: cc.Seed,
+		Metrics: mode, SLOLatency: cc.SLOLatency, Strategy: strat,
+		Obs: cc.Trace.rec(),
+	}}
+	if a := cc.Autoscale; a != nil {
+		ctl, err := control.ByName(a.Policy)
 		if err != nil {
 			return nil, err
 		}
-		if auto.MaxTier == 0 {
-			auto.MaxTier = 2
+		var warm []cluster.Device
+		warm, c.warmN, err = expandDeviceSpecs(a.WarmPool, "warm-pool template", "tmpl", seen)
+		if err != nil {
+			return nil, err
 		}
-		c.auto = &auto
+		maxTier := a.MaxTier
+		if maxTier == 0 {
+			maxTier = 2
+		}
+		c.cfg.Control = &cluster.ControlConfig{
+			Controller:  ctl,
+			Interval:    a.Interval,
+			Warm:        warm,
+			WarmupDelay: a.WarmupDelay,
+			MinDevices:  a.MinDevices,
+			MaxDevices:  a.MaxDevices,
+			MaxTier:     maxTier,
+			SLOLatency:  cc.SLOLatency,
+		}
 	}
 	// Fail fast on anything fleet construction itself would reject.
 	if _, err := c.newFleet(); err != nil {
@@ -420,31 +429,20 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
+// newFleet builds a fleet from the validated config with a fresh router
+// and controller, so equal seeds give bit-identical runs.
 func (c *Cluster) newFleet() (*cluster.Fleet, error) {
-	router, err := cluster.RouterByName(c.router)
-	if err != nil {
+	cfg := c.cfg
+	var err error
+	if cfg.Router, err = cluster.RouterByName(cfg.Router.Name()); err != nil {
 		return nil, err
 	}
-	cfg := cluster.Config{
-		Devices: c.devices, Router: router, Seed: c.seed,
-		Metrics: c.mode, SLOLatency: c.slo, Strategy: c.strategy,
-		Obs: c.trace.rec(),
-	}
-	if c.auto != nil {
-		ctl, err := control.ByName(c.auto.Policy)
-		if err != nil {
+	if cfg.Control != nil {
+		ctl := *cfg.Control
+		if ctl.Controller, err = control.ByName(ctl.Controller.Name()); err != nil {
 			return nil, err
 		}
-		cfg.Control = &cluster.ControlConfig{
-			Controller:  ctl,
-			Interval:    c.auto.Interval,
-			Warm:        c.warm,
-			WarmupDelay: c.auto.WarmupDelay,
-			MinDevices:  c.auto.MinDevices,
-			MaxDevices:  c.auto.MaxDevices,
-			MaxTier:     c.auto.MaxTier,
-			SLOLatency:  c.slo,
-		}
+		cfg.Control = &ctl
 	}
 	return cluster.New(cfg)
 }
@@ -502,7 +500,7 @@ func (c *Cluster) Run(reqs []Request) (*FleetRun, error) {
 			Devices:   a.Devices,
 		})
 	}
-	fr.stats = c.wrapFleetStats(out.Stats(c.slo))
+	fr.stats = c.wrapFleetStats(out.Stats(c.cfg.SLOLatency))
 	return fr, nil
 }
 

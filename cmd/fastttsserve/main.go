@@ -27,8 +27,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -37,44 +39,68 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the flag set already printed the usage
+	}
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// output is where and how a run is reported.
+type output struct {
+	w        io.Writer
+	verbose  bool   // per-request (and per-device) telemetry
+	json     bool   // the full stats struct as JSON instead of tables
+	traceOut string // Perfetto trace file of the primary run
+	attr     bool   // the primary run's latency attribution
+}
+
+// run parses the command line, serves the generated stream and writes
+// the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("fastttsserve", flag.ContinueOnError)
 	var (
-		gpu         = flag.String("gpu", "RTX 4090", "GPU: RTX 4090, RTX 4070 Ti, RTX 3070 Ti")
-		pair        = flag.String("pair", "1.5B+1.5B", "model pair: 1.5B+1.5B, 1.5B+7B, 7B+1.5B")
-		alg         = flag.String("alg", "Beam Search", "search algorithm")
-		beams       = flag.Int("beams", 16, "number of beams per request")
-		mode        = flag.String("mode", "fasttts", "fasttts or baseline")
-		dataset     = flag.String("dataset", "AMC23", "dataset: AIME24, AMC23, MATH500, HumanEval")
-		n           = flag.Int("n", 16, "number of requests")
-		seed        = flag.Uint64("seed", 42, "random seed (deployment and arrivals)")
-		policy      = flag.String("policy", "fcfs", "serve policy: fcfs, sjf, priority, deadline")
-		strategy    = flag.String("strategy", "", "test-time-compute strategy: full-beam, first-finish[:k], deadline, hedged (empty = full beam; hedged needs -devices with >= 2 GPUs)")
-		compare     = flag.String("compare", "", "comma-separated extra policies (or, with -devices, routers) to run on the same trace")
-		rate        = flag.Float64("rate", 0.5, "open-loop Poisson arrival rate, requests/s")
-		closed      = flag.Bool("closed", false, "closed-loop (fixed-concurrency) instead of open-loop")
-		concurrency = flag.Int("concurrency", 4, "closed-loop client count")
-		think       = flag.Float64("think", 0, "closed-loop think time, seconds")
-		maxInFlight = flag.Int("max-inflight", 0, "admission limit per device (0 = unlimited)")
-		slo         = flag.Float64("slo", 0, "wall-latency SLO target in seconds (0 = none)")
-		verbose     = flag.Bool("v", false, "print per-request (and per-device) telemetry")
-		jsonOut     = flag.Bool("json", false, "emit the full stats struct as JSON instead of tables")
-		traceOut    = flag.String("trace-out", "", "write a Perfetto/Chrome trace of the primary run (first -policy/-router) to this file")
-		attr        = flag.Bool("attr", false, "report the primary run's latency attribution (wall = queue + service + re-prefill + straggler + preemption)")
-		devices     = flag.String("devices", "", "comma-separated fleet GPU names; non-empty selects fleet mode")
-		router      = flag.String("router", "rr", "fleet router: single, rr, least-work, jsq, p2c, prefix, cache-aware")
-		kvPlane     = flag.Bool("kv-plane", false, "enable the per-device KV-cache memory plane (capacity auto-sized from the device's KV budget)")
-		kvPlaneB    = flag.Int64("kv-plane-bytes", 0, "pin the KV memory-plane capacity in bytes (implies -kv-plane)")
-		fail        = flag.String("fail", "", "fail-stop injections, dev:time pairs (e.g. 1:200,3:350)")
-		slow        = flag.String("slow", "", "straggler factors, dev:factor pairs (e.g. 1:4)")
-		controller  = flag.String("controller", "", "elastic control policy: static, threshold, pid, budget (empty = no controller)")
-		warm        = flag.String("warm", "", "comma-separated warm-pool GPU names the controller may scale into")
-		ctlInterval = flag.Float64("control-interval", 20, "control period in fleet seconds")
-		warmup      = flag.Float64("warmup", 5, "warm-up delay before a scaled-up device becomes routable")
-		minDevices  = flag.Int("min-devices", 0, "drain floor for scale-down (0 = default 1)")
-		maxDevices  = flag.Int("max-devices", 0, "cap on routable+warming devices (0 = fleet + warm pool)")
-		maxTier     = flag.Int("max-tier", 0, "deepest compute-budget degradation tier (0 = default 2)")
-		exact       = flag.Bool("exact", false, "exact sort-based percentiles instead of the default streaming sketch (<1% relative error)")
+		gpu         = fs.String("gpu", "RTX 4090", "GPU: RTX 4090, RTX 4070 Ti, RTX 3070 Ti")
+		pair        = fs.String("pair", "1.5B+1.5B", "model pair: 1.5B+1.5B, 1.5B+7B, 7B+1.5B")
+		alg         = fs.String("alg", "Beam Search", "search algorithm")
+		beams       = fs.Int("beams", 16, "number of beams per request")
+		mode        = fs.String("mode", "fasttts", "fasttts or baseline")
+		dataset     = fs.String("dataset", "AMC23", "dataset: AIME24, AMC23, MATH500, HumanEval")
+		n           = fs.Int("n", 16, "number of requests")
+		seed        = fs.Uint64("seed", 42, "random seed (deployment and arrivals)")
+		policy      = fs.String("policy", "fcfs", "serve policy: fcfs, sjf, priority, deadline")
+		strategy    = fs.String("strategy", "", "test-time-compute strategy: full-beam, first-finish[:k], deadline, hedged (empty = full beam; hedged needs -devices with >= 2 GPUs)")
+		compare     = fs.String("compare", "", "comma-separated extra policies (or, with -devices, routers) to run on the same trace")
+		rate        = fs.Float64("rate", 0.5, "open-loop Poisson arrival rate, requests/s")
+		closed      = fs.Bool("closed", false, "closed-loop (fixed-concurrency) instead of open-loop")
+		concurrency = fs.Int("concurrency", 4, "closed-loop client count")
+		think       = fs.Float64("think", 0, "closed-loop think time, seconds")
+		maxInFlight = fs.Int("max-inflight", 0, "admission limit per device (0 = unlimited)")
+		slo         = fs.Float64("slo", 0, "wall-latency SLO target in seconds (0 = none)")
+		verbose     = fs.Bool("v", false, "print per-request (and per-device) telemetry")
+		jsonOut     = fs.Bool("json", false, "emit the full stats struct as JSON instead of tables")
+		traceOut    = fs.String("trace-out", "", "write a Perfetto/Chrome trace of the primary run (first -policy/-router) to this file")
+		attr        = fs.Bool("attr", false, "report the primary run's latency attribution (wall = queue + service + re-prefill + straggler + preemption)")
+		devices     = fs.String("devices", "", "comma-separated fleet GPU names; non-empty selects fleet mode")
+		router      = fs.String("router", "rr", "fleet router: single, rr, least-work, jsq, p2c, prefix, cache-aware")
+		kvPlane     = fs.Bool("kv-plane", false, "enable the per-device KV-cache memory plane (capacity auto-sized from the device's KV budget)")
+		kvPlaneB    = fs.Int64("kv-plane-bytes", 0, "pin the KV memory-plane capacity in bytes (implies -kv-plane)")
+		fail        = fs.String("fail", "", "fail-stop injections, dev:time pairs (e.g. 1:200,3:350)")
+		slow        = fs.String("slow", "", "straggler factors, dev:factor pairs (e.g. 1:4)")
+		controller  = fs.String("controller", "", "elastic control policy: static, threshold, pid, budget (empty = no controller)")
+		warm        = fs.String("warm", "", "comma-separated warm-pool GPU names the controller may scale into")
+		ctlInterval = fs.Float64("control-interval", 20, "control period in fleet seconds")
+		warmup      = fs.Float64("warmup", 5, "warm-up delay before a scaled-up device becomes routable")
+		minDevices  = fs.Int("min-devices", 0, "drain floor for scale-down (0 = default 1)")
+		maxDevices  = fs.Int("max-devices", 0, "cap on routable+warming devices (0 = fleet + warm pool)")
+		maxTier     = fs.Int("max-tier", 0, "deepest compute-budget degradation tier (0 = default 2)")
+		exact       = fs.Bool("exact", false, "exact sort-based percentiles instead of the default streaming sketch (<1% relative error)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	// The load-test tool defaults to the streaming sketch and -exact
 	// restores the sort path. Library and scenario/golden defaults remain
@@ -84,15 +110,18 @@ func main() {
 		metricsMode = fasttts.MetricsExact
 	}
 
+	if *n < 0 {
+		return fmt.Errorf("-n must be non-negative (got %d)", *n)
+	}
 	if !*closed && *rate <= 0 {
-		fatal(fmt.Errorf("open-loop -rate must be positive (got %v)", *rate))
+		return fmt.Errorf("open-loop -rate must be positive (got %v)", *rate)
 	}
 	if *closed && *concurrency < 1 {
-		fatal(fmt.Errorf("closed-loop -concurrency must be at least 1 (got %d)", *concurrency))
+		return fmt.Errorf("closed-loop -concurrency must be at least 1 (got %d)", *concurrency)
 	}
 	ds, err := fasttts.LoadDataset(*dataset, 7)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// Tracing is opt-in: a recorder only exists when a trace or the
 	// attribution report was asked for, and it is attached to the primary
@@ -105,6 +134,7 @@ func main() {
 	for i := range probs {
 		probs[i] = ds.Problems[i%len(ds.Problems)]
 	}
+	o := output{w: stdout, verbose: *verbose, json: *jsonOut, traceOut: *traceOut, attr: *attr}
 
 	baseCfg := func(seed uint64) fasttts.Config {
 		return fasttts.Config{
@@ -122,34 +152,67 @@ func main() {
 
 	if *devices != "" {
 		if *closed {
-			fatal(fmt.Errorf("fleet mode is open-loop only; drop -closed"))
+			return fmt.Errorf("fleet mode is open-loop only; drop -closed")
 		}
-		runFleet(fleetArgs{
-			gpus: splitList(*devices), router: *router, compare: splitList(*compare),
-			policy: *policy, strategy: *strategy, maxInFlight: *maxInFlight,
-			fail: *fail, slow: *slow,
-			controller: *controller, warm: splitList(*warm),
-			ctlInterval: *ctlInterval, warmup: *warmup,
-			minDevices: *minDevices, maxDevices: *maxDevices, maxTier: *maxTier,
-			probs: probs, rate: *rate, seed: *seed, slo: *slo,
-			dataset: *dataset, base: baseCfg, verbose: *verbose, jsonOut: *jsonOut,
-			metrics: metricsMode, trace: rec, traceOut: *traceOut, attr: *attr,
-		})
-		return
+		gpus := splitList(*devices)
+		fails, err := parseDeviceVals(*fail, len(gpus))
+		if err != nil {
+			return fmt.Errorf("-fail: %w", err)
+		}
+		slows, err := parseDeviceVals(*slow, len(gpus))
+		if err != nil {
+			return fmt.Errorf("-slow: %w", err)
+		}
+		device := func(g string, seed uint64) fasttts.DeviceSpec {
+			cfg := baseCfg(seed)
+			cfg.GPU = g
+			// Fleet mode drives the strategy through the cluster-level knob
+			// so hedging can replicate across devices; the per-device field
+			// stays clear.
+			cfg.Strategy = ""
+			return fasttts.DeviceSpec{Config: cfg, Policy: *policy, MaxInFlight: *maxInFlight}
+		}
+		cc := fasttts.ClusterConfig{
+			Router:     *router,
+			Seed:       *seed,
+			SLOLatency: *slo,
+			Strategy:   *strategy,
+			Metrics:    metricsMode,
+			Trace:      rec,
+		}
+		for i, g := range gpus {
+			d := device(g, *seed+uint64(i))
+			d.Slowdown, d.FailAt = slows[i], fails[i]
+			cc.Devices = append(cc.Devices, d)
+		}
+		if *controller != "" {
+			cc.Autoscale = &fasttts.AutoscaleConfig{
+				Policy:      *controller,
+				Interval:    *ctlInterval,
+				WarmupDelay: *warmup,
+				MinDevices:  *minDevices,
+				MaxDevices:  *maxDevices,
+				MaxTier:     *maxTier,
+			}
+			for i, g := range splitList(*warm) {
+				cc.Autoscale.WarmPool = append(cc.Autoscale.WarmPool, device(g, *seed+uint64(100+i)))
+			}
+		}
+		return runFleet(o, cc, splitList(*compare), fasttts.PoissonRequests(probs, *rate, *seed), *dataset, *rate)
 	}
 
 	policies := append([]string{*policy}, splitList(*compare)...)
 
-	if !*jsonOut {
+	if !o.json {
 		if *closed {
-			fmt.Printf("closed loop: %d requests, %d clients, think %.1fs, %s on %s\n",
+			fmt.Fprintf(o.w, "closed loop: %d requests, %d clients, think %.1fs, %s on %s\n",
 				*n, *concurrency, *think, *dataset, *gpu)
 		} else {
-			fmt.Printf("open loop: %d requests, Poisson rate %.2f req/s, %s on %s\n",
+			fmt.Fprintf(o.w, "open loop: %d requests, Poisson rate %.2f req/s, %s on %s\n",
 				*n, *rate, *dataset, *gpu)
 		}
-		fmt.Printf("metrics: %s\n\n", describeMetrics(metricsMode))
-		fmt.Printf("%-10s %9s %7s %7s %6s %9s %9s %9s %9s %9s %8s %6s\n",
+		fmt.Fprintf(o.w, "metrics: %s\n\n", describeMetrics(metricsMode))
+		fmt.Fprintf(o.w, "%-10s %9s %7s %7s %6s %9s %9s %9s %9s %9s %8s %6s\n",
 			"policy", "metrics", "served", "reject", "nonfin", "mean_q(s)", "p50(s)", "p95(s)", "p99(s)", "goodput", "slo_att", "mksp")
 	}
 	report := serveReport(*dataset, *n, *closed, *rate, *seed, *strategy)
@@ -167,7 +230,7 @@ func main() {
 			Trace:       tr,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		var served []fasttts.ServedResult
 		if *closed {
@@ -176,65 +239,33 @@ func main() {
 			served, err = srv.Run(fasttts.PoissonRequests(probs, *rate, *seed))
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		st := srv.Stats(served)
-		if *jsonOut {
+		if o.json {
 			report.Runs = append(report.Runs, runJSON{Policy: pol, Stats: st})
 			continue
 		}
-		fmt.Printf("%-10s %9s %7d %7d %6d %9.2f %9.2f %9.2f %9.2f %9.2f %7.0f%% %6.0f\n",
+		fmt.Fprintf(o.w, "%-10s %9s %7d %7d %6d %9.2f %9.2f %9.2f %9.2f %9.2f %7.0f%% %6.0f\n",
 			pol, string(metricsMode), st.Served, st.Rejected, st.NonFinite, st.MeanQueueDelay,
 			st.P50Latency, st.P95Latency, st.P99Latency,
 			st.Goodput, 100*st.SLOAttainment, st.Makespan)
-		if *verbose {
-			fmt.Printf("\n%5s %9s %9s %9s %9s %9s %7s\n",
+		if o.verbose {
+			fmt.Fprintf(o.w, "\n%5s %9s %9s %9s %9s %9s %7s\n",
 				"req", "arrival", "start", "finish", "queued", "service", "slices")
 			for i, sv := range served {
 				if sv.Rejected {
-					fmt.Printf("%5d %9.2f %30s\n", i, sv.ArrivalTime, "rejected (admission)")
+					fmt.Fprintf(o.w, "%5d %9.2f %30s\n", i, sv.ArrivalTime, "rejected (admission)")
 					continue
 				}
-				fmt.Printf("%5d %9.2f %9.2f %9.2f %9.2f %9.2f %7d\n",
+				fmt.Fprintf(o.w, "%5d %9.2f %9.2f %9.2f %9.2f %9.2f %7d\n",
 					i, sv.ArrivalTime, sv.StartTime, sv.FinishTime,
 					sv.QueueDelay, sv.Latency, sv.Slices)
 			}
-			fmt.Println()
+			fmt.Fprintln(o.w)
 		}
 	}
-	finishTrace(rec, *traceOut, *attr, *jsonOut, &report)
-	if *jsonOut {
-		emitJSON(report)
-	}
-}
-
-type fleetArgs struct {
-	gpus        []string
-	router      string
-	compare     []string
-	policy      string
-	strategy    string
-	maxInFlight int
-	fail, slow  string
-	controller  string
-	warm        []string
-	ctlInterval float64
-	warmup      float64
-	minDevices  int
-	maxDevices  int
-	maxTier     int
-	probs       []*fasttts.Problem
-	rate        float64
-	seed        uint64
-	slo         float64
-	dataset     string
-	base        func(uint64) fasttts.Config
-	verbose     bool
-	jsonOut     bool
-	metrics     fasttts.MetricsMode
-	trace       *fasttts.Recorder
-	traceOut    string
-	attr        bool
+	return finish(rec, o, report)
 }
 
 // describeMetrics renders the aggregation mode for the preamble.
@@ -245,126 +276,77 @@ func describeMetrics(m fasttts.MetricsMode) string {
 	return "exact (sort-based percentiles)"
 }
 
-func runFleet(a fleetArgs) {
-	fails, err := parseDeviceVals(a.fail, len(a.gpus))
-	if err != nil {
-		fatal(fmt.Errorf("-fail: %w", err))
-	}
-	slows, err := parseDeviceVals(a.slow, len(a.gpus))
-	if err != nil {
-		fatal(fmt.Errorf("-slow: %w", err))
-	}
-	specs := make([]fasttts.DeviceSpec, len(a.gpus))
-	for i, g := range a.gpus {
-		cfg := a.base(a.seed + uint64(i))
-		cfg.GPU = g
-		// Fleet mode drives the strategy through the cluster-level knob so
-		// hedging can replicate across devices; the per-device field stays
-		// clear.
-		cfg.Strategy = ""
-		specs[i] = fasttts.DeviceSpec{
-			Config:      cfg,
-			Policy:      a.policy,
-			MaxInFlight: a.maxInFlight,
-			Slowdown:    slows[i],
-			FailAt:      fails[i],
-		}
-	}
-	var auto *fasttts.AutoscaleConfig
-	if a.controller != "" {
-		pool := make([]fasttts.DeviceSpec, len(a.warm))
-		for i, g := range a.warm {
-			cfg := a.base(a.seed + uint64(100+i))
-			cfg.GPU = g
-			cfg.Strategy = ""
-			pool[i] = fasttts.DeviceSpec{Config: cfg, Policy: a.policy, MaxInFlight: a.maxInFlight}
-		}
-		auto = &fasttts.AutoscaleConfig{
-			Policy:      a.controller,
-			Interval:    a.ctlInterval,
-			WarmPool:    pool,
-			WarmupDelay: a.warmup,
-			MinDevices:  a.minDevices,
-			MaxDevices:  a.maxDevices,
-			MaxTier:     a.maxTier,
-		}
-	}
-	reqs := fasttts.PoissonRequests(a.probs, a.rate, a.seed)
-	routers := append([]string{a.router}, a.compare...)
+// runFleet serves reqs on the fleet cc describes, once under cc.Router
+// and once under each compare router, and reports every run. Only the
+// primary run carries cc.Trace.
+func runFleet(o output, cc fasttts.ClusterConfig, compare []string, reqs []fasttts.Request, dataset string, rate float64) error {
+	routers := append([]string{cc.Router}, compare...)
 	clusters := make([]*fasttts.Cluster, len(routers))
 	for i, rt := range routers {
-		var tr *fasttts.Recorder
-		if i == 0 {
-			tr = a.trace
+		c := cc
+		c.Router = rt
+		if i > 0 {
+			c.Trace = nil
 		}
-		cl, err := fasttts.NewCluster(fasttts.ClusterConfig{
-			Devices:    specs,
-			Router:     rt,
-			Seed:       a.seed,
-			SLOLatency: a.slo,
-			Strategy:   a.strategy,
-			Autoscale:  auto,
-			Metrics:    a.metrics,
-			Trace:      tr,
-		})
+		cl, err := fasttts.NewCluster(c)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		clusters[i] = cl
 	}
 
-	if !a.jsonOut {
-		fmt.Printf("fleet: %d devices, %d requests, Poisson rate %.2f req/s, %s\n",
-			len(a.gpus), len(a.probs), a.rate, a.dataset)
-		for i, g := range a.gpus {
+	if !o.json {
+		fmt.Fprintf(o.w, "fleet: %d devices, %d requests, Poisson rate %.2f req/s, %s\n",
+			len(cc.Devices), len(reqs), rate, dataset)
+		for i, d := range cc.Devices {
 			note := ""
-			if slows[i] > 1 {
-				note += fmt.Sprintf("  slowdown %.1fx", slows[i])
+			if d.Slowdown > 1 {
+				note += fmt.Sprintf("  slowdown %.1fx", d.Slowdown)
 			}
-			if fails[i] > 0 {
-				note += fmt.Sprintf("  fails at t=%.0f", fails[i])
+			if d.FailAt > 0 {
+				note += fmt.Sprintf("  fails at t=%.0f", d.FailAt)
 			}
-			fmt.Printf("  device %d: %s%s\n", i, g, note)
+			fmt.Fprintf(o.w, "  device %d: %s%s\n", i, d.GPU, note)
 		}
-		if a.controller != "" {
-			fmt.Printf("  controller: %s, interval %.0fs, warm pool [%s], warm-up %.0fs\n",
-				a.controller, a.ctlInterval, strings.Join(a.warm, ", "), a.warmup)
+		if a := cc.Autoscale; a != nil {
+			fmt.Fprintf(o.w, "  controller: %s, interval %.0fs, warm pool [%s], warm-up %.0fs\n",
+				a.Policy, a.Interval, strings.Join(gpuNames(a.WarmPool), ", "), a.WarmupDelay)
 		}
-		if a.strategy != "" {
-			fmt.Printf("  strategy: %s\n", a.strategy)
+		if cc.Strategy != "" {
+			fmt.Fprintf(o.w, "  strategy: %s\n", cc.Strategy)
 		}
-		fmt.Printf("  metrics: %s\n", describeMetrics(a.metrics))
-		fmt.Printf("\n%-10s %9s %7s %7s %7s %9s %9s %9s %9s %6s %6s %6s %8s %8s %6s\n",
+		fmt.Fprintf(o.w, "  metrics: %s\n", describeMetrics(cc.Metrics))
+		fmt.Fprintf(o.w, "\n%-10s %9s %7s %7s %7s %9s %9s %9s %9s %6s %6s %6s %8s %8s %6s\n",
 			"router", "metrics", "served", "reject", "requeue", "p50(s)", "p95(s)", "p99(s)", "goodput", "imb", "hit%", "cache%", "slo_att", "devsec", "mksp")
 	}
-	report := fleetReport(a.dataset, len(a.probs), a.rate, a.seed, a.gpus, a.strategy)
+	report := fleetReport(dataset, len(reqs), rate, cc.Seed, gpuNames(cc.Devices), cc.Strategy)
 	for i, rt := range routers {
 		run, err := clusters[i].Run(reqs)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		st := run.Stats()
-		if a.jsonOut {
+		if o.json {
 			report.Runs = append(report.Runs, fleetRunJSON(rt, st))
 			continue
 		}
-		fmt.Printf("%-10s %9s %7d %7d %7d %9.2f %9.2f %9.2f %9.2f %6.2f %5.0f%% %5.0f%% %7.0f%% %8.0f %6.0f\n",
-			rt, string(a.metrics), st.Served, st.Rejected, st.Requeues,
+		fmt.Fprintf(o.w, "%-10s %9s %7d %7d %7d %9.2f %9.2f %9.2f %9.2f %6.2f %5.0f%% %5.0f%% %7.0f%% %8.0f %6.0f\n",
+			rt, string(cc.Metrics), st.Served, st.Rejected, st.Requeues,
 			st.P50Latency, st.P95Latency, st.P99Latency,
 			st.Goodput, st.ImbalanceCV, 100*st.PrefixHitRate, 100*st.CacheHitRate,
 			100*st.SLOAttainment, st.DeviceSeconds, st.Makespan)
-		if cs := st.Control; cs != nil && !a.jsonOut {
-			fmt.Printf("  control: %d ticks, %d ups, %d downs, %d tier moves (final tier %d), peak %d devices, %d degraded\n",
+		if cs := st.Control; cs != nil {
+			fmt.Fprintf(o.w, "  control: %d ticks, %d ups, %d downs, %d tier moves (final tier %d), peak %d devices, %d degraded\n",
 				cs.Ticks, cs.ScaleUps, cs.ScaleDowns, cs.TierChanges, cs.FinalTier, cs.PeakDevices, cs.DegradedRequests)
-			if a.verbose {
+			if o.verbose {
 				for _, act := range run.Actions {
-					fmt.Printf("    t=%-7.1f %-10s requested %d applied %d devices %v\n",
+					fmt.Fprintf(o.w, "    t=%-7.1f %-10s requested %d applied %d devices %v\n",
 						act.Time, act.Action, act.Requested, act.Applied, act.Devices)
 				}
 			}
 		}
-		if a.verbose {
-			fmt.Printf("\n%8s %18s %7s %9s %7s %9s %9s %7s %7s\n",
+		if o.verbose {
+			fmt.Fprintf(o.w, "\n%8s %18s %7s %9s %7s %9s %9s %7s %7s\n",
 				"device", "name", "served", "busy(s)", "util", "goodput", "live(s)", "cache", "state")
 			for _, d := range st.PerDevice {
 				state := "ok"
@@ -374,18 +356,24 @@ func runFleet(a fleetArgs) {
 				case d.Drained:
 					state = "drained"
 				}
-				fmt.Printf("%8d %18s %7d %9.1f %6.0f%% %9.2f %9.1f %6.0f%% %7s\n",
+				fmt.Fprintf(o.w, "%8d %18s %7d %9.1f %6.0f%% %9.2f %9.1f %6.0f%% %7s\n",
 					d.Device, d.Name, d.Served, d.BusyTime,
 					100*d.Utilization, d.Goodput, d.LiveSeconds,
 					100*d.CacheOccupancy, state)
 			}
-			fmt.Println()
+			fmt.Fprintln(o.w)
 		}
 	}
-	finishTrace(a.trace, a.traceOut, a.attr, a.jsonOut, &report)
-	if a.jsonOut {
-		emitJSON(report)
+	return finish(cc.Trace, o, report)
+}
+
+// gpuNames lists the GPU of each device spec.
+func gpuNames(specs []fasttts.DeviceSpec) []string {
+	out := make([]string, len(specs))
+	for i, d := range specs {
+		out[i] = d.GPU
 	}
+	return out
 }
 
 type runJSON struct {
@@ -445,38 +433,46 @@ func effectiveStrategy(s string) string {
 	return s
 }
 
-// finishTrace drains the primary run's recorder: it writes the Perfetto
-// export when -trace-out was given and reports the latency-attribution
-// rollup when -attr was — into the JSON report in -json mode, as a table
-// otherwise. No-op when tracing is off (nil recorder).
-func finishTrace(rec *fasttts.Recorder, traceOut string, attr, jsonOut bool, report *reportJSON) {
-	if rec == nil {
-		return
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
+// finish drains the primary run's recorder and emits the report: it
+// writes the Perfetto export when -trace-out was given, reports the
+// latency-attribution rollup when -attr was — into the JSON report in
+// -json mode, as a table otherwise — and then writes the JSON report in
+// -json mode. rec is nil when tracing is off.
+func finish(rec *fasttts.Recorder, o output, report reportJSON) error {
+	if rec != nil && o.traceOut != "" {
+		f, err := os.Create(o.traceOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := rec.WritePerfetto(f); err != nil {
 			f.Close()
-			fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	if !attr {
-		return
+	if rec != nil && o.attr {
+		st := rec.AttributionSummary()
+		if o.json {
+			report.Attribution = &st
+		} else {
+			writeAttribution(o.w, st)
+		}
 	}
-	st := rec.AttributionSummary()
-	if jsonOut {
-		report.Attribution = &st
-		return
+	if !o.json {
+		return nil
 	}
-	fmt.Printf("\nattribution (primary run): %d requests, %d hedged, %d slices, %d preemptions, %d requeues\n",
+	enc := json.NewEncoder(o.w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(report)
+}
+
+// writeAttribution prints the attribution rollup as a table.
+func writeAttribution(w io.Writer, st fasttts.AttributionStats) {
+	fmt.Fprintf(w, "\nattribution (primary run): %d requests, %d hedged, %d slices, %d preemptions, %d requeues\n",
 		st.Requests, st.Hedged, st.Slices, st.Preemptions, st.Requeues)
-	fmt.Printf("%-12s %12s %8s\n", "component", "seconds", "share")
+	fmt.Fprintf(w, "%-12s %12s %8s\n", "component", "seconds", "share")
 	total := st.Wall
 	for _, c := range []struct {
 		name string
@@ -489,20 +485,12 @@ func finishTrace(rec *fasttts.Recorder, traceOut string, attr, jsonOut bool, rep
 		if total > 0 {
 			share = 100 * c.val / total
 		}
-		fmt.Printf("%-12s %12.2f %7.1f%%\n", c.name, c.val, share)
+		fmt.Fprintf(w, "%-12s %12.2f %7.1f%%\n", c.name, c.val, share)
 	}
-	fmt.Printf("%-12s %12.2f %7.1f%%\n", "wall", total, 100.0)
+	fmt.Fprintf(w, "%-12s %12.2f %7.1f%%\n", "wall", total, 100.0)
 	if st.HedgeWaste > 0 || st.LostWork > 0 {
-		fmt.Printf("side channels: hedge-waste %.2fs, lost-work %.2fs (overlap wall, not added)\n",
+		fmt.Fprintf(w, "side channels: hedge-waste %.2fs, lost-work %.2fs (overlap wall, not added)\n",
 			st.HedgeWaste, st.LostWork)
-	}
-}
-
-func emitJSON(r reportJSON) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		fatal(err)
 	}
 }
 

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"testing"
 
 	"fasttts"
@@ -149,6 +152,73 @@ func TestFleetStatsBlobCarriesJoinKeys(t *testing.T) {
 	}
 	if run["cache_hit_rate"] != 0.5 {
 		t.Errorf("run cache_hit_rate = %v, want 0.5", run["cache_hit_rate"])
+	}
+}
+
+// TestRunFleet drives fleet mode end to end through run: a hedged fleet
+// with a threshold controller and a warm pool, compared under a second
+// router, decoded from the -json report.
+func TestRunFleet(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-n", "4", "-devices", "RTX 4090,RTX 4090", "-strategy", "hedged",
+		"-controller", "threshold", "-warm", "RTX 4090", "-compare", "rr", "-json"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report struct {
+		Mode     string
+		Strategy string
+		Devices  []string
+		Runs     []struct {
+			Router string
+			Stats  fasttts.FleetStats
+		}
+	}
+	if err := json.Unmarshal(out.Bytes(), &report); err != nil {
+		t.Fatalf("decoding the report: %v\n%s", err, out.Bytes())
+	}
+	if report.Mode != "fleet" || report.Strategy != "hedged" || len(report.Devices) != 2 {
+		t.Errorf("report header = %q/%q/%v, want fleet/hedged/2 devices", report.Mode, report.Strategy, report.Devices)
+	}
+	if len(report.Runs) != 2 {
+		t.Fatalf("%d runs, want 2 (primary + one -compare)", len(report.Runs))
+	}
+	for i, r := range report.Runs {
+		if r.Router != "rr" {
+			t.Errorf("run %d router = %q, want rr", i, r.Router)
+		}
+		if r.Stats.Control == nil {
+			t.Errorf("run %d has no control stats under -controller threshold", i)
+		}
+		if got := r.Stats.Served + r.Stats.Rejected; got != 4 {
+			t.Errorf("run %d accounts for %d requests, want 4", i, got)
+		}
+	}
+}
+
+// TestServeCLIRejectsHostileInput pins that bad flag values come back as
+// errors from run: none panics and none is silently served.
+func TestServeCLIRejectsHostileInput(t *testing.T) {
+	fleet := []string{"-n", "4", "-devices", "RTX 4090,RTX 4090"}
+	for _, args := range [][]string{
+		{"-n", "-1"},
+		{"-n", "4", "-devices", ","},
+		append(fleet, "-fail", "9:10"),
+		append(fleet, "-slow", "0:NaN"),
+		{"-n", "4", "-rate", "0"},
+		append(fleet, "-closed"),
+		append(fleet, "-controller", "bogus"),
+	} {
+		t.Run(fmt.Sprint(args), func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("run panicked: %v", p)
+				}
+			}()
+			if err := run(args, io.Discard); err == nil {
+				t.Error("run accepted hostile input")
+			}
+		})
 	}
 }
 

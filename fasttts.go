@@ -182,14 +182,10 @@
 // # Workload scenarios and golden-trace regression
 //
 // RunScenario serves one of the named, composable workload scenarios
-// (internal/scenario) — steady, diurnal (sinusoidal-rate arrivals),
-// flash-crowd, heavy-tail, tenant-mix, fleet-churn (staggered fail-stop
-// plus stragglers), burst-storm, the controller-driven
-// autoscale-diurnal, flash-absorb, and budget-storm, the KV
-// memory-plane cache-thrash and shared-prefix-storm, and the
-// test-time-compute-strategy first-finish-mix and hedged-tail — on either the
-// single-server or the cluster target. Every scenario builds a deterministic request stream,
-// so a run is bit-identically reproducible; ScenarioRun.TraceJSONL
+// (see Scenarios) on either the single-server or the cluster target.
+// Every scenario builds a deterministic request stream and describes its
+// deployment with the same public ClusterConfig a caller would write, so
+// a run is bit-identically reproducible; ScenarioRun.TraceJSONL
 // renders it as a canonical record/replay trace (internal/trace), and
 // the committed goldens under testdata/golden gate CI: replaying every
 // scenario must reproduce its golden byte-for-byte (`make scenarios`;

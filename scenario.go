@@ -3,7 +3,6 @@ package fasttts
 import (
 	"fmt"
 
-	"fasttts/internal/scenario"
 	"fasttts/internal/trace"
 )
 
@@ -25,16 +24,17 @@ type ScenarioInfo struct {
 	Description string
 }
 
-// Scenarios lists the built-in workload scenario catalog (see
-// internal/scenario): steady, diurnal, flash-crowd, heavy-tail,
-// tenant-mix, fleet-churn, burst-storm, the controller-driven
-// autoscale-diurnal, flash-absorb, and budget-storm, the KV
-// memory-plane cache-thrash and shared-prefix-storm, and the
-// test-time-compute-strategy first-finish-mix and hedged-tail.
+// Scenarios lists the built-in workload scenario catalog, in display
+// order: steady, diurnal, flash-crowd, heavy-tail, tenant-mix,
+// fleet-churn, burst-storm, the controller-driven autoscale-diurnal,
+// flash-absorb, and budget-storm, the KV memory-plane cache-thrash and
+// shared-prefix-storm, and the test-time-compute-strategy
+// first-finish-mix and hedged-tail.
 func Scenarios() []ScenarioInfo {
-	var out []ScenarioInfo
-	for _, s := range scenario.All() {
-		out = append(out, ScenarioInfo{Name: s.Name, Description: s.Description})
+	all := scenarioCatalog()
+	out := make([]ScenarioInfo, len(all))
+	for i, s := range all {
+		out[i] = s.ScenarioInfo
 	}
 	return out
 }
@@ -107,36 +107,35 @@ func (r *ScenarioRun) TraceJSONL() ([]byte, error) { return r.tr.EncodeJSONL() }
 // full served stream as a replayable trace. See Scenarios for the
 // catalog.
 func RunScenario(name string, opts ScenarioOptions) (*ScenarioRun, error) {
-	sc, err := scenario.ByName(name)
+	sc, err := scenarioByName(name)
 	if err != nil {
 		return nil, err
 	}
-	spec := sc.Build(scenario.Params{Requests: opts.Requests, Seed: opts.Seed})
+	spec := sc.build(scenarioParams{requests: opts.Requests, seed: opts.Seed})
+	cc := &spec.cluster
 	if opts.Router != "" {
-		spec.Router = opts.Router
+		cc.Router = opts.Router
 	}
 	if opts.Strategy != "" {
-		spec.Strategy = opts.Strategy
+		cc.Strategy = opts.Strategy
 	}
 	if opts.KVPlaneBytes != 0 {
-		capacity := opts.KVPlaneBytes
-		if capacity < 0 {
-			capacity = 0
+		capacity := max(opts.KVPlaneBytes, 0)
+		for i := range cc.Devices {
+			cc.Devices[i].KVPlaneBytes = capacity
 		}
-		for i := range spec.Devices {
-			spec.Devices[i].KVPlaneBytes = capacity
-		}
-		if spec.Autoscale != nil {
-			for i := range spec.Autoscale.Warm {
-				spec.Autoscale.Warm[i].KVPlaneBytes = capacity
+		if cc.Autoscale != nil {
+			for i := range cc.Autoscale.WarmPool {
+				cc.Autoscale.WarmPool[i].KVPlaneBytes = capacity
 			}
 		}
 	}
+	cc.Trace = opts.Trace
 	target := opts.Target
 	if target == "" {
 		target = ScenarioServer
 	}
-	reqs, err := materializeRequests(spec)
+	reqs, err := materializeRequests(sc.Name, cc.Seed, spec.requests)
 	if err != nil {
 		return nil, err
 	}
@@ -144,20 +143,23 @@ func RunScenario(name string, opts ScenarioOptions) (*ScenarioRun, error) {
 		Name:        sc.Name,
 		Description: sc.Description,
 		Target:      target,
-		Seed:        spec.Seed,
+		Seed:        cc.Seed,
 		Requests:    reqs,
+		tr: &trace.RunTrace{
+			Scenario: sc.Name,
+			Target:   string(target),
+			Seed:     cc.Seed,
+			Requests: len(reqs),
+		},
 	}
 	switch target {
 	case ScenarioServer:
-		cfg := deviceConfig(spec.Devices[0])
-		cfg.Strategy = spec.Strategy
-		srv, err := NewServerWith(ServeConfig{
-			Config:      cfg,
-			Policy:      spec.Serve.Policy,
-			MaxInFlight: spec.Serve.MaxInFlight,
-			SLOLatency:  spec.SLOLatency,
-			Trace:       opts.Trace,
-		})
+		sv := spec.serve
+		sv.Config = cc.Devices[0].Config
+		sv.Strategy = cc.Strategy
+		sv.SLOLatency = cc.SLOLatency
+		sv.Trace = cc.Trace
+		srv, err := NewServerWith(sv)
 		if err != nil {
 			return nil, err
 		}
@@ -167,48 +169,11 @@ func RunScenario(name string, opts ScenarioOptions) (*ScenarioRun, error) {
 		}
 		run.Served = served
 		run.Stats = srv.Stats(served)
-		run.tr = serverTrace(spec, served, run.Stats)
+		for _, r := range served {
+			run.tr.Records = append(run.tr.Records, traceRecord(r, 0, 0))
+		}
 	case ScenarioCluster:
-		devices := make([]DeviceSpec, len(spec.Devices))
-		for i, d := range spec.Devices {
-			devices[i] = DeviceSpec{
-				Config:      deviceConfig(d),
-				Policy:      d.Policy,
-				MaxInFlight: d.MaxInFlight,
-				Slowdown:    d.Slowdown,
-				FailAt:      d.FailAt,
-			}
-		}
-		var auto *AutoscaleConfig
-		if a := spec.Autoscale; a != nil {
-			warm := make([]DeviceSpec, len(a.Warm))
-			for i, d := range a.Warm {
-				warm[i] = DeviceSpec{
-					Config:      deviceConfig(d),
-					Policy:      d.Policy,
-					MaxInFlight: d.MaxInFlight,
-					Slowdown:    d.Slowdown,
-				}
-			}
-			auto = &AutoscaleConfig{
-				Policy:      a.Controller,
-				Interval:    a.Interval,
-				WarmPool:    warm,
-				WarmupDelay: a.WarmupDelay,
-				MinDevices:  a.MinDevices,
-				MaxDevices:  a.MaxDevices,
-				MaxTier:     a.MaxTier,
-			}
-		}
-		cl, err := NewCluster(ClusterConfig{
-			Devices:    devices,
-			Router:     spec.Router,
-			Seed:       spec.Seed,
-			SLOLatency: spec.SLOLatency,
-			Strategy:   spec.Strategy,
-			Autoscale:  auto,
-			Trace:      opts.Trace,
-		})
+		cl, err := NewCluster(*cc)
 		if err != nil {
 			return nil, err
 		}
@@ -220,83 +185,48 @@ func RunScenario(name string, opts ScenarioOptions) (*ScenarioRun, error) {
 		run.Fleet = fr
 		run.Stats = st.ServeStats
 		run.FleetStats = &st
-		run.tr = clusterTrace(spec, fr, st)
+		for _, r := range fr.Results {
+			run.tr.Records = append(run.tr.Records, traceRecord(r.ServedResult, r.Device, r.Requeues))
+		}
+		run.tr.Stats.ImbalanceCV = st.ImbalanceCV
+		run.tr.Stats.Requeues = st.Requeues
+		run.tr.Stats.PrefixHitRate = st.PrefixHitRate
+		run.tr.Stats.FailedDevices = st.FailedDevices
 	default:
 		return nil, fmt.Errorf("fasttts: unknown scenario target %q (want %q or %q)",
 			target, ScenarioServer, ScenarioCluster)
 	}
+	fillServeStats(&run.tr.Stats, run.Stats)
 	return run, nil
 }
 
-// materializeRequests resolves a scenario spec's problem references
-// against seed-pinned datasets.
-func materializeRequests(spec scenario.Spec) ([]Request, error) {
+// materializeRequests resolves a scenario's problem references against
+// datasets pinned to the run seed.
+func materializeRequests(name string, seed uint64, refs []scenarioRequest) ([]Request, error) {
 	datasets := map[string]*Dataset{}
-	out := make([]Request, len(spec.Requests))
-	for i, rq := range spec.Requests {
-		ds, ok := datasets[rq.Dataset]
+	out := make([]Request, len(refs))
+	for i, rq := range refs {
+		ds, ok := datasets[rq.dataset]
 		if !ok {
 			var err error
-			ds, err = LoadDataset(rq.Dataset, spec.Seed)
+			ds, err = LoadDataset(rq.dataset, seed)
 			if err != nil {
-				return nil, fmt.Errorf("fasttts: scenario %s: %w", spec.Name, err)
+				return nil, fmt.Errorf("fasttts: scenario %s: %w", name, err)
 			}
-			datasets[rq.Dataset] = ds
+			datasets[rq.dataset] = ds
 		}
-		if rq.Problem < 0 || rq.Problem >= len(ds.Problems) {
+		if rq.problem < 0 || rq.problem >= len(ds.Problems) {
 			return nil, fmt.Errorf("fasttts: scenario %s: request %d references %s problem %d of %d",
-				spec.Name, i, rq.Dataset, rq.Problem, len(ds.Problems))
+				name, i, rq.dataset, rq.problem, len(ds.Problems))
 		}
 		out[i] = Request{
-			Problem:     ds.Problems[rq.Problem],
-			ArrivalTime: rq.Arrival,
-			Priority:    rq.Priority,
-			Deadline:    rq.Deadline,
+			Problem:     ds.Problems[rq.problem],
+			ArrivalTime: rq.arrival,
+			Priority:    rq.priority,
+			Deadline:    rq.deadline,
 		}
 	}
 	return out, nil
-}
-
-// deviceConfig materializes one scenario device deployment.
-func deviceConfig(d scenario.Device) Config {
-	return Config{
-		GPU:          d.GPU,
-		Algorithm:    d.Algorithm,
-		NumBeams:     d.NumBeams,
-		Seed:         d.Seed,
-		KVPlaneBytes: d.KVPlaneBytes,
-	}
-}
-
-func serverTrace(spec scenario.Spec, served []ServedResult, st ServeStats) *trace.RunTrace {
-	tr := newRunTrace(spec, ScenarioServer)
-	for _, sv := range served {
-		tr.Records = append(tr.Records, traceRecord(sv, 0, 0))
-	}
-	fillServeStats(&tr.Stats, st)
-	return tr
-}
-
-func clusterTrace(spec scenario.Spec, fr *FleetRun, st FleetStats) *trace.RunTrace {
-	tr := newRunTrace(spec, ScenarioCluster)
-	for _, r := range fr.Results {
-		tr.Records = append(tr.Records, traceRecord(r.ServedResult, r.Device, r.Requeues))
-	}
-	fillServeStats(&tr.Stats, st.ServeStats)
-	tr.Stats.ImbalanceCV = st.ImbalanceCV
-	tr.Stats.Requeues = st.Requeues
-	tr.Stats.PrefixHitRate = st.PrefixHitRate
-	tr.Stats.FailedDevices = st.FailedDevices
-	return tr
-}
-
-func newRunTrace(spec scenario.Spec, target ScenarioTarget) *trace.RunTrace {
-	return &trace.RunTrace{
-		Scenario: spec.Name,
-		Target:   string(target),
-		Seed:     spec.Seed,
-		Requests: len(spec.Requests),
-	}
 }
 
 func traceRecord(sv ServedResult, device, requeues int) trace.Record {

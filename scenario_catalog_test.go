@@ -1,4 +1,4 @@
-package scenario
+package fasttts
 
 import (
 	"reflect"
@@ -9,13 +9,13 @@ import (
 )
 
 func TestCatalogShape(t *testing.T) {
-	all := All()
+	all := scenarioCatalog()
 	if len(all) < 6 {
 		t.Fatalf("catalog has %d scenarios, want >= 6", len(all))
 	}
 	seen := map[string]bool{}
 	for _, s := range all {
-		if s.Name == "" || s.Description == "" || s.Build == nil {
+		if s.Name == "" || s.Description == "" || s.build == nil {
 			t.Errorf("scenario %+v incomplete", s)
 		}
 		if seen[s.Name] {
@@ -26,53 +26,50 @@ func TestCatalogShape(t *testing.T) {
 			t.Errorf("scenario name %q not lower-case", s.Name)
 		}
 	}
-	if got, want := len(Names()), len(all); got != want {
-		t.Errorf("Names() has %d entries, want %d", got, want)
+	if got, want := len(scenarioNames()), len(all); got != want {
+		t.Errorf("scenarioNames() has %d entries, want %d", got, want)
 	}
 }
 
 func TestBuildSpecs(t *testing.T) {
-	for _, s := range All() {
+	for _, s := range scenarioCatalog() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			spec := s.Build(Params{})
-			if spec.Name != s.Name {
-				t.Errorf("spec name %q, want %q", spec.Name, s.Name)
-			}
-			if len(spec.Requests) == 0 {
+			spec := s.build(scenarioParams{})
+			if len(spec.requests) == 0 {
 				t.Fatal("empty request stream")
 			}
-			reachable := len(spec.Devices)
-			if spec.Autoscale != nil {
-				reachable += len(spec.Autoscale.Warm)
+			reachable := len(spec.cluster.Devices)
+			if spec.cluster.Autoscale != nil {
+				reachable += len(spec.cluster.Autoscale.WarmPool)
 			}
 			if reachable < 3 {
 				t.Errorf("%d reachable devices (founding + warm pool), want >= 3 for the cluster target", reachable)
 			}
-			if a := spec.Autoscale; a != nil {
-				if a.Controller == "" || a.Interval <= 0 {
+			if a := spec.cluster.Autoscale; a != nil {
+				if a.Policy == "" || a.Interval <= 0 {
 					t.Errorf("autoscale spec incomplete: %+v", a)
 				}
 			}
-			if spec.Seed == 0 {
+			if spec.cluster.Seed == 0 {
 				t.Error("spec did not record its run seed")
 			}
 			prev := 0.0
-			for i, rq := range spec.Requests {
-				if rq.Arrival < prev {
-					t.Fatalf("request %d arrives at %v before %v", i, rq.Arrival, prev)
+			for i, rq := range spec.requests {
+				if rq.arrival < prev {
+					t.Fatalf("request %d arrives at %v before %v", i, rq.arrival, prev)
 				}
-				prev = rq.Arrival
-				ds, err := workload.SpecByName(rq.Dataset)
+				prev = rq.arrival
+				ds, err := workload.SpecByName(rq.dataset)
 				if err != nil {
-					t.Fatalf("request %d references dataset %q: %v", i, rq.Dataset, err)
+					t.Fatalf("request %d references dataset %q: %v", i, rq.dataset, err)
 				}
-				if rq.Problem < 0 || rq.Problem >= ds.Problems {
+				if rq.problem < 0 || rq.problem >= ds.Problems {
 					t.Fatalf("request %d problem index %d outside %s's %d problems",
-						i, rq.Problem, rq.Dataset, ds.Problems)
+						i, rq.problem, rq.dataset, ds.Problems)
 				}
-				if rq.Deadline != 0 && rq.Deadline < rq.Arrival {
-					t.Fatalf("request %d deadline %v before arrival %v", i, rq.Deadline, rq.Arrival)
+				if rq.deadline != 0 && rq.deadline < rq.arrival {
+					t.Fatalf("request %d deadline %v before arrival %v", i, rq.deadline, rq.arrival)
 				}
 			}
 		})
@@ -80,14 +77,14 @@ func TestBuildSpecs(t *testing.T) {
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	for _, s := range All() {
-		a := s.Build(Params{Requests: 12, Seed: 7})
-		b := s.Build(Params{Requests: 12, Seed: 7})
+	for _, s := range scenarioCatalog() {
+		a := s.build(scenarioParams{requests: 12, seed: 7})
+		b := s.build(scenarioParams{requests: 12, seed: 7})
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: equal params built unequal specs", s.Name)
 		}
-		c := s.Build(Params{Requests: 12, Seed: 8})
-		if reflect.DeepEqual(a.Requests, c.Requests) && s.Name != "steady" && s.Name != "burst-storm" {
+		c := s.build(scenarioParams{requests: 12, seed: 8})
+		if reflect.DeepEqual(a.requests, c.requests) && s.Name != "steady" && s.Name != "burst-storm" {
 			// steady and burst-storm have deterministic arrival grids, but
 			// their problem mixes must still vary with the seed.
 			t.Errorf("%s: seeds 7 and 8 built identical request streams", s.Name)
@@ -96,31 +93,31 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 func TestParamsScaleStreamLength(t *testing.T) {
-	for _, s := range All() {
-		spec := s.Build(Params{Requests: 9, Seed: 3})
-		if len(spec.Requests) != 9 {
-			t.Errorf("%s: got %d requests, want 9", s.Name, len(spec.Requests))
+	for _, s := range scenarioCatalog() {
+		spec := s.build(scenarioParams{requests: 9, seed: 3})
+		if len(spec.requests) != 9 {
+			t.Errorf("%s: got %d requests, want 9", s.Name, len(spec.requests))
 		}
 	}
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range Names() {
-		s, err := ByName(name)
+	for _, name := range scenarioNames() {
+		s, err := scenarioByName(name)
 		if err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
+			t.Errorf("scenarioByName(%q): %v", name, err)
 		}
 		if s.Name != name {
-			t.Errorf("ByName(%q) resolved %q", name, s.Name)
+			t.Errorf("scenarioByName(%q) resolved %q", name, s.Name)
 		}
 	}
 	// Case- and whitespace-insensitive.
-	if s, err := ByName("  Diurnal "); err != nil || s.Name != "diurnal" {
+	if s, err := scenarioByName("  Diurnal "); err != nil || s.Name != "diurnal" {
 		t.Errorf("ByName with case/space got (%v, %v)", s.Name, err)
 	}
 	for _, bad := range []string{"", "nope", "steady2", "Diurnal Cycle"} {
-		if _, err := ByName(bad); err == nil {
-			t.Errorf("ByName(%q) did not error", bad)
+		if _, err := scenarioByName(bad); err == nil {
+			t.Errorf("scenarioByName(%q) did not error", bad)
 		}
 	}
 }
@@ -128,7 +125,7 @@ func TestByName(t *testing.T) {
 func TestFleetChurnInjectsFaults(t *testing.T) {
 	spec := mustBuild(t, "fleet-churn")
 	fails, stragglers := 0, 0
-	for _, d := range spec.Devices {
+	for _, d := range spec.cluster.Devices {
 		if d.FailAt > 0 {
 			fails++
 		}
@@ -148,12 +145,12 @@ func TestTenantMixCarriesTenancy(t *testing.T) {
 	spec := mustBuild(t, "tenant-mix")
 	datasets := map[string]bool{}
 	priorities, deadlines := 0, 0
-	for _, rq := range spec.Requests {
-		datasets[rq.Dataset] = true
-		if rq.Priority > 0 {
+	for _, rq := range spec.requests {
+		datasets[rq.dataset] = true
+		if rq.priority > 0 {
 			priorities++
 		}
-		if rq.Deadline > 0 {
+		if rq.deadline > 0 {
 			deadlines++
 		}
 	}
@@ -164,7 +161,7 @@ func TestTenantMixCarriesTenancy(t *testing.T) {
 		t.Errorf("tenant-mix has %d prioritized and %d deadlined requests, want both > 0", priorities, deadlines)
 	}
 	algos := map[string]bool{}
-	for _, d := range spec.Devices {
+	for _, d := range spec.cluster.Devices {
 		algos[d.Algorithm] = true
 	}
 	if len(algos) < 2 {
@@ -174,29 +171,29 @@ func TestTenantMixCarriesTenancy(t *testing.T) {
 
 func TestFlashCrowdSheds(t *testing.T) {
 	spec := mustBuild(t, "flash-crowd")
-	if spec.Serve.MaxInFlight <= 0 {
+	if spec.serve.MaxInFlight <= 0 {
 		t.Error("flash-crowd server has no admission limit")
 	}
-	for i, d := range spec.Devices {
+	for i, d := range spec.cluster.Devices {
 		if d.MaxInFlight <= 0 {
 			t.Errorf("flash-crowd device %d has no admission limit", i)
 		}
 	}
 }
 
-func mustBuild(t *testing.T, name string) Spec {
+func mustBuild(t *testing.T, name string) scenarioSpec {
 	t.Helper()
-	s, err := ByName(name)
+	s, err := scenarioByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.Build(Params{})
+	return s.build(scenarioParams{})
 }
 
 // FuzzByName asserts the lookup is total: any input yields a scenario or
 // an error, never a panic.
 func FuzzByName(f *testing.F) {
-	for _, name := range Names() {
+	for _, name := range scenarioNames() {
 		f.Add(name)
 	}
 	f.Add("")
@@ -204,12 +201,12 @@ func FuzzByName(f *testing.F) {
 	f.Add("no-such-scenario")
 	f.Add("STEADY\x00")
 	f.Fuzz(func(t *testing.T, name string) {
-		s, err := ByName(name)
-		if err == nil && s.Build == nil {
-			t.Errorf("ByName(%q) returned a scenario without a builder", name)
+		s, err := scenarioByName(name)
+		if err == nil && s.build == nil {
+			t.Errorf("scenarioByName(%q) returned a scenario without a builder", name)
 		}
 		if err != nil && s.Name != "" {
-			t.Errorf("ByName(%q) returned both a scenario and an error", name)
+			t.Errorf("scenarioByName(%q) returned both a scenario and an error", name)
 		}
 	})
 }
