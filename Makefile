@@ -22,9 +22,11 @@ lint:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
+# Fails when a function of the root (public) package is never run.
 cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) tool cover -func=coverage.out | tail -n 20
+	@$(GO) tool cover -func=coverage.out | awk '$$1 ~ /^fasttts\/[^\/]*:/ && $$NF == "0.0%" { print "never run by a test:", $$1, $$2; bad = 1 } END { exit bad }'
 
 # Scenario-conformance: replay every named scenario on both targets and
 # require bit-identical agreement with the committed golden traces. The

@@ -316,30 +316,3 @@ func TestElasticScenariosExerciseControllers(t *testing.T) {
 		}
 	}
 }
-
-// TestScenarioKVPlaneOverrideReachesWarmPool pins that
-// ScenarioOptions.KVPlaneBytes overrides the warm-pool templates as well
-// as the founding devices: a positive capacity gives every device that
-// ever served, warm joins included, a memory plane, and a negative one
-// turns every plane off.
-func TestScenarioKVPlaneOverrideReachesWarmPool(t *testing.T) {
-	for _, tc := range []struct {
-		bytes int64
-		on    bool
-	}{{512 << 20, true}, {-1, false}} {
-		run, err := RunScenario("autoscale-diurnal", ScenarioOptions{Target: ScenarioCluster, KVPlaneBytes: tc.bytes})
-		if err != nil {
-			t.Fatalf("KVPlaneBytes %d: %v", tc.bytes, err)
-		}
-		st := run.FleetStats
-		if st.Control == nil || st.Control.ScaleUps == 0 {
-			t.Fatalf("KVPlaneBytes %d: no warm-pool join to check: %+v", tc.bytes, st.Control)
-		}
-		for _, d := range st.PerDevice {
-			if on := d.CacheCapacityTokens > 0; on != tc.on {
-				t.Errorf("KVPlaneBytes %d: device %s has plane capacity %d tokens, want plane on = %v",
-					tc.bytes, d.Name, d.CacheCapacityTokens, tc.on)
-			}
-		}
-	}
-}

@@ -6,7 +6,6 @@ import (
 
 	"fasttts/internal/cluster"
 	"fasttts/internal/control"
-	"fasttts/internal/core"
 	"fasttts/internal/metrics"
 	"fasttts/internal/sched"
 	"fasttts/internal/search"
@@ -111,12 +110,6 @@ type ClusterConfig struct {
 	Strategy string
 	// Autoscale, when non-nil, attaches the elastic control plane.
 	Autoscale *AutoscaleConfig
-	// Metrics selects Stats's latency aggregation: MetricsExact (default)
-	// sorts every wall latency for exact percentiles; MetricsStreaming
-	// reads percentiles and means from quantile sketches, within 1%
-	// relative error. Every result is returned either way. See the
-	// package docs' "Streaming metrics".
-	Metrics MetricsMode
 	// Trace, when non-nil, attaches the span flight recorder: every Run
 	// records request lifecycles on each device plus the fleet control
 	// plane (routing decisions, hedge twins, requeues, ticks, joins,
@@ -384,18 +377,13 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode, err := metrics.ParseMode(string(cc.Metrics))
-	if err != nil {
-		return nil, fmt.Errorf("fasttts: %w", err)
-	}
 	strat, err := search.ParseStrategy(cc.Strategy)
 	if err != nil {
 		return nil, fmt.Errorf("fasttts: %w", err)
 	}
 	c := &Cluster{names: names, cfg: cluster.Config{
 		Devices: devices, Router: router, Seed: cc.Seed,
-		Metrics: mode, SLOLatency: cc.SLOLatency, Strategy: strat,
-		Obs: cc.Trace.rec(),
+		SLOLatency: cc.SLOLatency, Strategy: strat, Obs: cc.Trace.rec(),
 	}}
 	if a := cc.Autoscale; a != nil {
 		ctl, err := control.ByName(a.Policy)
@@ -453,15 +441,9 @@ func (c *Cluster) Run(reqs []Request) (*FleetRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner := make([]core.Request, len(reqs))
-	for i, r := range reqs {
-		inner[i] = core.Request{
-			Problem:  r.Problem.inner,
-			Arrival:  r.ArrivalTime,
-			Priority: r.Priority,
-			Deadline: r.Deadline,
-			Tag:      i,
-		}
+	inner, err := coreRequests(reqs)
+	if err != nil {
+		return nil, err
 	}
 	out, err := fleet.Run(inner)
 	if err != nil {
@@ -469,26 +451,10 @@ func (c *Cluster) Run(reqs []Request) (*FleetRun, error) {
 	}
 	fr := &FleetRun{Results: make([]FleetResult, len(out.Results))}
 	for i, r := range out.Results {
-		var res *Result
-		if r.Result != nil {
-			res = wrapResult(r.Result)
-		}
 		fr.Results[i] = FleetResult{
-			ServedResult: ServedResult{
-				Result:       res,
-				ArrivalTime:  r.Arrival,
-				StartTime:    r.Start,
-				FinishTime:   r.Finish,
-				QueueDelay:   r.QueueDelay,
-				WallLatency:  r.WallLatency,
-				Slices:       r.Slices,
-				UsefulTokens: r.UsefulTokens,
-				Width:        r.Width,
-				Rejected:     r.Rejected,
-				Tag:          r.Tag,
-			},
-			Device:   r.Device,
-			Requeues: r.Requeues,
+			ServedResult: wrapServedResult(r.ServedResult),
+			Device:       r.Device,
+			Requeues:     r.Requeues,
 		}
 	}
 	for _, a := range out.Actions {

@@ -141,10 +141,15 @@ func TestCacheAwareRoutingGainsUnderPressure(t *testing.T) {
 	const tightPlane, roomyPlane = 512 << 20, 8 << 30
 	p99 := func(planeBytes int64, router string) float64 {
 		t.Helper()
-		run, err := RunScenario("cache-thrash", ScenarioOptions{
-			Target: ScenarioCluster, Requests: 72, Seed: 42,
-			Router: router, KVPlaneBytes: planeBytes,
-		})
+		spec, err := buildScenario("cache-thrash", ScenarioOptions{Requests: 72, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.cluster.Router = router
+		for i := range spec.cluster.Devices {
+			spec.cluster.Devices[i].KVPlaneBytes = planeBytes
+		}
+		run, err := spec.run(ScenarioCluster)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,13 +5,11 @@
 // across a heterogeneous edge fleet under a chosen router, with optional
 // straggler and fail-stop injection. It prints per-request telemetry plus
 // the server- or fleet-level aggregates, or the full stats struct as JSON
-// with -json. Latency percentiles and means default to quantile sketches
-// (within 1% of exact); -exact sorts every latency instead.
+// with -json.
 //
 // Usage:
 //
 //	fastttsserve -n 32 -rate 0.5 -policy sjf
-//	fastttsserve -n 32 -rate 0.5 -exact
 //	fastttsserve -n 16 -closed -concurrency 4 -think 1
 //	fastttsserve -n 24 -policy fcfs -compare sjf -slo 120 -json
 //	fastttsserve -n 32 -devices "RTX 4090,RTX 4090,RTX 4070 Ti,RTX 3070 Ti" \
@@ -96,18 +94,9 @@ func run(args []string, stdout io.Writer) error {
 		minDevices  = fs.Int("min-devices", 0, "drain floor for scale-down (0 = default 1)")
 		maxDevices  = fs.Int("max-devices", 0, "cap on routable+warming devices (0 = fleet + warm pool)")
 		maxTier     = fs.Int("max-tier", 0, "deepest compute-budget degradation tier (0 = default 2)")
-		exact       = fs.Bool("exact", false, "exact sort-based percentiles instead of the default streaming sketch (<1% relative error)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	// The load-test tool defaults to the streaming sketch and -exact
-	// restores the sort path. Library and scenario/golden defaults remain
-	// exact.
-	metricsMode := fasttts.MetricsStreaming
-	if *exact {
-		metricsMode = fasttts.MetricsExact
 	}
 
 	if *n < 0 {
@@ -177,7 +166,6 @@ func run(args []string, stdout io.Writer) error {
 			Seed:       *seed,
 			SLOLatency: *slo,
 			Strategy:   *strategy,
-			Metrics:    metricsMode,
 			Trace:      rec,
 		}
 		for i, g := range gpus {
@@ -211,9 +199,8 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(o.w, "open loop: %d requests, Poisson rate %.2f req/s, %s on %s\n",
 				*n, *rate, *dataset, *gpu)
 		}
-		fmt.Fprintf(o.w, "metrics: %s\n\n", describeMetrics(metricsMode))
-		fmt.Fprintf(o.w, "%-10s %9s %7s %7s %6s %9s %9s %9s %9s %9s %8s %6s\n",
-			"policy", "metrics", "served", "reject", "nonfin", "mean_q(s)", "p50(s)", "p95(s)", "p99(s)", "goodput", "slo_att", "mksp")
+		fmt.Fprintf(o.w, "\n%-10s %7s %7s %6s %9s %9s %9s %9s %9s %8s %6s\n",
+			"policy", "served", "reject", "nonfin", "mean_q(s)", "p50(s)", "p95(s)", "p99(s)", "goodput", "slo_att", "mksp")
 	}
 	report := serveReport(*dataset, *n, *closed, *rate, *seed, *strategy)
 	for i, pol := range policies {
@@ -226,7 +213,6 @@ func run(args []string, stdout io.Writer) error {
 			Policy:      pol,
 			MaxInFlight: *maxInFlight,
 			SLOLatency:  *slo,
-			Metrics:     metricsMode,
 			Trace:       tr,
 		})
 		if err != nil {
@@ -246,8 +232,8 @@ func run(args []string, stdout io.Writer) error {
 			report.Runs = append(report.Runs, runJSON{Policy: pol, Stats: st})
 			continue
 		}
-		fmt.Fprintf(o.w, "%-10s %9s %7d %7d %6d %9.2f %9.2f %9.2f %9.2f %9.2f %7.0f%% %6.0f\n",
-			pol, string(metricsMode), st.Served, st.Rejected, st.NonFinite, st.MeanQueueDelay,
+		fmt.Fprintf(o.w, "%-10s %7d %7d %6d %9.2f %9.2f %9.2f %9.2f %9.2f %7.0f%% %6.0f\n",
+			pol, st.Served, st.Rejected, st.NonFinite, st.MeanQueueDelay,
 			st.P50Latency, st.P95Latency, st.P99Latency,
 			st.Goodput, 100*st.SLOAttainment, st.Makespan)
 		if o.verbose {
@@ -266,14 +252,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return finish(rec, o, report)
-}
-
-// describeMetrics renders the aggregation mode for the preamble.
-func describeMetrics(m fasttts.MetricsMode) string {
-	if m == fasttts.MetricsStreaming {
-		return "streaming (sketch percentiles, <1% relative error; -exact for sort-based percentiles)"
-	}
-	return "exact (sort-based percentiles)"
 }
 
 // runFleet serves reqs on the fleet cc describes, once under cc.Router
@@ -315,9 +293,8 @@ func runFleet(o output, cc fasttts.ClusterConfig, compare []string, reqs []fastt
 		if cc.Strategy != "" {
 			fmt.Fprintf(o.w, "  strategy: %s\n", cc.Strategy)
 		}
-		fmt.Fprintf(o.w, "  metrics: %s\n", describeMetrics(cc.Metrics))
-		fmt.Fprintf(o.w, "\n%-10s %9s %7s %7s %7s %9s %9s %9s %9s %6s %6s %6s %8s %8s %6s\n",
-			"router", "metrics", "served", "reject", "requeue", "p50(s)", "p95(s)", "p99(s)", "goodput", "imb", "hit%", "cache%", "slo_att", "devsec", "mksp")
+		fmt.Fprintf(o.w, "\n%-10s %7s %7s %7s %9s %9s %9s %9s %6s %6s %6s %8s %8s %6s\n",
+			"router", "served", "reject", "requeue", "p50(s)", "p95(s)", "p99(s)", "goodput", "imb", "hit%", "cache%", "slo_att", "devsec", "mksp")
 	}
 	report := fleetReport(dataset, len(reqs), rate, cc.Seed, gpuNames(cc.Devices), cc.Strategy)
 	for i, rt := range routers {
@@ -330,8 +307,8 @@ func runFleet(o output, cc fasttts.ClusterConfig, compare []string, reqs []fastt
 			report.Runs = append(report.Runs, fleetRunJSON(rt, st))
 			continue
 		}
-		fmt.Fprintf(o.w, "%-10s %9s %7d %7d %7d %9.2f %9.2f %9.2f %9.2f %6.2f %5.0f%% %5.0f%% %7.0f%% %8.0f %6.0f\n",
-			rt, string(cc.Metrics), st.Served, st.Rejected, st.Requeues,
+		fmt.Fprintf(o.w, "%-10s %7d %7d %7d %9.2f %9.2f %9.2f %9.2f %6.2f %5.0f%% %5.0f%% %7.0f%% %8.0f %6.0f\n",
+			rt, st.Served, st.Rejected, st.Requeues,
 			st.P50Latency, st.P95Latency, st.P99Latency,
 			st.Goodput, st.ImbalanceCV, 100*st.PrefixHitRate, 100*st.CacheHitRate,
 			100*st.SLOAttainment, st.DeviceSeconds, st.Makespan)

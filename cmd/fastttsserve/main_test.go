@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"fasttts"
@@ -193,6 +196,35 @@ func TestRunFleet(t *testing.T) {
 		if got := r.Stats.Served + r.Stats.Rejected; got != 4 {
 			t.Errorf("run %d accounts for %d requests, want 4", i, got)
 		}
+	}
+}
+
+// TestRunAttributionTable drives -attr without -json: the primary run's
+// latency attribution prints as a table whose five component rows sum to
+// its wall row.
+func TestRunAttributionTable(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-n", "3", "-beams", "4", "-attr"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	seconds := map[string]float64{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && strings.HasSuffix(f[2], "%") {
+			if v, err := strconv.ParseFloat(f[1], 64); err == nil {
+				seconds[f[0]] = v
+			}
+		}
+	}
+	sum := 0.0
+	for _, c := range []string{"queue", "service", "re-prefill", "straggler", "preemption"} {
+		v, ok := seconds[c]
+		if !ok {
+			t.Errorf("no %q row in\n%s", c, out.String())
+		}
+		sum += v
+	}
+	if wall := seconds["wall"]; wall <= 0 || math.Abs(sum-wall) > 0.05 {
+		t.Errorf("components sum to %.2fs, wall row reads %.2fs\n%s", sum, wall, out.String())
 	}
 }
 

@@ -39,10 +39,8 @@ func LoadDataset(name string, seed uint64) (*Dataset, error) {
 	return out, nil
 }
 
-// Subset returns the first n problems (all if fewer exist).
+// Subset returns the first n problems (all if fewer exist, none if n is
+// negative).
 func (d *Dataset) Subset(n int) []*Problem {
-	if n > len(d.Problems) {
-		n = len(d.Problems)
-	}
-	return d.Problems[:n]
+	return d.Problems[:min(max(n, 0), len(d.Problems))]
 }

@@ -83,7 +83,7 @@ func TestDatasetSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct{ n, want int }{
-		{0, 0}, {1, 1}, {30, 30}, {1000, 30},
+		{-1, 0}, {0, 0}, {1, 1}, {30, 30}, {1000, 30},
 	}
 	for _, tc := range cases {
 		if got := len(ds.Subset(tc.n)); got != tc.want {

@@ -44,9 +44,10 @@
 // MaxInFlight load-shedding admission limit. Open-loop traffic comes
 // from the PoissonRequests / UniformRequests arrival generators;
 // closed-loop (fixed-concurrency) traffic from Server.RunClosedLoop.
-// Server.Stats aggregates a served stream into p50/p95/p99 wall latency,
-// queue delay, server goodput, and SLO attainment. Equal seeds give
-// bit-identical served streams under every policy.
+// Server.Stats aggregates a served stream into exact nearest-rank
+// p50/p95/p99 wall latency, queue delay, server goodput, and SLO
+// attainment. Equal seeds give bit-identical served streams under every
+// policy.
 //
 //	srv, _ := fasttts.NewServerWith(fasttts.ServeConfig{
 //		Config: fasttts.Config{NumBeams: 16, Seed: 42},
@@ -144,15 +145,14 @@
 //
 // # Test-time-compute strategies
 //
-// Config.Strategy (per device), ClusterConfig.Strategy (fleet-wide),
-// and ScenarioOptions.Strategy (scenario override) select how much of
-// each request's search to run — a pluggable policy (internal/search)
-// named like serve policies and routers: "full-beam" (run to
-// completion, the default), "first-finish[:k]" (stop once k reasoning
-// paths finish; latency-first search), "deadline" (cut the search at
-// the request's SLO deadline and answer from the finished paths), or
-// "hedged" (replicate each request on a second device; the first
-// completion wins and the loser is cancelled fleet-wide). Cancellation
+// Config.Strategy (per device) and ClusterConfig.Strategy (fleet-wide)
+// select how much of each request's search to run — a pluggable policy
+// (internal/search) named like serve policies and routers: "full-beam"
+// (run to completion, the default), "first-finish[:k]" (stop once k
+// reasoning paths finish; latency-first search), "deadline" (cut the
+// search at the request's SLO deadline and answer from the finished
+// paths), or "hedged" (replicate each request on a second device; the
+// first completion wins and the loser is cancelled fleet-wide). Cancellation
 // is a deterministic first-class fleet event with its own slot in the
 // event-ordering contract (join < fail < cancel < tick < arrival), so
 // hedge losers free capacity before the same instant's control tick and
@@ -163,21 +163,6 @@
 // Strategy reproduces prior traces bit-identically (see README
 // "Test-time-compute strategies"; TestStrategyTailGains
 // pins each strategy's p99 win on its home-turf scenario).
-//
-// # Streaming metrics
-//
-// ServeConfig.Metrics and ClusterConfig.Metrics select how Stats
-// aggregates latency distributions. Stats summarizes the returned
-// results in one pass either way, and every result is still returned.
-// MetricsExact (the default) sorts every wall latency: exact
-// nearest-rank percentiles, and the mode all committed golden traces are
-// recorded under. MetricsStreaming reads percentiles and means from
-// fixed-boundary quantile sketches (internal/metrics), within a
-// documented <1% relative error of exact; counts, maxima, goodput and SLO
-// attainment stay exact. Keep exact wherever conformance against
-// recorded values matters (see README "Streaming metrics";
-// TestRecorderAttribution holds every catalog scenario's sketch
-// percentiles to the error bound).
 //
 // # Workload scenarios and golden-trace regression
 //
@@ -242,21 +227,6 @@ const (
 	ModeBaseline Mode = "baseline"
 )
 
-// MetricsMode selects how Server.Stats and FleetRun.Stats aggregate
-// latency distributions (see the package docs' "Streaming metrics"
-// section).
-type MetricsMode string
-
-const (
-	// MetricsExact sorts every wall latency once: exact nearest-rank
-	// percentiles. The default, and the golden-trace conformance mode.
-	MetricsExact MetricsMode = "exact"
-	// MetricsStreaming reads percentiles and means from quantile
-	// sketches, within a documented <1% relative error of exact. Every
-	// result is still returned.
-	MetricsStreaming MetricsMode = "streaming"
-)
-
 // Config configures a serving deployment. Zero values select sensible
 // defaults: RTX 4090, the 1.5B+1.5B pair, beam search with n=64, B=4,
 // FastTTS mode.
@@ -275,12 +245,12 @@ type Config struct {
 	// overrides individual optimization toggles for ablations.
 	Mode     Mode
 	Advanced *Optimizations
-	// MemoryFraction is the usable share of VRAM (default: 0.4 for the
-	// 1.5B+1.5B pair as in the paper's memory-constrained setup, 0.9
-	// otherwise).
+	// MemoryFraction is the usable share of VRAM, in [0, 1] (0 selects
+	// the default: 0.4 for the 1.5B+1.5B pair on the RTX 4090 as in the
+	// paper's memory-constrained setup, 0.9 otherwise).
 	MemoryFraction float64
 	// KVBudgetBytes, when positive, pins the KV budget directly
-	// (memory-sweep experiments).
+	// (memory-sweep experiments). Negative values are rejected.
 	KVBudgetBytes int64
 	// AllowOffload enables CPU offloading of the inactive model's KV
 	// (required on 8 GB devices).

@@ -1,6 +1,9 @@
 package fasttts
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestNewDefaults(t *testing.T) {
 	sys, err := New(Config{})
@@ -23,6 +26,43 @@ func TestNewValidation(t *testing.T) {
 	for i, c := range cases {
 		if _, err := New(c); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, c)
+		}
+	}
+}
+
+// TestBadMemorySettingsRejected: memory settings outside their documented
+// ranges fail at construction on every entry point, instead of sizing an
+// absurd KV budget (a NaN or +Inf fraction wraps the int64 conversion)
+// or being silently replaced or ignored.
+func TestBadMemorySettingsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"fraction NaN", Config{MemoryFraction: nan}},
+		{"fraction +Inf", Config{MemoryFraction: inf}},
+		{"fraction 5", Config{MemoryFraction: 5}},
+		{"fraction -0.5", Config{MemoryFraction: -0.5}},
+		{"fraction NaN with KV plane", Config{MemoryFraction: nan, KVPlane: true}},
+		{"truncation ratio NaN", Config{Advanced: &Optimizations{TruncationRatio: nan}}},
+		{"negative KV budget", Config{KVBudgetBytes: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := New(tc.cfg); err == nil {
+				t.Error("New accepted it")
+			}
+			if _, err := NewServer(tc.cfg); err == nil {
+				t.Error("NewServer accepted it")
+			}
+			if _, err := NewCluster(ClusterConfig{Devices: []DeviceSpec{{Config: tc.cfg}}}); err == nil {
+				t.Error("NewCluster accepted it")
+			}
+		})
+	}
+	for _, frac := range []float64{0, 0.4, 1} {
+		if _, err := New(Config{MemoryFraction: frac}); err != nil {
+			t.Errorf("MemoryFraction %v rejected: %v", frac, err)
 		}
 	}
 }

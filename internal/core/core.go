@@ -222,8 +222,15 @@ func (c *Config) validate() error {
 	if c.VerSkill.Name == "" {
 		c.VerSkill = workload.SkillSkywork1_5B
 	}
-	if c.Opts.TruncationRatio < 0 || c.Opts.TruncationRatio > 1 {
+	// The negated range tests also reject NaN.
+	if !(c.Opts.TruncationRatio >= 0 && c.Opts.TruncationRatio <= 1) {
 		return fmt.Errorf("core: truncation ratio %v outside [0,1]", c.Opts.TruncationRatio)
+	}
+	if !(c.MemoryFraction >= 0 && c.MemoryFraction <= 1) {
+		return fmt.Errorf("core: memory fraction %v outside [0,1] (0 selects the default)", c.MemoryFraction)
+	}
+	if c.KVBudgetOverride < 0 {
+		return fmt.Errorf("core: KV budget override must be non-negative, got %d bytes (0 sizes the budget from VRAM)", c.KVBudgetOverride)
 	}
 	if c.Opts.StaticVerifierFrac <= 0 || c.Opts.StaticVerifierFrac >= 1 {
 		c.Opts.StaticVerifierFrac = 0.5

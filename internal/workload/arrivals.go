@@ -17,10 +17,11 @@ import (
 // PoissonArrivals returns n non-decreasing arrival times of an open-loop
 // Poisson process with the given mean rate in requests per second.
 // Sampling is driven entirely by r, so equal streams give equal traces.
-// It panics if rate is not positive (a zero-rate open loop never submits).
+// It panics if rate is not positive and finite (a zero-rate open loop
+// never submits).
 func PoissonArrivals(n int, rate float64, r *rng.Stream) []float64 {
-	if rate <= 0 {
-		panic(fmt.Sprintf("workload: Poisson arrival rate must be positive, got %v", rate))
+	if !positiveFinite(rate) {
+		panic(fmt.Sprintf("workload: Poisson arrival rate must be positive and finite, got %v", rate))
 	}
 	out := make([]float64, n)
 	t := 0.0
@@ -63,13 +64,13 @@ func BurstArrivals(n, burst int, gap float64) []float64 {
 // sampled by Lewis–Shedler thinning, so the stream is a deterministic
 // function of r. amplitude is clamped into [0, 1] (amplitude 1 means the
 // rate dips to zero at the trough); it panics if base or period is not
-// positive.
+// positive and finite.
 func SinusoidalArrivals(n int, base, amplitude, period float64, r *rng.Stream) []float64 {
-	if base <= 0 {
-		panic(fmt.Sprintf("workload: sinusoidal base rate must be positive, got %v", base))
+	if !positiveFinite(base) {
+		panic(fmt.Sprintf("workload: sinusoidal base rate must be positive and finite, got %v", base))
 	}
-	if period <= 0 {
-		panic(fmt.Sprintf("workload: sinusoidal period must be positive, got %v", period))
+	if !positiveFinite(period) {
+		panic(fmt.Sprintf("workload: sinusoidal period must be positive and finite, got %v", period))
 	}
 	if math.IsNaN(amplitude) {
 		// A NaN amplitude would poison every thinning acceptance test and
@@ -87,14 +88,15 @@ func SinusoidalArrivals(n int, base, amplitude, period float64, r *rng.Stream) [
 // process: base requests/second everywhere except the flash-crowd window
 // [spikeStart, spikeStart+spikeDur), where the rate is base·mult. Sampled
 // by thinning, so the stream is a deterministic function of r. It panics
-// if base is not positive or mult is negative (mult below 1 models a dip
-// rather than a crowd, and mult 0 an outage window).
+// if base is not positive and finite or mult is negative or not finite
+// (mult below 1 models a dip rather than a crowd, and mult 0 an outage
+// window).
 func FlashCrowdArrivals(n int, base, spikeStart, spikeDur, mult float64, r *rng.Stream) []float64 {
-	if base <= 0 {
-		panic(fmt.Sprintf("workload: flash-crowd base rate must be positive, got %v", base))
+	if !positiveFinite(base) {
+		panic(fmt.Sprintf("workload: flash-crowd base rate must be positive and finite, got %v", base))
 	}
-	if mult < 0 || math.IsNaN(mult) {
-		panic(fmt.Sprintf("workload: flash-crowd multiplier must be non-negative, got %v", mult))
+	if mult != 0 && !positiveFinite(mult) {
+		panic(fmt.Sprintf("workload: flash-crowd multiplier must be non-negative and finite, got %v", mult))
 	}
 	rate := func(t float64) float64 {
 		if t >= spikeStart && t < spikeStart+spikeDur {
@@ -104,6 +106,10 @@ func FlashCrowdArrivals(n int, base, spikeStart, spikeDur, mult float64, r *rng.
 	}
 	return thinned(n, base*math.Max(1, mult), rate, r)
 }
+
+// positiveFinite reports whether a rate or period is usable: above zero
+// and below +Inf. NaN is neither.
+func positiveFinite(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
 // thinned samples n arrivals of a nonhomogeneous Poisson process with the
 // given instantaneous rate via Lewis–Shedler thinning: candidate arrivals

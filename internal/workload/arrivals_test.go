@@ -2,7 +2,9 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"fasttts/internal/rng"
 )
@@ -270,5 +272,44 @@ func TestUniformArrivalsEdgeCases(t *testing.T) {
 		if ts != 0 {
 			t.Errorf("arrival %d at %v, want 0 with zero spacing", i, ts)
 		}
+	}
+}
+
+// TestArrivalsRejectNonFinite: a NaN or infinite rate, period or
+// multiplier panics with the documented message. Each call runs under a
+// deadline, because the failure this guards against is a hang: thinning
+// at a NaN or +Inf envelope rate never accepts a candidate.
+func TestArrivalsRejectNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	stream := func() *rng.Stream { return rng.New(7).Child("arr") }
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Poisson rate NaN", func() { PoissonArrivals(4, nan, stream()) }},
+		{"Poisson rate +Inf", func() { PoissonArrivals(4, inf, stream()) }},
+		{"sinusoidal base NaN", func() { SinusoidalArrivals(4, nan, 1, 10, stream()) }},
+		{"sinusoidal base +Inf", func() { SinusoidalArrivals(4, inf, 1, 10, stream()) }},
+		{"sinusoidal period NaN", func() { SinusoidalArrivals(4, 1, 1, nan, stream()) }},
+		{"sinusoidal period +Inf", func() { SinusoidalArrivals(4, 1, 1, inf, stream()) }},
+		{"flash-crowd base NaN", func() { FlashCrowdArrivals(4, nan, 0, 1, 2, stream()) }},
+		{"flash-crowd base +Inf", func() { FlashCrowdArrivals(4, inf, 0, 1, 2, stream()) }},
+		{"flash-crowd mult +Inf", func() { FlashCrowdArrivals(4, 1, 0, 1, inf, stream()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				tc.call()
+			}()
+			select {
+			case p := <-done:
+				if msg, _ := p.(string); !strings.Contains(msg, "finite") {
+					t.Errorf("got panic %v, want the documented positive-and-finite message", p)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("did not return within 5s")
+			}
+		})
 	}
 }

@@ -50,22 +50,6 @@ type ScenarioOptions struct {
 	// router); 0 means the scenario default (42). Equal options give
 	// bit-identical runs and therefore bit-identical traces.
 	Seed uint64
-	// Router, when non-empty, overrides the scenario's fleet routing
-	// discipline on the cluster target (the cache-plane gate test uses it
-	// to compare routers on one stream). Empty keeps the scenario's own
-	// router, so goldens are unaffected.
-	Router string
-	// Strategy, when non-empty, overrides the scenario's test-time-compute
-	// strategy on both targets (TestStrategyTailGains uses it to compare
-	// strategies on one stream): "full-beam", "first-finish[:k]", "deadline", or
-	// "hedged". Empty keeps the scenario's own strategy, so goldens are
-	// unaffected.
-	Strategy string
-	// KVPlaneBytes overrides the per-device KV memory-plane capacity on
-	// every scenario device (warm-pool templates included): positive sets
-	// that capacity in bytes, negative disables the plane entirely, and 0
-	// keeps each device's scenario-defined setting.
-	KVPlaneBytes int64
 	// Trace, when non-nil, attaches the span flight recorder to the run
 	// (either target) for Perfetto export and latency attribution.
 	// Tracing never perturbs the run: the TraceJSONL goldens replay
@@ -107,46 +91,45 @@ func (r *ScenarioRun) TraceJSONL() ([]byte, error) { return r.tr.EncodeJSONL() }
 // full served stream as a replayable trace. See Scenarios for the
 // catalog.
 func RunScenario(name string, opts ScenarioOptions) (*ScenarioRun, error) {
-	sc, err := scenarioByName(name)
+	spec, err := buildScenario(name, opts)
 	if err != nil {
 		return nil, err
 	}
+	return spec.run(opts.Target)
+}
+
+// buildScenario builds the named scenario at the options' stream length
+// and seed, with the options' recorder attached to its cluster config.
+func buildScenario(name string, opts ScenarioOptions) (scenarioSpec, error) {
+	sc, err := scenarioByName(name)
+	if err != nil {
+		return scenarioSpec{}, err
+	}
 	spec := sc.build(scenarioParams{requests: opts.Requests, seed: opts.Seed})
+	spec.info = sc.ScenarioInfo
+	spec.cluster.Trace = opts.Trace
+	return spec, nil
+}
+
+// run serves the spec's request stream on the target (empty means
+// server) and records the served stream as a trace.
+func (spec scenarioSpec) run(target ScenarioTarget) (*ScenarioRun, error) {
 	cc := &spec.cluster
-	if opts.Router != "" {
-		cc.Router = opts.Router
-	}
-	if opts.Strategy != "" {
-		cc.Strategy = opts.Strategy
-	}
-	if opts.KVPlaneBytes != 0 {
-		capacity := max(opts.KVPlaneBytes, 0)
-		for i := range cc.Devices {
-			cc.Devices[i].KVPlaneBytes = capacity
-		}
-		if cc.Autoscale != nil {
-			for i := range cc.Autoscale.WarmPool {
-				cc.Autoscale.WarmPool[i].KVPlaneBytes = capacity
-			}
-		}
-	}
-	cc.Trace = opts.Trace
-	target := opts.Target
 	if target == "" {
 		target = ScenarioServer
 	}
-	reqs, err := materializeRequests(sc.Name, cc.Seed, spec.requests)
+	reqs, err := materializeRequests(spec.info.Name, cc.Seed, spec.requests)
 	if err != nil {
 		return nil, err
 	}
 	run := &ScenarioRun{
-		Name:        sc.Name,
-		Description: sc.Description,
+		Name:        spec.info.Name,
+		Description: spec.info.Description,
 		Target:      target,
 		Seed:        cc.Seed,
 		Requests:    reqs,
 		tr: &trace.RunTrace{
-			Scenario: sc.Name,
+			Scenario: spec.info.Name,
 			Target:   string(target),
 			Seed:     cc.Seed,
 			Requests: len(reqs),

@@ -22,6 +22,9 @@ type scenarioRequest struct {
 // scenarioSpec is one built scenario: the request stream plus the public
 // configs both targets are built from.
 type scenarioSpec struct {
+	// info names the scenario in the run and its trace; buildScenario sets
+	// it.
+	info ScenarioInfo
 	// requests is the deterministic request stream, sorted by arrival.
 	requests []scenarioRequest
 	// serve holds the single-server target's Policy and MaxInFlight; its

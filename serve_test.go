@@ -3,6 +3,7 @@ package fasttts_test
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,8 +111,9 @@ func TestServeAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestNonFiniteTimesRejected: a NaN or infinite arrival or think time
-// makes every entry point return an error. Each call runs under its own
+// TestNonFiniteTimesRejected: a NaN or infinite arrival or think time,
+// or a request without a problem, makes every entry point return an
+// error. Each call runs under its own
 // deadline, because the failure this guards against is a hang (the event
 // loop never reaches a NaN wake time) or, for +Inf on a fleet, results
 // that the stats silently drop.
@@ -146,14 +148,43 @@ func TestNonFiniteTimesRejected(t *testing.T) {
 		rows = append(rows, row{fmt.Sprintf("RunClosedLoop think %v", v),
 			func() error { _, err := srv.RunClosedLoop(probs, 2, v); return err }})
 	}
+	// A request without a problem is hostile input of the same kind.
+	noProblem := func(p *fasttts.Problem) []fasttts.Request {
+		reqs := fasttts.PoissonRequests(probs, 0.5, 11)
+		reqs[1].Problem = p
+		return reqs
+	}
+	for _, bad := range []struct {
+		name string
+		p    *fasttts.Problem
+	}{{"nil", nil}, {"zero", &fasttts.Problem{}}} {
+		name, p := bad.name, bad.p
+		rows = append(rows,
+			row{"Server.Run problem " + name, func() error { _, err := srv.Run(noProblem(p)); return err }},
+			row{"Cluster.Run problem " + name, func() error { _, err := cl.Run(noProblem(p)); return err }},
+			row{"RunClosedLoop problem " + name, func() error {
+				_, err := srv.RunClosedLoop([]*fasttts.Problem{probs[0], p}, 2, 0)
+				return err
+			}})
+	}
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
 			done := make(chan error, 1)
-			go func() { done <- tc.call() }()
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("panicked: %v", p)
+						done <- nil
+					}
+				}()
+				done <- tc.call()
+			}()
 			select {
 			case err := <-done:
 				if err == nil {
-					t.Error("accepted a non-finite time")
+					t.Error("accepted the request")
+				} else if strings.Contains(tc.name, "problem") && !strings.Contains(err.Error(), " 1 ") {
+					t.Errorf("error %q does not name request 1", err)
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("did not return within 10s")

@@ -71,10 +71,6 @@ type ServeConfig struct {
 	// SLOLatency is the per-request wall-latency target in seconds used
 	// by Stats; 0 disables SLO accounting.
 	SLOLatency float64
-	// Metrics selects Stats's latency aggregation: MetricsExact (default)
-	// or MetricsStreaming (sketch percentiles and means, within 1%
-	// relative error). See the package docs' "Streaming metrics".
-	Metrics MetricsMode
 	// Trace, when non-nil, attaches the span flight recorder: the engine
 	// records every request's full lifecycle for Perfetto export and
 	// latency attribution without perturbing the run. See Recorder.
@@ -111,7 +107,6 @@ type ServeStats struct {
 type Server struct {
 	inner *core.Server
 	slo   float64
-	mode  metrics.Mode
 }
 
 // NewServer builds an FCFS server for the given deployment configuration.
@@ -133,29 +128,19 @@ func NewServerWith(sc ServeConfig) (*Server, error) {
 	if sc.MaxInFlight > 0 {
 		pol = sched.AdmissionLimit{Inner: pol, MaxInFlight: sc.MaxInFlight}
 	}
-	mode, err := metrics.ParseMode(string(sc.Metrics))
-	if err != nil {
-		return nil, fmt.Errorf("fasttts: %w", err)
-	}
 	srv, err := core.NewServerWithPolicy(cc, pol)
 	if err != nil {
 		return nil, err
 	}
-	return &Server{inner: srv, slo: sc.SLOLatency, mode: mode}, nil
+	return &Server{inner: srv, slo: sc.SLOLatency}, nil
 }
 
 // Run serves an open-loop request stream and returns per-request results
 // in completion order (rejected requests appear at their rejection time).
 func (s *Server) Run(reqs []Request) ([]ServedResult, error) {
-	inner := make([]core.Request, len(reqs))
-	for i, r := range reqs {
-		inner[i] = core.Request{
-			Problem:  r.Problem.inner,
-			Arrival:  r.ArrivalTime,
-			Priority: r.Priority,
-			Deadline: r.Deadline,
-			Tag:      i,
-		}
+	inner, err := coreRequests(reqs)
+	if err != nil {
+		return nil, err
 	}
 	served, err := s.inner.Run(inner)
 	if err != nil {
@@ -164,13 +149,46 @@ func (s *Server) Run(reqs []Request) ([]ServedResult, error) {
 	return wrapServed(served), nil
 }
 
+// coreRequests converts a public request stream for the serving engine,
+// tagging each request with its index. A request without a problem is an
+// error.
+func coreRequests(reqs []Request) ([]core.Request, error) {
+	inner := make([]core.Request, len(reqs))
+	for i, r := range reqs {
+		p, err := problemOf(r.Problem, "request", i)
+		if err != nil {
+			return nil, err
+		}
+		inner[i] = core.Request{
+			Problem:  p,
+			Arrival:  r.ArrivalTime,
+			Priority: r.Priority,
+			Deadline: r.Deadline,
+			Tag:      i,
+		}
+	}
+	return inner, nil
+}
+
+// problemOf unwraps a problem, rejecting one that LoadDataset did not
+// build (nil, or a zero Problem).
+func problemOf(p *Problem, kind string, i int) (*workload.Problem, error) {
+	if p == nil || p.inner == nil {
+		return nil, fmt.Errorf("fasttts: %s %d has no problem (take problems from LoadDataset)", kind, i)
+	}
+	return p.inner, nil
+}
+
 // RunClosedLoop serves the problems under a fixed-concurrency closed
 // loop: concurrency clients each keep one request outstanding and issue
 // their next request think seconds after the previous one completes.
 func (s *Server) RunClosedLoop(probs []*Problem, concurrency int, think float64) ([]ServedResult, error) {
 	inner := make([]*workload.Problem, len(probs))
 	for i, p := range probs {
-		inner[i] = p.inner
+		var err error
+		if inner[i], err = problemOf(p, "problem", i); err != nil {
+			return nil, err
+		}
 	}
 	served, err := s.inner.RunClosedLoop(inner, workload.ClosedLoop{Concurrency: concurrency, Think: think})
 	if err != nil {
@@ -180,9 +198,9 @@ func (s *Server) RunClosedLoop(probs []*Problem, concurrency int, think float64)
 }
 
 // Stats reduces served results to server-level aggregates, applying the
-// configured SLOLatency and metrics mode.
+// configured SLOLatency.
 func (s *Server) Stats(served []ServedResult) ServeStats {
-	acc := metrics.NewServeAccum(s.mode, s.slo)
+	acc := metrics.NewServeAccum(metrics.ModeExact, s.slo)
 	for _, sv := range served {
 		acc.Observe(metrics.ServeSample{
 			Arrival: sv.ArrivalTime, Start: sv.StartTime, Finish: sv.FinishTime,
@@ -209,11 +227,9 @@ func wrapServeStats(m metrics.ServeStats) ServeStats {
 
 // PoissonRequests assigns open-loop Poisson arrival times (mean rate
 // requests/second) to the problems, deterministically from the seed.
-// It panics if rate is not positive.
+// It panics if rate is not positive and finite (see
+// workload.PoissonArrivals).
 func PoissonRequests(probs []*Problem, rate float64, seed uint64) []Request {
-	if rate <= 0 {
-		panic(fmt.Sprintf("fasttts: PoissonRequests rate must be positive, got %v", rate))
-	}
 	return withArrivals(probs, workload.PoissonArrivals(len(probs), rate, rng.New(seed).Child("arrivals/poisson")))
 }
 
@@ -233,7 +249,7 @@ func BurstRequests(probs []*Problem, burst int, gap float64) []Request {
 // process whose rate follows a diurnal cycle, λ(t) = base ·
 // (1 + amplitude·sin(2πt/period)), deterministically from the seed —
 // the workload shape the elastic control plane's scale-to-fit tracks.
-// It panics if base or period is not positive (see
+// It panics if base or period is not positive and finite (see
 // workload.SinusoidalArrivals).
 func SinusoidalRequests(probs []*Problem, base, amplitude, period float64, seed uint64) []Request {
 	return withArrivals(probs, workload.SinusoidalArrivals(
@@ -243,8 +259,8 @@ func SinusoidalRequests(probs []*Problem, base, amplitude, period float64, seed 
 // FlashCrowdRequests assigns arrivals of a piecewise-rate Poisson
 // process: base requests/second everywhere except the flash-crowd
 // window [spikeStart, spikeStart+spikeDur), where the rate is
-// base·mult. It panics on a non-positive base or negative mult (see
-// workload.FlashCrowdArrivals).
+// base·mult. It panics on a non-positive or non-finite base, or a
+// negative or non-finite mult (see workload.FlashCrowdArrivals).
 func FlashCrowdRequests(probs []*Problem, base, spikeStart, spikeDur, mult float64, seed uint64) []Request {
 	return withArrivals(probs, workload.FlashCrowdArrivals(
 		len(probs), base, spikeStart, spikeDur, mult, rng.New(seed).Child("arrivals/flash-crowd")))
@@ -261,23 +277,29 @@ func withArrivals(probs []*Problem, times []float64) []Request {
 func wrapServed(served []core.ServedResult) []ServedResult {
 	out := make([]ServedResult, len(served))
 	for i, sv := range served {
-		var res *Result
-		if sv.Result != nil {
-			res = wrapResult(sv.Result)
-		}
-		out[i] = ServedResult{
-			Result:       res,
-			ArrivalTime:  sv.Arrival,
-			StartTime:    sv.Start,
-			FinishTime:   sv.Finish,
-			QueueDelay:   sv.QueueDelay,
-			WallLatency:  sv.WallLatency,
-			Slices:       sv.Slices,
-			UsefulTokens: sv.UsefulTokens,
-			Width:        sv.Width,
-			Rejected:     sv.Rejected,
-			Tag:          sv.Tag,
-		}
+		out[i] = wrapServedResult(sv)
 	}
 	return out
+}
+
+// wrapServedResult converts one served request (shared by Server and the
+// fleet results).
+func wrapServedResult(sv core.ServedResult) ServedResult {
+	var res *Result
+	if sv.Result != nil {
+		res = wrapResult(sv.Result)
+	}
+	return ServedResult{
+		Result:       res,
+		ArrivalTime:  sv.Arrival,
+		StartTime:    sv.Start,
+		FinishTime:   sv.Finish,
+		QueueDelay:   sv.QueueDelay,
+		WallLatency:  sv.WallLatency,
+		Slices:       sv.Slices,
+		UsefulTokens: sv.UsefulTokens,
+		Width:        sv.Width,
+		Rejected:     sv.Rejected,
+		Tag:          sv.Tag,
+	}
 }

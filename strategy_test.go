@@ -3,8 +3,7 @@ package fasttts
 // Public-surface contract for the test-time-compute strategy knob:
 // malformed strategy strings fail fast at construction time — never
 // mid-run — on every entry point that accepts one (ServeConfig via
-// Config, ClusterConfig, ScenarioOptions), and well-formed ones serve
-// the full stream.
+// Config, and ClusterConfig), and well-formed ones serve the full stream.
 
 import (
 	"strings"
@@ -74,12 +73,6 @@ func TestStrategyServerValidates(t *testing.T) {
 	}
 }
 
-func TestStrategyScenarioOverrideValidates(t *testing.T) {
-	if _, err := RunScenario("steady", ScenarioOptions{Target: ScenarioCluster, Strategy: "bogus"}); err == nil {
-		t.Error("RunScenario accepted an unknown strategy override")
-	}
-}
-
 // TestStrategyFirstFinishServesFullStream: a first-finish cluster still
 // answers every request — early termination trims search compute, not
 // the served stream — and spends strictly fewer useful tokens than the
@@ -127,7 +120,12 @@ func TestStrategyFirstFinishServesFullStream(t *testing.T) {
 func TestStrategyTailGains(t *testing.T) {
 	p99 := func(scenario, strategy string) float64 {
 		t.Helper()
-		run, err := RunScenario(scenario, ScenarioOptions{Target: ScenarioCluster, Seed: 42, Strategy: strategy})
+		spec, err := buildScenario(scenario, ScenarioOptions{Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.cluster.Strategy = strategy
+		run, err := spec.run(ScenarioCluster)
 		if err != nil {
 			t.Fatal(err)
 		}
