@@ -1091,7 +1091,7 @@ func (r *run) finish() {
 		r.el.finish(r.out)
 	}
 	if r.obs != nil {
-		st := obs.Summarize(obs.Attribute(r.obs.Spans()))
+		st := obs.Summarize(r.obs.Attribution())
 		r.out.Attribution = &st
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -15,10 +14,11 @@ import (
 //	Wall = Queue + Service + Reprefill + Straggler + Preemption
 //
 // (left-to-right; CheckSums enforces the identity to within 1 ulp of
-// Wall). HedgeWaste and LostWork are device-time side channels — work
-// burned by a hedge loser or lost to a fail-stop — that overlap the
-// request's wall interval rather than extending it, so they sit outside
-// the serial sum.
+// Wall, and a straggler or preemption component within the virtual
+// clock's rounding of zero is exactly zero). HedgeWaste and LostWork are
+// device-time side channels — work burned by a hedge loser or lost to a
+// fail-stop — that overlap the request's wall interval rather than
+// extending it, so they sit outside the serial sum.
 type RequestAttribution struct {
 	Tag    int // original request tag (hedge twins fold into it)
 	Device int // device that produced the winning finish
@@ -28,7 +28,7 @@ type RequestAttribution struct {
 	Wall    float64 // Finish - Arrival
 
 	Queue      float64 // arrival -> first slice on the serving device
-	Service    float64 // nominal solver time across serving slices
+	Service    float64 // nominal solver time across serving slices (plus dropped preemption dust)
 	Reprefill  float64 // nominal KV re-prefill penalty paid at admission
 	Straggler  float64 // wall inflation of serving slices over nominal (stragglers)
 	Preemption float64 // serving-device gaps between slices (preemption residual)
@@ -139,10 +139,16 @@ func Attribute(spans []Span) []RequestAttribution {
 		a.Queue = start - arrival
 		// Straggler currently holds the serving slices' total wall;
 		// subtract the nominal parts to leave only straggler inflation.
-		a.Straggler = a.Straggler - a.Service - a.Reprefill
+		// Within the clock's rounding of zero it is zero: no straggler.
+		dust := clockDust(&a)
+		if a.Straggler = a.Straggler - a.Service - a.Reprefill; math.Abs(a.Straggler) <= dust {
+			a.Straggler = 0
+		}
 		// Preemption is the closing residual of the left-to-right sum,
 		// which pins the CheckSums identity to within 1 ulp of Wall.
-		a.Preemption = a.Wall - (((a.Queue + a.Service) + a.Reprefill) + a.Straggler)
+		if a.Preemption = a.Wall - (((a.Queue + a.Service) + a.Reprefill) + a.Straggler); math.Abs(a.Preemption) <= dust {
+			dropPreemptionDust(&a)
+		}
 		out = append(out, a)
 	}
 	if len(out) == 0 {
@@ -155,48 +161,66 @@ func Attribute(spans []Span) []RequestAttribution {
 // span: idx holds the indices of the request-scoped spans as one
 // contiguous run per request — runs in ascending original-tag order,
 // each run in stream order — and request k's run is
-// idx[bounds[k]:bounds[k+1]]. It is a counting sort over the requests,
-// so its cost is linear in the spans and its allocations are a fixed
-// handful of slices plus one map entry per request.
+// idx[bounds[k]:bounds[k+1]]. It is a counting sort over the requests:
+// original tags index a slot table directly when they are dense (request
+// tags are stream positions), and through a sorted table of the distinct
+// tags otherwise. Its allocations are a fixed handful of slices.
 func groupByRequest(spans []Span) (idx, bounds []int) {
-	group := make([]int, len(spans)) // span -> request number, -1 when not request-scoped
-	number := make(map[int]int)      // original tag -> request number, by first appearance
-	var tags, sizes []int            // per request number
+	n, lo, hi := 0, 0, 0 // scoped spans, their original-tag range
 	for i := range spans {
 		if !spans[i].Kind.requestScoped() {
-			group[i] = -1
 			continue
 		}
-		o := origTag(spans[i].Tag)
-		g, ok := number[o]
-		if !ok {
-			g = len(tags)
-			number[o] = g
-			tags = append(tags, o)
-			sizes = append(sizes, 0)
+		t := origTag(spans[i].Tag)
+		if n == 0 || t < lo {
+			lo = t
 		}
-		group[i] = g
-		sizes[g]++
+		hi = max(hi, t)
+		n++
 	}
-	byTag := make([]int, len(tags)) // request numbers in ascending tag order
-	for g := range byTag {
-		byTag[g] = g
+	var tags []int // sorted distinct original tags, when too sparse to index
+	if n > 0 && hi-lo >= 4*n {
+		tags = make([]int, 0, n)
+		for i := range spans {
+			if spans[i].Kind.requestScoped() {
+				tags = append(tags, origTag(spans[i].Tag))
+			}
+		}
+		slices.Sort(tags)
+		tags = slices.Compact(tags)
 	}
-	slices.SortFunc(byTag, func(a, b int) int { return cmp.Compare(tags[a], tags[b]) })
-	bounds = make([]int, 0, len(tags)+1)
-	next := make([]int, len(tags)) // where request g's next index goes
-	total := 0
-	for _, g := range byTag {
-		bounds = append(bounds, total)
-		next[g] = total
-		total += sizes[g]
+	slot := func(s *Span) int {
+		t := origTag(s.Tag)
+		if tags == nil {
+			return t - lo
+		}
+		k, _ := slices.BinarySearch(tags, t)
+		return k
 	}
-	bounds = append(bounds, total)
-	idx = make([]int, total)
-	for i, g := range group {
-		if g >= 0 {
-			idx[next[g]] = i
-			next[g]++
+	slots := hi - lo + 1
+	if tags != nil {
+		slots = len(tags)
+	}
+	next := make([]int, slots+1) // slot k's count at next[k+1], then its next index at next[k]
+	for i := range spans {
+		if spans[i].Kind.requestScoped() {
+			next[slot(&spans[i])+1]++
+		}
+	}
+	bounds = make([]int, 0, min(slots, n)+1)
+	for k := 0; k < slots; k++ {
+		if next[k+1] > 0 {
+			bounds = append(bounds, next[k])
+		}
+		next[k+1] += next[k]
+	}
+	bounds = append(bounds, n)
+	idx = make([]int, n)
+	for i := range spans {
+		if spans[i].Kind.requestScoped() {
+			k := slot(&spans[i])
+			idx[next[k]] = i
+			next[k]++
 		}
 	}
 	return idx, bounds
@@ -208,16 +232,51 @@ func (a RequestAttribution) ComponentSum() float64 {
 	return (((a.Queue + a.Service) + a.Reprefill) + a.Straggler) + a.Preemption
 }
 
+// clockDust bounds the float rounding one attribution inherits from the
+// virtual clock: a straggler or preemption component this close to zero
+// is no straggler or preemption. The components are differences and
+// sums of the request's clock readings — arrival, the queue's end, each
+// slice's end — and of the slices' nominal times; each rounds by at most
+// half an ulp of the latest reading, so two ulps per slice plus four
+// cover them.
+func clockDust(a *RequestAttribution) float64 {
+	t := max(math.Abs(a.Arrival), math.Abs(a.Finish))
+	return float64(2*a.Slices+4) * (math.Nextafter(t, math.Inf(1)) - t)
+}
+
+// dropPreemptionDust sets a Preemption residual that is only clock
+// rounding to exactly 0 while keeping the CheckSums identity: the
+// residual is dropped when the other components already sum to Wall
+// within 1 ulp, and otherwise folded into Service — the slices' time,
+// where the clock's rounding accrued, and positive for any request that
+// ran a slice, so no structurally-zero component picks up dust. A residual
+// neither placement absorbs stays as it is.
+func dropPreemptionDust(a *RequestAttribution) {
+	p, svc := a.Preemption, a.Service
+	a.Preemption = 0
+	if sumsToWall(a) {
+		return
+	}
+	if a.Service = svc + p; !sumsToWall(a) {
+		a.Service, a.Preemption = svc, p
+	}
+}
+
+// sumsToWall reports whether a's components sum to its wall latency
+// within 1 ulp of Wall.
+func sumsToWall(a *RequestAttribution) bool {
+	tol := math.Nextafter(math.Abs(a.Wall), math.Inf(1)) - math.Abs(a.Wall)
+	return math.Abs(a.ComponentSum()-a.Wall) <= tol
+}
+
 // CheckSums verifies the attribution identity — components sum to the
 // measured wall latency within 1 ulp of Wall — for every record,
 // returning the first violation.
 func CheckSums(attrs []RequestAttribution) error {
 	for _, a := range attrs {
-		sum := a.ComponentSum()
-		tol := math.Nextafter(math.Abs(a.Wall), math.Inf(1)) - math.Abs(a.Wall)
-		if diff := math.Abs(sum - a.Wall); diff > tol {
-			return fmt.Errorf("obs: tag %d: components sum to %v but wall is %v (diff %v > 1 ulp %v)",
-				a.Tag, sum, a.Wall, diff, tol)
+		if !sumsToWall(&a) {
+			return fmt.Errorf("obs: tag %d: components sum to %v but wall is %v (diff %v > 1 ulp)",
+				a.Tag, a.ComponentSum(), a.Wall, math.Abs(a.ComponentSum()-a.Wall))
 		}
 	}
 	return nil

@@ -18,10 +18,9 @@
 package obs
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
+	"sync"
 )
 
 // Kind discriminates span types. Device-track kinds describe one
@@ -129,15 +128,14 @@ func (k Kind) String() string {
 // requestScoped reports whether the kind carries a per-request Tag
 // (attribution groups only these; fleet-scoped kinds reuse the Tag
 // field for nothing and must not join tag groups).
-func (k Kind) requestScoped() bool {
-	switch k {
-	case KindAdmit, KindReject, KindQueue, KindSlice, KindFinish,
-		KindCancel, KindWithdraw, KindRoute, KindRouteCand, KindHedge,
-		KindHedgeWin, KindRequeue, KindShed, KindCancelReq:
-		return true
-	}
-	return false
-}
+func (k Kind) requestScoped() bool { return requestScopedKinds>>k&1 != 0 }
+
+// requestScopedKinds has bit k set for each request-scoped kind k; a
+// shift past 63 (an unknown kind) reads 0.
+const requestScopedKinds uint64 = 1<<KindAdmit | 1<<KindReject | 1<<KindQueue |
+	1<<KindSlice | 1<<KindFinish | 1<<KindCancel | 1<<KindWithdraw |
+	1<<KindRoute | 1<<KindRouteCand | 1<<KindHedge | 1<<KindHedgeWin |
+	1<<KindRequeue | 1<<KindShed | 1<<KindCancelReq
 
 // ControlTrack is the Track id of the fleet control plane.
 const ControlTrack = -1
@@ -146,9 +144,9 @@ const ControlTrack = -1
 // (Start == End) on one track. V1, V2, N, and Flag are kind-specific
 // payloads (see the Kind constants); Tag is the request's correlation
 // tag for request-scoped kinds (a hedged twin runs under the
-// bit-complement ^tag of its original).
+// bit-complement ^tag of its original). The two one-byte fields sit
+// last, so a Span packs into 64 bytes.
 type Span struct {
-	Kind  Kind
 	Track int // device fleet index, or ControlTrack
 	Tag   int
 	Start float64
@@ -156,15 +154,27 @@ type Span struct {
 	V1    float64
 	V2    float64
 	N     int
+	Kind  Kind
 	Flag  bool
 }
 
+// A track stores its spans in fixed-size chunks: appending never moves
+// a recorded span, and Reset keeps the chunks for the next run to
+// overwrite instead of handing them to the garbage collector.
+const (
+	chunkShift = 8
+	chunkLen   = 1 << chunkShift // 256 spans, 16 KiB
+)
+
+type chunk [chunkLen]Span
+
 // Track is one single-writer span sequence. The nil Track swallows
-// emissions, so every instrumentation site is a nil check plus a value
-// append — no allocation, no branch beyond the check, when disabled.
+// emissions, so every instrumentation site is a nil check plus a store
+// when enabled and nothing beyond the check when disabled.
 type Track struct {
-	id    int
-	spans []Span
+	id     int
+	n      int      // spans emitted
+	chunks []*chunk // span i is chunks[i>>chunkShift][i&(chunkLen-1)]
 }
 
 // Emit appends one span, stamping the track id. Safe on a nil Track
@@ -173,8 +183,12 @@ func (t *Track) Emit(s Span) {
 	if t == nil {
 		return
 	}
+	if t.n == len(t.chunks)<<chunkShift {
+		t.chunks = append(t.chunks, new(chunk))
+	}
 	s.Track = t.id
-	t.spans = append(t.spans, s)
+	t.chunks[t.n>>chunkShift][t.n&(chunkLen-1)] = s
+	t.n++
 }
 
 // Len returns the number of spans emitted to this track (0 for nil).
@@ -182,19 +196,33 @@ func (t *Track) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.spans)
+	return t.n
 }
+
+// at returns span i of the track.
+func (t *Track) at(i int) *Span { return &t.chunks[i>>chunkShift][i&(chunkLen-1)] }
 
 // Recorder owns the track set of one run. The zero value is ready to
 // use; a nil *Recorder is the disabled recorder — Control and Device
 // return nil tracks that swallow every emission.
 //
-// A Recorder is not safe for concurrent use: Control and Device may grow
-// the track set. The *Track pointers they return are stable across
-// growth.
+// The merged stream and its attribution are computed once and kept
+// until the stream changes: every Emit grows the span count and Reset
+// drops both, so a cache whose count matches SpanCount is current.
+//
+// Recording is single-threaded: Control and Device may grow the track
+// set, and neither they, Emit nor Reset may overlap any other call. The
+// *Track pointers they return are stable across growth. Once recording
+// stops, SpanCount, Spans and Attribution are safe to call concurrently:
+// mu guards the cache the first of them fills.
 type Recorder struct {
 	control *Track
 	devices []*Track
+
+	mu       sync.Mutex
+	merged   []Span // Spans' result; nil until the first merge
+	attrs    []RequestAttribution
+	attrsSet bool // attrs is the attribution of merged
 }
 
 // NewRecorder returns an empty recorder.
@@ -235,18 +263,23 @@ func (r *Recorder) SpanCount() int {
 	return n
 }
 
-// Reset drops every recorded span, keeping the track set (a recorder
-// is otherwise single-run: attach a fresh or reset recorder per run).
+// Reset drops every recorded span, keeping the track set and its chunks
+// for the next run (a recorder is otherwise single-run: attach a fresh
+// or reset recorder per run). Streams returned by Spans and Attribution
+// before the Reset stay valid.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
 	if r.control != nil {
-		r.control.spans = r.control.spans[:0]
+		r.control.n = 0
 	}
 	for _, t := range r.devices {
-		t.spans = t.spans[:0]
+		t.n = 0
 	}
+	r.mu.Lock()
+	r.merged, r.attrs, r.attrsSet = nil, nil, false
+	r.mu.Unlock()
 }
 
 // Spans merges every track into one canonically ordered stream: spans
@@ -254,92 +287,127 @@ func (r *Recorder) Reset() {
 // track's emission order among equal keys. The result is a pure
 // function of per-track content: identical per-track sequences give a
 // bit-identical merged trace.
+//
+// The merge runs once per recorded stream: later calls return the same
+// slice until a span is emitted or the recorder is reset, so callers
+// must not modify it.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	// Order each track by Start on 16-byte keys (tracks are near-sorted:
-	// only queue and admit spans, emitted late with Start = arrival, sit
-	// out of place), then k-way merge the tracks by (Start, track),
-	// copying every 72-byte span exactly once.
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.spans()
+}
+
+// spans is Spans with r.mu held.
+func (r *Recorder) spans() []Span {
 	n := r.SpanCount()
+	if r.merged != nil && len(r.merged) == n {
+		return r.merged
+	}
+	tracks := make([]*Track, 0, len(r.devices)+1)
+	if r.control != nil {
+		tracks = append(tracks, r.control)
+	}
+	tracks = append(tracks, r.devices...)
+	// One key per span, laid out track by track in emission order: a
+	// stable sort by Start alone then yields the canonical order, and
+	// each span is copied exactly once, when the sorted keys gather it.
 	keys := make([]spanKey, 0, n)
-	h := make(mergeHeap, 0, len(r.devices)+1)
-	add := func(t *Track) {
-		if t.Len() == 0 {
-			return
+	for ti, t := range tracks {
+		for i := 0; i < t.n; i++ {
+			keys = append(keys, spanKey{start: orderedBits(t.at(i).Start), ref: uint64(ti)<<refShift | uint64(i)})
 		}
-		lo := len(keys)
-		for i := range t.spans {
-			keys = append(keys, spanKey{start: t.spans[i].Start, pos: i})
-		}
-		order := keys[lo:]
-		slices.SortFunc(order, func(a, b spanKey) int {
-			if c := cmp.Compare(a.start, b.start); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.pos, b.pos) // total, so the order is the stable one
-		})
-		h = append(h, mergeCursor{track: t, order: order})
 	}
-	add(r.control)
-	for _, t := range r.devices {
-		add(t)
+	keys = radixSort(keys, make([]spanKey, n))
+	out := make([]Span, n)
+	for i, k := range keys {
+		out[i] = *tracks[k.ref>>refShift].at(int(k.ref & (1<<refShift - 1)))
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-	out := make([]Span, 0, n)
-	for len(h) > 0 {
-		c := &h[0]
-		out = append(out, c.track.spans[c.order[0].pos])
-		if c.order = c.order[1:]; len(c.order) == 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		h.down(0)
-	}
+	r.merged, r.attrs, r.attrsSet = out, nil, false
 	return out
 }
 
-// spanKey is one span's place within its track's Start order.
+// Attribution is Attribute over the merged stream, computed once per
+// recorded stream like Spans: later calls return the same slice until a
+// span is emitted or the recorder is reset, so callers must not modify
+// it. Nil on a nil recorder.
+func (r *Recorder) Attribution() []RequestAttribution {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	spans := r.spans()
+	if !r.attrsSet {
+		r.attrs, r.attrsSet = Attribute(spans), true
+	}
+	return r.attrs
+}
+
+// spanKey is one span's sort key and its place in the track set.
 type spanKey struct {
-	start float64
-	pos   int // emission position in the track
+	start uint64 // orderedBits(Start)
+	ref   uint64 // track slot << refShift | emission position
 }
 
-// mergeCursor is one track's unmerged remainder, in Start order.
-type mergeCursor struct {
-	track *Track
-	order []spanKey
-}
+const refShift = 40
 
-// mergeHeap is a binary min-heap of non-empty cursors keyed by
-// (next Start, track id).
-type mergeHeap []mergeCursor
-
-func (h mergeHeap) less(i, j int) bool {
-	if c := cmp.Compare(h[i].order[0].start, h[j].order[0].start); c != 0 {
-		return c < 0
+// orderedBits maps a Start to a key whose unsigned order is the
+// cmp.Compare order of the floats: NaN first, -0 equal to +0.
+func orderedBits(f float64) uint64 {
+	if f != f {
+		return 0
 	}
-	return h[i].track.id < h[j].track.id
+	if f == 0 {
+		f = 0 // -0 ties +0
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
-func (h mergeHeap) down(i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h.less(c+1, c) {
-			c++
-		}
-		if !h.less(c, i) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
+// radixBits is the digit width of radixSort: six passes at most, over
+// count tables small enough to stay in cache.
+const radixBits = 11
+
+// radixSort stably sorts keys by start, radixBits at a time from the
+// least significant, skipping the digits every key shares; tmp is
+// scratch of the same length. It returns whichever of the two holds the
+// result.
+func radixSort(keys, tmp []spanKey) []spanKey {
+	if len(keys) < 2 {
+		return keys
 	}
+	const digits = (64 + radixBits - 1) / radixBits
+	var counts [digits][1 << radixBits]int
+	for _, k := range keys {
+		for d := range counts {
+			counts[d][k.start>>(radixBits*d)&(1<<radixBits-1)]++
+		}
+	}
+	for d := range counts {
+		c := &counts[d]
+		shift := radixBits * d
+		if c[keys[0].start>>shift&(1<<radixBits-1)] == len(keys) {
+			continue // every key has this digit
+		}
+		sum := 0
+		for b, m := range c {
+			c[b] = sum
+			sum += m
+		}
+		for _, k := range keys {
+			b := k.start >> shift & (1<<radixBits - 1)
+			tmp[c[b]] = k
+			c[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
 // Verify checks the span stream's lifecycle invariants — the flight

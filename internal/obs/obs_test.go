@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -68,12 +69,13 @@ func TestRecorderMergeOrder(t *testing.T) {
 }
 
 // TestRecorderMergeMatchesStableSort is the merge's differential
-// oracle: Spans — per-track key sort plus k-way merge — returns element
-// for element what the reflection-based sort.SliceStable over the
-// concatenated tracks returned before it, on random track sets with
-// Start collisions across and within tracks, Start running backwards
-// within a track (queue and admit spans are emitted late, with Start =
-// arrival), empty tracks, and no control track.
+// oracle: Spans — a stable radix sort of the tracks' keys — returns
+// element for element what the reflection-based sort.SliceStable over
+// the concatenated tracks returned before it, on random track sets with
+// Start collisions across and within tracks (-0 among them, equal to
+// +0), negative Starts, Start running backwards within a track (queue
+// and admit spans are emitted late, with Start = arrival), tracks longer
+// than a chunk, empty tracks, and no control track.
 func TestRecorderMergeMatchesStableSort(t *testing.T) {
 	rnd := quickRand(t)
 	for round := 0; round < 300; round++ {
@@ -81,11 +83,14 @@ func TestRecorderMergeMatchesStableSort(t *testing.T) {
 		serial := 0
 		fill := func(tr *Track) {
 			clock := 0.0
-			for n := rnd.Intn(80); n > 0; n-- {
+			for n := rnd.Intn(3 * chunkLen); n > 0; n-- { // tracks cross chunk boundaries
 				clock += float64(rnd.Intn(3)) * 0.25 // coarse grid: collisions everywhere
 				start := clock
 				if rnd.Intn(3) == 0 {
 					start -= float64(rnd.Intn(8)) * 0.25 // emitted late
+				}
+				if start == 0 && rnd.Intn(2) == 0 {
+					start = math.Copysign(0, -1) // ties +0
 				}
 				serial++
 				tr.Emit(Span{Kind: Kind(1 + rnd.Intn(int(KindDrain))), Tag: serial, Start: start, End: clock})
@@ -102,11 +107,10 @@ func TestRecorderMergeMatchesStableSort(t *testing.T) {
 		}
 
 		var want []Span
-		if r.control != nil {
-			want = append(want, r.control.spans...)
-		}
-		for _, tr := range r.devices {
-			want = append(want, tr.spans...)
+		for _, tr := range append([]*Track{r.control}, r.devices...) {
+			for i := 0; i < tr.Len(); i++ {
+				want = append(want, *tr.at(i))
+			}
 		}
 		sort.SliceStable(want, func(i, j int) bool {
 			if want[i].Start != want[j].Start {
@@ -448,5 +452,176 @@ func TestAttributeAllocsIndependentOfSpansPerRequest(t *testing.T) {
 	few, many := measure(stream(4)), measure(stream(40))
 	if many > few {
 		t.Fatalf("Attribute allocates %.0f objects at 4 slices per request but %.0f at 40", few, many)
+	}
+}
+
+// TestRecorderCachesMergeAndAttribution pins the recorder's one merge and
+// one attribution per recorded stream: repeated calls share one slice, an
+// emission or a Reset invalidates it, and a stream handed out before a
+// Reset survives the next run overwriting the recycled chunks.
+func TestRecorderCachesMergeAndAttribution(t *testing.T) {
+	r := NewRecorder()
+	lifecycle(r.Device(0), 0, 0, 0, 0, 2)
+	first, attrs := r.Spans(), r.Attribution()
+	if len(first) != 4 || len(attrs) != 1 {
+		t.Fatalf("merged %d spans, attributed %d requests; want 4 and 1", len(first), len(attrs))
+	}
+	if again := r.Spans(); &again[0] != &first[0] {
+		t.Fatal("a second Spans call merged again")
+	}
+	if again := r.Attribution(); &again[0] != &attrs[0] {
+		t.Fatal("a second Attribution call attributed again")
+	}
+
+	lifecycle(r.Device(1), 1, 1, 1, 1, 3)
+	if got := r.Spans(); len(got) != 8 || len(r.Attribution()) != 2 {
+		t.Fatalf("after an emission: %d spans, %d attributions; want 8 and 2", len(got), len(r.Attribution()))
+	}
+
+	kept := slices.Clone(first)
+	r.Reset()
+	// A new run as long as the last merge: the count alone cannot tell
+	// the streams apart, Reset must.
+	lifecycle(r.Device(0), 5, 7, 7, 7, 9) // overwrites the recycled chunk
+	lifecycle(r.Device(1), 6, 7, 7, 7, 9)
+	if !slices.Equal(first, kept) {
+		t.Fatal("a stream returned before Reset changed when the chunks were reused")
+	}
+	if got := r.Spans(); len(got) != 8 || got[0].Tag != 5 || r.Attribution()[0].Tag != 5 {
+		t.Fatalf("after Reset and a new run: %+v", got)
+	}
+	r.Reset()
+	if got := r.Spans(); len(got) != 0 || r.Attribution() != nil {
+		t.Fatalf("after Reset: %d spans, %d attributions", len(got), len(r.Attribution()))
+	}
+}
+
+// TestTrackChunksNeverMove pins the chunked track: a span's address never
+// changes as the track grows past chunk boundaries, the first fill
+// allocates one chunk per chunkLen spans, and a reset track refills its
+// kept chunks without allocating.
+func TestTrackChunksNeverMove(t *testing.T) {
+	r := NewRecorder()
+	tr := r.Device(0)
+	const spans = 5*chunkLen + 3
+	fill := func() {
+		for i := 0; i < spans; i++ {
+			tr.Emit(Span{Kind: KindSlice, Tag: i, Start: float64(i), End: float64(i + 1)})
+		}
+	}
+	tr.Emit(Span{Kind: KindAdmit})
+	p := tr.at(0)
+	// AllocsPerRun's warm-up call grows the track; the measured call
+	// refills the chunks Reset kept.
+	refill := testing.AllocsPerRun(1, func() { r.Reset(); fill() })
+	if p != tr.at(0) || tr.at(0).Tag != 0 || tr.at(spans-1).Tag != spans-1 {
+		t.Fatal("spans moved or were lost as the track grew")
+	}
+	if refill != 0 {
+		t.Fatalf("refilling a reset track allocated %.0f objects, want 0", refill)
+	}
+	fresh := NewRecorder().Device(0)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < spans; i++ {
+			fresh.Emit(Span{Kind: KindSlice})
+		}
+	})
+	// One chunk per chunkLen spans, plus the chunk index's own growth.
+	if max := float64(spans/chunkLen+1) + 4; allocs > max {
+		t.Fatalf("filling %d spans allocated %.0f objects, want <= %.0f", spans, allocs, max)
+	}
+}
+
+// TestAttributeSparseTags: tags too sparse to index a slot table directly
+// group through the sorted-tag table to the same attributions.
+func TestAttributeSparseTags(t *testing.T) {
+	build := func(tag func(int) int) []Span {
+		r := NewRecorder()
+		for k := 0; k < 40; k++ {
+			at := float64(k % 7)
+			r.Control().Emit(Span{Kind: KindRoute, Tag: tag(k), Start: at, End: at, N: 2})
+			lifecycle(r.Device(k%3), tag(k), at, at, at+0.5, at+1.25)
+		}
+		return r.Spans()
+	}
+	dense := Attribute(build(func(k int) int { return k }))
+	sparse := Attribute(build(func(k int) int { return k<<40 + 3 }))
+	if len(dense) != 40 || len(sparse) != 40 {
+		t.Fatalf("attributed %d dense and %d sparse requests, want 40", len(dense), len(sparse))
+	}
+	for i := range dense {
+		if want := dense[i].Tag<<40 + 3; sparse[i].Tag != want {
+			t.Fatalf("record %d: sparse tag %d, want %d", i, sparse[i].Tag, want)
+		}
+		sparse[i].Tag = dense[i].Tag
+		if sparse[i] != dense[i] {
+			t.Fatalf("record %d: sparse %+v, dense %+v", i, sparse[i], dense[i])
+		}
+	}
+}
+
+// TestAttributeStructuralZeros: a request with no straggler and no
+// preemption gap has Straggler and Preemption exactly 0, although its
+// clock readings — late absolute instants, so End-Start and Finish-Arrival
+// round — leave float dust in the raw differences; the identity still
+// holds within 1 ulp of Wall, because the dust folds into Service, and
+// Queue is left as measured. A real straggler and a real gap are kept.
+func TestAttributeStructuralZeros(t *testing.T) {
+	arrive, nom := 1000.1, 0.3
+	start := arrive + 0.7
+	end := start + nom
+	if (end-start)-nom == 0 {
+		t.Fatal("test instants leave no dust; pick others")
+	}
+	r := NewRecorder()
+	d := r.Device(0)
+	d.Emit(Span{Kind: KindAdmit, Tag: 0, Start: arrive, End: arrive})
+	d.Emit(Span{Kind: KindQueue, Tag: 0, Start: arrive, End: start})
+	d.Emit(Span{Kind: KindSlice, Tag: 0, Start: start, End: end, V1: nom})
+	d.Emit(Span{Kind: KindFinish, Tag: 0, Start: end, End: end, N: 1})
+	// Request 1: slowed down 1.5x, then preempted for 0.2 before its
+	// second slice.
+	s1 := end
+	e1 := s1 + 1.5*nom
+	s2 := e1 + 0.2
+	e2 := s2 + nom
+	d.Emit(Span{Kind: KindAdmit, Tag: 1, Start: arrive, End: arrive})
+	d.Emit(Span{Kind: KindQueue, Tag: 1, Start: arrive, End: s1})
+	d.Emit(Span{Kind: KindSlice, Tag: 1, Start: s1, End: e1, V1: nom})
+	d.Emit(Span{Kind: KindSlice, Tag: 1, Start: s2, End: e2, V1: nom})
+	d.Emit(Span{Kind: KindFinish, Tag: 1, Start: e2, End: e2, N: 2})
+
+	attrs := r.Attribution()
+	if err := CheckSums(attrs); err != nil {
+		t.Fatal(err)
+	}
+	if a := attrs[0]; a.Straggler != 0 || a.Preemption != 0 {
+		t.Fatalf("undisturbed request: straggler %g, preemption %g; want exactly 0", a.Straggler, a.Preemption)
+	}
+	if a := attrs[0]; a.Queue != start-arrive || math.Abs(a.Service-nom) > 1e-12 {
+		t.Fatalf("undisturbed request: queue %v, service %v; want %v and about %v", a.Queue, a.Service, start-arrive, nom)
+	}
+	if a := attrs[1]; math.Abs(a.Straggler-0.5*nom) > 1e-9 || math.Abs(a.Preemption-0.2) > 1e-9 {
+		t.Fatalf("slowed, preempted request: straggler %g, preemption %g; want %g and 0.2", a.Straggler, a.Preemption, 0.5*nom)
+	}
+	if st := Summarize(attrs[:1]); st.Straggler != 0 || st.Preemption != 0 {
+		t.Fatalf("rollup of the undisturbed request: %+v", st)
+	}
+}
+
+// TestDropPreemptionDustKeepsIdentity: a dust-sized residual that
+// neither dropping nor folding into Service can place within 1 ulp of
+// Wall — here Service's ulp is far coarser than Wall's — is kept, so the
+// CheckSums identity holds either way.
+func TestDropPreemptionDustKeepsIdentity(t *testing.T) {
+	a := RequestAttribution{Wall: 1 + 1e-13, Service: 1e6, Straggler: -(1e6 - 1)}
+	a.Preemption = a.Wall - a.ComponentSum()
+	want := a
+	dropPreemptionDust(&a)
+	if a != want {
+		t.Fatalf("unplaceable residual changed the record: %+v, want %+v", a, want)
+	}
+	if err := CheckSums([]RequestAttribution{a}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -38,8 +37,17 @@ func WritePerfetto(w io.Writer, spans []Span) error {
 		}
 	}
 
-	bw := bufio.NewWriterSize(w, 64<<10)
-	b := make([]byte, 0, 512) // one event at a time
+	// Events append to one buffer, written out whenever it passes
+	// perfettoFlush; the first write error stops the writing and is
+	// returned.
+	var werr error
+	b := make([]byte, 0, perfettoFlush+512)
+	flush := func() {
+		if werr == nil {
+			_, werr = w.Write(b)
+		}
+		b = b[:0]
+	}
 	b = append(b, `{"traceEvents":[`...)
 	sep := "" // "," once the first event is out
 	if seenControl {
@@ -54,8 +62,9 @@ func WritePerfetto(w io.Writer, spans []Span) error {
 		b = append(b, `,"args":{"name":"device `...)
 		b = strconv.AppendInt(b, int64(d), 10)
 		b = append(b, `"}}`...)
-		bw.Write(b)
-		b = b[:0]
+		if len(b) >= perfettoFlush {
+			flush()
+		}
 	}
 
 	for i := range spans {
@@ -116,13 +125,17 @@ func WritePerfetto(w io.Writer, spans []Span) error {
 			b = b[:len(b)-1] // trailing comma
 		}
 		b = append(b, "}}"...)
-		bw.Write(b)
-		b = b[:0]
+		if len(b) >= perfettoFlush {
+			flush()
+		}
 	}
 	b = append(b, "],\"displayTimeUnit\":\"ms\"}\n"...)
-	bw.Write(b)
-	return bw.Flush() // bufio errors are sticky: the first failed write surfaces here
+	flush()
+	return werr
 }
+
+// perfettoFlush is the buffered output size WritePerfetto writes at.
+const perfettoFlush = 64 << 10
 
 // perfettoTimes maps a span's interval to trace microseconds: the
 // timestamp, and the duration of an interval span (0 for an instant).

@@ -308,7 +308,7 @@ type failingWriter struct{}
 func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
 // TestWritePerfettoAllocs pins the encoder's allocation profile: a
-// constant handful (the buffered writer and the event buffer) however
+// constant handful (the output buffer and its flush closure) however
 // long the stream — no per-span event tree — and a write failure
 // surfaces as the error.
 func TestWritePerfettoAllocs(t *testing.T) {

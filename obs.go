@@ -23,7 +23,15 @@ import (
 //
 // A nil *Recorder is valid everywhere and means tracing off (the
 // default, which costs the engines nothing). A recorder accumulates
-// across runs; call Reset between runs for per-run traces.
+// across runs; call Reset between runs for per-run traces. The merged
+// trace and its attribution are computed once and shared by
+// WritePerfetto, Verify, Attribution and AttributionSummary until the
+// next run records into the recorder or it is reset.
+//
+// A recorder takes one run at a time. Once that run has returned, its
+// read methods (SpanCount, WritePerfetto, Verify, Attribution,
+// AttributionSummary) are safe to call from several goroutines; Reset and
+// a new run must not overlap them.
 type Recorder struct {
 	inner *obs.Recorder
 }
@@ -63,10 +71,11 @@ func (r *Recorder) Verify() error { return obs.Verify(r.rec().Spans()) }
 
 // RequestAttribution decomposes one finished request's wall latency
 // into additive components: Wall = Queue + Service + Reprefill +
-// Straggler + Preemption, exact to within 1 ulp. HedgeWaste and
-// LostWork are device-time side channels (work burned by a losing
-// hedge copy, or lost to a fail-stop before requeue) that overlap the
-// wall interval rather than extending it.
+// Straggler + Preemption, exact to within 1 ulp; a straggler or
+// preemption component within the virtual clock's float rounding of zero
+// is exactly 0. HedgeWaste and LostWork are device-time side channels
+// (work burned by a losing hedge copy, or lost to a fail-stop before
+// requeue) that overlap the wall interval rather than extending it.
 type RequestAttribution struct {
 	// Tag is the request's stream position; Device the fleet index that
 	// produced the winning finish.
@@ -98,7 +107,7 @@ type RequestAttribution struct {
 // trace: one record per finished request, sorted by tag. Requests that
 // never finished (shed, rejected, cancelled) are not attributed.
 func (r *Recorder) Attribution() []RequestAttribution {
-	inner := obs.Attribute(r.rec().Spans())
+	inner := r.rec().Attribution()
 	out := make([]RequestAttribution, len(inner))
 	for i, a := range inner {
 		out[i] = RequestAttribution{
@@ -127,7 +136,7 @@ type AttributionStats struct {
 // AttributionSummary aggregates the recorded trace's per-request
 // attributions into fleet totals.
 func (r *Recorder) AttributionSummary() AttributionStats {
-	return wrapAttribution(obs.Summarize(obs.Attribute(r.rec().Spans())))
+	return wrapAttribution(obs.Summarize(r.rec().Attribution()))
 }
 
 func wrapAttribution(st metrics.AttributionStats) AttributionStats {

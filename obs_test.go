@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"sync"
 	"testing"
 
 	"fasttts/internal/metrics"
@@ -90,6 +92,55 @@ func TestRecorderTraceDeterministic(t *testing.T) {
 	}
 	if _, ok := doc["traceEvents"]; !ok {
 		t.Fatal("Perfetto export missing traceEvents")
+	}
+}
+
+// TestRecorderConcurrentReads: a finished run's recorder serves its read
+// methods to several goroutines at once, and every reader sees the same
+// trace and attribution. A server run leaves the shared merge and
+// attribution unfilled, so the readers race to fill them (run under
+// -race).
+func TestRecorderConcurrentReads(t *testing.T) {
+	rec := NewRecorder()
+	if _, err := RunScenario("fleet-churn", ScenarioOptions{
+		Target: ScenarioServer, Requests: 20, Seed: 7, Trace: rec,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const readers = 4
+	traces := make([][]byte, readers)
+	attrs := make([][]RequestAttribution, readers)
+	errs := make([]error, readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf bytes.Buffer
+			if i%2 == 0 {
+				errs[i] = rec.WritePerfetto(&buf)
+				attrs[i] = rec.Attribution()
+			} else {
+				attrs[i] = rec.Attribution()
+				errs[i] = rec.WritePerfetto(&buf)
+			}
+			traces[i] = buf.Bytes()
+			if errs[i] == nil {
+				errs[i] = rec.Verify()
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < readers; i++ {
+		if errs[i] != nil {
+			t.Fatalf("reader %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(traces[i], traces[0]) || !slices.Equal(attrs[i], attrs[0]) {
+			t.Fatalf("reader %d saw a different trace or attribution than reader 0", i)
+		}
+	}
+	if len(attrs[0]) == 0 {
+		t.Fatal("no request attributed")
 	}
 }
 
