@@ -32,7 +32,7 @@ cover:
 # require bit-identical agreement with the committed golden traces. The
 # TestGoldenScenarioTraces prefix also matches ...TracesWithRecorder,
 # which replays every golden with the span recorder attached against the
-# same bytes.
+# same bytes and checks each run's span digest.
 scenarios:
 	$(GO) test -count=1 -run 'TestGoldenScenarioTraces|TestGoldenTracesDecodable|TestScenarioRunDeterministic' -v .
 
@@ -92,9 +92,11 @@ profile-dispatch:
 # Where the kv-pressure pass's host time and allocations go: the same two
 # profiles of BenchmarkKVPressure (three GPUs behind 512 MiB KV planes,
 # cache-aware routing, 18 hot few-shot prompts, in
-# internal/cluster/perf_test.go). Long prompts and a 250-answer AIME space
-# make the solver's answer draws and kvcache eviction weigh more here than
-# on solver-beam.
+# internal/cluster/perf_test.go). The decode loop (solver.decodeRounds,
+# about 30 % of CPU, half of it the per-round roofline in
+# engine.DecodeRound) leads, then kvcache acquire/walk, verification and
+# beam selection; long prompts and a 250-answer AIME space make answer
+# draws and kvcache eviction weigh more here than on solver-beam.
 profile-kv:
 	mkdir -p bench-smoke
 	$(GO) test -run '^$$' -bench 'BenchmarkKVPressure' -benchtime 10x -benchmem \
@@ -103,7 +105,8 @@ profile-kv:
 	$(GO) tool pprof -top -nodecount=25 bench-smoke/cluster.test bench-smoke/kv.cpu
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/cluster.test bench-smoke/kv.mem
 
-# Regenerate the golden traces after an *intentional* behavior change.
+# Regenerate the golden traces, and the span digests in
+# testdata/golden/perfetto.sha256, after an *intentional* behavior change.
 # Review the resulting diff like code before committing it.
 golden:
 	$(GO) test -count=1 -run TestGoldenScenarioTraces . -update

@@ -68,24 +68,24 @@ func PrefillTime(g hw.GPU, m model.Config, batch, seq int) float64 {
 	return g.Roofline(flops, bytes)
 }
 
-// DecodeTime models T_roof of one decode step for a batch whose average
-// cached context is cacheLen tokens.
-func DecodeTime(g hw.GPU, m model.Config, batch, cacheLen int) float64 {
+// DecodeTime models T_roof of one decode step, on dec, for a batch whose
+// average cached context is cacheLen tokens.
+func DecodeTime(dec *model.DecodeRoofline, batch, cacheLen int) float64 {
 	if batch <= 0 {
 		return 0
 	}
-	flops := float64(batch) * m.DecodeFLOPsPerToken(cacheLen)
-	bytes := m.DecodeBytesPerStep(batch, int64(batch)*int64(cacheLen))
-	return g.Roofline(flops, bytes)
+	dt, _ := dec.Step(batch, int64(batch)*int64(cacheLen))
+	return dt
 }
 
-// cycleTime evaluates T_tot for a candidate batch pair.
-func cycleTime(in Input, bPre, bDec int) float64 {
+// cycleTime evaluates T_tot for a candidate batch pair; dec is the
+// generator's decode roofline on in.GPU.
+func cycleTime(in Input, dec *model.DecodeRoofline, bPre, bDec int) float64 {
 	nPreBatches := ceilDiv(in.N, bPre)
 	nDecBatches := ceilDiv(in.N, bDec)
 	avgCache := in.SeqDecode / 2 // S̄_cache ≈ S_dec/2 (paper §4.3.1)
 	tPre := float64(nPreBatches) * PrefillTime(in.GPU, in.Verifier, bPre, in.SeqVerifier)
-	tDec := float64(nDecBatches) * float64(in.SeqDecode) * DecodeTime(in.GPU, in.Generator, bDec, avgCache)
+	tDec := float64(nDecBatches) * float64(in.SeqDecode) * DecodeTime(dec, bDec, avgCache)
 	return tPre + tDec
 }
 
@@ -100,6 +100,7 @@ func Optimize(in Input) (Plan, error) {
 	}
 	kvPre := in.Verifier.KVBytes(1, in.SeqVerifier)
 	kvDec := in.Generator.KVBytes(1, in.SeqDecode)
+	dec := model.NewDecodeRoofline(in.Generator, in.GPU)
 
 	best := Plan{TotalTime: -1}
 	maxPre := int(in.BudgetBytes / kvPre)
@@ -115,7 +116,7 @@ func Optimize(in Input) (Plan, error) {
 		if bDec < 1 {
 			continue
 		}
-		t := cycleTime(in, bPre, bDec)
+		t := cycleTime(in, &dec, bPre, bDec)
 		// Ties resolve in favor of the larger decode batch (§4.3.1).
 		if best.TotalTime < 0 || t < best.TotalTime ||
 			(t == best.TotalTime && bDec > best.BDec) {
@@ -141,7 +142,7 @@ func Optimize(in Input) (Plan, error) {
 		if bPre >= 1 && bDec >= 1 {
 			moved := float64(int64(bPre)*kvPre + int64(bDec)*kvDec)
 			overhead := in.GPU.TransferTime(moved)
-			t := cycleTime(in, bPre, bDec) + overhead
+			t := cycleTime(in, &dec, bPre, bDec) + overhead
 			if best.TotalTime < 0 || t < best.TotalTime {
 				best = Plan{
 					BPre: bPre, BDec: bDec,
@@ -178,10 +179,11 @@ func StaticSplit(in Input, preFrac float64) (Plan, error) {
 	if bPre < 1 || bDec < 1 {
 		return Plan{}, ErrInfeasible
 	}
+	dec := model.NewDecodeRoofline(in.Generator, in.GPU)
 	return Plan{
 		BPre: bPre, BDec: bDec,
 		PreBytes: int64(bPre) * kvPre, DecBytes: int64(bDec) * kvDec,
-		TotalTime: cycleTime(in, bPre, bDec),
+		TotalTime: cycleTime(in, &dec, bPre, bDec),
 	}, nil
 }
 
@@ -204,7 +206,8 @@ func DecodeThroughput(g hw.GPU, m model.Config, seq int, kvBytes int64) float64 
 	if b < 1 {
 		return 0
 	}
-	return float64(b) / DecodeTime(g, m, b, seq/2)
+	dec := model.NewDecodeRoofline(m, g)
+	return float64(b) / DecodeTime(&dec, b, seq/2)
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -49,13 +49,14 @@ func TestOptimizeMatchesBruteForce(t *testing.T) {
 	// boundary — the paper's key insight).
 	kvPre := in.Verifier.KVBytes(1, in.SeqVerifier)
 	kvDec := in.Generator.KVBytes(1, in.SeqDecode)
+	dec := model.NewDecodeRoofline(in.Generator, in.GPU)
 	best := -1.0
 	for bp := 1; bp <= in.N; bp++ {
 		for bd := 1; bd <= in.N; bd++ {
 			if int64(bp)*kvPre+int64(bd)*kvDec > in.BudgetBytes {
 				continue
 			}
-			tt := cycleTime(in, bp, bd)
+			tt := cycleTime(in, &dec, bp, bd)
 			if best < 0 || tt < best {
 				best = tt
 			}

@@ -62,7 +62,7 @@ func BenchmarkSolverIteration(b *testing.B) {
 	}
 	cfg := testConfig(b, pol, FastTTSOptions())
 	p := aimeProblem(b, 0)
-	s, err := newSolver(cfg, p, nil)
+	s, err := newSolver(cfg, p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func BenchmarkSolverIteration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if s.done() {
-			if err := s.init(cfg, p, nil); err != nil {
+			if err := s.init(cfg, p); err != nil {
 				b.Fatal(err)
 			}
 			s.begin()

@@ -217,12 +217,6 @@ type Loop struct {
 	liveWork   float64
 	queuedWork float64
 
-	// probe is the per-slice speculation-preemption state read by probeFn,
-	// a single closure reused across slices so the hot path allocates
-	// nothing per slice.
-	probe   preemptProbe
-	probeFn func(local float64) bool
-
 	candBuf []sched.ServeRequest // reused policy-view buffer (per-slice)
 
 	// freeSolvers holds the solvers of sessions that ended (finished,
@@ -235,19 +229,6 @@ type Loop struct {
 	// obs is the loop's span flight-recorder track; nil (the default)
 	// disables every emission site at the cost of one pointer check.
 	obs *obs.Track
-}
-
-// preemptProbe is the §4.1.2 preemption condition of the slice in
-// progress: speculation stops when another request is runnable or when
-// the pending boundary (next arrival or fleet event horizon) lands
-// mid-slice.
-type preemptProbe struct {
-	othersWaiting bool
-	pending       float64 // earliest pending boundary; < 0 means none
-	sliceStart    float64 // loop clock at slice start
-	localStart    float64 // solver clock at slice start
-	scale         float64 // straggler factor of the slice
-	hit           bool    // probe fired during the slice (observability only)
 }
 
 // NewLoop returns a steppable loop over the given open-loop requests
@@ -493,20 +474,6 @@ func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
 			l.reanchorWork()
 		}
 	}
-	if l.probeFn == nil {
-		l.probeFn = func(local float64) bool {
-			p := &l.probe
-			if p.othersWaiting {
-				p.hit = true
-				return true
-			}
-			if p.pending >= 0 && p.sliceStart+(local-p.localStart)*p.scale >= p.pending {
-				p.hit = true
-				return true
-			}
-			return false
-		}
-	}
 	for !l.failed {
 		// Admit everything that has arrived by now.
 		for l.next < len(l.queue) && l.queue[l.next].Arrival <= l.now {
@@ -615,14 +582,14 @@ func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
 		if horizon >= 0 && (pending < 0 || horizon < pending) {
 			pending = horizon
 		}
-		l.probe = preemptProbe{
+		localStart := c.solver.clk.Now()
+		c.solver.preempt = preemptProbe{
 			othersWaiting: len(live) > 1,
 			pending:       pending,
 			sliceStart:    l.now,
-			localStart:    c.solver.clk.Now(),
+			localStart:    localStart,
 			scale:         l.scale,
 		}
-		c.solver.preempt = l.probeFn
 		if !c.solver.begun {
 			c.solver.begin() // prompt prefill charges into the first slice
 		}
@@ -631,7 +598,7 @@ func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
 			return out, fmt.Errorf("core: serving %s/%d: %w", c.req.Problem.Dataset, c.req.Problem.Index, err)
 		}
 		sliceStart := l.now
-		nom := c.solver.clk.Now() - l.probe.localStart
+		nom := c.solver.clk.Now() - localStart
 		paid := 0.0
 		delta := nom * l.scale
 		if c.penalty > 0 {
@@ -653,7 +620,7 @@ func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
 		}
 		if l.obs != nil {
 			l.obs.Emit(obs.Span{Kind: obs.KindSlice, Tag: c.req.Tag, Start: sliceStart, End: l.now,
-				V1: nom, V2: paid, N: c.width, Flag: l.probe.hit})
+				V1: nom, V2: paid, N: c.width, Flag: c.solver.preempt.hit})
 		}
 
 		// Deadline strategy: a request whose deadline passed mid-solve is
@@ -711,12 +678,12 @@ func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
 func (l *Loop) takeSolver(cfg Config, p *workload.Problem) (*solver, error) {
 	k := len(l.freeSolvers) - 1
 	if k < 0 {
-		return newSolver(cfg, p, nil)
+		return newSolver(cfg, p)
 	}
 	sv := l.freeSolvers[k]
 	l.freeSolvers[k] = nil
 	l.freeSolvers = l.freeSolvers[:k]
-	if err := sv.init(cfg, p, nil); err != nil {
+	if err := sv.init(cfg, p); err != nil {
 		return nil, err
 	}
 	return sv, nil

@@ -128,9 +128,11 @@ func TestServerFCFSMatchesSequentialStream(t *testing.T) {
 		if i+1 < len(reqs) {
 			nextArrival = reqs[i+1].Arrival
 		}
-		res, err := r.SolveWithPreemption(rq.Problem, func(local float64) bool {
-			return nextArrival >= 0 && start+local >= nextArrival
-		})
+		at := math.Inf(1) // the next arrival, on the request's own clock
+		if nextArrival >= 0 {
+			at = nextArrival - start
+		}
+		res, err := r.SolveWithPreemption(rq.Problem, at)
 		if err != nil {
 			t.Fatal(err)
 		}

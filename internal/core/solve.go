@@ -37,23 +37,51 @@ func NewRunner(cfg Config) (*Runner, error) {
 
 // Solve runs the configured TTS search for one problem.
 func (r *Runner) Solve(p *workload.Problem) (*Result, error) {
-	s, err := newSolver(r.cfg, p, nil)
+	s, err := newSolver(r.cfg, p)
 	if err != nil {
 		return nil, err
 	}
 	return s.run()
 }
 
-// SolveWithPreemption is Solve with a preemption probe: while the probe
-// returns true, speculative execution is suspended (two-phase scheduling,
-// §4.1.2). The server uses this to keep responsiveness under new
-// arrivals.
-func (r *Runner) SolveWithPreemption(p *workload.Problem, preempt func(now float64) bool) (*Result, error) {
-	s, err := newSolver(r.cfg, p, preempt)
+// SolveWithPreemption is Solve with a preemption boundary: once the
+// solver's virtual clock reaches at, speculative execution is suspended for
+// the rest of the search (two-phase scheduling, §4.1.2), as the server
+// suspends it when the next arrival lands mid-request. A boundary at or
+// before 0 suspends speculation from the start; math.Inf(1) never does.
+func (r *Runner) SolveWithPreemption(p *workload.Problem, at float64) (*Result, error) {
+	s, err := newSolver(r.cfg, p)
 	if err != nil {
 		return nil, err
 	}
+	s.preempt = preemptProbe{pending: max(at, 0), scale: 1}
 	return s.run()
+}
+
+// preemptProbe is the §4.1.2 preemption condition of the device slice in
+// progress: speculation stops when another request is runnable, or when
+// the pending boundary — the next arrival or the fleet's next event, in
+// loop time — lands mid-slice. It is monotone in the solver's clock (scale
+// is at least 1), so once it fires it fires for the rest of the slice; the
+// decode loop relies on that to test it only where it can change what
+// happens.
+type preemptProbe struct {
+	othersWaiting bool
+	pending       float64 // earliest pending boundary; < 0 means none
+	sliceStart    float64 // loop clock at slice start
+	localStart    float64 // solver clock at slice start
+	scale         float64 // straggler factor of the slice
+	// hit reports whether the probe fired at any point the decode loop
+	// consulted it during the slice (observability only).
+	hit bool
+}
+
+// noPreemption is the probe of a solve nothing preempts.
+var noPreemption = preemptProbe{pending: -1}
+
+// fires reports whether the probe suspends speculation at solver time local.
+func (p *preemptProbe) fires(local float64) bool {
+	return p.othersWaiting || p.pending >= 0 && p.sliceStart+(local-p.localStart)*p.scale >= p.pending
 }
 
 const promptNode = 0
@@ -91,10 +119,10 @@ type solver struct {
 	maxIters int
 	begun    bool
 
-	// preempt is probed during decode rounds; while it returns true,
-	// speculative execution is suspended (§4.1.2). The multi-tenant server
-	// swaps it per device slice.
-	preempt func(now float64) bool
+	// preempt is consulted during decode rounds; once it fires, speculative
+	// execution is suspended (§4.1.2). The multi-tenant server sets it per
+	// device slice.
+	preempt preemptProbe
 
 	stack
 }
@@ -132,9 +160,9 @@ type stack struct {
 	next       []*beam              // selectAndBranch: the frontier being built
 }
 
-func newSolver(cfg Config, p *workload.Problem, preempt func(float64) bool) (*solver, error) {
+func newSolver(cfg Config, p *workload.Problem) (*solver, error) {
 	s := &solver{}
-	if err := s.init(cfg, p, preempt); err != nil {
+	if err := s.init(cfg, p); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -144,7 +172,7 @@ func newSolver(cfg Config, p *workload.Problem, preempt func(float64) bool) (*so
 // resetting it in place afterwards. A recycled solver is only re-initialised
 // by the Loop that retired it, so the deployment (GPU, models, recorder) is
 // the one its engines were built for; only policy and strategy vary.
-func (s *solver) init(cfg Config, p *workload.Problem, preempt func(float64) bool) error {
+func (s *solver) init(cfg Config, p *workload.Problem) error {
 	budget, err := cfg.KVBudget()
 	if err != nil {
 		return err
@@ -198,7 +226,7 @@ func (s *solver) init(cfg Config, p *workload.Problem, preempt func(float64) boo
 		kvBudget: budget,
 		meanStep: meanStepTokens(p.Spec()),
 		nextNode: promptNode + 1,
-		preempt:  preempt,
+		preempt:  noPreemption,
 		stack:    st,
 	}
 	s.root = s.seedRoot.DeriveN(p.Dataset, p.Index)
@@ -793,6 +821,14 @@ type specSlot struct {
 // LookAhead case, §4.1.3); its length comes from pre-sampling the beam's
 // next step, which preserves per-stream draw order and therefore
 // algorithmic equivalence.
+//
+// The batch changes only at events: a beam finishing, a speculative branch
+// reaching its cap, preemption. Between events a round is one
+// engine.DecodeRound and one context increment, and the loop steps from
+// event to event; speculative counts are brought up to date, and free
+// slots refilled, only at events. The clock still advances once per round,
+// in round order, so every time and count is what stepping round by round
+// gives.
 func (s *solver) decodeRounds(group []*beam) {
 	// The decoding beams, ordered by the round they finish in; beams
 	// finishing together keep group order (the sort is stable).
@@ -836,8 +872,11 @@ func (s *solver) decodeRounds(group []*beam) {
 		// prefixes; shrink the speculation envelope to what fits.
 		specCtxBudget = free
 	}
+	// fill hands free slots to queued candidates. It leaves the slots full
+	// or the queue empty, and only an event frees a slot or queues a beam,
+	// so between events it would do nothing.
 	fill := func() {
-		if !speculating || s.isPreempted() {
+		if !speculating || s.preempt.fires(s.clk.Now()) {
 			return
 		}
 		for active+len(specActive) < slots && len(cand) > 0 {
@@ -866,28 +905,58 @@ func (s *solver) decodeRounds(group []*beam) {
 			pushCand(b) // re-queue with reduced priority if still eligible
 		}
 	}
-	fill()
-	done := 0 // byRem[:done] have finished decoding
-	for r := 1; active > 0; r++ {
-		if s.isPreempted() && len(specActive) > 0 {
-			// Preemption: stop all speculative execution immediately
-			// (§4.1.2); accumulated tokens are kept.
-			for _, sl := range specActive {
-				ctx -= int64(sl.b.specs[sl.idx].ctxLen + sl.b.specs[sl.idx].count)
-				specCtx -= int64(sl.b.specs[sl.idx].ctxLen + sl.b.specs[sl.idx].count)
-			}
-			specActive = specActive[:0]
+	// catchUp credits every running speculative branch with the k rounds
+	// decoded since its count was last brought up to date.
+	catchUp := func(k int) {
+		for _, sl := range specActive {
+			sl.b.specs[sl.idx].count += k
 		}
-		batch := active + len(specActive)
-		s.gen.DecodeRound(batch, ctx, trace.PhaseGenerate)
-		ctx += int64(batch)
-		keep := specActive[:0]
+		s.specTok += int64(k * len(specActive))
+		specCtx += int64(k * len(specActive))
+	}
+	fill()
+	done := 0  // byRem[:done] have finished decoding
+	r := 0     // rounds decoded
+	top := 0.0 // the clock at the top of round r
+	for active > 0 {
+		from := r // speculative counts include rounds 1..from
+		// The next event: the next beam to finish, or the next speculative
+		// branch to reach its cap — one round on at the earliest, since a
+		// branch chained into an empty future step is already at its cap.
+		next := byRem[done].rem
 		for _, sl := range specActive {
 			br := &sl.b.specs[sl.idx]
-			br.count++
-			s.specTok++
-			specCtx++
-			if br.count >= br.cap {
+			next = min(next, r+max(br.cap-br.count, 1))
+		}
+		batch := active + len(specActive)
+		// Preemption stops all speculative execution at the top of the
+		// first round it covers (§4.1.2); accumulated tokens are kept.
+		watch := len(specActive) > 0
+		for r < next {
+			top = s.clk.Now()
+			if watch && s.preempt.fires(top) {
+				catchUp(r - from)
+				for _, sl := range specActive {
+					br := &sl.b.specs[sl.idx]
+					ctx -= int64(br.ctxLen + br.count)
+					specCtx -= int64(br.ctxLen + br.count)
+				}
+				specActive = specActive[:0]
+				watch, batch, next = false, active, byRem[done].rem
+			}
+			s.gen.DecodeRound(batch, ctx, trace.PhaseGenerate)
+			ctx += int64(batch)
+			r++
+		}
+		if len(specActive) > 0 {
+			catchUp(r - from)
+			keep := specActive[:0]
+			for _, sl := range specActive {
+				br := &sl.b.specs[sl.idx]
+				if br.count < br.cap {
+					keep = append(keep, sl)
+					continue
+				}
 				if sl.idx == 0 && s.chainSpec(sl.b, br) {
 					// The primary branch rolls into the following future
 					// step (deep lookahead) and keeps its slot.
@@ -897,11 +966,9 @@ func (s *solver) decodeRounds(group []*beam) {
 				// Branch completed its future step: free the slot.
 				ctx -= int64(br.ctxLen + br.count)
 				specCtx -= int64(br.ctxLen + br.count)
-			} else {
-				keep = append(keep, sl)
 			}
+			specActive = keep
 		}
-		specActive = keep
 		for ; done < len(byRem) && byRem[done].rem == r; done++ {
 			b := byRem[done]
 			active--
@@ -909,6 +976,14 @@ func (s *solver) decodeRounds(group []*beam) {
 			pushCand(b)
 		}
 		fill()
+	}
+	// The slice's probe-hit flag: the loop consulted the probe at the top
+	// of every round and, while speculating, at every fill; it is monotone,
+	// so the last of those decides.
+	if speculating {
+		s.preempt.hit = s.preempt.hit || s.preempt.fires(s.clk.Now())
+	} else if r > 0 {
+		s.preempt.hit = s.preempt.hit || s.preempt.fires(top)
 	}
 	// Hand the (possibly regrown) buffers back, emptied of beam pointers.
 	clear(cand)
@@ -942,13 +1017,6 @@ func (s *solver) chainSpec(b *beam, br *specBranch) bool {
 	b.nextSteps = append(b.nextSteps, st)
 	br.cap += st.Tokens
 	return true
-}
-
-func (s *solver) isPreempted() bool {
-	if s.preempt == nil {
-		return false
-	}
-	return s.preempt(s.clk.Now())
 }
 
 // verificationPhase scores every beam's committed path (plus retained

@@ -37,6 +37,10 @@ type Engine struct {
 	PrefilledTokens int64
 	// TransferTime accumulates offload PCIe time (§4.3.2).
 	TransferTime float64
+
+	// dec is Model's decode roofline on GPU, built once by New; Model
+	// and GPU are not to change after that.
+	dec model.DecodeRoofline
 }
 
 // New validates that the model's weights fit and returns an engine whose
@@ -55,6 +59,7 @@ func New(name string, m model.Config, g hw.GPU, kvBytes int64, clk *sim.Clock, r
 		Cache: kvcache.New(kvBytes, m.KVBytesPerToken()),
 		Clock: clk,
 		Rec:   rec,
+		dec:   model.NewDecodeRoofline(m, g),
 	}, nil
 }
 
@@ -73,18 +78,14 @@ func (e *Engine) Reset(kvBytes int64) error {
 }
 
 // DecodeRound charges one decode step for a batch of `batch` sequences
-// whose cached contexts total ctxTokens, attributing the sample to phase.
-// realBatch is the number of non-speculative sequences (used only for the
-// utilization attribution of speculative slots); pass batch when all work
-// is standard. It returns the round latency.
+// whose cached contexts total ctxTokens, attributing the sample to phase,
+// and returns the round latency. The roofline terms were computed by New
+// (model.DecodeRoofline), so a round is a few flops and one clock advance.
 func (e *Engine) DecodeRound(batch int, ctxTokens int64, phase trace.Phase) float64 {
 	if batch <= 0 {
 		return 0
 	}
-	avgCtx := int(ctxTokens / int64(batch))
-	flops := float64(batch) * e.Model.DecodeFLOPsPerToken(avgCtx)
-	bytes := e.Model.DecodeBytesPerStep(batch, ctxTokens)
-	dt := e.GPU.Roofline(flops, bytes)
+	dt, flops := e.dec.Step(batch, ctxTokens)
 	start := e.Clock.Now()
 	e.Clock.Advance(dt)
 	e.BusyTime += dt

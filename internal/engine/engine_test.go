@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"math"
 	"testing"
+
+	"fasttts/internal/alloc"
 
 	"fasttts/internal/hw"
 	"fasttts/internal/kvcache"
@@ -56,6 +59,53 @@ func TestDecodeRoundWeightBoundAtSmallBatch(t *testing.T) {
 	t1 := e.DecodeRound(1, 256, trace.PhaseGenerate)
 	if t1 < 0.5*t64 {
 		t.Errorf("single-beam round %.2e much faster than 64-beam %.2e: straggler effect lost", t1, t64)
+	}
+}
+
+// TestDecodeRoundMatchesFormula holds the precomputed decode roofline to
+// the formula written out term by term — hw.GPU.Roofline over one step's
+// FLOPs, batch·(2·Params + 4·Layers·Heads·HeadDim·⌊ctx/batch⌋), and bytes,
+// weights + ctx·KVBytesPerToken + batch·Hidden·2·Layers — bit for bit, on
+// every shipped GPU × model × weight format that fits, every batch 1–512
+// and a context grid that includes totals batch does not divide.
+// alloc.DecodeTime, the formula's other user, must agree too.
+func TestDecodeRoundMatchesFormula(t *testing.T) {
+	perSeq := []int64{0, 1, 7, 100, 513, 2048, 4095, 9000, 32768}
+	for _, g := range []hw.GPU{hw.RTX4090, hw.RTX4070Ti, hw.RTX3070Ti} {
+		for _, base := range []model.Config{model.Qwen25Math1_5B, model.Qwen25Math7B, model.ShepherdPRM7B, model.SkyworkPRM1_5B} {
+			fit := false
+			for _, q := range []model.Quantization{model.FP16, model.INT8, model.INT4} {
+				m := base.WithQuant(q)
+				e, err := New("oracle", m, g, 1<<30, &sim.Clock{}, nil)
+				if err != nil {
+					continue // weights exceed VRAM
+				}
+				fit = true
+				dec := model.NewDecodeRoofline(m, g)
+				for b := 1; b <= 512; b++ {
+					for _, c := range perSeq {
+						whole := int64(b) * c
+						for _, ctx := range []int64{whole, whole + 1, whole + int64(b) - 1} {
+							avg := int(ctx / int64(b))
+							flops := float64(b) * (2*float64(m.Params) + 4*float64(m.Layers)*float64(m.Heads*m.HeadDim)*float64(avg))
+							bytes := float64(m.WeightBytes()) + float64(ctx)*float64(m.KVBytesPerToken()) + float64(b)*float64(m.Hidden)*2*float64(m.Layers)
+							want := g.Roofline(flops, bytes)
+							if got := e.DecodeRound(b, ctx, trace.PhaseGenerate); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%s on %s, batch %d, ctx %d: DecodeRound %v, formula %v", m.Name, g.Name, b, ctx, got, want)
+							}
+							if ctx == whole {
+								if got := alloc.DecodeTime(&dec, b, int(c)); math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("%s on %s, batch %d, cache %d: alloc.DecodeTime %v, formula %v", m.Name, g.Name, b, c, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+			if !fit {
+				t.Errorf("no weight format of %s fits %s", base.Name, g.Name)
+			}
+		}
 	}
 }
 
@@ -174,7 +224,7 @@ func TestRecorderGuardChangesNothing(t *testing.T) {
 		samples int
 	}{
 		{"decode", func(e *Engine) float64 { return e.DecodeRound(8, 8*512, trace.PhaseGenerate) },
-			trace.PhaseGenerate, 8, 8 * m.DecodeFLOPsPerToken(512), 1},
+			trace.PhaseGenerate, 8, 8 * (2*float64(m.Params) + 4*float64(m.Layers)*float64(m.Heads*m.HeadDim)*512), 1},
 		{"decode zero batch", func(e *Engine) float64 { return e.DecodeRound(0, 0, trace.PhaseGenerate) },
 			trace.PhaseGenerate, 0, 0, 0},
 		{"prefill", func(e *Engine) float64 {

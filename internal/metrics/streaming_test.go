@@ -155,10 +155,19 @@ func TestPercentileDomain(t *testing.T) {
 // TestServeAccumObserveAllocs: once its sketch buckets exist, a
 // streaming-mode accumulator folds any number of samples without
 // allocating.
+//
+// AllocsPerRun counts the whole process's mallocs, and the Go runtime
+// allocates now and then on its own: the background scavenger growing a
+// timer heap (bgscavenge → scavengerState.sleep → timers.addHeap), a new
+// M when the world restarts after a GC starts. One of those inside a
+// single measured run failed this test about once in a full `go test
+// ./...` on a 2-core host. The average over ten folds rounds down, so
+// fewer than ten such strays read 0, while anything Observe allocates,
+// even once per fold, reads at least 1.
 func TestServeAccumObserveAllocs(t *testing.T) {
 	samples := randomServeSamples(5, 50_000)
 	a := NewServeAccum(ModeStreaming, 20)
-	if got := testing.AllocsPerRun(1, func() {
+	if got := testing.AllocsPerRun(10, func() {
 		for _, sm := range samples {
 			a.Observe(sm)
 		}

@@ -7,7 +7,11 @@
 // FLOPs/bytes per token feed the roofline model in package hw.
 package model
 
-import "fmt"
+import (
+	"fmt"
+
+	"fasttts/internal/hw"
+)
 
 // Quantization selects the on-device numeric format of the weights
 // (paper Fig 9: "Weights Memory: decided by model parameters &
@@ -138,16 +142,6 @@ func (c Config) KVBytes(batch, seqLen int) int64 {
 	return int64(batch) * int64(seqLen) * c.KVBytesPerToken()
 }
 
-// DecodeFLOPsPerToken returns the FLOPs to decode one token for one
-// sequence: 2 FLOPs per parameter (the MAC through every weight) plus
-// attention over the cached context.
-func (c Config) DecodeFLOPsPerToken(contextLen int) float64 {
-	mlp := 2 * float64(c.Params)
-	// Attention: q·K and attn·V over the context for every layer.
-	attn := 4 * float64(c.Layers) * float64(c.Heads*c.HeadDim) * float64(contextLen)
-	return mlp + attn
-}
-
 // PrefillFLOPs returns the FLOPs to prefill n new tokens whose attention
 // spans contextLen total tokens.
 func (c Config) PrefillFLOPs(nTokens, contextLen int) float64 {
@@ -156,16 +150,69 @@ func (c Config) PrefillFLOPs(nTokens, contextLen int) float64 {
 	return mlp + attn
 }
 
-// DecodeBytesPerStep returns device bytes moved to decode one token for a
-// batch: the full weights are streamed once per step (this is what makes
-// small-batch decode bandwidth-bound and why a shrunken straggler batch
-// runs no faster — the GPU idles, paper §3.2.1), plus the KV cache read
-// for each sequence.
-func (c Config) DecodeBytesPerStep(batch int, totalContextTokens int64) float64 {
-	weights := float64(c.WeightBytes())
-	kv := float64(totalContextTokens) * float64(c.KVBytesPerToken())
-	act := float64(batch) * float64(c.Hidden) * 2 * float64(c.Layers)
-	return weights + kv + act
+// DecodeRoofline is the roofline latency of one decode step of a model on
+// a GPU, with every term that does not depend on the batch computed once.
+// A step costs, for batch sequences whose cached contexts total ctx tokens
+// (each attending over the mean, ⌊ctx/batch⌋):
+//
+//	FLOPs = batch · (2·Params + 4·Layers·Heads·HeadDim · ⌊ctx/batch⌋)
+//	Bytes = WeightBytes + ctx·KVBytesPerToken + batch·Hidden·2·Layers
+//
+// — 2 FLOPs per parameter (the MAC through every weight) plus attention
+// over the context; the full weights streamed once per step (what makes
+// small-batch decode bandwidth-bound, so a shrunken straggler batch runs
+// no faster and the GPU idles, paper §3.2.1), the KV cache read for each
+// sequence and the activations. Every term is evaluated as written, left
+// to right, so the engine and the allocator charge bit-identical
+// latencies for the same step.
+type DecodeRoofline struct {
+	mlpFLOPs    float64 // 2·Params, per sequence
+	attnFLOPs   float64 // 4·Layers·Heads·HeadDim, per sequence and context token
+	weightBytes float64
+	kvBytes     float64 // per context token
+	actBytes    float64 // Hidden·2·Layers, per sequence
+	compute     float64 // achievable FLOP/s: PeakFLOPS·ComputeEff
+	mem         float64 // achievable bytes/s: MemBW·MemEff
+	overhead    float64 // per-step kernel launch overhead, seconds
+}
+
+// NewDecodeRoofline returns c's decode roofline on g.
+func NewDecodeRoofline(c Config, g hw.GPU) DecodeRoofline {
+	return DecodeRoofline{
+		mlpFLOPs:    2 * float64(c.Params),
+		attnFLOPs:   4 * float64(c.Layers) * float64(c.Heads*c.HeadDim),
+		weightBytes: float64(c.WeightBytes()),
+		kvBytes:     float64(c.KVBytesPerToken()),
+		// Integers far below 2^53, so exact: batch·(Hidden·2·Layers)
+		// equals batch·Hidden·2·Layers evaluated left to right.
+		actBytes: float64(c.Hidden) * 2 * float64(c.Layers),
+		compute:  g.PeakFLOPS * g.ComputeEff,
+		mem:      g.MemBW * g.MemEff,
+		overhead: g.KernelOverhead,
+	}
+}
+
+// flops returns the FLOPs of one decode step; batch must be positive.
+func (d *DecodeRoofline) flops(batch int, ctxTokens int64) float64 {
+	avgCtx := ctxTokens / int64(batch)
+	return float64(batch) * (d.mlpFLOPs + d.attnFLOPs*float64(avgCtx))
+}
+
+// bytes returns the device bytes one decode step moves.
+func (d *DecodeRoofline) bytes(batch int, ctxTokens int64) float64 {
+	return d.weightBytes + float64(ctxTokens)*d.kvBytes + float64(batch)*d.actBytes
+}
+
+// Step returns the latency of one decode step — max(compute time, memory
+// time) plus the launch overhead, as hw.GPU.Roofline — and its FLOPs;
+// batch must be positive.
+func (d *DecodeRoofline) Step(batch int, ctxTokens int64) (dt, flops float64) {
+	flops = d.flops(batch, ctxTokens)
+	t := flops / d.compute
+	if tm := d.bytes(batch, ctxTokens) / d.mem; tm > t {
+		t = tm
+	}
+	return t + d.overhead, flops
 }
 
 // PrefillBytes returns device bytes moved to prefill nTokens tokens.

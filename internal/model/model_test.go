@@ -3,6 +3,8 @@ package model
 import (
 	"testing"
 	"testing/quick"
+
+	"fasttts/internal/hw"
 )
 
 func TestByName(t *testing.T) {
@@ -76,13 +78,13 @@ func TestVerifierKVHeavierThanGenerator(t *testing.T) {
 }
 
 func TestDecodeFLOPsGrowWithContext(t *testing.T) {
-	c := Qwen25Math7B
-	if !(c.DecodeFLOPsPerToken(2048) > c.DecodeFLOPsPerToken(128)) {
+	d := NewDecodeRoofline(Qwen25Math7B, hw.RTX4090)
+	if !(d.flops(1, 2048) > d.flops(1, 128)) {
 		t.Error("decode FLOPs should grow with context")
 	}
 	// MLP term dominates at short context: roughly 2*params.
-	got := c.DecodeFLOPsPerToken(0)
-	want := 2 * float64(c.Params)
+	got := d.flops(1, 0)
+	want := 2 * float64(Qwen25Math7B.Params)
 	if got != want {
 		t.Errorf("zero-context decode FLOPs = %g, want %g", got, want)
 	}
@@ -99,13 +101,14 @@ func TestPrefillFLOPsSuperlinearInTokens(t *testing.T) {
 
 func TestDecodeBytesDominatedByWeightsAtSmallBatch(t *testing.T) {
 	c := Qwen25Math1_5B
-	b1 := c.DecodeBytesPerStep(1, 256)
+	d := NewDecodeRoofline(c, hw.RTX4090)
+	b1 := d.bytes(1, 256)
 	weights := float64(c.WeightBytes())
 	if b1 < weights || b1 > 1.2*weights {
 		t.Errorf("single-seq decode bytes %g should be ~weights %g", b1, weights)
 	}
 	// Large batch with long contexts: KV reads dominate.
-	bBig := c.DecodeBytesPerStep(512, 512*2000)
+	bBig := d.bytes(512, 512*2000)
 	if bBig < 2*weights {
 		t.Error("large-batch decode bytes should exceed weight reads substantially")
 	}

@@ -7,11 +7,15 @@ package fasttts
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,29 +24,48 @@ import (
 
 // TestGoldenScenarioTracesWithRecorder replays every golden with the
 // flight recorder attached. The committed bytes must reproduce exactly:
-// tracing observes scheduling, it never perturbs it.
+// tracing observes scheduling, it never perturbs it. The span stream
+// itself is pinned too: each run's Perfetto export must hash to its line
+// in testdata/golden/perfetto.sha256, which `make golden` (-update)
+// rewrites.
 func TestGoldenScenarioTracesWithRecorder(t *testing.T) {
-	if *updateGolden {
-		t.Skip("regenerating goldens")
+	want, err := readSpanDigests(spanDigestPath)
+	if err != nil && !*updateGolden {
+		t.Fatalf("span digests: %v (run `make golden` and commit the result)", err)
 	}
+	var got []string // "<sha256>  <name>.<target>", catalog order
 	for _, info := range Scenarios() {
 		for _, target := range []ScenarioTarget{ScenarioServer, ScenarioCluster} {
 			info, target := info, target
+			key := fmt.Sprintf("%s.%s", info.Name, target)
 			t.Run(fmt.Sprintf("%s/%s", info.Name, target), func(t *testing.T) {
 				rec := NewRecorder()
 				run, err := RunScenario(info.Name, ScenarioOptions{Target: target, Trace: rec})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := run.TraceJSONL()
+				var perfetto bytes.Buffer
+				if err := rec.WritePerfetto(&perfetto); err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(perfetto.Bytes())
+				digest := hex.EncodeToString(sum[:])
+				got = append(got, digest+"  "+key)
+				if *updateGolden {
+					return // the JSONL goldens are being rewritten
+				}
+				if want[key] != digest {
+					t.Errorf("span stream hashes to %s, %s pins %q", digest, spanDigestPath, want[key])
+				}
+				trace, err := run.TraceJSONL()
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := os.ReadFile(goldenPath(info.Name, target))
+				golden, err := os.ReadFile(goldenPath(info.Name, target))
 				if err != nil {
 					t.Fatalf("missing golden trace: %v", err)
 				}
-				if !bytes.Equal(got, want) {
+				if !bytes.Equal(trace, golden) {
 					t.Fatal("attaching a recorder changed the golden trace bytes")
 				}
 				if rec.SpanCount() == 0 {
@@ -63,6 +86,32 @@ func TestGoldenScenarioTracesWithRecorder(t *testing.T) {
 			})
 		}
 	}
+	if *updateGolden && !t.Failed() {
+		if err := os.WriteFile(spanDigestPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// spanDigestPath pins the recorder's span stream for every catalog run:
+// one SHA-256 of its Perfetto export per line, in sha256sum's format.
+var spanDigestPath = filepath.Join("testdata", "golden", "perfetto.sha256")
+
+// readSpanDigests parses a sha256sum-format file into name → hex digest.
+func readSpanDigests(path string) (map[string]string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	digests := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		digest, name, ok := strings.Cut(line, "  ")
+		if !ok {
+			return nil, fmt.Errorf("%s: malformed line %q", path, line)
+		}
+		digests[name] = digest
+	}
+	return digests, nil
 }
 
 // TestRecorderTraceDeterministic pins the public half of the
