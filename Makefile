@@ -105,9 +105,11 @@ profile-kv:
 	$(GO) tool pprof -top -nodecount=25 bench-smoke/cluster.test bench-smoke/kv.cpu
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/cluster.test bench-smoke/kv.mem
 
-# Regenerate the golden traces, and the span digests in
-# testdata/golden/perfetto.sha256, after an *intentional* behavior change.
+# Regenerate the golden traces, the span digests in
+# testdata/golden/perfetto.sha256, and fastttsserve's output goldens in
+# cmd/fastttsserve/testdata after an *intentional* behavior change.
 # Review the resulting diff like code before committing it.
 golden:
 	$(GO) test -count=1 -run TestGoldenScenarioTraces . -update
-	@git --no-pager diff --stat -- testdata/golden 2>/dev/null || true
+	$(GO) test -count=1 -run TestServeCLIGolden ./cmd/fastttsserve -update
+	@git --no-pager diff --stat -- testdata/golden cmd/fastttsserve/testdata 2>/dev/null || true

@@ -132,69 +132,31 @@ type FleetResult struct {
 }
 
 // ScalingAction is one applied controller decision in a fleet run's
-// action log.
-type ScalingAction struct {
-	// Time is the control tick the action was decided at.
-	Time float64
-	// Action is "scale-up", "scale-down", or "set-tier".
-	Action string
-	// Requested is the controller's asked-for magnitude; Applied is what
-	// the fleet actuated after clamping (the resulting tier for
-	// "set-tier").
-	Requested, Applied int
-	// Devices lists the fleet indexes the action touched.
-	Devices []int
-}
+// action log: its decision tick Time; Action "scale-up", "scale-down" or
+// "set-tier"; the controller's Requested magnitude and the Applied one
+// after clamping (the resulting tier for "set-tier"); and the Devices
+// (fleet indexes) it touched.
+type ScalingAction = control.Record
 
 // ControlStats summarizes the elastic control plane's activity over a
-// fleet run.
-type ControlStats struct {
-	// Ticks counts control intervals observed.
-	Ticks int
-	// ScaleUps / ScaleDowns count devices added from the warm pool /
-	// drained out; TierChanges counts applied budget-tier moves.
-	ScaleUps, ScaleDowns, TierChanges int
-	// FinalTier is the budget tier in effect when the run ended;
-	// PeakDevices the maximum concurrently routable device count;
-	// DegradedRequests how many requests were served with a narrowed
-	// search width.
-	FinalTier, PeakDevices, DegradedRequests int
-}
+// fleet run: Ticks observed; ScaleUps, ScaleDowns and TierChanges
+// applied; the FinalTier in effect at the end; PeakDevices, the most
+// devices routable at once; and DegradedRequests served at a narrowed
+// search width.
+type ControlStats = metrics.ControlStats
 
-// FleetDeviceStats aggregates one device's run.
-type FleetDeviceStats struct {
-	Device int
-	// Name is the device's label (DeviceSpec.Name, "device-N", or
-	// "warm:name+J" for the controller's J-th warm-pool instance).
-	Name   string
-	Served int
-	Tokens int64
-	// BusyTime is wall-clock seconds spent executing slices (lost work
-	// included); Utilization is BusyTime over the device's *live*
-	// interval (join to fail/drain/makespan); Goodput is useful tokens
-	// per live second.
-	BusyTime    float64
-	Utilization float64
-	Goodput     float64
-	// LiveStart is when the device became routable (0 for founding
-	// members); LiveSeconds is the length of its live interval.
-	LiveStart   float64
-	LiveSeconds float64
-	Failed      bool
-	// Drained marks devices the control plane drained out mid-run.
-	Drained bool
-	// KV memory-plane telemetry (all zero when Config.KVPlane is off):
-	// capacity and end-of-run usage in tokens, the occupancy fraction,
-	// prompt-prefix hit/miss/evicted token counts, and the total
-	// re-prefill latency the device charged for prompt misses.
-	CacheCapacityTokens int64
-	CacheUsedTokens     int64
-	CacheOccupancy      float64
-	CacheHitTokens      int64
-	CacheMissTokens     int64
-	CacheEvictedTokens  int64
-	ReprefillSeconds    float64
-}
+// FleetDeviceStats aggregates one device's run: its fleet index Device
+// and Name (DeviceSpec.Name, "device-N", or "warm:name+J" for the
+// controller's J-th warm-pool instance); Served requests and their
+// useful Tokens; BusyTime executing slices (lost work included), its
+// Utilization over the live interval and Goodput per live second;
+// LiveStart (when it became routable) and LiveSeconds (join to
+// fail/drain/makespan); Failed and Drained flags; and KV memory-plane
+// telemetry, all zero with Config.KVPlane off: CacheCapacityTokens,
+// CacheUsedTokens and their ratio CacheOccupancy at run end,
+// prompt-prefix CacheHitTokens, CacheMissTokens, CacheEvictedTokens,
+// and the ReprefillSeconds charged for prompt misses.
+type FleetDeviceStats = metrics.FleetDeviceStats
 
 // FleetStats aggregates a fleet-served request stream: the server-level
 // aggregates over the merged stream plus fleet-only metrics.
@@ -255,8 +217,7 @@ type FleetStats struct {
 type Cluster struct {
 	// cfg is the validated fleet configuration. Its router and controller
 	// carry per-run state, so newFleet gives every Run fresh ones.
-	cfg          cluster.Config
-	names, warmN []string
+	cfg cluster.Config
 }
 
 // FleetRun is the outcome of one Cluster.Run.
@@ -276,30 +237,29 @@ type FleetRun struct {
 func (fr *FleetRun) Stats() FleetStats { return fr.stats }
 
 // expandDeviceSpecs validates a spec list and expands Count groups into
-// concrete per-device configs and names. seen tracks explicit names
-// across lists (fleet + warm pool).
-func expandDeviceSpecs(specs []DeviceSpec, kind, defPrefix string, seen map[string]bool) ([]cluster.Device, []string, error) {
+// concrete named per-device configs. seen tracks explicit names across
+// lists (fleet + warm pool).
+func expandDeviceSpecs(specs []DeviceSpec, kind, defPrefix string, seen map[string]bool) ([]cluster.Device, error) {
 	var devices []cluster.Device
-	var names []string
 	for i, spec := range specs {
 		if spec.Count < 0 {
-			return nil, nil, fmt.Errorf("fasttts: %s %d (%s): Count must be positive, got %d (0 selects 1)",
+			return nil, fmt.Errorf("fasttts: %s %d (%s): Count must be positive, got %d (0 selects 1)",
 				kind, i, describeSpec(spec, i), spec.Count)
 		}
 		if spec.Slowdown < 0 || math.IsNaN(spec.Slowdown) || math.IsInf(spec.Slowdown, 1) {
-			return nil, nil, fmt.Errorf("fasttts: %s %d (%s): Slowdown must be non-negative and finite, got %v (0 means none)",
+			return nil, fmt.Errorf("fasttts: %s %d (%s): Slowdown must be non-negative and finite, got %v (0 means none)",
 				kind, i, describeSpec(spec, i), spec.Slowdown)
 		}
 		if spec.KVPlaneBytes < 0 {
-			return nil, nil, fmt.Errorf("fasttts: %s %d (%s): KVPlaneBytes must be non-negative, got %d (0 disables the memory plane)",
+			return nil, fmt.Errorf("fasttts: %s %d (%s): KVPlaneBytes must be non-negative, got %d (0 disables the memory plane)",
 				kind, i, describeSpec(spec, i), spec.KVPlaneBytes)
 		}
 		if math.IsNaN(spec.FailAt) {
-			return nil, nil, fmt.Errorf("fasttts: %s %d (%s): FailAt is NaN", kind, i, describeSpec(spec, i))
+			return nil, fmt.Errorf("fasttts: %s %d (%s): FailAt is NaN", kind, i, describeSpec(spec, i))
 		}
 		if spec.Name != "" {
 			if seen[spec.Name] {
-				return nil, nil, fmt.Errorf("fasttts: duplicate device name %q: names identify devices in telemetry and must be unique",
+				return nil, fmt.Errorf("fasttts: duplicate device name %q: names identify devices in telemetry and must be unique",
 					spec.Name)
 			}
 			seen[spec.Name] = true
@@ -313,25 +273,19 @@ func expandDeviceSpecs(specs []DeviceSpec, kind, defPrefix string, seen map[stri
 			cfg.Seed = spec.Config.Seed + uint64(rep)
 			coreCfg, err := buildCoreConfig(cfg)
 			if err != nil {
-				return nil, nil, fmt.Errorf("fasttts: %s %d (%s): %w", kind, i, describeSpec(spec, i), err)
+				return nil, fmt.Errorf("fasttts: %s %d (%s): %w", kind, i, describeSpec(spec, i), err)
 			}
 			pol, err := sched.PolicyByName(spec.Policy)
 			if err != nil {
-				return nil, nil, fmt.Errorf("fasttts: %s %d (%s): %w", kind, i, describeSpec(spec, i), err)
+				return nil, fmt.Errorf("fasttts: %s %d (%s): %w", kind, i, describeSpec(spec, i), err)
 			}
 			if spec.MaxInFlight > 0 {
 				pol = sched.AdmissionLimit{Inner: pol, MaxInFlight: spec.MaxInFlight}
 			}
-			devices = append(devices, cluster.Device{
-				Config:   coreCfg,
-				Policy:   pol,
-				Slowdown: spec.Slowdown,
-				FailAt:   spec.FailAt,
-			})
 			name := spec.Name
 			switch {
 			case name == "":
-				name = fmt.Sprintf("%s-%d", defPrefix, len(names))
+				name = fmt.Sprintf("%s-%d", defPrefix, len(devices))
 			case count > 1:
 				name = fmt.Sprintf("%s#%d", spec.Name, rep)
 			}
@@ -341,14 +295,20 @@ func expandDeviceSpecs(specs []DeviceSpec, kind, defPrefix string, seen map[stri
 			// named "a", would reproduce exactly the ambiguous telemetry
 			// the uniqueness rule exists to prevent.
 			if name != spec.Name && seen[name] {
-				return nil, nil, fmt.Errorf("fasttts: device name %q collides with the derived name of %s %d (%s): names identify devices in telemetry and must be unique",
+				return nil, fmt.Errorf("fasttts: device name %q collides with the derived name of %s %d (%s): names identify devices in telemetry and must be unique",
 					name, kind, i, describeSpec(spec, i))
 			}
 			seen[name] = true
-			names = append(names, name)
+			devices = append(devices, cluster.Device{
+				Name:     name,
+				Config:   coreCfg,
+				Policy:   pol,
+				Slowdown: spec.Slowdown,
+				FailAt:   spec.FailAt,
+			})
 		}
 	}
-	return devices, names, nil
+	return devices, nil
 }
 
 // describeSpec names a spec in errors without relying on validation
@@ -368,12 +328,15 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if len(cc.Devices) == 0 {
 		return nil, fmt.Errorf("fasttts: cluster needs at least one device")
 	}
+	if err := checkSLO(cc.SLOLatency); err != nil {
+		return nil, err
+	}
 	router, err := cluster.RouterByName(cc.Router)
 	if err != nil {
 		return nil, err
 	}
 	seen := make(map[string]bool)
-	devices, names, err := expandDeviceSpecs(cc.Devices, "device", "device", seen)
+	devices, err := expandDeviceSpecs(cc.Devices, "device", "device", seen)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +344,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fasttts: %w", err)
 	}
-	c := &Cluster{names: names, cfg: cluster.Config{
+	c := &Cluster{cfg: cluster.Config{
 		Devices: devices, Router: router, Seed: cc.Seed,
 		SLOLatency: cc.SLOLatency, Strategy: strat, Obs: cc.Trace.rec(),
 	}}
@@ -390,8 +353,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		var warm []cluster.Device
-		warm, c.warmN, err = expandDeviceSpecs(a.WarmPool, "warm-pool template", "tmpl", seen)
+		warm, err := expandDeviceSpecs(a.WarmPool, "warm-pool template", "tmpl", seen)
 		if err != nil {
 			return nil, err
 		}
@@ -457,36 +419,11 @@ func (c *Cluster) Run(reqs []Request) (*FleetRun, error) {
 			Requeues:     r.Requeues,
 		}
 	}
-	for _, a := range out.Actions {
-		fr.Actions = append(fr.Actions, ScalingAction{
-			Time:      a.Time,
-			Action:    string(a.Verb),
-			Requested: a.N,
-			Applied:   a.Applied,
-			Devices:   a.Devices,
-		})
-	}
-	fr.stats = c.wrapFleetStats(out.Stats(c.cfg.SLOLatency))
-	return fr, nil
-}
-
-// deviceName resolves the display name of fleet index i: founding
-// devices carry their expanded spec names; controller-added instances
-// are labeled by their warm-pool template and join ordinal.
-func (c *Cluster) deviceName(i int) string {
-	if i < len(c.names) {
-		return c.names[i]
-	}
-	j := i - len(c.names)
-	if len(c.warmN) == 0 {
-		return fmt.Sprintf("warm+%d", j)
-	}
-	return fmt.Sprintf("warm:%s+%d", c.warmN[j%len(c.warmN)], j)
-}
-
-func (c *Cluster) wrapFleetStats(m metrics.FleetStats) FleetStats {
-	st := FleetStats{
-		ServeStats:         wrapServeStats(m.ServeStats),
+	fr.Actions = out.Actions
+	m := out.Stats(c.cfg.SLOLatency)
+	fr.stats = FleetStats{
+		ServeStats:         m.ServeStats,
+		PerDevice:          m.Devices,
 		ImbalanceCV:        m.ImbalanceCV,
 		Requeues:           m.Requeues,
 		PrefixHitRate:      m.PrefixHitRate,
@@ -497,43 +434,8 @@ func (c *Cluster) wrapFleetStats(m metrics.FleetStats) FleetStats {
 		ReprefillSeconds:   m.ReprefillSeconds,
 		FailedDevices:      m.FailedDevices,
 		DeviceSeconds:      m.DeviceSeconds,
+		Control:            m.Control,
+		Attribution:        m.Attribution,
 	}
-	if m.Attribution != nil {
-		attr := wrapAttribution(*m.Attribution)
-		st.Attribution = &attr
-	}
-	if m.Control != nil {
-		st.Control = &ControlStats{
-			Ticks:            m.Control.Ticks,
-			ScaleUps:         m.Control.ScaleUps,
-			ScaleDowns:       m.Control.ScaleDowns,
-			TierChanges:      m.Control.TierChanges,
-			FinalTier:        m.Control.FinalTier,
-			PeakDevices:      m.Control.PeakDevices,
-			DegradedRequests: m.Control.DegradedRequests,
-		}
-	}
-	for i, d := range m.Devices {
-		st.PerDevice = append(st.PerDevice, FleetDeviceStats{
-			Device:              i,
-			Name:                c.deviceName(i),
-			Served:              d.Served,
-			Tokens:              d.Tokens,
-			BusyTime:            d.Busy,
-			Utilization:         d.Utilization,
-			Goodput:             d.Goodput,
-			LiveStart:           d.LiveStart,
-			LiveSeconds:         d.Lifetime,
-			Failed:              d.Failed,
-			Drained:             d.Drained,
-			CacheCapacityTokens: d.CacheCapacityTokens,
-			CacheUsedTokens:     d.CacheUsedTokens,
-			CacheOccupancy:      d.CacheOccupancy,
-			CacheHitTokens:      d.CacheHitTokens,
-			CacheMissTokens:     d.CacheMissTokens,
-			CacheEvictedTokens:  d.CacheEvictedTokens,
-			ReprefillSeconds:    d.ReprefillSeconds,
-		})
-	}
-	return st
+	return fr, nil
 }

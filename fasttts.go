@@ -352,14 +352,13 @@ func buildCoreConfig(c Config) (core.Config, error) {
 	switch {
 	case c.Advanced != nil:
 		opts = core.Options{
-			Speculative:          c.Advanced.SpeculativeBeamExtension,
-			PrefixAware:          c.Advanced.PrefixAwareScheduling,
-			AsymmetricMemory:     c.Advanced.AsymmetricMemory,
-			LookAhead:            c.Advanced.LookAheadVerification,
-			VerifierPrefixCache:  c.Advanced.PrefixAwareScheduling,
-			GeneratorPrefixCache: c.Advanced.PrefixAwareScheduling,
-			TruncationRatio:      c.Advanced.TruncationRatio,
-			SpecBins:             c.Advanced.SpecBins,
+			Speculative:      c.Advanced.SpeculativeBeamExtension,
+			PrefixAware:      c.Advanced.PrefixAwareScheduling,
+			AsymmetricMemory: c.Advanced.AsymmetricMemory,
+			LookAhead:        c.Advanced.LookAheadVerification,
+			PrefixCache:      c.Advanced.PrefixAwareScheduling,
+			TruncationRatio:  c.Advanced.TruncationRatio,
+			SpecBins:         c.Advanced.SpecBins,
 		}
 	case c.Mode == ModeBaseline:
 		opts = core.BaselineOptions()

@@ -18,10 +18,9 @@ func ablationLadder() []struct {
 	opts core.Options
 } {
 	p := core.Options{
-		PrefixAware:          true,
-		GeneratorPrefixCache: true,
-		VerifierPrefixCache:  true,
-		StaticVerifierFrac:   0.5,
+		PrefixAware:        true,
+		PrefixCache:        true,
+		StaticVerifierFrac: 0.5,
 	}
 	pm := p
 	pm.AsymmetricMemory = true
@@ -271,9 +270,8 @@ func Fig18RightMemoryGain(o RunOpts) (*Report, error) {
 	// but schedules randomly with a static split (the Fig 18 caption's
 	// "vLLM baseline uses random scheduling").
 	cacheOnBase := core.Options{
-		GeneratorPrefixCache: true,
-		VerifierPrefixCache:  true,
-		StaticVerifierFrac:   0.5,
+		PrefixCache:        true,
+		StaticVerifierFrac: 0.5,
 	}
 	pOpts := cacheOnBase
 	pOpts.PrefixAware = true

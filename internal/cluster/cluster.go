@@ -34,8 +34,10 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
+	"fasttts/internal/control"
 	"fasttts/internal/core"
 	"fasttts/internal/metrics"
 	"fasttts/internal/obs"
@@ -46,6 +48,9 @@ import (
 
 // Device describes one fleet member.
 type Device struct {
+	// Name labels the device in its telemetry (metrics.FleetDeviceStats).
+	// A warm-pool template's J-th instance is named "warm:<Name>+J".
+	Name string
 	// Config is the device's deployment (GPU, model pair, search policy,
 	// memory budget, seed).
 	Config core.Config
@@ -121,8 +126,10 @@ type Outcome struct {
 	// global event granularity.
 	Results []Result
 	// Devices is the per-device telemetry, indexed by fleet device
-	// (founding devices first, then warm-pool joins in join order).
-	Devices []metrics.FleetDevice
+	// (founding devices first, then warm-pool joins in join order). Its
+	// derived rates (Utilization, Goodput, CacheOccupancy) are zero here;
+	// Stats fills them.
+	Devices []metrics.FleetDeviceStats
 	// Requeues counts failure-induced request migrations.
 	Requeues int
 	// PrefixHits / PrefixMisses count prompt-prefix tokens that were /
@@ -132,7 +139,7 @@ type Outcome struct {
 	PrefixHits, PrefixMisses int64
 	// Actions is the controller's applied-action log in decision order;
 	// nil without a controller. Equal seeds give bit-identical logs.
-	Actions []ActionRecord
+	Actions []control.Record
 	// Control summarizes the controller's activity; nil without one.
 	Control *metrics.ControlStats
 	// Metrics is the run's latency-aggregation mode (Config.Metrics),
@@ -152,15 +159,58 @@ func (o *Outcome) Stats(sloLatency float64) metrics.FleetStats {
 	for _, r := range o.Results {
 		acc.Observe(r.Sample())
 	}
-	return metrics.SummarizeFleet(metrics.FleetInput{
-		Serve:        acc.Stats(),
-		Devices:      o.Devices,
-		Requeues:     o.Requeues,
-		PrefixHits:   o.PrefixHits,
-		PrefixMisses: o.PrefixMisses,
-		Control:      o.Control,
-		Attribution:  o.Attribution,
-	})
+	st := metrics.FleetStats{
+		ServeStats:  acc.Stats(),
+		Devices:     slices.Clone(o.Devices),
+		Requeues:    o.Requeues,
+		Control:     o.Control,
+		Attribution: o.Attribution,
+	}
+	// The imbalance coefficient compares per-device busy time, but a
+	// device the control plane added late (or drained early) was only
+	// live for part of the run — its raw busy time under-reads its load,
+	// not the balance of the routing. Planned-membership devices are
+	// therefore time-weighted: their busy time is scaled to the longest
+	// live interval in the fleet. Founding full-run devices (and
+	// fail-stopped ones, whose lost capacity is real imbalance) keep raw
+	// busy time, so static-membership fleets reproduce the historical
+	// value bit-identically.
+	ref := 0.0
+	for _, d := range st.Devices {
+		ref = max(ref, d.LiveSeconds)
+	}
+	busy := make([]float64, 0, len(st.Devices))
+	for i := range st.Devices {
+		d := &st.Devices[i]
+		if d.LiveSeconds > 0 {
+			d.Utilization = d.BusyTime / d.LiveSeconds
+			d.Goodput = float64(d.Tokens) / d.LiveSeconds
+		}
+		if d.CacheCapacityTokens > 0 {
+			d.CacheOccupancy = float64(d.CacheUsedTokens) / float64(d.CacheCapacityTokens)
+		}
+		st.CacheHitTokens += d.CacheHitTokens
+		st.CacheMissTokens += d.CacheMissTokens
+		st.CacheEvictedTokens += d.CacheEvictedTokens
+		st.ReprefillSeconds += d.ReprefillSeconds
+		if d.Failed {
+			st.FailedDevices++
+		}
+		st.DeviceSeconds += d.LiveSeconds
+		b := d.BusyTime
+		if (d.Drained || d.LiveStart > 0) && !d.Failed && d.LiveSeconds > 0 && ref > 0 {
+			b = d.BusyTime / d.LiveSeconds * ref
+		}
+		busy = append(busy, b)
+	}
+	st.ImbalanceCV = metrics.CoefficientOfVariation(busy)
+	if total := o.PrefixHits + o.PrefixMisses; total > 0 {
+		st.PrefixHitRate = float64(o.PrefixHits) / float64(total)
+	}
+	if total := st.CacheHitTokens + st.CacheMissTokens; total > 0 {
+		st.CacheHitRate = float64(st.CacheHitTokens) / float64(total)
+	}
+	return st
 }
 
 // Fleet is a configured fleet simulator. A Fleet is single-run: routers
@@ -1042,7 +1092,7 @@ func (r *run) finish() {
 			makespan = res.Finish
 		}
 	}
-	r.out.Devices = make([]metrics.FleetDevice, len(r.devs))
+	r.out.Devices = make([]metrics.FleetDeviceStats, len(r.devs))
 	for i, d := range r.devs {
 		end := makespan
 		switch {
@@ -1052,7 +1102,7 @@ func (r *run) finish() {
 			}
 			// Fail-stop is slice-granular: a final slice may overrun the
 			// fail time, so the device's effective lifetime stretches to
-			// its last clock tick (keeping Busy ≤ Lifetime).
+			// its last clock tick (keeping BusyTime ≤ LiveSeconds).
 			if n := d.loop.Now(); n > end {
 				end = n
 			}
@@ -1068,14 +1118,16 @@ func (r *run) finish() {
 			life = 0
 		}
 		ps := d.loop.PlaneStats()
-		r.out.Devices[i] = metrics.FleetDevice{
-			Busy:      d.loop.Busy(),
-			Lifetime:  life,
-			LiveStart: d.joinAt,
-			Served:    d.served,
-			Tokens:    d.tokens,
-			Failed:    !d.alive,
-			Drained:   d.drained,
+		r.out.Devices[i] = metrics.FleetDeviceStats{
+			Device:      i,
+			Name:        d.spec.Name,
+			Served:      d.served,
+			Tokens:      d.tokens,
+			BusyTime:    d.loop.Busy(),
+			LiveStart:   d.joinAt,
+			LiveSeconds: life,
+			Failed:      !d.alive,
+			Drained:     d.drained,
 
 			CacheCapacityTokens: ps.CapacityTokens,
 			CacheUsedTokens:     ps.UsedTokens,

@@ -261,7 +261,7 @@ func TestFailStopRequeuesToSurvivors(t *testing.T) {
 	// The failed device's lifetime starts at the fail time and stretches
 	// at most through its final overrunning slice, keeping utilization
 	// within [0, 1].
-	if lt := out.Devices[0].Lifetime; lt < failAt {
+	if lt := out.Devices[0].LiveSeconds; lt < failAt {
 		t.Errorf("failed device lifetime %v below fail time %v", lt, failAt)
 	}
 	for i, ds := range st.Devices {

@@ -94,9 +94,6 @@ func (cc *ControlConfig) validate(founding int) ([]*core.Server, error) {
 	return warm, nil
 }
 
-// ActionRecord is one applied controller action (see control.Record).
-type ActionRecord = control.Record
-
 // joinEvent is one scheduled warm-pool join: device dev becomes routable
 // at time at. Scale-up decisions arrive in tick order and the warm-up
 // delay is constant, so joins are consumed FIFO.
@@ -119,7 +116,7 @@ type elastic struct {
 	nextTick  float64
 
 	stats   metrics.ControlStats
-	actions []ActionRecord
+	actions []control.Record
 
 	// win accumulates the tick window incrementally (completions,
 	// arrivals, SLO hits, queue-delay sum) — the shared metrics-layer
@@ -253,7 +250,7 @@ func (el *elastic) tick(r *run, now float64) {
 			N: sig.Routable, V1: sig.Utilization, V2: sig.QueueDelay})
 	}
 	for _, a := range el.ctl.Decide(sig, el.rand) {
-		var rec ActionRecord
+		var rec control.Record
 		switch a.Verb {
 		case control.ScaleUp:
 			rec = el.scaleUp(r, now, a.N)
@@ -272,9 +269,10 @@ func (el *elastic) tick(r *run, now float64) {
 
 // scaleUp claims up to n warm-pool slots: each instantiates the next
 // template (round-robin) as a fresh fleet member that becomes routable
-// after the warm-up delay.
-func (el *elastic) scaleUp(r *run, now float64, n int) ActionRecord {
-	rec := ActionRecord{Time: now, Verb: control.ScaleUp, N: n}
+// after the warm-up delay. The J-th instance (J counting every join of
+// the run) is named "warm:<template name>+J".
+func (el *elastic) scaleUp(r *run, now float64, n int) control.Record {
+	rec := control.Record{Time: now, Action: string(control.ScaleUp), Requested: n}
 	for i := 0; i < n; i++ {
 		routable, warming := el.counts(r)
 		if el.warmFree <= 0 || routable+warming >= el.cfg.MaxDevices {
@@ -282,8 +280,10 @@ func (el *elastic) scaleUp(r *run, now float64, n int) ActionRecord {
 		}
 		el.warmFree--
 		tmpl := el.joinCount % len(el.cfg.Warm)
+		spec := el.cfg.Warm[tmpl]
+		spec.Name = fmt.Sprintf("warm:%s+%d", spec.Name, el.joinCount)
 		el.joinCount++
-		dev := newDevice(el.cfg.Warm[tmpl], r.f.warmSrvs[tmpl], now+el.cfg.WarmupDelay)
+		dev := newDevice(spec, r.f.warmSrvs[tmpl], now+el.cfg.WarmupDelay)
 		dev.warming = true
 		dev.dynamic = true
 		idx := len(r.devs)
@@ -326,8 +326,8 @@ func (el *elastic) completeJoin(r *run) {
 // MinDevices routable. A drained device stops receiving requests
 // immediately and leaves the fleet once its accepted work finishes; its
 // warm-pool slot (if it was one) frees at the decision.
-func (el *elastic) scaleDown(r *run, now float64, n int) ActionRecord {
-	rec := ActionRecord{Time: now, Verb: control.ScaleDown, N: n}
+func (el *elastic) scaleDown(r *run, now float64, n int) control.Record {
+	rec := control.Record{Time: now, Action: string(control.ScaleDown), Requested: n}
 	for i := 0; i < n && len(r.vs) > el.cfg.MinDevices; i++ {
 		victim := -1
 		for pass := 0; pass < 2 && victim < 0; pass++ {
@@ -365,9 +365,9 @@ func (el *elastic) scaleDown(r *run, now float64, n int) ActionRecord {
 }
 
 // setTier moves the compute-budget governor, clamped to [0, MaxTier].
-// The record keeps the controller's raw request in N so clamping is
-// visible in the action log, matching the scaling verbs.
-func (el *elastic) setTier(now float64, tier int) ActionRecord {
+// The record keeps the controller's raw request in Requested so clamping
+// is visible in the action log, matching the scaling verbs.
+func (el *elastic) setTier(now float64, tier int) control.Record {
 	requested := tier
 	if tier < 0 {
 		tier = 0
@@ -379,7 +379,7 @@ func (el *elastic) setTier(now float64, tier int) ActionRecord {
 		el.tier = tier
 		el.stats.TierChanges++
 	}
-	return ActionRecord{Time: now, Verb: control.SetTier, N: requested, Applied: el.tier}
+	return control.Record{Time: now, Action: string(control.SetTier), Requested: requested, Applied: el.tier}
 }
 
 // finish publishes the controller's log and summary into the outcome.

@@ -114,7 +114,7 @@ func TestElasticJoinAndDrainLifecycle(t *testing.T) {
 	// served started before they were routable.
 	joinAt := make(map[int]float64)
 	for _, rec := range out.Actions {
-		if rec.Verb == control.ScaleUp {
+		if rec.Action == string(control.ScaleUp) {
 			for _, di := range rec.Devices {
 				joinAt[di] = rec.Time + cfg.Control.WarmupDelay
 			}
@@ -139,7 +139,7 @@ func TestElasticJoinAndDrainLifecycle(t *testing.T) {
 	// and nothing routed to them after the drain decision.
 	drainAt := make(map[int]float64)
 	for _, rec := range out.Actions {
-		if rec.Verb == control.ScaleDown {
+		if rec.Action == string(control.ScaleDown) {
 			for _, di := range rec.Devices {
 				drainAt[di] = rec.Time
 			}
@@ -153,8 +153,8 @@ func TestElasticJoinAndDrainLifecycle(t *testing.T) {
 		if !d.Drained {
 			t.Errorf("device %d drained at t=%v but not marked Drained", di, at)
 		}
-		if d.LiveStart+d.Lifetime < at {
-			t.Errorf("device %d live interval ends %v, before its drain decision %v", di, d.LiveStart+d.Lifetime, at)
+		if d.LiveStart+d.LiveSeconds < at {
+			t.Errorf("device %d live interval ends %v, before its drain decision %v", di, d.LiveStart+d.LiveSeconds, at)
 		}
 		for _, r := range out.Results {
 			if r.Device == di && !r.Rejected && r.Arrival > at && r.Requeues == 0 {
@@ -279,7 +279,7 @@ func TestStaticControllerMatchesNoController(t *testing.T) {
 
 // TestStaticMembershipLifetimeBitIdentity is the satellite contract at
 // the fleet level: without joins or drains, every non-failed device's
-// Lifetime is exactly the makespan (LiveStart 0) and the imbalance
+// LiveSeconds is exactly the makespan (LiveStart 0) and the imbalance
 // coefficient equals the raw busy-time CV bit-for-bit.
 func TestStaticMembershipLifetimeBitIdentity(t *testing.T) {
 	reqs := ctlStream(t, burstyArrivals(12))
@@ -295,10 +295,10 @@ func TestStaticMembershipLifetimeBitIdentity(t *testing.T) {
 		if d.LiveStart != 0 || d.Drained {
 			t.Errorf("static device %d carries dynamic-membership telemetry: %+v", i, d)
 		}
-		if !d.Failed && d.Lifetime != makespan {
-			t.Errorf("device %d Lifetime = %v, want makespan %v", i, d.Lifetime, makespan)
+		if !d.Failed && d.LiveSeconds != makespan {
+			t.Errorf("device %d LiveSeconds = %v, want makespan %v", i, d.LiveSeconds, makespan)
 		}
-		busy = append(busy, d.Busy)
+		busy = append(busy, d.BusyTime)
 	}
 	st := out.Stats(0)
 	if want := metrics.CoefficientOfVariation(busy); st.ImbalanceCV != want {

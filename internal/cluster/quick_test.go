@@ -372,8 +372,8 @@ func TestDynamicMembershipPreservesRequestMultiset(t *testing.T) {
 		}
 		// Device telemetry stays sane under dynamic membership.
 		for i, d := range out.Devices {
-			if d.Lifetime < 0 || d.Busy > d.Lifetime+1e-9 {
-				t.Logf("device %d busy %v exceeds live interval %v", i, d.Busy, d.Lifetime)
+			if d.LiveSeconds < 0 || d.BusyTime > d.LiveSeconds+1e-9 {
+				t.Logf("device %d busy %v exceeds live interval %v", i, d.BusyTime, d.LiveSeconds)
 				return false
 			}
 		}

@@ -104,23 +104,24 @@ type Action struct {
 type Record struct {
 	// Time is the control tick the action was decided at.
 	Time float64
-	Verb Verb
-	// N is the requested magnitude; Applied is what the fleet actually
-	// actuated after clamping to warm-pool capacity and the device
-	// bounds (Applied <= N for scaling verbs; Applied is the resulting
-	// tier for SetTier).
-	N, Applied int
+	// Action is the Verb: "scale-up", "scale-down", or "set-tier".
+	Action string
+	// Requested is the controller's asked-for magnitude; Applied is what
+	// the fleet actually actuated after clamping to warm-pool capacity
+	// and the device bounds (Applied <= Requested for scaling verbs;
+	// Applied is the resulting tier for "set-tier").
+	Requested, Applied int
 	// Devices lists the fleet indexes the action touched (joined or
-	// draining devices); nil for SetTier.
+	// draining devices); nil for "set-tier".
 	Devices []int
 }
 
 // String renders a record for logs and CLI output.
 func (r Record) String() string {
-	if r.Verb == SetTier {
-		return fmt.Sprintf("t=%.1f %s %d", r.Time, r.Verb, r.Applied)
+	if r.Action == string(SetTier) {
+		return fmt.Sprintf("t=%.1f %s %d", r.Time, r.Action, r.Applied)
 	}
-	return fmt.Sprintf("t=%.1f %s %d/%d %v", r.Time, r.Verb, r.Applied, r.N, r.Devices)
+	return fmt.Sprintf("t=%.1f %s %d/%d %v", r.Time, r.Action, r.Applied, r.Requested, r.Devices)
 }
 
 // Controller decides actuations from observed fleet signals.

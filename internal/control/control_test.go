@@ -223,11 +223,11 @@ func TestControllersDeterministic(t *testing.T) {
 }
 
 func TestRecordString(t *testing.T) {
-	r1 := Record{Time: 30, Verb: ScaleUp, N: 2, Applied: 1, Devices: []int{4}}
+	r1 := Record{Time: 30, Action: string(ScaleUp), Requested: 2, Applied: 1, Devices: []int{4}}
 	if s := r1.String(); !strings.Contains(s, "scale-up") || !strings.Contains(s, "1/2") {
 		t.Errorf("Record.String() = %q", s)
 	}
-	r2 := Record{Time: 45, Verb: SetTier, N: 1, Applied: 1}
+	r2 := Record{Time: 45, Action: string(SetTier), Requested: 1, Applied: 1}
 	if s := r2.String(); !strings.Contains(s, "set-tier 1") {
 		t.Errorf("Record.String() = %q", s)
 	}

@@ -42,15 +42,13 @@ type Options struct {
 	// LookAhead enables LookAhead Verification (part of S in the paper's
 	// ablation; exposed separately for finer studies).
 	LookAhead bool
-	// VerifierPrefixCache lets the verifier reuse KV across requests and
-	// iterations. The baseline PRM pipeline recomputes every request.
-	VerifierPrefixCache bool
-	// GeneratorPrefixCache lets generator beams share and reuse KV via
-	// the radix cache. The vLLM baseline (search-and-learn on vLLM
-	// v0.9.2, automatic prefix caching off by default) submits each
-	// beam's full path as a fresh prompt every iteration and re-prefills
-	// it from scratch.
-	GeneratorPrefixCache bool
+	// PrefixCache lets generator beams share and reuse KV via the radix
+	// cache, and the verifier reuse KV across requests and iterations.
+	// The vLLM baseline (search-and-learn on vLLM v0.9.2, automatic
+	// prefix caching off by default) submits each beam's full path as a
+	// fresh prompt every iteration and re-prefills it from scratch, and
+	// its PRM pipeline recomputes every request.
+	PrefixCache bool
 	// TruncationRatio is R: the mean fraction of speculative tokens a
 	// duplicate beam retains at branching (§4.1, Fig 17 right).
 	TruncationRatio float64
@@ -67,13 +65,12 @@ type Options struct {
 // FastTTSOptions returns the full FastTTS configuration.
 func FastTTSOptions() Options {
 	return Options{
-		Speculative:          true,
-		PrefixAware:          true,
-		AsymmetricMemory:     true,
-		LookAhead:            true,
-		VerifierPrefixCache:  true,
-		GeneratorPrefixCache: true,
-		TruncationRatio:      0.85,
+		Speculative:      true,
+		PrefixAware:      true,
+		AsymmetricMemory: true,
+		LookAhead:        true,
+		PrefixCache:      true,
+		TruncationRatio:  0.85,
 	}
 }
 

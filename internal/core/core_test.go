@@ -160,8 +160,8 @@ func TestAblationMonotonicity(t *testing.T) {
 	pol, _ := search.New(search.BeamSearch, 128, 4)
 	opts := []Options{
 		BaselineOptions(),
-		{PrefixAware: true, GeneratorPrefixCache: true, VerifierPrefixCache: true, StaticVerifierFrac: 0.5},
-		{PrefixAware: true, GeneratorPrefixCache: true, VerifierPrefixCache: true, AsymmetricMemory: true, StaticVerifierFrac: 0.5},
+		{PrefixAware: true, PrefixCache: true, StaticVerifierFrac: 0.5},
+		{PrefixAware: true, PrefixCache: true, AsymmetricMemory: true, StaticVerifierFrac: 0.5},
 		FastTTSOptions(),
 	}
 	var goodputs []float64

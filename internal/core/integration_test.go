@@ -56,9 +56,8 @@ func TestVerifierOrderingEffect(t *testing.T) {
 	pol, _ := search.New(search.BeamSearch, 128, 4)
 	p := aimeProblem(t, 0)
 	base := Options{
-		GeneratorPrefixCache: true,
-		VerifierPrefixCache:  true,
-		StaticVerifierFrac:   0.1, // starve the verifier cache
+		PrefixCache:        true,
+		StaticVerifierFrac: 0.1, // starve the verifier cache
 	}
 	ordered := base
 	ordered.PrefixAware = true

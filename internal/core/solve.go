@@ -199,7 +199,7 @@ func (s *solver) init(cfg Config, p *workload.Problem) error {
 	}
 	st.ver.Skill = cfg.VerSkill
 	st.ver.BatchSize = 1
-	st.ver.PrefixCache = cfg.Opts.VerifierPrefixCache
+	st.ver.PrefixCache = cfg.Opts.PrefixCache
 	st.ver.LookAhead = cfg.Opts.LookAhead && cfg.Opts.Speculative
 	st.ver.Scored = 0
 	// Beams the previous request left on the frontier (abandoned by a
@@ -534,7 +534,7 @@ func (s *solver) generationPhase() {
 	// Memory-resident groups are consecutive runs of the schedule, so each
 	// is recorded by where it ends.
 	s.groupEnds = s.groupEnds[:0]
-	if s.cfg.Opts.GeneratorPrefixCache {
+	if s.cfg.Opts.PrefixCache {
 		// Tries share prefixes physically: capacity counts unique tokens.
 		end := 0
 		for _, tr := range s.sched.PackTries(paths, capacity) {
@@ -685,7 +685,7 @@ func (s *solver) execTrie(group []*beam) {
 	recomp := s.recomp[:0]
 	for _, b := range group {
 		prevLen := b.tokLen - b.rem
-		if !s.cfg.Opts.GeneratorPrefixCache {
+		if !s.cfg.Opts.PrefixCache {
 			recomp = append(recomp, engine.PrefillItem{NewTokens: prevLen, CtxTokens: prevLen})
 			s.recomputed += int64(prevLen)
 			continue

@@ -8,11 +8,11 @@
 // than a free heuristic (EdgeReasoning, arXiv 2511.01866; paper §4.2).
 //
 // Memory model. Each device owns one kvcache.Cache (the radix-tree prefix
-// cache) holding entries of BytesPerToken bytes — by default the
-// generator's KV footprint per token, 2·Layers·KVHeads·HeadDim·2 bytes
-// (K and V vectors, FP16). The plane's capacity is the device's KV budget:
-// usable VRAM minus generator+verifier weights minus the workspace
-// reservation (core.Config.KVBudget), or an explicit byte override.
+// cache) whose entries cost the generator's KV footprint per token,
+// 2·Layers·KVHeads·HeadDim·2 bytes (K and V vectors, FP16). The plane's
+// capacity is the device's KV budget: usable VRAM minus
+// generator+verifier weights minus the workspace reservation
+// (core.Config.KVBudget), or an explicit byte override.
 //
 // Determinism contract. The plane is driven only from its device's
 // goroutine-confined core.Loop at virtual-time order points (admission,
@@ -40,12 +40,6 @@ type Config struct {
 	// CapacityBytes is the KV budget the plane manages; <= 0 disables the
 	// plane.
 	CapacityBytes int64
-	// BytesPerToken is the KV footprint of one cached token; 0 derives it
-	// from the generator architecture (model.Config.KVBytesPerToken).
-	BytesPerToken int64
-	// BlockTokens is the paged-allocator block size in tokens; 0 means 1
-	// (exact token-granular allocation).
-	BlockTokens int
 }
 
 // Enabled reports whether this configuration instantiates a plane.
@@ -55,12 +49,6 @@ func (c Config) Enabled() bool { return c.CapacityBytes > 0 }
 func (c Config) Validate() error {
 	if c.CapacityBytes < 0 {
 		return fmt.Errorf("memplane: negative capacity %d bytes", c.CapacityBytes)
-	}
-	if c.BytesPerToken < 0 {
-		return fmt.Errorf("memplane: negative bytes-per-token %d", c.BytesPerToken)
-	}
-	if c.BlockTokens < 0 {
-		return fmt.Errorf("memplane: negative block size %d tokens", c.BlockTokens)
 	}
 	return nil
 }
@@ -130,19 +118,11 @@ type Plane struct {
 }
 
 // New builds a plane over cfg. The caller must ensure cfg.Enabled(); the
-// generator architecture supplies the default per-token byte cost and the
+// generator architecture supplies the per-token byte cost and the
 // re-prefill roofline inputs.
 func New(cfg Config, gpu hw.GPU, gen model.Config) *Plane {
-	bpt := cfg.BytesPerToken
-	if bpt == 0 {
-		bpt = gen.KVBytesPerToken()
-	}
-	block := cfg.BlockTokens
-	if block < 1 {
-		block = 1
-	}
 	return &Plane{
-		cache:   kvcache.NewBlocked(cfg.CapacityBytes, bpt, block),
+		cache:   kvcache.New(cfg.CapacityBytes, gen.KVBytesPerToken()),
 		gpu:     gpu,
 		gen:     gen,
 		streams: map[string]uint32{},

@@ -192,8 +192,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero value", Config{}, true},
 		{"enabled", Config{CapacityBytes: 1 << 20}, true},
 		{"negative capacity", Config{CapacityBytes: -1}, false},
-		{"negative bytes per token", Config{CapacityBytes: 1, BytesPerToken: -2}, false},
-		{"negative block", Config{CapacityBytes: 1, BlockTokens: -1}, false},
 	}
 	for _, tc := range cases {
 		if err := tc.cfg.Validate(); (err == nil) != tc.ok {

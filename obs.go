@@ -2,6 +2,7 @@ package fasttts
 
 import (
 	"io"
+	"slices"
 
 	"fasttts/internal/metrics"
 	"fasttts/internal/obs"
@@ -71,81 +72,37 @@ func (r *Recorder) Verify() error { return obs.Verify(r.rec().Spans()) }
 
 // RequestAttribution decomposes one finished request's wall latency
 // into additive components: Wall = Queue + Service + Reprefill +
-// Straggler + Preemption, exact to within 1 ulp; a straggler or
-// preemption component within the virtual clock's float rounding of zero
-// is exactly 0. HedgeWaste and LostWork are device-time side channels
-// (work burned by a losing hedge copy, or lost to a fail-stop before
-// requeue) that overlap the wall interval rather than extending it.
-type RequestAttribution struct {
-	// Tag is the request's stream position; Device the fleet index that
-	// produced the winning finish.
-	Tag    int
-	Device int
-	// Arrival, Finish, and Wall bound the request's client-perceived
-	// life: Wall = Finish - Arrival.
-	Arrival, Finish, Wall float64
-	// Queue is time from arrival to the first slice on the serving
-	// device (waits on failed devices before a requeue included);
-	// Service the nominal solver time across serving slices; Reprefill
-	// the KV re-prefill penalty paid at admission; Straggler the wall
-	// inflation of serving slices over nominal (slowdown factors);
-	// Preemption the serving-device gaps between slices spent on other
-	// tenants.
-	Queue, Service, Reprefill, Straggler, Preemption float64
-	// HedgeWaste is slice wall-time burned by the losing hedge copy;
-	// LostWork slice wall-time lost to fail-stops before requeue.
-	HedgeWaste, LostWork float64
-	// Slices counts executed serving slices; Preemptions how many of
-	// them had the speculation-preemption probe fire; Requeues how many
-	// device failures displaced the request.
-	Slices, Preemptions, Requeues int
-	// Hedged marks requests that were replicated to a twin device.
-	Hedged bool
-}
+// Straggler + Preemption, exact to within 1 ulp (ComponentSum adds them
+// in that order); a straggler or preemption component within the
+// virtual clock's float rounding of zero is exactly 0. Tag is the
+// request's stream position, Device the fleet index of the winning
+// finish, and Arrival, Finish, Wall bound its client-perceived life.
+// Queue runs from arrival to the first serving slice (waits on failed
+// devices included); Service is nominal solver time; Reprefill the KV
+// re-prefill penalty at admission; Straggler the slowdown inflation of
+// serving slices; Preemption the serving-device gaps spent on other
+// tenants. HedgeWaste (a losing hedge copy's slices) and LostWork (slices
+// lost to fail-stops) are device-time side channels overlapping Wall.
+// Slices, Preemptions (slices whose speculation probe fired) and Requeues
+// count events; Hedged marks requests replicated to a twin device.
+type RequestAttribution = obs.RequestAttribution
 
 // Attribution runs the latency-attribution pass over the recorded
 // trace: one record per finished request, sorted by tag. Requests that
-// never finished (shed, rejected, cancelled) are not attributed.
+// never finished (shed, rejected, cancelled) are not attributed. Each
+// call returns a fresh slice the caller may edit.
 func (r *Recorder) Attribution() []RequestAttribution {
-	inner := r.rec().Attribution()
-	out := make([]RequestAttribution, len(inner))
-	for i, a := range inner {
-		out[i] = RequestAttribution{
-			Tag: a.Tag, Device: a.Device,
-			Arrival: a.Arrival, Finish: a.Finish, Wall: a.Wall,
-			Queue: a.Queue, Service: a.Service, Reprefill: a.Reprefill,
-			Straggler: a.Straggler, Preemption: a.Preemption,
-			HedgeWaste: a.HedgeWaste, LostWork: a.LostWork,
-			Slices: a.Slices, Preemptions: a.Preemptions, Requeues: a.Requeues,
-			Hedged: a.Hedged,
-		}
-	}
-	return out
+	return slices.Clone(r.rec().Attribution())
 }
 
-// AttributionStats rolls per-request latency attributions into fleet
-// totals (sums over finished requests; see RequestAttribution for the
-// component semantics).
-type AttributionStats struct {
-	Requests, Hedged int
-	Wall, Queue, Service, Reprefill, Straggler,
-	Preemption, HedgeWaste, LostWork float64
-	Slices, Preemptions, Requeues int
-}
+// AttributionStats sums RequestAttribution over finished requests:
+// Requests and Hedged count them; Wall, Queue, Service, Reprefill,
+// Straggler, Preemption, HedgeWaste and LostWork sum their seconds;
+// Slices, Preemptions and Requeues sum their counts.
+type AttributionStats = metrics.AttributionStats
 
 // AttributionSummary aggregates the recorded trace's per-request
 // attributions into fleet totals.
 func (r *Recorder) AttributionSummary() AttributionStats {
-	return wrapAttribution(obs.Summarize(r.rec().Attribution()))
-}
-
-func wrapAttribution(st metrics.AttributionStats) AttributionStats {
-	return AttributionStats{
-		Requests: st.Requests, Hedged: st.Hedged,
-		Wall: st.Wall, Queue: st.Queue, Service: st.Service,
-		Reprefill: st.Reprefill, Straggler: st.Straggler,
-		Preemption: st.Preemption, HedgeWaste: st.HedgeWaste,
-		LostWork: st.LostWork,
-		Slices:   st.Slices, Preemptions: st.Preemptions, Requeues: st.Requeues,
-	}
+	return obs.Summarize(r.rec().Attribution())
 }

@@ -277,3 +277,24 @@ func TestRecorderAttribution(t *testing.T) {
 		t.Fatal("nil Recorder must behave as an empty trace")
 	}
 }
+
+// TestRecorderAttributionIsACopy: the recorder computes its attribution
+// once and shares it between readers, so Attribution must hand each
+// caller its own slice — editing one result must not change the next.
+func TestRecorderAttributionIsACopy(t *testing.T) {
+	rec := NewRecorder()
+	if _, err := RunScenario("steady", ScenarioOptions{Target: ScenarioCluster, Requests: 6, Seed: 42, Trace: rec}); err != nil {
+		t.Fatal(err)
+	}
+	first := rec.Attribution()
+	if len(first) == 0 {
+		t.Fatal("no attributed requests")
+	}
+	want := slices.Clone(first)
+	for i := range first {
+		first[i].Wall, first[i].Tag = -1, -1
+	}
+	if got := rec.Attribution(); !slices.Equal(got, want) {
+		t.Errorf("editing one Attribution result changed the next:\n got %+v\nwant %+v", got, want)
+	}
+}

@@ -148,6 +148,21 @@ func TestNonFiniteTimesRejected(t *testing.T) {
 		rows = append(rows, row{fmt.Sprintf("RunClosedLoop think %v", v),
 			func() error { _, err := srv.RunClosedLoop(probs, 2, v); return err }})
 	}
+	// A NaN latency target would silently mean "no target" (every
+	// comparison with it is false), and an infinite one is no target
+	// either.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rows = append(rows,
+			row{fmt.Sprintf("NewServerWith SLOLatency %v", v), func() error {
+				_, err := fasttts.NewServerWith(fasttts.ServeConfig{Config: testServeConfig(), SLOLatency: v})
+				return err
+			}},
+			row{fmt.Sprintf("NewCluster SLOLatency %v", v), func() error {
+				_, err := fasttts.NewCluster(fasttts.ClusterConfig{
+					Devices: []fasttts.DeviceSpec{{Config: testServeConfig()}}, SLOLatency: v})
+				return err
+			}})
+	}
 	// A request without a problem is hostile input of the same kind.
 	noProblem := func(p *fasttts.Problem) []fasttts.Request {
 		reqs := fasttts.PoissonRequests(probs, 0.5, 11)
@@ -185,6 +200,8 @@ func TestNonFiniteTimesRejected(t *testing.T) {
 					t.Error("accepted the request")
 				} else if strings.Contains(tc.name, "problem") && !strings.Contains(err.Error(), " 1 ") {
 					t.Errorf("error %q does not name request 1", err)
+				} else if strings.Contains(tc.name, "SLOLatency") && !strings.Contains(err.Error(), "SLOLatency") {
+					t.Errorf("error %q does not name SLOLatency", err)
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("did not return within 10s")

@@ -2,6 +2,7 @@ package fasttts
 
 import (
 	"fmt"
+	"math"
 
 	"fasttts/internal/core"
 	"fasttts/internal/metrics"
@@ -77,25 +78,15 @@ type ServeConfig struct {
 	Trace *Recorder
 }
 
-// ServeStats aggregates a served request stream (see Server.Stats).
-type ServeStats struct {
-	Served, Rejected int
-	// Makespan is the finish time of the last served request.
-	Makespan float64
-	// Queue delay is StartTime − ArrivalTime; latency here is wall
-	// latency, FinishTime − ArrivalTime.
-	MeanQueueDelay, MaxQueueDelay                   float64
-	MeanLatency, P50Latency, P95Latency, P99Latency float64
-	// Goodput is useful generated tokens per second of makespan.
-	Goodput float64
-	// SLOAttainment is the fraction of all submitted requests meeting
-	// SLOLatency (rejected requests count as misses); 1 when no target
-	// is set.
-	SLOAttainment float64
-	// NonFinite counts served samples excluded from every aggregate
-	// because their telemetry was NaN or ±Inf (0 on healthy streams).
-	NonFinite int
-}
+// ServeStats aggregates a served request stream (see Server.Stats):
+// counts (Served, Rejected, and NonFinite: served samples dropped from
+// every aggregate for NaN or ±Inf telemetry), Makespan (the last finish),
+// queue delay StartTime − ArrivalTime (MeanQueueDelay, MaxQueueDelay),
+// wall latency FinishTime − ArrivalTime (MeanLatency, P50Latency,
+// P95Latency, P99Latency), Goodput (useful tokens per second of
+// makespan) and SLOAttainment (the share of all submitted requests
+// meeting SLOLatency, rejections counting as misses; 1 with no target).
+type ServeStats = metrics.ServeStats
 
 // Server serves a stream of TTS requests with the multi-tenant serving
 // engine: an event-driven virtual clock time-slices the device between
@@ -116,6 +107,9 @@ func NewServer(c Config) (*Server, error) {
 
 // NewServerWith builds a server with an explicit serving configuration.
 func NewServerWith(sc ServeConfig) (*Server, error) {
+	if err := checkSLO(sc.SLOLatency); err != nil {
+		return nil, err
+	}
 	cc, err := buildCoreConfig(sc.Config)
 	if err != nil {
 		return nil, err
@@ -133,6 +127,15 @@ func NewServerWith(sc ServeConfig) (*Server, error) {
 		return nil, err
 	}
 	return &Server{inner: srv, slo: sc.SLOLatency}, nil
+}
+
+// checkSLO rejects a NaN or infinite SLOLatency: every comparison with
+// NaN is false, so it would silently read as "no target".
+func checkSLO(slo float64) error {
+	if math.IsNaN(slo) || math.IsInf(slo, 0) {
+		return fmt.Errorf("fasttts: SLOLatency must be finite, got %v (0 disables SLO accounting)", slo)
+	}
+	return nil
 }
 
 // Run serves an open-loop request stream and returns per-request results
@@ -207,22 +210,7 @@ func (s *Server) Stats(served []ServedResult) ServeStats {
 			Tokens: sv.UsefulTokens, Rejected: sv.Rejected,
 		})
 	}
-	return wrapServeStats(acc.Stats())
-}
-
-// wrapServeStats converts the internal serve aggregates to the public
-// struct (shared by Server.Stats and the fleet stats).
-func wrapServeStats(m metrics.ServeStats) ServeStats {
-	return ServeStats{
-		Served: m.Served, Rejected: m.Rejected,
-		Makespan:       m.Makespan,
-		MeanQueueDelay: m.MeanQueueDelay, MaxQueueDelay: m.MaxQueueDelay,
-		MeanLatency: m.MeanLatency,
-		P50Latency:  m.P50Latency, P95Latency: m.P95Latency, P99Latency: m.P99Latency,
-		Goodput:       m.Goodput,
-		SLOAttainment: m.SLOAttainment,
-		NonFinite:     m.NonFinite,
-	}
+	return acc.Stats()
 }
 
 // PoissonRequests assigns open-loop Poisson arrival times (mean rate
