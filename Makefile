@@ -49,19 +49,28 @@ benchmark:
 benchmark-smoke:
 	$(GO) run ./benchmark -scale 0.02 -passes 1
 
-# Where the solver's host time and allocations go: CPU and allocation
-# profiles of BenchmarkServeBeam64 (the solver-beam workload in miniature,
-# internal/core/beam_test.go), top 25 of each. The benchmark under
-# benchmark/ has no profile flag and may not be edited by a PR that claims
-# a gain, so a hot-path PR profiles here and attaches both lists.
-# Everything lands in bench-smoke/ (gitignored).
+# The four profile-* targets below each run their benchmark twice: once
+# for the CPU profile, and once more with -memprofilerate 1 for the
+# allocation profile, whose alloc_objects are then exact counts rather than
+# a 512 KiB sample. Exact counting in the CPU run would swamp its profile
+# (stack unwinding on every allocation took 38 % of the CPU). Each prints
+# the top 25 of both. Everything lands in bench-smoke/ (gitignored).
+
+# Where the solver's host time and allocations go: BenchmarkServerRunBeam64
+# (perf_test.go), the solver-beam workload's pass at half length — public
+# NewServerWith, Run and Stats over 500 MATH500 requests at n=64 — so the
+# fresh server's pool growth is amortized as in the workload and the public
+# result wrapping is profiled too. The benchmark under benchmark/ has no
+# profile flag and may not be edited by a PR that claims a gain, so a
+# hot-path PR profiles here and attaches both lists.
 profile-solver:
 	mkdir -p bench-smoke
-	$(GO) test -run '^$$' -bench 'BenchmarkServeBeam64' -benchmem \
-		-cpuprofile bench-smoke/solver.cpu -memprofile bench-smoke/solver.mem \
-		-o bench-smoke/core.test ./internal/core
-	$(GO) tool pprof -top -nodecount=25 bench-smoke/core.test bench-smoke/solver.cpu
-	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/core.test bench-smoke/solver.mem
+	$(GO) test -run '^$$' -bench 'BenchmarkServerRunBeam64' -benchtime 3x -benchmem \
+		-cpuprofile bench-smoke/solver.cpu -o bench-smoke/fasttts.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkServerRunBeam64' -benchtime 1x -benchmem \
+		-memprofilerate 1 -memprofile bench-smoke/solver.mem -o bench-smoke/fasttts.test .
+	$(GO) tool pprof -top -nodecount=25 bench-smoke/fasttts.test bench-smoke/solver.cpu
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/fasttts.test bench-smoke/solver.mem
 
 # Where a recorded fleet run's host time and allocations go: the same two
 # profiles of BenchmarkFleetRun32Observed (the fleet-observed workload's
@@ -70,8 +79,9 @@ profile-solver:
 profile-observed:
 	mkdir -p bench-smoke
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetRun32Observed' -benchtime 10x -benchmem \
-		-cpuprofile bench-smoke/observed.cpu -memprofile bench-smoke/observed.mem \
-		-o bench-smoke/cluster.test ./internal/cluster
+		-cpuprofile bench-smoke/observed.cpu -o bench-smoke/cluster.test ./internal/cluster
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetRun32Observed' -benchtime 2x -benchmem \
+		-memprofilerate 1 -memprofile bench-smoke/observed.mem -o bench-smoke/cluster.test ./internal/cluster
 	$(GO) tool pprof -top -nodecount=25 bench-smoke/cluster.test bench-smoke/observed.cpu
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/cluster.test bench-smoke/observed.mem
 
@@ -84,8 +94,9 @@ profile-observed:
 profile-dispatch:
 	mkdir -p bench-smoke
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetDispatch' -benchtime 3x -benchmem \
-		-cpuprofile bench-smoke/dispatch.cpu -memprofile bench-smoke/dispatch.mem \
-		-o bench-smoke/cluster.test ./internal/cluster
+		-cpuprofile bench-smoke/dispatch.cpu -o bench-smoke/cluster.test ./internal/cluster
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetDispatch' -benchtime 1x -benchmem \
+		-memprofilerate 1 -memprofile bench-smoke/dispatch.mem -o bench-smoke/cluster.test ./internal/cluster
 	$(GO) tool pprof -top -nodecount=25 bench-smoke/cluster.test bench-smoke/dispatch.cpu
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/cluster.test bench-smoke/dispatch.mem
 
@@ -100,8 +111,9 @@ profile-dispatch:
 profile-kv:
 	mkdir -p bench-smoke
 	$(GO) test -run '^$$' -bench 'BenchmarkKVPressure' -benchtime 10x -benchmem \
-		-cpuprofile bench-smoke/kv.cpu -memprofile bench-smoke/kv.mem \
-		-o bench-smoke/cluster.test ./internal/cluster
+		-cpuprofile bench-smoke/kv.cpu -o bench-smoke/cluster.test ./internal/cluster
+	$(GO) test -run '^$$' -bench 'BenchmarkKVPressure' -benchtime 2x -benchmem \
+		-memprofilerate 1 -memprofile bench-smoke/kv.mem -o bench-smoke/cluster.test ./internal/cluster
 	$(GO) tool pprof -top -nodecount=25 bench-smoke/cluster.test bench-smoke/kv.cpu
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/cluster.test bench-smoke/kv.mem
 

@@ -66,7 +66,8 @@ type AutoscaleConfig struct {
 	WarmupDelay float64
 	// MinDevices floors the routable device count drains may reach
 	// (default 1); MaxDevices caps routable+warming devices (default
-	// fleet size + warm-pool size).
+	// fleet size + warm-pool size). A floor above the cap, once defaults
+	// are filled in, is an error.
 	MinDevices, MaxDevices int
 	// MaxTier is the deepest compute-budget degradation tier (each tier
 	// halves the effective search width); 0 selects the default of 2.

@@ -52,7 +52,8 @@ type ControlConfig struct {
 	WarmupDelay float64
 	// MinDevices floors the routable device count drains may reach
 	// (default 1); MaxDevices caps routable+warming devices (default
-	// founding + len(Warm)).
+	// founding + len(Warm)). A floor above the cap, once defaults are
+	// filled in, is an error.
 	MinDevices, MaxDevices int
 	// MaxTier is the deepest compute-budget degradation tier the
 	// governor may set; each tier halves the effective search width.
@@ -90,6 +91,9 @@ func (cc *ControlConfig) validate(founding int) ([]*core.Server, error) {
 	}
 	if cc.MinDevices == 0 {
 		cc.MinDevices = 1
+	}
+	if cc.MinDevices > cc.MaxDevices {
+		return nil, fmt.Errorf("cluster: MinDevices %d exceeds MaxDevices %d; no scaling action could reach that floor", cc.MinDevices, cc.MaxDevices)
 	}
 	return warm, nil
 }

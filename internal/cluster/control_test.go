@@ -323,6 +323,7 @@ func TestControlConfigValidation(t *testing.T) {
 		{"infinite warmup", ControlConfig{Interval: 10, WarmupDelay: math.Inf(1)}},
 		{"failat in warm pool", ControlConfig{Interval: 10, Warm: []Device{{Config: dev.Config, FailAt: 50}}}},
 		{"negative min devices", ControlConfig{Interval: 10, MinDevices: -1}},
+		{"min devices above max", ControlConfig{Interval: 1, MinDevices: 5, MaxDevices: 2}},
 	}
 	for _, tc := range cases {
 		cc := tc.cc

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"fasttts/internal/kvcache"
-	"fasttts/internal/rng"
 	"fasttts/internal/search"
-	"fasttts/internal/workload"
 )
 
 // appendNodeRuns must emit the exact value stream the token-by-token
@@ -78,34 +76,6 @@ func BenchmarkSolverIteration(b *testing.B) {
 		}
 		if err := s.stepOnce(); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeBeam64 is the solver-beam workload in miniature: one
-// Server.Run over 50 MATH500 requests at n=64 with the FastTTS options, so
-// all but the first request run on a recycled solver. `make profile-solver`
-// profiles it.
-func BenchmarkServeBeam64(b *testing.B) {
-	pol, err := search.New(search.BeamSearch, 64, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := NewServer(testConfig(b, pol, FastTTSOptions()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	probs := workload.NewDataset(workload.MATH500, rng.New(7)).Problems
-	reqs := make([]Request, 50)
-	for i := range reqs {
-		reqs[i] = Request{Problem: probs[i], Arrival: 40 * float64(i), Tag: i}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		served, err := srv.Run(reqs)
-		if err != nil || len(served) != len(reqs) {
-			b.Fatalf("served %d of %d, err %v", len(served), len(reqs), err)
 		}
 	}
 }

@@ -153,6 +153,11 @@ type FinalPath struct {
 	CompletedAt float64
 }
 
+// GoodputTerms returns what metrics.PreciseGoodput reads of the path.
+func (p FinalPath) GoodputTerms() (tokens int, completedAt float64) {
+	return p.Tokens, p.CompletedAt
+}
+
 // Result reports one solved problem.
 type Result struct {
 	Problem  *workload.Problem

@@ -205,13 +205,15 @@ func TestPooledLoopMatchesRunnerSolve(t *testing.T) {
 // One 64-beam MATH500 request (problem 17 of the rng.New(7) deck, FastTTS
 // options) served over and over on one Loop. When every request built two
 // engines, two caches and every beam anew, each serve cost 5,373
-// allocations. Recycled, the first serve costs a few hundred while the
-// pools grow and a warm one 29: two per search iteration inside the search
-// policy's Select (sortByScore's copy and the branch slice), the rest the
-// Result, its paths, the session and the served slice. The pin leaves a
-// little room above that count, so a new per-request allocator shows.
+// allocations; on recycled solvers a warm one still cost 29, with
+// sortByScore's copy, the kvcache growing recycled nodes' children and a
+// new session per admission. A warm one now costs 10, each part of what the
+// request returns: the search policy's Select builds one branch slice per
+// selection round (seven here), and the Result, its Finished paths and the
+// served slice are one each. The pin leaves one allocation of room, so a
+// new per-request allocator shows.
 func TestWarmLoopAllocsPerRequest(t *testing.T) {
-	const parentAllocs, pin = 5373, 35
+	const parentAllocs, pin = 29, 11
 	pol, err := search.New(search.BeamSearch, 64, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -225,6 +225,9 @@ type Loop struct {
 	// A plain slice, not a sync.Pool: the Loop is goroutine-confined, and the
 	// solvers must die with it rather than linger in a process-wide pool.
 	freeSolvers []*solver
+	// freeSessions holds ended sessions (finished, cancelled or rejected at
+	// admission) for the next admission to reuse.
+	freeSessions []*session
 
 	// obs is the loop's span flight-recorder track; nil (the default)
 	// disables every emission site at the cost of one pointer check.
@@ -425,6 +428,7 @@ func (l *Loop) Cancel(tag int) (started, ok bool) {
 			if l.obs != nil {
 				l.obs.Emit(obs.Span{Kind: obs.KindCancel, Tag: tag, Start: l.now, End: l.now, Flag: c.started})
 			}
+			l.freeSessions = append(l.freeSessions, c)
 			return c.started, true
 		}
 	}
@@ -481,9 +485,9 @@ func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
 			l.next++
 			est := l.s.estimateWork(rq)
 			l.queuedWork -= est
-			c := &session{req: rq, id: l.nextID, est: est}
-			l.nextID++
+			c := l.newSession(rq, est)
 			if !l.s.pol.Admit(l.s.viewOf(c), l.now, l.inFlight) {
+				l.freeSessions = append(l.freeSessions, c)
 				l.reanchorWork()
 				out = append(out, ServedResult{
 					Arrival: rq.Arrival, Start: rq.Arrival, Finish: rq.Arrival,
@@ -662,6 +666,7 @@ func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
 			if l.obs != nil {
 				l.obs.Emit(obs.Span{Kind: obs.KindFinish, Tag: c.req.Tag, Start: l.now, End: l.now, N: c.slices})
 			}
+			l.freeSessions = append(l.freeSessions, c)
 			feed(l.now)
 		} else {
 			rem := l.s.remainingWork(c)
@@ -671,6 +676,22 @@ func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
 		}
 	}
 	return out, nil
+}
+
+// newSession returns a blank session for an arriving request under the
+// next admission ID, reusing an ended one when the loop has any.
+func (l *Loop) newSession(rq Request, est float64) *session {
+	var c *session
+	if k := len(l.freeSessions) - 1; k >= 0 {
+		c = l.freeSessions[k]
+		l.freeSessions[k] = nil
+		l.freeSessions = l.freeSessions[:k]
+	} else {
+		c = new(session)
+	}
+	*c = session{req: rq, id: l.nextID, est: est}
+	l.nextID++
+	return c
 }
 
 // takeSolver returns a solver initialised for the problem: a retired one

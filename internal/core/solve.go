@@ -413,7 +413,7 @@ func (s *solver) result() (*Result, error) {
 		GenCache:         s.gen.Cache.Stats(),
 		VerCache:         s.ver.Eng.Cache.Stats(),
 	}
-	res.Goodput = metrics.PreciseGoodput(res.PathResults())
+	res.Goodput = metrics.PreciseGoodput(res.Finished)
 	return res, nil
 }
 

@@ -24,22 +24,28 @@
 // span token, child) pairs sorted by that token and binary-searched —
 // siblings never share a first token; fan-out is the search's branching
 // factor nearly everywhere (one child fits inline) and the number of
-// resident prompts under the root; and a slice keeps its backing array when
-// the node is recycled, which a map cannot. Nothing depends on the order
-// beyond the search: children are otherwise only summed over and
-// re-parented wholesale. Nodes a cache evicts or sheds on Reset go onto its
-// free list with their span and children storage and are handed out again by
-// the next insert, so a cache in steady state allocates nothing. A Seq
-// handle's storage belongs to the caller: AcquireRuns and Fork allocate one,
-// AcquireInto and ForkInto fill one the caller supplies (a released or zero
-// Seq) and allocate nothing. A handle is valid from a successful acquire
-// until Release/Drop, or until the cache's Reset, which invalidates every
-// handle — live or released — at once.
+// resident prompts under the root; and a slice's backing array can be
+// recycled, which a map's cannot. Nothing depends on the order beyond the
+// search: children are otherwise only summed over and re-parented
+// wholesale. Nodes a cache evicts or sheds on Reset go onto its free list
+// and are handed out again by the next insert. Their children and span
+// arrays, where grown past the node's inline slot, go onto the cache's
+// spares, filed by capacity, and a node that outgrows its storage takes a
+// spare big enough: which node needs room (a branching beam, a long span)
+// seldom matches which node had it, so storage is recycled by size, not by
+// node. A cache in steady state therefore allocates nothing
+// (TestBeamCycleAllocatesNothing). A Seq handle's storage belongs to the
+// caller: AcquireRuns and Fork allocate one, AcquireInto and ForkInto fill
+// one the caller supplies (a released or zero Seq) and allocate nothing. A
+// handle is valid from a successful acquire until Release/Drop, or until
+// the cache's Reset, which invalidates every handle — live or released — at
+// once.
 package kvcache
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -239,8 +245,10 @@ type Cache struct {
 	clock         uint64
 	evictHeap     evictHeap
 	stats         Stats
-	scratch       []Run   // Acquire's run-compressed argument, reused
-	free          []*node // evicted and reset nodes awaiting reuse, storage attached
+	scratch       []Run            // Acquire's run-compressed argument, reused
+	free          []*node          // evicted and reset nodes awaiting reuse, on inline storage
+	kids          spares[childRef] // grown children arrays awaiting reuse
+	runs          spares[Run]      // grown span arrays awaiting reuse
 }
 
 // ErrTooLarge is returned when a single sequence cannot fit in the cache
@@ -453,6 +461,7 @@ func (c *Cache) Extend(s *Seq, runs []Run) (hit, miss int, err error) {
 		if err := c.ensure(delta); err != nil {
 			return 0, 0, err
 		}
+		start.span = c.runs.grow(start.span, len(start.span)+len(runs))
 		for _, r := range runs {
 			start.span = appendRun(start.span, r)
 		}
@@ -598,7 +607,9 @@ func (c *Cache) Reset(capacityBytes int64) {
 	i := len(c.free)
 	c.free = c.root.shed(c.free)
 	for ; i < len(c.free); i++ {
-		c.free = c.free[i].shed(c.free)
+		n := c.free[i]
+		c.free = n.shed(c.free)
+		c.spill(n)
 	}
 	clear(c.evictHeap)
 	*c = Cache{
@@ -609,6 +620,8 @@ func (c *Cache) Reset(capacityBytes int64) {
 		evictHeap:     c.evictHeap[:0],
 		scratch:       c.scratch,
 		free:          c.free,
+		kids:          c.kids,
+		runs:          c.runs,
 	}
 	c.root.refs, c.root.owners, c.root.lastUsed = 0, nil, 0
 }
@@ -625,20 +638,28 @@ func (n *node) shed(dst []*node) []*node {
 
 // --- internals ---
 
-// newNode returns a blank node, recycled if one is free. Its span and
-// children are empty but keep whatever capacity they grew to.
+// newNode returns a blank node on its inline storage, recycled if one is
+// free.
 func (c *Cache) newNode() *node {
-	k := len(c.free) - 1
-	if k < 0 {
-		n := &node{heapIdx: -1}
-		n.children, n.span = n.kid[:0], n.one[:0]
-		return n
+	var n *node
+	if k := len(c.free) - 1; k >= 0 {
+		n = c.free[k]
+		c.free[k] = nil
+		c.free = c.free[:k]
+		*n = node{heapIdx: -1}
+	} else {
+		n = &node{heapIdx: -1}
 	}
-	n := c.free[k]
-	c.free[k] = nil
-	c.free = c.free[:k]
-	*n = node{children: n.children[:0], span: n.span[:0], heapIdx: -1}
+	n.children, n.span = n.kid[:0], n.one[:0]
 	return n
+}
+
+// spill hands n's grown children and span arrays to the spares, leaving n
+// on its inline storage. A node is spilled as it goes onto the free list.
+func (c *Cache) spill(n *node) {
+	c.kids.put(n.children)
+	c.runs.put(n.span)
+	n.children, n.span = n.kid[:0], n.one[:0]
 }
 
 // attachChild creates a pinned (refs=1) child of n holding the length
@@ -646,18 +667,18 @@ func (c *Cache) newNode() *node {
 func (c *Cache) attachChild(n *node, q *cursor, length int) *node {
 	child := c.newNode()
 	child.parent, child.length, child.refs, child.lastUsed = n, length, 1, c.clock
-	child.span = q.rest(child.span)
-	n.link(child)
+	child.span = q.rest(c.runs.grow(child.span, len(q.runs)-q.i))
+	c.link(n, child)
 	c.unqueue(n) // n gained a child; no longer an evictable leaf
 	c.usedTokens += c.blockCost(length)
 	return child
 }
 
-// link files child under its first span token.
-func (n *node) link(child *node) {
+// link files child under n by its first span token.
+func (c *Cache) link(n, child *node) {
 	first := child.span[0].First
 	i, _ := n.find(first)
-	n.children = slices.Insert(n.children, i, childRef{first: first, n: child})
+	n.children = slices.Insert(c.kids.grow(n.children, len(n.children)+1), i, childRef{first: first, n: child})
 }
 
 // unlink removes child from n's children.
@@ -720,16 +741,14 @@ func (c *Cache) split(n *node, k int) {
 	suffix := c.newNode()
 	suffix.parent, suffix.length, suffix.refs = n, n.length-k, n.refs
 	suffix.owners, suffix.lastUsed = n.owners, n.lastUsed
-	// Copied, not handed over: a node's children storage (inline or grown)
-	// stays its own for as long as the node is recycled.
-	suffix.children = append(suffix.children, n.children...)
+	suffix.children = append(c.kids.grow(suffix.children, len(n.children)), n.children...)
 	// Find the run holding token k; off is how much of it stays with n.
 	i, off := 0, k
 	for off >= n.span[i].N {
 		off -= n.span[i].N
 		i++
 	}
-	suffix.span = append(suffix.span, n.span[i:]...)
+	suffix.span = append(c.runs.grow(suffix.span, len(n.span)-i), n.span[i:]...)
 	suffix.span[0].First += Token(off)
 	suffix.span[0].N -= off
 	if off > 0 {
@@ -747,7 +766,7 @@ func (c *Cache) split(n *node, k int) {
 	n.length = k
 	clear(n.children)
 	n.children = n.children[:0]
-	n.link(suffix)
+	c.link(n, suffix)
 	n.owners = nil
 	// Block rounding: two nodes may occupy more slots than one did.
 	c.usedTokens += c.blockCost(k) + c.blockCost(suffix.length) - whole
@@ -779,10 +798,54 @@ func (c *Cache) evict(n *node) {
 	c.stats.EvictedTokens += int64(n.length)
 	c.stats.Evictions++
 	n.parent = nil
+	c.spill(n)
 	c.free = append(c.free, n)
 	if parent.evictable() {
 		c.enqueue(parent)
 	}
+}
+
+// --- spare storage ---
+
+// spares is a free list of the backing arrays nodes grew past their inline
+// slot, kept by capacity class: byClass[k] holds arrays whose capacity is at
+// least 1<<k and below 1<<(k+1).
+type spares[T any] struct{ byClass [][][]T }
+
+// put takes in s's array unless it is a node's inline slot (capacity 1).
+func (p *spares[T]) put(s []T) {
+	if cap(s) <= 1 {
+		return
+	}
+	k := bits.Len(uint(cap(s))) - 1
+	for len(p.byClass) <= k {
+		p.byClass = append(p.byClass, nil)
+	}
+	p.byClass[k] = append(p.byClass[k], s[:0])
+}
+
+// grow returns s with room for need elements: s itself when it has it, or
+// else s's contents in a spare array of a class sure to fit, allocated only
+// when there is none, with s's own array going to the spares.
+func (p *spares[T]) grow(s []T, need int) []T {
+	if need <= cap(s) {
+		return s
+	}
+	var t []T
+	for k := bits.Len(uint(need - 1)); k < len(p.byClass); k++ {
+		if m := len(p.byClass[k]) - 1; m >= 0 {
+			t = p.byClass[k][m]
+			p.byClass[k][m] = nil
+			p.byClass[k] = p.byClass[k][:m]
+			break
+		}
+	}
+	if t == nil {
+		t = make([]T, 0, max(need, 2*cap(s)))
+	}
+	t = append(t, s...)
+	p.put(s)
+	return t
 }
 
 // --- eviction heap (min-heap by lastUsed, lazy removal) ---

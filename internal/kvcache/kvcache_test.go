@@ -654,3 +654,70 @@ func TestPinnedTokens(t *testing.T) {
 		t.Errorf("PinnedTokens after release = %d, want 3", got)
 	}
 }
+
+// A beam search's cache traffic, run to steady state, allocates nothing.
+// Each round acquires one of many prompts, forks it into B beams that decode
+// distinct steps (the prompt node gains B children), branches one beam B ways
+// again, probes half the prompt (a split that hands the prompt's children to
+// the suffix), and lets go: half the handles drop their tails, the rest
+// release theirs, and the least recently used prompts are evicted to make
+// room. The nodes circulate through a tree of several hundred, so the node
+// that takes a branching role changes from round to round. Storage that
+// stays with the node that grew it settles only once every node in
+// circulation has held the widest role, about a thousand rounds here; storage
+// recycled by capacity settles in the first few.
+func TestBeamCycleAllocatesNothing(t *testing.T) {
+	const b, prompts = 4, 211
+	c := New(60000*16, 16)
+	var prompt, probe Seq
+	beams := make([]Seq, 2*b)
+	round := 0
+	promptOf := func(r int) []Run { return []Run{{First: Token(r%prompts) << 20, N: 300}} }
+	cycle := func() {
+		round++
+		must := func(err error) {
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		base := promptOf(round)[0].First
+		_, _, err := c.AcquireInto(&prompt, promptOf(round))
+		must(err)
+		for i := 0; i < b; i++ {
+			must(c.ForkInto(&beams[i], &prompt))
+			_, _, err := c.Extend(&beams[i], []Run{{First: base | Token(i+1)<<12, N: 20 + 7*i}})
+			must(err)
+		}
+		parent := &beams[round%b]
+		for i := b; i < 2*b; i++ {
+			must(c.ForkInto(&beams[i], parent))
+			_, _, err := c.Extend(&beams[i], []Run{{First: base | Token(i+1)<<12, N: 30}, {First: base | 1<<16, N: 5 + i}})
+			must(err)
+		}
+		_, _, err = c.AcquireInto(&probe, []Run{{First: base, N: 150}})
+		must(err)
+		for i := range beams {
+			if i%2 == round%2 {
+				c.Drop(&beams[i])
+			} else {
+				c.Release(&beams[i])
+			}
+		}
+		c.Release(&probe)
+		c.Release(&prompt)
+	}
+	for i := 0; i < 2*prompts; i++ {
+		cycle()
+	}
+	if c.LongestCachedPrefix(promptOf(round+1)) != 0 {
+		t.Fatal("the least recently used prompt is still resident: the cycle never fills the cache")
+	}
+	const rounds = 200
+	if got := testing.AllocsPerRun(1, func() {
+		for i := 0; i < rounds; i++ {
+			cycle()
+		}
+	}); got != 0 {
+		t.Errorf("%d steady-state beam rounds allocated %v times, want 0", rounds, got)
+	}
+}

@@ -29,6 +29,18 @@ type PathResult struct {
 	Score       float64 // final verifier score
 }
 
+// GoodputTerms returns what PreciseGoodput reads of the path.
+func (p PathResult) GoodputTerms() (tokens int, completedAt float64) {
+	return p.Tokens, p.CompletedAt
+}
+
+// GoodputPath is a finished path as PreciseGoodput reads it: its generated
+// tokens and its completion time from request start. The solver's own
+// path records satisfy it, so a Result's goodput needs no PathResult copy.
+type GoodputPath interface {
+	GoodputTerms() (tokens int, completedAt float64)
+}
+
 // PreciseGoodput implements the §6.1 metric:
 //
 //	Precise Goodput := (average token length per beam) /
@@ -36,14 +48,15 @@ type PathResult struct {
 //
 // Averaging across beams makes the metric robust to a single slow path
 // and to inflation from branching copies.
-func PreciseGoodput(paths []PathResult) float64 {
+func PreciseGoodput[P GoodputPath](paths []P) float64 {
 	if len(paths) == 0 {
 		return 0
 	}
 	var tokens, completion float64
 	for _, p := range paths {
-		tokens += float64(p.Tokens)
-		completion += p.CompletedAt
+		n, at := p.GoodputTerms()
+		tokens += float64(n)
+		completion += at
 	}
 	if completion == 0 {
 		return 0

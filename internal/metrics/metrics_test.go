@@ -15,7 +15,7 @@ func TestPreciseGoodput(t *testing.T) {
 	if got := PreciseGoodput(paths); math.Abs(got-10) > 1e-12 {
 		t.Errorf("goodput = %v, want 10", got)
 	}
-	if got := PreciseGoodput(nil); got != 0 {
+	if got := PreciseGoodput([]PathResult(nil)); got != 0 {
 		t.Errorf("empty goodput = %v", got)
 	}
 	if got := PreciseGoodput([]PathResult{{Tokens: 5, CompletedAt: 0}}); got != 0 {

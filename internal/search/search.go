@@ -62,7 +62,8 @@ type Policy interface {
 	UsesVerifier() bool
 	// InitialSubtree assigns root beam i to a subtree.
 	InitialSubtree(i int) int
-	// Select maps the current candidates to the next set of branches.
+	// Select maps the current candidates to the next set of branches. It
+	// may reorder cands, which the caller treats as scratch.
 	Select(cands []Candidate, r *rng.Stream) []Branch
 }
 
@@ -146,12 +147,12 @@ func DegradedWidth(width, tier int) int {
 	return width
 }
 
-// sortByScore orders candidates by descending score, breaking ties by
-// ascending ID for determinism.
+// sortByScore orders cands in place by descending score, breaking ties by
+// ascending ID for determinism, and returns them. The sort is stable:
+// byScore is not a strict order once a score is NaN.
 func sortByScore(cands []Candidate) []Candidate {
-	out := append([]Candidate(nil), cands...)
-	slices.SortStableFunc(out, byScore)
-	return out
+	slices.SortStableFunc(cands, byScore)
+	return cands
 }
 
 // byScore is sortByScore's order: higher score first, then lower ID. The

@@ -48,14 +48,17 @@ func wrapResult(res *core.Result) *Result {
 		RecomputedTokens: res.RecomputedTokens,
 		inner:            res,
 	}
-	for _, f := range res.Finished {
-		out.Paths = append(out.Paths, Path{
+	if len(res.Finished) > 0 {
+		out.Paths = make([]Path, len(res.Finished))
+	}
+	for i, f := range res.Finished {
+		out.Paths[i] = Path{
 			Tokens:      f.Tokens,
 			Steps:       f.Steps,
 			Answer:      f.Answer,
 			Score:       f.Score,
 			CompletedAt: f.CompletedAt,
-		})
+		}
 	}
 	return out
 }
