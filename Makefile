@@ -88,9 +88,12 @@ profile-observed:
 # Where an untraced fleet pass's host time and allocations go: the same
 # two profiles of BenchmarkFleetDispatch (the fleet-dispatch workload's
 # pass — 256 devices, 100k requests, least-work — in
-# internal/cluster/perf_test.go). The benchmark's traced run wraps the
-# router, which hides it from the least-work index, so a dispatch PR shows
-# its routing cost here.
+# internal/cluster/perf_test.go). A dispatch PR (router, views, event
+# heaps, core.Loop's queue) shows its cost here: the benchmark's traced
+# run wraps the router, which hides it from the least-work index. Of the
+# pass's allocations, most are now the served requests' results
+# (solver.result, and solver.begin's finished paths); CI runs this
+# recipe so it cannot rot.
 profile-dispatch:
 	mkdir -p bench-smoke
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetDispatch' -benchtime 3x -benchmem \

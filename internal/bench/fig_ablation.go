@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"fasttts/internal/core"
 	"fasttts/internal/hw"
@@ -214,7 +215,7 @@ func Fig18LeftSchedulers(o RunOpts) (*Report, error) {
 		paths []sched.Path
 	}{
 		{"prefix_aware", sched.PrefixAwareOrder(paths)},
-		{"random", sched.RandomOrder(paths, stream.Child("shuffle"))},
+		{"random", sched.RandomOrder(slices.Clone(paths), stream.Child("shuffle"))},
 		{"worst_case", sched.MaxGrowthOrder(paths)},
 	}
 	r := &Report{

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"fasttts/internal/alloc"
 	"fasttts/internal/core"
@@ -274,7 +275,7 @@ func Fig5RightHeatmap(o RunOpts) (*Report, error) {
 	p := ds.Problems[0]
 	snaps := growTree(p, stream.Child("tree"), 128, 4, false)
 	paths := snaps[4] // a mid-search snapshot
-	naive := sched.RandomOrder(paths, stream.Child("shuffle"))
+	naive := sched.RandomOrder(slices.Clone(paths), stream.Child("shuffle"))
 	grouped := sched.PrefixAwareOrder(paths)
 	r := &Report{
 		ID:     "5r",

@@ -341,6 +341,9 @@ type run struct {
 
 	wake   *wakeHeap
 	dueBuf []int
+	// served is collect's result buffer: every device step of the run
+	// appends into it from empty, and deliver copies each result out.
+	served []core.ServedResult
 
 	// prefixHits / prefixMisses are the settled prefix counters, folded
 	// into out by finish.
@@ -486,16 +489,17 @@ func (r *run) streamFirst() bool {
 	return r.sp < len(r.stream) && (r.requeued.Len() == 0 || r.stream[r.sp].req.Arrival <= r.requeued[0].req.Arrival)
 }
 
-// nextArrival peeks the earliest pending arrival; popArrival removes and
-// returns it.
-func (r *run) nextArrival() (pendingReq, bool) {
+// nextArrival peeks the earliest pending arrival's time (the event loop
+// reads only the time, so no request is copied); popArrival removes and
+// returns that arrival.
+func (r *run) nextArrival() (float64, bool) {
 	switch {
 	case r.streamFirst():
-		return r.stream[r.sp], true
+		return r.stream[r.sp].req.Arrival, true
 	case r.requeued.Len() > 0:
-		return r.requeued[0], true
+		return r.requeued[0].req.Arrival, true
 	}
-	return pendingReq{}, false
+	return 0, false
 }
 
 func (r *run) popArrival() pendingReq {
@@ -609,11 +613,12 @@ func (r *run) collect(horizon float64) error {
 	r.dueBuf = r.wake.popDue(horizon, r.dueBuf[:0])
 	for _, i := range r.dueBuf {
 		d := r.devs[i]
-		served, err := d.loop.StepTo(horizon)
+		var err error
+		r.served, err = d.loop.StepTo(horizon, r.served[:0])
 		if err != nil {
 			return fmt.Errorf("cluster: device %d: %w", i, err)
 		}
-		for _, sv := range served {
+		for _, sv := range r.served {
 			r.deliver(i, sv)
 		}
 		if d.draining && !d.drained && d.loop.Idle() {
@@ -996,7 +1001,7 @@ func (f *Fleet) Run(reqs []core.Request) (*Outcome, error) {
 	}
 
 	for {
-		head, haveArrival := r.nextArrival()
+		arrivalAt, haveArrival := r.nextArrival()
 		bestAt, bestKind := 0.0, -1
 		consider := func(at float64, kind int, have bool) {
 			if have && (bestKind < 0 || at < bestAt || (at == bestAt && kind < bestKind)) {
@@ -1009,7 +1014,7 @@ func (f *Fleet) Run(reqs []core.Request) (*Outcome, error) {
 		}
 		consider(r.failAt(), evFail, r.fp < len(r.fails))
 		consider(r.cancelAt(), evCancel, r.cp < len(r.cancels))
-		consider(head.req.Arrival, evArrival, haveArrival)
+		consider(arrivalAt, evArrival, haveArrival)
 		if bestKind < 0 {
 			break
 		}

@@ -44,7 +44,7 @@ func TestCancelUnknownTag(t *testing.T) {
 		t.Fatalf("Cancel(unknown) = (%v, %v), want (false, false)", started, ok)
 	}
 	// A no-op: the full stream still drains.
-	res, err := l.StepTo(NoHorizon)
+	res, err := l.StepTo(NoHorizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCancelBeforeFirstAdmission(t *testing.T) {
 		t.Fatalf("OutstandingWork did not shrink: %v -> %v", before, after)
 	}
 	// The cancelled tag must not surface as a result.
-	res, err := l.StepTo(NoHorizon)
+	res, err := l.StepTo(NoHorizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCancelAtFinalSliceInstant(t *testing.T) {
 	// Step until the first completion and stop the clock exactly there.
 	var first *ServedResult
 	for first == nil {
-		res, err := l.StepTo(l.Now() + 0.25)
+		res, err := l.StepTo(l.Now()+0.25, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestCancelAtFinalSliceInstant(t *testing.T) {
 			first.Tag, l.Now(), started, ok)
 	}
 	// The remaining request is unaffected.
-	rest, err := l.StepTo(NoHorizon)
+	rest, err := l.StepTo(NoHorizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCancelLiveSession(t *testing.T) {
 		if l.Idle() {
 			t.Fatal("loop drained before exposing a started live session")
 		}
-		if _, err := l.StepTo(l.Now() + 1); err != nil {
+		if _, err := l.StepTo(l.Now()+1, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range l.sessions {
@@ -176,7 +176,7 @@ func TestCancelAccountingSettles(t *testing.T) {
 	n := 6
 
 	l := cancelLoop(t, n, kv)
-	if _, err := l.StepTo(2.5); err != nil {
+	if _, err := l.StepTo(2.5, nil); err != nil {
 		t.Fatal(err)
 	}
 	if l.InFlight() == 0 && l.Queued() == 0 {
@@ -192,7 +192,7 @@ func TestCancelAccountingSettles(t *testing.T) {
 	if w := l.OutstandingWork(); w != 0 {
 		t.Fatalf("after cancel-all: OutstandingWork = %v, want exactly 0", w)
 	}
-	res, err := l.StepTo(NoHorizon)
+	res, err := l.StepTo(NoHorizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,8 @@ func scanOutstandingWork(l *Loop) float64 {
 			w += l.s.viewOf(c).RemainingWork
 		}
 	}
-	for _, rq := range l.queue[l.next:] {
-		w += l.s.estimateWork(rq)
+	for _, q := range l.queue[l.next:] {
+		w += l.s.estimateWork(q.Request)
 	}
 	return w
 }
@@ -68,7 +68,7 @@ func steppedLoop(t testing.TB, n int) *Loop {
 		reqs[i] = Request{Problem: ds.Problems[i%len(ds.Problems)], Arrival: float64(i), Tag: i}
 	}
 	l := srv.NewLoop(reqs)
-	if _, err := l.StepTo(float64(n) / 2); err != nil {
+	if _, err := l.StepTo(float64(n)/2, nil); err != nil {
 		t.Fatal(err)
 	}
 	return l
@@ -85,7 +85,7 @@ func TestOutstandingWorkTracksScan(t *testing.T) {
 		if l.Idle() {
 			break
 		}
-		if _, err := l.StepTo(l.Now() + 3); err != nil {
+		if _, err := l.StepTo(l.Now()+3, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestStepToNoOpAllocFree(t *testing.T) {
 	}
 	horizon := l.Now() // already reached: StepTo must be a no-op
 	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := l.StepTo(horizon); err != nil {
+		if _, err := l.StepTo(horizon, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
@@ -146,7 +146,7 @@ func BenchmarkLoopStepTo(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := srv.NewLoop(reqs).StepTo(NoHorizon); err != nil {
+		if _, err := srv.NewLoop(reqs).StepTo(NoHorizon, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,7 +35,7 @@ func TestLoopTraceParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := srv.NewLoop(reqs).StepTo(NoHorizon)
+		res, err := srv.NewLoop(reqs).StepTo(NoHorizon, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func playMixedStream(t *testing.T, cfg Config, pol sched.ServePolicy, defeat boo
 	// (chain-of-thought serves a request in one slice, so there the first
 	// has completed and only the second is withdrawn).
 	sib := srv.NewLoop([]Request{{Problem: probs[12], Tag: 12}, {Problem: probs[13], Tag: 13}})
-	done, err := sib.StepTo(0.2)
+	done, err := sib.StepTo(0.2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func playMixedStream(t *testing.T, cfg Config, pol sched.ServePolicy, defeat boo
 			t.Fatal("loop does not drain")
 		}
 		wake, _ := l.Wake()
-		res, err := l.StepTo(math.Max(wake, l.Now()) + 0.3)
+		res, err := l.StepTo(math.Max(wake, l.Now())+0.3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestWarmLoopAllocsPerRequest(t *testing.T) {
 	l := srv.NewLoop(nil)
 	serve := func() {
 		l.Push(Request{Problem: p, Arrival: l.Now()})
-		if out, err := l.StepTo(NoHorizon); err != nil || len(out) != 1 {
+		if out, err := l.StepTo(NoHorizon, nil); err != nil || len(out) != 1 {
 			t.Fatalf("served %d results, err %v", len(out), err)
 		}
 	}

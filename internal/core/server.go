@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fasttts/internal/memplane"
@@ -133,7 +134,8 @@ func (s *Server) Run(reqs []Request) ([]ServedResult, error) {
 			return nil, fmt.Errorf("core: request tag %d has non-finite arrival time %v", rq.Tag, rq.Arrival)
 		}
 	}
-	return s.NewLoop(reqs).StepTo(NoHorizon)
+	// Every request yields exactly one result, served or rejected.
+	return s.NewLoop(reqs).StepTo(NoHorizon, make([]ServedResult, 0, len(reqs)))
 }
 
 // RunClosedLoop serves the problems under a fixed-concurrency closed
@@ -149,9 +151,9 @@ func (s *Server) RunClosedLoop(probs []*workload.Problem, cl workload.ClosedLoop
 		conc = 1
 	}
 	n := min(conc, len(probs))
-	queue := make([]Request, n)
+	queue := make([]queued, n)
 	for i := 0; i < n; i++ {
-		queue[i] = Request{Problem: probs[i], Tag: i}
+		queue[i] = s.withEstimate(Request{Problem: probs[i], Tag: i})
 	}
 	next := n
 	feeder := func(finish float64) (Request, bool) {
@@ -163,10 +165,10 @@ func (s *Server) RunClosedLoop(probs []*workload.Problem, cl workload.ClosedLoop
 		return rq, true
 	}
 	l := &Loop{s: s, queue: queue, feeder: feeder, scale: 1, plane: s.newPlane(), obs: s.cfg.Obs.Device(0)}
-	for _, rq := range queue {
-		l.queuedWork += s.estimateWork(rq)
+	for _, q := range queue {
+		l.queuedWork += q.est
 	}
-	return l.StepTo(NoHorizon)
+	return l.StepTo(NoHorizon, make([]ServedResult, 0, len(probs)))
 }
 
 // NoHorizon makes Loop.StepTo run until the loop is out of work.
@@ -192,8 +194,12 @@ const NoHorizon = -1.0
 // Loop with the identical sequence of horizons, not just the same final
 // time.
 type Loop struct {
-	s        *Server
-	queue    []Request
+	s *Server
+	// queue holds the arrivals in arrival order, each with its demand
+	// estimate; queue[:next] is the admitted prefix, whose slots Push
+	// reclaims, so the queue stays as long as the peak unadmitted
+	// population, not the stream.
+	queue    []queued
 	feeder   func(finish float64) (Request, bool)
 	sessions []*session // live (admitted, unfinished) sessions in admission order
 	now      float64
@@ -234,14 +240,30 @@ type Loop struct {
 	obs *obs.Track
 }
 
+// queued is one arrival in a loop's queue and its demand estimate
+// (estimateWork), computed once when it enters the queue and carried into
+// its session: the load index, a cancellation and admission all read it.
+type queued struct {
+	Request
+	est float64
+}
+
+// withEstimate pairs a request with its demand estimate.
+func (s *Server) withEstimate(rq Request) queued {
+	return queued{Request: rq, est: s.estimateWork(rq)}
+}
+
 // NewLoop returns a steppable loop over the given open-loop requests
 // (sorted by arrival internally). More arrivals may be added with Push.
 func (s *Server) NewLoop(reqs []Request) *Loop {
-	queue := append([]Request(nil), reqs...)
+	queue := make([]queued, len(reqs))
+	for i, rq := range reqs {
+		queue[i] = s.withEstimate(rq)
+	}
 	sort.SliceStable(queue, func(i, j int) bool { return queue[i].Arrival < queue[j].Arrival })
 	l := &Loop{s: s, queue: queue, scale: 1, plane: s.newPlane(), obs: s.cfg.Obs.Device(0)}
-	for _, rq := range queue {
-		l.queuedWork += s.estimateWork(rq)
+	for _, q := range queue {
+		l.queuedWork += q.est
 	}
 	return l
 }
@@ -288,9 +310,21 @@ func (l *Loop) SetScale(f float64) {
 
 // Push inserts one future arrival into the loop's queue. An arrival not
 // later than the loop's clock is admitted on the next StepTo.
+//
+// Push first drops the admitted prefix from the queue. That costs a copy
+// of the unadmitted arrivals, which insertByArrival's shift already pays,
+// and keeps a long-lived loop's queue (a fleet device's, fed one routed
+// arrival at a time) from growing with its stream.
 func (l *Loop) Push(rq Request) {
-	l.queue = insertByArrival(l.queue, l.next, rq)
-	l.queuedWork += l.s.estimateWork(rq)
+	if l.next > 0 {
+		n := copy(l.queue, l.queue[l.next:])
+		clear(l.queue[n:])
+		l.queue = l.queue[:n]
+		l.next = 0
+	}
+	q := l.s.withEstimate(rq)
+	l.queue = insertByArrival(l.queue, q)
+	l.queuedWork += q.est
 	l.reanchorWork()
 }
 
@@ -341,7 +375,7 @@ func (l *Loop) reanchorWork() {
 	case qn == 0:
 		l.queuedWork = 0
 	case qn == 1:
-		l.queuedWork = l.s.estimateWork(l.queue[l.next])
+		l.queuedWork = l.queue[l.next].est
 	}
 }
 
@@ -375,13 +409,16 @@ func (l *Loop) Fail() []Request {
 			}
 		}
 	}
-	if l.obs != nil {
-		for _, rq := range l.queue[l.next:] {
-			l.obs.Emit(obs.Span{Kind: obs.KindWithdraw, Tag: rq.Tag, Start: l.now, End: l.now})
+	for _, q := range l.queue[l.next:] {
+		if l.obs != nil {
+			l.obs.Emit(obs.Span{Kind: obs.KindWithdraw, Tag: q.Tag, Start: l.now, End: l.now})
 		}
+		out = append(out, q.Request)
 	}
-	out = append(out, l.queue[l.next:]...)
-	l.queue = l.queue[:l.next]
+	// Drop every queued slot, so a failed loop keeps no withdrawn
+	// request's problem or strategy reachable.
+	clear(l.queue)
+	l.queue, l.next = l.queue[:0], 0
 	l.liveWork, l.queuedWork = 0, 0
 	if l.obs != nil {
 		l.obs.Emit(obs.Span{Kind: obs.KindFailStop, Start: l.now, End: l.now, N: len(out)})
@@ -405,8 +442,8 @@ func (l *Loop) Cancel(tag int) (started, ok bool) {
 	}
 	for i := l.next; i < len(l.queue); i++ {
 		if l.queue[i].Tag == tag {
-			l.queuedWork -= l.s.estimateWork(l.queue[i])
-			l.queue = append(l.queue[:i], l.queue[i+1:]...)
+			l.queuedWork -= l.queue[i].est
+			l.queue = slices.Delete(l.queue, i, i+1) // clears the vacated slot
 			l.reanchorWork()
 			if l.obs != nil {
 				l.obs.Emit(obs.Span{Kind: obs.KindCancel, Tag: tag, Start: l.now, End: l.now})
@@ -457,8 +494,10 @@ func (l *Loop) Wake() (float64, bool) {
 }
 
 // StepTo advances the loop until its clock reaches the horizon or it runs
-// out of work, returning the results produced (completions in completion
-// order, rejections at admission time). Horizon NoHorizon (or any
+// out of work, appending the results produced (completions in completion
+// order, rejections at admission time) to out and returning the extended
+// slice; a caller stepping many times passes the same buffer back, out[:0],
+// so a step allocates no result slice. Horizon NoHorizon (or any
 // negative value) means run to completion. Slices are atomic: the slice
 // in progress when the clock crosses the horizon finishes, so the clock
 // may end slightly past it. The horizon also acts as a pending-arrival
@@ -466,24 +505,20 @@ func (l *Loop) Wake() (float64, bool) {
 // device loops to the next global event, and a slice about to cross that
 // event boundary stops speculating — exactly as a single device stops
 // speculating as its next arrival lands mid-slice.
-func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
-	var out []ServedResult
+func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, error) {
 	feed := func(at float64) {
 		if l.feeder == nil {
 			return
 		}
 		if rq, ok := l.feeder(at); ok {
-			l.queue = insertByArrival(l.queue, l.next, rq)
-			l.queuedWork += l.s.estimateWork(rq)
-			l.reanchorWork()
+			l.Push(rq)
 		}
 	}
 	for !l.failed {
 		// Admit everything that has arrived by now.
 		for l.next < len(l.queue) && l.queue[l.next].Arrival <= l.now {
-			rq := l.queue[l.next]
+			rq, est := l.queue[l.next].Request, l.queue[l.next].est
 			l.next++
-			est := l.s.estimateWork(rq)
 			l.queuedWork -= est
 			c := l.newSession(rq, est)
 			if !l.s.pol.Admit(l.s.viewOf(c), l.now, l.inFlight) {
@@ -730,17 +765,17 @@ func (l *Loop) dropSession(c *session) {
 	}
 }
 
-// insertByArrival inserts rq into the unadmitted tail queue[from:] at its
-// arrival-sorted position (after equal arrivals, preserving feed order).
-// The position is found by binary search, so pushing a large routed
-// stream is O(n log n) instead of the quadratic backward scan.
-func insertByArrival(queue []Request, from int, rq Request) []Request {
-	pos := from + sort.Search(len(queue)-from, func(i int) bool {
-		return queue[from+i].Arrival > rq.Arrival
+// insertByArrival inserts q into the arrival-sorted queue at its place
+// (after equal arrivals, preserving feed order). The position is found by
+// binary search, so pushing a large routed stream is O(n log n) instead
+// of the quadratic backward scan.
+func insertByArrival(queue []queued, q queued) []queued {
+	pos := sort.Search(len(queue), func(i int) bool {
+		return queue[i].Arrival > q.Arrival
 	})
-	queue = append(queue, Request{})
+	queue = append(queue, queued{})
 	copy(queue[pos+1:], queue[pos:])
-	queue[pos] = rq
+	queue[pos] = q
 	return queue
 }
 

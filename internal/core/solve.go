@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"fasttts/internal/alloc"
@@ -224,7 +223,7 @@ func (s *solver) init(cfg Config, p *workload.Problem) error {
 		p:        p,
 		seedRoot: rng.Make(cfg.Seed),
 		kvBudget: budget,
-		meanStep: meanStepTokens(p.Spec()),
+		meanStep: int(p.MeanStepTokens()), // E[lognormal step], truncated
 		nextNode: promptNode + 1,
 		preempt:  noPreemption,
 		stack:    st,
@@ -262,11 +261,6 @@ func (s *solver) deriveStreams(b *beam) {
 	b.specR = s.root.DeriveN("spec", b.id)
 }
 
-func meanStepTokens(spec workload.DatasetSpec) int {
-	// E[lognormal] = exp(mu + sigma^2/2).
-	return int(math.Exp(spec.StepLogMu + spec.StepLogSigma*spec.StepLogSigma/2))
-}
-
 func (s *solver) run() (*Result, error) {
 	s.begin()
 	for !s.done() {
@@ -302,7 +296,8 @@ func (s *solver) begin() {
 		s.active = append(s.active, b)
 	}
 	s.finished = make([]FinalPath, 0, pol.Width())
-	s.maxIters = s.p.Spec().MaxSteps + 4
+	_, maxSteps := s.p.Depth()
+	s.maxIters = maxSteps + 4
 	s.begun = true
 }
 
@@ -514,7 +509,8 @@ func (s *solver) generatorWorkingSetBytes() int64 {
 	perBeam := 3 * s.meanStep // current step + speculative headroom
 	if !s.cfg.Policy.UsesVerifier() {
 		// Best-of-N / CoT chains run to completion in one iteration.
-		perBeam = s.p.Spec().MaxSteps * s.meanStep
+		_, maxSteps := s.p.Depth()
+		perBeam = maxSteps * s.meanStep
 	}
 	tokens := int64(unique + len(s.active)*perBeam)
 	return tokens * s.cfg.Generator.KVBytesPerToken() * 3 / 2
@@ -666,7 +662,7 @@ func (s *solver) orderBeams() ([]*beam, []sched.Path) {
 	if s.cfg.Opts.PrefixAware {
 		paths = s.sched.PrefixAwareOrder(s.paths)
 	} else {
-		paths = sched.RandomOrder(s.paths, &s.orderRand)
+		paths = sched.RandomOrder(s.paths, &s.orderRand) // shuffles the scratch in place
 	}
 	s.ordered = s.ordered[:0]
 	for _, p := range paths {

@@ -127,7 +127,7 @@ func TestCancelReleasesSession(t *testing.T) {
 	})
 
 	// Step until the first request is mid-flight.
-	if _, err := l.StepTo(0.5); err != nil {
+	if _, err := l.StepTo(0.5, nil); err != nil {
 		t.Fatal(err)
 	}
 	if l.InFlight() != 1 {
@@ -159,7 +159,7 @@ func TestCancelReleasesSession(t *testing.T) {
 	}
 
 	// The loop drains with nothing left to serve.
-	out, err := l.StepTo(NoHorizon)
+	out, err := l.StepTo(NoHorizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

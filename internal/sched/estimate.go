@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"math"
-
-	"fasttts/internal/workload"
-)
+import "fasttts/internal/workload"
 
 // EstimateDemand predicts a request's total service demand in token
 // units: prompt prefill plus the expected decode work of a width-wide
@@ -14,16 +10,16 @@ import (
 // It is the single remaining-work estimator of the serving stack: the
 // per-device engine seeds each admitted request's RemainingWork from it
 // (consumed by the SJF policy), and the cluster's least-outstanding-work
-// router sums it over a device's queued requests.
+// router sums it over a device's queued requests. The serving loop
+// computes it once per request, when the request enters its queue.
 func EstimateDemand(p *workload.Problem, width int) float64 {
-	spec := p.Spec()
-	meanStep := math.Exp(spec.StepLogMu + spec.StepLogSigma*spec.StepLogSigma/2)
-	steps := spec.TypicalSteps + 3*(p.Difficulty-0.5)
+	typical, maxSteps := p.Depth()
+	steps := typical + 3*(p.Difficulty-0.5)
 	if steps < 1 {
 		steps = 1
 	}
-	if m := float64(spec.MaxSteps); steps > m {
+	if m := float64(maxSteps); steps > m {
 		steps = m
 	}
-	return float64(p.PromptTokens) + float64(width)*steps*meanStep
+	return float64(p.PromptTokens) + float64(width)*steps*p.MeanStepTokens()
 }

@@ -193,12 +193,13 @@ func GreedyOrder(paths []Path) []Path {
 	return out
 }
 
-// RandomOrder shuffles the paths (the vLLM-baseline behaviour: insertion
-// order scrambled by beam replication, Fig 18 caption).
+// RandomOrder shuffles the paths in place and returns them (the
+// vLLM-baseline behaviour: insertion order scrambled by beam replication,
+// Fig 18 caption). A caller that still needs the original order passes a
+// copy.
 func RandomOrder(paths []Path, r *rng.Stream) []Path {
-	out := append([]Path(nil), paths...)
-	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
+	r.Shuffle(len(paths), func(i, j int) { paths[i], paths[j] = paths[j], paths[i] })
+	return paths
 }
 
 // WorstCaseOrder adversarially minimizes adjacent sharing: repeatedly

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -176,7 +177,7 @@ func TestOrderingHierarchy(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		paths := randomTree(r.Child("tree"), 24)
 		pa := ScheduleScore(PrefixAwareOrder(paths))
-		rnd := ScheduleScore(RandomOrder(paths, r.Child("shuffle")))
+		rnd := ScheduleScore(RandomOrder(slices.Clone(paths), r.Child("shuffle")))
 		worst := ScheduleScore(WorstCaseOrder(paths))
 		if pa >= rnd {
 			winsPA++
@@ -199,7 +200,7 @@ func TestOrderingsPreserveMultiset(t *testing.T) {
 	for name, ordered := range map[string][]Path{
 		"prefix": PrefixAwareOrder(paths),
 		"greedy": GreedyOrder(paths),
-		"random": RandomOrder(paths, r),
+		"random": RandomOrder(slices.Clone(paths), r),
 		"worst":  WorstCaseOrder(paths),
 	} {
 		if len(ordered) != len(paths) {
@@ -302,7 +303,7 @@ func TestEvictionCostPrefixAwareBeatsRandom(t *testing.T) {
 		paths := randomTree(r.Child("t"), 32)
 		capacity := 300
 		pa := EvictionCost(PackTries(PrefixAwareOrder(paths), capacity))
-		rnd := EvictionCost(PackTries(RandomOrder(paths, r.Child("s")), capacity))
+		rnd := EvictionCost(PackTries(RandomOrder(slices.Clone(paths), r.Child("s")), capacity))
 		if pa <= rnd {
 			wins++
 		}
@@ -407,7 +408,7 @@ func TestMaxGrowthDominatesGrowth(t *testing.T) {
 		paths := randomTree(r, 24)
 		mg := CumulativeUniqueTokens(MaxGrowthOrder(paths))
 		pa := CumulativeUniqueTokens(PrefixAwareOrder(paths))
-		rnd := CumulativeUniqueTokens(RandomOrder(paths, r.Child("s")))
+		rnd := CumulativeUniqueTokens(RandomOrder(slices.Clone(paths), r.Child("s")))
 		for i := range mg {
 			if mg[i] < pa[i] || mg[i] < rnd[i] {
 				return false

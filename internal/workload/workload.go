@@ -136,11 +136,28 @@ type Problem struct {
 	AnswerSpace  int
 	spec         DatasetSpec
 	key          string         // Key(), built once by NewDataset
+	meanStep     float64        // MeanStepTokens(), computed once by NewDataset
 	wrong        *rng.ZipfTable // Answer's distractor table, shared across a NewDataset
 }
 
 // Spec returns the dataset spec the problem was drawn from.
 func (p *Problem) Spec() DatasetSpec { return p.spec }
+
+// MeanStepTokens is the mean length of one reasoning step in tokens, the
+// mean exp(μ + σ²/2) of the dataset's lognormal step length. NewDataset
+// computes it once per problem; a hand-built Problem computes it per call.
+func (p *Problem) MeanStepTokens() float64 {
+	if p.meanStep != 0 {
+		return p.meanStep
+	}
+	return math.Exp(p.spec.StepLogMu + p.spec.StepLogSigma*p.spec.StepLogSigma/2)
+}
+
+// Depth returns the dataset's reasoning-depth parameters, TypicalSteps and
+// MaxSteps, without copying its spec.
+func (p *Problem) Depth() (typical float64, max int) {
+	return p.spec.TypicalSteps, p.spec.MaxSteps
+}
 
 // Key identifies the problem's prompt prefix, "<Dataset>/<Index>":
 // requests for the same problem share the prompt's KV, so the fleet's
@@ -176,6 +193,7 @@ func NewDataset(spec DatasetSpec, root *rng.Stream) *Dataset {
 			wrong:        wrong,
 		}
 		p.key = p.Key()
+		p.meanStep = p.MeanStepTokens()
 		ds.Problems = append(ds.Problems, p)
 	}
 	return ds
