@@ -355,8 +355,10 @@ func (el *elastic) scaleDown(r *run, now float64, n int) control.Record {
 			el.warmFree++
 		}
 		if d.loop.Idle() {
+			// A slice is atomic and may end past the tick, so an idle
+			// device's clock can already be ahead of now.
 			d.drained = true
-			d.drainEnd = now
+			d.drainEnd = math.Max(now, d.loop.Now())
 		}
 		rec.Devices = append(rec.Devices, victim)
 		rec.Applied++

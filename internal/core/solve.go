@@ -819,12 +819,14 @@ type specSlot struct {
 // algorithmic equivalence.
 //
 // The batch changes only at events: a beam finishing, a speculative branch
-// reaching its cap, preemption. Between events a round is one
-// engine.DecodeRound and one context increment, and the loop steps from
-// event to event; speculative counts are brought up to date, and free
-// slots refilled, only at events. The clock still advances once per round,
-// in round order, so every time and count is what stepping round by round
-// gives.
+// reaching its cap, preemption. The loop steps from event to event, and the
+// stretch of rounds between two events is one engine.DecodeRun, which
+// charges each round in round order from locals and commits the clock
+// once; speculative counts are brought up to date, and free slots refilled,
+// only at events. While speculating, the run ends early where the
+// preemption probe first fires, which it reads only at its last top unless
+// it fires there (the probe is monotone). Every time and count is what
+// stepping round by round gives.
 func (s *solver) decodeRounds(group []*beam) {
 	// The decoding beams, ordered by the round they finish in; beams
 	// finishing together keep group order (the sort is stable).
@@ -910,6 +912,7 @@ func (s *solver) decodeRounds(group []*beam) {
 		s.specTok += int64(k * len(specActive))
 		specCtx += int64(k * len(specActive))
 	}
+	probe := s.preempt.fires
 	fill()
 	done := 0  // byRem[:done] have finished decoding
 	r := 0     // rounds decoded
@@ -925,12 +928,17 @@ func (s *solver) decodeRounds(group []*beam) {
 			next = min(next, r+max(br.cap-br.count, 1))
 		}
 		batch := active + len(specActive)
-		// Preemption stops all speculative execution at the top of the
-		// first round it covers (§4.1.2); accumulated tokens are kept.
-		watch := len(specActive) > 0
 		for r < next {
-			top = s.clk.Now()
-			if watch && s.preempt.fires(top) {
+			// Preemption stops all speculative execution at the top of
+			// the first round it covers (§4.1.2); accumulated tokens are
+			// kept, and the stretch goes on with the beams alone.
+			var stop func(float64) bool
+			if len(specActive) > 0 {
+				stop = probe
+			}
+			var ran int
+			ran, ctx, top = s.gen.DecodeRun(batch, ctx, next-r, trace.PhaseGenerate, stop)
+			if r += ran; r < next {
 				catchUp(r - from)
 				for _, sl := range specActive {
 					br := &sl.b.specs[sl.idx]
@@ -938,11 +946,8 @@ func (s *solver) decodeRounds(group []*beam) {
 					specCtx -= int64(br.ctxLen + br.count)
 				}
 				specActive = specActive[:0]
-				watch, batch, next = false, active, byRem[done].rem
+				batch, next = active, byRem[done].rem
 			}
-			s.gen.DecodeRound(batch, ctx, trace.PhaseGenerate)
-			ctx += int64(batch)
-			r++
 		}
 		if len(specActive) > 0 {
 			catchUp(r - from)

@@ -79,25 +79,79 @@ func (e *Engine) Reset(kvBytes int64) error {
 
 // DecodeRound charges one decode step for a batch of `batch` sequences
 // whose cached contexts total ctxTokens, attributing the sample to phase,
-// and returns the round latency. The roofline terms were computed by New
-// (model.DecodeRoofline), so a round is a few flops and one clock advance.
+// and returns the round latency. It is DecodeRun's one-round case; the
+// roofline terms were computed by New (model.DecodeRoofline), so a round is
+// a few flops and one clock advance.
 func (e *Engine) DecodeRound(batch int, ctxTokens int64, phase trace.Phase) float64 {
-	if batch <= 0 {
-		return 0
-	}
-	dt, flops := e.dec.Step(batch, ctxTokens)
-	start := e.Clock.Now()
-	e.Clock.Advance(dt)
-	e.BusyTime += dt
-	e.DecodedTokens += int64(batch)
-	if e.Rec != nil {
-		e.Rec.Record(trace.Sample{
-			Start: start, End: start + dt, Phase: phase,
-			Util:  e.GPU.Utilization(flops, dt),
-			Batch: batch, KVBytes: e.Cache.UsedBytes(),
-		})
-	}
+	_, _, _, dt := e.decode(batch, ctxTokens, 1, phase, nil)
 	return dt
+}
+
+// DecodeRun charges up to rounds decode rounds of one batch of `batch`
+// sequences whose cached contexts total ctxTokens (non-negative) before the
+// first round and grow by batch tokens each round — the stretch of decoding
+// between two events that change the batch. Before each round it asks stop
+// whether the run ends at that round's top, the clock the round would start
+// at; stop must be monotone in the clock (once true, true at every later
+// time), and nil never stops. DecodeRun returns the rounds run, the context
+// total after them, and the top of the last round reached: the one stop
+// ended the run at, or else the last one run (the clock, if none).
+//
+// A run is bit for bit that many DecodeRound calls — clock, BusyTime,
+// counters and recorded samples — but keeps the clock, busy time, context
+// and mean context in locals and commits them once.
+func (e *Engine) DecodeRun(batch int, ctxTokens int64, rounds int, phase trace.Phase, stop func(top float64) bool) (ran int, ctx int64, top float64) {
+	ran, ctx, top, _ = e.decode(batch, ctxTokens, rounds, phase, stop)
+	return ran, ctx, top
+}
+
+// decode is DecodeRun, also returning the latency of the last round run.
+//
+// Unless the run is exact, the rounds before the last are charged in a loop
+// that neither reads stop nor records: stop is monotone, so if it does not
+// fire at the last top it fires at none. If it does fire there, the run
+// starts over from its uncommitted start, exact this time, to find the
+// first top it fires at. A recorded run is exact from the start.
+func (e *Engine) decode(batch int, ctxTokens int64, rounds int, phase trace.Phase, stop func(float64) bool) (ran int, ctx int64, top, dt float64) {
+	start := e.Clock.Now()
+	if batch <= 0 || rounds <= 0 {
+		return 0, ctxTokens, start, 0
+	}
+	rec, b := e.Rec, int64(batch)
+	exact := rec != nil
+	for {
+		now, busy, mean := start, e.BusyTime, ctxTokens/b
+		ctx, dt, ran = ctxTokens, 0, 0
+		if !exact {
+			for ; ran < rounds-1; ran++ {
+				dt, _ = e.dec.StepMean(batch, ctx, mean)
+				now, busy, ctx, mean = now+dt, busy+dt, ctx+b, mean+1
+			}
+		}
+		for ; ran < rounds; ran++ {
+			top = now
+			if stop != nil && stop(now) {
+				break
+			}
+			var flops float64
+			dt, flops = e.dec.StepMean(batch, ctx, mean)
+			if rec != nil {
+				rec.Record(trace.Sample{
+					Start: now, End: now + dt, Phase: phase,
+					Util:  e.GPU.Utilization(flops, dt),
+					Batch: batch, KVBytes: e.Cache.UsedBytes(),
+				})
+			}
+			now, busy, ctx, mean = now+dt, busy+dt, ctx+b, mean+1
+		}
+		if exact || ran == 0 || ran == rounds {
+			e.Clock.AdvanceTo(now)
+			e.BusyTime = busy
+			e.DecodedTokens += int64(ran) * b
+			return ran, ctx, top, dt
+		}
+		exact = true // stop fired at the last top, maybe at an earlier one first
+	}
 }
 
 // PrefillItem is one sequence's contribution to a prefill batch.

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"fasttts/internal/alloc"
@@ -107,6 +109,116 @@ func TestDecodeRoundMatchesFormula(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDecodeRunMatchesRounds holds a DecodeRun to the DecodeRound-by-round
+// loop it replaces, bit for bit: rounds run, final context, top of the last
+// round reached, clock, BusyTime, DecodedTokens and, with a recorder
+// attached, every sample. It covers every GPU × model × weight format of
+// TestDecodeRoundMatchesFormula, random batches 1–512, contexts and runs of
+// 0–300 rounds from a random clock, and a monotone threshold stop that
+// never fires, fires at entry, mid-stretch, or first at the top of the
+// last round — where the run reads it, so it must start over to find that
+// top and no earlier one.
+func TestDecodeRunMatchesRounds(t *testing.T) {
+	r := rand.New(rand.NewPCG(40, 2))
+	for _, g := range []hw.GPU{hw.RTX4090, hw.RTX4070Ti, hw.RTX3070Ti} {
+		for _, base := range []model.Config{model.Qwen25Math1_5B, model.Qwen25Math7B, model.ShepherdPRM7B, model.SkyworkPRM1_5B} {
+			for _, q := range []model.Quantization{model.FP16, model.INT8, model.INT4} {
+				m := base.WithQuant(q)
+				if _, err := New("fit", m, g, 1<<30, &sim.Clock{}, nil); err != nil {
+					continue // weights exceed VRAM
+				}
+				for range 12 {
+					batch := 1 + r.IntN(512)
+					ctx := int64(batch) * r.Int64N(4096)
+					if r.IntN(2) == 0 {
+						ctx += r.Int64N(int64(batch)) // a total batch does not divide
+					}
+					rounds := r.IntN(301)
+					clock0, busy0 := r.Float64()*100, r.Float64()*50
+					// The tops of a run nothing stops place the thresholds.
+					var tops []float64
+					{
+						e := newRunEngine(t, m, g, clock0, busy0, false)
+						c := ctx
+						for range rounds {
+							tops = append(tops, e.Clock.Now())
+							e.DecodeRound(batch, c, trace.PhaseGenerate)
+							c += int64(batch)
+						}
+					}
+					thresholds := []float64{math.Inf(1), clock0}
+					if rounds > 0 {
+						thresholds = append(thresholds, tops[rounds/2], tops[rounds-1])
+					}
+					for _, th := range thresholds {
+						stop := func(top float64) bool { return top >= th }
+						for _, recorded := range []bool{false, true} {
+							want := newRunEngine(t, m, g, clock0, busy0, recorded)
+							wantRan, wantCtx, wantTop := 0, ctx, want.Clock.Now()
+							for wantRan < rounds {
+								wantTop = want.Clock.Now()
+								if stop(wantTop) {
+									break
+								}
+								want.DecodeRound(batch, wantCtx, trace.PhaseGenerate)
+								wantCtx += int64(batch)
+								wantRan++
+							}
+							got := newRunEngine(t, m, g, clock0, busy0, recorded)
+							ran, gotCtx, top := got.DecodeRun(batch, ctx, rounds, trace.PhaseGenerate, stop)
+							if ran != wantRan || gotCtx != wantCtx || !sameBits(top, wantTop) ||
+								!sameBits(got.Clock.Now(), want.Clock.Now()) || !sameBits(got.BusyTime, want.BusyTime) ||
+								got.DecodedTokens != want.DecodedTokens {
+								t.Fatalf("%s on %s, batch %d, ctx %d, %d rounds, threshold %v, recorded %v: run (%d rounds, ctx %d, top %v, clock %v, busy %v, %d tokens), round by round (%d, %d, %v, %v, %v, %d)",
+									m.Name, g.Name, batch, ctx, rounds, th, recorded,
+									ran, gotCtx, top, got.Clock.Now(), got.BusyTime, got.DecodedTokens,
+									wantRan, wantCtx, wantTop, want.Clock.Now(), want.BusyTime, want.DecodedTokens)
+							}
+							if recorded && !slices.Equal(got.Rec.Samples, want.Rec.Samples) {
+								t.Fatalf("%s on %s, batch %d, ctx %d, %d rounds, threshold %v: recorded samples differ", m.Name, g.Name, batch, ctx, rounds, th)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// newRunEngine returns an engine for m on g whose clock reads clock0 and
+// whose BusyTime is busy0, with a recorder attached if recorded.
+func newRunEngine(t *testing.T, m model.Config, g hw.GPU, clock0, busy0 float64, recorded bool) *Engine {
+	t.Helper()
+	var rec *trace.Recorder
+	if recorded {
+		rec = &trace.Recorder{}
+	}
+	clk := &sim.Clock{}
+	clk.Advance(clock0)
+	e, err := New("run", m, g, 1<<30, clk, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.BusyTime = busy0
+	return e
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// BenchmarkDecodeRun times a 60-round stretch of a 16-sequence batch, the
+// kind the solver's decode loop charges between two events, per round.
+func BenchmarkDecodeRun(b *testing.B) {
+	e, err := New("bench", model.Qwen25Math1_5B, hw.RTX4090, 1<<30, &sim.Clock{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const rounds = 60
+	for b.Loop() {
+		e.DecodeRun(16, 16*900, rounds, trace.PhaseGenerate, nil)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds), "ns/round")
 }
 
 func TestDecodeZeroBatch(t *testing.T) {

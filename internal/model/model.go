@@ -192,10 +192,10 @@ func NewDecodeRoofline(c Config, g hw.GPU) DecodeRoofline {
 	}
 }
 
-// flops returns the FLOPs of one decode step; batch must be positive.
-func (d *DecodeRoofline) flops(batch int, ctxTokens int64) float64 {
-	avgCtx := ctxTokens / int64(batch)
-	return float64(batch) * (d.mlpFLOPs + d.attnFLOPs*float64(avgCtx))
+// flops returns the FLOPs of one decode step whose sequences attend over
+// mean context tokens each.
+func (d *DecodeRoofline) flops(batch int, mean int64) float64 {
+	return float64(batch) * (d.mlpFLOPs + d.attnFLOPs*float64(mean))
 }
 
 // bytes returns the device bytes one decode step moves.
@@ -207,7 +207,14 @@ func (d *DecodeRoofline) bytes(batch int, ctxTokens int64) float64 {
 // time) plus the launch overhead, as hw.GPU.Roofline — and its FLOPs;
 // batch must be positive.
 func (d *DecodeRoofline) Step(batch int, ctxTokens int64) (dt, flops float64) {
-	flops = d.flops(batch, ctxTokens)
+	return d.StepMean(batch, ctxTokens, ctxTokens/int64(batch))
+}
+
+// StepMean is Step with the mean context ⌊ctxTokens/batch⌋ supplied by the
+// caller. A run of rounds over one batch keeps it in a counter: each round
+// adds batch tokens to a non-negative total, so exactly one to its mean.
+func (d *DecodeRoofline) StepMean(batch int, ctxTokens, mean int64) (dt, flops float64) {
+	flops = d.flops(batch, mean)
 	t := flops / d.compute
 	if tm := d.bytes(batch, ctxTokens) / d.mem; tm > t {
 		t = tm

@@ -26,5 +26,16 @@ func (c *Clock) Advance(dt float64) float64 {
 	return c.now
 }
 
+// AdvanceTo moves the clock forward to t: the commit of a caller that
+// summed a stretch of charges from Now itself, so the clock reads what as
+// many Advance calls would have left. It panics if t is before Now, for
+// the same reason Advance panics on a negative dt.
+func (c *Clock) AdvanceTo(t float64) {
+	if t < c.now {
+		panic(fmt.Sprintf("sim: clock moved back from %g to %g", c.now, t))
+	}
+	c.now = t
+}
+
 // Reset rewinds the clock to zero (between independent experiments).
 func (c *Clock) Reset() { c.now = 0 }

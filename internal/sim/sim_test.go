@@ -91,3 +91,27 @@ func TestClockNegativePanicsTable(t *testing.T) {
 		}()
 	}
 }
+
+// TestClockAdvanceTo checks the commit of a stretch summed elsewhere: the
+// clock reads what the same Advance calls leave, standing still is
+// allowed, and moving back panics.
+func TestClockAdvanceTo(t *testing.T) {
+	var stepped, committed Clock
+	stepped.Advance(3)
+	committed.Advance(3)
+	local := committed.Now()
+	for _, dt := range []float64{0.1, 0.2, 1e-9, 7} {
+		stepped.Advance(dt)
+		local += dt
+	}
+	if committed.AdvanceTo(local); committed.Now() != stepped.Now() {
+		t.Errorf("AdvanceTo: clock %v, stepping gives %v", committed.Now(), stepped.Now())
+	}
+	committed.AdvanceTo(committed.Now())
+	defer func() {
+		if recover() == nil {
+			t.Error("AdvanceTo into the past did not panic")
+		}
+	}()
+	committed.AdvanceTo(1)
+}
