@@ -37,8 +37,10 @@ scenarios:
 	$(GO) test -count=1 -run 'TestGoldenScenarioTraces|TestGoldenTracesDecodable|TestScenarioRunDeterministic' -v .
 
 # Seeded sweep of the fleet property tests: the conservation laws
-# (...PreservesRequestMultiset) and the least-work index's differential
-# check (...IndexMatchesScan) under -quick.seed 1-200, from one compiled
+# (...PreservesRequestMultiset), the least-work index's differential
+# check (...IndexMatchesScan) and the span-lifecycle property over
+# cancelled and withdrawn requests (TraceLifecycleProperty, about 5 s of
+# the sweep) under -quick.seed 1-200, from one compiled
 # test binary. A plain `go test` draws its seed from the time of day, so a
 # bug that only some seeds reach fails there about one run in forty; here
 # it fails every run. Prints each failing seed's log, then the list.
@@ -46,7 +48,7 @@ quick-sweep:
 	mkdir -p bench-smoke
 	$(GO) test -c -o bench-smoke/cluster-quick.test ./internal/cluster
 	@failed=""; for seed in $$(seq 1 200); do \
-		if ! out=$$(bench-smoke/cluster-quick.test -test.run 'PreservesRequestMultiset|IndexMatchesScan' -quick.seed=$$seed 2>&1); then \
+		if ! out=$$(bench-smoke/cluster-quick.test -test.run 'PreservesRequestMultiset|IndexMatchesScan|TraceLifecycleProperty' -quick.seed=$$seed 2>&1); then \
 			echo "$$out"; failed="$$failed $$seed"; \
 		fi; \
 	done; \
@@ -72,6 +74,21 @@ benchmark-smoke:
 # a 512 KiB sample. Exact counting in the CPU run would swamp its profile
 # (stack unwinding on every allocation took 38 % of the CPU). Each prints
 # the top 25 of both. Everything lands in bench-smoke/ (gitignored).
+#
+# $(call profile,BENCHMARK,PACKAGE,CPU_BENCHTIME,MEM_BENCHTIME,PREFIX)
+# writes bench-smoke/PREFIX.cpu and PREFIX.mem; the test binary is named
+# after the package (fasttts.test for the root).
+profile_bin = bench-smoke/$(if $(filter .,$(1)),fasttts,$(notdir $(1))).test
+
+define profile
+mkdir -p bench-smoke
+$(GO) test -run '^$$' -bench '$(1)' -benchtime $(3) -benchmem \
+	-cpuprofile bench-smoke/$(5).cpu -o $(call profile_bin,$(2)) $(2)
+$(GO) test -run '^$$' -bench '$(1)' -benchtime $(4) -benchmem \
+	-memprofilerate 1 -memprofile bench-smoke/$(5).mem -o $(call profile_bin,$(2)) $(2)
+$(GO) tool pprof -top -nodecount=25 $(call profile_bin,$(2)) bench-smoke/$(5).cpu
+$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(call profile_bin,$(2)) bench-smoke/$(5).mem
+endef
 
 # Where the solver's host time and allocations go: BenchmarkServerRunBeam64
 # (perf_test.go), the solver-beam workload's pass at half length — public
@@ -81,26 +98,14 @@ benchmark-smoke:
 # profile flag and may not be edited by a PR that claims a gain, so a
 # hot-path PR profiles here and attaches both lists.
 profile-solver:
-	mkdir -p bench-smoke
-	$(GO) test -run '^$$' -bench 'BenchmarkServerRunBeam64' -benchtime 3x -benchmem \
-		-cpuprofile bench-smoke/solver.cpu -o bench-smoke/fasttts.test .
-	$(GO) test -run '^$$' -bench 'BenchmarkServerRunBeam64' -benchtime 1x -benchmem \
-		-memprofilerate 1 -memprofile bench-smoke/solver.mem -o bench-smoke/fasttts.test .
-	$(GO) tool pprof -top -nodecount=25 bench-smoke/fasttts.test bench-smoke/solver.cpu
-	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/fasttts.test bench-smoke/solver.mem
+	$(call profile,BenchmarkServerRunBeam64,.,3x,1x,solver)
 
 # Where a recorded fleet run's host time and allocations go: the same two
 # profiles of BenchmarkFleetRun32Observed (the fleet-observed workload's
 # pass — recorder on, then Spans, Attribute, WritePerfetto — in
 # internal/cluster/perf_test.go), so a recorder PR is sized here.
 profile-observed:
-	mkdir -p bench-smoke
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetRun32Observed' -benchtime 10x -benchmem \
-		-cpuprofile bench-smoke/observed.cpu -o bench-smoke/cluster.test ./internal/cluster
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetRun32Observed' -benchtime 2x -benchmem \
-		-memprofilerate 1 -memprofile bench-smoke/observed.mem -o bench-smoke/cluster.test ./internal/cluster
-	$(GO) tool pprof -top -nodecount=25 bench-smoke/cluster.test bench-smoke/observed.cpu
-	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/cluster.test bench-smoke/observed.mem
+	$(call profile,BenchmarkFleetRun32Observed,./internal/cluster,10x,2x,observed)
 
 # Where an untraced fleet pass's host time and allocations go: the same
 # two profiles of BenchmarkFleetDispatch (the fleet-dispatch workload's
@@ -112,13 +117,7 @@ profile-observed:
 # (solver.result, and solver.begin's finished paths); CI runs this
 # recipe so it cannot rot.
 profile-dispatch:
-	mkdir -p bench-smoke
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetDispatch' -benchtime 3x -benchmem \
-		-cpuprofile bench-smoke/dispatch.cpu -o bench-smoke/cluster.test ./internal/cluster
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetDispatch' -benchtime 1x -benchmem \
-		-memprofilerate 1 -memprofile bench-smoke/dispatch.mem -o bench-smoke/cluster.test ./internal/cluster
-	$(GO) tool pprof -top -nodecount=25 bench-smoke/cluster.test bench-smoke/dispatch.cpu
-	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/cluster.test bench-smoke/dispatch.mem
+	$(call profile,BenchmarkFleetDispatch,./internal/cluster,3x,1x,dispatch)
 
 # Where the kv-pressure pass's host time and allocations go: the same two
 # profiles of BenchmarkKVPressure (three GPUs behind 512 MiB KV planes,
@@ -130,13 +129,7 @@ profile-dispatch:
 # and a 250-answer AIME space make answer draws and kvcache eviction
 # weigh more here than on solver-beam.
 profile-kv:
-	mkdir -p bench-smoke
-	$(GO) test -run '^$$' -bench 'BenchmarkKVPressure' -benchtime 10x -benchmem \
-		-cpuprofile bench-smoke/kv.cpu -o bench-smoke/cluster.test ./internal/cluster
-	$(GO) test -run '^$$' -bench 'BenchmarkKVPressure' -benchtime 2x -benchmem \
-		-memprofilerate 1 -memprofile bench-smoke/kv.mem -o bench-smoke/cluster.test ./internal/cluster
-	$(GO) tool pprof -top -nodecount=25 bench-smoke/cluster.test bench-smoke/kv.cpu
-	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 bench-smoke/cluster.test bench-smoke/kv.mem
+	$(call profile,BenchmarkKVPressure,./internal/cluster,10x,2x,kv)
 
 # Regenerate the golden traces, the span digests in
 # testdata/golden/perfetto.sha256, and fastttsserve's output goldens in

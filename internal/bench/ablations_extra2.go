@@ -7,7 +7,6 @@ import (
 	"fasttts/internal/hw"
 	"fasttts/internal/kvcache"
 	"fasttts/internal/model"
-	"fasttts/internal/sched"
 	"fasttts/internal/search"
 	"fasttts/internal/workload"
 )
@@ -34,7 +33,7 @@ func AblationBlockSize(o RunOpts) (*Report, error) {
 		cache := kvcache.NewBlocked(budget, kvPerToken, block)
 		resident := 0
 		for _, path := range paths {
-			if _, _, _, err := cache.AcquireRuns(lineageRuns(path)); err != nil {
+			if _, _, _, err := cache.AcquireRuns(core.LineageRuns(path)); err != nil {
 				break
 			}
 			resident++
@@ -42,7 +41,7 @@ func AblationBlockSize(o RunOpts) (*Report, error) {
 		// Exact usage of the same content for the fragmentation ratio.
 		exact := kvcache.New(64<<30, kvPerToken)
 		for i := 0; i < resident; i++ {
-			exact.AcquireRuns(lineageRuns(paths[i]))
+			exact.AcquireRuns(core.LineageRuns(paths[i]))
 		}
 		frag := 0.0
 		if exact.UsedTokens() > 0 {
@@ -56,18 +55,6 @@ func AblationBlockSize(o RunOpts) (*Report, error) {
 	r.Notes = append(r.Notes,
 		"token-granular allocation is the upper bound; 16-64-token blocks cost a few percent; very large blocks meaningfully cut resident beams")
 	return r, nil
-}
-
-// lineageRuns is the path's token sequence, one run per node: token j of
-// node k is k<<12 | j. growTree's nodes — an AIME prompt or one thinking
-// step of at most search.DefaultStepBudget tokens — stay below the 4096
-// values a node has.
-func lineageRuns(path sched.Path) []kvcache.Run {
-	runs := make([]kvcache.Run, len(path.Lineage))
-	for i, ref := range path.Lineage {
-		runs[i] = kvcache.Run{First: kvcache.Token(ref.Node << 12), N: ref.Tokens}
-	}
-	return runs
 }
 
 // ExtServingLoad measures the two-phase scheduler (§4.1.2) under an

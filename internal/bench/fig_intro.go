@@ -77,10 +77,3 @@ func Fig1bLatencyFrontier(o RunOpts) (*Report, error) {
 		"paper: baseline ~200 s (~2x cloud); FastTTS brings edge TTS at or below cloud latency")
 	return r, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

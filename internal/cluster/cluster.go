@@ -9,10 +9,10 @@
 // engines. Devices execute concurrently — each core.Loop owns an
 // independent clock — and the fleet advances them between global events
 // (request arrivals, device failures, warm-pool joins, and control
-// ticks) with an event-heap core: a stable min-heap of pending arrivals,
-// a pre-sorted fail-stop schedule, and an indexed min-heap of per-device
-// wake times, so each event steps only the devices it concerns instead
-// of re-scanning all of them. Router load signals (device clock, pending
+// ticks) with an event-heap core: the sorted stream plus a FIFO of
+// failure requeues, a pre-sorted fail-stop schedule, and an indexed
+// min-heap of per-device wake times, so each event steps only the
+// devices it concerns instead of re-scanning all of them. Router load signals (device clock, pending
 // population, outstanding work) are read from the loops' O(1)
 // incremental indexes and cached in views refreshed only for touched
 // devices. Under the LeastWork router a tournament tree over those views
@@ -31,7 +31,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -268,21 +267,31 @@ type device struct {
 	spec     Device
 	loop     *core.Loop
 	speed    float64
-	alive    bool            // has not fail-stopped
-	failedAt float64         // fail-stop time (alive == false)
-	joinAt   float64         // fleet time the device became routable (0 for founding members)
-	warming  bool            // created from the warm pool, warm-up delay not yet elapsed
-	dynamic  bool            // instantiated from the warm pool by the controller
-	draining bool            // control plane is draining it: no new routes
-	drained  bool            // drain finished: all accepted work served
-	drainAt  float64         // drain decision time
-	drainEnd float64         // drain completion time (last accepted work finished)
-	lastBusy float64         // busy-time snapshot at the previous control tick
-	prefixes map[string]bool // prompt-prefix directory of the radix cache
-	marker   map[string]int  // prefix -> tag that marked it, until confirmed
+	alive    bool                  // has not fail-stopped
+	failedAt float64               // fail-stop time (alive == false)
+	joinAt   float64               // fleet time the device became routable (0 for founding members)
+	warming  bool                  // created from the warm pool, warm-up delay not yet elapsed
+	dynamic  bool                  // instantiated from the warm pool by the controller
+	draining bool                  // control plane is draining it: no new routes
+	drained  bool                  // drain finished: all accepted work served
+	drainAt  float64               // drain decision time
+	drainEnd float64               // drain completion time (last accepted work finished)
+	lastBusy float64               // busy-time snapshot at the previous control tick
+	prefixes map[string]prefixMark // prompt-prefix directory of the radix cache
 	acct     map[int]prefixAcct
 	served   int
 	tokens   int64
+}
+
+// prefixMark is one prompt-prefix directory entry. A miss marks its key
+// optimistically at routing (concurrent repeats of the prompt should
+// route as hits) with pending set and its own tag; the mark is confirmed
+// (pending cleared) once that request prefilled, and refunded (the key
+// removed) when it never did. Only a miss holds a pending mark, so only a
+// miss reads it back.
+type prefixMark struct {
+	tag     int
+	pending bool
 }
 
 // prefixAcct is the deferred hit/miss accounting of one routed request:
@@ -296,12 +305,10 @@ type prefixAcct struct {
 	hit    bool
 }
 
-// pendingReq is one request awaiting routing. seq preserves insertion
-// order among equal arrival times (stream order, then requeue order).
+// pendingReq is one request awaiting routing.
 type pendingReq struct {
 	req      core.Request
 	requeues int
-	seq      int
 }
 
 // run is the mutable state of one fleet event loop: the device set (which
@@ -315,11 +322,14 @@ type run struct {
 	out  *Outcome
 
 	// Arrival sources: the pre-sorted submitted stream consumed by index,
-	// plus a min-heap for failure requeues.
+	// plus the failure requeues consumed FIFO through rp. failDevice is
+	// their only producer: it stamps each with its fail-stop time, and
+	// fail-stops apply in (time, device) order, so the FIFO is already
+	// sorted by arrival, ties in requeue order.
 	stream      []pendingReq
 	sp          int
-	requeued    arrivalHeap
-	nextSeq     int
+	requeued    []pendingReq
+	rp          int
 	origArrival map[int]float64 // request tag -> submission time
 	requeues    map[int]int     // request tag -> displacement count
 
@@ -414,7 +424,7 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 		if math.IsNaN(rq.Arrival) || math.IsInf(rq.Arrival, 0) {
 			return nil, fmt.Errorf("cluster: request tag %d has non-finite arrival time %v", rq.Tag, rq.Arrival)
 		}
-		stream[i] = pendingReq{req: rq, seq: i}
+		stream[i] = pendingReq{req: rq}
 		origArrival[rq.Tag] = rq.Arrival
 	}
 	sort.SliceStable(stream, func(i, j int) bool { return stream[i].req.Arrival < stream[j].req.Arrival })
@@ -424,7 +434,6 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 		devs:        devs,
 		out:         &Outcome{Metrics: f.cfg.Metrics, Results: make([]Result, 0, len(reqs))},
 		stream:      stream,
-		nextSeq:     len(reqs),
 		origArrival: origArrival,
 		requeues:    make(map[int]int),
 		fails:       failSchedule(devs),
@@ -477,8 +486,7 @@ func newDevice(spec Device, srv *core.Server, joinAt float64) *device {
 		speed:    spec.Config.GPU.MemBW * spec.Config.GPU.MemEff / slow,
 		alive:    true,
 		joinAt:   joinAt,
-		prefixes: make(map[string]bool),
-		marker:   make(map[string]int),
+		prefixes: make(map[string]prefixMark),
 		acct:     make(map[int]prefixAcct),
 	}
 }
@@ -486,7 +494,7 @@ func newDevice(spec Device, srv *core.Server, joinAt float64) *device {
 // streamFirst reports whether the stream head is the next arrival
 // (shared by peek and pop so the head-selection rule cannot diverge).
 func (r *run) streamFirst() bool {
-	return r.sp < len(r.stream) && (r.requeued.Len() == 0 || r.stream[r.sp].req.Arrival <= r.requeued[0].req.Arrival)
+	return r.sp < len(r.stream) && (r.rp == len(r.requeued) || r.stream[r.sp].req.Arrival <= r.requeued[r.rp].req.Arrival)
 }
 
 // nextArrival peeks the earliest pending arrival's time (the event loop
@@ -496,8 +504,8 @@ func (r *run) nextArrival() (float64, bool) {
 	switch {
 	case r.streamFirst():
 		return r.stream[r.sp].req.Arrival, true
-	case r.requeued.Len() > 0:
-		return r.requeued[0].req.Arrival, true
+	case r.rp < len(r.requeued):
+		return r.requeued[r.rp].req.Arrival, true
 	}
 	return 0, false
 }
@@ -508,29 +516,48 @@ func (r *run) popArrival() pendingReq {
 		r.sp++
 		return pr
 	}
-	return heap.Pop(&r.requeued).(pendingReq)
+	pr := r.requeued[r.rp]
+	r.rp++
+	return pr
 }
 
-// settlePrefix resolves a result's deferred prefix accounting: counts
-// the hit/miss when device d served the request, refunds the optimistic
-// directory mark when admission shed it before prefill.
-func (r *run) settlePrefix(d *device, sv core.ServedResult) {
-	a, ok := d.acct[sv.Tag]
+// settlePrefix resolves request tag's deferred prefix accounting on
+// device d, the one rule for completions and cancellations: a served
+// request counts its hit or miss, and a miss's pending directory mark is
+// confirmed when the device prefilled the prompt and refunded when it
+// never did (shed by admission, or cancelled before it started).
+func (r *run) settlePrefix(d *device, tag int, served, prefilled bool) {
+	a, ok := d.acct[tag]
 	if !ok {
 		return
 	}
-	delete(d.acct, sv.Tag)
-	switch {
-	case !sv.Rejected && a.hit:
-		r.prefixHits += a.tokens
-	case !sv.Rejected:
-		r.prefixMisses += a.tokens
-		if d.marker[a.key] == sv.Tag {
-			delete(d.marker, a.key) // residency confirmed
+	delete(d.acct, tag)
+	if served {
+		if a.hit {
+			r.prefixHits += a.tokens
+		} else {
+			r.prefixMisses += a.tokens
 		}
-	case !a.hit && d.marker[a.key] == sv.Tag:
-		delete(d.prefixes, a.key) // shed before prefill: refund
-		delete(d.marker, a.key)
+	}
+	if a.hit {
+		return
+	}
+	if m := d.prefixes[a.key]; m.pending && m.tag == tag {
+		if prefilled {
+			d.prefixes[a.key] = prefixMark{} // residency confirmed
+		} else {
+			delete(d.prefixes, a.key)
+		}
+	}
+}
+
+// noteDrained ends a draining device's drain once its loop is idle — all
+// accepted work served — at the later of the drain decision and the
+// device clock: a slice is atomic and may end past the decision.
+func (d *device) noteDrained() {
+	if d.draining && !d.drained && d.loop.Idle() {
+		d.drained = true
+		d.drainEnd = math.Max(d.drainAt, d.loop.Now())
 	}
 }
 
@@ -621,12 +648,7 @@ func (r *run) collect(horizon float64) error {
 		for _, sv := range r.served {
 			r.deliver(i, sv)
 		}
-		if d.draining && !d.drained && d.loop.Idle() {
-			// All accepted work served: the drain completes and the device
-			// leaves the fleet.
-			d.drained = true
-			d.drainEnd = math.Max(d.drainAt, d.loop.Now())
-		}
+		d.noteDrained()
 		r.updateWake(i)
 		r.refreshView(i)
 	}
@@ -640,7 +662,7 @@ func (r *run) collect(horizon float64) error {
 // accounting — the device work was real — but never count as served.
 func (r *run) deliver(dev int, sv core.ServedResult) {
 	d := r.devs[dev]
-	r.settlePrefix(d, sv)
+	r.settlePrefix(d, sv.Tag, !sv.Rejected, !sv.Rejected)
 	if r.hedging() {
 		out, ok := r.filterHedge(sv)
 		if !ok {
@@ -740,21 +762,8 @@ func (r *run) applyCancel(ce cancelEvent) {
 		r.ctl.Emit(obs.Span{Kind: obs.KindCancelReq, Tag: ce.tag, Start: ce.at, End: ce.at,
 			V1: float64(ce.dev), Flag: started})
 	}
-	if a, found := d.acct[ce.tag]; found {
-		delete(d.acct, ce.tag)
-		if d.marker[a.key] == ce.tag {
-			if started {
-				delete(d.marker, a.key) // prefill happened: residency confirmed
-			} else {
-				delete(d.prefixes, a.key) // never prefilled: refund the mark
-				delete(d.marker, a.key)
-			}
-		}
-	}
-	if d.draining && !d.drained && d.loop.Idle() {
-		d.drained = true
-		d.drainEnd = math.Max(d.drainAt, d.loop.Now())
-	}
+	r.settlePrefix(d, ce.tag, false, started)
+	d.noteDrained()
 	r.updateWake(ce.dev)
 	r.refreshView(ce.dev)
 }
@@ -781,8 +790,7 @@ func (r *run) failDevice(ft float64, fi int) {
 		rq.Arrival = ft
 		r.requeues[rq.Tag]++
 		r.out.Requeues++
-		heap.Push(&r.requeued, pendingReq{req: rq, requeues: r.requeues[rq.Tag], seq: r.nextSeq})
-		r.nextSeq++
+		r.requeued = append(r.requeued, pendingReq{req: rq, requeues: r.requeues[rq.Tag]})
 		requeued++
 		if r.ctl != nil {
 			r.ctl.Emit(obs.Span{Kind: obs.KindRequeue, Tag: rq.Tag, Start: ft, End: ft, V1: float64(fi)})
@@ -932,10 +940,9 @@ func (r *run) applyStrategy(rq *core.Request, di int) {
 // request to the device's loop.
 func (r *run) pushTo(di int, rq core.Request, key string) {
 	d := r.devs[di]
-	resident := d.prefixes[key]
+	_, resident := d.prefixes[key]
 	if !resident {
-		d.prefixes[key] = true
-		d.marker[key] = rq.Tag
+		d.prefixes[key] = prefixMark{tag: rq.Tag, pending: true}
 	}
 	d.acct[rq.Tag] = prefixAcct{
 		key:    key,
@@ -982,8 +989,9 @@ func (r *run) routeTwin(rq core.Request, rv RequestView, primaryPick int) error 
 //
 // Run is the fleet's event loop. Global events — request arrivals,
 // device fail-stops, warm-pool joins, and control ticks — are dispatched
-// from heaps: a stable min-heap of pending arrivals, a pre-sorted
-// fail-stop schedule, and an indexed min-heap of per-device wake times
+// from sorted sources: the arrival-sorted stream and the requeue FIFO
+// (sorted by construction, see run.requeued), a pre-sorted fail-stop
+// schedule, and an indexed min-heap of per-device wake times
 // (the earliest horizon at which each device's loop would make
 // progress). At each event only the devices whose wake time falls inside
 // the event window are stepped, and the router's device views are

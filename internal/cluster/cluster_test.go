@@ -479,3 +479,47 @@ func TestStreamingStatsNearExact(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelledHitKeepsConfirmedPrefix: cancelling an unstarted copy
+// that routed as a prefix hit must leave the directory alone — only the
+// miss that marked a key may refund it. Tag 0 is the case a zero-valued
+// mark lookup once mistook for the marking tag, so the cancel removed a
+// prefix another request's prefill had confirmed.
+func TestCancelledHitKeepsConfirmedPrefix(t *testing.T) {
+	st, err := search.ParseStrategy("hedged")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(Config{
+		Devices:  []Device{{Config: devConfig(t, hw.RTX4090, 4, 1)}, {Config: devConfig(t, hw.RTX4070Ti, 4, 2)}},
+		Strategy: st,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := f.newRun(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := repeatedProblems(t, 1, 1)[0]
+	key := p.Key()
+	d := r.devs[0]
+
+	r.pushTo(0, core.Request{Problem: p, Tag: 5}, key)
+	if d.acct[5].hit {
+		t.Fatal("tag 5 routed as a hit to an empty directory")
+	}
+	r.deliver(0, core.ServedResult{Tag: 5}) // served: the mark is confirmed
+
+	r.pushTo(0, core.Request{Problem: p, Tag: 0}, key)
+	if !d.acct[0].hit {
+		t.Fatal("tag 0 routed as a miss after tag 5 confirmed the prefix")
+	}
+	r.applyCancel(cancelEvent{dev: 0, tag: 0})
+	if _, ok := d.acct[0]; ok {
+		t.Fatal("the cancel left tag 0's prefix accounting unsettled")
+	}
+	if _, ok := d.prefixes[key]; !ok {
+		t.Error("cancelling a hit removed a prefix it never marked")
+	}
+}

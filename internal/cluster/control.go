@@ -354,12 +354,7 @@ func (el *elastic) scaleDown(r *run, now float64, n int) control.Record {
 		if d.dynamic {
 			el.warmFree++
 		}
-		if d.loop.Idle() {
-			// A slice is atomic and may end past the tick, so an idle
-			// device's clock can already be ahead of now.
-			d.drained = true
-			d.drainEnd = math.Max(now, d.loop.Now())
-		}
+		d.noteDrained()
 		rec.Devices = append(rec.Devices, victim)
 		rec.Applied++
 		el.stats.ScaleDowns++

@@ -1,9 +1,8 @@
 package cluster
 
 // Event plumbing of the fleet core: the global event-kind ordering, a
-// stable min-heap of pending arrivals, a pre-sorted fail-stop schedule,
-// the hedge-cancellation queue, and an indexed min-heap of device wake
-// times. Together they let the fleet loop touch only the devices an
+// pre-sorted fail-stop schedule, the hedge-cancellation queue, and an
+// indexed min-heap of device wake times. Together they let the fleet loop touch only the devices an
 // event concerns — O(log n) dispatch per event — instead of re-scanning
 // and re-stepping all n devices per event.
 
@@ -36,27 +35,6 @@ type cancelEvent struct {
 	at  float64
 	dev int
 	tag int
-}
-
-// arrivalHeap orders pending requests by arrival time, breaking ties by
-// insertion sequence so equal-time arrivals pop in insertion order —
-// exactly the stable order of the sorted-slice queue it replaces.
-type arrivalHeap []pendingReq
-
-func (h arrivalHeap) Len() int { return len(h) }
-func (h arrivalHeap) Less(i, j int) bool {
-	if h[i].req.Arrival != h[j].req.Arrival {
-		return h[i].req.Arrival < h[j].req.Arrival
-	}
-	return h[i].seq < h[j].seq
-}
-func (h arrivalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x any)   { *h = append(*h, x.(pendingReq)) }
-func (h *arrivalHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
 }
 
 // failEvent is one scheduled device fail-stop.

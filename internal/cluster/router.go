@@ -291,48 +291,33 @@ func cacheCost(rq RequestView, d DeviceView) float64 {
 // routed to the device whose radix KV cache already holds it, so the
 // prompt prefill is served from cache instead of being recomputed. When
 // the affine device's backlog exceeds the fleet minimum by more than
-// LoadSlack requests (or the device failed), the router falls back to
-// the load-based Fallback and re-homes the prefix there — cache locality
-// must not create hotspots.
+// affinitySlack requests (or the device failed), the router falls back
+// to LeastWork and re-homes the prefix there — cache locality must not
+// create hotspots.
 type PrefixAffinity struct {
-	// Fallback routes prefix misses and overloaded hits; nil means
-	// LeastWork.
-	Fallback Router
-	// LoadSlack is how many requests beyond the least-loaded device's
-	// backlog the affine device may hold before affinity is abandoned;
-	// 0 means 4.
-	LoadSlack int
-	// MaxPrefixes bounds the affinity directory: when a new prefix would
-	// exceed it, the oldest-homed prefix is forgotten (deterministic FIFO
-	// on first-homing order). 0 means 4096; negative means unbounded.
-	// Without a bound the directory grows with every distinct prefix ever
-	// routed — a leak on long multi-tenant streams.
-	MaxPrefixes int
-	home        map[string]int // prefix key -> device Index
-	order       []string       // home keys in first-homing order (FIFO eviction)
+	home  map[string]int // prefix key -> device Index
+	order []string       // home keys in first-homing order (FIFO eviction)
 }
+
+const (
+	// affinitySlack is how many requests beyond the least-loaded device's
+	// backlog the affine device may hold before affinity is abandoned.
+	affinitySlack = 4
+	// maxPrefixes bounds the affinity directory: homing a new prefix
+	// beyond it forgets the oldest-homed one (deterministic FIFO on
+	// first-homing order), so the directory does not grow with every
+	// distinct prefix a long multi-tenant stream routes.
+	maxPrefixes = 4096
+)
 
 func (p *PrefixAffinity) Name() string { return "prefix" }
 
-func (p *PrefixAffinity) NeedsOutstandingWork() bool {
-	if p.Fallback == nil {
-		return true // the default fallback is LeastWork
-	}
-	wa, ok := p.Fallback.(WorkAware)
-	return ok && wa.NeedsOutstandingWork()
-}
+// NeedsOutstandingWork: misses and overloaded hits fall back to LeastWork.
+func (p *PrefixAffinity) NeedsOutstandingWork() bool { return true }
 
 func (p *PrefixAffinity) Route(rq RequestView, devices []DeviceView, r *rng.Stream) int {
 	if p.home == nil {
 		p.home = make(map[string]int)
-	}
-	fallback := p.Fallback
-	if fallback == nil {
-		fallback = LeastWork{}
-	}
-	slack := p.LoadSlack
-	if slack == 0 {
-		slack = 4
 	}
 	minPending := devices[0].Pending
 	for _, d := range devices[1:] {
@@ -343,20 +328,16 @@ func (p *PrefixAffinity) Route(rq RequestView, devices []DeviceView, r *rng.Stre
 	if home, ok := p.home[rq.PrefixKey]; ok {
 		for i, d := range devices {
 			if d.Index == home {
-				if d.Pending <= minPending+slack {
+				if d.Pending <= minPending+affinitySlack {
 					return i
 				}
 				break // alive but overloaded: re-home
 			}
 		}
 	}
-	i := fallback.Route(rq, devices, r)
+	i := LeastWork{}.Route(rq, devices, r)
 	if _, homed := p.home[rq.PrefixKey]; !homed {
-		limit := p.MaxPrefixes
-		if limit == 0 {
-			limit = 4096
-		}
-		if limit > 0 && len(p.home) >= limit {
+		if len(p.home) >= maxPrefixes {
 			oldest := p.order[0]
 			p.order = p.order[1:]
 			delete(p.home, oldest)

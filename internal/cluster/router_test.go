@@ -108,63 +108,60 @@ func TestCacheAwareDegeneratesWithoutPlane(t *testing.T) {
 	}
 }
 
-// TestPrefixAffinityDirectoryBounded: with MaxPrefixes set, homing a new
-// prefix beyond the cap evicts the oldest-homed one (FIFO), so the
-// directory cannot grow without bound on long multi-tenant streams.
+// TestPrefixAffinityDirectoryBounded: homing a prefix beyond the
+// maxPrefixes bound evicts the oldest-homed one (FIFO), so the directory
+// cannot grow without bound on long multi-tenant streams, and re-homing
+// an existing prefix evicts nothing.
 func TestPrefixAffinityDirectoryBounded(t *testing.T) {
-	p := &PrefixAffinity{MaxPrefixes: 2}
+	p := &PrefixAffinity{}
 	devices := []DeviceView{
 		{Index: 0, Speed: 1},
 		{Index: 1, Speed: 1},
 	}
 	r := rng.New(4).Child("router")
-	route := func(key string) int {
-		return p.Route(RequestView{PrefixKey: key}, devices, r)
+	key := func(i int) string { return fmt.Sprintf("tenant/%d", i) }
+	route := func(k string) int {
+		return p.Route(RequestView{PrefixKey: k}, devices, r)
 	}
-	route("a")
-	route("b")
-	if len(p.home) != 2 {
-		t.Fatalf("directory holds %d prefixes, want 2", len(p.home))
+	for i := 0; i <= maxPrefixes; i++ {
+		route(key(i))
 	}
-	// Homing "c" must evict "a", the oldest entry.
-	route("c")
-	if len(p.home) != 2 {
-		t.Errorf("directory holds %d prefixes after eviction, want 2", len(p.home))
+	if len(p.home) != maxPrefixes {
+		t.Fatalf("directory holds %d prefixes after %d homings, want %d", len(p.home), maxPrefixes+1, maxPrefixes)
 	}
-	if _, ok := p.home["a"]; ok {
-		t.Error("oldest prefix \"a\" still homed after capacity eviction")
+	if _, ok := p.home[key(0)]; ok {
+		t.Error("oldest prefix still homed after capacity eviction")
 	}
-	for _, key := range []string{"b", "c"} {
-		if _, ok := p.home[key]; !ok {
-			t.Errorf("prefix %q missing from bounded directory", key)
+	for _, i := range []int{1, maxPrefixes / 2, maxPrefixes} {
+		if _, ok := p.home[key(i)]; !ok {
+			t.Errorf("prefix %q missing from bounded directory", key(i))
 		}
 	}
 	// Re-homing an existing prefix must not evict anything: only first
 	// homings consume capacity.
-	route("b")
-	if len(p.home) != 2 {
-		t.Errorf("re-homing grew the directory to %d entries", len(p.home))
+	route(key(1))
+	if len(p.home) != maxPrefixes {
+		t.Errorf("re-homing changed the directory to %d entries", len(p.home))
 	}
-	if _, ok := p.home["c"]; !ok {
+	if _, ok := p.home[key(2)]; !ok {
 		t.Error("re-homing an existing prefix evicted another entry")
 	}
 }
 
-// TestPrefixAffinityDirectoryDefaults pins the MaxPrefixes contract: 0
-// means the 4096 default, negative disables the bound entirely.
+// TestPrefixAffinityDirectoryDefaults pins the directory bound of a
+// zero-valued PrefixAffinity: homing more prefixes than maxPrefixes
+// leaves exactly 4096 homed.
 func TestPrefixAffinityDirectoryDefaults(t *testing.T) {
 	devices := []DeviceView{{Index: 0, Speed: 1}}
-	const n = 5000 // beyond the 4096 default cap
+	const n = 5000 // beyond the 4096 cap
 	for _, tc := range []struct {
 		name string
-		max  int
 		want int
 	}{
-		{"zero means 4096", 0, 4096},
-		{"negative means unbounded", -1, n},
+		{"zero means 4096", 4096},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := &PrefixAffinity{MaxPrefixes: tc.max}
+			p := &PrefixAffinity{}
 			r := rng.New(5).Child("router")
 			for i := 0; i < n; i++ {
 				p.Route(RequestView{PrefixKey: fmt.Sprintf("tenant/%d", i)}, devices, r)

@@ -44,6 +44,18 @@ func appendNodeRuns(dst []kvcache.Run, node, count int) []kvcache.Run {
 	return dst
 }
 
+// LineageRuns is a scheduled path's token sequence under the same layout:
+// its genealogy's nodes in order, each emitted by appendNodeRuns, so code
+// outside the solver that rebuilds a beam's tokens from a sched.Path
+// (the block-size ablation) names them exactly as the solver does.
+func LineageRuns(path sched.Path) []kvcache.Run {
+	runs := make([]kvcache.Run, 0, len(path.Lineage))
+	for _, ref := range path.Lineage {
+		runs = appendNodeRuns(runs, ref.Node, ref.Tokens)
+	}
+	return runs
+}
+
 // specBranch is one speculative continuation generated for a finished
 // beam during the current iteration (§4.1.1).
 type specBranch struct {

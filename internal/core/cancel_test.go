@@ -151,7 +151,7 @@ func TestCancelLiveSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range l.sessions {
-			if !c.done && c.started {
+			if c.started {
 				live = c
 				break
 			}

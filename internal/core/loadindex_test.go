@@ -44,9 +44,7 @@ func cotConfig(t testing.TB, seed uint64) Config {
 func scanOutstandingWork(l *Loop) float64 {
 	var w float64
 	for _, c := range l.sessions {
-		if !c.done {
-			w += l.s.viewOf(c).RemainingWork
-		}
+		w += l.s.viewOf(c).RemainingWork
 	}
 	for _, q := range l.queue[l.next:] {
 		w += l.s.estimateWork(q.Request)

@@ -98,7 +98,6 @@ type session struct {
 	lastRem float64 // remaining-work estimate as of the last slice (load index term)
 	slices  int
 	width   int // effective search width, resolved at service start
-	done    bool
 
 	// mem is the request's footprint on the device's KV memory plane
 	// (nil when the plane is disabled); penalty is the admission-time
@@ -395,18 +394,12 @@ func (l *Loop) Idle() bool {
 func (l *Loop) Fail() []Request {
 	l.failed = true
 	var out []Request
-	for _, c := range l.sessions {
-		if !c.done {
-			c.done = true
-			l.inFlight--
-			out = append(out, c.req)
-			l.retireSolver(c)
-			if c.mem != nil {
-				l.plane.Finish(c.mem)
-			}
-			if l.obs != nil {
-				l.obs.Emit(obs.Span{Kind: obs.KindWithdraw, Tag: c.req.Tag, Start: l.now, End: l.now, Flag: c.started})
-			}
+	for len(l.sessions) > 0 {
+		c := l.sessions[0]
+		out = append(out, c.req)
+		l.release(c)
+		if l.obs != nil {
+			l.obs.Emit(obs.Span{Kind: obs.KindWithdraw, Tag: c.req.Tag, Start: l.now, End: l.now, Flag: c.started})
 		}
 	}
 	for _, q := range l.queue[l.next:] {
@@ -452,16 +445,8 @@ func (l *Loop) Cancel(tag int) (started, ok bool) {
 		}
 	}
 	for _, c := range l.sessions {
-		if c.req.Tag == tag && !c.done {
-			c.done = true
-			l.inFlight--
-			l.dropSession(c)
-			l.liveWork -= c.lastRem
-			l.reanchorWork()
-			l.retireSolver(c)
-			if c.mem != nil {
-				l.plane.Finish(c.mem)
-			}
+		if c.req.Tag == tag {
+			l.release(c)
 			if l.obs != nil {
 				l.obs.Emit(obs.Span{Kind: obs.KindCancel, Tag: tag, Start: l.now, End: l.now, Flag: c.started})
 			}
@@ -677,17 +662,7 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 			if err != nil {
 				return out, fmt.Errorf("core: serving %s/%d: %w", c.req.Problem.Dataset, c.req.Problem.Index, err)
 			}
-			c.done = true
-			l.inFlight--
-			l.dropSession(c)
-			l.liveWork -= c.lastRem
-			l.reanchorWork()
-			l.retireSolver(c)
-			if c.mem != nil {
-				// Decode state is garbage now; the prompt prefix stays
-				// resident for future admissions to hit.
-				l.plane.Finish(c.mem)
-			}
+			l.release(c)
 			out = append(out, ServedResult{
 				Result:  res,
 				Arrival: c.req.Arrival, Start: c.start, Finish: l.now,
@@ -754,14 +729,21 @@ func (l *Loop) retireSolver(c *session) {
 	}
 }
 
-// dropSession prunes a completed session so the runnable and
-// outstanding-work scans stay proportional to the live population.
-func (l *Loop) dropSession(c *session) {
-	for i, s := range l.sessions {
-		if s == c {
-			l.sessions = append(l.sessions[:i], l.sessions[i+1:]...)
-			return
-		}
+// release ends a live session — finished, cancelled or withdrawn by
+// fail-stop — the one way: it leaves the live list (so the runnable set
+// stays the live population) and the load index, its solver goes on the
+// free list, and its memory-plane decode state is finished while the
+// prompt prefix stays resident for future admissions to hit. The caller
+// reads what it still needs from c (tag, start, slices) after release.
+func (l *Loop) release(c *session) {
+	l.inFlight--
+	i := slices.Index(l.sessions, c)
+	l.sessions = slices.Delete(l.sessions, i, i+1)
+	l.liveWork -= c.lastRem
+	l.reanchorWork()
+	l.retireSolver(c)
+	if c.mem != nil {
+		l.plane.Finish(c.mem)
 	}
 }
 

@@ -139,7 +139,7 @@ func (e *Engine) decode(batch int, ctxTokens int64, rounds int, phase trace.Phas
 				rec.Record(trace.Sample{
 					Start: now, End: now + dt, Phase: phase,
 					Util:  e.GPU.Utilization(flops, dt),
-					Batch: batch, KVBytes: e.Cache.UsedBytes(),
+					Batch: batch,
 				})
 			}
 			now, busy, ctx, mean = now+dt, busy+dt, ctx+b, mean+1
@@ -185,7 +185,7 @@ func (e *Engine) PrefillBatch(items []PrefillItem, phase trace.Phase) float64 {
 		e.Rec.Record(trace.Sample{
 			Start: start, End: start + dt, Phase: phase,
 			Util:  e.GPU.Utilization(flops, dt),
-			Batch: len(items), KVBytes: e.Cache.UsedBytes(),
+			Batch: len(items),
 		})
 	}
 	return dt
@@ -205,7 +205,7 @@ func (e *Engine) SwapTransfer(bytes int64) float64 {
 	if e.Rec != nil {
 		e.Rec.Record(trace.Sample{
 			Start: start, End: start + dt, Phase: trace.PhaseTransfer,
-			Util: 0, Batch: 0, KVBytes: e.Cache.UsedBytes(),
+			Util: 0, Batch: 0,
 		})
 	}
 	return dt

@@ -64,18 +64,6 @@ func PreciseGoodput[P GoodputPath](paths []P) float64 {
 	return tokens / completion
 }
 
-// MeanCompletionTime is the average end-to-end time per completion.
-func MeanCompletionTime(paths []PathResult) float64 {
-	if len(paths) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, p := range paths {
-		total += p.CompletedAt
-	}
-	return total / float64(len(paths))
-}
-
 // Top1Correct implements majority voting over final answers (§6.3):
 // the answer with the most votes wins; ties break toward the answer with
 // the higher summed verifier score. It reports whether the winning

@@ -52,16 +52,6 @@ func TestGoodputStragglerRobust(t *testing.T) {
 	}
 }
 
-func TestMeanCompletionTime(t *testing.T) {
-	paths := []PathResult{{CompletedAt: 10}, {CompletedAt: 30}}
-	if got := MeanCompletionTime(paths); got != 20 {
-		t.Errorf("mean completion = %v", got)
-	}
-	if got := MeanCompletionTime(nil); got != 0 {
-		t.Errorf("empty mean = %v", got)
-	}
-}
-
 func TestTop1MajorityWins(t *testing.T) {
 	paths := []PathResult{
 		{Answer: 0}, {Answer: 0}, {Answer: 0},

@@ -95,7 +95,7 @@ const (
 	// V1 the device, Flag whether the copy had started.
 	KindCancelReq
 	// KindFailDev marks the fleet retiring a failed device: V1 the
-	// device, N the number of requests withdrawn onto the requeue heap.
+	// device, N the number of requests withdrawn onto the requeue FIFO.
 	KindFailDev
 	// KindTick is one control tick: N the routable count, V1 the
 	// observed utilization, V2 the window mean queue delay.

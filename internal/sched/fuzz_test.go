@@ -147,7 +147,7 @@ func TestScratchReuse(t *testing.T) {
 			}
 			wantTries := refPackTries(want, capacity)
 			gotTries := s.PackTries(got, capacity)
-			if !reflect.DeepEqual(gotTries, wantTries) || !reflect.DeepEqual(PackTries(want, capacity), wantTries) {
+			if !reflect.DeepEqual(gotTries, wantTries) || !reflect.DeepEqual(new(Scratch).PackTries(want, capacity), wantTries) {
 				t.Logf("seed %d round %d: tries\n got  %v\n want %v", seed, round, gotTries, wantTries)
 				return false
 			}
@@ -160,7 +160,7 @@ func TestScratchReuse(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
-	if len(PackTries(nil, 10)) != 0 || len(PrefixAwareOrder(nil)) != 0 {
+	if len(new(Scratch).PackTries(nil, 10)) != 0 || len(PrefixAwareOrder(nil)) != 0 {
 		t.Error("empty schedule did not stay empty")
 	}
 }

@@ -17,8 +17,8 @@
 // with a call epoch, so a call neither clears nor allocates anything once
 // the tables have grown to the tree's size. That is why node IDs must be
 // small non-negative integers (a solve numbers its nodes consecutively from
-// zero). The package-level functions of the same names are those methods on
-// a throwaway Scratch, for callers that schedule once.
+// zero). The package-level PrefixAwareOrder is that method on a throwaway
+// Scratch, for callers that schedule once.
 package sched
 
 import (
@@ -202,34 +202,6 @@ func RandomOrder(paths []Path, r *rng.Stream) []Path {
 	return paths
 }
 
-// WorstCaseOrder adversarially minimizes adjacent sharing: repeatedly
-// schedule the unscheduled path with the minimum shared prefix with the
-// previous one. Used as the lower baseline in Fig 18 (left).
-func WorstCaseOrder(paths []Path) []Path {
-	if len(paths) == 0 {
-		return nil
-	}
-	used := make([]bool, len(paths))
-	out := make([]Path, 0, len(paths))
-	out = append(out, paths[0])
-	used[0] = true
-	for len(out) < len(paths) {
-		prev := out[len(out)-1]
-		worstIdx, worstShare := -1, int(^uint(0)>>1)
-		for i, p := range paths {
-			if used[i] {
-				continue
-			}
-			if s := SharedPrefixTokens(prev, p); s < worstShare {
-				worstIdx, worstShare = i, s
-			}
-		}
-		out = append(out, paths[worstIdx])
-		used[worstIdx] = true
-	}
-	return out
-}
-
 // MaxGrowthOrder is the adversarial ordering for KV *growth*: it
 // repeatedly schedules the unscheduled path that adds the most new unique
 // tokens given everything already scheduled (farthest-first traversal).
@@ -282,12 +254,6 @@ type Trie struct {
 // PackTries partitions an ordered schedule into consecutive tries, each
 // fitting capacityTokens of KV memory. A single path larger than the
 // budget gets its own (oversized) trie; the engine streams it.
-func PackTries(ordered []Path, capacityTokens int) []Trie {
-	var s Scratch
-	return s.PackTries(ordered, capacityTokens)
-}
-
-// PackTries packs ordered as the package-level function does.
 func (s *Scratch) PackTries(ordered []Path, capacityTokens int) []Trie {
 	s.tries = s.tries[:0]
 	s.nodes.Clear()

@@ -1,7 +1,7 @@
 // Package trace records per-kernel time series from the simulated engines:
-// compute utilization, batch occupancy, and KV usage over virtual time.
-// It regenerates the paper's Nsight-style utilization plots (Fig 4,
-// Fig 17 left) and the KV occupancy curves (Fig 5 left).
+// compute utilization and batch occupancy over virtual time. It
+// regenerates the paper's Nsight-style utilization plots (Fig 4, Fig 17
+// left).
 //
 // A nil *Recorder is valid and records nothing, so hot paths can call it
 // unconditionally.
@@ -14,7 +14,6 @@ type Phase string
 
 const (
 	PhaseGenerate  Phase = "generate"
-	PhaseSpeculate Phase = "speculate"
 	PhaseVerify    Phase = "verify"
 	PhaseRecompute Phase = "recompute"
 	PhaseTransfer  Phase = "transfer"
@@ -26,7 +25,6 @@ type Sample struct {
 	Phase      Phase
 	Util       float64 // achieved compute utilization in [0,1]
 	Batch      int     // sequences in the batch
-	KVBytes    int64   // cache bytes resident after the kernel
 }
 
 // Recorder accumulates samples.
@@ -85,7 +83,6 @@ func (r *Recorder) Span() (start, end float64) {
 type Point struct {
 	Time float64
 	Util float64
-	KV   int64
 }
 
 // UtilSeries resamples utilization onto a fixed dt grid (time-weighted
@@ -99,8 +96,6 @@ func (r *Recorder) UtilSeries(dt float64, phase Phase) []Point {
 	start, end := r.Span()
 	nBins := int((end-start)/dt) + 1
 	busy := make([]float64, nBins) // Σ util·overlap per bin
-	kv := make([]int64, nBins)     // last KV value seen per bin
-	kvSeen := make([]bool, nBins)
 	samples := append([]Sample(nil), r.Samples...)
 	sort.Slice(samples, func(i, j int) bool { return samples[i].Start < samples[j].Start })
 	for _, s := range samples {
@@ -115,18 +110,12 @@ func (r *Recorder) UtilSeries(dt float64, phase Phase) []Point {
 			ov := overlap(s.Start, s.End, lo, hi)
 			if ov > 0 {
 				busy[b] += s.Util * ov
-				kv[b] = s.KVBytes
-				kvSeen[b] = true
 			}
 		}
 	}
 	out := make([]Point, nBins)
-	var lastKV int64
 	for b := range out {
-		if kvSeen[b] {
-			lastKV = kv[b]
-		}
-		out[b] = Point{Time: start + (float64(b)+0.5)*dt, Util: busy[b] / dt, KV: lastKV}
+		out[b] = Point{Time: start + (float64(b)+0.5)*dt, Util: busy[b] / dt}
 		if out[b].Util > 1 {
 			out[b].Util = 1
 		}

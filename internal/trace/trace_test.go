@@ -46,7 +46,7 @@ func TestSpan(t *testing.T) {
 func TestUtilSeriesConstantKernel(t *testing.T) {
 	r := &Recorder{}
 	// One kernel [0,1) at util 0.6: every bin inside should read 0.6.
-	r.Record(Sample{Start: 0, End: 1, Phase: PhaseGenerate, Util: 0.6, KVBytes: 42})
+	r.Record(Sample{Start: 0, End: 1, Phase: PhaseGenerate, Util: 0.6})
 	pts := r.UtilSeries(0.1, "")
 	if len(pts) == 0 {
 		t.Fatal("no points")
@@ -54,9 +54,6 @@ func TestUtilSeriesConstantKernel(t *testing.T) {
 	for _, p := range pts[:9] {
 		if math.Abs(p.Util-0.6) > 1e-9 {
 			t.Errorf("t=%.2f util=%v, want 0.6", p.Time, p.Util)
-		}
-		if p.KV != 42 {
-			t.Errorf("KV = %d", p.KV)
 		}
 	}
 }

@@ -140,9 +140,6 @@ type Problem struct {
 	wrong        *rng.ZipfTable // Answer's distractor table, shared across a NewDataset
 }
 
-// Spec returns the dataset spec the problem was drawn from.
-func (p *Problem) Spec() DatasetSpec { return p.spec }
-
 // MeanStepTokens is the mean length of one reasoning step in tokens, the
 // mean exp(μ + σ²/2) of the dataset's lognormal step length. NewDataset
 // computes it once per problem; a hand-built Problem computes it per call.
@@ -234,10 +231,9 @@ type VerifierSkill struct {
 }
 
 var (
-	SkillShepherd7B   = VerifierSkill{Name: "Math-Shepherd-Mistral-7B", Noise: 0.13, Rho: 0.70}
-	SkillSkywork1_5B  = VerifierSkill{Name: "Skywork-o1-Open-PRM-1.5B", Noise: 0.18, Rho: 0.65}
-	SkillOracleExact  = VerifierSkill{Name: "oracle", Noise: 0.0, Rho: 0.0}
-	SkillRandomScores = VerifierSkill{Name: "random", Noise: 10.0, Rho: 0.0}
+	SkillShepherd7B  = VerifierSkill{Name: "Math-Shepherd-Mistral-7B", Noise: 0.13, Rho: 0.70}
+	SkillSkywork1_5B = VerifierSkill{Name: "Skywork-o1-Open-PRM-1.5B", Noise: 0.18, Rho: 0.65}
+	SkillOracleExact = VerifierSkill{Name: "oracle", Noise: 0.0, Rho: 0.0}
 )
 
 // PathState is the evolving latent state of one reasoning path. Children
