@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint bench cover scenarios quick-sweep benchmark benchmark-smoke profile-solver profile-observed profile-dispatch profile-kv golden
+.PHONY: all build test test-nofma lint bench cover scenarios quick-sweep benchmark benchmark-smoke profile-solver profile-observed profile-dispatch profile-kv golden
 
 all: build lint test
 
@@ -12,6 +12,12 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# Tier-1 again with the CPU's FMA hidden from the runtime, so amd64's
+# math.Exp takes its other kernel: the goldens and pinned figures must
+# not depend on which one the host has (a CI step).
+test-nofma:
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./...
 
 lint:
 	$(GO) vet ./...

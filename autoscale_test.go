@@ -108,6 +108,13 @@ func TestClusterConfigValidation(t *testing.T) {
 			wantErr: "FailAt is NaN",
 		},
 		{
+			name: "+Inf FailAt",
+			cfg: ClusterConfig{Devices: []DeviceSpec{
+				{Config: Config{NumBeams: 4}}, {Config: Config{NumBeams: 4}, FailAt: math.Inf(1)},
+			}},
+			wantErr: "FailAt is +Inf",
+		},
+		{
 			name: "unknown controller",
 			cfg: ClusterConfig{
 				Devices:   []DeviceSpec{testDeviceSpec("a")},

@@ -7,7 +7,6 @@ import (
 	"fasttts/internal/cluster"
 	"fasttts/internal/control"
 	"fasttts/internal/metrics"
-	"fasttts/internal/sched"
 	"fasttts/internal/search"
 )
 
@@ -39,7 +38,8 @@ type DeviceSpec struct {
 	Slowdown float64
 	// FailAt, when positive, fail-stops the device at that fleet time:
 	// it finishes its in-progress slice, then all its unfinished requests
-	// are requeued to the surviving devices (partial work lost).
+	// are requeued to the surviving devices (partial work lost). NaN and
+	// ±Inf are rejected.
 	FailAt float64
 }
 
@@ -255,8 +255,9 @@ func expandDeviceSpecs(specs []DeviceSpec, kind, defPrefix string, seen map[stri
 			return nil, fmt.Errorf("fasttts: %s %d (%s): KVPlaneBytes must be non-negative, got %d (0 disables the memory plane)",
 				kind, i, describeSpec(spec, i), spec.KVPlaneBytes)
 		}
-		if math.IsNaN(spec.FailAt) {
-			return nil, fmt.Errorf("fasttts: %s %d (%s): FailAt is NaN", kind, i, describeSpec(spec, i))
+		if math.IsNaN(spec.FailAt) || math.IsInf(spec.FailAt, 0) {
+			return nil, fmt.Errorf("fasttts: %s %d (%s): FailAt is %v; it must be finite (0 means never)",
+				kind, i, describeSpec(spec, i), spec.FailAt)
 		}
 		if spec.Name != "" {
 			if seen[spec.Name] {
@@ -276,12 +277,9 @@ func expandDeviceSpecs(specs []DeviceSpec, kind, defPrefix string, seen map[stri
 			if err != nil {
 				return nil, fmt.Errorf("fasttts: %s %d (%s): %w", kind, i, describeSpec(spec, i), err)
 			}
-			pol, err := sched.PolicyByName(spec.Policy)
+			pol, err := servePolicy(spec.Policy, spec.MaxInFlight)
 			if err != nil {
 				return nil, fmt.Errorf("fasttts: %s %d (%s): %w", kind, i, describeSpec(spec, i), err)
-			}
-			if spec.MaxInFlight > 0 {
-				pol = sched.AdmissionLimit{Inner: pol, MaxInFlight: spec.MaxInFlight}
 			}
 			name := spec.Name
 			switch {

@@ -236,6 +236,8 @@ func TestServeCLIRejectsHostileInput(t *testing.T) {
 		{"-n", "-1"},
 		{"-n", "4", "-devices", ","},
 		append(fleet, "-fail", "9:10"),
+		append(fleet, "-fail", "1:inf"),
+		append(fleet, "-strategy", "hedged:"),
 		append(fleet, "-slow", "0:NaN"),
 		{"-n", "4", "-rate", "0"},
 		append(fleet, "-closed"),

@@ -197,9 +197,7 @@ import (
 	"fasttts/internal/core"
 	"fasttts/internal/hw"
 	"fasttts/internal/memplane"
-	"fasttts/internal/model"
 	"fasttts/internal/search"
-	"fasttts/internal/workload"
 )
 
 // Pair names a generator+verifier deployment from the paper (§6.1).
@@ -321,9 +319,9 @@ func buildCoreConfig(c Config) (core.Config, error) {
 	if c.Pair == "" {
 		c.Pair = Pair1_5B1_5B
 	}
-	gen, genSkill, ver, verSkill, err := resolvePair(c.Pair)
-	if err != nil {
-		return core.Config{}, err
+	pair, ok := core.PairByName(string(c.Pair))
+	if !ok {
+		return core.Config{}, fmt.Errorf("fasttts: unknown model pair %q", c.Pair)
 	}
 	if c.Algorithm == "" {
 		c.Algorithm = string(search.BeamSearch)
@@ -337,16 +335,6 @@ func buildCoreConfig(c Config) (core.Config, error) {
 	pol, err := search.New(search.Algorithm(c.Algorithm), c.NumBeams, c.BranchFactor)
 	if err != nil {
 		return core.Config{}, err
-	}
-	if c.MemoryFraction == 0 {
-		if c.Pair == Pair1_5B1_5B && gpu.Name == hw.RTX4090.Name {
-			// The paper's memory-constrained setting: the 1.5B pair is
-			// restricted to 40% of the 4090 (§6.1). Smaller devices are
-			// constrained by their VRAM already.
-			c.MemoryFraction = 0.4
-		} else {
-			c.MemoryFraction = 0.9
-		}
 	}
 	var opts core.Options
 	switch {
@@ -370,19 +358,12 @@ func buildCoreConfig(c Config) (core.Config, error) {
 	if err != nil {
 		return core.Config{}, fmt.Errorf("fasttts: %w", err)
 	}
-	cc := core.Config{
-		GPU:              gpu,
-		Generator:        gen,
-		GenSkill:         genSkill,
-		Verifier:         ver,
-		VerSkill:         verSkill,
-		MemoryFraction:   c.MemoryFraction,
-		KVBudgetOverride: c.KVBudgetBytes,
-		Policy:           pol,
-		Strategy:         strat,
-		Opts:             opts,
-		Seed:             c.Seed,
+	cc := pair.Deploy(gpu)
+	if c.MemoryFraction != 0 {
+		cc.MemoryFraction = c.MemoryFraction
 	}
+	cc.KVBudgetOverride = c.KVBudgetBytes
+	cc.Policy, cc.Strategy, cc.Opts, cc.Seed = pol, strat, opts, c.Seed
 	if c.KVPlaneBytes < 0 {
 		return core.Config{}, fmt.Errorf("fasttts: KVPlaneBytes must be non-negative, got %d (0 disables the memory plane)", c.KVPlaneBytes)
 	}
@@ -398,22 +379,6 @@ func buildCoreConfig(c Config) (core.Config, error) {
 		cc.KVPlane = memplane.Config{CapacityBytes: capacity}
 	}
 	return cc, nil
-}
-
-func resolvePair(p Pair) (gen model.Config, gs workload.GeneratorSkill, ver model.Config, vs workload.VerifierSkill, err error) {
-	switch p {
-	case Pair1_5B1_5B:
-		return model.Qwen25Math1_5B, workload.SkillQwen1_5B,
-			model.SkyworkPRM1_5B, workload.SkillSkywork1_5B, nil
-	case Pair1_5B7B:
-		return model.Qwen25Math1_5B, workload.SkillQwen1_5B,
-			model.ShepherdPRM7B, workload.SkillShepherd7B, nil
-	case Pair7B1_5B:
-		return model.Qwen25Math7B, workload.SkillQwen7B,
-			model.SkyworkPRM1_5B, workload.SkillSkywork1_5B, nil
-	}
-	return model.Config{}, workload.GeneratorSkill{}, model.Config{}, workload.VerifierSkill{},
-		fmt.Errorf("fasttts: unknown model pair %q", p)
 }
 
 // Solve runs the configured search for one problem.

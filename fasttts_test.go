@@ -2,7 +2,11 @@ package fasttts
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"fasttts/internal/core"
+	"fasttts/internal/hw"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -12,6 +16,46 @@ func TestNewDefaults(t *testing.T) {
 	}
 	if sys == nil {
 		t.Fatal("nil system")
+	}
+}
+
+// TestBuildCoreConfigResolvesPairs: every public Pair constant resolves
+// through core.ModelPairs, in paper order, under the table's memory rule
+// unless MemoryFraction pins one; the zero Pair is the first entry.
+func TestBuildCoreConfigResolvesPairs(t *testing.T) {
+	pairs := []Pair{Pair1_5B1_5B, Pair1_5B7B, Pair7B1_5B}
+	if len(pairs) != len(core.ModelPairs) {
+		t.Fatalf("%d public pairs, %d in the table", len(pairs), len(core.ModelPairs))
+	}
+	for i, p := range pairs {
+		want := core.ModelPairs[i]
+		if string(p) != want.Name {
+			t.Errorf("Pair %q is entry %d of the table, named %q", p, i, want.Name)
+		}
+		for _, gpu := range []hw.GPU{hw.RTX4090, hw.RTX4070Ti} {
+			cc, err := buildCoreConfig(Config{GPU: gpu.Name, Pair: p})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", p, gpu.Name, err)
+			}
+			if !reflect.DeepEqual(cc.Generator, want.Generator) || !reflect.DeepEqual(cc.Verifier, want.Verifier) ||
+				cc.GenSkill != want.GenSkill || cc.VerSkill != want.VerSkill {
+				t.Errorf("%s on %s deployed %s + %s, want %s + %s", p, gpu.Name,
+					cc.Generator.Name, cc.Verifier.Name, want.Generator.Name, want.Verifier.Name)
+			}
+			if cc.MemoryFraction != want.MemoryFraction(gpu) {
+				t.Errorf("%s on %s: memory fraction %v, want %v", p, gpu.Name, cc.MemoryFraction, want.MemoryFraction(gpu))
+			}
+		}
+		if cc, err := buildCoreConfig(Config{Pair: p, MemoryFraction: 0.7}); err != nil || cc.MemoryFraction != 0.7 {
+			t.Errorf("%s with MemoryFraction 0.7: %v, %v", p, cc.MemoryFraction, err)
+		}
+	}
+	if cc, err := buildCoreConfig(Config{}); err != nil || cc.Generator.Name != core.ModelPairs[0].Generator.Name ||
+		cc.Verifier.Name != core.ModelPairs[0].Verifier.Name {
+		t.Errorf("zero Pair deployed %s + %s (%v), want the first table entry", cc.Generator.Name, cc.Verifier.Name, err)
+	}
+	if _, err := buildCoreConfig(Config{Pair: "3B+3B"}); err == nil {
+		t.Error("buildCoreConfig accepted an unknown pair")
 	}
 }
 

@@ -32,7 +32,7 @@ func AblationTruncationSweep(o RunOpts) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := pair1515()
+	pc := core.ModelPairs[0]
 	r := &Report{
 		ID:     "a1",
 		Title:  "Goodput vs truncation ratio R (AIME, 1.5B+1.5B, n=128)",
@@ -41,7 +41,7 @@ func AblationTruncationSweep(o RunOpts) (*Report, error) {
 	for _, ratio := range []float64{0, 0.25, 0.5, 0.75, 0.85, 1.0} {
 		opts := core.FastTTSOptions()
 		opts.TruncationRatio = ratio
-		rs, err := solveSet(deployment(hw.RTX4090, pc, pol, opts, o.Seed, nil), workload.AIME24, o)
+		rs, err := solveSet(deployment(hw.RTX4090, pc, pol, opts, o.Seed), workload.AIME24, o)
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +65,7 @@ func AblationSpecBins(o RunOpts) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := pair1515()
+	pc := core.ModelPairs[0]
 	r := &Report{
 		ID:     "a2",
 		Title:  "Speculation utility vs score-bin count (AIME, n=128)",
@@ -74,7 +74,7 @@ func AblationSpecBins(o RunOpts) (*Report, error) {
 	for _, bins := range []int{1, 2, 4, 8} {
 		opts := core.FastTTSOptions()
 		opts.SpecBins = bins
-		rs, err := solveSet(deployment(hw.RTX4090, pc, pol, opts, o.Seed, nil), workload.AIME24, o)
+		rs, err := solveSet(deployment(hw.RTX4090, pc, pol, opts, o.Seed), workload.AIME24, o)
 		if err != nil {
 			return nil, err
 		}
@@ -110,9 +110,9 @@ func AblationQuantization(o RunOpts) (*Report, error) {
 		Header: []string{"quant", "weights_gib", "kv_budget_gib", "goodput_tok_s", "latency_s"},
 	}
 	for _, q := range []model.Quantization{model.FP16, model.INT8, model.INT4} {
-		pc := pair715()
-		pc.gen = pc.gen.WithQuant(q)
-		cfg := deployment(hw.RTX4090, pc, pol, core.FastTTSOptions(), o.Seed, nil)
+		pc := core.ModelPairs[2]
+		pc.Generator = pc.Generator.WithQuant(q)
+		cfg := deployment(hw.RTX4090, pc, pol, core.FastTTSOptions(), o.Seed)
 		budget, err := cfg.KVBudget()
 		if err != nil {
 			return nil, err
@@ -124,7 +124,7 @@ func AblationQuantization(o RunOpts) (*Report, error) {
 		lat, _, _ := meanLatency(rs)
 		r.Rows = append(r.Rows, []string{
 			q.String(),
-			f2(float64(pc.gen.WeightBytes()) / (1 << 30)),
+			f2(float64(pc.Generator.WeightBytes()) / (1 << 30)),
 			f2(float64(budget) / (1 << 30)),
 			f2(meanGoodput(rs)), f1(lat),
 		})
@@ -142,7 +142,7 @@ func AblationSplitRatio(o RunOpts) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := pair157() // 7B verifier: the split matters most here
+	pc := core.ModelPairs[1] // 7B verifier: the split matters most here
 	r := &Report{
 		ID:     "a4",
 		Title:  "Static split ratios vs roofline allocation (1.5B+7B, AIME, n=128)",
@@ -152,13 +152,13 @@ func AblationSplitRatio(o RunOpts) (*Report, error) {
 		opts := core.FastTTSOptions()
 		opts.AsymmetricMemory = false
 		opts.StaticVerifierFrac = frac
-		rs, err := solveSet(deployment(hw.RTX4090, pc, pol, opts, o.Seed, nil), workload.AIME24, o)
+		rs, err := solveSet(deployment(hw.RTX4090, pc, pol, opts, o.Seed), workload.AIME24, o)
 		if err != nil {
 			return nil, err
 		}
 		r.Rows = append(r.Rows, []string{fmt.Sprintf("static %.0f%% verifier", frac*100), f2(meanGoodput(rs))})
 	}
-	rs, err := solveSet(deployment(hw.RTX4090, pc, pol, core.FastTTSOptions(), o.Seed, nil), workload.AIME24, o)
+	rs, err := solveSet(deployment(hw.RTX4090, pc, pol, core.FastTTSOptions(), o.Seed), workload.AIME24, o)
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ func ExtServingLoad(o RunOpts) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := pair1515()
+	pc := core.ModelPairs[0]
 	ds := workload.NewDataset(workload.AMC23, rngFor(o.Seed))
 	probs := ds.Subset(max(o.Problems, 6))
 	r := &Report{
@@ -83,7 +83,7 @@ func ExtServingLoad(o RunOpts) (*Report, error) {
 			{"baseline", core.BaselineOptions()},
 			{"fasttts", core.FastTTSOptions()},
 		} {
-			srv, err := core.NewServer(deployment(hw.RTX4090, pc, pol, sys.opts, o.Seed, nil))
+			srv, err := core.NewServer(deployment(hw.RTX4090, pc, pol, sys.opts, o.Seed))
 			if err != nil {
 				return nil, err
 			}
@@ -123,7 +123,7 @@ func ExtMCTSComparison(o RunOpts) (*Report, error) {
 	if o.Problems < 12 {
 		o.Problems = 12
 	}
-	pc := pair1515()
+	pc := core.ModelPairs[0]
 	r := &Report{
 		ID:     "a6",
 		Title:  "MCTS vs the beam-search family (AIME, n=64, FastTTS serving)",
@@ -134,7 +134,7 @@ func ExtMCTSComparison(o RunOpts) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rs, err := solveSet(deployment(hw.RTX4090, pc, pol, core.FastTTSOptions(), o.Seed, nil), workload.AIME24, o)
+		rs, err := solveSet(deployment(hw.RTX4090, pc, pol, core.FastTTSOptions(), o.Seed), workload.AIME24, o)
 		if err != nil {
 			return nil, err
 		}

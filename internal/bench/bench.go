@@ -14,9 +14,7 @@ import (
 	"fasttts/internal/core"
 	"fasttts/internal/hw"
 	"fasttts/internal/metrics"
-	"fasttts/internal/model"
 	"fasttts/internal/search"
-	"fasttts/internal/trace"
 	"fasttts/internal/workload"
 )
 
@@ -138,61 +136,30 @@ func ByID(id string) (Figure, error) {
 
 // --- shared deployment plumbing ---
 
-// pairConfig is one of the paper's generator+verifier deployments (§6.1).
-type pairConfig struct {
-	name     string
-	gen      model.Config
-	genSkill workload.GeneratorSkill
-	ver      model.Config
-	verSkill workload.VerifierSkill
-	memFrac  float64
+// deployment builds a core.Config for one experiment cell: the pair on
+// g under the paper's memory rule (core.ModelPair.Deploy).
+func deployment(g hw.GPU, pc core.ModelPair, pol search.Policy, opts core.Options, seed uint64) core.Config {
+	cfg := pc.Deploy(g)
+	cfg.Policy, cfg.Opts, cfg.Seed = pol, opts, seed
+	return cfg
 }
 
-func pair1515() pairConfig {
-	return pairConfig{
-		name: "1.5B+1.5B",
-		gen:  model.Qwen25Math1_5B, genSkill: workload.SkillQwen1_5B,
-		ver: model.SkyworkPRM1_5B, verSkill: workload.SkillSkywork1_5B,
-		memFrac: 0.4,
+// versus solves one cell of a baseline-vs-FastTTS figure: the deployment
+// cfg under the vLLM baseline's options, then under FastTTS's. Of cfg's
+// own options only AllowOffload carries into both runs.
+func versus(cfg core.Config, spec workload.DatasetSpec, o RunOpts) (base, fast []*core.Result, err error) {
+	offload := cfg.Opts.AllowOffload
+	cfg.Opts = core.BaselineOptions()
+	cfg.Opts.AllowOffload = offload
+	if base, err = solveSet(cfg, spec, o); err != nil {
+		return nil, nil, err
 	}
-}
-
-func pair157() pairConfig {
-	return pairConfig{
-		name: "1.5B+7B",
-		gen:  model.Qwen25Math1_5B, genSkill: workload.SkillQwen1_5B,
-		ver: model.ShepherdPRM7B, verSkill: workload.SkillShepherd7B,
-		memFrac: 0.9,
+	cfg.Opts = core.FastTTSOptions()
+	cfg.Opts.AllowOffload = offload
+	if fast, err = solveSet(cfg, spec, o); err != nil {
+		return nil, nil, err
 	}
-}
-
-func pair715() pairConfig {
-	return pairConfig{
-		name: "7B+1.5B",
-		gen:  model.Qwen25Math7B, genSkill: workload.SkillQwen7B,
-		ver: model.SkyworkPRM1_5B, verSkill: workload.SkillSkywork1_5B,
-		memFrac: 0.9,
-	}
-}
-
-func allPairs() []pairConfig {
-	return []pairConfig{pair1515(), pair157(), pair715()}
-}
-
-// deployment builds a core.Config for one experiment cell.
-func deployment(g hw.GPU, pc pairConfig, pol search.Policy, opts core.Options, seed uint64, rec *trace.Recorder) core.Config {
-	return core.Config{
-		GPU:            g,
-		Generator:      pc.gen,
-		GenSkill:       pc.genSkill,
-		Verifier:       pc.ver,
-		VerSkill:       pc.verSkill,
-		MemoryFraction: pc.memFrac,
-		Policy:         pol,
-		Opts:           opts,
-		Recorder:       rec,
-		Seed:           seed,
-	}
+	return base, fast, nil
 }
 
 // solveSet solves the first opts.Problems problems of a dataset under the

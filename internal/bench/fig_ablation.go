@@ -46,7 +46,7 @@ func Fig16Ablation(o RunOpts) (*Report, error) {
 		Title:  "Cumulative goodput gain from P, M, S (AIME)",
 		Header: []string{"config", "n", "variant", "goodput_tok_s", "gain_vs_baseline_pct"},
 	}
-	for _, pc := range allPairs() {
+	for _, pc := range core.ModelPairs {
 		for _, n := range nSweep(o.MaxN, 8, 32, 128, 512) {
 			pol, err := search.New(search.BeamSearch, n, 4)
 			if err != nil {
@@ -54,7 +54,7 @@ func Fig16Ablation(o RunOpts) (*Report, error) {
 			}
 			baseGP := 0.0
 			for _, step := range ablationLadder() {
-				rs, err := solveSet(deployment(hw.RTX4090, pc, pol, step.opts, o.Seed, nil), workload.AIME24, o)
+				rs, err := solveSet(deployment(hw.RTX4090, pc, pol, step.opts, o.Seed), workload.AIME24, o)
 				if err != nil {
 					return nil, err
 				}
@@ -63,7 +63,7 @@ func Fig16Ablation(o RunOpts) (*Report, error) {
 					baseGP = gp
 				}
 				r.Rows = append(r.Rows, []string{
-					pc.name, itoa(n), step.name, f2(gp), f1(100 * (gp/baseGP - 1)),
+					pc.Name, itoa(n), step.name, f2(gp), f1(100 * (gp/baseGP - 1)),
 				})
 			}
 		}
@@ -82,7 +82,7 @@ func Fig17LeftUtil(o RunOpts) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := pair1515()
+	pc := core.ModelPairs[0]
 	r := &Report{
 		ID:     "17l",
 		Title:  "Compute utilization within the generation phase (n=64, AIME)",
@@ -96,7 +96,8 @@ func Fig17LeftUtil(o RunOpts) (*Report, error) {
 		{"FastTTS", core.FastTTSOptions()},
 	} {
 		rec := &trace.Recorder{}
-		cfg := deployment(hw.RTX4090, pc, pol, sys.opts, o.Seed, rec)
+		cfg := deployment(hw.RTX4090, pc, pol, sys.opts, o.Seed)
+		cfg.Recorder = rec
 		runner, err := core.NewRunner(cfg)
 		if err != nil {
 			return nil, err
@@ -163,7 +164,7 @@ func Fig17RightTruncation(o RunOpts) (*Report, error) {
 		Title:  "Truncation ratio R vs goodput (1.5B+1.5B)",
 		Header: []string{"dataset", "n", "baseline", "fasttts_R0.00", "fasttts_R0.85"},
 	}
-	pc := pair1515()
+	pc := core.ModelPairs[0]
 	for _, spec := range []workload.DatasetSpec{workload.AIME24, workload.AMC23} {
 		for _, n := range nSweep(o.MaxN, 64, 128, 256, 512) {
 			pol, err := search.New(search.BeamSearch, n, 4)
@@ -171,7 +172,7 @@ func Fig17RightTruncation(o RunOpts) (*Report, error) {
 				return nil, err
 			}
 			run := func(opts core.Options) (float64, error) {
-				rs, err := solveSet(deployment(hw.RTX4090, pc, pol, opts, o.Seed, nil), spec, o)
+				rs, err := solveSet(deployment(hw.RTX4090, pc, pol, opts, o.Seed), spec, o)
 				if err != nil {
 					return 0, err
 				}
@@ -261,7 +262,7 @@ func Fig18RightMemoryGain(o RunOpts) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := pair1515()
+	pc := core.ModelPairs[0]
 	r := &Report{
 		ID:     "18r",
 		Title:  "Goodput gain vs available KV memory (AIME, 1.5B+1.5B)",
@@ -281,7 +282,7 @@ func Fig18RightMemoryGain(o RunOpts) (*Report, error) {
 	for _, gib := range []float64{1.5, 2, 4, 14} {
 		budget := int64(gib * (1 << 30))
 		run := func(opts core.Options) (float64, error) {
-			cfg := deployment(hw.RTX4090, pc, pol, opts, o.Seed, nil)
+			cfg := deployment(hw.RTX4090, pc, pol, opts, o.Seed)
 			cfg.KVBudgetOverride = budget
 			rs, err := solveSet(cfg, workload.AIME24, o)
 			if err != nil {

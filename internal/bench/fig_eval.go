@@ -67,7 +67,7 @@ func Fig11SearchVariants(o RunOpts) (*Report, error) {
 		Title:  "Goodput across search variants, AIME, 1.5B+1.5B",
 		Header: []string{"method", "n", "baseline_tok_s", "fasttts_tok_s", "speedup"},
 	}
-	pc := pair1515()
+	pc := core.ModelPairs[0]
 	for _, alg := range []search.Algorithm{
 		search.BeamSearch, search.DVTS, search.DynamicBranching, search.VaryingGranularity,
 	} {
@@ -76,11 +76,7 @@ func Fig11SearchVariants(o RunOpts) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			base, err := solveSet(deployment(hw.RTX4090, pc, pol, core.BaselineOptions(), o.Seed, nil), workload.AIME24, o)
-			if err != nil {
-				return nil, err
-			}
-			fast, err := solveSet(deployment(hw.RTX4090, pc, pol, core.FastTTSOptions(), o.Seed, nil), workload.AIME24, o)
+			base, fast, err := versus(deployment(hw.RTX4090, pc, pol, core.Options{}, o.Seed), workload.AIME24, o)
 			if err != nil {
 				return nil, err
 			}
@@ -104,23 +100,19 @@ func Fig12Goodput(o RunOpts) (*Report, error) {
 	}
 	var speedups []float64
 	for _, spec := range []workload.DatasetSpec{workload.AIME24, workload.AMC23} {
-		for _, pc := range allPairs() {
+		for _, pc := range core.ModelPairs {
 			for _, n := range nSweep(o.MaxN, 8, 32, 128, 512) {
 				pol, err := search.New(search.BeamSearch, n, 4)
 				if err != nil {
 					return nil, err
 				}
-				base, err := solveSet(deployment(hw.RTX4090, pc, pol, core.BaselineOptions(), o.Seed, nil), spec, o)
-				if err != nil {
-					return nil, err
-				}
-				fast, err := solveSet(deployment(hw.RTX4090, pc, pol, core.FastTTSOptions(), o.Seed, nil), spec, o)
+				base, fast, err := versus(deployment(hw.RTX4090, pc, pol, core.Options{}, o.Seed), spec, o)
 				if err != nil {
 					return nil, err
 				}
 				bg, fg := meanGoodput(base), meanGoodput(fast)
 				speedups = append(speedups, fg/bg)
-				r.Rows = append(r.Rows, []string{spec.Name, pc.name, itoa(n), f2(bg), f2(fg), f2(fg / bg)})
+				r.Rows = append(r.Rows, []string{spec.Name, pc.Name, itoa(n), f2(bg), f2(fg), f2(fg / bg)})
 			}
 		}
 	}
@@ -142,17 +134,13 @@ func Fig13Latency(o RunOpts) (*Report, error) {
 	}
 	var cuts, verCuts, genCuts []float64
 	for _, spec := range []workload.DatasetSpec{workload.AIME24, workload.AMC23} {
-		for _, pc := range allPairs() {
+		for _, pc := range core.ModelPairs {
 			for _, n := range nSweep(o.MaxN, 8, 16, 32, 64, 128, 256, 512) {
 				pol, err := search.New(search.BeamSearch, n, 4)
 				if err != nil {
 					return nil, err
 				}
-				base, err := solveSet(deployment(hw.RTX4090, pc, pol, core.BaselineOptions(), o.Seed, nil), spec, o)
-				if err != nil {
-					return nil, err
-				}
-				fast, err := solveSet(deployment(hw.RTX4090, pc, pol, core.FastTTSOptions(), o.Seed, nil), spec, o)
+				base, fast, err := versus(deployment(hw.RTX4090, pc, pol, core.Options{}, o.Seed), spec, o)
 				if err != nil {
 					return nil, err
 				}
@@ -167,7 +155,7 @@ func Fig13Latency(o RunOpts) (*Report, error) {
 					genCuts = append(genCuts, 100*(1-fgen/bgen))
 				}
 				r.Rows = append(r.Rows, []string{
-					spec.Name, pc.name, itoa(n),
+					spec.Name, pc.Name, itoa(n),
 					f1(bt), f1(bgen), f1(bver),
 					f1(ft), f1(fgen), f1(fver), f1(cut),
 				})
@@ -195,31 +183,23 @@ func Fig14aTop1(o RunOpts) (*Report, error) {
 		Header: []string{"dataset", "config", "baseline_acc_pct", "fasttts_acc_pct"},
 	}
 	for _, spec := range []workload.DatasetSpec{workload.AIME24, workload.AMC23} {
-		for _, pc := range allPairs() {
+		for _, pc := range core.ModelPairs {
 			pol, err := search.New(search.BeamSearch, n, 4)
 			if err != nil {
 				return nil, err
 			}
-			accOf := func(opts core.Options) (float64, error) {
-				rs, err := solveSet(deployment(hw.RTX4090, pc, pol, opts, o.Seed, nil), spec, o)
-				if err != nil {
-					return 0, err
-				}
+			base, fast, err := versus(deployment(hw.RTX4090, pc, pol, core.Options{}, o.Seed), spec, o)
+			if err != nil {
+				return nil, err
+			}
+			accOf := func(rs []*core.Result) float64 {
 				var oks []bool
 				for _, res := range rs {
-					oks = append(oks, metrics.Top1Correct(res.PathResults()))
+					oks = append(oks, topCorrect(res))
 				}
-				return metrics.Accuracy(oks), nil
+				return accuracy(oks)
 			}
-			ba, err := accOf(core.BaselineOptions())
-			if err != nil {
-				return nil, err
-			}
-			fa, err := accOf(core.FastTTSOptions())
-			if err != nil {
-				return nil, err
-			}
-			r.Rows = append(r.Rows, []string{spec.Name, pc.name, f1(ba), f1(fa)})
+			r.Rows = append(r.Rows, []string{spec.Name, pc.Name, f1(accOf(base)), f1(accOf(fast))})
 		}
 	}
 	r.Notes = append(r.Notes,
@@ -240,18 +220,14 @@ func Fig14bPassN(o RunOpts) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := pair1515()
+	pc := core.ModelPairs[0]
 	r := &Report{
 		ID:     "14b",
 		Title:  fmt.Sprintf("Pass@N accuracy (beam width %d, 1.5B+1.5B)", width),
 		Header: []string{"dataset", "N", "baseline_pct", "fasttts_pct"},
 	}
 	for _, spec := range []workload.DatasetSpec{workload.AIME24, workload.AMC23} {
-		base, err := solveSet(deployment(hw.RTX4090, pc, pol, core.BaselineOptions(), o.Seed, nil), spec, o)
-		if err != nil {
-			return nil, err
-		}
-		fast, err := solveSet(deployment(hw.RTX4090, pc, pol, core.FastTTSOptions(), o.Seed, nil), spec, o)
+		base, fast, err := versus(deployment(hw.RTX4090, pc, pol, core.Options{}, o.Seed), spec, o)
 		if err != nil {
 			return nil, err
 		}
@@ -281,41 +257,29 @@ func Fig15ConstrainedHW(o RunOpts) (*Report, error) {
 		Title:  "Constrained hardware and coding workloads",
 		Header: []string{"panel", "n", "baseline_tok_s", "fasttts_tok_s", "speedup"},
 	}
+	// The 8 GB 3070 Ti offloads, reserves less workspace, and may use
+	// 95% of its VRAM; the other panels follow the pair's memory rule.
 	panels := []struct {
 		name    string
 		gpu     hw.GPU
 		spec    workload.DatasetSpec
 		offload bool
-		memFrac float64
 	}{
-		{"AIME(3070Ti)", hw.RTX3070Ti, workload.AIME24, true, 0.95},
-		{"AIME(4070Ti)", hw.RTX4070Ti, workload.AIME24, false, 0.9},
-		{"HumanEval(4090)", hw.RTX4090, workload.HumanEval, false, 0.4},
+		{"AIME(3070Ti)", hw.RTX3070Ti, workload.AIME24, true},
+		{"AIME(4070Ti)", hw.RTX4070Ti, workload.AIME24, false},
+		{"HumanEval(4090)", hw.RTX4090, workload.HumanEval, false},
 	}
 	for _, panel := range panels {
-		pc := pair1515()
-		pc.memFrac = panel.memFrac
 		for _, n := range nSweep(min(256, o.MaxN), 8, 16, 32, 64, 128, 256) {
 			pol, err := search.New(search.BeamSearch, n, 4)
 			if err != nil {
 				return nil, err
 			}
-			baseOpts := core.BaselineOptions()
-			fastOpts := core.FastTTSOptions()
-			baseOpts.AllowOffload = panel.offload
-			fastOpts.AllowOffload = panel.offload
-			mkCfg := func(opts core.Options) core.Config {
-				cfg := deployment(panel.gpu, pc, pol, opts, o.Seed, nil)
-				if panel.offload {
-					cfg.ReservedBytes = 256 << 20
-				}
-				return cfg
+			cfg := deployment(panel.gpu, core.ModelPairs[0], pol, core.Options{AllowOffload: panel.offload}, o.Seed)
+			if panel.offload {
+				cfg.MemoryFraction, cfg.ReservedBytes = 0.95, 256<<20
 			}
-			base, err := solveSet(mkCfg(baseOpts), panel.spec, o)
-			if err != nil {
-				return nil, err
-			}
-			fast, err := solveSet(mkCfg(fastOpts), panel.spec, o)
+			base, fast, err := versus(cfg, panel.spec, o)
 			if err != nil {
 				return nil, err
 			}

@@ -52,24 +52,23 @@ func Fig1bLatencyFrontier(o RunOpts) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := pair1515()
 	r := &Report{
 		ID:     "1b",
 		Title:  "Edge TTS latency vs cloud first-answer latency (AIME, beam search)",
 		Header: []string{"system", "latency_s", "vs_cloud"},
 	}
+	base, fast, err := versus(deployment(hw.RTX4090, core.ModelPairs[0], pol, core.Options{}, o.Seed), workload.AIME24, o)
+	if err != nil {
+		return nil, err
+	}
 	for _, sys := range []struct {
 		name string
-		opts core.Options
+		rs   []*core.Result
 	}{
-		{"vLLM baseline (edge)", core.BaselineOptions()},
-		{"FastTTS (edge)", core.FastTTSOptions()},
+		{"vLLM baseline (edge)", base},
+		{"FastTTS (edge)", fast},
 	} {
-		rs, err := solveSet(deployment(hw.RTX4090, pc, pol, sys.opts, o.Seed, nil), workload.AIME24, o)
-		if err != nil {
-			return nil, err
-		}
-		lat, _, _ := meanLatency(rs)
+		lat, _, _ := meanLatency(sys.rs)
 		r.Rows = append(r.Rows, []string{sys.name, f1(lat), f2(lat / cloudLatency)})
 	}
 	r.Rows = append(r.Rows, []string{"cloud thinking model (reference)", f1(cloudLatency), "1.00"})

@@ -23,7 +23,7 @@ func Fig3LeftAccuracyLatency(o RunOpts) (*Report, error) {
 	if o.Problems < 60 {
 		o.Problems = 60 // accuracy needs a reasonable sample
 	}
-	pc := pair1515()
+	pc := core.ModelPairs[0]
 	r := &Report{
 		ID:     "3l",
 		Title:  "Accuracy vs latency, MATH500, 1.5B+1.5B, n=64",
@@ -34,7 +34,7 @@ func Fig3LeftAccuracyLatency(o RunOpts) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rs, err := solveSet(deployment(hw.RTX4090, pc, pol, core.BaselineOptions(), o.Seed, nil), workload.MATH500, o)
+		rs, err := solveSet(deployment(hw.RTX4090, pc, pol, core.BaselineOptions(), o.Seed), workload.MATH500, o)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +93,8 @@ func Fig4UtilPhases(o RunOpts) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := deployment(hw.RTX4090, pair1515(), pol, core.BaselineOptions(), o.Seed, rec)
+	cfg := deployment(hw.RTX4090, core.ModelPairs[0], pol, core.BaselineOptions(), o.Seed)
+	cfg.Recorder = rec
 	runner, err := core.NewRunner(cfg)
 	if err != nil {
 		return nil, err

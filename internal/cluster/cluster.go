@@ -61,7 +61,7 @@ type Device struct {
 	// FailAt, when positive, fail-stops the device at that fleet time:
 	// it finishes its in-progress slice, then every unfinished request is
 	// requeued to the surviving devices and the device serves nothing
-	// further.
+	// further. It must be finite: New rejects NaN and ±Inf.
 	FailAt float64
 }
 
@@ -92,8 +92,8 @@ type Config struct {
 	// device's solver, deadline early-terminates requests whose SLO is
 	// blown mid-solve, and hedged replicates every fresh arrival to a
 	// second device and cancels the loser the instant the first copy
-	// completes. nil (the default) disables strategies — behavior is
-	// bit-identical to pre-strategy builds.
+	// completes. The zero value (the default) disables strategies —
+	// behavior is bit-identical to pre-strategy builds.
 	Strategy search.Strategy
 	// Obs, when non-nil, attaches the request-lifecycle span flight
 	// recorder fleet-wide: every device's loop emits lifecycle spans
@@ -235,12 +235,15 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Router == nil {
 		cfg.Router = &RoundRobin{}
 	}
-	if cfg.Strategy != nil && cfg.Strategy.Hedged() && len(cfg.Devices) < 2 {
+	if cfg.Strategy.Hedged() && len(cfg.Devices) < 2 {
 		return nil, fmt.Errorf("cluster: hedged strategy needs at least 2 devices to replicate across, got %d",
 			len(cfg.Devices))
 	}
 	srvs := make([]*core.Server, len(cfg.Devices))
 	for i, d := range cfg.Devices {
+		if math.IsNaN(d.FailAt) || math.IsInf(d.FailAt, 0) {
+			return nil, fmt.Errorf("cluster: device %d: FailAt is %v; it must be finite (<= 0 means never)", i, d.FailAt)
+		}
 		srv, err := core.NewServerWithPolicy(d.Config, d.Policy)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: device %d: %w", i, err)
@@ -389,7 +392,7 @@ type hedgePair struct {
 
 // hedging reports whether this run replicates fresh arrivals.
 func (r *run) hedging() bool {
-	return r.f.cfg.Strategy != nil && r.f.cfg.Strategy.Hedged()
+	return r.f.cfg.Strategy.Hedged()
 }
 
 // hedgeOrig resolves a (possibly twin) tag to its original client tag
@@ -416,7 +419,7 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 				"cluster: duplicate request tag %d: tags identify requests across failure requeues and must be unique (tag by stream index)",
 				rq.Tag)
 		}
-		if rq.Tag < 0 && f.cfg.Strategy != nil && f.cfg.Strategy.Hedged() {
+		if rq.Tag < 0 && f.cfg.Strategy.Hedged() {
 			return nil, fmt.Errorf(
 				"cluster: hedged strategy reserves negative tags for twin copies; request tag %d must be >= 0",
 				rq.Tag)
@@ -923,13 +926,13 @@ func lessOutstanding(a, b *DeviceView) bool {
 // derives the request's deadline from the fleet SLO, measured from the
 // original submission so a requeued request's deadline does not reset.
 func (r *run) applyStrategy(rq *core.Request, di int) {
-	if st := r.f.cfg.Strategy; st != nil {
+	if st := r.f.cfg.Strategy; st.On() {
 		rq.Strategy = st
 	}
 	if r.el != nil {
 		r.el.budget(rq, r.devs[di])
 	}
-	if st := rq.Strategy; st != nil && st.CutAtDeadline() && rq.Deadline == 0 && r.f.cfg.SLOLatency > 0 {
+	if rq.Strategy.CutAtDeadline() && rq.Deadline == 0 && r.f.cfg.SLOLatency > 0 {
 		rq.Deadline = r.origArrival[rq.Tag] + r.f.cfg.SLOLatency
 	}
 }

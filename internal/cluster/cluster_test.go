@@ -411,6 +411,12 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(Config{Devices: []Device{{Config: bad}}}); err == nil {
 		t.Error("New accepted an invalid device config")
 	}
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := Device{Config: devConfig(t, hw.RTX4090, 8, 42), FailAt: at}
+		if _, err := New(Config{Devices: []Device{d}}); err == nil {
+			t.Errorf("New accepted FailAt %v", at)
+		}
+	}
 }
 
 // streamingTestRun serves the metrics-mode test stream on the

@@ -193,9 +193,7 @@ func (el *elastic) budget(rq *core.Request, d *device) {
 		return
 	}
 	rq.Width = search.DegradedWidth(d.spec.Config.Policy.Width(), el.tier)
-	if ds := search.DegradedStrategy(rq.Strategy, el.tier); ds != nil {
-		rq.Strategy = ds
-	}
+	rq.Strategy = search.DegradedStrategy(rq.Strategy, el.tier)
 }
 
 // routableStats counts the fleet populations the controller observes.

@@ -140,7 +140,7 @@ func TestTraceHedgedValidAndUnperturbed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return Config{Devices: equivFleet(t), Router: rt, Seed: 3, Strategy: search.Hedged{}}
+			return Config{Devices: equivFleet(t), Router: rt, Seed: 3, Strategy: search.Hedged()}
 		}
 		spans := traceUnperturbed(t, router+"/hedged", mk, reqs)
 		hedges := 0
@@ -242,7 +242,7 @@ func TestTraceLifecycleProperty(t *testing.T) {
 			}
 			cfg := Config{Devices: devices, Router: router, Seed: 3}
 			if tc.Hedge {
-				cfg.Strategy = search.Hedged{}
+				cfg.Strategy = search.Hedged()
 			}
 			return cfg
 		}

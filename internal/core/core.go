@@ -104,8 +104,9 @@ type Config struct {
 	KVPlane memplane.Config
 	Policy  search.Policy
 	// Strategy is the test-time-compute strategy the solver honors
-	// (first-finish early termination, deadline cuts). nil runs the full
-	// beam — the legacy semantics, bit-identical to pre-strategy builds.
+	// (first-finish early termination, deadline cuts). The zero value runs
+	// the full beam — the legacy semantics, bit-identical to pre-strategy
+	// builds.
 	Strategy search.Strategy
 	Opts     Options
 	Recorder *trace.Recorder

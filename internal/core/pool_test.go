@@ -88,13 +88,13 @@ func playMixedStream(t *testing.T, cfg Config, pol sched.ServePolicy, defeat boo
 		{Problem: probs[0], Arrival: 0, Tag: 0},
 		{Problem: probs[1], Arrival: 0.4, Tag: 1}, // lands mid-slice: preempts speculation
 		{Problem: probs[2], Arrival: 1, Tag: 2, Width: 4},
-		{Problem: probs[3], Arrival: 1.5, Tag: 3, Strategy: search.FirstFinish{K: 2}},
-		{Problem: probs[4], Arrival: 2, Tag: 4, Strategy: search.DeadlineCut{}, Deadline: 2.5},
+		{Problem: probs[3], Arrival: 1.5, Tag: 3, Strategy: search.FirstFinish(2)},
+		{Problem: probs[4], Arrival: 2, Tag: 4, Strategy: search.DeadlineCut(), Deadline: 2.5},
 		{Problem: probs[5], Arrival: 2.5, Tag: cancelTag},
 		{Problem: probs[6], Arrival: 3, Tag: 6},
 		{Problem: probs[7], Arrival: 3, Tag: 7, Priority: 2},
 		{Problem: probs[8], Arrival: 400, Tag: 8}, // the device idles first
-		{Problem: probs[9], Arrival: 400, Tag: 9, Width: 4, Strategy: search.FirstFinish{K: 1}},
+		{Problem: probs[9], Arrival: 400, Tag: 9, Width: 4, Strategy: search.FirstFinish(1)},
 		{Problem: probs[10], Arrival: 401, Tag: 10},
 		{Problem: probs[11], Arrival: 900, Tag: 11},
 	}
@@ -176,8 +176,8 @@ func TestPooledLoopMatchesRunnerSolve(t *testing.T) {
 				reqs = append(reqs, Request{Problem: p, Arrival: 1000 * float64(i), Tag: i})
 			}
 			reqs[2].Width = 4
-			reqs[3].Strategy = search.FirstFinish{K: 2}
-			reqs[5].Width, reqs[5].Strategy = 4, search.FirstFinish{K: 1}
+			reqs[3].Strategy = search.FirstFinish(2)
+			reqs[5].Width, reqs[5].Strategy = 4, search.FirstFinish(1)
 			served := runServer(t, tc.cfg, tc.pol, reqs)
 			if len(served) != len(reqs) {
 				t.Fatalf("served %d of %d", len(served), len(reqs))

@@ -19,7 +19,7 @@ import (
 // still reachable through it.
 func vacatedSlotsClear(l *Loop) bool {
 	for _, q := range l.queue[len(l.queue):cap(l.queue)] {
-		if q.Problem != nil || q.Strategy != nil {
+		if q.Problem != nil || q.Strategy.On() {
 			return false
 		}
 	}

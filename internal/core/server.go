@@ -36,10 +36,11 @@ type Request struct {
 	// load; both the admission-time demand estimate
 	// (sched.EstimateDemand) and the solver the request runs on honor it.
 	Width int
-	// Strategy, when non-nil, overrides the deployment's configured
-	// test-time-compute strategy for this request. The elastic control
-	// plane's budget governor sets it per request under load (the third
-	// vertical knob beside Width); nil inherits Config.Strategy.
+	// Strategy, when on (not the zero value), overrides the deployment's
+	// configured test-time-compute strategy for this request. The elastic
+	// control plane's budget governor sets it per request under load (the
+	// third vertical knob beside Width); the zero value inherits
+	// Config.Strategy.
 	Strategy search.Strategy
 }
 
@@ -652,7 +653,7 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 		// slice granularity — the slice that crossed the deadline completes
 		// first, mirroring how fail-stop and preemption are observed.
 		if !c.solver.done() && c.req.Deadline > 0 && l.now >= c.req.Deadline {
-			if st := l.s.effectiveStrategy(c.req); st != nil && st.CutAtDeadline() {
+			if l.s.effectiveStrategy(c.req).CutAtDeadline() {
 				c.solver.cutDeadline()
 			}
 		}
@@ -801,9 +802,9 @@ func (s *Server) estimateWork(rq Request) float64 {
 
 // effectiveStrategy resolves a request's test-time-compute strategy:
 // the per-request override when one is set, else the deployment's
-// configured strategy (nil means full-beam legacy semantics).
+// configured strategy (the zero value means full-beam legacy semantics).
 func (s *Server) effectiveStrategy(rq Request) search.Strategy {
-	if rq.Strategy != nil {
+	if rq.Strategy.On() {
 		return rq.Strategy
 	}
 	return s.cfg.Strategy

@@ -209,14 +209,12 @@ func (s *solver) init(cfg Config, p *workload.Problem) error {
 	// The strategy's launch cap (first-finish's k chains) narrows the
 	// policy exactly like the elastic governor's width knob, so algorithm
 	// invariants (n >= b) hold by construction.
-	if cfg.Strategy != nil {
-		if w := cfg.Strategy.ChainWidth(cfg.Policy.Width()); w != cfg.Policy.Width() {
-			pol, err := search.WithWidth(cfg.Policy, w)
-			if err != nil {
-				return err
-			}
-			cfg.Policy = pol
+	if w := cfg.Strategy.ChainWidth(cfg.Policy.Width()); w != cfg.Policy.Width() {
+		pol, err := search.WithWidth(cfg.Policy, w)
+		if err != nil {
+			return err
 		}
+		cfg.Policy = pol
 	}
 	*s = solver{
 		cfg:      cfg,
@@ -335,14 +333,7 @@ func (s *solver) done() bool {
 	if len(s.active) == 0 || s.iter >= s.maxIters {
 		return true
 	}
-	return s.strategySatisfied()
-}
-
-// strategySatisfied reports whether the configured strategy allows
-// stopping with beams still active.
-func (s *solver) strategySatisfied() bool {
-	return s.cfg.Strategy != nil && len(s.finished) > 0 &&
-		s.cfg.Strategy.Satisfied(len(s.finished), len(s.active))
+	return s.cfg.Strategy.Satisfied(len(s.finished))
 }
 
 // cutDeadline finalizes the search early at a deadline cut: the serving
@@ -386,7 +377,7 @@ func (s *solver) abandon() {
 // strategy terminated early are abandoned, not errors.
 func (s *solver) result() (*Result, error) {
 	if len(s.active) > 0 {
-		if !s.strategySatisfied() {
+		if !s.cfg.Strategy.Satisfied(len(s.finished)) {
 			return nil, fmt.Errorf("core: search did not converge after %d iterations", s.maxIters)
 		}
 		s.abandon()

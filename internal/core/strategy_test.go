@@ -17,7 +17,7 @@ func TestFirstFinishTerminatesEarly(t *testing.T) {
 
 	full := solveOne(t, testConfig(t, pol, FastTTSOptions()), p)
 	cfg := testConfig(t, pol, FastTTSOptions())
-	cfg.Strategy = search.FirstFinish{}
+	cfg.Strategy = search.FirstFinish(0)
 	ff := solveOne(t, cfg, p)
 
 	if ff.Abandoned == 0 {
@@ -42,7 +42,7 @@ func TestFirstFinishTerminatesEarly(t *testing.T) {
 func TestFirstFinishChainCap(t *testing.T) {
 	pol, _ := search.New(search.BeamSearch, 16, 4)
 	cfg := testConfig(t, pol, FastTTSOptions())
-	cfg.Strategy = search.FirstFinish{K: 4}
+	cfg.Strategy = search.FirstFinish(4)
 	s, err := newSolver(cfg, aimeProblem(t, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -53,13 +53,13 @@ func TestFirstFinishChainCap(t *testing.T) {
 }
 
 // TestFullBeamStrategyIsIdentity: an explicit full-beam strategy must
-// reproduce the nil-strategy (legacy) run bit-identically.
+// reproduce the strategies-off (legacy) run bit-identically.
 func TestFullBeamStrategyIsIdentity(t *testing.T) {
 	pol, _ := search.New(search.BeamSearch, 16, 4)
 	p := aimeProblem(t, 1)
 	legacy := solveOne(t, testConfig(t, pol, FastTTSOptions()), p)
 	cfg := testConfig(t, pol, FastTTSOptions())
-	cfg.Strategy = search.FullBeam{}
+	cfg.Strategy = search.FullBeam()
 	explicit := solveOne(t, cfg, p)
 	if legacy.Latency != explicit.Latency || legacy.TokensDecoded != explicit.TokensDecoded ||
 		len(legacy.Finished) != len(explicit.Finished) {
@@ -87,7 +87,7 @@ func TestDeadlineStrategyCutsMidSolve(t *testing.T) {
 	}
 
 	cut := testConfig(t, pol, FastTTSOptions())
-	cut.Strategy = search.DeadlineCut{}
+	cut.Strategy = search.DeadlineCut()
 	srv2, err := NewServer(cut)
 	if err != nil {
 		t.Fatal(err)

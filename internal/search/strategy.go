@@ -27,136 +27,136 @@ import (
 	"strings"
 )
 
-// Strategy is one test-time-compute strategy. Implementations are
-// immutable values shared across requests.
-type Strategy interface {
-	// Name is the CLI/config name ("full-beam", "first-finish", ...);
-	// parameterized strategies render their parameters ("first-finish:4").
-	Name() string
-	// Satisfied reports whether the search may stop early with the given
-	// finished-path and active-beam counts. The solver consults it after
-	// every selection round; full-beam always answers false (normal
-	// termination only).
-	Satisfied(finished, active int) bool
-	// ChainWidth maps the configured search width to the width this
-	// strategy actually launches (first-finish caps it at k chains).
-	ChainWidth(base int) int
-	// CutAtDeadline reports whether the serving loop should finalize the
-	// solve early once the request's deadline passes mid-flight.
-	CutAtDeadline() bool
-	// Hedged reports whether the fleet should replicate the request to a
-	// second device and cancel the loser on first completion. Outside a
-	// fleet (single-server target) a hedged strategy degrades to
-	// full-beam solver semantics.
-	Hedged() bool
+// Strategy is one test-time-compute strategy: a small comparable value.
+// The zero value means strategies are off — the full beam runs, and the
+// budget governor never swaps in first-finish — so every hook on it
+// answers exactly as full-beam does; only On and Name tell the two
+// apart.
+type Strategy struct {
+	kind strategyKind
+	k    int // first-finish chain cap; 0 launches the policy's width
 }
 
-// FullBeam is the default strategy: run the policy's beam to normal
-// termination. It reproduces the pre-strategy semantics bit-identically.
-type FullBeam struct{}
+type strategyKind uint8
 
-func (FullBeam) Name() string            { return "full-beam" }
-func (FullBeam) Satisfied(_, _ int) bool { return false }
-func (FullBeam) ChainWidth(base int) int { return base }
-func (FullBeam) CutAtDeadline() bool     { return false }
-func (FullBeam) Hedged() bool            { return false }
+const (
+	strategiesOff strategyKind = iota
+	fullBeam
+	firstFinish
+	deadlineCut
+	hedged
+)
 
-// FirstFinish launches K parallel chains and returns on the first
-// completed one. K == 0 launches the policy's configured width; K > 0
-// caps the launch width at K.
-type FirstFinish struct{ K int }
-
-func (s FirstFinish) Name() string {
-	if s.K > 0 {
-		return "first-finish:" + strconv.Itoa(s.K)
-	}
-	return "first-finish"
+// strategyNames is indexed by kind; the off kind has no name.
+var strategyNames = [...]string{
+	fullBeam:    "full-beam",
+	firstFinish: "first-finish",
+	deadlineCut: "deadline",
+	hedged:      "hedged",
 }
-func (s FirstFinish) Satisfied(finished, _ int) bool { return finished >= 1 }
-func (s FirstFinish) ChainWidth(base int) int {
-	if s.K > 0 && s.K < base {
-		return s.K
-	}
-	return base
-}
-func (FirstFinish) CutAtDeadline() bool { return false }
-func (FirstFinish) Hedged() bool        { return false }
+
+// FullBeam runs the policy's beam to normal termination. It reproduces
+// the pre-strategy semantics bit-identically.
+func FullBeam() Strategy { return Strategy{kind: fullBeam} }
+
+// FirstFinish returns on the first completed chain. k > 0 caps the
+// launch width at k chains; k <= 0 launches the policy's width.
+func FirstFinish(k int) Strategy { return Strategy{kind: firstFinish, k: max(k, 0)} }
 
 // DeadlineCut runs the full beam but finalizes early when the request's
 // deadline passes mid-solve, returning the best path found so far (a
 // degraded answer if nothing finished).
-type DeadlineCut struct{}
-
-func (DeadlineCut) Name() string            { return "deadline" }
-func (DeadlineCut) Satisfied(_, _ int) bool { return false }
-func (DeadlineCut) ChainWidth(base int) int { return base }
-func (DeadlineCut) CutAtDeadline() bool     { return true }
-func (DeadlineCut) Hedged() bool            { return false }
+func DeadlineCut() Strategy { return Strategy{kind: deadlineCut} }
 
 // Hedged replicates the request to a second device and cancels the
 // loser on first completion. The solver-level semantics are full-beam;
 // the replication and cancellation live in the fleet layer.
-type Hedged struct{}
+func Hedged() Strategy { return Strategy{kind: hedged} }
 
-func (Hedged) Name() string            { return "hedged" }
-func (Hedged) Satisfied(_, _ int) bool { return false }
-func (Hedged) ChainWidth(base int) int { return base }
-func (Hedged) CutAtDeadline() bool     { return false }
-func (Hedged) Hedged() bool            { return true }
+// On reports whether strategies are enabled (s is not the zero value).
+func (s Strategy) On() bool { return s.kind != strategiesOff }
 
-// ParseStrategy resolves a strategy from its CLI/config spec: "" (nil —
-// strategies off, the legacy path), "full-beam", "first-finish",
-// "first-finish:k" (k >= 1 chains), "deadline", or "hedged". It returns
-// an error — never panics — on unknown names or invalid parameters.
+// Name is the CLI/config name ("full-beam", "first-finish:4", ...); ""
+// for the zero value. ParseStrategy(s.Name()) == s.
+func (s Strategy) Name() string {
+	if s.kind == firstFinish && s.k > 0 {
+		return "first-finish:" + strconv.Itoa(s.k)
+	}
+	return strategyNames[s.kind]
+}
+
+// Satisfied reports whether the search may stop early with the given
+// finished-path count. The solver consults it after every selection
+// round; only first-finish ever answers true.
+func (s Strategy) Satisfied(finished int) bool {
+	return s.kind == firstFinish && finished >= 1
+}
+
+// ChainWidth maps the configured search width to the width this
+// strategy actually launches (first-finish:k caps it at k chains).
+func (s Strategy) ChainWidth(base int) int {
+	if s.kind == firstFinish && s.k > 0 && s.k < base {
+		return s.k
+	}
+	return base
+}
+
+// CutAtDeadline reports whether the serving loop should finalize the
+// solve early once the request's deadline passes mid-flight.
+func (s Strategy) CutAtDeadline() bool { return s.kind == deadlineCut }
+
+// Hedged reports whether the fleet should replicate the request to a
+// second device and cancel the loser on first completion. Outside a
+// fleet (single-server target) a hedged strategy degrades to full-beam
+// solver semantics.
+func (s Strategy) Hedged() bool { return s.kind == hedged }
+
+// ParseStrategy resolves a strategy from its CLI/config spec: "" (the
+// zero value — strategies off, the legacy path), "full-beam",
+// "first-finish", "first-finish:k" (k >= 1 chains), "deadline", or
+// "hedged". It returns an error — never panics — on unknown names,
+// empty or invalid parameters.
 func ParseStrategy(spec string) (Strategy, error) {
-	name, arg := spec, ""
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		name, arg = spec[:i], spec[i+1:]
-	}
+	name, arg, hasArg := strings.Cut(spec, ":")
 	name = strings.ToLower(strings.TrimSpace(name))
-	if arg != "" && name != "first-finish" {
-		return nil, fmt.Errorf("search: strategy %q takes no parameter (got %q)", name, arg)
+	arg = strings.TrimSpace(arg)
+	if hasArg && arg == "" {
+		return Strategy{}, fmt.Errorf("search: strategy %q has an empty parameter", spec)
 	}
-	switch name {
-	case "":
-		return nil, nil
-	case "full-beam":
-		return FullBeam{}, nil
-	case "first-finish":
-		if arg == "" {
-			return FirstFinish{}, nil
-		}
-		k, err := strconv.Atoi(strings.TrimSpace(arg))
+	if hasArg && name != "first-finish" {
+		return Strategy{}, fmt.Errorf("search: strategy %q takes no parameter (got %q)", name, arg)
+	}
+	if hasArg {
+		k, err := strconv.Atoi(arg)
 		if err != nil {
-			return nil, fmt.Errorf("search: first-finish chain count %q is not an integer", arg)
+			return Strategy{}, fmt.Errorf("search: first-finish chain count %q is not an integer", arg)
 		}
 		if k < 1 {
-			return nil, fmt.Errorf("search: first-finish needs k >= 1 chains, got %d", k)
+			return Strategy{}, fmt.Errorf("search: first-finish needs k >= 1 chains, got %d", k)
 		}
-		return FirstFinish{K: k}, nil
-	case "deadline":
-		return DeadlineCut{}, nil
-	case "hedged":
-		return Hedged{}, nil
+		return FirstFinish(k), nil
 	}
-	return nil, fmt.Errorf("search: unknown strategy %q (want %s)", spec, strings.Join(StrategyNames(), ", "))
+	for kind, n := range strategyNames {
+		if n == name {
+			return Strategy{kind: strategyKind(kind)}, nil
+		}
+	}
+	return Strategy{}, fmt.Errorf("search: unknown strategy %q (want %s)", spec, strings.Join(StrategyNames(), ", "))
 }
 
 // StrategyNames lists the built-in strategy names in display order.
-func StrategyNames() []string {
-	return []string{"full-beam", "first-finish", "deadline", "hedged"}
-}
+func StrategyNames() []string { return append([]string(nil), strategyNames[fullBeam:]...) }
 
 // DegradedStrategy maps a compute-budget tier to the strategy the fleet's
 // vertical governor actuates: tier 0 keeps the deployment's configured
 // strategy, and any deeper tier swaps it for first-finish — stop at the
 // first completed chain, the cheapest way to keep answering under load.
-// The knob is gated on strategies being enabled: with no base strategy
-// configured (nil) every tier returns nil, so deployments that never
+// The knob is gated on strategies being enabled: with strategies off
+// (the zero value) every tier keeps them off, so deployments that never
 // opted into strategies reproduce their pre-strategy runs bit-identically.
 func DegradedStrategy(base Strategy, tier int) Strategy {
-	if base == nil || tier <= 0 {
-		return nil
+	if !base.On() || tier <= 0 {
+		return base
 	}
-	return FirstFinish{}
+	return FirstFinish(0)
 }

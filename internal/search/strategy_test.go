@@ -5,28 +5,36 @@ import (
 	"testing"
 )
 
+// strategyCases is the ParseStrategy table; FuzzParseStrategy seeds its
+// corpus with the same specs.
+var strategyCases = []struct {
+	spec    string
+	want    string // expected Name(); "" means the zero value (strategies off)
+	wantErr string // substring of the expected error; "" means success
+}{
+	{spec: "", want: ""},
+	{spec: "full-beam", want: "full-beam"},
+	{spec: "FULL-BEAM", want: "full-beam"},
+	{spec: " first-finish ", want: "first-finish"},
+	{spec: "first-finish:4", want: "first-finish:4"},
+	{spec: "first-finish:1", want: "first-finish:1"},
+	{spec: "deadline", want: "deadline"},
+	{spec: "hedged", want: "hedged"},
+	{spec: "first-finish:0", wantErr: "k >= 1"},
+	{spec: "first-finish:-3", wantErr: "k >= 1"},
+	{spec: "first-finish:x", wantErr: "not an integer"},
+	{spec: "hedged:2", wantErr: "takes no parameter"},
+	{spec: "deadline:5", wantErr: "takes no parameter"},
+	{spec: "hedged:", wantErr: "empty parameter"},
+	{spec: "deadline:", wantErr: "empty parameter"},
+	{spec: "first-finish:", wantErr: "empty parameter"},
+	{spec: "first-finish: ", wantErr: "empty parameter"},
+	{spec: ":", wantErr: "empty parameter"},
+	{spec: "warp-speed", wantErr: "unknown strategy"},
+}
+
 func TestParseStrategy(t *testing.T) {
-	cases := []struct {
-		spec    string
-		want    string // expected Name(); "" means nil strategy
-		wantErr string // substring of the expected error; "" means success
-	}{
-		{spec: "", want: ""},
-		{spec: "full-beam", want: "full-beam"},
-		{spec: "FULL-BEAM", want: "full-beam"},
-		{spec: " first-finish ", want: "first-finish"},
-		{spec: "first-finish:4", want: "first-finish:4"},
-		{spec: "first-finish:1", want: "first-finish:1"},
-		{spec: "deadline", want: "deadline"},
-		{spec: "hedged", want: "hedged"},
-		{spec: "first-finish:0", wantErr: "k >= 1"},
-		{spec: "first-finish:-3", wantErr: "k >= 1"},
-		{spec: "first-finish:x", wantErr: "not an integer"},
-		{spec: "hedged:2", wantErr: "takes no parameter"},
-		{spec: "deadline:5", wantErr: "takes no parameter"},
-		{spec: "warp-speed", wantErr: "unknown strategy"},
-	}
-	for _, c := range cases {
+	for _, c := range strategyCases {
 		s, err := ParseStrategy(c.spec)
 		if c.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
@@ -38,47 +46,67 @@ func TestParseStrategy(t *testing.T) {
 			t.Errorf("ParseStrategy(%q): %v", c.spec, err)
 			continue
 		}
-		if c.want == "" {
-			if s != nil {
-				t.Errorf("ParseStrategy(%q) = %v, want nil (strategies off)", c.spec, s)
-			}
-			continue
-		}
-		if s == nil || s.Name() != c.want {
-			t.Errorf("ParseStrategy(%q) = %v, want %q", c.spec, s, c.want)
+		if s.On() != (c.want != "") || s.Name() != c.want {
+			t.Errorf("ParseStrategy(%q) = %q (on %v), want %q", c.spec, s.Name(), s.On(), c.want)
 		}
 	}
 }
 
-func TestStrategyHooks(t *testing.T) {
-	if (FullBeam{}).Satisfied(3, 1) || (FullBeam{}).CutAtDeadline() || (FullBeam{}).Hedged() {
-		t.Error("full-beam must never stop early, cut, or hedge")
+// FuzzParseStrategy: parsing never panics, and an accepted spec
+// re-parses from its canonical Name to an equal value.
+func FuzzParseStrategy(f *testing.F) {
+	for _, c := range strategyCases {
+		f.Add(c.spec)
 	}
-	if (FullBeam{}).ChainWidth(8) != 8 {
-		t.Error("full-beam must keep the configured width")
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseStrategy(spec)
+		if err != nil {
+			if s != (Strategy{}) {
+				t.Errorf("ParseStrategy(%q) failed but returned %q", spec, s.Name())
+			}
+			return
+		}
+		again, err := ParseStrategy(s.Name())
+		if err != nil || again != s {
+			t.Errorf("ParseStrategy(%q) = %q, which re-parses to (%q, %v)", spec, s.Name(), again.Name(), err)
+		}
+	})
+}
+
+func TestStrategyHooks(t *testing.T) {
+	for _, s := range []Strategy{{}, FullBeam()} {
+		if s.Satisfied(3) || s.CutAtDeadline() || s.Hedged() {
+			t.Errorf("%q must never stop early, cut, or hedge", s.Name())
+		}
+		if s.ChainWidth(8) != 8 {
+			t.Errorf("%q must keep the configured width", s.Name())
+		}
+	}
+	if (Strategy{}).On() || !FullBeam().On() {
+		t.Error("only the zero value is off")
 	}
 
-	ff := FirstFinish{}
-	if ff.Satisfied(0, 4) {
+	ff := FirstFinish(0)
+	if ff.Satisfied(0) {
 		t.Error("first-finish with no finished path must not be satisfied")
 	}
-	if !ff.Satisfied(1, 7) {
+	if !ff.Satisfied(1) {
 		t.Error("first-finish must stop on the first finished path")
 	}
 	if ff.ChainWidth(8) != 8 {
-		t.Error("first-finish with K=0 must launch the configured width")
+		t.Error("first-finish with k=0 must launch the configured width")
 	}
-	if (FirstFinish{K: 4}).ChainWidth(8) != 4 {
+	if FirstFinish(4).ChainWidth(8) != 4 {
 		t.Error("first-finish:4 must cap the launch width at 4 chains")
 	}
-	if (FirstFinish{K: 16}).ChainWidth(8) != 8 {
+	if FirstFinish(16).ChainWidth(8) != 8 {
 		t.Error("first-finish must never widen the search beyond the policy")
 	}
 
-	if !(DeadlineCut{}).CutAtDeadline() || (DeadlineCut{}).Hedged() {
+	if !DeadlineCut().CutAtDeadline() || DeadlineCut().Hedged() {
 		t.Error("deadline must cut at the deadline and not hedge")
 	}
-	if !(Hedged{}).Hedged() || (Hedged{}).Satisfied(1, 1) || (Hedged{}).CutAtDeadline() {
+	if !Hedged().Hedged() || Hedged().Satisfied(1) || Hedged().CutAtDeadline() {
 		t.Error("hedged must replicate at the fleet level with full-beam solver semantics")
 	}
 }
@@ -96,16 +124,16 @@ func TestStrategyNamesRoundTrip(t *testing.T) {
 }
 
 func TestDegradedStrategy(t *testing.T) {
-	if DegradedStrategy(nil, 2) != nil {
+	if DegradedStrategy(Strategy{}, 2).On() {
 		t.Error("the strategy knob must stay off when no base strategy is configured")
 	}
-	if DegradedStrategy(FullBeam{}, 0) != nil {
-		t.Error("tier 0 must restore the configured strategy (no override)")
+	if got := DegradedStrategy(Hedged(), 0); got != Hedged() {
+		t.Errorf("tier 0 must keep the configured strategy, got %q", got.Name())
 	}
-	if got := DegradedStrategy(FullBeam{}, 1); got == nil || got.Name() != "first-finish" {
-		t.Errorf("tier 1 must degrade to first-finish, got %v", got)
+	if got := DegradedStrategy(FullBeam(), 1); got != FirstFinish(0) {
+		t.Errorf("tier 1 must degrade to first-finish, got %q", got.Name())
 	}
-	if got := DegradedStrategy(Hedged{}, 2); got == nil || got.Name() != "first-finish" {
-		t.Errorf("deep tiers must degrade hedging to first-finish, got %v", got)
+	if got := DegradedStrategy(Hedged(), 2); got != FirstFinish(0) {
+		t.Errorf("deep tiers must degrade hedging to first-finish, got %q", got.Name())
 	}
 }

@@ -115,18 +115,25 @@ func NewServerWith(sc ServeConfig) (*Server, error) {
 		return nil, err
 	}
 	cc.Obs = sc.Trace.rec()
-	pol, err := sched.PolicyByName(sc.Policy)
+	pol, err := servePolicy(sc.Policy, sc.MaxInFlight)
 	if err != nil {
 		return nil, err
-	}
-	if sc.MaxInFlight > 0 {
-		pol = sched.AdmissionLimit{Inner: pol, MaxInFlight: sc.MaxInFlight}
 	}
 	srv, err := core.NewServerWithPolicy(cc, pol)
 	if err != nil {
 		return nil, err
 	}
 	return &Server{inner: srv, slo: sc.SLOLatency}, nil
+}
+
+// servePolicy builds one device's serving policy: the named discipline,
+// behind an admission limit when maxInFlight is positive.
+func servePolicy(name string, maxInFlight int) (sched.ServePolicy, error) {
+	pol, err := sched.PolicyByName(name)
+	if err != nil || maxInFlight <= 0 {
+		return pol, err
+	}
+	return sched.AdmissionLimit{Inner: pol, MaxInFlight: maxInFlight}, nil
 }
 
 // checkSLO rejects a NaN or infinite SLOLatency: every comparison with
