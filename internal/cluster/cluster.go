@@ -270,30 +270,33 @@ type device struct {
 	spec     Device
 	loop     *core.Loop
 	speed    float64
-	alive    bool                  // has not fail-stopped
-	failedAt float64               // fail-stop time (alive == false)
-	joinAt   float64               // fleet time the device became routable (0 for founding members)
-	warming  bool                  // created from the warm pool, warm-up delay not yet elapsed
-	dynamic  bool                  // instantiated from the warm pool by the controller
-	draining bool                  // control plane is draining it: no new routes
-	drained  bool                  // drain finished: all accepted work served
-	drainAt  float64               // drain decision time
-	drainEnd float64               // drain completion time (last accepted work finished)
-	lastBusy float64               // busy-time snapshot at the previous control tick
-	prefixes map[string]prefixMark // prompt-prefix directory of the radix cache
+	alive    bool         // has not fail-stopped
+	failedAt float64      // fail-stop time (alive == false)
+	joinAt   float64      // fleet time the device became routable (0 for founding members)
+	warming  bool         // created from the warm pool, warm-up delay not yet elapsed
+	dynamic  bool         // instantiated from the warm pool by the controller
+	draining bool         // control plane is draining it: no new routes
+	drained  bool         // drain finished: all accepted work served
+	drainAt  float64      // drain decision time
+	drainEnd float64      // drain completion time (last accepted work finished)
+	lastBusy float64      // busy-time snapshot at the previous control tick
+	prefixes []prefixMark // prompt-prefix directory of the radix cache, by prompt id
 	acct     map[int]prefixAcct
 	served   int
 	tokens   int64
 }
 
-// prefixMark is one prompt-prefix directory entry. A miss marks its key
-// optimistically at routing (concurrent repeats of the prompt should
-// route as hits) with pending set and its own tag; the mark is confirmed
-// (pending cleared) once that request prefilled, and refunded (the key
-// removed) when it never did. Only a miss holds a pending mark, so only a
-// miss reads it back.
+// prefixMark is one prompt-prefix directory entry, indexed by the run's
+// prompt id (run.prompts) and grown on demand, so the zero value is an
+// unmarked prompt. A miss marks its prompt optimistically at routing
+// (concurrent repeats of the prompt should route as hits) with pending
+// set and its own tag; the mark is confirmed (pending cleared) once that
+// request prefilled, and refunded (reset to the zero value) when it
+// never did. Only a miss holds a pending mark, so only a miss reads it
+// back.
 type prefixMark struct {
 	tag     int
+	marked  bool
 	pending bool
 }
 
@@ -303,15 +306,23 @@ type prefixMark struct {
 // device's own acct map; a fail-stop strands its entries harmlessly,
 // since a failed device never settles.
 type prefixAcct struct {
-	key    string
+	prompt int
 	tokens int64
 	hit    bool
 }
 
-// pendingReq is one request awaiting routing.
+// pendingReq is one request awaiting routing, with its prompt id.
 type pendingReq struct {
 	req      core.Request
 	requeues int
+	prompt   int
+}
+
+// displacement is the record of a request fail-stops displaced: its
+// first submission time and how many fail-stops displaced it.
+type displacement struct {
+	arrival float64
+	count   int
 }
 
 // run is the mutable state of one fleet event loop: the device set (which
@@ -329,12 +340,19 @@ type run struct {
 	// their only producer: it stamps each with its fail-stop time, and
 	// fail-stops apply in (time, device) order, so the FIFO is already
 	// sorted by arrival, ties in requeue order.
-	stream      []pendingReq
-	sp          int
-	requeued    []pendingReq
-	rp          int
-	origArrival map[int]float64 // request tag -> submission time
-	requeues    map[int]int     // request tag -> displacement count
+	stream   []pendingReq
+	sp       int
+	requeued []pendingReq
+	rp       int
+	// prompts numbers the stream's distinct prompt prefixes (Problem.Key)
+	// 0, 1, ... in first-submission order: the index of every device's
+	// prefix directory. newRun assigns each request its id once, and a
+	// failure requeue looks it up again.
+	prompts map[string]int
+	// displaced holds the requests a fail-stop displaced, by tag — the
+	// only requests whose first submission time differs from the arrival
+	// they carry (see submitted). failDevice is its only writer.
+	displaced map[int]displacement
 
 	fails []failEvent
 	fp    int
@@ -412,13 +430,9 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 	}
 
 	stream := make([]pendingReq, len(reqs))
-	origArrival := make(map[int]float64, len(reqs))
+	tags := make([]int, len(reqs))
+	prompts := make(map[string]int)
 	for i, rq := range reqs {
-		if _, dup := origArrival[rq.Tag]; dup {
-			return nil, fmt.Errorf(
-				"cluster: duplicate request tag %d: tags identify requests across failure requeues and must be unique (tag by stream index)",
-				rq.Tag)
-		}
 		if rq.Tag < 0 && f.cfg.Strategy.Hedged() {
 			return nil, fmt.Errorf(
 				"cluster: hedged strategy reserves negative tags for twin copies; request tag %d must be >= 0",
@@ -427,20 +441,34 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 		if math.IsNaN(rq.Arrival) || math.IsInf(rq.Arrival, 0) {
 			return nil, fmt.Errorf("cluster: request tag %d has non-finite arrival time %v", rq.Tag, rq.Arrival)
 		}
-		stream[i] = pendingReq{req: rq}
-		origArrival[rq.Tag] = rq.Arrival
+		id, ok := prompts[rq.Problem.Key()]
+		if !ok {
+			id = len(prompts)
+			prompts[rq.Problem.Key()] = id
+		}
+		stream[i] = pendingReq{req: rq, prompt: id}
+		tags[i] = rq.Tag
+	}
+	// Sorted, a repeated tag sits next to its twin: no map entry per request.
+	slices.Sort(tags)
+	for i := 1; i < len(tags); i++ {
+		if tags[i] == tags[i-1] {
+			return nil, fmt.Errorf(
+				"cluster: duplicate request tag %d: tags identify requests across failure requeues and must be unique (tag by stream index)",
+				tags[i])
+		}
 	}
 	sort.SliceStable(stream, func(i, j int) bool { return stream[i].req.Arrival < stream[j].req.Arrival })
 
 	r := &run{
-		f:           f,
-		devs:        devs,
-		out:         &Outcome{Metrics: f.cfg.Metrics, Results: make([]Result, 0, len(reqs))},
-		stream:      stream,
-		origArrival: origArrival,
-		requeues:    make(map[int]int),
-		fails:       failSchedule(devs),
-		routeRand:   rng.New(f.cfg.Seed).Child("cluster/router"),
+		f:         f,
+		devs:      devs,
+		out:       &Outcome{Metrics: f.cfg.Metrics, Results: make([]Result, 0, len(reqs))},
+		stream:    stream,
+		prompts:   prompts,
+		displaced: make(map[int]displacement),
+		fails:     failSchedule(devs),
+		routeRand: rng.New(f.cfg.Seed).Child("cluster/router"),
 	}
 	if wa, ok := f.cfg.Router.(WorkAware); ok {
 		r.needWork = wa.NeedsOutstandingWork()
@@ -484,13 +512,12 @@ func newDevice(spec Device, srv *core.Server, joinAt float64) *device {
 	loop := srv.NewLoop(nil)
 	loop.SetScale(slow)
 	return &device{
-		spec:     spec,
-		loop:     loop,
-		speed:    spec.Config.GPU.MemBW * spec.Config.GPU.MemEff / slow,
-		alive:    true,
-		joinAt:   joinAt,
-		prefixes: make(map[string]prefixMark),
-		acct:     make(map[int]prefixAcct),
+		spec:   spec,
+		loop:   loop,
+		speed:  spec.Config.GPU.MemBW * spec.Config.GPU.MemEff / slow,
+		alive:  true,
+		joinAt: joinAt,
+		acct:   make(map[int]prefixAcct),
 	}
 }
 
@@ -501,8 +528,10 @@ func (r *run) streamFirst() bool {
 }
 
 // nextArrival peeks the earliest pending arrival's time (the event loop
-// reads only the time, so no request is copied); popArrival removes and
-// returns that arrival.
+// reads only the time, so no request is copied); popArrival removes that
+// arrival and returns it in place, so routing copies no pendingReq. The
+// pointer stays valid until failDevice next appends a requeue, which
+// routing the arrival never does.
 func (r *run) nextArrival() (float64, bool) {
 	switch {
 	case r.streamFirst():
@@ -513,15 +542,13 @@ func (r *run) nextArrival() (float64, bool) {
 	return 0, false
 }
 
-func (r *run) popArrival() pendingReq {
+func (r *run) popArrival() *pendingReq {
 	if r.streamFirst() {
-		pr := r.stream[r.sp]
 		r.sp++
-		return pr
+		return &r.stream[r.sp-1]
 	}
-	pr := r.requeued[r.rp]
 	r.rp++
-	return pr
+	return &r.requeued[r.rp-1]
 }
 
 // settlePrefix resolves request tag's deferred prefix accounting on
@@ -545,11 +572,11 @@ func (r *run) settlePrefix(d *device, tag int, served, prefilled bool) {
 	if a.hit {
 		return
 	}
-	if m := d.prefixes[a.key]; m.pending && m.tag == tag {
+	if m := &d.prefixes[a.prompt]; m.pending && m.tag == tag {
 		if prefilled {
-			d.prefixes[a.key] = prefixMark{} // residency confirmed
+			m.pending = false // residency confirmed
 		} else {
-			delete(d.prefixes, a.key)
+			*m = prefixMark{}
 		}
 	}
 }
@@ -564,19 +591,30 @@ func (d *device) noteDrained() {
 	}
 }
 
+// submitted returns a request's first submission time and how many
+// fail-stops displaced it, given the arrival it carries now: a request
+// never displaced still carries its submission time.
+func (r *run) submitted(tag int, arrival float64) (float64, int) {
+	if dp, ok := r.displaced[tag]; ok {
+		return dp.arrival, dp.count
+	}
+	return arrival, 0
+}
+
 // buildResult turns one device completion into a fleet Result. A
 // requeued request keeps its original submission time in the
 // client-facing telemetry: the wait on its failed device still
 // happened.
 func (r *run) buildResult(sv core.ServedResult, dev int) Result {
-	if rq := r.requeues[sv.Tag]; rq > 0 {
-		sv.Arrival = r.origArrival[sv.Tag]
+	at, requeues := r.submitted(sv.Tag, sv.Arrival)
+	if requeues > 0 {
+		sv.Arrival = at
 		if !sv.Rejected {
 			sv.QueueDelay = sv.Start - sv.Arrival
 			sv.WallLatency = sv.Finish - sv.Arrival
 		}
 	}
-	return Result{ServedResult: sv, Device: dev, Requeues: r.requeues[sv.Tag]}
+	return Result{ServedResult: sv, Device: dev, Requeues: requeues}
 }
 
 // refreshView is O(1) — O(log devices) with the least-work index — and
@@ -790,10 +828,15 @@ func (r *run) failDevice(ft float64, fi int) {
 			}
 			rq.Tag = orig
 		}
+		dp, ok := r.displaced[rq.Tag]
+		if !ok {
+			dp.arrival = rq.Arrival // the first displacement: still its submission
+		}
+		dp.count++
+		r.displaced[rq.Tag] = dp
 		rq.Arrival = ft
-		r.requeues[rq.Tag]++
 		r.out.Requeues++
-		r.requeued = append(r.requeued, pendingReq{req: rq, requeues: r.requeues[rq.Tag]})
+		r.requeued = append(r.requeued, pendingReq{req: rq, requeues: dp.count, prompt: r.prompts[rq.Problem.Key()]})
 		requeued++
 		if r.ctl != nil {
 			r.ctl.Emit(obs.Span{Kind: obs.KindRequeue, Tag: rq.Tag, Start: ft, End: ft, V1: float64(fi)})
@@ -825,16 +868,17 @@ func (r *run) dropHedgedCopy(orig, slot int) bool {
 }
 
 // routeArrival routes one pending request at its arrival instant.
-func (r *run) routeArrival(pr pendingReq) error {
+func (r *run) routeArrival(pr *pendingReq) error {
 	at := pr.req.Arrival
 	if len(r.vs) == 0 {
 		// Lost capacity: no routable device (all failed or drained). Shed
 		// the request at this instant, reported against its original
 		// submission time. (Any stale acct entry for a requeued request
 		// is stranded on its failed device and never settles.)
+		submitted, _ := r.submitted(pr.req.Tag, at)
 		res := Result{
 			ServedResult: core.ServedResult{
-				Arrival: r.origArrival[pr.req.Tag], Start: at, Finish: at,
+				Arrival: submitted, Start: at, Finish: at,
 				Rejected: true, Tag: pr.req.Tag,
 			},
 			Device:   -1,
@@ -869,9 +913,9 @@ func (r *run) routeArrival(pr pendingReq) error {
 	di := r.vs[pick].Index
 	r.emitRoute(rv.Tag, at, r.vs, pick)
 	r.applyStrategy(&pr.req, di)
-	r.pushTo(di, pr.req, rv.PrefixKey)
+	r.pushTo(di, pr.req, pr.prompt)
 	if r.hedging() && pr.requeues == 0 && len(r.vs) >= 2 {
-		return r.routeTwin(pr.req, rv, pick)
+		return r.routeTwin(pr.req, pr.prompt, rv, pick)
 	}
 	return nil
 }
@@ -933,22 +977,28 @@ func (r *run) applyStrategy(rq *core.Request, di int) {
 		r.el.budget(rq, r.devs[di])
 	}
 	if rq.Strategy.CutAtDeadline() && rq.Deadline == 0 && r.f.cfg.SLOLatency > 0 {
-		rq.Deadline = r.origArrival[rq.Tag] + r.f.cfg.SLOLatency
+		submitted, _ := r.submitted(rq.Tag, rq.Arrival)
+		rq.Deadline = submitted + r.f.cfg.SLOLatency
 	}
 }
 
 // pushTo marks the device's prefix directory optimistically (concurrent
 // repeats of this prompt should route as hits), defers the hit/miss
 // counters until the device actually serves the request, and hands the
-// request to the device's loop.
-func (r *run) pushTo(di int, rq core.Request, key string) {
+// request to the device's loop. prompt is the request's prompt id.
+func (r *run) pushTo(di int, rq core.Request, prompt int) {
 	d := r.devs[di]
-	_, resident := d.prefixes[key]
+	if d.prefixes == nil {
+		// The device's first push: size its directory for every prompt.
+		d.prefixes = make([]prefixMark, len(r.prompts))
+	}
+	m := &d.prefixes[prompt]
+	resident := m.marked
 	if !resident {
-		d.prefixes[key] = prefixMark{tag: rq.Tag, pending: true}
+		*m = prefixMark{tag: rq.Tag, marked: true, pending: true}
 	}
 	d.acct[rq.Tag] = prefixAcct{
-		key:    key,
+		prompt: prompt,
 		tokens: int64(rq.Problem.PromptTokens), hit: resident,
 	}
 	d.loop.Push(rq)
@@ -961,7 +1011,7 @@ func (r *run) pushTo(di int, rq core.Request, key string) {
 // copy runs under the bit-complement twin tag. The twin inherits the
 // primary's budgeted width, strategy, and deadline, so the two copies
 // run the identical solve and only placement differs.
-func (r *run) routeTwin(rq core.Request, rv RequestView, primaryPick int) error {
+func (r *run) routeTwin(rq core.Request, prompt int, rv RequestView, primaryPick int) error {
 	twinVs := append(r.twinVs[:0], r.vs[:primaryPick]...)
 	twinVs = append(twinVs, r.vs[primaryPick+1:]...)
 	r.twinVs = twinVs
@@ -980,7 +1030,7 @@ func (r *run) routeTwin(rq core.Request, rv RequestView, primaryPick int) error 
 			V1: float64(r.vs[primaryPick].Index), V2: float64(ti)})
 	}
 	r.hedges[orig] = &hedgePair{dev: [2]int{r.vs[primaryPick].Index, ti}}
-	r.pushTo(ti, rq, rv.PrefixKey)
+	r.pushTo(ti, rq, prompt)
 	return nil
 }
 

@@ -271,6 +271,58 @@ func TestFailStopRequeuesToSurvivors(t *testing.T) {
 	}
 }
 
+// TestTwiceRequeuedKeepsFirstSubmission: a request two fail-stops
+// displace in turn reports its first submission as Arrival (and its
+// latencies from it) with Requeues 2, and under the deadline strategy its
+// deadline runs from that first submission too, not from either requeue.
+// The pass-through router sends every routing to the first alive device,
+// so the request runs on device 0, then 1, then 2.
+func TestTwiceRequeuedKeepsFirstSubmission(t *testing.T) {
+	const submit, fail1, fail2, slo = 0.5, 2.0, 4.0, 6.0
+	devices := []Device{
+		{Config: devConfig(t, hw.RTX4090, 8, 42), FailAt: fail1},
+		{Config: devConfig(t, hw.RTX4090, 8, 43), FailAt: fail2},
+		{Config: devConfig(t, hw.RTX4090, 8, 44)},
+	}
+	reqs := []core.Request{{Problem: repeatedProblems(t, 1, 1)[0], Arrival: submit, Tag: 7}}
+	for _, deadline := range []bool{false, true} {
+		cfg := Config{Devices: devices, Router: Single{}, SLOLatency: slo}
+		if deadline {
+			cfg.Strategy = search.DeadlineCut()
+		}
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := f.Run(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Results) != 1 || out.Requeues != 2 {
+			t.Fatalf("deadline %v: %d results and %d requeues, want 1 and 2", deadline, len(out.Results), out.Requeues)
+		}
+		r := out.Results[0]
+		if r.Rejected || r.Device != 2 || r.Requeues != 2 {
+			t.Fatalf("deadline %v: rejected %v on device %d after %d requeues, want served on 2 after 2",
+				deadline, r.Rejected, r.Device, r.Requeues)
+		}
+		if r.Arrival != submit || r.QueueDelay != r.Start-submit || r.WallLatency != r.Finish-submit {
+			t.Errorf("deadline %v: arrival %v, queue delay %v, wall latency %v; want them from the submission at %v",
+				deadline, r.Arrival, r.QueueDelay, r.WallLatency, submit)
+		}
+		// The deadline strategy cuts at the first slice end past the
+		// deadline. From the submission that lands before fail1+slo, the
+		// earliest a deadline taken from a requeue could cut.
+		if !deadline && r.Finish < fail2+slo {
+			t.Fatalf("the uncut solve finishes at %v, too early to tell the deadlines apart", r.Finish)
+		}
+		if deadline && (r.Finish < submit+slo || r.Finish >= fail1+slo) {
+			t.Errorf("cut at %v, want within [%v, %v): the deadline runs from the submission",
+				r.Finish, submit+slo, fail1+slo)
+		}
+	}
+}
+
 // TestWholeFleetFailureShedsRemainingLoad: once every device has
 // fail-stopped, undeliverable requests come back Rejected with Device -1
 // rather than disappearing.
@@ -503,21 +555,20 @@ func TestCancelledHitKeepsConfirmedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := f.newRun(nil)
+	p := repeatedProblems(t, 1, 1)[0]
+	r, err := f.newRun([]core.Request{{Problem: p}}) // p's prompt id is 0
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := repeatedProblems(t, 1, 1)[0]
-	key := p.Key()
 	d := r.devs[0]
 
-	r.pushTo(0, core.Request{Problem: p, Tag: 5}, key)
+	r.pushTo(0, core.Request{Problem: p, Tag: 5}, 0)
 	if d.acct[5].hit {
 		t.Fatal("tag 5 routed as a hit to an empty directory")
 	}
 	r.deliver(0, core.ServedResult{Tag: 5}) // served: the mark is confirmed
 
-	r.pushTo(0, core.Request{Problem: p, Tag: 0}, key)
+	r.pushTo(0, core.Request{Problem: p, Tag: 0}, 0)
 	if !d.acct[0].hit {
 		t.Fatal("tag 0 routed as a miss after tag 5 confirmed the prefix")
 	}
@@ -525,7 +576,7 @@ func TestCancelledHitKeepsConfirmedPrefix(t *testing.T) {
 	if _, ok := d.acct[0]; ok {
 		t.Fatal("the cancel left tag 0's prefix accounting unsettled")
 	}
-	if _, ok := d.prefixes[key]; !ok {
+	if !d.prefixes[0].marked {
 		t.Error("cancelling a hit removed a prefix it never marked")
 	}
 }

@@ -4,6 +4,7 @@ package cluster
 // event-heap core.
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ import (
 // TestDuplicateTagsRejected: Run keys requeue telemetry and deferred
 // prefix accounting by request Tag. Before validation existed, a stream
 // with colliding tags was served silently while the collided requests
-// shared one origArrival/requeue/accounting slot — a fail-stop that
+// shared one arrival/requeue/accounting slot — a fail-stop that
 // displaced one of them bumped the requeue count and rewrote the arrival
 // telemetry of both, and their prefix hits landed on whichever device
 // settled last. Now the collision is rejected up front with a
@@ -35,24 +36,37 @@ func TestDuplicateTagsRejected(t *testing.T) {
 		{Config: devConfig(t, hw.RTX4070Ti, 4, 43)},
 	}
 	probs := repeatedProblems(t, 4, 2)
-	reqs := taggedStream(t, probs, 0.5, 11)
-	reqs[2].Tag = reqs[0].Tag // collide two distinct requests
-
-	f, err := New(Config{Devices: devices, Router: &RoundRobin{}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = f.Run(reqs)
-	if err == nil {
-		t.Fatal("Run accepted a stream with duplicate tags; the old behavior silently corrupted requeue and prefix telemetry")
-	}
-	if !strings.Contains(err.Error(), "duplicate request tag") {
-		t.Fatalf("want a descriptive duplicate-tag error, got: %v", err)
+	// Each case collides two distinct requests' tags. Run finds a repeat
+	// by sorting the tags, so a pair at the two ends of the stream and a
+	// repeated negative tag (allowed when the fleet does not hedge) must
+	// be caught as surely as two neighbours.
+	for _, c := range []struct {
+		name string
+		i, j int
+		tag  int
+	}{
+		{"nearby", 0, 2, 0},
+		{"first and last", 0, len(probs) - 1, 0},
+		{"negative", 1, 3, -3},
+	} {
+		reqs := taggedStream(t, probs, 0.5, 11)
+		reqs[c.i].Tag, reqs[c.j].Tag = c.tag, c.tag
+		f, err := New(Config{Devices: devices, Router: &RoundRobin{}, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = f.Run(reqs)
+		if err == nil {
+			t.Fatalf("%s: Run accepted a stream with duplicate tags; the old behavior silently corrupted requeue and prefix telemetry", c.name)
+		}
+		if want := fmt.Sprintf("duplicate request tag %d", c.tag); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: want a descriptive duplicate-tag error naming tag %d, got: %v", c.name, c.tag, err)
+		}
 	}
 
 	// The same stream with unique tags runs, and its telemetry is
 	// coherent: every request accounted for exactly once.
-	reqs = taggedStream(t, probs, 0.5, 11)
+	reqs := taggedStream(t, probs, 0.5, 11)
 	out := runFleet(t, devices, &RoundRobin{}, 1, reqs)
 	if len(out.Results) != len(reqs) {
 		t.Fatalf("served %d results for %d unique-tag requests", len(out.Results), len(reqs))
@@ -262,11 +276,12 @@ func BenchmarkKVPressure(b *testing.B) {
 // returns (its Result and finished paths; about half the stream is shed
 // by admission control and returns neither). Before the arrival queue
 // was bounded, the result slice became caller-owned and the wake heap
-// typed, the pass read 5.86 (5.87 under -race); it now reads 1.47 under
-// both. The pin leaves about 10 % of room, so a new per-request
+// typed, the pass read 5.86 (5.87 under -race); before the per-request
+// tag and prefix-key maps went it read 1.45, and it now reads 1.41 (1.42
+// under -race). The pin leaves about 10 % of room, so a new per-request
 // allocator shows.
 func TestFleetRunAllocsPerRequest(t *testing.T) {
-	const n, pin = 20000, 1.6
+	const n, pin = 20000, 1.55
 	devs, reqs := benchFleet(t, 64, n)
 	got := testing.AllocsPerRun(1, func() {
 		f, err := New(Config{Devices: devs, Router: LeastWork{}, Seed: 42})

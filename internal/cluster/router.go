@@ -202,10 +202,13 @@ func better(a, b *DeviceView) bool {
 // padding past the end), every internal node the better() winner of its
 // two children. The root is therefore the position LeastWork.Route would
 // return. A changed view re-plays its leaf-to-root path in O(log n); a
-// membership change rebuilds the tree in O(n).
+// membership change rebuilds the tree in O(n). drain caches each
+// position's drainTime, set when the view is (re)played, so a match
+// compares two cached keys instead of dividing twice.
 type bestTree struct {
 	leaves int // a power of two >= len(vs)
 	node   []int
+	drain  []float64 // drain[p] = drainTime(&vs[p]) as of the last fix or rebuild
 }
 
 // rebuild plays every match over vs.
@@ -215,31 +218,40 @@ func (t *bestTree) rebuild(vs []DeviceView) {
 		t.leaves *= 2
 	}
 	t.node = slices.Grow(t.node[:0], 2*t.leaves)[:2*t.leaves]
+	t.drain = slices.Grow(t.drain[:0], len(vs))[:len(vs)]
 	for p := 0; p < t.leaves; p++ {
 		t.node[t.leaves+p] = -1
 		if p < len(vs) {
 			t.node[t.leaves+p] = p
+			t.drain[p] = drainTime(&vs[p])
 		}
 	}
 	for i := t.leaves - 1; i >= 1; i-- {
-		t.node[i] = match(vs, t.node[2*i], t.node[2*i+1])
+		t.node[i] = t.match(vs, t.node[2*i], t.node[2*i+1])
 	}
 }
 
 // fix re-plays the matches above position p after vs[p] changed.
 func (t *bestTree) fix(vs []DeviceView, p int) {
+	t.drain[p] = drainTime(&vs[p])
 	for i := (t.leaves + p) / 2; i >= 1; i /= 2 {
-		t.node[i] = match(vs, t.node[2*i], t.node[2*i+1])
+		t.node[i] = t.match(vs, t.node[2*i], t.node[2*i+1])
 	}
 }
 
 // root is the position of the best view in vs; -1 when vs is empty.
 func (t *bestTree) root() int { return t.node[1] }
 
-// match returns the winning position of a and b. Padding (-1) loses to
-// everything, and only ever stands to the right of a real position.
-func match(vs []DeviceView, a, b int) int {
-	if b < 0 || better(&vs[a], &vs[b]) {
+// match returns the winning position of a and b in better()'s order —
+// cached drain time, then pending count, then index. Padding (-1) loses
+// to everything, and only ever stands to the right of a real position.
+func (t *bestTree) match(vs []DeviceView, a, b int) int {
+	if b < 0 {
+		return a
+	}
+	da, db := t.drain[a], t.drain[b]
+	pa, pb := vs[a].Pending, vs[b].Pending
+	if da < db || da == db && (pa < pb || pa == pb && vs[a].Index < vs[b].Index) {
 		return a
 	}
 	return b

@@ -176,7 +176,8 @@ func TestPrefixAffinityDirectoryDefaults(t *testing.T) {
 // TestBestTreeMatchesScan drives the least-work index of a run through
 // random refreshes, drops (run.dropView, as a fail-stop or drain does)
 // and joins over views built to tie — drain times in {0, 1, 2} on mixed
-// speeds, pending in {0, 1} — and requires the tree's root to equal the
+// speeds, Speed 0 included (its drain time is the outstanding work
+// itself), pending in {0, 1} — and requires the tree's root to equal the
 // LeastWork scan after every operation. Reproduce a failure with
 // -quick.seed.
 func TestBestTreeMatchesScan(t *testing.T) {
@@ -187,7 +188,7 @@ func TestBestTreeMatchesScan(t *testing.T) {
 		r.reindex()
 		join := func() {
 			r.posInVs = append(r.posInVs, len(r.vs))
-			r.vs = append(r.vs, DeviceView{Index: len(r.posInVs) - 1, Speed: float64(1 + rnd.Intn(2))})
+			r.vs = append(r.vs, DeviceView{Index: len(r.posInVs) - 1, Speed: float64(rnd.Intn(3))})
 			r.reindex()
 		}
 		for n := rnd.Intn(9); n > 0; n-- {
@@ -202,7 +203,7 @@ func TestBestTreeMatchesScan(t *testing.T) {
 			case len(r.vs) > 0:
 				p := rnd.Intn(len(r.vs))
 				v := &r.vs[p]
-				v.OutstandingWork = v.Speed * float64(rnd.Intn(3)) // drain time 0, 1 or 2
+				v.OutstandingWork = max(v.Speed, 1) * float64(rnd.Intn(3)) // drain time 0, 1 or 2
 				v.Pending = rnd.Intn(2)
 				r.best.fix(r.vs, p)
 			}

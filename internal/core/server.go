@@ -223,7 +223,12 @@ type Loop struct {
 	liveWork   float64
 	queuedWork float64
 
-	candBuf []sched.ServeRequest // reused policy-view buffer (per-slice)
+	// views[i] is the policy's view of sessions[i], kept current instead
+	// of rebuilt per slice: a session's view changes only in the slice it
+	// runs (its start, work and remaining-work estimate), so admission
+	// appends it, a slice refreshes the picked one, and release deletes
+	// it at the same index. Policy.Pick reads it as its runnable slice.
+	views []sched.ServeRequest
 
 	// freeSolvers holds the solvers of sessions that ended (finished,
 	// cancelled or withdrawn by fail-stop); the next request to start takes
@@ -507,7 +512,8 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 			l.next++
 			l.queuedWork -= est
 			c := l.newSession(rq, est)
-			if !l.s.pol.Admit(l.s.viewOf(c), l.now, l.inFlight) {
+			v := l.s.viewOf(c)
+			if !l.s.pol.Admit(v, l.now, l.inFlight) {
 				l.freeSessions = append(l.freeSessions, c)
 				l.reanchorWork()
 				out = append(out, ServedResult{
@@ -521,8 +527,9 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 				continue
 			}
 			l.sessions = append(l.sessions, c)
+			l.views = append(l.views, v)
 			l.inFlight++
-			c.lastRem = l.s.remainingWork(c)
+			c.lastRem = v.RemainingWork
 			l.liveWork += c.lastRem
 			l.reanchorWork()
 			if l.plane != nil {
@@ -554,16 +561,9 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 			return out, nil
 		}
 
-		// Policy picks the slice owner among the runnable requests. The
-		// candidate views live in a buffer reused across slices.
-		if cap(l.candBuf) < len(live) {
-			l.candBuf = make([]sched.ServeRequest, 0, max(len(live), 2*cap(l.candBuf)))
-		}
-		cands := l.candBuf[:len(live)]
-		for i, c := range live {
-			cands[i] = l.s.viewOf(c)
-		}
-		pick := l.s.pol.Pick(cands, l.now)
+		// Policy picks the slice owner among the runnable requests, over
+		// their views as kept current since admission.
+		pick := l.s.pol.Pick(l.views, l.now)
 		if pick < 0 || pick >= len(live) {
 			return out, fmt.Errorf("core: policy %s picked index %d of %d runnable requests",
 				l.s.pol.Name(), pick, len(live))
@@ -680,9 +680,10 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 			l.freeSessions = append(l.freeSessions, c)
 			feed(l.now)
 		} else {
-			rem := l.s.remainingWork(c)
-			l.liveWork += rem - c.lastRem
-			c.lastRem = rem
+			v := l.s.viewOf(c)
+			l.views[pick] = v
+			l.liveWork += v.RemainingWork - c.lastRem
+			c.lastRem = v.RemainingWork
 			l.reanchorWork()
 		}
 	}
@@ -731,15 +732,17 @@ func (l *Loop) retireSolver(c *session) {
 }
 
 // release ends a live session — finished, cancelled or withdrawn by
-// fail-stop — the one way: it leaves the live list (so the runnable set
-// stays the live population) and the load index, its solver goes on the
-// free list, and its memory-plane decode state is finished while the
-// prompt prefix stays resident for future admissions to hit. The caller
-// reads what it still needs from c (tag, start, slices) after release.
+// fail-stop — the one way: it leaves the live list and its view leaves
+// the view list at the same index (so the runnable set stays the live
+// population), it leaves the load index, its solver goes on the free
+// list, and its memory-plane decode state is finished while the prompt
+// prefix stays resident for future admissions to hit. The caller reads
+// what it still needs from c (tag, start, slices) after release.
 func (l *Loop) release(c *session) {
 	l.inFlight--
 	i := slices.Index(l.sessions, c)
 	l.sessions = slices.Delete(l.sessions, i, i+1)
+	l.views = slices.Delete(l.views, i, i+1)
 	l.liveWork -= c.lastRem
 	l.reanchorWork()
 	l.retireSolver(c)

@@ -51,7 +51,9 @@ type ServePolicy interface {
 	// reported as shed load and never served.
 	Admit(r ServeRequest, now float64, inFlight int) bool
 	// Pick returns the index into runnable (non-empty) of the request that
-	// receives the next device slice.
+	// receives the next device slice. runnable belongs to the engine,
+	// which keeps it current across slices: a policy must not modify it
+	// or keep it after returning.
 	Pick(runnable []ServeRequest, now float64) int
 }
 

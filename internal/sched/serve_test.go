@@ -4,6 +4,7 @@ import (
 	"flag"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -60,6 +61,23 @@ func TestPickInRangeAndDeterministic(t *testing.T) {
 		prop := func(rs requestSet, now float64) bool {
 			i := pol.Pick(rs, now)
 			return i >= 0 && i < len(rs) && pol.Pick(rs, now) == i
+		}
+		if err := quick.Check(prop, qc(t)); err != nil {
+			t.Errorf("%s: %v", pol.Name(), err)
+		}
+	}
+}
+
+// TestPickLeavesViewsUnchanged: Pick's runnable slice belongs to the
+// engine, which keeps it current across slices instead of rebuilding it,
+// so every shipped policy (and AdmissionLimit around one) must leave it
+// exactly as it found it.
+func TestPickLeavesViewsUnchanged(t *testing.T) {
+	for _, pol := range allPolicies() {
+		prop := func(rs requestSet, now float64) bool {
+			before := slices.Clone(rs)
+			pol.Pick(rs, now)
+			return slices.Equal(rs, before)
 		}
 		if err := quick.Check(prop, qc(t)); err != nil {
 			t.Errorf("%s: %v", pol.Name(), err)
