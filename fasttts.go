@@ -15,9 +15,10 @@
 // Because no GPU, CUDA stack, or model weights are available in this
 // environment, the neural-network arithmetic is replaced by a
 // deterministic discrete-virtual-time simulation calibrated with a
-// roofline cost model (see DESIGN.md for the substitution argument);
-// every serving mechanism — paged radix-tree KV caching, continuous
-// batching, preemption, offloading — is implemented for real.
+// roofline cost model (the opening section of README.md makes the
+// substitution argument); every serving mechanism — paged radix-tree KV
+// caching, continuous batching, preemption, offloading — is implemented
+// for real.
 //
 // Quickstart:
 //

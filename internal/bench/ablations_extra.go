@@ -10,9 +10,8 @@ import (
 	"fasttts/internal/workload"
 )
 
-// Extensions returns the ablation experiments beyond the paper's figures
-// (DESIGN.md §5): design-choice studies the paper motivates but does not
-// plot.
+// Extensions returns the ablation experiments beyond the paper's figures:
+// design-choice studies the paper motivates but does not plot.
 func Extensions() []Figure {
 	return []Figure{
 		{ID: "a1", Title: "Ablation: truncation ratio R full sweep", Run: AblationTruncationSweep},

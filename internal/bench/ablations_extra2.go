@@ -11,10 +11,9 @@ import (
 	"fasttts/internal/workload"
 )
 
-// AblationBlockSize studies the paged-KV block granularity (DESIGN.md §5):
-// large blocks waste capacity at node boundaries of the reasoning tree
-// (internal fragmentation), shrinking the number of beams a fixed budget
-// holds.
+// AblationBlockSize studies the paged-KV block granularity: large blocks
+// waste capacity at node boundaries of the reasoning tree (internal
+// fragmentation), shrinking the number of beams a fixed budget holds.
 func AblationBlockSize(o RunOpts) (*Report, error) {
 	o = o.withDefaults()
 	stream := rngFor(o.Seed).Child("a5")

@@ -207,7 +207,7 @@ func meanLatency(rs []*core.Result) (total, gen, ver float64) {
 
 // topCorrect applies majority voting to one result.
 func topCorrect(res *core.Result) bool {
-	return metrics.Top1Correct(res.PathResults())
+	return metrics.Top1Correct(res.Finished)
 }
 
 // accuracy folds per-problem outcomes into a percentage.

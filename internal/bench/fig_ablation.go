@@ -6,9 +6,9 @@ import (
 
 	"fasttts/internal/core"
 	"fasttts/internal/hw"
+	"fasttts/internal/obs"
 	"fasttts/internal/sched"
 	"fasttts/internal/search"
-	"fasttts/internal/trace"
 	"fasttts/internal/workload"
 )
 
@@ -95,9 +95,9 @@ func Fig17LeftUtil(o RunOpts) (*Report, error) {
 		{"vLLM", core.BaselineOptions()},
 		{"FastTTS", core.FastTTSOptions()},
 	} {
-		rec := &trace.Recorder{}
+		rec := obs.NewRecorder()
 		cfg := deployment(hw.RTX4090, pc, pol, sys.opts, o.Seed)
-		cfg.Recorder = rec
+		cfg.Obs = rec
 		runner, err := core.NewRunner(cfg)
 		if err != nil {
 			return nil, err
@@ -106,7 +106,7 @@ func Fig17LeftUtil(o RunOpts) (*Report, error) {
 		if _, err := runner.Solve(ds.Problems[0]); err != nil {
 			return nil, err
 		}
-		early, late := firstIterationEdges(rec)
+		early, late := firstIterationEdges(rec.Spans())
 		r.Rows = append(r.Rows, []string{sys.name, f3(early), f3(late), f3(early - late)})
 	}
 	r.Notes = append(r.Notes,
@@ -115,19 +115,19 @@ func Fig17LeftUtil(o RunOpts) (*Report, error) {
 }
 
 // firstIterationEdges isolates the first generation iteration (the first
-// contiguous run of generate-phase kernels) and returns its early- and
-// late-quarter mean utilization.
-func firstIterationEdges(rec *trace.Recorder) (early, late float64) {
-	var segment []trace.Sample
+// contiguous run of generate-phase kernels) among one solve's kernel spans
+// and returns its early- and late-quarter mean utilization.
+func firstIterationEdges(spans []obs.Span) (early, late float64) {
+	var segment []obs.Span
 	var lastEnd float64
-	for _, s := range rec.Samples {
-		if s.Phase != trace.PhaseGenerate && s.Phase != trace.PhaseRecompute {
+	for _, s := range spans {
+		if s.Kind != obs.KindGenerate && s.Kind != obs.KindRecompute {
 			if len(segment) > 0 {
 				break // first iteration ended (verification started)
 			}
 			continue
 		}
-		if s.Phase != trace.PhaseGenerate {
+		if s.Kind != obs.KindGenerate {
 			continue
 		}
 		if len(segment) > 0 && s.Start-lastEnd > 1.0 {
@@ -140,10 +140,10 @@ func firstIterationEdges(rec *trace.Recorder) (early, late float64) {
 		return 0, 0
 	}
 	q := len(segment) / 4
-	weigh := func(ss []trace.Sample) float64 {
+	weigh := func(ss []obs.Span) float64 {
 		var busy, span float64
 		for _, s := range ss {
-			busy += s.Util * (s.End - s.Start)
+			busy += s.V1 * (s.End - s.Start)
 			span += s.End - s.Start
 		}
 		if span == 0 {

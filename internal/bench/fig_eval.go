@@ -235,7 +235,7 @@ func Fig14bPassN(o RunOpts) (*Report, error) {
 			passOf := func(rs []*core.Result) float64 {
 				var oks []bool
 				for _, res := range rs {
-					oks = append(oks, metrics.PassAtN(res.PathResults(), N))
+					oks = append(oks, metrics.PassAtN(res.Finished, N))
 				}
 				return metrics.Accuracy(oks)
 			}

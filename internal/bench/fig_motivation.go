@@ -9,10 +9,10 @@ import (
 	"fasttts/internal/hw"
 	"fasttts/internal/metrics"
 	"fasttts/internal/model"
+	"fasttts/internal/obs"
 	"fasttts/internal/rng"
 	"fasttts/internal/sched"
 	"fasttts/internal/search"
-	"fasttts/internal/trace"
 	"fasttts/internal/workload"
 )
 
@@ -40,7 +40,7 @@ func Fig3LeftAccuracyLatency(o RunOpts) (*Report, error) {
 		}
 		var top1 []bool
 		for _, res := range rs {
-			top1 = append(top1, metrics.Top1Correct(res.PathResults()))
+			top1 = append(top1, metrics.Top1Correct(res.Finished))
 		}
 		lat, _, _ := meanLatency(rs)
 		r.Rows = append(r.Rows, []string{pol.Name(), f1(lat), f1(metrics.Accuracy(top1))})
@@ -88,13 +88,13 @@ func Fig3RightStepTokens(o RunOpts) (*Report, error) {
 // steady during verification.
 func Fig4UtilPhases(o RunOpts) (*Report, error) {
 	o = o.withDefaults()
-	rec := &trace.Recorder{}
+	rec := obs.NewRecorder()
 	pol, err := search.New(search.BeamSearch, min(64, o.MaxN), 4)
 	if err != nil {
 		return nil, err
 	}
 	cfg := deployment(hw.RTX4090, core.ModelPairs[0], pol, core.BaselineOptions(), o.Seed)
-	cfg.Recorder = rec
+	cfg.Obs = rec
 	runner, err := core.NewRunner(cfg)
 	if err != nil {
 		return nil, err
@@ -108,8 +108,9 @@ func Fig4UtilPhases(o RunOpts) (*Report, error) {
 		Title:  "GPU compute utilization over time (baseline, n=64, AIME)",
 		Header: []string{"time_s", "util_generate", "util_verify"},
 	}
-	gen := rec.UtilSeries(0.25, trace.PhaseGenerate)
-	ver := rec.UtilSeries(0.25, trace.PhaseVerify)
+	spans := rec.Spans()
+	gen := utilSeries(spans, 0.25, obs.KindGenerate)
+	ver := utilSeries(spans, 0.25, obs.KindVerify)
 	for i := range gen {
 		vu := 0.0
 		if i < len(ver) {
@@ -124,10 +125,56 @@ func Fig4UtilPhases(o RunOpts) (*Report, error) {
 	return r, nil
 }
 
+// utilPoint is one point of a resampled utilization series.
+type utilPoint struct {
+	Time float64
+	Util float64
+}
+
+// utilSeries resamples one solve's kernel spans, sorted by Start (as
+// obs.Recorder.Spans returns them), onto a dt grid over [first Start,
+// latest End]: each bin holds the time-weighted mean utilization (V1) of the
+// spans of the given kind, gaps counting as zero. This mirrors how Nsight
+// downsamples tensor-core activity for Fig 4.
+func utilSeries(spans []obs.Span, dt float64, kind obs.Kind) []utilPoint {
+	if len(spans) == 0 || dt <= 0 {
+		return nil
+	}
+	start, end := spans[0].Start, spans[0].End
+	for _, s := range spans {
+		end = max(end, s.End)
+	}
+	nBins := int((end-start)/dt) + 1
+	busy := make([]float64, nBins) // Σ util·overlap per bin
+	for _, s := range spans {
+		if s.Kind != kind {
+			continue
+		}
+		b0 := int((s.Start - start) / dt)
+		b1 := int((s.End - start) / dt)
+		for b := b0; b <= b1 && b < nBins; b++ {
+			lo := start + float64(b)*dt
+			if ov := overlap(s.Start, s.End, lo, lo+dt); ov > 0 {
+				busy[b] += s.V1 * ov
+			}
+		}
+	}
+	out := make([]utilPoint, nBins)
+	for b := range out {
+		out[b] = utilPoint{Time: start + (float64(b)+0.5)*dt, Util: min(busy[b]/dt, 1)}
+	}
+	return out
+}
+
+// overlap returns the length of [a0, a1] ∩ [b0, b1] (0 if disjoint).
+func overlap(a0, a1, b0, b1 float64) float64 {
+	return max(min(a1, b1)-max(a0, b0), 0)
+}
+
 // phaseEdges returns mean utilization over the first and last active
 // quarter of a series.
-func phaseEdges(pts []trace.Point) (early, late float64) {
-	var active []trace.Point
+func phaseEdges(pts []utilPoint) (early, late float64) {
+	var active []utilPoint
 	for _, p := range pts {
 		if p.Util > 0 {
 			active = append(active, p)

@@ -60,7 +60,7 @@ func BenchmarkSolverIteration(b *testing.B) {
 	}
 	cfg := testConfig(b, pol, FastTTSOptions())
 	p := aimeProblem(b, 0)
-	s, err := newSolver(cfg, p)
+	s, err := newSolver(cfg, p, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func BenchmarkSolverIteration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if s.done() {
-			if err := s.init(cfg, p); err != nil {
+			if err := s.init(cfg, p, nil); err != nil {
 				b.Fatal(err)
 			}
 			s.begin()

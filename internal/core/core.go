@@ -25,7 +25,6 @@ import (
 	"fasttts/internal/model"
 	"fasttts/internal/obs"
 	"fasttts/internal/search"
-	"fasttts/internal/trace"
 	"fasttts/internal/workload"
 )
 
@@ -109,10 +108,10 @@ type Config struct {
 	// builds.
 	Strategy search.Strategy
 	Opts     Options
-	Recorder *trace.Recorder
-	// Obs, when non-nil, attaches the request-lifecycle span flight
-	// recorder: the loop emits admission, queue, slice, and completion
-	// spans onto the recorder's device-0 track. nil (the default) is
+	// Obs, when non-nil, attaches the span flight recorder to the
+	// recorder's device-0 track: a serving loop emits admission, queue,
+	// slice, and completion spans there, a Runner's solve one kernel span
+	// per engine kernel (obs.KindGenerate and after). nil (the default) is
 	// strictly off — every emission site short-circuits on a nil track,
 	// adding zero allocations and zero behavioral difference. Tracing
 	// observes scheduling; it never perturbs it.
@@ -144,25 +143,11 @@ func (c Config) KVBudget() (int64, error) {
 	return budget, nil
 }
 
-// FinalPath is one collected reasoning path.
-type FinalPath struct {
-	BeamID      int
-	Steps       int
-	Tokens      int // generated tokens, prompt excluded
-	Answer      int // 0 = correct
-	Score       float64
-	CompletedAt float64
-}
-
-// GoodputTerms returns what metrics.PreciseGoodput reads of the path.
-func (p FinalPath) GoodputTerms() (tokens int, completedAt float64) {
-	return p.Tokens, p.CompletedAt
-}
-
 // Result reports one solved problem.
 type Result struct {
-	Problem  *workload.Problem
-	Finished []FinalPath
+	Problem *workload.Problem
+	// Finished holds the collected reasoning paths in completion order.
+	Finished []metrics.PathResult
 
 	// Latency is end-to-end virtual seconds.
 	Latency float64
@@ -191,19 +176,8 @@ type Result struct {
 	GenCache, VerCache kvcache.Stats
 }
 
-// PathResults adapts the finished paths for package metrics.
-func (r *Result) PathResults() []metrics.PathResult {
-	out := make([]metrics.PathResult, len(r.Finished))
-	for i, p := range r.Finished {
-		out[i] = metrics.PathResult{
-			Tokens:      p.Tokens,
-			CompletedAt: p.CompletedAt,
-			Answer:      p.Answer,
-			Score:       p.Score,
-		}
-	}
-	return out
-}
+// PathResults returns the finished paths; the slice is Finished itself.
+func (r *Result) PathResults() []metrics.PathResult { return r.Finished }
 
 // validate fills defaults and sanity-checks the configuration.
 func (c *Config) validate() error {

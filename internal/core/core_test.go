@@ -7,6 +7,7 @@ import (
 	"fasttts/internal/hw"
 	"fasttts/internal/metrics"
 	"fasttts/internal/model"
+	"fasttts/internal/obs"
 	"fasttts/internal/rng"
 	"fasttts/internal/search"
 	"fasttts/internal/trace"
@@ -370,17 +371,33 @@ func TestKVBudgetOverride(t *testing.T) {
 	}
 }
 
+// TestRecorderPhases checks that a Runner's solve puts its kernel spans on
+// the recorder's device-0 track: generate and verify time both recorded,
+// and the spans tile the solve without overlapping (one clock drives both
+// engines).
 func TestRecorderPhases(t *testing.T) {
 	pol, _ := search.New(search.BeamSearch, 16, 4)
-	rec := &trace.Recorder{}
+	rec := obs.NewRecorder()
 	cfg := testConfig(t, pol, BaselineOptions())
-	cfg.Recorder = rec
-	solveOne(t, cfg, aimeProblem(t, 0))
-	if rec.PhaseTime(trace.PhaseGenerate) <= 0 {
-		t.Error("no generate-phase samples recorded")
+	cfg.Obs = rec
+	res := solveOne(t, cfg, aimeProblem(t, 0))
+	phase := map[obs.Kind]float64{}
+	prevEnd := 0.0
+	for _, s := range rec.Spans() {
+		if s.Track != 0 || s.Start < prevEnd {
+			t.Fatalf("span %+v: off track 0 or before the previous end %v", s, prevEnd)
+		}
+		phase[s.Kind] += s.End - s.Start
+		prevEnd = s.End
 	}
-	if rec.PhaseTime(trace.PhaseVerify) <= 0 {
-		t.Error("no verify-phase samples recorded")
+	if phase[trace.PhaseGenerate] <= 0 {
+		t.Error("no generate-phase spans recorded")
+	}
+	if phase[trace.PhaseVerify] <= 0 {
+		t.Error("no verify-phase spans recorded")
+	}
+	if prevEnd != res.Latency {
+		t.Errorf("last kernel span ends at %v, want the solve's latency %v", prevEnd, res.Latency)
 	}
 }
 

@@ -70,6 +70,12 @@ func TestLoopTraceParity(t *testing.T) {
 	if counts[obs.KindSlice] < n {
 		t.Fatalf("only %d slices for %d requests", counts[obs.KindSlice], n)
 	}
+	// A serving loop attaches no kernel track: its engines emit nothing.
+	for k := obs.KindGenerate; k <= obs.KindTransfer; k++ {
+		if counts[k] != 0 {
+			t.Fatalf("a served stream holds %d %s spans, want none", counts[k], k)
+		}
+	}
 
 	// The attribution pass must reconstruct the served wall latencies
 	// exactly from the spans alone.

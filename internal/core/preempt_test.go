@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"fasttts/internal/obs"
 	"fasttts/internal/rng"
 	"fasttts/internal/search"
 	"fasttts/internal/trace"
@@ -107,15 +108,15 @@ func TestPreemptionBoundarySweep(t *testing.T) {
 	var got []pinned
 	for _, run := range runs {
 		cfg := testConfig(t, run.pol, FastTTSOptions())
-		cfg.Recorder = &trace.Recorder{}
+		cfg.Obs = obs.NewRecorder()
 		ref := solveOne(t, cfg, run.p)
 		var ends []float64
-		for _, sm := range cfg.Recorder.Samples {
-			if sm.Phase == trace.PhaseGenerate && sm.Batch > 0 {
-				ends = append(ends, sm.End)
+		for _, sp := range cfg.Obs.Spans() {
+			if sp.Kind == trace.PhaseGenerate && sp.N > 0 {
+				ends = append(ends, sp.End)
 			}
 		}
-		cfg.Recorder = nil
+		cfg.Obs = nil
 		r, err := NewRunner(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -165,8 +166,8 @@ func TestProbeHitFlag(t *testing.T) {
 		{"baseline", BaselineOptions(), false},
 	} {
 		cfg := testConfig(t, pol, tc.opts)
-		cfg.Recorder = &trace.Recorder{}
-		ref, err := newSolver(cfg, p)
+		rec := obs.NewRecorder()
+		ref, err := newSolver(cfg, p, rec.Device(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,17 +175,16 @@ func TestProbeHitFlag(t *testing.T) {
 		if err := ref.stepOnce(); err != nil {
 			t.Fatal(err)
 		}
-		var last trace.Sample // the first iteration's last decode round
-		for _, sm := range cfg.Recorder.Samples {
-			if sm.Phase == trace.PhaseGenerate {
-				last = sm
+		var last obs.Span // the first iteration's last decode round
+		for _, sp := range rec.Spans() {
+			if sp.Kind == trace.PhaseGenerate {
+				last = sp
 			}
 		}
 		consulted := last.Start
 		if tc.speculating {
 			consulted = last.End
 		}
-		cfg.Recorder = nil
 		for _, b := range []struct {
 			at   float64
 			want bool
@@ -194,7 +194,7 @@ func TestProbeHitFlag(t *testing.T) {
 			{consulted, true},
 			{math.Nextafter(consulted, math.Inf(1)), false},
 		} {
-			s, err := newSolver(cfg, p)
+			s, err := newSolver(cfg, p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

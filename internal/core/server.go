@@ -204,7 +204,6 @@ type Loop struct {
 	sessions []*session // live (admitted, unfinished) sessions in admission order
 	now      float64
 	next     int // next queue index to admit
-	inFlight int
 	nextID   int
 	scale    float64 // wall seconds per nominal device second (straggler factor)
 	busy     float64 // wall seconds spent executing slices (lost work included)
@@ -342,7 +341,7 @@ func (l *Loop) Now() float64 { return l.now }
 func (l *Loop) Busy() float64 { return l.busy }
 
 // InFlight returns the number of admitted, unfinished requests.
-func (l *Loop) InFlight() int { return l.inFlight }
+func (l *Loop) InFlight() int { return len(l.sessions) }
 
 // Queued returns the number of queued, not-yet-admitted arrivals.
 func (l *Loop) Queued() int { return len(l.queue) - l.next }
@@ -350,7 +349,7 @@ func (l *Loop) Queued() int { return len(l.queue) - l.next }
 // Pending returns the device's total outstanding population: admitted
 // unfinished requests plus queued arrivals (join-shortest-queue's load
 // signal).
-func (l *Loop) Pending() int { return l.inFlight + l.Queued() }
+func (l *Loop) Pending() int { return len(l.sessions) + l.Queued() }
 
 // OutstandingWork returns the estimated remaining service demand of the
 // device in token units: the remaining-work estimates of in-flight
@@ -370,10 +369,10 @@ func (l *Loop) OutstandingWork() float64 {
 // anchor states (zero or one term), shedding the float drift that
 // incremental add/remove accumulates. Called after every index update.
 func (l *Loop) reanchorWork() {
-	switch {
-	case l.inFlight == 0:
+	switch len(l.sessions) {
+	case 0:
 		l.liveWork = 0
-	case l.inFlight == 1 && len(l.sessions) == 1:
+	case 1:
 		l.liveWork = l.sessions[0].lastRem
 	}
 	switch qn := len(l.queue) - l.next; {
@@ -387,7 +386,7 @@ func (l *Loop) reanchorWork() {
 // Idle reports whether the loop has no runnable session and no queued
 // arrival: StepTo would return immediately.
 func (l *Loop) Idle() bool {
-	return l.failed || (l.inFlight == 0 && l.next >= len(l.queue))
+	return l.failed || (len(l.sessions) == 0 && l.next >= len(l.queue))
 }
 
 // Fail marks the device fail-stopped and withdraws every unfinished
@@ -472,7 +471,7 @@ func (l *Loop) Wake() (float64, bool) {
 		return 0, false
 	}
 	hasArrival := l.next < len(l.queue)
-	if l.inFlight > 0 {
+	if len(l.sessions) > 0 {
 		if hasArrival && l.queue[l.next].Arrival < l.now {
 			return l.queue[l.next].Arrival, true
 		}
@@ -513,7 +512,7 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 			l.queuedWork -= est
 			c := l.newSession(rq, est)
 			v := l.s.viewOf(c)
-			if !l.s.pol.Admit(v, l.now, l.inFlight) {
+			if !l.s.pol.Admit(v, l.now, len(l.sessions)) {
 				l.freeSessions = append(l.freeSessions, c)
 				l.reanchorWork()
 				out = append(out, ServedResult{
@@ -528,7 +527,6 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 			}
 			l.sessions = append(l.sessions, c)
 			l.views = append(l.views, v)
-			l.inFlight++
 			c.lastRem = v.RemainingWork
 			l.liveWork += c.lastRem
 			l.reanchorWork()
@@ -711,12 +709,12 @@ func (l *Loop) newSession(rq Request, est float64) *session {
 func (l *Loop) takeSolver(cfg Config, p *workload.Problem) (*solver, error) {
 	k := len(l.freeSolvers) - 1
 	if k < 0 {
-		return newSolver(cfg, p)
+		return newSolver(cfg, p, nil)
 	}
 	sv := l.freeSolvers[k]
 	l.freeSolvers[k] = nil
 	l.freeSolvers = l.freeSolvers[:k]
-	if err := sv.init(cfg, p); err != nil {
+	if err := sv.init(cfg, p, nil); err != nil {
 		return nil, err
 	}
 	return sv, nil
@@ -739,7 +737,6 @@ func (l *Loop) retireSolver(c *session) {
 // prefix stays resident for future admissions to hit. The caller reads
 // what it still needs from c (tag, start, slices) after release.
 func (l *Loop) release(c *session) {
-	l.inFlight--
 	i := slices.Index(l.sessions, c)
 	l.sessions = slices.Delete(l.sessions, i, i+1)
 	l.views = slices.Delete(l.views, i, i+1)

@@ -9,6 +9,7 @@ import (
 	"fasttts/internal/engine"
 	"fasttts/internal/kvcache"
 	"fasttts/internal/metrics"
+	"fasttts/internal/obs"
 	"fasttts/internal/rng"
 	"fasttts/internal/sched"
 	"fasttts/internal/search"
@@ -34,9 +35,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 	return &Runner{cfg: cfg}, nil
 }
 
-// Solve runs the configured TTS search for one problem.
+// Solve runs the configured TTS search for one problem. With cfg.Obs
+// attached, its engines put one kernel span per kernel interval on the
+// recorder's device-0 track.
 func (r *Runner) Solve(p *workload.Problem) (*Result, error) {
-	s, err := newSolver(r.cfg, p)
+	s, err := newSolver(r.cfg, p, r.cfg.Obs.Device(0))
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +52,7 @@ func (r *Runner) Solve(p *workload.Problem) (*Result, error) {
 // suspends it when the next arrival lands mid-request. A boundary at or
 // before 0 suspends speculation from the start; math.Inf(1) never does.
 func (r *Runner) SolveWithPreemption(p *workload.Problem, at float64) (*Result, error) {
-	s, err := newSolver(r.cfg, p)
+	s, err := newSolver(r.cfg, p, r.cfg.Obs.Device(0))
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +110,7 @@ type solver struct {
 	nextBeam int
 	// finished is handed to the caller in Result and therefore never
 	// recycled: every request grows its own.
-	finished  []FinalPath
+	finished  []metrics.PathResult
 	iter      int
 	abandoned int
 
@@ -159,19 +162,22 @@ type stack struct {
 	next       []*beam              // selectAndBranch: the frontier being built
 }
 
-func newSolver(cfg Config, p *workload.Problem) (*solver, error) {
+// newSolver returns a solver for p whose engines put their kernel spans on
+// kernels (nil: none).
+func newSolver(cfg Config, p *workload.Problem, kernels *obs.Track) (*solver, error) {
 	s := &solver{}
-	if err := s.init(cfg, p); err != nil {
+	if err := s.init(cfg, p, kernels); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// init readies s for a request, building the serving stack on first use and
-// resetting it in place afterwards. A recycled solver is only re-initialised
-// by the Loop that retired it, so the deployment (GPU, models, recorder) is
-// the one its engines were built for; only policy and strategy vary.
-func (s *solver) init(cfg Config, p *workload.Problem) error {
+// init readies s for a request, building the serving stack on first use,
+// with its engines' kernel spans on kernels, and resetting it in place
+// afterwards. A recycled solver is only re-initialised by the Loop that
+// retired it, so the deployment (GPU, models) and kernel track are the ones
+// its engines were built with; only policy and strategy vary.
+func (s *solver) init(cfg Config, p *workload.Problem, kernels *obs.Track) error {
 	budget, err := cfg.KVBudget()
 	if err != nil {
 		return err
@@ -179,10 +185,10 @@ func (s *solver) init(cfg Config, p *workload.Problem) error {
 	st := s.stack
 	if st.clk == nil {
 		st.clk = &sim.Clock{}
-		if st.gen, err = engine.New("generator", cfg.Generator, cfg.GPU, budget/2, st.clk, cfg.Recorder); err != nil {
+		if st.gen, err = engine.New("generator", cfg.Generator, cfg.GPU, budget/2, st.clk, kernels); err != nil {
 			return err
 		}
-		verEng, err := engine.New("verifier", cfg.Verifier, cfg.GPU, budget/2, st.clk, cfg.Recorder)
+		verEng, err := engine.New("verifier", cfg.Verifier, cfg.GPU, budget/2, st.clk, kernels)
 		if err != nil {
 			return err
 		}
@@ -293,7 +299,7 @@ func (s *solver) begin() {
 		s.deriveStreams(b)
 		s.active = append(s.active, b)
 	}
-	s.finished = make([]FinalPath, 0, pol.Width())
+	s.finished = make([]metrics.PathResult, 0, pol.Width())
 	_, maxSteps := s.p.Depth()
 	s.maxIters = maxSteps + 4
 	s.begun = true
@@ -353,7 +359,7 @@ func (s *solver) cutDeadline() {
 				best = b
 			}
 		}
-		s.finished = append(s.finished, FinalPath{
+		s.finished = append(s.finished, metrics.PathResult{
 			BeamID:      best.id,
 			Steps:       best.state.Steps,
 			Tokens:      best.state.Tokens,
@@ -1068,7 +1074,7 @@ func (s *solver) selectAndBranch() {
 	for _, b := range s.active {
 		if b.stepTerminal {
 			b.answer = workload.Answer(s.p, &b.state, &b.obsR)
-			s.finished = append(s.finished, FinalPath{
+			s.finished = append(s.finished, metrics.PathResult{
 				BeamID:      b.id,
 				Steps:       b.state.Steps,
 				Tokens:      b.state.Tokens,

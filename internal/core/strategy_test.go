@@ -43,7 +43,7 @@ func TestFirstFinishChainCap(t *testing.T) {
 	pol, _ := search.New(search.BeamSearch, 16, 4)
 	cfg := testConfig(t, pol, FastTTSOptions())
 	cfg.Strategy = search.FirstFinish(4)
-	s, err := newSolver(cfg, aimeProblem(t, 0))
+	s, err := newSolver(cfg, aimeProblem(t, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"fasttts/internal/hw"
 	"fasttts/internal/kvcache"
 	"fasttts/internal/model"
+	"fasttts/internal/obs"
 	"fasttts/internal/sim"
 	"fasttts/internal/trace"
 )
@@ -27,7 +28,9 @@ type Engine struct {
 	GPU   hw.GPU
 	Cache *kvcache.Cache
 	Clock *sim.Clock
-	Rec   *trace.Recorder
+	// Kernels receives one span per kernel interval (see obs.KindGenerate);
+	// nil records nothing.
+	Kernels *obs.Track
 
 	// BusyTime accumulates the engine's total charged time (the paper's
 	// generator/verifier latency breakdown in Fig 13).
@@ -44,8 +47,8 @@ type Engine struct {
 }
 
 // New validates that the model's weights fit and returns an engine whose
-// KV cache holds kvBytes.
-func New(name string, m model.Config, g hw.GPU, kvBytes int64, clk *sim.Clock, rec *trace.Recorder) (*Engine, error) {
+// KV cache holds kvBytes and whose kernel spans go on kernels (nil: none).
+func New(name string, m model.Config, g hw.GPU, kvBytes int64, clk *sim.Clock, kernels *obs.Track) (*Engine, error) {
 	if m.WeightBytes() > g.VRAMBytes {
 		return nil, fmt.Errorf("engine %s: weights (%d B) exceed %s VRAM", name, m.WeightBytes(), g.Name)
 	}
@@ -53,19 +56,19 @@ func New(name string, m model.Config, g hw.GPU, kvBytes int64, clk *sim.Clock, r
 		return nil, fmt.Errorf("engine %s: non-positive KV budget %d", name, kvBytes)
 	}
 	return &Engine{
-		Name:  name,
-		Model: m,
-		GPU:   g,
-		Cache: kvcache.New(kvBytes, m.KVBytesPerToken()),
-		Clock: clk,
-		Rec:   rec,
-		dec:   model.NewDecodeRoofline(m, g),
+		Name:    name,
+		Model:   m,
+		GPU:     g,
+		Cache:   kvcache.New(kvBytes, m.KVBytesPerToken()),
+		Clock:   clk,
+		Kernels: kernels,
+		dec:     model.NewDecodeRoofline(m, g),
 	}, nil
 }
 
 // Reset returns the engine to its just-constructed state with a KV cache of
 // kvBytes: counters zero, cache empty (see kvcache.Cache.Reset). Model, GPU,
-// clock and recorder are kept; the serving loop resets one engine per
+// clock and kernel track are kept; the serving loop resets one engine per
 // request instead of building one.
 func (e *Engine) Reset(kvBytes int64) error {
 	if kvBytes <= 0 {
@@ -78,7 +81,7 @@ func (e *Engine) Reset(kvBytes int64) error {
 }
 
 // DecodeRound charges one decode step for a batch of `batch` sequences
-// whose cached contexts total ctxTokens, attributing the sample to phase,
+// whose cached contexts total ctxTokens, attributing the span to phase,
 // and returns the round latency. It is DecodeRun's one-round case; the
 // roofline terms were computed by New (model.DecodeRoofline), so a round is
 // a few flops and one clock advance.
@@ -98,7 +101,7 @@ func (e *Engine) DecodeRound(batch int, ctxTokens int64, phase trace.Phase) floa
 // ended the run at, or else the last one run (the clock, if none).
 //
 // A run is bit for bit that many DecodeRound calls — clock, BusyTime,
-// counters and recorded samples — but keeps the clock, busy time, context
+// counters and kernel spans — but keeps the clock, busy time, context
 // and mean context in locals and commits them once.
 func (e *Engine) DecodeRun(batch int, ctxTokens int64, rounds int, phase trace.Phase, stop func(top float64) bool) (ran int, ctx int64, top float64) {
 	ran, ctx, top, _ = e.decode(batch, ctxTokens, rounds, phase, stop)
@@ -108,17 +111,17 @@ func (e *Engine) DecodeRun(batch int, ctxTokens int64, rounds int, phase trace.P
 // decode is DecodeRun, also returning the latency of the last round run.
 //
 // Unless the run is exact, the rounds before the last are charged in a loop
-// that neither reads stop nor records: stop is monotone, so if it does not
+// that neither reads stop nor emits spans: stop is monotone, so if it does not
 // fire at the last top it fires at none. If it does fire there, the run
 // starts over from its uncommitted start, exact this time, to find the
-// first top it fires at. A recorded run is exact from the start.
+// first top it fires at. A run with a kernel track is exact from the start.
 func (e *Engine) decode(batch int, ctxTokens int64, rounds int, phase trace.Phase, stop func(float64) bool) (ran int, ctx int64, top, dt float64) {
 	start := e.Clock.Now()
 	if batch <= 0 || rounds <= 0 {
 		return 0, ctxTokens, start, 0
 	}
-	rec, b := e.Rec, int64(batch)
-	exact := rec != nil
+	kernels, b := e.Kernels, int64(batch)
+	exact := kernels != nil
 	for {
 		now, busy, mean := start, e.BusyTime, ctxTokens/b
 		ctx, dt, ran = ctxTokens, 0, 0
@@ -135,11 +138,10 @@ func (e *Engine) decode(batch int, ctxTokens int64, rounds int, phase trace.Phas
 			}
 			var flops float64
 			dt, flops = e.dec.StepMean(batch, ctx, mean)
-			if rec != nil {
-				rec.Record(trace.Sample{
-					Start: now, End: now + dt, Phase: phase,
-					Util:  e.GPU.Utilization(flops, dt),
-					Batch: batch,
+			if kernels != nil {
+				kernels.Emit(obs.Span{
+					Kind: phase, Start: now, End: now + dt,
+					V1: e.GPU.Utilization(flops, dt), N: batch,
 				})
 			}
 			now, busy, ctx, mean = now+dt, busy+dt, ctx+b, mean+1
@@ -181,11 +183,10 @@ func (e *Engine) PrefillBatch(items []PrefillItem, phase trace.Phase) float64 {
 	e.Clock.Advance(dt)
 	e.BusyTime += dt
 	e.PrefilledTokens += int64(newTotal)
-	if e.Rec != nil {
-		e.Rec.Record(trace.Sample{
-			Start: start, End: start + dt, Phase: phase,
-			Util:  e.GPU.Utilization(flops, dt),
-			Batch: len(items),
+	if e.Kernels != nil {
+		e.Kernels.Emit(obs.Span{
+			Kind: phase, Start: start, End: start + dt,
+			V1: e.GPU.Utilization(flops, dt), N: len(items),
 		})
 	}
 	return dt
@@ -202,11 +203,8 @@ func (e *Engine) SwapTransfer(bytes int64) float64 {
 	e.Clock.Advance(dt)
 	e.TransferTime += dt
 	e.BusyTime += dt
-	if e.Rec != nil {
-		e.Rec.Record(trace.Sample{
-			Start: start, End: start + dt, Phase: trace.PhaseTransfer,
-			Util: 0, Batch: 0,
-		})
+	if e.Kernels != nil {
+		e.Kernels.Emit(obs.Span{Kind: trace.PhaseTransfer, Start: start, End: start + dt})
 	}
 	return dt
 }

@@ -11,6 +11,7 @@ import (
 	"fasttts/internal/hw"
 	"fasttts/internal/kvcache"
 	"fasttts/internal/model"
+	"fasttts/internal/obs"
 	"fasttts/internal/sim"
 	"fasttts/internal/trace"
 )
@@ -140,7 +141,7 @@ func TestDecodeRunMatchesRounds(t *testing.T) {
 					// The tops of a run nothing stops place the thresholds.
 					var tops []float64
 					{
-						e := newRunEngine(t, m, g, clock0, busy0, false)
+						e, _ := newRunEngine(t, m, g, clock0, busy0, false)
 						c := ctx
 						for range rounds {
 							tops = append(tops, e.Clock.Now())
@@ -155,7 +156,7 @@ func TestDecodeRunMatchesRounds(t *testing.T) {
 					for _, th := range thresholds {
 						stop := func(top float64) bool { return top >= th }
 						for _, recorded := range []bool{false, true} {
-							want := newRunEngine(t, m, g, clock0, busy0, recorded)
+							want, wantRec := newRunEngine(t, m, g, clock0, busy0, recorded)
 							wantRan, wantCtx, wantTop := 0, ctx, want.Clock.Now()
 							for wantRan < rounds {
 								wantTop = want.Clock.Now()
@@ -166,7 +167,7 @@ func TestDecodeRunMatchesRounds(t *testing.T) {
 								wantCtx += int64(batch)
 								wantRan++
 							}
-							got := newRunEngine(t, m, g, clock0, busy0, recorded)
+							got, gotRec := newRunEngine(t, m, g, clock0, busy0, recorded)
 							ran, gotCtx, top := got.DecodeRun(batch, ctx, rounds, trace.PhaseGenerate, stop)
 							if ran != wantRan || gotCtx != wantCtx || !sameBits(top, wantTop) ||
 								!sameBits(got.Clock.Now(), want.Clock.Now()) || !sameBits(got.BusyTime, want.BusyTime) ||
@@ -176,8 +177,8 @@ func TestDecodeRunMatchesRounds(t *testing.T) {
 									ran, gotCtx, top, got.Clock.Now(), got.BusyTime, got.DecodedTokens,
 									wantRan, wantCtx, wantTop, want.Clock.Now(), want.BusyTime, want.DecodedTokens)
 							}
-							if recorded && !slices.Equal(got.Rec.Samples, want.Rec.Samples) {
-								t.Fatalf("%s on %s, batch %d, ctx %d, %d rounds, threshold %v: recorded samples differ", m.Name, g.Name, batch, ctx, rounds, th)
+							if recorded && !slices.Equal(gotRec.Spans(), wantRec.Spans()) {
+								t.Fatalf("%s on %s, batch %d, ctx %d, %d rounds, threshold %v: kernel spans differ", m.Name, g.Name, batch, ctx, rounds, th)
 							}
 						}
 					}
@@ -188,21 +189,22 @@ func TestDecodeRunMatchesRounds(t *testing.T) {
 }
 
 // newRunEngine returns an engine for m on g whose clock reads clock0 and
-// whose BusyTime is busy0, with a recorder attached if recorded.
-func newRunEngine(t *testing.T, m model.Config, g hw.GPU, clock0, busy0 float64, recorded bool) *Engine {
+// whose BusyTime is busy0, with its kernel spans on the returned recorder
+// if recorded (else the recorder is nil).
+func newRunEngine(t *testing.T, m model.Config, g hw.GPU, clock0, busy0 float64, recorded bool) (*Engine, *obs.Recorder) {
 	t.Helper()
-	var rec *trace.Recorder
+	var rec *obs.Recorder
 	if recorded {
-		rec = &trace.Recorder{}
+		rec = obs.NewRecorder()
 	}
 	clk := &sim.Clock{}
 	clk.Advance(clock0)
-	e, err := New("run", m, g, 1<<30, clk, rec)
+	e, err := New("run", m, g, 1<<30, clk, rec.Device(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.BusyTime = busy0
-	return e
+	return e, rec
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -291,24 +293,24 @@ func TestSwapTransfer(t *testing.T) {
 
 func TestRecorderIntegration(t *testing.T) {
 	clk := &sim.Clock{}
-	rec := &trace.Recorder{}
-	e, err := New("gen", model.Qwen25Math1_5B, hw.RTX4090, 2<<30, clk, rec)
+	rec := obs.NewRecorder()
+	e, err := New("gen", model.Qwen25Math1_5B, hw.RTX4090, 2<<30, clk, rec.Device(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.DecodeRound(4, 4*100, trace.PhaseGenerate)
 	e.PrefillBatch([]PrefillItem{{NewTokens: 100, CtxTokens: 100}}, trace.PhaseVerify)
-	if len(rec.Samples) != 2 {
-		t.Fatalf("samples = %d", len(rec.Samples))
+	spans := rec.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("spans = %d", len(spans))
 	}
-	if rec.Samples[0].Phase != trace.PhaseGenerate || rec.Samples[1].Phase != trace.PhaseVerify {
-		t.Errorf("phases = %v, %v", rec.Samples[0].Phase, rec.Samples[1].Phase)
+	if spans[0].Kind != trace.PhaseGenerate || spans[1].Kind != trace.PhaseVerify {
+		t.Errorf("phases = %v, %v", spans[0].Kind, spans[1].Kind)
 	}
 	// Verification prefill is compute-dense: its utilization should beat
 	// a small decode batch (Fig 4's contrast).
-	if rec.Samples[1].Util <= rec.Samples[0].Util {
-		t.Errorf("prefill util %.3f not above decode util %.3f",
-			rec.Samples[1].Util, rec.Samples[0].Util)
+	if spans[1].V1 <= spans[0].V1 {
+		t.Errorf("prefill util %.3f not above decode util %.3f", spans[1].V1, spans[0].V1)
 	}
 }
 
@@ -322,18 +324,18 @@ func TestResizeCache(t *testing.T) {
 	}
 }
 
-// The sample blocks are skipped for a nil recorder; skipping them must not
-// change what the engine charges, and a non-nil recorder must still see one
-// sample per charged operation with the fields the unguarded code computed.
+// The span blocks are skipped for a nil kernel track; skipping them must not
+// change what the engine charges, and a track must still see one span per
+// charged operation with the fields the unguarded code computed.
 func TestRecorderGuardChangesNothing(t *testing.T) {
 	m, g := model.Qwen25Math1_5B, hw.RTX4090
 	for _, tc := range []struct {
-		name    string
-		op      func(e *Engine) float64
-		phase   trace.Phase
-		batch   int
-		flops   float64 // utilization numerator; 0 for transfers
-		samples int
+		name  string
+		op    func(e *Engine) float64
+		phase trace.Phase
+		batch int
+		flops float64 // utilization numerator; 0 for transfers
+		spans int
 	}{
 		{"decode", func(e *Engine) float64 { return e.DecodeRound(8, 8*512, trace.PhaseGenerate) },
 			trace.PhaseGenerate, 8, 8 * (2*float64(m.Params) + 4*float64(m.Layers)*float64(m.Heads*m.HeadDim)*512), 1},
@@ -348,38 +350,39 @@ func TestRecorderGuardChangesNothing(t *testing.T) {
 		{"swap nothing", func(e *Engine) float64 { return e.SwapTransfer(0) }, trace.PhaseTransfer, 0, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := &trace.Recorder{}
+			rec := obs.NewRecorder()
 			var engines [2]*Engine
 			var dts [2]float64
-			for i, r := range []*trace.Recorder{nil, rec} {
-				e, err := New("gen", m, g, 2<<30, &sim.Clock{}, r)
+			for i, tr := range []*obs.Track{nil, rec.Device(0)} {
+				e, err := New("gen", m, g, 2<<30, &sim.Clock{}, tr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.Clock.Advance(1.5) // samples must start at the clock, not at 0
+				e.Clock.Advance(1.5) // spans must start at the clock, not at 0
 				engines[i], dts[i] = e, tc.op(e)
 			}
 			off, on := engines[0], engines[1]
 			if dts[0] != dts[1] || off.Clock.Now() != on.Clock.Now() || off.BusyTime != on.BusyTime ||
 				off.TransferTime != on.TransferTime || off.DecodedTokens != on.DecodedTokens ||
 				off.PrefilledTokens != on.PrefilledTokens {
-				t.Errorf("nil recorder: dt=%v clock=%v %+v\nrecorder:     dt=%v clock=%v %+v",
+				t.Errorf("nil track: dt=%v clock=%v %+v\ntrack:     dt=%v clock=%v %+v",
 					dts[0], off.Clock.Now(), counters(off), dts[1], on.Clock.Now(), counters(on))
 			}
-			if len(rec.Samples) != tc.samples {
-				t.Fatalf("%d samples, want %d", len(rec.Samples), tc.samples)
+			spans := rec.Spans()
+			if len(spans) != tc.spans {
+				t.Fatalf("%d spans, want %d", len(spans), tc.spans)
 			}
-			if tc.samples == 0 {
+			if tc.spans == 0 {
 				return
 			}
-			want := trace.Sample{
-				Start: 1.5, End: 1.5 + dts[1], Phase: tc.phase, Batch: tc.batch,
+			want := obs.Span{
+				Start: 1.5, End: 1.5 + dts[1], Kind: tc.phase, N: tc.batch,
 			}
 			if tc.flops > 0 {
-				want.Util = g.Utilization(tc.flops, dts[1])
+				want.V1 = g.Utilization(tc.flops, dts[1])
 			}
-			if rec.Samples[0] != want {
-				t.Errorf("sample = %+v\nwant     %+v", rec.Samples[0], want)
+			if spans[0] != want {
+				t.Errorf("span = %+v\nwant   %+v", spans[0], want)
 			}
 		})
 	}

@@ -21,24 +21,14 @@ import (
 	"sort"
 )
 
-// PathResult is one finished reasoning path.
+// PathResult is one finished reasoning path, as the solver collects it.
 type PathResult struct {
+	BeamID      int     // the beam that finished it
+	Steps       int     // thinking steps
 	Tokens      int     // generated tokens (prompt excluded)
-	CompletedAt float64 // completion time from request start, seconds
 	Answer      int     // 0 = correct answer
 	Score       float64 // final verifier score
-}
-
-// GoodputTerms returns what PreciseGoodput reads of the path.
-func (p PathResult) GoodputTerms() (tokens int, completedAt float64) {
-	return p.Tokens, p.CompletedAt
-}
-
-// GoodputPath is a finished path as PreciseGoodput reads it: its generated
-// tokens and its completion time from request start. The solver's own
-// path records satisfy it, so a Result's goodput needs no PathResult copy.
-type GoodputPath interface {
-	GoodputTerms() (tokens int, completedAt float64)
+	CompletedAt float64 // completion time from request start, seconds
 }
 
 // PreciseGoodput implements the §6.1 metric:
@@ -48,15 +38,14 @@ type GoodputPath interface {
 //
 // Averaging across beams makes the metric robust to a single slow path
 // and to inflation from branching copies.
-func PreciseGoodput[P GoodputPath](paths []P) float64 {
+func PreciseGoodput(paths []PathResult) float64 {
 	if len(paths) == 0 {
 		return 0
 	}
 	var tokens, completion float64
 	for _, p := range paths {
-		n, at := p.GoodputTerms()
-		tokens += float64(n)
-		completion += at
+		tokens += float64(p.Tokens)
+		completion += p.CompletedAt
 	}
 	if completion == 0 {
 		return 0

@@ -53,9 +53,11 @@ func origTag(t int) int {
 // Attribute runs the latency-attribution pass over a merged span
 // stream, returning one record per finished request, sorted by tag.
 // Requests that never finished (shed, rejected, cancelled before
-// completion) are not attributed. With hedging, the copy producing the
-// earliest finish (ties broken by lower track) is the winner; the
-// loser's executed slices become HedgeWaste. The pass is deterministic:
+// completion) are not attributed. With hedging, the winner is the copy
+// the request's hedge-win span names — the copy the fleet delivered first,
+// which can finish later on the virtual clock than its twin; without a
+// hedge-win span the earliest finish wins (ties broken by lower track).
+// The loser's executed slices become HedgeWaste. The pass is deterministic:
 // identical span streams yield identical attributions.
 func Attribute(spans []Span) []RequestAttribution {
 	idx, bounds := groupByRequest(spans)

@@ -1,20 +1,20 @@
 // Package obs is the deterministic request-lifecycle span flight
 // recorder: an allocation-disciplined observability layer the serving
 // engines thread lifecycle spans through when — and only when — a
-// Recorder is attached. Every emission site in core and cluster is
-// nil-checked, so the disabled path (the default) adds zero allocations
-// and zero behavioral difference; with a recorder attached, tracing
-// observes scheduling but never perturbs it — the committed goldens
-// replay byte-identically either way.
+// Recorder is attached. Every emission site in core, cluster and engine
+// is nil-checked, so the disabled path (the default) adds zero
+// allocations and zero behavioral difference; with a recorder attached,
+// tracing observes scheduling but never perturbs it — the committed
+// goldens replay byte-identically either way.
 //
 // The recorder is a set of tracks: one per device (the device's slice
-// timeline, admissions, completions, withdrawals) plus one control-plane
-// track (routing decisions, requeue hops, hedge placements, control
-// ticks, joins, drains). Tracks are single-writer: a device track is
-// written only by that device's loop, and the control track only by the
-// fleet driver. The merged span stream (Recorder.Spans) is a pure
-// function of per-track content, so equal seeds give bit-identical
-// traces.
+// timeline, admissions, completions, withdrawals — or, for a single
+// solve, its engine kernels) plus one control-plane track (routing
+// decisions, requeue hops, hedge placements, control ticks, joins,
+// drains). Tracks are single-writer: a device track is written only by
+// that device's loop (or solve), and the control track only by the fleet
+// driver. The merged span stream (Recorder.Spans) is a pure function of
+// per-track content, so equal seeds give bit-identical traces.
 package obs
 
 import (
@@ -105,6 +105,19 @@ const (
 	KindJoin
 	// KindDrain marks a scale-down drain decision: V1 the victim device.
 	KindDrain
+
+	// Device-track kernel kinds: one span per engine kernel interval of
+	// a single solve (core.Runner), never of a serving loop. V1 is the
+	// kernel's achieved compute utilization in [0,1], N its batch size.
+
+	// KindGenerate is a generator decode round or prefill.
+	KindGenerate
+	// KindVerify is a verifier prefill.
+	KindVerify
+	// KindRecompute is a generator re-prefill of evicted prefixes.
+	KindRecompute
+	// KindTransfer is a PCIe KV offload transfer (V1 and N are 0).
+	KindTransfer
 )
 
 var kindNames = [...]string{
@@ -115,7 +128,8 @@ var kindNames = [...]string{
 	KindHedgeWin: "hedge-win",
 	KindRequeue:  "requeue", KindShed: "shed", KindCancelReq: "cancel-req",
 	KindFailDev: "fail-dev", KindTick: "tick", KindJoin: "join",
-	KindDrain: "drain",
+	KindDrain: "drain", KindGenerate: "generate", KindVerify: "verify",
+	KindRecompute: "recompute", KindTransfer: "transfer",
 }
 
 func (k Kind) String() string {

@@ -1,6 +1,6 @@
 // Package workload generates the synthetic reasoning workload that stands
-// in for real LLM generation (see DESIGN.md §1 for the substitution
-// argument).
+// in for real LLM generation (README.md's opening section makes the
+// substitution argument).
 //
 // The model reproduces the distributional properties every FastTTS
 // mechanism depends on:

@@ -5,19 +5,18 @@ import (
 	"fasttts/internal/metrics"
 )
 
-// Path is one finished reasoning path.
-type Path struct {
-	Tokens      int     // generated tokens (prompt excluded)
-	Steps       int     // thinking steps
-	Answer      int     // 0 = correct answer
-	Score       float64 // final verifier score
-	CompletedAt float64 // completion time from request start, seconds
-}
+// Path is one finished reasoning path: the beam that finished it, its
+// thinking steps and generated tokens (prompt excluded), its answer (0 =
+// correct), final verifier score, and completion time from request start
+// in seconds.
+type Path = metrics.PathResult
 
 // Result reports one solved problem.
 type Result struct {
 	Problem *Problem
-	Paths   []Path
+	// Paths holds the finished paths in completion order; nil when none
+	// finished.
+	Paths []Path
 
 	// Latency is the end-to-end time in (virtual) seconds; GenLatency,
 	// VerLatency, and TransferLatency are its generator / verifier /
@@ -31,10 +30,9 @@ type Result struct {
 	// them were adopted by surviving beams. RecomputedTokens counts
 	// evicted-prefix re-prefills on the generator.
 	SpecTokens, SpecRetained, RecomputedTokens int64
-
-	inner *core.Result
 }
 
+// wrapResult reports a solved problem; Paths shares the solver's Finished.
 func wrapResult(res *core.Result) *Result {
 	out := &Result{
 		Latency:          res.Latency,
@@ -46,37 +44,23 @@ func wrapResult(res *core.Result) *Result {
 		SpecTokens:       res.SpecTokens,
 		SpecRetained:     res.SpecRetained,
 		RecomputedTokens: res.RecomputedTokens,
-		inner:            res,
 	}
 	if len(res.Finished) > 0 {
-		out.Paths = make([]Path, len(res.Finished))
-	}
-	for i, f := range res.Finished {
-		out.Paths[i] = Path{
-			Tokens:      f.Tokens,
-			Steps:       f.Steps,
-			Answer:      f.Answer,
-			Score:       f.Score,
-			CompletedAt: f.CompletedAt,
-		}
+		out.Paths = res.Finished
 	}
 	return out
-}
-
-func (r *Result) pathResults() []metrics.PathResult {
-	return r.inner.PathResults()
 }
 
 // Top1Correct reports whether majority voting over the finished paths
 // selects the correct answer (§6.3).
 func (r *Result) Top1Correct() bool {
-	return metrics.Top1Correct(r.pathResults())
+	return metrics.Top1Correct(r.Paths)
 }
 
 // PassAtN reports whether any of the top-n paths (ranked by verifier
 // score) answered correctly (§6.3).
 func (r *Result) PassAtN(n int) bool {
-	return metrics.PassAtN(r.pathResults(), n)
+	return metrics.PassAtN(r.Paths, n)
 }
 
 // Summary aggregates results across problems.

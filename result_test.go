@@ -10,7 +10,7 @@ import (
 	"fasttts/internal/core"
 )
 
-func coreResult(latency, goodput float64, paths ...core.FinalPath) *core.Result {
+func coreResult(latency, goodput float64, paths ...Path) *core.Result {
 	return &core.Result{
 		Finished:         paths,
 		Latency:          latency,
@@ -28,8 +28,8 @@ func coreResult(latency, goodput float64, paths ...core.FinalPath) *core.Result 
 
 func TestWrapResultFieldMapping(t *testing.T) {
 	inner := coreResult(40, 512.5,
-		core.FinalPath{BeamID: 0, Steps: 4, Tokens: 900, Answer: 0, Score: 0.8, CompletedAt: 31},
-		core.FinalPath{BeamID: 1, Steps: 5, Tokens: 1100, Answer: 3, Score: 0.4, CompletedAt: 39},
+		Path{BeamID: 0, Steps: 4, Tokens: 900, Answer: 0, Score: 0.8, CompletedAt: 31},
+		Path{BeamID: 1, Steps: 5, Tokens: 1100, Answer: 3, Score: 0.4, CompletedAt: 39},
 	)
 	res := wrapResult(inner)
 	if res.Latency != 40 || res.Goodput != 512.5 || res.Iterations != 7 {
@@ -44,22 +44,28 @@ func TestWrapResultFieldMapping(t *testing.T) {
 	if len(res.Paths) != 2 {
 		t.Fatalf("%d paths, want 2", len(res.Paths))
 	}
-	want := Path{Tokens: 900, Steps: 4, Answer: 0, Score: 0.8, CompletedAt: 31}
-	if res.Paths[0] != want {
-		t.Errorf("path 0 = %+v, want %+v", res.Paths[0], want)
+	want := Path{BeamID: 1, Tokens: 1100, Steps: 5, Answer: 3, Score: 0.4, CompletedAt: 39}
+	if res.Paths[1] != want {
+		t.Errorf("path 1 = %+v, want %+v", res.Paths[1], want)
+	}
+	if &res.Paths[0] != &inner.Finished[0] {
+		t.Error("Paths copies the solver's Finished instead of sharing it")
+	}
+	if none := wrapResult(coreResult(10, 0, []Path{}...)); none.Paths != nil {
+		t.Errorf("no finished path: Paths = %#v, want nil", none.Paths)
 	}
 }
 
 func TestResultVotingAccessors(t *testing.T) {
 	cases := []struct {
 		name     string
-		paths    []core.FinalPath
+		paths    []Path
 		wantTop1 bool
 		wantPass map[int]bool
 	}{
 		{
 			name: "majority correct",
-			paths: []core.FinalPath{
+			paths: []Path{
 				{Answer: 0, Score: 0.6}, {Answer: 0, Score: 0.5}, {Answer: 2, Score: 0.9},
 			},
 			wantTop1: true,
@@ -67,7 +73,7 @@ func TestResultVotingAccessors(t *testing.T) {
 		},
 		{
 			name: "majority wrong but top-scored correct",
-			paths: []core.FinalPath{
+			paths: []Path{
 				{Answer: 5, Score: 0.3}, {Answer: 5, Score: 0.2}, {Answer: 0, Score: 0.9},
 			},
 			wantTop1: false,
@@ -95,8 +101,8 @@ func TestResultVotingAccessors(t *testing.T) {
 }
 
 func TestSummarizeTable(t *testing.T) {
-	correct := coreResult(20, 400, core.FinalPath{Answer: 0, Score: 0.9})
-	wrong := coreResult(60, 200, core.FinalPath{Answer: 4, Score: 0.9})
+	correct := coreResult(20, 400, Path{Answer: 0, Score: 0.9})
+	wrong := coreResult(60, 200, Path{Answer: 4, Score: 0.9})
 	s := Summarize([]*Result{wrapResult(correct), wrapResult(wrong)})
 	if s.Problems != 2 {
 		t.Errorf("Problems = %d, want 2", s.Problems)
