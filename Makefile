@@ -81,7 +81,10 @@ benchmark-smoke:
 # allocation profile, whose alloc_objects are then exact counts rather than
 # a 512 KiB sample. Exact counting in the CPU run would swamp its profile
 # (stack unwinding on every allocation took 38 % of the CPU). Each prints
-# the top 25 of both. Everything lands in bench-smoke/ (gitignored).
+# the CPU top 25 and the allocation top 25 twice: by alloc_objects (the
+# allocators) and by alloc_space (the bytes — one large allocation, such
+# as a copy of the whole request stream, never shows in a count). Everything
+# lands in bench-smoke/ (gitignored).
 #
 # $(call profile,BENCHMARK,PACKAGE,CPU_BENCHTIME,MEM_BENCHTIME,PREFIX)
 # writes bench-smoke/PREFIX.cpu and PREFIX.mem; the test binary is named
@@ -96,6 +99,7 @@ $(GO) test -run '^$$' -bench '$(1)' -benchtime $(4) -benchmem \
 	-memprofilerate 1 -memprofile bench-smoke/$(5).mem -o $(call profile_bin,$(2)) $(2)
 $(GO) tool pprof -top -nodecount=25 $(call profile_bin,$(2)) bench-smoke/$(5).cpu
 $(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(call profile_bin,$(2)) bench-smoke/$(5).mem
+$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 $(call profile_bin,$(2)) bench-smoke/$(5).mem
 endef
 
 # Where the solver's host time and allocations go: BenchmarkServerRunBeam64
@@ -120,17 +124,22 @@ profile-observed:
 # pass — 256 devices, 100k requests, least-work — in
 # internal/cluster/perf_test.go). A dispatch PR (router, views, event
 # heaps, core.Loop's queue) shows its cost here: the benchmark's traced
-# run wraps the router, which hides it from the least-work index. Over half
-# the CPU is the devices' Loop.StepTo, most of it the served requests'
-# solvers (init, begin, stepOnce); the policy views it reads are kept
-# current, not rebuilt per slice. Routing an arrival (pushTo and
-# Loop.Push) takes about 15 %, refreshing views and the least-work tree
-# (cached drain keys) about 7 %, the wake heap about 10 %, settling the
-# deferred prefix accounting (the int-keyed device.acct map) about 6 %,
-# and newRun 3 %; the prefix directory and requeue telemetry use no
-# string-keyed or per-request map. Of the pass's allocations, most are
-# the served requests' results (solver.result, and solver.begin's
-# finished paths); CI runs this recipe so it cannot rot.
+# run wraps the router, which hides it from the least-work index. Half
+# the CPU is the devices' Loop.StepTo, and about a third is the served
+# requests' solvers (init about 11 %, begin 8 %, stepOnce 12 %): a
+# request reads its deployment's constants — the Config by pointer, the
+# KV budget computed once — and copies no Config. The policy views StepTo
+# reads are kept current, not rebuilt per slice. Routing an arrival
+# (pushTo and Loop.Push) takes about 14 %, refreshing views and the
+# least-work tree (cached drain keys) about 8 %, the wake heap about
+# 10 %, delivering results about 8 %, settling the deferred prefix
+# accounting (the int-keyed device.acct map) about 5 %, and newRun 3 %;
+# newRun copies no request (the stream is routed through an int32
+# permutation of it), and the prefix directory and requeue telemetry use
+# no string-keyed or per-request map. Of the pass's allocations, most
+# objects are the served requests' results (solver.result, and
+# solver.begin's finished paths); most bytes are newRun's result slice,
+# then solver.result. CI runs this recipe so it cannot rot.
 profile-dispatch:
 	$(call profile,BenchmarkFleetDispatch,./internal/cluster,3x,1x,dispatch)
 

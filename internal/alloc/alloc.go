@@ -46,7 +46,8 @@ type Plan struct {
 	// PreBytes/DecBytes are the KV reservations for each stage.
 	PreBytes, DecBytes int64
 	// TotalTime is the modeled execution time of one full
-	// generate+verify cycle over N requests.
+	// generate+verify cycle over N requests: Optimize's objective. A
+	// StaticSplit plan, which optimizes nothing, leaves it 0.
 	TotalTime float64
 	// Offload reports whether the inactive model's KV is offloaded to
 	// host memory (§4.3.2); OffloadOverhead is the per-cycle PCIe cost.
@@ -162,7 +163,8 @@ func Optimize(in Input) (Plan, error) {
 // StaticSplit returns the naive baseline plan: the budget is divided in
 // fixed proportion preFrac to the verifier and the rest to the generator
 // (the vLLM-baseline behaviour of running two instances with fixed
-// gpu_memory_utilization each).
+// gpu_memory_utilization each). It sizes the two batches and their
+// reservations only; no cycle time is modeled.
 func StaticSplit(in Input, preFrac float64) (Plan, error) {
 	kvPre := in.Verifier.KVBytes(1, in.SeqVerifier)
 	kvDec := in.Generator.KVBytes(1, in.SeqDecode)
@@ -179,11 +181,9 @@ func StaticSplit(in Input, preFrac float64) (Plan, error) {
 	if bPre < 1 || bDec < 1 {
 		return Plan{}, ErrInfeasible
 	}
-	dec := model.NewDecodeRoofline(in.Generator, in.GPU)
 	return Plan{
 		BPre: bPre, BDec: bDec,
 		PreBytes: int64(bPre) * kvPre, DecBytes: int64(bDec) * kvDec,
-		TotalTime: cycleTime(in, &dec, bPre, bDec),
 	}, nil
 }
 

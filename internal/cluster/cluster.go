@@ -31,10 +31,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"fasttts/internal/control"
 	"fasttts/internal/core"
@@ -335,20 +335,25 @@ type run struct {
 	devs []*device
 	out  *Outcome
 
-	// Arrival sources: the pre-sorted submitted stream consumed by index,
-	// plus the failure requeues consumed FIFO through rp. failDevice is
-	// their only producer: it stamps each with its fail-stop time, and
-	// fail-stops apply in (time, device) order, so the FIFO is already
-	// sorted by arrival, ties in requeue order.
-	stream   []pendingReq
+	// Arrival sources: the caller's stream, read (never written) through
+	// order — its indices sorted by (Arrival, input index) — and consumed
+	// through sp, plus the failure requeues consumed FIFO through rp.
+	// failDevice is the FIFO's only producer: it stamps each with its
+	// fail-stop time, and fail-stops apply in (time, device) order, so the
+	// FIFO is already sorted by arrival, ties in requeue order. head is
+	// the one pendingReq popArrival builds for a stream arrival.
+	reqs     []core.Request
+	order    []int32
 	sp       int
+	head     pendingReq
 	requeued []pendingReq
 	rp       int
 	// prompts numbers the stream's distinct prompt prefixes (Problem.Key)
 	// 0, 1, ... in first-submission order: the index of every device's
-	// prefix directory. newRun assigns each request its id once, and a
-	// failure requeue looks it up again.
-	prompts map[string]int
+	// prefix directory. newRun assigns each request its id once, by input
+	// index in promptOf, and a failure requeue looks it up again.
+	prompts  map[string]int
+	promptOf []int32
 	// displaced holds the requests a fail-stop displaced, by tag — the
 	// only requests whose first submission time differs from the arrival
 	// they carry (see submitted). failDevice is its only writer.
@@ -429,8 +434,11 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 		devs[i] = newDevice(spec, f.srvs[i], 0)
 	}
 
-	stream := make([]pendingReq, len(reqs))
-	tags := make([]int, len(reqs))
+	if len(reqs) > math.MaxInt32 {
+		return nil, fmt.Errorf("cluster: %d requests exceed the stream limit of %d", len(reqs), math.MaxInt32)
+	}
+	order := make([]int32, len(reqs))
+	promptOf := make([]int32, len(reqs))
 	prompts := make(map[string]int)
 	for i, rq := range reqs {
 		if rq.Tag < 0 && f.cfg.Strategy.Hedged() {
@@ -446,26 +454,35 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 			id = len(prompts)
 			prompts[rq.Problem.Key()] = id
 		}
-		stream[i] = pendingReq{req: rq, prompt: id}
-		tags[i] = rq.Tag
+		order[i] = int32(i)
+		promptOf[i] = int32(id)
 	}
-	// Sorted, a repeated tag sits next to its twin: no map entry per request.
-	slices.Sort(tags)
-	for i := 1; i < len(tags); i++ {
-		if tags[i] == tags[i-1] {
+	// Sorted by tag, a repeated tag sits next to its twin: no map entry
+	// per request.
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(reqs[a].Tag, reqs[b].Tag) })
+	for k := 1; k < len(order); k++ {
+		if tag := reqs[order[k]].Tag; tag == reqs[order[k-1]].Tag {
 			return nil, fmt.Errorf(
 				"cluster: duplicate request tag %d: tags identify requests across failure requeues and must be unique (tag by stream index)",
-				tags[i])
+				tag)
 		}
 	}
-	sort.SliceStable(stream, func(i, j int) bool { return stream[i].req.Arrival < stream[j].req.Arrival })
+	// The routing order: by arrival, ties in input order.
+	slices.SortStableFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(reqs[a].Arrival, reqs[b].Arrival); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 
 	r := &run{
 		f:         f,
 		devs:      devs,
 		out:       &Outcome{Metrics: f.cfg.Metrics, Results: make([]Result, 0, len(reqs))},
-		stream:    stream,
+		reqs:      reqs,
+		order:     order,
 		prompts:   prompts,
+		promptOf:  promptOf,
 		displaced: make(map[int]displacement),
 		fails:     failSchedule(devs),
 		routeRand: rng.New(f.cfg.Seed).Child("cluster/router"),
@@ -524,18 +541,20 @@ func newDevice(spec Device, srv *core.Server, joinAt float64) *device {
 // streamFirst reports whether the stream head is the next arrival
 // (shared by peek and pop so the head-selection rule cannot diverge).
 func (r *run) streamFirst() bool {
-	return r.sp < len(r.stream) && (r.rp == len(r.requeued) || r.stream[r.sp].req.Arrival <= r.requeued[r.rp].req.Arrival)
+	return r.sp < len(r.order) && (r.rp == len(r.requeued) || r.reqs[r.order[r.sp]].Arrival <= r.requeued[r.rp].req.Arrival)
 }
 
 // nextArrival peeks the earliest pending arrival's time (the event loop
 // reads only the time, so no request is copied); popArrival removes that
-// arrival and returns it in place, so routing copies no pendingReq. The
-// pointer stays valid until failDevice next appends a requeue, which
-// routing the arrival never does.
+// arrival and returns it for routing, which may edit it: a stream arrival
+// as the run's one head pendingReq (the caller's reqs stay untouched), a
+// requeue in place. Either pointer stays valid until the next pop, and
+// the requeue's until failDevice next appends one, which routing the
+// arrival never does.
 func (r *run) nextArrival() (float64, bool) {
 	switch {
 	case r.streamFirst():
-		return r.stream[r.sp].req.Arrival, true
+		return r.reqs[r.order[r.sp]].Arrival, true
 	case r.rp < len(r.requeued):
 		return r.requeued[r.rp].req.Arrival, true
 	}
@@ -544,8 +563,10 @@ func (r *run) nextArrival() (float64, bool) {
 
 func (r *run) popArrival() *pendingReq {
 	if r.streamFirst() {
+		i := r.order[r.sp]
 		r.sp++
-		return &r.stream[r.sp-1]
+		r.head = pendingReq{req: r.reqs[i], prompt: int(r.promptOf[i])}
+		return &r.head
 	}
 	r.rp++
 	return &r.requeued[r.rp-1]
@@ -1038,11 +1059,15 @@ func (r *run) routeTwin(rq core.Request, prompt int, rv RequestView, primaryPick
 // Request Tags identify requests across requeues and must be unique
 // (callers typically tag by stream index); Run rejects streams with
 // duplicate tags, which would silently corrupt requeue telemetry and
-// prefix accounting.
+// prefix accounting. The stream need not be sorted: Run routes it by
+// arrival, ties in input order. Run reads reqs until it returns and never
+// writes to it, and copies no request up front: it keeps the caller's
+// slice plus two int32 arrays as long — the routing permutation and each
+// request's prompt id.
 //
 // Run is the fleet's event loop. Global events — request arrivals,
 // device fail-stops, warm-pool joins, and control ticks — are dispatched
-// from sorted sources: the arrival-sorted stream and the requeue FIFO
+// from sorted sources: the stream in arrival order and the requeue FIFO
 // (sorted by construction, see run.requeued), a pre-sorted fail-stop
 // schedule, and an indexed min-heap of per-device wake times
 // (the earliest horizon at which each device's loop would make

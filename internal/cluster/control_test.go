@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fasttts/internal/control"
@@ -306,6 +307,32 @@ func TestStaticMembershipLifetimeBitIdentity(t *testing.T) {
 	}
 	if st.DeviceSeconds == 0 {
 		t.Error("DeviceSeconds not accounted")
+	}
+}
+
+// TestScaleDownStopsAtMinDevices: a scale-down that asks for more drains
+// than the floor allows drains down to exactly MinDevices routable
+// devices — not one fewer — and reports only the drains it applied.
+func TestScaleDownStopsAtMinDevices(t *testing.T) {
+	devs := make([]Device, 4)
+	for i := range devs {
+		devs[i] = Device{Config: devConfig(t, hw.RTX4090, 4, uint64(42+i))}
+	}
+	f, err := New(Config{Devices: devs, Control: &ControlConfig{Interval: 10, MinDevices: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := f.newRun(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := r.el.scaleDown(r, 0, 10)
+	if len(r.vs) != 2 {
+		t.Errorf("%d routable devices after asking for 10 drains, want MinDevices = 2", len(r.vs))
+	}
+	if rec.Requested != 10 || rec.Applied != 2 || !slices.Equal(rec.Devices, []int{3, 2}) {
+		t.Errorf("scale-down record: requested %d, applied %d on %v; want 10, 2 on [3 2]",
+			rec.Requested, rec.Applied, rec.Devices)
 	}
 }
 

@@ -6,6 +6,10 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -77,6 +81,71 @@ func TestDuplicateTagsRejected(t *testing.T) {
 			t.Fatalf("tag %d reported twice", r.Tag)
 		}
 		seen[r.Tag] = true
+	}
+}
+
+// TestRunRoutesUnsortedStreamReadOnly: Run routes the caller's stream
+// through a permutation — by arrival, ties in input order — and never
+// writes to it. An unsorted stream with equal arrivals and out-of-order
+// tags serves exactly as the same stream pre-sorted by a stable sort, a
+// fail-stop's requeues included, and is left as it was passed in. The
+// pre-sorted run is tagged by position, so it routes in input order under
+// any tie rule that looks at tags, and round-robin routing, whose k-th
+// pick is device k mod 3, pins the order itself.
+func TestRunRoutesUnsortedStreamReadOnly(t *testing.T) {
+	devices := []Device{
+		{Config: devConfig(t, hw.RTX4090, 4, 42), FailAt: 6},
+		{Config: devConfig(t, hw.RTX4070Ti, 4, 43)},
+		{Config: devConfig(t, hw.RTX4090, 4, 44)},
+	}
+	const n = 24
+	probs := repeatedProblems(t, n, 5)
+	reqs := make([]core.Request, n)
+	for i := range reqs {
+		// Arrivals in ties of three, tags scattered over 0..n-1, and the
+		// stream reversed: ties now sit against both input and tag order.
+		k := n - 1 - i
+		reqs[k] = core.Request{Problem: probs[i], Arrival: 0.7 * float64(i/3), Tag: 7 * i % n}
+	}
+	presorted := slices.Clone(reqs)
+	sort.SliceStable(presorted, func(i, j int) bool { return presorted[i].Arrival < presorted[j].Arrival })
+	byPosition := slices.Clone(presorted)
+	for k := range byPosition {
+		byPosition[k].Tag = k
+	}
+	for _, name := range []string{"least-work", "prefix", "rr"} {
+		route := func(stream []core.Request) *Outcome {
+			router, err := RouterByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return runFleet(t, devices, router, 3, stream)
+		}
+		before := slices.Clone(reqs)
+		got := route(reqs)
+		if !slices.Equal(reqs, before) {
+			t.Fatalf("%s: Run wrote to the caller's stream", name)
+		}
+		want := route(byPosition)
+		for i := range want.Results {
+			want.Results[i].Tag = presorted[want.Results[i].Tag].Tag
+		}
+		if got.Requeues == 0 {
+			t.Fatalf("%s: the fail-stop displaced nothing; the case lost its requeues", name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the unsorted stream served differently from its stable pre-sort", name)
+		}
+		if name != "rr" {
+			continue
+		}
+		// Every arrival routes before the fail-stop at 6.
+		for _, res := range got.Results {
+			k := slices.IndexFunc(presorted, func(rq core.Request) bool { return rq.Tag == res.Tag })
+			if res.Requeues == 0 && res.Device != k%len(devices) {
+				t.Errorf("rr: tag %d, routed %d-th, served on device %d", res.Tag, k, res.Device)
+			}
+		}
 	}
 }
 
@@ -295,5 +364,38 @@ func TestFleetRunAllocsPerRequest(t *testing.T) {
 	t.Logf("%.3f allocations per request over a fresh %d-request fleet pass", got, n)
 	if got > pin {
 		t.Errorf("a fleet request allocates %.3f times, want at most %v", got, pin)
+	}
+}
+
+// TestFleetRunBytesPerRequest pins the bytes an untraced fleet pass
+// allocates per request, in TestFleetRunAllocsPerRequest's shape: the
+// TotalAlloc delta of a fresh 64-device, 20k-request least-work pass,
+// set-up included, after one warm-up pass. newRun once copied the stream
+// up front (an 80-byte record per request, plus a copy of the tags to
+// find duplicates): two allocations, which the object pin above cannot
+// tell from two small ones. With the copies the pass read 394.4 B per
+// request, without them 312.4. The pin sits between, so the copies cannot
+// come back unnoticed.
+func TestFleetRunBytesPerRequest(t *testing.T) {
+	const n, pin = 20000, 340.0
+	devs, reqs := benchFleet(t, 64, n)
+	pass := func() {
+		f, err := New(Config{Devices: devs, Router: LeastWork{}, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Run(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%.1f bytes allocated per request over a fresh %d-request fleet pass", got, n)
+	if got > pin {
+		t.Errorf("a fleet request allocates %.1f bytes, want at most %v", got, pin)
 	}
 }

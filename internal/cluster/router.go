@@ -382,8 +382,3 @@ func RouterByName(name string) (Router, error) {
 	}
 	return nil, fmt.Errorf("cluster: unknown router %q (want single, rr, least-work, jsq, p2c, prefix, or cache-aware)", name)
 }
-
-// RouterNames lists the built-in router names in display order.
-func RouterNames() []string {
-	return []string{"single", "rr", "least-work", "jsq", "p2c", "prefix", "cache-aware"}
-}

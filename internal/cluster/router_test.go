@@ -262,3 +262,8 @@ func TestFleetCacheTelemetryFlows(t *testing.T) {
 		}
 	}
 }
+
+// RouterNames lists the built-in router names in display order.
+func RouterNames() []string {
+	return []string{"single", "rr", "least-work", "jsq", "p2c", "prefix", "cache-aware"}
+}

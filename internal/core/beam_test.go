@@ -60,7 +60,11 @@ func BenchmarkSolverIteration(b *testing.B) {
 	}
 	cfg := testConfig(b, pol, FastTTSOptions())
 	p := aimeProblem(b, 0)
-	s, err := newSolver(cfg, p, nil)
+	budget, err := cfg.KVBudget()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := newSolver(&cfg, budget, p, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,7 +73,7 @@ func BenchmarkSolverIteration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if s.done() {
-			if err := s.init(cfg, p, nil); err != nil {
+			if err := s.init(&cfg, budget, cfg.Policy, cfg.Strategy, p, nil); err != nil {
 				b.Fatal(err)
 			}
 			s.begin()

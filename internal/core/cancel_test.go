@@ -223,3 +223,6 @@ func TestCancelAccountingSettles(t *testing.T) {
 		t.Fatalf("unexpected eviction pressure (%d evicted tokens)", got.EvictedTokens)
 	}
 }
+
+// InFlight returns the number of admitted, unfinished requests.
+func (l *Loop) InFlight() int { return len(l.sessions) }

@@ -179,19 +179,20 @@ type Result struct {
 // PathResults returns the finished paths; the slice is Finished itself.
 func (r *Result) PathResults() []metrics.PathResult { return r.Finished }
 
-// validate fills defaults and sanity-checks the configuration.
-func (c *Config) validate() error {
+// validate fills defaults, sanity-checks the configuration and returns
+// its KV budget, which a Server or Runner keeps for every request.
+func (c *Config) validate() (int64, error) {
 	if c.Policy == nil {
-		return fmt.Errorf("core: nil search policy")
+		return 0, fmt.Errorf("core: nil search policy")
 	}
 	if c.GPU.Name == "" {
-		return fmt.Errorf("core: missing GPU")
+		return 0, fmt.Errorf("core: missing GPU")
 	}
 	if c.GPU.VRAMBytes < 0 {
-		return fmt.Errorf("core: GPU %s has negative VRAM %d bytes", c.GPU.Name, c.GPU.VRAMBytes)
+		return 0, fmt.Errorf("core: GPU %s has negative VRAM %d bytes", c.GPU.Name, c.GPU.VRAMBytes)
 	}
 	if err := c.KVPlane.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
+		return 0, fmt.Errorf("core: %w", err)
 	}
 	if c.GenSkill.Name == "" {
 		c.GenSkill = workload.SkillQwen1_5B
@@ -201,19 +202,16 @@ func (c *Config) validate() error {
 	}
 	// The negated range tests also reject NaN.
 	if !(c.Opts.TruncationRatio >= 0 && c.Opts.TruncationRatio <= 1) {
-		return fmt.Errorf("core: truncation ratio %v outside [0,1]", c.Opts.TruncationRatio)
+		return 0, fmt.Errorf("core: truncation ratio %v outside [0,1]", c.Opts.TruncationRatio)
 	}
 	if !(c.MemoryFraction >= 0 && c.MemoryFraction <= 1) {
-		return fmt.Errorf("core: memory fraction %v outside [0,1] (0 selects the default)", c.MemoryFraction)
+		return 0, fmt.Errorf("core: memory fraction %v outside [0,1] (0 selects the default)", c.MemoryFraction)
 	}
 	if c.KVBudgetOverride < 0 {
-		return fmt.Errorf("core: KV budget override must be non-negative, got %d bytes (0 sizes the budget from VRAM)", c.KVBudgetOverride)
+		return 0, fmt.Errorf("core: KV budget override must be non-negative, got %d bytes (0 sizes the budget from VRAM)", c.KVBudgetOverride)
 	}
 	if c.Opts.StaticVerifierFrac <= 0 || c.Opts.StaticVerifierFrac >= 1 {
 		c.Opts.StaticVerifierFrac = 0.5
 	}
-	if _, err := c.KVBudget(); err != nil {
-		return err
-	}
-	return nil
+	return c.KVBudget()
 }

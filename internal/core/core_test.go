@@ -30,6 +30,16 @@ func testConfig(t testing.TB, pol search.Policy, opts Options) Config {
 	}
 }
 
+// newTestSolver is newSolver on a test's own Config, under its policy and
+// strategy, with the KV budget a Server would compute at construction.
+func newTestSolver(cfg Config, p *workload.Problem, kernels *obs.Track) (*solver, error) {
+	budget, err := cfg.KVBudget()
+	if err != nil {
+		return nil, err
+	}
+	return newSolver(&cfg, budget, p, kernels)
+}
+
 func aimeProblem(t testing.TB, idx int) *workload.Problem {
 	t.Helper()
 	return workload.NewDataset(workload.AIME24, rng.New(7)).Problems[idx]

@@ -167,7 +167,7 @@ func TestProbeHitFlag(t *testing.T) {
 	} {
 		cfg := testConfig(t, pol, tc.opts)
 		rec := obs.NewRecorder()
-		ref, err := newSolver(cfg, p, rec.Device(0))
+		ref, err := newTestSolver(cfg, p, rec.Device(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestProbeHitFlag(t *testing.T) {
 			{consulted, true},
 			{math.Nextafter(consulted, math.Inf(1)), false},
 		} {
-			s, err := newSolver(cfg, p, nil)
+			s, err := newTestSolver(cfg, p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -83,8 +83,9 @@ type ServedResult struct {
 // the FCFS policy the engine degenerates to run-to-completion in arrival
 // order and reproduces the sequential scheduler bit-identically.
 type Server struct {
-	cfg Config
-	pol sched.ServePolicy
+	cfg      Config
+	kvBudget int64 // cfg's, computed once: every solver reads it
+	pol      sched.ServePolicy
 }
 
 // session tracks one admitted request through its slices.
@@ -116,13 +117,14 @@ func NewServer(cfg Config) (*Server, error) {
 // NewServerWithPolicy returns a server using the given admission/ordering
 // policy. A nil policy means FCFS.
 func NewServerWithPolicy(cfg Config, pol sched.ServePolicy) (*Server, error) {
-	if err := cfg.validate(); err != nil {
+	budget, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	if pol == nil {
 		pol = sched.FCFS{}
 	}
-	return &Server{cfg: cfg, pol: pol}, nil
+	return &Server{cfg: cfg, kvBudget: budget, pol: pol}, nil
 }
 
 // Run serves an open-loop request stream and returns per-request results
@@ -339,9 +341,6 @@ func (l *Loop) Now() float64 { return l.now }
 // Busy returns the wall-clock time the device has spent executing slices,
 // including work later lost to fail-stop.
 func (l *Loop) Busy() float64 { return l.busy }
-
-// InFlight returns the number of admitted, unfinished requests.
-func (l *Loop) InFlight() int { return len(l.sessions) }
 
 // Queued returns the number of queued, not-yet-admitted arrivals.
 func (l *Loop) Queued() int { return len(l.queue) - l.next }
@@ -568,21 +567,20 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 		}
 		c := live[pick]
 		if !c.started {
-			cfg := l.s.cfg
-			cfg.Strategy = l.s.effectiveStrategy(c.req)
+			pol := l.s.cfg.Policy
 			w := l.s.effectiveWidth(c.req)
 			c.width = w
-			if w != cfg.Policy.Width() {
+			if w != pol.Width() {
 				// Budget-degraded request: run the same algorithm at the
 				// narrowed width (the §4.1 search semantics are unchanged,
 				// only n shrinks).
-				pol, err := search.WithWidth(cfg.Policy, w)
+				narrowed, err := search.WithWidth(pol, w)
 				if err != nil {
-					return out, fmt.Errorf("core: narrowing %s to width %d: %w", cfg.Policy.Name(), w, err)
+					return out, fmt.Errorf("core: narrowing %s to width %d: %w", pol.Name(), w, err)
 				}
-				cfg.Policy = pol
+				pol = narrowed
 			}
-			sv, err := l.takeSolver(cfg, c.req.Problem)
+			sv, err := l.takeSolver(pol, l.s.effectiveStrategy(c.req), c.req.Problem)
 			if err != nil {
 				return out, fmt.Errorf("core: serving %s/%d: %w", c.req.Problem.Dataset, c.req.Problem.Index, err)
 			}
@@ -704,17 +702,19 @@ func (l *Loop) newSession(rq Request, est float64) *session {
 	return c
 }
 
-// takeSolver returns a solver initialised for the problem: a retired one
-// when the loop has any, else a new one.
-func (l *Loop) takeSolver(cfg Config, p *workload.Problem) (*solver, error) {
-	k := len(l.freeSolvers) - 1
-	if k < 0 {
-		return newSolver(cfg, p, nil)
+// takeSolver returns a solver initialised for the problem under the
+// request's policy and strategy — a retired one when the loop has any,
+// else a new one — reading the server's deployment constants in place.
+func (l *Loop) takeSolver(pol search.Policy, strategy search.Strategy, p *workload.Problem) (*solver, error) {
+	var sv *solver
+	if k := len(l.freeSolvers) - 1; k >= 0 {
+		sv = l.freeSolvers[k]
+		l.freeSolvers[k] = nil
+		l.freeSolvers = l.freeSolvers[:k]
+	} else {
+		sv = new(solver)
 	}
-	sv := l.freeSolvers[k]
-	l.freeSolvers[k] = nil
-	l.freeSolvers = l.freeSolvers[:k]
-	if err := sv.init(cfg, p, nil); err != nil {
+	if err := sv.init(&l.s.cfg, l.s.kvBudget, pol, strategy, p, nil); err != nil {
 		return nil, err
 	}
 	return sv, nil

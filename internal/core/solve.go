@@ -24,22 +24,24 @@ import (
 // reusable across problems and — unlike a Loop, which recycles its stacks —
 // safe to share between goroutines.
 type Runner struct {
-	cfg Config
+	cfg      Config
+	kvBudget int64
 }
 
 // NewRunner validates the configuration and returns a Runner.
 func NewRunner(cfg Config) (*Runner, error) {
-	if err := cfg.validate(); err != nil {
+	budget, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
-	return &Runner{cfg: cfg}, nil
+	return &Runner{cfg: cfg, kvBudget: budget}, nil
 }
 
 // Solve runs the configured TTS search for one problem. With cfg.Obs
 // attached, its engines put one kernel span per kernel interval on the
 // recorder's device-0 track.
 func (r *Runner) Solve(p *workload.Problem) (*Result, error) {
-	s, err := newSolver(r.cfg, p, r.cfg.Obs.Device(0))
+	s, err := newSolver(&r.cfg, r.kvBudget, p, r.cfg.Obs.Device(0))
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +54,7 @@ func (r *Runner) Solve(p *workload.Problem) (*Result, error) {
 // suspends it when the next arrival lands mid-request. A boundary at or
 // before 0 suspends speculation from the start; math.Inf(1) never does.
 func (r *Runner) SolveWithPreemption(p *workload.Problem, at float64) (*Result, error) {
-	s, err := newSolver(r.cfg, p, r.cfg.Obs.Device(0))
+	s, err := newSolver(&r.cfg, r.kvBudget, p, r.cfg.Obs.Device(0))
 	if err != nil {
 		return nil, err
 	}
@@ -88,12 +90,23 @@ func (p *preemptProbe) fires(local float64) bool {
 
 const promptNode = 0
 
-// solver runs one request's search. Its fields up to stack are the
-// request's state, rebuilt from scratch by init; the embedded stack is the
-// storage that outlives the request when a Loop recycles the solver.
+// solver runs one request's search. The embedded reqState is the request's
+// state, rebuilt from scratch by init; the embedded stack is the storage
+// that outlives the request when a Loop recycles the solver. init assigns
+// each half in place, so a request copies neither.
 type solver struct {
-	cfg Config
-	p   *workload.Problem
+	reqState
+	stack
+}
+
+// reqState is the state of the request a solver runs. cfg is the
+// deployment's, shared and read-only; the request's own policy and
+// strategy are pol and strategy, never cfg.Policy and cfg.Strategy.
+type reqState struct {
+	cfg      *Config
+	pol      search.Policy
+	strategy search.Strategy
+	p        *workload.Problem
 
 	// Streams are held by value and derived in place; seedRoot exists so
 	// root's parent pointer (rng.Stream.Path) stays inside the solver.
@@ -125,8 +138,6 @@ type solver struct {
 	// execution is suspended (§4.1.2). The multi-tenant server sets it per
 	// device slice.
 	preempt preemptProbe
-
-	stack
 }
 
 // stack is the part of a solver a request does not own: the virtual serving
@@ -162,27 +173,28 @@ type stack struct {
 	next       []*beam              // selectAndBranch: the frontier being built
 }
 
-// newSolver returns a solver for p whose engines put their kernel spans on
-// kernels (nil: none).
-func newSolver(cfg Config, p *workload.Problem, kernels *obs.Track) (*solver, error) {
+// newSolver returns a solver for p under the deployment's own policy and
+// strategy, whose engines put their kernel spans on kernels (nil: none).
+// budget is cfg's KV budget.
+func newSolver(cfg *Config, budget int64, p *workload.Problem, kernels *obs.Track) (*solver, error) {
 	s := &solver{}
-	if err := s.init(cfg, p, kernels); err != nil {
+	if err := s.init(cfg, budget, cfg.Policy, cfg.Strategy, p, kernels); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// init readies s for a request, building the serving stack on first use,
-// with its engines' kernel spans on kernels, and resetting it in place
-// afterwards. A recycled solver is only re-initialised by the Loop that
-// retired it, so the deployment (GPU, models) and kernel track are the ones
-// its engines were built with; only policy and strategy vary.
-func (s *solver) init(cfg Config, p *workload.Problem, kernels *obs.Track) error {
-	budget, err := cfg.KVBudget()
-	if err != nil {
-		return err
-	}
-	st := s.stack
+// init readies s for a request run under policy pol and strategy, building
+// the serving stack on first use, with its engines' kernel spans on
+// kernels, and resetting it in place afterwards. cfg and its KV budget are
+// the deployment's constants, computed once by its Server or Runner: init
+// keeps the pointer and copies neither. A recycled solver is only
+// re-initialised by the Loop that retired it, so the deployment (GPU,
+// models) and kernel track are the ones its engines were built with; only
+// policy and strategy vary.
+func (s *solver) init(cfg *Config, budget int64, pol search.Policy, strategy search.Strategy, p *workload.Problem, kernels *obs.Track) error {
+	var err error
+	st := &s.stack
 	if st.clk == nil {
 		st.clk = &sim.Clock{}
 		if st.gen, err = engine.New("generator", cfg.Generator, cfg.GPU, budget/2, st.clk, kernels); err != nil {
@@ -215,22 +227,21 @@ func (s *solver) init(cfg Config, p *workload.Problem, kernels *obs.Track) error
 	// The strategy's launch cap (first-finish's k chains) narrows the
 	// policy exactly like the elastic governor's width knob, so algorithm
 	// invariants (n >= b) hold by construction.
-	if w := cfg.Strategy.ChainWidth(cfg.Policy.Width()); w != cfg.Policy.Width() {
-		pol, err := search.WithWidth(cfg.Policy, w)
-		if err != nil {
+	if w := strategy.ChainWidth(pol.Width()); w != pol.Width() {
+		if pol, err = search.WithWidth(pol, w); err != nil {
 			return err
 		}
-		cfg.Policy = pol
 	}
-	*s = solver{
+	s.reqState = reqState{
 		cfg:      cfg,
+		pol:      pol,
+		strategy: strategy,
 		p:        p,
 		seedRoot: rng.Make(cfg.Seed),
 		kvBudget: budget,
 		meanStep: int(p.MeanStepTokens()), // E[lognormal step], truncated
 		nextNode: promptNode + 1,
 		preempt:  noPreemption,
-		stack:    st,
 	}
 	s.root = s.seedRoot.DeriveN(p.Dataset, p.Index)
 	s.orderRand = s.root.Derive("order")
@@ -279,7 +290,7 @@ func (s *solver) run() (*Result, error) {
 // prologue of run, split out so the serving engine can fold it into a
 // request's first device slice.
 func (s *solver) begin() {
-	pol := s.cfg.Policy
+	pol := s.pol
 	// Root beams share the prompt.
 	s.runs = appendNodeRuns(s.runs[:0], promptNode, s.p.PromptTokens)
 	prompt := s.runs
@@ -339,7 +350,7 @@ func (s *solver) done() bool {
 	if len(s.active) == 0 || s.iter >= s.maxIters {
 		return true
 	}
-	return s.cfg.Strategy.Satisfied(len(s.finished))
+	return s.strategy.Satisfied(len(s.finished))
 }
 
 // cutDeadline finalizes the search early at a deadline cut: the serving
@@ -383,7 +394,7 @@ func (s *solver) abandon() {
 // strategy terminated early are abandoned, not errors.
 func (s *solver) result() (*Result, error) {
 	if len(s.active) > 0 {
-		if !s.cfg.Strategy.Satisfied(len(s.finished)) {
+		if !s.strategy.Satisfied(len(s.finished)) {
 			return nil, fmt.Errorf("core: search did not converge after %d iterations", s.maxIters)
 		}
 		s.abandon()
@@ -504,7 +515,7 @@ func (s *solver) generatorWorkingSetBytes() int64 {
 		}
 	}
 	perBeam := 3 * s.meanStep // current step + speculative headroom
-	if !s.cfg.Policy.UsesVerifier() {
+	if !s.pol.UsesVerifier() {
 		// Best-of-N / CoT chains run to completion in one iteration.
 		_, maxSteps := s.p.Depth()
 		perBeam = maxSteps * s.meanStep
@@ -565,7 +576,7 @@ func (s *solver) generationPhase() {
 // commits its tokens. Retained speculative tokens cover the head of the
 // step; only the remainder needs decode rounds.
 func (s *solver) commitStep(b *beam) {
-	pol := s.cfg.Policy
+	pol := s.pol
 	total := 0
 	if pol.UsesVerifier() {
 		var step workload.Step
@@ -610,7 +621,7 @@ func (s *solver) commitStep(b *beam) {
 func (s *solver) assignSpecEligibility() {
 	bins := s.cfg.Opts.SpecBins
 	if bins <= 0 {
-		bins = s.cfg.Policy.BranchFactor()
+		bins = s.pol.BranchFactor()
 	}
 	if bins < 1 {
 		bins = 1
@@ -838,7 +849,7 @@ func (s *solver) decodeRounds(group []*beam) {
 	s.byRem = byRem
 	slices.SortStableFunc(byRem, func(a, b *beam) int { return a.rem - b.rem })
 	active := len(byRem)
-	speculating := s.cfg.Opts.Speculative && s.cfg.Policy.UsesVerifier()
+	speculating := s.cfg.Opts.Speculative && s.pol.UsesVerifier()
 	cand := s.specQueue[:0]
 	pushCand := func(b *beam) {
 		if !speculating || b.stepTerminal {
@@ -878,7 +889,7 @@ func (s *solver) decodeRounds(group []*beam) {
 			b := cand.pop().b
 			if len(b.nextSteps) == 0 {
 				st := workload.SampleStep(s.p, &b.state, s.cfg.GenSkill,
-					s.cfg.Policy.StepBudget(b.state.Steps), &b.r)
+					s.pol.StepBudget(b.state.Steps), &b.r)
 				b.nextSteps = append(b.nextSteps, st)
 			}
 			capTok := b.nextSteps[0].Tokens - b.pendLen
@@ -1011,7 +1022,7 @@ func (s *solver) chainSpec(b *beam, br *specBranch) bool {
 		workload.ApplyStep(&proj, st)
 	}
 	st := workload.SampleStep(s.p, &proj, s.cfg.GenSkill,
-		s.cfg.Policy.StepBudget(proj.Steps), &b.r)
+		s.pol.StepBudget(proj.Steps), &b.r)
 	b.nextSteps = append(b.nextSteps, st)
 	br.cap += st.Tokens
 	return true
@@ -1029,7 +1040,7 @@ func (s *solver) verificationPhase() {
 	}
 	bins := s.cfg.Opts.SpecBins
 	if bins <= 0 {
-		bins = s.cfg.Policy.BranchFactor()
+		bins = s.pol.BranchFactor()
 	}
 	reqs := s.reqs[:0]
 	for _, b := range ordered {
@@ -1087,7 +1098,7 @@ func (s *solver) selectAndBranch() {
 		}
 		continuing = append(continuing, b)
 	}
-	pol := s.cfg.Policy
+	pol := s.pol
 	if len(continuing) == 0 || !pol.UsesVerifier() {
 		s.active, s.continuing = continuing, s.active[:0]
 		return

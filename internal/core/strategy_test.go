@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"fasttts/internal/obs"
 	"fasttts/internal/rng"
 	"fasttts/internal/search"
 	"fasttts/internal/workload"
@@ -43,11 +44,11 @@ func TestFirstFinishChainCap(t *testing.T) {
 	pol, _ := search.New(search.BeamSearch, 16, 4)
 	cfg := testConfig(t, pol, FastTTSOptions())
 	cfg.Strategy = search.FirstFinish(4)
-	s, err := newSolver(cfg, aimeProblem(t, 0), nil)
+	s, err := newTestSolver(cfg, aimeProblem(t, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := s.cfg.Policy.Width(); w != 4 {
+	if w := s.pol.Width(); w != 4 {
 		t.Errorf("first-finish:4 launched %d chains, want 4", w)
 	}
 }
@@ -108,6 +109,60 @@ func TestDeadlineStrategyCutsMidSolve(t *testing.T) {
 	}
 	if len(out[0].Result.Finished) == 0 {
 		t.Error("deadline cut returned no path")
+	}
+}
+
+// TestDeadlineCutAtExactDeadline: a deadline-strategy session whose slice
+// ends exactly at its Deadline is cut at that slice — a deadline is met
+// by a clock that reaches it, not one that passes it — rather than
+// running a slice past it.
+func TestDeadlineCutAtExactDeadline(t *testing.T) {
+	pol, _ := search.New(search.BeamSearch, 16, 4)
+	p := aimeProblem(t, 0)
+	cfg := testConfig(t, pol, FastTTSOptions())
+	cfg.Strategy = search.DeadlineCut()
+	serve := func(cfg Config, deadline float64) ServedResult {
+		t.Helper()
+		srv, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := srv.Run([]Request{{Problem: p, Deadline: deadline, Tag: 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 1 || out[0].Result == nil {
+			t.Fatalf("run produced %d results", len(out))
+		}
+		return out[0]
+	}
+
+	// Without a deadline nothing is cut; the recorder gives the instant
+	// the first slice ends.
+	traced := cfg
+	rec := obs.NewRecorder()
+	traced.Obs = rec
+	if full := serve(traced, 0); full.Slices < 2 {
+		t.Fatalf("the uncut request ran %d slice(s); the case needs at least 2", full.Slices)
+	}
+	firstEnd := -1.0
+	for _, sp := range rec.Spans() {
+		if sp.Kind == obs.KindSlice {
+			firstEnd = sp.End
+			break
+		}
+	}
+	if firstEnd <= 0 {
+		t.Fatal("no slice span recorded")
+	}
+
+	cut := serve(cfg, firstEnd)
+	if cut.Slices != 1 || cut.Finish != firstEnd {
+		t.Errorf("deadline %v: served in %d slice(s) finishing at %v, want 1 slice finishing at the deadline",
+			firstEnd, cut.Slices, cut.Finish)
+	}
+	if cut.Result.Abandoned == 0 {
+		t.Error("the cut abandoned no beams")
 	}
 }
 

@@ -99,12 +99,6 @@ func (g GPU) Roofline(flops, bytes float64) float64 {
 	return t + g.KernelOverhead
 }
 
-// ComputeBound reports whether a kernel with the given intensity is
-// compute-bound on this device.
-func (g GPU) ComputeBound(flops, bytes float64) bool {
-	return flops/(g.PeakFLOPS*g.ComputeEff) >= bytes/(g.MemBW*g.MemEff)
-}
-
 // Utilization returns achieved compute utilization (0..1] for a kernel
 // that executed flops in elapsed seconds. Utilization is measured against
 // raw peak, matching how Nsight reports tensor-core occupancy (Fig 4).

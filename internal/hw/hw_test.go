@@ -121,3 +121,9 @@ func TestStringContainsName(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 }
+
+// ComputeBound reports whether a kernel with the given intensity is
+// compute-bound on this device.
+func (g GPU) ComputeBound(flops, bytes float64) bool {
+	return flops/(g.PeakFLOPS*g.ComputeEff) >= bytes/(g.MemBW*g.MemEff)
+}

@@ -304,39 +304,8 @@ func (c *Cache) UsedTokens() int64 { return c.usedTokens }
 // evicting useful entries.
 func (c *Cache) FreeTokens() int64 { return c.CapacityTokens() - c.usedTokens }
 
-// PinnedTokens returns the tokens pinned by live sequences.
-func (c *Cache) PinnedTokens() int64 {
-	var pinned int64
-	var walk func(*node)
-	walk = func(n *node) {
-		if n.refs > 0 && n.parent != nil {
-			pinned += int64(n.length)
-		}
-		for _, ch := range n.children {
-			walk(ch.n)
-		}
-	}
-	walk(c.root)
-	return pinned
-}
-
 // Stats returns a snapshot of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// NodeCount returns the number of radix-tree nodes (excluding the root).
-// This is the "Nodes(T)" quantity in the paper's eviction cost model §4.2.
-func (c *Cache) NodeCount() int {
-	count := -1 // exclude root
-	var walk func(*node)
-	walk = func(n *node) {
-		count++
-		for _, ch := range n.children {
-			walk(ch.n)
-		}
-	}
-	walk(c.root)
-	return count
-}
 
 // Fits reports whether a sequence of n tokens could ever reside fully in
 // the cache.
@@ -569,21 +538,6 @@ func (c *Cache) LongestCachedPrefix(runs []Run) int {
 		n = child
 	}
 	return matched
-}
-
-// EvictAll drops every unreferenced node (used when a model's cache is
-// offloaded to host memory, §4.3.2). It returns the number of tokens
-// dropped.
-func (c *Cache) EvictAll() int64 {
-	var dropped int64
-	for {
-		leaf := c.popEvictable()
-		if leaf == nil {
-			return dropped
-		}
-		dropped += int64(leaf.length)
-		c.evict(leaf)
-	}
 }
 
 // Resize changes the capacity. Shrinking evicts unreferenced entries as

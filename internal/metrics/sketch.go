@@ -105,21 +105,6 @@ func (s *Sketch) Add(v float64) {
 // Count reports the number of samples recorded.
 func (s *Sketch) Count() uint64 { return s.n }
 
-// Min and Max report the exact observed extremes (0 for an empty sketch).
-func (s *Sketch) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
-func (s *Sketch) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
-
 // rep is bucket i's representative: the geometric midpoint of its
 // boundaries, clamped into the exact observed [min, max]. The last
 // bucket is the overflow bucket — its lower boundary already exceeds

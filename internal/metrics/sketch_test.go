@@ -189,3 +189,18 @@ func TestSketchQuantileMatchesNearestRankRule(t *testing.T) {
 		assertWithinSketchErr(t, "rank rule", s.Quantile(p), exact)
 	}
 }
+
+// Min and Max report the exact observed extremes (0 for an empty sketch).
+func (s *Sketch) Min() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.min
+}
+
+func (s *Sketch) Max() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.max
+}

@@ -109,16 +109,6 @@ var CloudModels = []CloudReference{
 	{Name: "DeepSeek R1", TotalBytes: 1276 << 30, ActivatedBytes: 69 << 30},
 }
 
-// ByName returns the config with the given name.
-func ByName(name string) (Config, error) {
-	for _, c := range []Config{Qwen25Math1_5B, Qwen25Math7B, ShepherdPRM7B, SkyworkPRM1_5B} {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return Config{}, fmt.Errorf("model: unknown model %q", name)
-}
-
 // WithQuant returns a copy of the config using the given weight format.
 func (c Config) WithQuant(q Quantization) Config {
 	c.Quant = q

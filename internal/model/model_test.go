@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -149,4 +150,14 @@ func TestStringMentionsQuant(t *testing.T) {
 	if s == "" {
 		t.Fatal("empty String()")
 	}
+}
+
+// ByName returns the config with the given name.
+func ByName(name string) (Config, error) {
+	for _, c := range []Config{Qwen25Math1_5B, Qwen25Math7B, ShepherdPRM7B, SkyworkPRM1_5B} {
+		if c.Name == name {
+			return c, nil
+		}
+	}
+	return Config{}, fmt.Errorf("model: unknown model %q", name)
 }

@@ -61,7 +61,15 @@ func origTag(t int) int {
 // identical span streams yield identical attributions.
 func Attribute(spans []Span) []RequestAttribution {
 	idx, bounds := groupByRequest(spans)
-	out := make([]RequestAttribution, 0, len(bounds)-1)
+	// Only a group that holds a finish span gets a record: size the result
+	// to those, not to every group (shed and rejected requests have one).
+	finished := 0
+	for k := 0; k+1 < len(bounds); k++ {
+		if slices.ContainsFunc(idx[bounds[k]:bounds[k+1]], func(i int) bool { return spans[i].Kind == KindFinish }) {
+			finished++
+		}
+	}
+	out := make([]RequestAttribution, 0, finished)
 	for k := 0; k+1 < len(bounds); k++ {
 		g := idx[bounds[k]:bounds[k+1]]
 		tag := origTag(spans[g[0]].Tag)

@@ -560,6 +560,32 @@ func TestAttributeSparseTags(t *testing.T) {
 	}
 }
 
+// TestAttributeSizedToFinished: only a request that finished gets a
+// record, and the result holds no slot for the others — on a fleet that
+// sheds half its stream, a result sized to every request group carried
+// that half as dead capacity.
+func TestAttributeSizedToFinished(t *testing.T) {
+	r := NewRecorder()
+	for tag := 0; tag < 30; tag++ {
+		at := float64(tag)
+		r.Control().Emit(Span{Kind: KindRoute, Tag: tag, Start: at, End: at, N: 1})
+		if tag%3 == 0 {
+			lifecycle(r.Device(0), tag, at, at, at+0.5, at+1)
+			continue
+		}
+		r.Device(0).Emit(Span{Kind: KindReject, Tag: tag, Start: at, End: at})
+	}
+	attrs := Attribute(r.Spans())
+	if len(attrs) != 10 || cap(attrs) != 10 {
+		t.Fatalf("attributed %d requests in a result of capacity %d, want 10 and 10", len(attrs), cap(attrs))
+	}
+	for i, a := range attrs {
+		if a.Tag != 3*i {
+			t.Fatalf("record %d has tag %d, want %d", i, a.Tag, 3*i)
+		}
+	}
+}
+
 // TestAttributeStructuralZeros: a request with no straggler and no
 // preemption gap has Straggler and Preemption exactly 0, although its
 // clock readings — late absolute instants, so End-Start and Finish-Arrival

@@ -133,9 +133,6 @@ func (s *Stream) Float64() float64 { return s.rand().Float64() }
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
 func (s *Stream) IntN(n int) int { return s.rand().IntN(n) }
 
-// Uint64 returns a uniform 64-bit value.
-func (s *Stream) Uint64() uint64 { return s.rand().Uint64() }
-
 // Norm returns a normally distributed value with the given mean and
 // standard deviation.
 func (s *Stream) Norm(mean, stddev float64) float64 {

@@ -260,3 +260,6 @@ func TestAllocsPerDerivation(t *testing.T) {
 	}
 	_, _ = sink, f
 }
+
+// Uint64 returns a uniform 64-bit value.
+func (s *Stream) Uint64() uint64 { return s.rand().Uint64() }

@@ -173,24 +173,6 @@ func DecodeJSONL(data []byte) (*RunTrace, error) {
 	return t, nil
 }
 
-// Conform is the golden-trace verdict of the conformance tests: byte
-// equality is the contract; on divergence both sides are decoded so the
-// detail names the first divergent field rather than a byte offset.
-func Conform(got, want []byte) (ok bool, detail string) {
-	if bytes.Equal(got, want) {
-		return true, ""
-	}
-	gotTr, gerr := DecodeJSONL(got)
-	wantTr, werr := DecodeJSONL(want)
-	if gerr != nil || werr != nil {
-		return false, fmt.Sprintf("bytes diverge (decode got: %v, want: %v)", gerr, werr)
-	}
-	if err := Diff(gotTr, wantTr); err != nil {
-		return false, err.Error()
-	}
-	return false, "field-identical but bytes differ (non-canonical encoding)"
-}
-
 // Diff compares two traces field-by-field (floats exactly — the sim is
 // deterministic, so exact match is the contract) and returns a
 // description of the first divergence, or nil when identical.

@@ -52,7 +52,7 @@ func TestGoldenScenarioTraces(t *testing.T) {
 				if err != nil {
 					t.Fatalf("missing golden trace %s (run `make golden` and commit the result): %v", path, err)
 				}
-				if ok, detail := trace.Conform(got, want); !ok {
+				if ok, detail := conform(got, want); !ok {
 					t.Fatalf("replay diverges from %s: %s", path, detail)
 				}
 			})
@@ -124,4 +124,22 @@ func TestScenarioRunDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// conform is the golden-trace verdict of the conformance tests: byte
+// equality is the contract; on divergence both sides are decoded so the
+// detail names the first divergent field rather than a byte offset.
+func conform(got, want []byte) (ok bool, detail string) {
+	if bytes.Equal(got, want) {
+		return true, ""
+	}
+	gotTr, gerr := trace.DecodeJSONL(got)
+	wantTr, werr := trace.DecodeJSONL(want)
+	if gerr != nil || werr != nil {
+		return false, fmt.Sprintf("bytes diverge (decode got: %v, want: %v)", gerr, werr)
+	}
+	if err := trace.Diff(gotTr, wantTr); err != nil {
+		return false, err.Error()
+	}
+	return false, "field-identical but bytes differ (non-canonical encoding)"
 }
