@@ -136,10 +136,13 @@ profile-observed:
 # accounting (the int-keyed device.acct map) about 5 %, and newRun 3 %;
 # newRun copies no request (the stream is routed through an int32
 # permutation of it), and the prefix directory and requeue telemetry use
-# no string-keyed or per-request map. Of the pass's allocations, most
-# objects are the served requests' results (solver.result, and
-# solver.begin's finished paths); most bytes are newRun's result slice,
-# then solver.result. CI runs this recipe so it cannot rot.
+# no string-keyed or per-request map. The pass allocates about 26k
+# objects for 100k requests: most are the devices' sessions
+# (Loop.newSession) and queue growth (StepTo, pushTo); a served request's
+# Result and finished paths come from the run's one result store, in
+# chunks (resultStore.newResult and keepPaths, about a thousand objects
+# between them). Most bytes are newRun's result slice, then the result
+# store's chunks. CI runs this recipe so it cannot rot.
 profile-dispatch:
 	$(call profile,BenchmarkFleetDispatch,./internal/cluster,3x,1x,dispatch)
 

@@ -410,10 +410,12 @@ func (c *Cluster) Run(reqs []Request) (*FleetRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	batch := newResultBatch(len(out.Results), func(i int) bool { return out.Results[i].Result != nil })
 	fr := &FleetRun{Results: make([]FleetResult, len(out.Results))}
-	for i, r := range out.Results {
+	for i := range out.Results {
+		r := &out.Results[i]
 		fr.Results[i] = FleetResult{
-			ServedResult: wrapServedResult(r.ServedResult),
+			ServedResult: wrapServedResult(&r.ServedResult, &batch),
 			Device:       r.Device,
 			Requeues:     r.Requeues,
 		}

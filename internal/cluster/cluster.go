@@ -378,7 +378,8 @@ type run struct {
 	wake   *wakeHeap
 	dueBuf []int
 	// served is collect's result buffer: every device step of the run
-	// appends into it from empty, and deliver copies each result out.
+	// appends into it from empty, and deliver settles each entry in place
+	// and copies it out once, into the outcome.
 	served []core.ServedResult
 
 	// prefixHits / prefixMisses are the settled prefix counters, folded
@@ -432,6 +433,8 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 	devs := make([]*device, len(f.cfg.Devices))
 	for i, spec := range f.cfg.Devices {
 		devs[i] = newDevice(spec, f.srvs[i], 0)
+		// The run's one result store is device 0's; every loop shares it.
+		devs[i].loop.ShareResults(devs[0].loop)
 	}
 
 	if len(reqs) > math.MaxInt32 {
@@ -622,20 +625,23 @@ func (r *run) submitted(tag int, arrival float64) (float64, int) {
 	return arrival, 0
 }
 
-// buildResult turns one device completion into a fleet Result. A
-// requeued request keeps its original submission time in the
-// client-facing telemetry: the wait on its failed device still
-// happened.
-func (r *run) buildResult(sv core.ServedResult, dev int) Result {
+// buildResult appends one device completion to the outcome as a fleet
+// Result and returns it. A requeued request keeps its original
+// submission time in the client-facing telemetry: the wait on its failed
+// device still happened.
+func (r *run) buildResult(sv *core.ServedResult, dev int) *Result {
+	r.out.Results = append(r.out.Results, Result{ServedResult: *sv, Device: dev})
+	res := &r.out.Results[len(r.out.Results)-1]
 	at, requeues := r.submitted(sv.Tag, sv.Arrival)
 	if requeues > 0 {
-		sv.Arrival = at
-		if !sv.Rejected {
-			sv.QueueDelay = sv.Start - sv.Arrival
-			sv.WallLatency = sv.Finish - sv.Arrival
+		res.Requeues = requeues
+		res.Arrival = at
+		if !res.Rejected {
+			res.QueueDelay = res.Start - res.Arrival
+			res.WallLatency = res.Finish - res.Arrival
 		}
 	}
-	return Result{ServedResult: sv, Device: dev, Requeues: requeues}
+	return res
 }
 
 // refreshView is O(1) — O(log devices) with the least-work index — and
@@ -707,8 +713,8 @@ func (r *run) collect(horizon float64) error {
 		if err != nil {
 			return fmt.Errorf("cluster: device %d: %w", i, err)
 		}
-		for _, sv := range r.served {
-			r.deliver(i, sv)
+		for k := range r.served {
+			r.deliver(i, &r.served[k])
 		}
 		d.noteDrained()
 		r.updateWake(i)
@@ -722,18 +728,13 @@ func (r *run) collect(horizon float64) error {
 // complete wins the request (scheduling a cancellation for its twin),
 // later copies are swallowed. Losers still settle their deferred prefix
 // accounting — the device work was real — but never count as served.
-func (r *run) deliver(dev int, sv core.ServedResult) {
+func (r *run) deliver(dev int, sv *core.ServedResult) {
 	d := r.devs[dev]
 	r.settlePrefix(d, sv.Tag, !sv.Rejected, !sv.Rejected)
-	if r.hedging() {
-		out, ok := r.filterHedge(sv)
-		if !ok {
-			return
-		}
-		sv = out
+	if r.hedging() && !r.filterHedge(sv) {
+		return
 	}
 	res := r.buildResult(sv, dev)
-	r.out.Results = append(r.out.Results, res)
 	if !sv.Rejected {
 		d.served++
 		d.tokens += sv.UsefulTokens
@@ -742,38 +743,38 @@ func (r *run) deliver(dev int, sv core.ServedResult) {
 		// Observe the settled result (requeue-adjusted arrival and
 		// latencies), not the raw device completion: the control window
 		// must see the client-perceived telemetry.
-		r.el.observe(res.ServedResult, d)
+		r.el.observe(&res.ServedResult, d)
 	}
 }
 
-// filterHedge resolves one completion against the hedge state. The
-// returned result carries the original client tag; ok=false swallows
-// the completion (a losing or redundant copy). The first completion
-// wins; a rejection only resolves the request once both copies are
-// lost, so one device shedding a copy never rejects a request its twin
-// can still serve.
-func (r *run) filterHedge(sv core.ServedResult) (core.ServedResult, bool) {
+// filterHedge resolves one completion against the hedge state: true
+// passes it on, retagged in place with the original client tag; false
+// swallows it (a losing or redundant copy). The first completion wins; a
+// rejection only resolves the request once both copies are lost, so one
+// device shedding a copy never rejects a request its twin can still
+// serve.
+func (r *run) filterHedge(sv *core.ServedResult) bool {
 	orig, slot := hedgeOrig(sv.Tag)
 	pair, ok := r.hedges[orig]
 	if !ok {
 		// Never replicated: a requeued request, or one routed while the
 		// fleet had a single survivor. Passes through untouched.
-		return sv, true
+		return true
 	}
 	if sv.Rejected {
 		pair.dev[slot] = -1
 		if pair.done || pair.dev[1-slot] >= 0 {
-			return sv, false // the other copy answered, or still may
+			return false // the other copy answered, or still may
 		}
 		pair.done = true
 		sv.Tag = orig
-		return sv, true
+		return true
 	}
 	if pair.done {
 		// The twin already answered; this copy ran to completion before
 		// its cancellation landed (cancels apply at event granularity).
 		pair.dev[slot] = -1
-		return sv, false
+		return false
 	}
 	pair.done = true
 	winDev := pair.dev[slot]
@@ -793,7 +794,7 @@ func (r *run) filterHedge(sv core.ServedResult) (core.ServedResult, bool) {
 		r.cancels = append(r.cancels, cancelEvent{at: sv.Finish, dev: od, tag: loserTag})
 	}
 	sv.Tag = orig
-	return sv, true
+	return true
 }
 
 // cancelAt is the time of the next pending cancellation (meaningful

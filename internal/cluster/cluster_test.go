@@ -566,7 +566,7 @@ func TestCancelledHitKeepsConfirmedPrefix(t *testing.T) {
 	if d.acct[5].hit {
 		t.Fatal("tag 5 routed as a hit to an empty directory")
 	}
-	r.deliver(0, core.ServedResult{Tag: 5}) // served: the mark is confirmed
+	r.deliver(0, &core.ServedResult{Tag: 5}) // served: the mark is confirmed
 
 	r.pushTo(0, core.Request{Problem: p, Tag: 0}, 0)
 	if !d.acct[0].hit {

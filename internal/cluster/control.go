@@ -168,7 +168,7 @@ func (el *elastic) nextTickEvent(r *run, haveArrival bool) (float64, int, bool) 
 // was actually served at a width below its device's configured budget —
 // requeues, admission rejections, and overrides the algorithm's
 // ClampWidth floor restored to full width all don't.
-func (el *elastic) observe(sv core.ServedResult, d *device) {
+func (el *elastic) observe(sv *core.ServedResult, d *device) {
 	el.win.Observe(sv.QueueDelay, sv.WallLatency, sv.Rejected, el.cfg.SLOLatency)
 	if sv.Rejected {
 		return
@@ -286,6 +286,7 @@ func (el *elastic) scaleUp(r *run, now float64, n int) control.Record {
 		spec.Name = fmt.Sprintf("warm:%s+%d", spec.Name, el.joinCount)
 		el.joinCount++
 		dev := newDevice(spec, r.f.warmSrvs[tmpl], now+el.cfg.WarmupDelay)
+		dev.loop.ShareResults(r.devs[0].loop)
 		dev.warming = true
 		dev.dynamic = true
 		idx := len(r.devs)

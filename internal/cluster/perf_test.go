@@ -341,16 +341,17 @@ func BenchmarkKVPressure(b *testing.B) {
 // per request, in the fleet-dispatch shape at a quarter of its devices
 // and a fifth of its stream: 64 devices, 20k requests, least-work
 // routing, every optional hook off. The fresh fleet's set-up and pool
-// growth are included. Most of what remains is what a served request
-// returns (its Result and finished paths; about half the stream is shed
-// by admission control and returns neither). Before the arrival queue
-// was bounded, the result slice became caller-owned and the wake heap
-// typed, the pass read 5.86 (5.87 under -race); before the per-request
-// tag and prefix-key maps went it read 1.45, and it now reads 1.41 (1.42
-// under -race). The pin leaves about 10 % of room, so a new per-request
+// growth are included. Before the arrival queue was bounded, the result
+// slice became caller-owned and the wake heap typed, the pass read 5.86
+// (5.87 under -race); before the per-request tag and prefix-key maps went
+// it read 1.45, and 1.41 (1.42 under -race) while each served request
+// allocated its own Result and finished paths. Those now come from the
+// run's one result store, and the pass reads 0.33 (0.33 under -race):
+// what is left is mostly the new sessions and solvers of the devices'
+// pools. The pin leaves about 20 % of room, so a new per-request
 // allocator shows.
 func TestFleetRunAllocsPerRequest(t *testing.T) {
-	const n, pin = 20000, 1.55
+	const n, pin = 20000, 0.4
 	devs, reqs := benchFleet(t, 64, n)
 	got := testing.AllocsPerRun(1, func() {
 		f, err := New(Config{Devices: devs, Router: LeastWork{}, Seed: 42})

@@ -143,10 +143,15 @@ func (c Config) KVBudget() (int64, error) {
 	return budget, nil
 }
 
-// Result reports one solved problem.
+// Result reports one solved problem. A run hands out its Results, and
+// their Finished paths, from shared chunks (resultStore): each is the
+// caller's to keep and edit, but holding any one keeps its chunk of
+// Results, and its chunk of paths, alive.
 type Result struct {
 	Problem *workload.Problem
-	// Finished holds the collected reasoning paths in completion order.
+	// Finished holds the collected reasoning paths in completion order,
+	// cut with cap == len: an append copies. Empty, never nil, when no
+	// path finished.
 	Finished []metrics.PathResult
 
 	// Latency is end-to-end virtual seconds.

@@ -207,13 +207,14 @@ func TestPooledLoopMatchesRunnerSolve(t *testing.T) {
 // engines, two caches and every beam anew, each serve cost 5,373
 // allocations; on recycled solvers a warm one still cost 29, with
 // sortByScore's copy, the kvcache growing recycled nodes' children and a
-// new session per admission. A warm one now costs 10, each part of what the
-// request returns: the search policy's Select builds one branch slice per
-// selection round (seven here), and the Result, its Finished paths and the
-// served slice are one each. The pin leaves one allocation of room, so a
-// new per-request allocator shows.
+// new session per admission. A warm one cost 10 while the Result and its
+// Finished paths were one allocation each; they now come from the loop's
+// result store, a chunk per up to 64 Results or 256 paths, and a warm one
+// costs 8: the search policy's Select builds one branch slice per
+// selection round (seven here), and the served slice is one. The pin
+// leaves one allocation of room, so a new per-request allocator shows.
 func TestWarmLoopAllocsPerRequest(t *testing.T) {
-	const parentAllocs, pin = 29, 11
+	const parentAllocs, pin = 29, 9
 	pol, err := search.New(search.BeamSearch, 64, 4)
 	if err != nil {
 		t.Fatal(err)

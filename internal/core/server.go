@@ -45,7 +45,9 @@ type Request struct {
 }
 
 // ServedResult augments a solve result with queueing telemetry. Result is
-// nil (and only then) for requests shed by admission control.
+// nil (and only then) for requests shed by admission control. A run's
+// Results come from its result store (see Result): holding one keeps its
+// chunk alive.
 type ServedResult struct {
 	*Result
 	// Arrival, Start, and Finish are on the server clock. The embedded
@@ -187,7 +189,8 @@ const NoHorizon = -1.0
 // Loop must come from a single goroutine (or be externally ordered), but
 // distinct Loops share no mutable state even when built from one Server
 // (the Server is read-only after construction; each Loop owns its clock,
-// queue, sessions, solver, and rng streams).
+// queue, sessions, solver, and rng streams), unless ShareResults made them
+// share a result store: such loops are confined to one goroutine together.
 //
 // Determinism contract: StepTo is horizon-sensitive. The horizon is not
 // just a stopping time — it feeds the speculation-preemption probe as a
@@ -244,6 +247,11 @@ type Loop struct {
 	// obs is the loop's span flight-recorder track; nil (the default)
 	// disables every emission site at the cost of one pointer check.
 	obs *obs.Track
+
+	// results is the store the loop's Results and finished paths come
+	// from: its own, made at the first completion, or one it shares with
+	// the other loops of a fleet run (ShareResults).
+	results *resultStore
 }
 
 // queued is one arrival in a loop's queue and its demand estimate
@@ -302,6 +310,20 @@ func (l *Loop) PlaneStats() memplane.Stats {
 // track (the default) disables every emission site. Call before the
 // first StepTo.
 func (l *Loop) SetObs(t *obs.Track) { l.obs = t }
+
+// ShareResults makes l take its Results and finished paths from o's
+// store, so every loop of a fleet run fills one set of chunks instead of
+// each leaving its own last chunk part-empty. Loops that share a store
+// must be driven from one goroutine. Call before the first StepTo.
+func (l *Loop) ShareResults(o *Loop) { l.results = o.store() }
+
+// store returns the loop's result store, making it on first use.
+func (l *Loop) store() *resultStore {
+	if l.results == nil {
+		l.results = new(resultStore)
+	}
+	return l.results
+}
 
 // SetScale sets the loop's straggler factor: every device slice consumes
 // scale× its nominal duration of wall-clock time (thermal throttling,
@@ -655,7 +677,7 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 		}
 
 		if c.solver.done() {
-			res, err := c.solver.result()
+			res, err := c.solver.result(l.store())
 			if err != nil {
 				return out, fmt.Errorf("core: serving %s/%d: %w", c.req.Problem.Dataset, c.req.Problem.Index, err)
 			}

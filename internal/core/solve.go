@@ -45,7 +45,8 @@ func (r *Runner) Solve(p *workload.Problem) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.run()
+	var st resultStore // one-shot: a shared Runner shares no store
+	return s.run(&st)
 }
 
 // SolveWithPreemption is Solve with a preemption boundary: once the
@@ -59,7 +60,8 @@ func (r *Runner) SolveWithPreemption(p *workload.Problem, at float64) (*Result, 
 		return nil, err
 	}
 	s.preempt = preemptProbe{pending: max(at, 0), scale: 1}
-	return s.run()
+	var st resultStore
+	return s.run(&st)
 }
 
 // preemptProbe is the §4.1.2 preemption condition of the device slice in
@@ -119,11 +121,8 @@ type reqState struct {
 	offload  bool
 	meanStep int
 
-	nextNode int
-	nextBeam int
-	// finished is handed to the caller in Result and therefore never
-	// recycled: every request grows its own.
-	finished  []metrics.PathResult
+	nextNode  int
+	nextBeam  int
 	iter      int
 	abandoned int
 
@@ -171,6 +170,10 @@ type stack struct {
 	continuing []*beam              // selectAndBranch: beams that did not terminate
 	cands      []search.Candidate   // selectAndBranch: the policy's view of them
 	next       []*beam              // selectAndBranch: the frontier being built
+	// finished gathers the request's finished paths in completion order;
+	// result copies them into the run's resultStore, so this buffer is
+	// recycled like every other temporary.
+	finished []metrics.PathResult
 }
 
 // newSolver returns a solver for p under the deployment's own policy and
@@ -276,14 +279,15 @@ func (s *solver) deriveStreams(b *beam) {
 	b.specR = s.root.DeriveN("spec", b.id)
 }
 
-func (s *solver) run() (*Result, error) {
+// run solves the request start to finish, its Result from st.
+func (s *solver) run(st *resultStore) (*Result, error) {
 	s.begin()
 	for !s.done() {
 		if err := s.stepOnce(); err != nil {
 			return nil, err
 		}
 	}
-	return s.result()
+	return s.result(st)
 }
 
 // begin charges the prompt prefill and seeds the root beams. It is the
@@ -310,7 +314,7 @@ func (s *solver) begin() {
 		s.deriveStreams(b)
 		s.active = append(s.active, b)
 	}
-	s.finished = make([]metrics.PathResult, 0, pol.Width())
+	s.finished = s.finished[:0]
 	_, maxSteps := s.p.Depth()
 	s.maxIters = maxSteps + 4
 	s.begun = true
@@ -389,10 +393,11 @@ func (s *solver) abandon() {
 	s.active = s.active[:0]
 }
 
-// result assembles the final Result; it errors if the search ran out of
-// iterations with beams still active. Beams still active because the
-// strategy terminated early are abandoned, not errors.
-func (s *solver) result() (*Result, error) {
+// result assembles the final Result in st, the finished paths copied
+// there too; it errors if the search ran out of iterations with beams
+// still active. Beams still active because the strategy terminated early
+// are abandoned, not errors.
+func (s *solver) result(st *resultStore) (*Result, error) {
 	if len(s.active) > 0 {
 		if !s.strategy.Satisfied(len(s.finished)) {
 			return nil, fmt.Errorf("core: search did not converge after %d iterations", s.maxIters)
@@ -400,9 +405,10 @@ func (s *solver) result() (*Result, error) {
 		s.abandon()
 	}
 
-	res := &Result{
+	res := st.newResult()
+	*res = Result{
 		Problem:          s.p,
-		Finished:         s.finished,
+		Finished:         st.keepPaths(s.finished),
 		Latency:          s.clk.Now(),
 		GenTime:          s.gen.BusyTime - s.gen.TransferTime,
 		VerTime:          s.ver.Eng.BusyTime - s.ver.Eng.TransferTime,

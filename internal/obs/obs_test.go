@@ -380,6 +380,31 @@ func TestAttributeHedgeWinOverride(t *testing.T) {
 	}
 }
 
+// TestAttributeTieGoesToLowerTrack: without a hedge-win span, two copies
+// of a request finishing at the same instant resolve to the lower track,
+// whichever of them the stream lists first.
+func TestAttributeTieGoesToLowerTrack(t *testing.T) {
+	copyOn := func(track, tag int) []Span {
+		return []Span{
+			{Track: track, Kind: KindAdmit, Tag: tag},
+			{Track: track, Kind: KindQueue, Tag: tag, End: 1},
+			{Track: track, Kind: KindSlice, Tag: tag, Start: 1, End: 4, V1: 3},
+			{Track: track, Kind: KindFinish, Tag: tag, Start: 4, End: 4, N: 1},
+		}
+	}
+	for _, first := range []int{0, 1} {
+		tags := [2]int{3, ^3}
+		spans := append(copyOn(first, tags[first]), copyOn(1-first, tags[1-first])...)
+		attrs := Attribute(spans)
+		if len(attrs) != 1 {
+			t.Fatalf("track %d first: attributed %d requests, want 1", first, len(attrs))
+		}
+		if a := attrs[0]; a.Device != 0 || a.Finish != 4 {
+			t.Errorf("track %d first: device/finish = %d/%v, want 0/4", first, a.Device, a.Finish)
+		}
+	}
+}
+
 // TestAttributeRequeueLostWork covers the fail-stop migration shape:
 // slices executed on the failed device are LostWork, the serving copy on
 // the survivor carries the decomposition, and the wait on the failed

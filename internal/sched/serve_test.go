@@ -160,6 +160,20 @@ func TestDeadlinePicksEDF(t *testing.T) {
 	}
 }
 
+// TestDeadlineWithoutDeadlinesIsFCFS: when no request carries a deadline,
+// the deadline policy picks the earliest arrival, as FCFS does — wherever
+// it sits in the runnable set.
+func TestDeadlineWithoutDeadlinesIsFCFS(t *testing.T) {
+	early := ServeRequest{ID: 1, Arrival: 1}
+	late := ServeRequest{ID: 0, Arrival: 2}
+	for _, rs := range [][]ServeRequest{{early, late}, {late, early}} {
+		got, want := Deadline{}.Pick(rs, 3), FCFS{}.Pick(rs, 3)
+		if rs[got] != early || got != want {
+			t.Errorf("runnable %+v: deadline picked %d, FCFS %d; want the arrival at 1", rs, got, want)
+		}
+	}
+}
+
 // TestAdmissionLimit: rejects exactly when the in-flight population is at
 // the cap, and delegates ordering to the inner policy.
 func TestAdmissionLimit(t *testing.T) {

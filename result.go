@@ -15,7 +15,7 @@ type Path = metrics.PathResult
 type Result struct {
 	Problem *Problem
 	// Paths holds the finished paths in completion order; nil when none
-	// finished.
+	// finished. A served run's Paths share storage: see ServedResult.
 	Paths []Path
 
 	// Latency is the end-to-end time in (virtual) seconds; GenLatency,
@@ -34,7 +34,13 @@ type Result struct {
 
 // wrapResult reports a solved problem; Paths shares the solver's Finished.
 func wrapResult(res *core.Result) *Result {
-	out := &Result{
+	out := resultOf(res)
+	return &out
+}
+
+// resultOf is wrapResult by value, for callers that place the Result.
+func resultOf(res *core.Result) Result {
+	out := Result{
 		Latency:          res.Latency,
 		GenLatency:       res.GenTime,
 		VerLatency:       res.VerTime,

@@ -5,6 +5,8 @@ package fasttts
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"fasttts/internal/core"
@@ -125,5 +127,102 @@ func TestSummarizeEmptyTable(t *testing.T) {
 	s := Summarize(nil)
 	if s != (Summary{}) {
 		t.Errorf("Summarize(nil) = %+v, want zero value", s)
+	}
+}
+
+// TestServedResultsDoNotAlias: a served run's public Results come from one
+// batch and their Paths from the engine's shared chunks, yet no two share
+// an element. Appending to one result's Paths, or writing over it, leaves
+// every later result as it was, on Server.Run and Cluster.Run alike; each
+// Paths is cut with cap == len, and a request with no path still reads
+// nil Paths. Two System.Solve results share nothing.
+func TestServedResultsDoNotAlias(t *testing.T) {
+	cfg := Config{GPU: "RTX 4090", NumBeams: 8, Seed: 42}
+	reqs := PoissonRequests(clusterProblems(t, 10, 10), 0.5, 11)
+	t.Run("server", func(t *testing.T) {
+		srv, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := srv.Run(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rs []*Result
+		for _, sv := range served {
+			if sv.Result != nil {
+				rs = append(rs, sv.Result)
+			}
+		}
+		checkPublicNoAlias(t, rs)
+	})
+	t.Run("cluster", func(t *testing.T) {
+		cl, err := NewCluster(ClusterConfig{
+			Devices: []DeviceSpec{fleetSpec("RTX 4090", 42), fleetSpec("RTX 4070 Ti", 43)},
+			Router:  "rr",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := cl.Run(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rs []*Result
+		for _, r := range run.Results {
+			if r.Result != nil {
+				rs = append(rs, r.Result)
+			}
+		}
+		checkPublicNoAlias(t, rs)
+	})
+	t.Run("solve", func(t *testing.T) {
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probs := clusterProblems(t, 2, 2)
+		a, err := sys.Solve(probs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sys.Solve(probs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPublicNoAlias(t, []*Result{a, b})
+	})
+}
+
+// checkPublicNoAlias clobbers each result in turn — its Paths appended to
+// and overwritten, then the Result itself — and checks every later one
+// against a deep copy taken before.
+func checkPublicNoAlias(t *testing.T, rs []*Result) {
+	t.Helper()
+	if len(rs) < 2 {
+		t.Fatalf("%d results, want several", len(rs))
+	}
+	want := make([]Result, len(rs))
+	for i, r := range rs {
+		if r.Paths != nil && len(r.Paths) == 0 {
+			t.Errorf("result %d: empty Paths not nil", i)
+		}
+		want[i] = *r
+		want[i].Paths = slices.Clone(r.Paths)
+	}
+	for i, r := range rs {
+		if cap(r.Paths) != len(r.Paths) {
+			t.Errorf("result %d: Paths has len %d, cap %d", i, len(r.Paths), cap(r.Paths))
+		}
+		_ = append(r.Paths, Path{BeamID: -1})
+		for k := range r.Paths {
+			r.Paths[k] = Path{BeamID: -2}
+		}
+		*r = Result{Iterations: -3}
+		for j := i + 1; j < len(rs); j++ {
+			if !reflect.DeepEqual(*rs[j], want[j]) {
+				t.Fatalf("clobbering result %d changed result %d:\n got %+v\nwant %+v", i, j, *rs[j], want[j])
+			}
+		}
 	}
 }

@@ -26,7 +26,10 @@ type Request struct {
 }
 
 // ServedResult is a Result plus queueing telemetry. Result is nil (and
-// only then) for requests shed by admission control.
+// only then) for requests shed by admission control. The Results of one
+// run share a single allocation, and their Paths share the run's path
+// storage, so holding any one of them keeps that storage alive: copy what
+// you keep from a large run and drop the rest.
 type ServedResult struct {
 	*Result
 	ArrivalTime float64
@@ -269,23 +272,49 @@ func withArrivals(probs []*Problem, times []float64) []Request {
 	return out
 }
 
+// wrapServed converts a run's served requests, their Results taken from
+// one batch.
 func wrapServed(served []core.ServedResult) []ServedResult {
+	batch := newResultBatch(len(served), func(i int) bool { return served[i].Result != nil })
 	out := make([]ServedResult, len(served))
-	for i, sv := range served {
-		out[i] = wrapServedResult(sv)
+	for i := range served {
+		out[i] = wrapServedResult(&served[i], &batch)
 	}
 	return out
 }
 
-// wrapServedResult converts one served request (shared by Server and the
-// fleet results).
-func wrapServedResult(sv core.ServedResult) ServedResult {
-	var res *Result
-	if sv.Result != nil {
-		res = wrapResult(sv.Result)
+// resultBatch holds the public Results of one run's served requests: one
+// allocation, sized to their count, handed out front to back.
+type resultBatch []Result
+
+// newResultBatch sizes a batch for the served requests among n results,
+// served(i) telling whether the i-th has a Result.
+func newResultBatch(n int, served func(i int) bool) resultBatch {
+	k := 0
+	for i := range n {
+		if served(i) {
+			k++
+		}
 	}
+	return make(resultBatch, k)
+}
+
+// wrap converts res into the batch's next Result; nil stays nil.
+func (b *resultBatch) wrap(res *core.Result) *Result {
+	if res == nil {
+		return nil
+	}
+	out := &(*b)[0]
+	*b = (*b)[1:]
+	*out = resultOf(res)
+	return out
+}
+
+// wrapServedResult converts one served request (shared by Server and the
+// fleet results), its Result from batch.
+func wrapServedResult(sv *core.ServedResult, batch *resultBatch) ServedResult {
 	return ServedResult{
-		Result:       res,
+		Result:       batch.wrap(sv.Result),
 		ArrivalTime:  sv.Arrival,
 		StartTime:    sv.Start,
 		FinishTime:   sv.Finish,
