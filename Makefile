@@ -154,7 +154,11 @@ profile-dispatch:
 # roofline divisions per round, the rest spec-slot filling. Then come
 # verification, kvcache acquire/walk and beam selection; long prompts
 # and a 250-answer AIME space make answer draws and kvcache eviction
-# weigh more here than on solver-beam.
+# weigh more here than on solver-beam. The memory plane allocates nothing
+# per request (a session keeps its cache handles in place and is reused
+# with the loop's session), so beam selection (search.beamSearch.Select,
+# about 78 % of alloc_objects) leads the allocations; the rest is set-up
+# (workload.NewDataset) and kvcache node and spare growth.
 profile-kv:
 	$(call profile,BenchmarkKVPressure,./internal/cluster,10x,2x,kv)
 

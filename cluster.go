@@ -415,7 +415,7 @@ func (c *Cluster) Run(reqs []Request) (*FleetRun, error) {
 	for i := range out.Results {
 		r := &out.Results[i]
 		fr.Results[i] = FleetResult{
-			ServedResult: wrapServedResult(&r.ServedResult, &batch),
+			ServedResult: wrapServedResult(&r.ServedResult, &batch, reqs[r.Tag].Problem),
 			Device:       r.Device,
 			Requeues:     r.Requeues,
 		}

@@ -388,5 +388,7 @@ func (s *System) Solve(p *Problem) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wrapResult(res), nil
+	out := wrapResult(res)
+	out.Problem = p
+	return out, nil
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fasttts/internal/core"
@@ -578,5 +579,47 @@ func TestCancelledHitKeepsConfirmedPrefix(t *testing.T) {
 	}
 	if !d.prefixes[0].marked {
 		t.Error("cancelling a hit removed a prefix it never marked")
+	}
+}
+
+// pastEndRouter picks the first device for a request and one past the end
+// of the routable set for the copies selected by past.
+type pastEndRouter struct{ past func(RequestView) bool }
+
+func (pastEndRouter) Name() string { return "past-end" }
+
+func (r pastEndRouter) Route(rq RequestView, devices []DeviceView, _ *rng.Stream) int {
+	if r.past(rq) {
+		return len(devices)
+	}
+	return 0
+}
+
+// A router that picks one past the end of the routable set, for a primary
+// or for a hedge twin (routed over the alive set less the primary's
+// device), fails the run with an error instead of indexing out of range.
+func TestRouterPickPastEndFailsRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		past func(RequestView) bool
+		want string
+	}{
+		{"primary", func(rq RequestView) bool { return rq.Tag >= 0 }, "picked 2 of 2 alive devices"},
+		{"hedge twin", func(rq RequestView) bool { return rq.Tag < 0 }, "picked 1 of 1 alive devices"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := New(Config{
+				Devices:  []Device{{Config: devConfig(t, hw.RTX4090, 4, 1)}, {Config: devConfig(t, hw.RTX4070Ti, 4, 2)}},
+				Router:   pastEndRouter{tc.past},
+				Strategy: search.Hedged(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.Run([]core.Request{{Problem: repeatedProblems(t, 1, 1)[0]}})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run err = %v, want one saying %q", err, tc.want)
+			}
+		})
 	}
 }

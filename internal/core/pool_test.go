@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fasttts/internal/memplane"
 	"fasttts/internal/rng"
 	"fasttts/internal/sched"
 	"fasttts/internal/search"
@@ -215,11 +216,39 @@ func TestPooledLoopMatchesRunnerSolve(t *testing.T) {
 // leaves one allocation of room, so a new per-request allocator shows.
 func TestWarmLoopAllocsPerRequest(t *testing.T) {
 	const parentAllocs, pin = 29, 9
+	got := warmLoopAllocs(t, memplane.Config{})
+	t.Logf("%v allocations per warm request (parent: %d)", got, parentAllocs)
+	if got > pin {
+		t.Errorf("warm request allocates %v times, want at most %d", got, pin)
+	}
+}
+
+// The same warm request with a 512 MiB KV memory plane on, the size the
+// kv-pressure benchmark gives each device: admission refills the loop
+// session's plane session in place, and the plane's decode handles live
+// in it, so the plane adds no allocation to a request. When each admission
+// built a session, and each prompt acquire, first decode fork and decode
+// shrink a cache handle, the plane cost this request six more.
+func TestWarmLoopPlaneAllocsNothing(t *testing.T) {
+	off := warmLoopAllocs(t, memplane.Config{})
+	on := warmLoopAllocs(t, memplane.Config{CapacityBytes: 512 << 20})
+	t.Logf("%v allocations per warm request with the plane on, %v with it off", on, off)
+	if on != off {
+		t.Errorf("plane-on warm request allocates %v times, want the plane-off %v", on, off)
+	}
+}
+
+// warmLoopAllocs serves the request 30 times on one Loop, so the solver,
+// session and cache pools settle, then counts a warm serve's allocations.
+func warmLoopAllocs(t *testing.T, kv memplane.Config) float64 {
+	t.Helper()
 	pol, err := search.New(search.BeamSearch, 64, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(testConfig(t, pol, FastTTSOptions()))
+	cfg := testConfig(t, pol, FastTTSOptions())
+	cfg.KVPlane = kv
+	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,9 +263,5 @@ func TestWarmLoopAllocsPerRequest(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		serve() // the first builds the stack; the pools settle over the next few
 	}
-	got := testing.AllocsPerRun(5, serve)
-	t.Logf("%v allocations per warm request (parent: %d)", got, parentAllocs)
-	if got > pin {
-		t.Errorf("warm request allocates %v times, want at most %d", got, pin)
-	}
+	return testing.AllocsPerRun(5, serve)
 }

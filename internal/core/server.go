@@ -103,9 +103,11 @@ type session struct {
 	slices  int
 	width   int // effective search width, resolved at service start
 
-	// mem is the request's footprint on the device's KV memory plane
-	// (nil when the plane is disabled); penalty is the admission-time
-	// re-prefill charge, paid into the session's first slice.
+	// mem is the request's footprint on the device's KV memory plane (nil
+	// until the first admission on a plane-on loop). It survives the
+	// session's reuse: each admission refills it in place (AdmitInto) and
+	// release finishes it. penalty is the admission-time re-prefill charge,
+	// paid into the session's first slice.
 	mem     *memplane.Session
 	penalty float64
 }
@@ -555,7 +557,10 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 				// Charge the prompt prefix against the memory plane; the
 				// re-prefill penalty for non-resident tokens lands in the
 				// session's first slice.
-				c.mem, c.penalty = l.plane.Admit(rq.Problem.Key(), rq.Problem.PromptTokens)
+				if c.mem == nil {
+					c.mem = new(memplane.Session)
+				}
+				c.penalty = l.plane.AdmitInto(c.mem, rq.Problem.Key(), rq.Problem.PromptTokens)
 			}
 			if l.obs != nil {
 				l.obs.Emit(obs.Span{Kind: obs.KindAdmit, Tag: rq.Tag, Start: rq.Arrival, End: l.now, V1: c.penalty, V2: est})
@@ -655,7 +660,7 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 		l.busy += delta
 		c.work += delta
 		c.slices++
-		if c.mem != nil {
+		if l.plane != nil {
 			// Reconcile the session's resident footprint with the solver's
 			// live KV usage beyond the prompt — per-beam decode state that
 			// widens and narrows as the search proceeds.
@@ -719,7 +724,7 @@ func (l *Loop) newSession(rq Request, est float64) *session {
 	} else {
 		c = new(session)
 	}
-	*c = session{req: rq, id: l.nextID, est: est}
+	*c = session{req: rq, id: l.nextID, est: est, mem: c.mem}
 	l.nextID++
 	return c
 }
@@ -765,7 +770,7 @@ func (l *Loop) release(c *session) {
 	l.liveWork -= c.lastRem
 	l.reanchorWork()
 	l.retireSolver(c)
-	if c.mem != nil {
+	if l.plane != nil {
 		l.plane.Finish(c.mem)
 	}
 }

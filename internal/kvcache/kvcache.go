@@ -35,8 +35,8 @@
 // seldom matches which node had it, so storage is recycled by size, not by
 // node. A cache in steady state therefore allocates nothing
 // (TestBeamCycleAllocatesNothing). A Seq handle's storage belongs to the
-// caller: AcquireRuns and Fork allocate one, AcquireInto and ForkInto fill
-// one the caller supplies (a released or zero Seq) and allocate nothing. A
+// caller: AcquireRuns allocates one, AcquireInto and ForkInto fill one the
+// caller supplies (a released or zero Seq) and allocate nothing. A
 // handle is valid from a successful acquire until Release/Drop, or until
 // the cache's Reset, which invalidates every handle — live or released — at
 // once.
@@ -462,19 +462,10 @@ func (c *Cache) Extend(s *Seq, runs []Run) (hit, miss int, err error) {
 	return hit, miss, nil
 }
 
-// Fork returns a second pinned handle to the same sequence path. Beam
+// ForkInto pins a second handle, dst, to s's sequence path. Beam
 // branching uses this: the duplicate shares every cached token with the
-// original at zero memory cost.
-func (c *Cache) Fork(s *Seq) (*Seq, error) {
-	f := &Seq{}
-	if err := c.ForkInto(f, s); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// ForkInto is Fork with the new handle's storage supplied by the caller:
-// dst must be a zero or released Seq, and is left untouched on error.
+// original at zero memory cost. dst's storage is the caller's: it must be a
+// zero or released Seq, and is left untouched on error.
 func (c *Cache) ForkInto(dst, s *Seq) error {
 	if s.released {
 		return errors.New("kvcache: fork of released sequence")
@@ -541,11 +532,13 @@ func (c *Cache) LongestCachedPrefix(runs []Run) int {
 }
 
 // Resize changes the capacity. Shrinking evicts unreferenced entries as
-// needed and fails if pinned sequences exceed the new capacity.
+// needed and fails, wrapping ErrPinned, if pinned sequences exceed the new
+// capacity.
 func (c *Cache) Resize(capacityBytes int64) error {
 	old := c.capacity
 	c.capacity = capacityBytes
 	if err := c.ensure(0); err != nil {
+		err = fmt.Errorf("%w: used %d of %d tokens", err, c.usedTokens, c.CapacityTokens())
 		c.capacity = old
 		return err
 	}
@@ -731,13 +724,14 @@ func (c *Cache) split(n *node, k int) {
 }
 
 // ensure evicts unreferenced LRU leaves until needTokens more tokens fit.
+// It fails with the bare ErrPinned: a full cache is routine under memory
+// pressure, and every insert path's caller only tests for it.
 func (c *Cache) ensure(needTokens int64) error {
 	capTok := c.CapacityTokens()
 	for c.usedTokens+needTokens > capTok {
 		leaf := c.popEvictable()
 		if leaf == nil {
-			return fmt.Errorf("%w: need %d tokens, used %d of %d",
-				ErrPinned, needTokens, c.usedTokens, capTok)
+			return ErrPinned
 		}
 		c.evict(leaf)
 	}

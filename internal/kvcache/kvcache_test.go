@@ -181,6 +181,31 @@ func TestPinnedNeverEvicted(t *testing.T) {
 	}
 }
 
+// A full cache is routine under memory pressure — the memory plane meets
+// it on most passes — so an insert that finds every entry pinned returns
+// the bare ErrPinned and allocates nothing. Resize, whose error its caller
+// hands up, alone wraps it with the occupancy.
+func TestPinnedFullIsBareSentinel(t *testing.T) {
+	c := New(10*16, 16)
+	mustAcquire(t, c, seqTokens(nil, 6, 1)) // pinned, never released
+	var s Seq
+	path := runsOf(seqTokens(nil, 6, 2))
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() { _, _, err = c.AcquireInto(&s, path) }); allocs != 0 {
+		t.Errorf("pinned-full AcquireInto: %v allocs, want 0", allocs)
+	}
+	if err != ErrPinned {
+		t.Errorf("pinned-full AcquireInto err = %v, want the bare ErrPinned", err)
+	}
+	err = c.Resize(2 * 16)
+	if !errors.Is(err, ErrPinned) || err == ErrPinned {
+		t.Errorf("Resize below pinned content: err = %v, want ErrPinned wrapped with the occupancy", err)
+	}
+	if got := c.CapacityTokens(); got != 10 {
+		t.Errorf("failed Resize left capacity %d tokens, want 10", got)
+	}
+}
+
 func TestSequenceLargerThanCapacity(t *testing.T) {
 	c := New(4*16, 16)
 	_, _, _, err := c.Acquire(seqTokens(nil, 5, 1))
@@ -492,10 +517,6 @@ func TestAllocsPerOperation(t *testing.T) {
 			s, _, _, _ := c.Acquire(tokens)
 			c.Release(s)
 		}},
-		{"Fork", 1, func() {
-			f, _ := c.Fork(held)
-			c.Release(f)
-		}},
 		{"LongestCachedPrefix", 0, func() { c.LongestCachedPrefix(path) }},
 		{"AcquireInto of a resident path", 0, func() {
 			c.AcquireInto(&own, path)
@@ -720,6 +741,16 @@ func TestBeamCycleAllocatesNothing(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("%d steady-state beam rounds allocated %v times, want 0", rounds, got)
 	}
+}
+
+// Fork is ForkInto into a new handle: the allocating form, kept for the
+// tests that juggle many handles by pointer.
+func (c *Cache) Fork(s *Seq) (*Seq, error) {
+	f := &Seq{}
+	if err := c.ForkInto(f, s); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // PinnedTokens returns the tokens pinned by live sequences.

@@ -24,6 +24,13 @@
 // bit-identical to builds without the plane. Cross-device reads (the
 // router probes below) happen only when the fleet routes an arrival,
 // after it has stepped every device due by that instant.
+//
+// Session storage. A Session holds its cache handles by value — the
+// prompt's, and two slots for the decode chain's, so a shrink can acquire
+// the shorter path while the old handle still pins it — and its storage
+// is the caller's: AdmitInto refills a zero or finished Session in place.
+// A serving loop keeps one per recycled request session, so admission,
+// decode growth and shrink, and finish on a warm plane allocate nothing.
 package memplane
 
 import (
@@ -92,14 +99,23 @@ type Stats struct {
 
 // Session is one admitted request's memory footprint: a pinned prompt
 // prefix plus a private decode chain that grows and shrinks with the
-// solver's live beam state.
+// solver's live beam state. It holds its cache handles in place, so its
+// storage is the caller's: Admit allocates one, AdmitInto refills one the
+// caller keeps across admissions (a zero or finished Session). The cache
+// links live handles by address, so a Session must not be copied while
+// admitted.
 type Session struct {
-	prompt    *kvcache.Seq // nil when the prompt could not be cached
+	prompt    kvcache.Seq // live when hasPrompt
 	promptRun kvcache.Run
-	dec       *kvcache.Seq
-	decLen    int // currently resident decode tokens
-	ordinal   uint64
-	finished  bool
+	// dec[cur] is the decode chain's handle, live when hasDec. A shrink
+	// acquires the shorter path into the other slot while the old handle
+	// still pins it, then drops the old one.
+	dec               [2]kvcache.Seq
+	cur               int
+	hasPrompt, hasDec bool
+	decLen            int // currently resident decode tokens
+	ordinal           uint64
+	finished          bool
 }
 
 // Plane is one device's KV memory plane. Only the device's loop mutates
@@ -141,10 +157,22 @@ func promptRun(id uint32, n int) kvcache.Run {
 // uncached: the full prompt is charged as a miss and the session carries
 // no resident prefix.
 func (p *Plane) Admit(key string, promptTokens int) (*Session, float64) {
-	s := &Session{ordinal: p.nextOrd}
+	s := new(Session)
+	return s, p.AdmitInto(s, key, promptTokens)
+}
+
+// AdmitInto is Admit with the session's storage supplied by the caller: s
+// must be a zero or finished Session, and is re-initialised in place, so
+// an admission on a warm plane allocates nothing. It panics if s still
+// holds cache handles (admitted and not finished).
+func (p *Plane) AdmitInto(s *Session, key string, promptTokens int) float64 {
+	if s.hasPrompt || s.hasDec {
+		panic("memplane: AdmitInto on a session that was not finished")
+	}
+	*s = Session{ordinal: p.nextOrd}
 	p.nextOrd++
 	if promptTokens <= 0 {
-		return s, 0
+		return 0
 	}
 	id, ok := p.streams[key]
 	if !ok {
@@ -153,18 +181,18 @@ func (p *Plane) Admit(key string, promptTokens int) (*Session, float64) {
 		p.streams[key] = id
 	}
 	s.promptRun = promptRun(id, promptTokens)
-	seq, hit, miss, err := p.cache.AcquireRuns([]kvcache.Run{s.promptRun})
+	hit, miss, err := p.cache.AcquireInto(&s.prompt, []kvcache.Run{s.promptRun})
 	if err != nil {
 		// ErrTooLarge / ErrPinned: run without residency.
 		hit, miss = 0, promptTokens
 	} else {
-		s.prompt = seq
+		s.hasPrompt = true
 	}
 	p.hitTokens += int64(hit)
 	p.missTokens += int64(miss)
 	pen := p.reprefillCost(miss, promptTokens)
 	p.reprefill += pen
-	return s, pen
+	return pen
 }
 
 // reprefillCost is the roofline latency of prefilling miss tokens whose
@@ -203,39 +231,37 @@ func (p *Plane) SyncDecode(s *Session, want int) {
 	switch {
 	case want > s.decLen:
 		add := []kvcache.Run{s.decodeRun(s.decLen, want)}
-		if s.dec == nil {
-			var err error
-			if s.prompt != nil {
-				var fork *kvcache.Seq
-				if fork, err = p.cache.Fork(s.prompt); err == nil {
-					if _, _, err = p.cache.Extend(fork, add); err != nil {
-						p.cache.Drop(fork)
-					} else {
-						s.dec = fork
-					}
+		dec := &s.dec[s.cur]
+		if !s.hasDec {
+			if s.hasPrompt {
+				if err := p.cache.ForkInto(dec, &s.prompt); err != nil {
+					return
 				}
-			} else if s.dec, _, _, err = p.cache.AcquireRuns(add); err != nil {
-				s.dec = nil
-			}
-			if s.dec == nil {
+				if _, _, err := p.cache.Extend(dec, add); err != nil {
+					p.cache.Drop(dec)
+					return // pinned-full or over capacity: stay unresident
+				}
+			} else if _, _, err := p.cache.AcquireInto(dec, add); err != nil {
 				return // pinned-full or over capacity: stay unresident
 			}
-		} else if _, _, err := p.cache.Extend(s.dec, add); err != nil {
+			s.hasDec = true
+		} else if _, _, err := p.cache.Extend(dec, add); err != nil {
 			return // growth skipped, footprint stays at decLen
 		}
 		s.decLen = want
 	case want < s.decLen:
-		old := s.dec
-		s.dec = nil
+		old := &s.dec[s.cur]
+		s.cur ^= 1
+		s.hasDec = false
 		if want > 0 {
 			path := []kvcache.Run{s.promptRun, s.decodeRun(0, want)}
-			if s.prompt == nil {
+			if !s.hasPrompt {
 				path = path[1:]
 			}
 			// The shorter path is fully resident (still pinned by old), so
 			// this acquire inserts nothing and cannot fail.
-			if seq, _, _, err := p.cache.AcquireRuns(path); err == nil {
-				s.dec = seq
+			if _, _, err := p.cache.AcquireInto(&s.dec[s.cur], path); err == nil {
+				s.hasDec = true
 			}
 		}
 		p.cache.Drop(old) // evicts the abandoned, now-unshared suffix
@@ -245,19 +271,20 @@ func (p *Plane) SyncDecode(s *Session, want int) {
 
 // Finish ends a session: its decode chain is garbage (dropped and
 // evicted), while its prompt prefix is released but stays resident for
-// future admissions to hit until LRU pressure reclaims it.
+// future admissions to hit until LRU pressure reclaims it. A finished
+// session's storage may be admitted again with AdmitInto.
 func (p *Plane) Finish(s *Session) {
 	if s == nil || s.finished {
 		return
 	}
 	s.finished = true
-	if s.dec != nil {
-		p.cache.Drop(s.dec)
-		s.dec = nil
+	if s.hasDec {
+		p.cache.Drop(&s.dec[s.cur])
+		s.hasDec = false
 	}
-	if s.prompt != nil {
-		p.cache.Release(s.prompt)
-		s.prompt = nil
+	if s.hasPrompt {
+		p.cache.Release(&s.prompt)
+		s.hasPrompt = false
 	}
 }
 

@@ -1,6 +1,7 @@
 package memplane
 
 import (
+	"slices"
 	"testing"
 
 	"fasttts/internal/hw"
@@ -213,4 +214,119 @@ func TestResidentPromptTokensAllocatesNothing(t *testing.T) {
 	if got != 4800 {
 		t.Errorf("ResidentPromptTokens = %d, want 4800", got)
 	}
+}
+
+// A full session cycle on a warm plane — admission into kept storage,
+// decode growth, a shrink, regrowth, finish — allocates nothing: the
+// session holds its cache handles in place, and the cache recycles the
+// nodes the last cycle's decode chain left.
+func TestSessionCycleAllocatesNothing(t *testing.T) {
+	p := newTestPlane(10000)
+	var s Session
+	cycle := func() {
+		if pen := p.AdmitInto(&s, "fewshot/1", 600); pen != 0 {
+			t.Fatalf("warm admission charged %v, want a full prefix hit", pen)
+		}
+		p.SyncDecode(&s, 200)
+		p.SyncDecode(&s, 320)
+		p.SyncDecode(&s, 90) // shrink: acquire into the idle slot, drop the old
+		p.SyncDecode(&s, 40)
+		p.SyncDecode(&s, 150)
+		p.Finish(&s)
+	}
+	p.AdmitInto(&s, "fewshot/1", 600) // names the stream and inserts the prompt
+	p.Finish(&s)
+	cycle() // grows the cache's spare storage for the decode chain
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("warm session cycle: %v allocs, want 0", got)
+	}
+	if got, want := p.Stats().UsedTokens, int64(600); got != want {
+		t.Errorf("used = %d after the cycles, want %d (prompt only)", got, want)
+	}
+}
+
+// AdmitInto on kept storage answers exactly as Admit on a new session: the
+// same operation sequence, driven through one reused Session per slot and
+// through fresh ones, leaves equal Stats after every operation and equal
+// prefix residency at the end, under eviction pressure, pinned-full
+// growth, an uncachable prompt and every grow/shrink branch.
+func TestAdmitIntoMatchesAdmit(t *testing.T) {
+	keys := []string{"a/0", "b/0", "a/0", "c/0", "b/0", "big/0", "a/0", "d/0"}
+	names := []string{"a/0", "b/0", "c/0", "d/0", "big/0"}
+	prompts := map[string]int{"a/0": 90, "b/0": 120, "c/0": 60, "d/0": 0, "big/0": 700}
+	type op struct{ slot, want int } // want < 0: finish and re-admit
+	var ops []op
+	r := uint64(7)
+	for range 400 {
+		r = r*6364136223846793005 + 1442695040888963407
+		slot, v := int(r>>33)%3, int(r>>45)%160
+		if v >= 140 {
+			v = -1
+		}
+		ops = append(ops, op{slot, v})
+	}
+	run := func(reuse bool) ([]Stats, []int) {
+		p := newTestPlane(500)
+		var kept [3]Session
+		var live [3]*Session
+		next := 0
+		admit := func(slot int) {
+			k := keys[next%len(keys)]
+			next++
+			if reuse {
+				p.AdmitInto(&kept[slot], k, prompts[k])
+				live[slot] = &kept[slot]
+			} else {
+				live[slot], _ = p.Admit(k, prompts[k])
+			}
+		}
+		for slot := range live {
+			admit(slot)
+		}
+		var trace []Stats
+		for _, o := range ops {
+			if o.want < 0 {
+				p.Finish(live[o.slot])
+				admit(o.slot)
+			} else {
+				p.SyncDecode(live[o.slot], o.want)
+			}
+			trace = append(trace, p.Stats())
+		}
+		var res []int
+		for _, k := range names {
+			res = append(res, p.ResidentPromptTokens(k, prompts[k]))
+		}
+		for _, s := range live {
+			p.Finish(s)
+		}
+		return append(trace, p.Stats()), res
+	}
+	fresh, freshRes := run(false)
+	kept, keptRes := run(true)
+	for i := range fresh {
+		if fresh[i] != kept[i] {
+			t.Fatalf("after operation %d, reused sessions diverged:\n got %+v\nwant %+v", i, kept[i], fresh[i])
+		}
+	}
+	if last := fresh[len(fresh)-1]; last.EvictedTokens == 0 {
+		t.Error("no eviction: the sequence does not exercise pressure")
+	}
+	if !slices.Equal(freshRes, keptRes) {
+		t.Errorf("resident prompt tokens: reused %v, fresh %v", keptRes, freshRes)
+	}
+}
+
+// AdmitInto refuses storage that still pins cache content: overwriting a
+// live handle would corrupt the cache's owner lists.
+func TestAdmitIntoLiveSessionPanics(t *testing.T) {
+	p := newTestPlane(1000)
+	var s Session
+	p.AdmitInto(&s, "k/0", 100)
+	defer func() {
+		if recover() == nil {
+			t.Error("AdmitInto over a live session did not panic")
+		}
+	}()
+	p.AdmitInto(&s, "k/0", 100)
 }

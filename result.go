@@ -13,6 +13,8 @@ type Path = metrics.PathResult
 
 // Result reports one solved problem.
 type Result struct {
+	// Problem is the problem solved: Solve's argument, or the served
+	// request's own (Request.Problem, or the RunClosedLoop entry).
 	Problem *Problem
 	// Paths holds the finished paths in completion order; nil when none
 	// finished. A served run's Paths share storage: see ServedResult.

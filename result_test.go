@@ -133,12 +133,14 @@ func TestSummarizeEmptyTable(t *testing.T) {
 // TestServedResultsDoNotAlias: a served run's public Results come from one
 // batch and their Paths from the engine's shared chunks, yet no two share
 // an element. Appending to one result's Paths, or writing over it, leaves
-// every later result as it was, on Server.Run and Cluster.Run alike; each
-// Paths is cut with cap == len, and a request with no path still reads
-// nil Paths. Two System.Solve results share nothing.
+// every later result as it was, on Server.Run, RunClosedLoop and
+// Cluster.Run alike; each Paths is cut with cap == len, and a request with
+// no path still reads nil Paths. Two System.Solve results share nothing.
+// Every entry point's Results name the caller's own problem.
 func TestServedResultsDoNotAlias(t *testing.T) {
 	cfg := Config{GPU: "RTX 4090", NumBeams: 8, Seed: 42}
-	reqs := PoissonRequests(clusterProblems(t, 10, 10), 0.5, 11)
+	probs := clusterProblems(t, 10, 10)
+	reqs := PoissonRequests(probs, 0.5, 11)
 	t.Run("server", func(t *testing.T) {
 		srv, err := NewServer(cfg)
 		if err != nil {
@@ -151,6 +153,25 @@ func TestServedResultsDoNotAlias(t *testing.T) {
 		var rs []*Result
 		for _, sv := range served {
 			if sv.Result != nil {
+				checkProblem(t, sv.Result, reqs[sv.Tag].Problem)
+				rs = append(rs, sv.Result)
+			}
+		}
+		checkPublicNoAlias(t, rs)
+	})
+	t.Run("closed-loop", func(t *testing.T) {
+		srv, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := srv.RunClosedLoop(probs, 3, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rs []*Result
+		for _, sv := range served {
+			if sv.Result != nil {
+				checkProblem(t, sv.Result, probs[sv.Tag])
 				rs = append(rs, sv.Result)
 			}
 		}
@@ -171,6 +192,7 @@ func TestServedResultsDoNotAlias(t *testing.T) {
 		var rs []*Result
 		for _, r := range run.Results {
 			if r.Result != nil {
+				checkProblem(t, r.Result, reqs[r.Tag].Problem)
 				rs = append(rs, r.Result)
 			}
 		}
@@ -181,7 +203,6 @@ func TestServedResultsDoNotAlias(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probs := clusterProblems(t, 2, 2)
 		a, err := sys.Solve(probs[0])
 		if err != nil {
 			t.Fatal(err)
@@ -190,8 +211,18 @@ func TestServedResultsDoNotAlias(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkProblem(t, a, probs[0])
+		checkProblem(t, b, probs[1])
 		checkPublicNoAlias(t, []*Result{a, b})
 	})
+}
+
+// checkProblem checks that r names the problem the caller asked, want.
+func checkProblem(t *testing.T, r *Result, want *Problem) {
+	t.Helper()
+	if r.Problem != want {
+		t.Errorf("Result.Problem = %p (%v), want the caller's %p", r.Problem, r.Problem, want)
+	}
 }
 
 // checkPublicNoAlias clobbers each result in turn — its Paths appended to

@@ -159,7 +159,7 @@ func (s *Server) Run(reqs []Request) ([]ServedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wrapServed(served), nil
+	return wrapServed(served, func(tag int) *Problem { return reqs[tag].Problem }), nil
 }
 
 // coreRequests converts a public request stream for the serving engine,
@@ -207,7 +207,7 @@ func (s *Server) RunClosedLoop(probs []*Problem, concurrency int, think float64)
 	if err != nil {
 		return nil, err
 	}
-	return wrapServed(served), nil
+	return wrapServed(served, func(tag int) *Problem { return probs[tag] }), nil
 }
 
 // Stats reduces served results to server-level aggregates, applying the
@@ -273,12 +273,12 @@ func withArrivals(probs []*Problem, times []float64) []Request {
 }
 
 // wrapServed converts a run's served requests, their Results taken from
-// one batch.
-func wrapServed(served []core.ServedResult) []ServedResult {
+// one batch; problem maps a request's Tag to the problem it asked.
+func wrapServed(served []core.ServedResult, problem func(tag int) *Problem) []ServedResult {
 	batch := newResultBatch(len(served), func(i int) bool { return served[i].Result != nil })
 	out := make([]ServedResult, len(served))
 	for i := range served {
-		out[i] = wrapServedResult(&served[i], &batch)
+		out[i] = wrapServedResult(&served[i], &batch, problem(served[i].Tag))
 	}
 	return out
 }
@@ -299,22 +299,24 @@ func newResultBatch(n int, served func(i int) bool) resultBatch {
 	return make(resultBatch, k)
 }
 
-// wrap converts res into the batch's next Result; nil stays nil.
-func (b *resultBatch) wrap(res *core.Result) *Result {
+// wrap converts res, the solution of p, into the batch's next Result; nil
+// stays nil.
+func (b *resultBatch) wrap(res *core.Result, p *Problem) *Result {
 	if res == nil {
 		return nil
 	}
 	out := &(*b)[0]
 	*b = (*b)[1:]
 	*out = resultOf(res)
+	out.Problem = p
 	return out
 }
 
-// wrapServedResult converts one served request (shared by Server and the
-// fleet results), its Result from batch.
-func wrapServedResult(sv *core.ServedResult, batch *resultBatch) ServedResult {
+// wrapServedResult converts one served request of problem p (shared by
+// Server and the fleet results), its Result from batch.
+func wrapServedResult(sv *core.ServedResult, batch *resultBatch, p *Problem) ServedResult {
 	return ServedResult{
-		Result:       batch.wrap(sv.Result),
+		Result:       batch.wrap(sv.Result, p),
 		ArrivalTime:  sv.Arrival,
 		StartTime:    sv.Start,
 		FinishTime:   sv.Finish,
