@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-nofma lint bench cover scenarios quick-sweep benchmark benchmark-smoke profile-solver profile-observed profile-dispatch profile-kv golden
+.PHONY: all build test test-nofma lint writeonly bench cover scenarios quick-sweep benchmark benchmark-smoke profile-solver profile-observed profile-dispatch profile-kv golden
 
 all: build lint test
 
@@ -19,11 +19,17 @@ test:
 test-nofma:
 	GODEBUG=cpu.fma=off $(GO) test -count=1 ./...
 
-lint:
+lint: writeonly
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
+
+# Fails on a struct field that code writes and nothing reads, tests
+# included (internal/tools/writeonly; reviewed survivors are listed in its
+# testdata/writeonly.allow). A CI lint step, not part of tier-1.
+writeonly:
+	$(GO) run ./internal/tools/writeonly
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

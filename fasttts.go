@@ -292,7 +292,6 @@ type Optimizations struct {
 // System is a configured serving deployment. It is safe to reuse across
 // problems; every Solve runs on a fresh virtual serving stack.
 type System struct {
-	cfg    core.Config
 	runner *core.Runner
 }
 
@@ -306,7 +305,7 @@ func New(c Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{cfg: cc, runner: runner}, nil
+	return &System{runner: runner}, nil
 }
 
 func buildCoreConfig(c Config) (core.Config, error) {

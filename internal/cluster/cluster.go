@@ -419,24 +419,7 @@ func (r *run) hedging() bool {
 	return r.f.cfg.Strategy.Hedged()
 }
 
-// hedgeOrig resolves a (possibly twin) tag to its original client tag
-// and pair slot. Twin copies run under the bit-complement tag ^tag —
-// negative, reversible, and disjoint from the non-negative client space.
-func hedgeOrig(tag int) (orig, slot int) {
-	if tag < 0 {
-		return ^tag, 1
-	}
-	return tag, 0
-}
-
 func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
-	devs := make([]*device, len(f.cfg.Devices))
-	for i, spec := range f.cfg.Devices {
-		devs[i] = newDevice(spec, f.srvs[i], 0)
-		// The run's one result store is device 0's; every loop shares it.
-		devs[i].loop.ShareResults(devs[0].loop)
-	}
-
 	if len(reqs) > math.MaxInt32 {
 		return nil, fmt.Errorf("cluster: %d requests exceed the stream limit of %d", len(reqs), math.MaxInt32)
 	}
@@ -480,31 +463,31 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 
 	r := &run{
 		f:         f,
-		devs:      devs,
+		devs:      make([]*device, 0, len(f.cfg.Devices)),
 		out:       &Outcome{Metrics: f.cfg.Metrics, Results: make([]Result, 0, len(reqs))},
 		reqs:      reqs,
 		order:     order,
 		prompts:   prompts,
 		promptOf:  promptOf,
 		displaced: make(map[int]displacement),
-		fails:     failSchedule(devs),
 		routeRand: rng.New(f.cfg.Seed).Child("cluster/router"),
+		obs:       f.cfg.Obs,
 	}
+	for i, spec := range f.cfg.Devices {
+		r.newDevice(spec, f.srvs[i], 0)
+	}
+	r.fails = failSchedule(r.devs)
 	if wa, ok := f.cfg.Router.(WorkAware); ok {
 		r.needWork = wa.NeedsOutstandingWork()
 	}
 	if f.cfg.Obs != nil {
-		r.obs = f.cfg.Obs
 		r.ctl = f.cfg.Obs.Control()
 		vo, ok := f.cfg.Router.(ViewOblivious)
 		r.candSpans = !ok || !vo.RouteViewOblivious()
-		for i, d := range devs {
-			d.loop.SetObs(f.cfg.Obs.Device(i))
-		}
 	}
-	r.vs = make([]DeviceView, len(devs))
-	r.posInVs = make([]int, len(devs))
-	for i, d := range devs {
+	r.vs = make([]DeviceView, len(r.devs))
+	r.posInVs = make([]int, len(r.devs))
+	for i, d := range r.devs {
 		r.vs[i] = DeviceView{Index: i, Speed: d.speed, Mem: d.loop.Plane()}
 		r.posInVs[i] = i
 	}
@@ -512,26 +495,31 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 		r.best = &bestTree{}
 		r.reindex()
 	}
-	r.wake = newWakeHeap(len(devs))
+	r.wake = newWakeHeap(len(r.devs))
 	if r.hedging() {
 		r.hedges = make(map[int]*hedgePair)
 	}
 	if f.cfg.Control != nil {
-		r.el = newElastic(f, len(devs))
+		r.el = newElastic(f, len(r.devs))
 	}
 	return r, nil
 }
 
-// newDevice builds the runtime state of one fleet member around a fresh
-// serving loop.
-func newDevice(spec Device, srv *core.Server, joinAt float64) *device {
+// newDevice appends the run's next fleet member, served by srv from
+// joinAt, around a fresh serving loop. The loop takes its results from
+// the run's one store (device 0's) and, with a recorder, records on the
+// member's own track.
+func (r *run) newDevice(spec Device, srv *core.Server, joinAt float64) *device {
 	slow := spec.Slowdown
 	if slow < 1 {
 		slow = 1
 	}
 	loop := srv.NewLoop(nil)
 	loop.SetScale(slow)
-	return &device{
+	if r.obs != nil {
+		loop.SetObs(r.obs.Device(len(r.devs)))
+	}
+	d := &device{
 		spec:   spec,
 		loop:   loop,
 		speed:  spec.Config.GPU.MemBW * spec.Config.GPU.MemEff / slow,
@@ -539,6 +527,9 @@ func newDevice(spec Device, srv *core.Server, joinAt float64) *device {
 		joinAt: joinAt,
 		acct:   make(map[int]prefixAcct),
 	}
+	r.devs = append(r.devs, d)
+	loop.ShareResults(r.devs[0].loop)
+	return d
 }
 
 // streamFirst reports whether the stream head is the next arrival
@@ -653,13 +644,9 @@ func (r *run) refreshView(dev int) {
 	}
 	v := &r.vs[p]
 	d := r.devs[dev]
-	v.Now = d.loop.Now()
 	v.Pending = d.loop.Pending()
 	if r.needWork {
 		v.OutstandingWork = d.loop.OutstandingWork()
-	}
-	if v.Mem != nil {
-		v.CacheOccupancy = v.Mem.OccupiedFraction()
 	}
 	if r.best != nil {
 		r.best.fix(r.vs, p)
@@ -754,7 +741,7 @@ func (r *run) deliver(dev int, sv *core.ServedResult) {
 // device shedding a copy never rejects a request its twin can still
 // serve.
 func (r *run) filterHedge(sv *core.ServedResult) bool {
-	orig, slot := hedgeOrig(sv.Tag)
+	orig, slot := obs.OrigTag(sv.Tag)
 	pair, ok := r.hedges[orig]
 	if !ok {
 		// Never replicated: a requeued request, or one routed while the
@@ -787,11 +774,7 @@ func (r *run) filterHedge(sv *core.ServedResult) bool {
 		Start: sv.Finish, End: sv.Finish, V1: float64(winDev)})
 	if od := pair.dev[1-slot]; od >= 0 {
 		pair.dev[1-slot] = -1
-		loserTag := orig
-		if slot == 0 {
-			loserTag = ^orig
-		}
-		r.cancels = append(r.cancels, cancelEvent{at: sv.Finish, dev: od, tag: loserTag})
+		r.cancels = append(r.cancels, cancelEvent{at: sv.Finish, dev: od, tag: obs.TwinTag(sv.Tag)})
 	}
 	sv.Tag = orig
 	return true
@@ -844,7 +827,7 @@ func (r *run) failDevice(ft float64, fi int) {
 	requeued := 0
 	for _, rq := range d.loop.Fail() {
 		if r.hedging() {
-			orig, slot := hedgeOrig(rq.Tag)
+			orig, slot := obs.OrigTag(rq.Tag)
 			if r.dropHedgedCopy(orig, slot) {
 				continue
 			}
@@ -920,7 +903,6 @@ func (r *run) routeArrival(pr *pendingReq) error {
 		Arrival:      at,
 		PrefixKey:    pr.req.Problem.Key(),
 		PromptTokens: pr.req.Problem.PromptTokens,
-		Requeued:     pr.requeues > 0,
 	}
 	var pick int
 	if r.best != nil {
@@ -1030,7 +1012,7 @@ func (r *run) pushTo(di int, rq core.Request, prompt int) {
 
 // routeTwin replicates a hedged request to a second device: the router
 // picks again over the alive view with the primary excluded, and the
-// copy runs under the bit-complement twin tag. The twin inherits the
+// copy runs under the twin tag (obs.TwinTag). The twin inherits the
 // primary's budgeted width, strategy, and deadline, so the two copies
 // run the identical solve and only placement differs.
 func (r *run) routeTwin(rq core.Request, prompt int, rv RequestView, primaryPick int) error {
@@ -1038,7 +1020,7 @@ func (r *run) routeTwin(rq core.Request, prompt int, rv RequestView, primaryPick
 	twinVs = append(twinVs, r.vs[primaryPick+1:]...)
 	r.twinVs = twinVs
 	orig := rq.Tag
-	rq.Tag = ^orig
+	rq.Tag = obs.TwinTag(orig)
 	rv.Tag = rq.Tag
 	pick := r.f.cfg.Router.Route(rv, twinVs, r.routeRand)
 	if pick < 0 || pick >= len(twinVs) {

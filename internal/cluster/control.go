@@ -187,7 +187,6 @@ func (el *elastic) observe(sv *core.ServedResult, d *device) {
 // first routing; the route path re-stamps the fleet strategy before
 // calling budget, so strategy degradation is likewise not sticky).
 func (el *elastic) budget(rq *core.Request, d *device) {
-	el.win.Arrivals++
 	if el.tier <= 0 {
 		rq.Width = 0
 		return
@@ -201,19 +200,16 @@ func (el *elastic) counts(r *run) (routable, warming int) {
 	return len(r.vs), len(el.joins) - el.jp
 }
 
-// signals gathers the controller's observation at tick time now.
-func (el *elastic) signals(r *run, now float64) control.Signals {
+// signals gathers the controller's observation at a tick.
+func (el *elastic) signals(r *run) control.Signals {
 	routable, warming := el.counts(r)
 	sig := control.Signals{
-		Now:           now,
 		Interval:      el.cfg.Interval,
 		Routable:      routable,
 		Warming:       warming,
 		WarmAvailable: el.warmFree,
 		MinDevices:    el.cfg.MinDevices,
 		MaxDevices:    el.cfg.MaxDevices,
-		Arrivals:      el.win.Arrivals,
-		Completions:   el.win.Completions(),
 		Tier:          el.tier,
 		MaxTier:       el.cfg.MaxTier,
 		SLOAttainment: 1,
@@ -227,7 +223,6 @@ func (el *elastic) signals(r *run, now float64) control.Signals {
 	for _, v := range r.vs {
 		d := r.devs[v.Index]
 		sig.Pending += d.loop.Pending()
-		sig.OutstandingWork += d.loop.OutstandingWork()
 		busyDelta += d.loop.Busy() - d.lastBusy
 		d.lastBusy = d.loop.Busy()
 	}
@@ -245,7 +240,7 @@ func (el *elastic) signals(r *run, now float64) control.Signals {
 // tick runs one control interval: observe, decide, actuate, and reset
 // the window.
 func (el *elastic) tick(r *run, now float64) {
-	sig := el.signals(r, now)
+	sig := el.signals(r)
 	el.stats.Ticks++
 	if r.ctl != nil {
 		r.ctl.Emit(obs.Span{Kind: obs.KindTick, Start: now, End: now,
@@ -285,17 +280,12 @@ func (el *elastic) scaleUp(r *run, now float64, n int) control.Record {
 		spec := el.cfg.Warm[tmpl]
 		spec.Name = fmt.Sprintf("warm:%s+%d", spec.Name, el.joinCount)
 		el.joinCount++
-		dev := newDevice(spec, r.f.warmSrvs[tmpl], now+el.cfg.WarmupDelay)
-		dev.loop.ShareResults(r.devs[0].loop)
+		idx := len(r.devs)
+		dev := r.newDevice(spec, r.f.warmSrvs[tmpl], now+el.cfg.WarmupDelay)
 		dev.warming = true
 		dev.dynamic = true
-		idx := len(r.devs)
-		r.devs = append(r.devs, dev)
 		r.posInVs = append(r.posInVs, -1)
 		r.wake.grow(1)
-		if r.obs != nil {
-			dev.loop.SetObs(r.obs.Device(idx))
-		}
 		el.joins = append(el.joins, joinEvent{at: dev.joinAt, dev: idx})
 		rec.Devices = append(rec.Devices, idx)
 		rec.Applied++

@@ -95,10 +95,7 @@ func attributeByMap(spans []obs.Span) []obs.RequestAttribution {
 	groups := make(map[int][]obs.Span)
 	var order []int
 	for _, s := range spans {
-		o := s.Tag
-		if o < 0 {
-			o = ^o
-		}
+		o, _ := obs.OrigTag(s.Tag)
 		if _, ok := groups[o]; !ok {
 			order = append(order, o)
 		}

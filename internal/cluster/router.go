@@ -29,9 +29,6 @@ type RequestView struct {
 	// PromptTokens is the request's prompt length — the tokens a device
 	// without the prefix resident would have to re-prefill.
 	PromptTokens int
-	// Requeued marks failure-induced re-routing (the original device
-	// fail-stopped with this request unfinished).
-	Requeued bool
 }
 
 // DeviceView is a router's read-only view of one alive device.
@@ -40,8 +37,6 @@ type DeviceView struct {
 	// devices); the Route result is a position in the alive slice, not an
 	// Index.
 	Index int
-	// Now is the device's virtual clock.
-	Now float64
 	// Pending is the device's outstanding population: admitted unfinished
 	// requests plus queued arrivals.
 	Pending int
@@ -53,13 +48,10 @@ type DeviceView struct {
 	// consistent across devices.
 	Speed float64
 	// Mem is the device's KV memory plane; nil when the plane is
-	// disabled. Routers may probe it (prefix residency, occupancy) only
-	// inside Route — the fleet steps every device due by the arrival
-	// instant before routing it.
+	// disabled. Routers may probe its prefix residency only inside Route
+	// — the fleet steps every device due by the arrival instant before
+	// routing it.
 	Mem *memplane.Plane
-	// CacheOccupancy is the plane's used/capacity fraction as of the
-	// device's last refresh; 0 when the plane is disabled.
-	CacheOccupancy float64
 }
 
 // Router assigns requests to fleet devices.
@@ -73,8 +65,8 @@ type Router interface {
 }
 
 // ViewOblivious marks routers whose decisions never read device *load*
-// — DeviceView.Now, Pending, or OutstandingWork — only the routable
-// set's size and order plus private state. The span recorder omits the
+// — DeviceView.Pending or OutstandingWork — only the routable set's size
+// and order plus private state. The span recorder omits the
 // candidate loads of such routers' decisions (the runner-up span and the
 // pick's outstanding work), since the decision never read them. A router
 // that reads load but returns true here loses those spans from its

@@ -41,9 +41,8 @@ import (
 // Signals is the controller's observation of fleet state at one control
 // tick. Window quantities cover the interval since the previous tick.
 type Signals struct {
-	// Now is the fleet virtual time of this tick; Interval is the control
-	// period (Now advances by Interval between ticks).
-	Now, Interval float64
+	// Interval is the control period.
+	Interval float64
 	// Routable counts devices accepting new requests (alive, warmed up,
 	// not draining); Warming counts devices still in their warm-up delay;
 	// WarmAvailable counts warm-pool slots a ScaleUp could still claim.
@@ -53,19 +52,15 @@ type Signals struct {
 	// MaxDevices.
 	MinDevices, MaxDevices int
 	// Pending is the fleet's outstanding population (admitted unfinished
-	// plus queued, summed over routable devices); OutstandingWork is the
-	// matching remaining-demand estimate in token units.
-	Pending         int
-	OutstandingWork float64
+	// plus queued, summed over routable devices).
+	Pending int
 	// Utilization is the window's busy fraction: device busy-seconds
 	// accrued during the window divided by Interval x Routable (clamped
 	// to [0, 1]; 0 on the first tick of an idle fleet).
 	Utilization float64
-	// Arrivals and Completions count requests routed / finished during
-	// the window; QueueDelay is the mean queueing delay of the window's
-	// completions (0 when none completed).
-	Arrivals, Completions int
-	QueueDelay            float64
+	// QueueDelay is the mean queueing delay of the window's completions
+	// (0 when none completed).
+	QueueDelay float64
 	// SLOAttainment is the fraction of the window's completions that met
 	// the fleet SLO target (1 when no target is set or nothing completed).
 	SLOAttainment float64

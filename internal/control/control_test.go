@@ -12,11 +12,10 @@ func r() *rng.Stream { return rng.New(1).Child("test") }
 // base is a healthy mid-load observation: no policy should act on it.
 func base() Signals {
 	return Signals{
-		Now: 30, Interval: 15,
+		Interval: 15,
 		Routable: 3, WarmAvailable: 2,
 		MinDevices: 1, MaxDevices: 6,
 		Pending: 2, Utilization: 0.6,
-		Arrivals: 4, Completions: 4,
 		QueueDelay: 2, SLOAttainment: 1,
 		MaxTier: 2,
 	}
@@ -197,7 +196,6 @@ func TestControllersDeterministic(t *testing.T) {
 	sigs := make([]Signals, 20)
 	for i := range sigs {
 		s := base()
-		s.Now = float64(i+1) * s.Interval
 		s.QueueDelay = float64((i * 7) % 23)
 		s.Utilization = float64((i*13)%10) / 10
 		s.Pending = (i * 3) % 11

@@ -92,7 +92,6 @@ type beam struct {
 	pendingLin []sched.NodeRef
 
 	// Per-iteration working state.
-	stepTokens   int  // sampled step length
 	stepTerminal bool // step concludes the path
 	rem          int  // decode rounds still needed this iteration
 	specs        []specBranch
@@ -112,16 +111,13 @@ type beam struct {
 	// tokens already run through the verifier (LookAhead Verification
 	// lets fully covered beams skip engine work next iteration, §4.1.3).
 	verifiedLen int
-	// coVerified is how many uncommitted tokens the last LookAhead pass
-	// covered (diagnostics).
-	coVerified int
-	seq        kvcache.Seq   // generator-cache handle, live while resident
-	resident   bool          // seq pins the beam's path (execTrie only)
-	chain      []kvcache.Run // specChain's result, rebuilt per call
-	r          rng.Stream    // step-sampling stream
-	obsR       rng.Stream    // verifier-score and answer stream
-	specR      rng.Stream    // speculation-only stream (truncation draws)
-	answer     int
+	seq         kvcache.Seq   // generator-cache handle, live while resident
+	resident    bool          // seq pins the beam's path (execTrie only)
+	chain       []kvcache.Run // specChain's result, rebuilt per call
+	r           rng.Stream    // step-sampling stream
+	obsR        rng.Stream    // verifier-score and answer stream
+	specR       rng.Stream    // speculation-only stream (truncation draws)
+	answer      int
 }
 
 // schedPath adapts the beam for the prefix-aware scheduler.

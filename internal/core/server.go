@@ -97,7 +97,6 @@ type session struct {
 	solver  *solver
 	started bool
 	start   float64
-	work    float64 // device seconds consumed
 	est     float64 // estimated total service demand, token units
 	lastRem float64 // remaining-work estimate as of the last slice (load index term)
 	slices  int
@@ -156,23 +155,21 @@ func (s *Server) RunClosedLoop(probs []*workload.Problem, cl workload.ClosedLoop
 	if conc < 1 {
 		conc = 1
 	}
-	n := min(conc, len(probs))
-	queue := make([]queued, n)
-	for i := 0; i < n; i++ {
-		queue[i] = s.withEstimate(Request{Problem: probs[i], Tag: i})
+	// The first conc requests all arrive at 0, so NewLoop's stable sort
+	// keeps them in tag order.
+	reqs := make([]Request, min(conc, len(probs)))
+	for i := range reqs {
+		reqs[i] = Request{Problem: probs[i], Tag: i}
 	}
-	next := n
-	feeder := func(finish float64) (Request, bool) {
+	l := s.NewLoop(reqs)
+	next := len(reqs)
+	l.feeder = func(finish float64) (Request, bool) {
 		if next >= len(probs) {
 			return Request{}, false
 		}
 		rq := Request{Problem: probs[next], Arrival: finish + cl.Think, Tag: next}
 		next++
 		return rq, true
-	}
-	l := &Loop{s: s, queue: queue, feeder: feeder, scale: 1, plane: s.newPlane(), obs: s.cfg.Obs.Device(0)}
-	for _, q := range queue {
-		l.queuedWork += q.est
 	}
 	return l.StepTo(NoHorizon, make([]ServedResult, 0, len(probs)))
 }
@@ -231,9 +228,9 @@ type Loop struct {
 
 	// views[i] is the policy's view of sessions[i], kept current instead
 	// of rebuilt per slice: a session's view changes only in the slice it
-	// runs (its start, work and remaining-work estimate), so admission
-	// appends it, a slice refreshes the picked one, and release deletes
-	// it at the same index. Policy.Pick reads it as its runnable slice.
+	// runs (its remaining-work estimate), so admission appends it, a slice
+	// refreshes the picked one, and release deletes it at the same index.
+	// Policy.Pick reads it as its runnable slice.
 	views []sched.ServeRequest
 
 	// freeSolvers holds the solvers of sessions that ended (finished,
@@ -658,7 +655,6 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 		}
 		l.now += delta
 		l.busy += delta
-		c.work += delta
 		c.slices++
 		if l.plane != nil {
 			// Reconcile the session's resident footprint with the solver's
@@ -812,9 +808,6 @@ func (s *Server) viewOf(c *session) sched.ServeRequest {
 		Arrival:       c.req.Arrival,
 		Priority:      c.req.Priority,
 		Deadline:      c.req.Deadline,
-		Started:       c.started,
-		Start:         c.start,
-		WorkDone:      c.work,
 		RemainingWork: s.remainingWork(c),
 	}
 }

@@ -608,7 +608,6 @@ func (s *solver) commitStep(b *beam) {
 		}
 		b.stepTerminal = true
 	}
-	b.stepTokens = total
 	used := b.takePending(total)
 	fresh := total - used
 	b.freshAt = len(b.tokens)
@@ -1072,11 +1071,6 @@ func (s *solver) verificationPhase() {
 		b.hasScore = true
 		if total := b.tokLen + kvcache.Len(reqs[i].SpecTokens); total > b.verifiedLen {
 			b.verifiedLen = total
-		}
-		if cv := b.verifiedLen - b.tokLen; cv > 0 {
-			b.coVerified = cv
-		} else {
-			b.coVerified = 0
 		}
 	}
 }

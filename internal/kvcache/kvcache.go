@@ -164,7 +164,6 @@ type Stats struct {
 	HitTokens     int64 // tokens found cached on acquire/extend
 	MissTokens    int64 // tokens newly inserted
 	EvictedTokens int64 // tokens evicted under pressure
-	Evictions     int64 // eviction operations (nodes removed)
 }
 
 type node struct {
@@ -744,7 +743,6 @@ func (c *Cache) evict(n *node) {
 	parent.unlink(n)
 	c.usedTokens -= c.blockCost(n.length)
 	c.stats.EvictedTokens += int64(n.length)
-	c.stats.Evictions++
 	n.parent = nil
 	c.spill(n)
 	c.free = append(c.free, n)

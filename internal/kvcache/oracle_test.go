@@ -730,7 +730,6 @@ func (c *oracle) evict(n *onode) {
 	delete(parent.children, n.tokens[0])
 	c.usedTokens -= c.blockCost(len(n.tokens))
 	c.stats.EvictedTokens += int64(len(n.tokens))
-	c.stats.Evictions++
 	n.parent = nil
 	if parent.evictable() {
 		c.enqueue(parent)

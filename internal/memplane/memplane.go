@@ -119,8 +119,8 @@ type Session struct {
 }
 
 // Plane is one device's KV memory plane. Only the device's loop mutates
-// it; the router probes (ResidentPromptTokens, OccupiedFraction) are
-// read-only and called only when the fleet routes.
+// it; the router probe (ResidentPromptTokens) is read-only and called
+// only when the fleet routes.
 type Plane struct {
 	cache   *kvcache.Cache
 	gpu     hw.GPU
@@ -300,19 +300,6 @@ func (p *Plane) ResidentPromptTokens(key string, promptTokens int) int {
 		return 0
 	}
 	return p.cache.LongestCachedPrefix([]kvcache.Run{promptRun(id, promptTokens)})
-}
-
-// OccupiedFraction returns used/capacity in [0,1].
-func (p *Plane) OccupiedFraction() float64 {
-	capTok := p.cache.CapacityTokens()
-	if capTok <= 0 {
-		return 0
-	}
-	f := float64(p.cache.UsedTokens()) / float64(capTok)
-	if f > 1 {
-		f = 1
-	}
-	return f
 }
 
 // Stats snapshots the plane's telemetry.

@@ -137,6 +137,20 @@ func TestUncachablePromptRunsUnresident(t *testing.T) {
 	}
 }
 
+// OccupiedFraction returns used/capacity in [0,1]: the occupancy probe,
+// kept for the tests that check a plane's fill.
+func (p *Plane) OccupiedFraction() float64 {
+	capTok := p.cache.CapacityTokens()
+	if capTok <= 0 {
+		return 0
+	}
+	f := float64(p.cache.UsedTokens()) / float64(capTok)
+	if f > 1 {
+		f = 1
+	}
+	return f
+}
+
 func TestFinishIdempotentAndOccupancy(t *testing.T) {
 	p := newTestPlane(1000)
 	s, _ := p.Admit("k/0", 500)

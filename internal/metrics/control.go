@@ -29,9 +29,8 @@ type ControlStats struct {
 // results. All state is counters plus one float sum accumulated in
 // observation order.
 type TickWindow struct {
-	// Served / Rejected count completions in the window; Arrivals counts
-	// routed requests.
-	Served, Rejected, Arrivals int
+	// Served / Rejected count completions in the window.
+	Served, Rejected int
 	// SLOHits counts served completions whose wall latency met the
 	// target (every completion when no target is set).
 	SLOHits int

@@ -13,7 +13,6 @@ func TestTickWindow(t *testing.T) {
 	w.Observe(1, 4, false, 5) // hit
 	w.Observe(3, 9, false, 5) // miss
 	w.Observe(0, 0, true, 5)  // rejection: completion, no hit
-	w.Arrivals = 7
 	if w.Served != 2 || w.Rejected != 1 || w.Completions() != 3 {
 		t.Errorf("served/rejected/completions = %d/%d/%d, want 2/1/3", w.Served, w.Rejected, w.Completions())
 	}

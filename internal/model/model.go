@@ -58,8 +58,6 @@ type Config struct {
 	KVHeads int // grouped-query KV heads
 	HeadDim int
 	Quant   Quantization
-	// Role hints for documentation; the engine does not branch on these.
-	IsVerifier bool
 }
 
 // The model zoo from the paper's evaluation (§6.1) plus the cloud
@@ -83,14 +81,12 @@ var (
 		Name:   "Math-Shepherd-Mistral-7B",
 		Params: 7_240_000_000,
 		Layers: 32, Hidden: 4096, Heads: 32, KVHeads: 8, HeadDim: 128,
-		IsVerifier: true,
 	}
 	// SkyworkPRM1_5B is the Skywork-o1-Open-PRM-Qwen-2.5-1.5B verifier.
 	SkyworkPRM1_5B = Config{
 		Name:   "Skywork-o1-Open-PRM-1.5B",
 		Params: 1_540_000_000,
 		Layers: 28, Hidden: 1536, Heads: 12, KVHeads: 2, HeadDim: 128,
-		IsVerifier: true,
 	}
 )
 

@@ -42,12 +42,19 @@ type RequestAttribution struct {
 	Hedged      bool
 }
 
-// origTag folds a hedged twin's bit-complement tag back to its original.
-func origTag(t int) int {
-	if t < 0 {
-		return ^t
+// TwinTag is the tag of a hedged request's other copy. The twin runs
+// under the bit complement of the client tag: negative, reversible
+// (TwinTag(TwinTag(t)) == t) and disjoint from the non-negative client
+// tags.
+func TwinTag(tag int) int { return ^tag }
+
+// OrigTag resolves a (possibly twin) tag to its client tag and the
+// copy's slot: 0 for the primary, 1 for the twin.
+func OrigTag(tag int) (orig, slot int) {
+	if tag < 0 {
+		return TwinTag(tag), 1
 	}
-	return t
+	return tag, 0
 }
 
 // Attribute runs the latency-attribution pass over a merged span
@@ -72,7 +79,7 @@ func Attribute(spans []Span) []RequestAttribution {
 	out := make([]RequestAttribution, 0, finished)
 	for k := 0; k+1 < len(bounds); k++ {
 		g := idx[bounds[k]:bounds[k+1]]
-		tag := origTag(spans[g[0]].Tag)
+		tag, _ := OrigTag(spans[g[0]].Tag)
 		// Winning finish. A hedge resolution span names the copy the
 		// fleet delivered (delivery order is device-index order within an
 		// event window, so it can differ from the earliest finish);
@@ -130,7 +137,7 @@ func Attribute(spans []Span) []RequestAttribution {
 					if s.Flag {
 						a.Preemptions++
 					}
-				} else if s.Tag == ^win.Tag {
+				} else if s.Tag == TwinTag(win.Tag) {
 					a.HedgeWaste += s.End - s.Start
 				} else {
 					a.LostWork += s.End - s.Start
@@ -181,7 +188,7 @@ func groupByRequest(spans []Span) (idx, bounds []int) {
 		if !spans[i].Kind.requestScoped() {
 			continue
 		}
-		t := origTag(spans[i].Tag)
+		t, _ := OrigTag(spans[i].Tag)
 		if n == 0 || t < lo {
 			lo = t
 		}
@@ -193,14 +200,15 @@ func groupByRequest(spans []Span) (idx, bounds []int) {
 		tags = make([]int, 0, n)
 		for i := range spans {
 			if spans[i].Kind.requestScoped() {
-				tags = append(tags, origTag(spans[i].Tag))
+				t, _ := OrigTag(spans[i].Tag)
+				tags = append(tags, t)
 			}
 		}
 		slices.Sort(tags)
 		tags = slices.Compact(tags)
 	}
 	slot := func(s *Span) int {
-		t := origTag(s.Tag)
+		t, _ := OrigTag(s.Tag)
 		if tags == nil {
 			return t - lo
 		}

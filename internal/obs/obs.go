@@ -76,15 +76,15 @@ const (
 	// over a single routable device has no runner-up.
 	KindRouteCand
 	// KindHedge records a hedged twin placement: V1 the primary device,
-	// V2 the twin device (the twin runs under the bit-complement tag).
+	// V2 the twin device (the twin runs under TwinTag of the client tag).
 	KindHedge
 	// KindHedgeWin records hedge resolution: the copy whose completion
 	// the fleet delivered first won the request. Delivery follows the
 	// fleet's completion order, which within one event window is
 	// device-index order — not necessarily the earliest finish
 	// instant — so the attribution pass keys its winner selection on
-	// this span. Tag is the winning copy's tag (^orig when the twin
-	// won), V1 the winning device.
+	// this span. Tag is the winning copy's tag (TwinTag(orig) when the
+	// twin won), V1 the winning device.
 	KindHedgeWin
 	// KindRequeue is one failure-induced migration: V1 the failed device.
 	KindRequeue
@@ -157,8 +157,8 @@ const ControlTrack = -1
 // Span is one recorded event: an interval (Start < End) or an instant
 // (Start == End) on one track. V1, V2, N, and Flag are kind-specific
 // payloads (see the Kind constants); Tag is the request's correlation
-// tag for request-scoped kinds (a hedged twin runs under the
-// bit-complement ^tag of its original). The two one-byte fields sit
+// tag for request-scoped kinds (a hedged twin runs under TwinTag of its
+// original). The two one-byte fields sit
 // last, so a Span packs into 64 bytes.
 type Span struct {
 	Track int // device fleet index, or ControlTrack
@@ -442,9 +442,9 @@ func radixSort(keys, tmp []spanKey) []spanKey {
 func Verify(spans []Span) error {
 	type lifeKey struct{ track, tag int }
 	type life struct {
-		admits, queues, finishes, cancels, withdraws, slices int
-		admitEnd, closeAt                                    float64
-		closed                                               bool
+		admits, queues, finishes, cancels, withdraws int
+		admitEnd, closeAt                            float64
+		closed                                       bool
 	}
 	lives := make(map[lifeKey]*life)
 	lastSliceEnd := make(map[int]float64)
@@ -480,7 +480,6 @@ func Verify(spans []Span) error {
 		case KindQueue:
 			l.queues++
 		case KindSlice:
-			l.slices++
 			if l.admits == 0 {
 				return fmt.Errorf("obs: device %d, tag %d: slice without admission", s.Track, s.Tag)
 			}

@@ -25,12 +25,6 @@ type ServeRequest struct {
 	// Deadline is the absolute SLO deadline on the server clock; 0 means
 	// no deadline.
 	Deadline float64
-	// Started reports whether the request has received any device slice;
-	// Start is the time of its first slice.
-	Started bool
-	Start   float64
-	// WorkDone is the device time (virtual seconds) consumed so far.
-	WorkDone float64
 	// RemainingWork is the server's estimate of the request's remaining
 	// service demand. Units are arbitrary but consistent across requests,
 	// so policies may compare but not interpret them.

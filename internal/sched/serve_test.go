@@ -38,8 +38,6 @@ func (requestSet) Generate(r *rand.Rand, _ int) reflect.Value {
 			Arrival:       float64(r.Intn(40)), // coarse grid to exercise ties
 			Priority:      r.Intn(4) - 1,
 			RemainingWork: float64(1 + r.Intn(8)),
-			Started:       r.Intn(2) == 0,
-			WorkDone:      r.Float64() * 10,
 		}
 		if r.Intn(2) == 0 {
 			rs[i].Deadline = float64(1 + r.Intn(50))

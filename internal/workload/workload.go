@@ -169,13 +169,12 @@ func (p *Problem) Key() string {
 
 // Dataset is a realized set of problems.
 type Dataset struct {
-	Spec     DatasetSpec
 	Problems []*Problem
 }
 
 // NewDataset materializes the spec deterministically from the stream.
 func NewDataset(spec DatasetSpec, root *rng.Stream) *Dataset {
-	ds := &Dataset{Spec: spec}
+	ds := &Dataset{}
 	wrong := wrongAnswers(spec.AnswerSpace)
 	r := root.Child("dataset/" + spec.Name)
 	for i := 0; i < spec.Problems; i++ {
@@ -244,7 +243,6 @@ type PathState struct {
 	Steps      int     // completed thinking steps
 	Tokens     int     // generated tokens (excluding prompt)
 	Terminated bool
-	LastScore  float64 // most recent PRM score (set by Score)
 }
 
 // Step is the outcome of generating one thinking step.
@@ -308,7 +306,6 @@ func Score(st *PathState, v VerifierSkill, r *rng.Stream) float64 {
 	if s > 1 {
 		s = 1
 	}
-	st.LastScore = s
 	return s
 }
 
