@@ -54,16 +54,22 @@ scenarios:
 # checks (...IndexMatchesScan over whole runs, BestTreeMatchesScan over
 # the tournament tree alone) and the span-lifecycle property over
 # cancelled and withdrawn requests (TraceLifecycleProperty, about 5 s of
-# the sweep) under -quick.seed 1-200, from one compiled
-# test binary. A plain `go test` draws its seed from the time of day, so a
-# bug that only some seeds reach fails there about one run in forty; here
-# it fails every run. Prints each failing seed's log, then the list.
+# the sweep), and of the search policies' in-place Select against its
+# allocating reference (TestSelectMatchesReference, internal/search),
+# under -quick.seed 1-200, from one compiled test binary per package. A
+# plain `go test` draws its seed from the time of day, so a bug that only
+# some seeds reach fails there about one run in forty; here it fails
+# every run. Prints each failing seed's log, then the list.
 quick-sweep:
 	mkdir -p bench-smoke
 	$(GO) test -c -o bench-smoke/cluster-quick.test ./internal/cluster
+	$(GO) test -c -o bench-smoke/search-quick.test ./internal/search
 	@failed=""; for seed in $$(seq 1 200); do \
 		if ! out=$$(bench-smoke/cluster-quick.test -test.run 'PreservesRequestMultiset|IndexMatchesScan|BestTreeMatchesScan|TraceLifecycleProperty' -quick.seed=$$seed 2>&1); then \
-			echo "$$out"; failed="$$failed $$seed"; \
+			echo "$$out"; failed="$$failed cluster:$$seed"; \
+		fi; \
+		if ! out=$$(bench-smoke/search-quick.test -test.run '^TestSelectMatchesReference$$' -quick.seed=$$seed 2>&1); then \
+			echo "$$out"; failed="$$failed search:$$seed"; \
 		fi; \
 	done; \
 	if [ -n "$$failed" ]; then echo "quick-sweep: failing -quick.seed:$$failed" >&2; exit 1; fi; \
@@ -114,7 +120,14 @@ endef
 # fresh server's pool growth is amortized as in the workload and the public
 # result wrapping is profiled too. The benchmark under benchmark/ has no
 # profile flag and may not be edited by a PR that claims a gain, so a
-# hot-path PR profiles here and attaches both lists.
+# hot-path PR profiles here and attaches both lists. The pass allocates
+# about 5.8 objects per request: set-up (LoadDataset and
+# workload.NewDataset, about 39 % of alloc_objects), then the fresh
+# server's pools growing — kvcache nodes and spares (about 21 %), the
+# beams' run slices (appendNodeRuns, decodeRounds, takePending,
+# commitStep, about 23 %) and the result store's chunks. The search
+# policy's Select allocates nothing: it selects in the candidates' own
+# storage.
 profile-solver:
 	$(call profile,BenchmarkServerRunBeam64,.,3x,1x,solver)
 
@@ -160,11 +173,14 @@ profile-dispatch:
 # roofline divisions per round, the rest spec-slot filling. Then come
 # verification, kvcache acquire/walk and beam selection; long prompts
 # and a 250-answer AIME space make answer draws and kvcache eviction
-# weigh more here than on solver-beam. The memory plane allocates nothing
-# per request (a session keeps its cache handles in place and is reused
-# with the loop's session), so beam selection (search.beamSearch.Select,
-# about 78 % of alloc_objects) leads the allocations; the rest is set-up
-# (workload.NewDataset) and kvcache node and spare growth.
+# weigh more here than on solver-beam. Neither the memory plane (a session
+# keeps its cache handles in place and is reused with the loop's session)
+# nor beam selection (every search policy's Select reorders its
+# candidates in place) allocates per request, so the pass is about one
+# allocation per request: set-up (workload.NewDataset and its problem
+# keys, about 35 % of alloc_objects), kvcache node, spare and eviction
+# heap growth (about 28 %), the beams' run slices growing (appendNodeRuns,
+# commitStep, about 10 %) and the result store's chunks.
 profile-kv:
 	$(call profile,BenchmarkKVPressure,./internal/cluster,10x,2x,kv)
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"fasttts/internal/hw"
@@ -97,12 +99,9 @@ func TestMCTSEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := aimeProblem(t, 3)
+	// One policy for both runs: each search takes statistics of its own.
 	base := solveOne(t, testConfig(t, pol, BaselineOptions()), p)
-	// A fresh policy instance for the second run: MCTS keeps UCT state,
-	// so sharing one instance across runs would leak statistics.
-	pol2, _ := search.New(search.MCTS, 16, 4)
-	cfg := testConfig(t, pol2, FastTTSOptions())
-	fast := solveOne(t, cfg, p)
+	fast := solveOne(t, testConfig(t, pol, FastTTSOptions()), p)
 	if len(base.Finished) == 0 || len(base.Finished) != len(fast.Finished) {
 		t.Fatalf("finished %d vs %d", len(base.Finished), len(fast.Finished))
 	}
@@ -110,6 +109,63 @@ func TestMCTSEndToEnd(t *testing.T) {
 		if base.Finished[i].Answer != fast.Finished[i].Answer ||
 			base.Finished[i].Tokens != fast.Finished[i].Tokens {
 			t.Fatalf("MCTS equivalence broken at path %d", i)
+		}
+	}
+}
+
+// MCTS keeps per-subtree statistics across its selections; a search must
+// start from none, whatever the Runner solved before. Problem 0 solved
+// again after problem 1 gives the result it gave the first time.
+func TestMCTSSearchesShareNoStatistics(t *testing.T) {
+	pol, err := search.New(search.MCTS, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(testConfig(t, pol, FastTTSOptions()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res [3]*Result
+	for i, idx := range []int{0, 1, 0} {
+		if res[i], err = r.Solve(aimeProblem(t, idx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(res[0], res[2]) {
+		t.Errorf("problem 0 after problem 1: latency %v, first time %v", res[2].Latency, res[0].Latency)
+	}
+}
+
+// A Runner is safe to share between goroutines: two concurrent MCTS
+// searches on one Runner (its policy shared) race on nothing — go test
+// -race checks that — and each gives the result it gives alone.
+func TestRunnerSolveConcurrently(t *testing.T) {
+	pol, err := search.New(search.MCTS, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(testConfig(t, pol, FastTTSOptions()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems := []*workload.Problem{aimeProblem(t, 0), aimeProblem(t, 1)}
+	var got [2]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, p := range problems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = r.Solve(p)
+		}()
+	}
+	wg.Wait()
+	for i, p := range problems {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if want := solveOne(t, testConfig(t, pol, FastTTSOptions()), p); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("problem %d solved concurrently: latency %v, alone %v", i, got[i].Latency, want.Latency)
 		}
 	}
 }

@@ -208,18 +208,18 @@ func TestPooledLoopMatchesRunnerSolve(t *testing.T) {
 // engines, two caches and every beam anew, each serve cost 5,373
 // allocations; on recycled solvers a warm one still cost 29, with
 // sortByScore's copy, the kvcache growing recycled nodes' children and a
-// new session per admission. A warm one cost 10 while the Result and its
-// Finished paths were one allocation each; they now come from the loop's
-// result store, a chunk per up to 64 Results or 256 paths, and a warm one
-// costs 8: the search policy's Select builds one branch slice per
-// selection round (seven here), and the served slice is one. The pin
-// leaves one allocation of room, so a new per-request allocator shows.
+// new session per admission. It cost 8 once the Result and its Finished
+// paths came from the loop's result store: the search policy's Select
+// built one branch slice per selection round (seven here), and the served
+// slice was one. Select now returns its branches in the candidates' own
+// storage and the served buffer is passed back, so a warm request
+// allocates nothing.
 func TestWarmLoopAllocsPerRequest(t *testing.T) {
-	const parentAllocs, pin = 29, 9
+	const parentAllocs = 29
 	got := warmLoopAllocs(t, memplane.Config{})
 	t.Logf("%v allocations per warm request (parent: %d)", got, parentAllocs)
-	if got > pin {
-		t.Errorf("warm request allocates %v times, want at most %d", got, pin)
+	if got != 0 {
+		t.Errorf("warm request allocates %v times, want 0", got)
 	}
 }
 
@@ -240,6 +240,8 @@ func TestWarmLoopPlaneAllocsNothing(t *testing.T) {
 
 // warmLoopAllocs serves the request 30 times on one Loop, so the solver,
 // session and cache pools settle, then counts a warm serve's allocations.
+// The served buffer is passed back as out[:0], as the fleet passes its one
+// buffer for the whole run.
 func warmLoopAllocs(t *testing.T, kv memplane.Config) float64 {
 	t.Helper()
 	pol, err := search.New(search.BeamSearch, 64, 4)
@@ -254,9 +256,11 @@ func warmLoopAllocs(t *testing.T, kv memplane.Config) float64 {
 	}
 	p := workload.NewDataset(workload.MATH500, rng.New(7)).Problems[17]
 	l := srv.NewLoop(nil)
+	var out []ServedResult
 	serve := func() {
 		l.Push(Request{Problem: p, Arrival: l.Now()})
-		if out, err := l.StepTo(NoHorizon, nil); err != nil || len(out) != 1 {
+		var err error
+		if out, err = l.StepTo(NoHorizon, out[:0]); err != nil || len(out) != 1 {
 			t.Fatalf("served %d results, err %v", len(out), err)
 		}
 	}

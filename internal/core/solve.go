@@ -168,7 +168,7 @@ type stack struct {
 	seq        kvcache.Seq          // handle for acquire-then-release and speculative forks
 	reqs       []verify.Request     // verificationPhase's batch
 	continuing []*beam              // selectAndBranch: beams that did not terminate
-	cands      []search.Candidate   // selectAndBranch: the policy's view of them
+	cands      []search.Candidate   // selectAndBranch: the policy's view of them, and its branches
 	next       []*beam              // selectAndBranch: the frontier being built
 	// finished gathers the request's finished paths in completion order;
 	// result copies them into the run's resultStore, so this buffer is
@@ -221,7 +221,6 @@ func (s *solver) init(cfg *Config, budget int64, pol search.Policy, strategy sea
 	st.ver.BatchSize = 1
 	st.ver.PrefixCache = cfg.Opts.PrefixCache
 	st.ver.LookAhead = cfg.Opts.LookAhead && cfg.Opts.Speculative
-	st.ver.Scored = 0
 	// Beams the previous request left on the frontier (abandoned by a
 	// strategy, a deadline cut, a cancel or a fail-stop) rejoin the pool.
 	st.freeBeams = append(st.freeBeams, st.active...)
@@ -229,11 +228,16 @@ func (s *solver) init(cfg *Config, budget int64, pol search.Policy, strategy sea
 
 	// The strategy's launch cap (first-finish's k chains) narrows the
 	// policy exactly like the elastic governor's width knob, so algorithm
-	// invariants (n >= b) hold by construction.
+	// invariants (n >= b) hold by construction. A policy that keeps
+	// statistics across selections gets an instance of its own, so no
+	// search sees another's.
 	if w := strategy.ChainWidth(pol.Width()); w != pol.Width() {
 		if pol, err = search.WithWidth(pol, w); err != nil {
 			return err
 		}
+	}
+	if pol, err = search.Fresh(pol); err != nil {
+		return err
 	}
 	s.reqState = reqState{
 		cfg:      cfg,
@@ -1109,6 +1113,8 @@ func (s *solver) selectAndBranch() {
 		cands = append(cands, search.Candidate{ID: b.id, Subtree: b.subtree, Score: b.score})
 	}
 	s.cands = cands
+	// The branches are a prefix of cands, read to the end below before
+	// cands is next filled.
 	branches := pol.Select(cands, &s.selRand)
 	// Pruned beams go back to the pool before the survivors branch, so the
 	// duplicates below are built from them.

@@ -19,23 +19,21 @@ const MCTS Algorithm = "MCTS"
 // the candidate pool is scored, per-subtree value statistics are updated,
 // and the branching budget is allocated to subtrees by upper-confidence
 // bound — so unlike beam search, under-explored subtrees keep receiving
-// budget even when their current scores lag.
+// budget even when their current scores lag. The statistics make an
+// instance belong to one search: Fresh gives each search its own.
 type mcts struct {
 	n, b int
 	// exploration constant of the UCB term.
 	c float64
-	// per-subtree statistics, accumulated across Select calls.
-	visits map[int]int
-	value  map[int]float64
+	// per-subtree statistics, indexed by subtree, accumulated across
+	// Select calls.
+	visits []int
+	value  []float64
 	total  int
 }
 
 func newMCTS(n, b int) *mcts {
-	return &mcts{
-		n: n, b: b, c: 1.0,
-		visits: map[int]int{},
-		value:  map[int]float64{},
-	}
+	return &mcts{n: n, b: b, c: 1.0}
 }
 
 func (p *mcts) Name() string             { return string(MCTS) }
@@ -55,67 +53,59 @@ func (p *mcts) ucb(subtree int) float64 {
 	return mean + p.c*math.Sqrt(math.Log(float64(p.total+1))/float64(v))
 }
 
+// byUCB orders subtrees by descending UCB, then ascending subtree.
+func (p *mcts) byUCB(a, b Candidate) int {
+	if ua, ub := p.ucb(a.Subtree), p.ucb(b.Subtree); ua != ub {
+		if ua > ub {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.Subtree, b.Subtree)
+}
+
 // Select backs up the candidates' scores into their subtrees, then
 // allocates the next width across subtrees by UCB: the winning subtree's
-// best candidate branches wider.
+// best candidate branches wider. Subtrees must be non-negative.
 func (p *mcts) Select(cands []Candidate, _ *rng.Stream) []Branch {
 	if len(cands) == 0 {
 		return nil
 	}
-	// Backpropagation: fold this round's scores into subtree statistics.
-	bySubtree := map[int][]Candidate{}
-	var subtrees []int
+	// Backpropagation: fold this round's scores into subtree statistics,
+	// in input order.
 	for _, c := range cands {
-		if _, ok := bySubtree[c.Subtree]; !ok {
-			subtrees = append(subtrees, c.Subtree)
+		for c.Subtree >= len(p.visits) {
+			p.visits, p.value = append(p.visits, 0), append(p.value, 0)
 		}
-		bySubtree[c.Subtree] = append(bySubtree[c.Subtree], c)
 		p.visits[c.Subtree]++
 		p.value[c.Subtree] += c.Score
 		p.total++
 	}
-	slices.Sort(subtrees)
 	// Allocation: rank live subtrees by UCB; each keeps its local best
 	// candidate, and branching budget is distributed front-loaded so
 	// high-UCB subtrees expand more.
-	slices.SortStableFunc(subtrees, func(a, b int) int {
-		if ua, ub := p.ucb(a), p.ucb(b); ua != ub {
-			if ua > ub {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a, b)
-	})
-	budget := len(cands)
-	out := make([]Branch, 0, len(subtrees))
-	remaining := budget
-	for idx, st := range subtrees {
-		group := bySubtree[st]
-		best := group[0]
-		for _, c := range group[1:] {
-			if c.Score > best.Score || (c.Score == best.Score && c.ID < best.ID) {
-				best = c
-			}
-		}
+	out := keepSubtreeBests(cands)
+	slices.SortStableFunc(out, p.byUCB)
+	remaining := len(cands)
+	for idx := range out {
 		// Front-loaded budget: the top-ranked subtree gets up to 2B
 		// children, the tail at least 1, never exceeding the budget.
 		share := p.b
 		if idx == 0 {
 			share = 2 * p.b
 		}
-		left := len(subtrees) - idx - 1
+		left := len(out) - idx - 1
 		if share > remaining-left {
 			share = remaining - left
 		}
 		if share < 1 {
 			share = 1
 		}
-		out = append(out, Branch{ID: best.ID, Children: share})
+		out[idx].Children = share
 		remaining -= share
 	}
 	// Any leftover budget tops up the best subtree.
-	if remaining > 0 && len(out) > 0 {
+	if remaining > 0 {
 		out[0].Children += remaining
 	}
 	return out

@@ -33,17 +33,17 @@ const (
 // Candidate is a non-terminated beam presented for selection.
 type Candidate struct {
 	ID      int
-	Subtree int // root subtree (used by DVTS)
+	Subtree int // root subtree (used by DVTS and MCTS)
 	Score   float64
-}
-
-// Branch is a selection outcome: beam ID continues with Children
-// successors (1 = continue unbranched; 0 never appears — unselected beams
-// are simply absent).
-type Branch struct {
-	ID       int
+	// Children is set by Select on the candidates it keeps: the selected
+	// beam continues with Children successors (1 = continue unbranched).
+	// Its value on input is ignored.
 	Children int
 }
+
+// Branch is a selected candidate: beam ID continues with Children
+// successors (0 never appears — unselected beams are simply absent).
+type Branch = Candidate
 
 // Policy is one search algorithm's heuristics.
 type Policy interface {
@@ -63,7 +63,10 @@ type Policy interface {
 	// InitialSubtree assigns root beam i to a subtree.
 	InitialSubtree(i int) int
 	// Select maps the current candidates to the next set of branches. It
-	// may reorder cands, which the caller treats as scratch.
+	// reorders cands, moving the candidates it keeps to a prefix, sets
+	// their Children, and returns that prefix: the result aliases cands
+	// and is valid until the caller next writes cands. Select allocates
+	// nothing once the policy is warm.
 	Select(cands []Candidate, r *rng.Stream) []Branch
 }
 
@@ -116,6 +119,18 @@ func WithWidth(p Policy, n int) (Policy, error) {
 		return p, nil
 	}
 	return New(Algorithm(p.Name()), n, p.BranchFactor())
+}
+
+// Fresh returns a policy for one search: p itself when its selection
+// keeps no state between Select calls, and a new instance with empty
+// statistics when it does (MCTS). A policy in a shared Config thereby
+// serves any number of searches, one after another or at once, each as
+// if it were the first.
+func Fresh(p Policy) (Policy, error) {
+	if Algorithm(p.Name()) != MCTS {
+		return p, nil
+	}
+	return New(MCTS, p.Width(), p.BranchFactor())
 }
 
 // ClampWidth returns the nearest width to n that p's algorithm can be
@@ -181,11 +196,15 @@ func (p bestOfN) InitialSubtree(i int) int { return i }
 
 // Select keeps every chain: BoN provides no intermediate guidance (§2.2).
 func (p bestOfN) Select(cands []Candidate, _ *rng.Stream) []Branch {
-	out := make([]Branch, len(cands))
-	for i, c := range cands {
-		out[i] = Branch{ID: c.ID, Children: 1}
+	return branchEach(cands, 1)
+}
+
+// branchEach gives every candidate children successors and returns them.
+func branchEach(cands []Candidate, children int) []Branch {
+	for i := range cands {
+		cands[i].Children = children
 	}
-	return out
+	return cands
 }
 
 // --- Beam Search ---
@@ -209,12 +228,7 @@ func (p beamSearch) Select(cands []Candidate, _ *rng.Stream) []Branch {
 	if keep < 1 {
 		keep = 1
 	}
-	sorted := sortByScore(cands)
-	out := make([]Branch, 0, keep)
-	for _, c := range sorted[:keep] {
-		out = append(out, Branch{ID: c.ID, Children: p.b})
-	}
-	return out
+	return branchEach(sortByScore(cands)[:keep], p.b)
 }
 
 // --- DVTS (diverse selection) ---
@@ -231,26 +245,40 @@ func (p dvts) InitialSubtree(i int) int { return i / p.b }
 // Select keeps the best candidate of every live subtree and branches it
 // B ways: diversity by construction (§3.1, "Diverse Selection").
 func (p dvts) Select(cands []Candidate, _ *rng.Stream) []Branch {
-	bySubtree := map[int]Candidate{}
-	var order []int
-	for _, c := range cands {
-		best, ok := bySubtree[c.Subtree]
-		if !ok {
-			order = append(order, c.Subtree)
-			bySubtree[c.Subtree] = c
-			continue
-		}
-		if c.Score > best.Score || (c.Score == best.Score && c.ID < best.ID) {
-			bySubtree[c.Subtree] = c
-		}
-	}
-	slices.Sort(order)
-	out := make([]Branch, 0, len(order))
-	for _, st := range order {
-		out = append(out, Branch{ID: bySubtree[st].ID, Children: p.b})
-	}
-	return out
+	return branchEach(keepSubtreeBests(cands), p.b)
 }
+
+// keepSubtreeBests moves the best candidate of every subtree — higher
+// score, then lower ID — to a prefix of cands, in ascending subtree
+// order, and returns that prefix. The stable sort keeps each subtree's
+// candidates in input order, so ties and NaN scores resolve as a scan of
+// the input resolves them: the earlier candidate stays.
+func keepSubtreeBests(cands []Candidate) []Candidate {
+	slices.SortStableFunc(cands, bySubtree)
+	kept := 0
+	for lo := 0; lo < len(cands); {
+		best, hi := lo, lo+1
+		for ; hi < len(cands) && cands[hi].Subtree == cands[lo].Subtree; hi++ {
+			if c, b := &cands[hi], &cands[best]; c.Score > b.Score || (c.Score == b.Score && c.ID < b.ID) {
+				best = hi
+			}
+		}
+		keepAt(cands, kept, best)
+		kept++
+		lo = hi
+	}
+	return cands[:kept]
+}
+
+// keepAt swaps the kept candidate cands[i] into place k <= i, where a
+// candidate already passed over lies, and returns it.
+func keepAt(cands []Candidate, k, i int) *Candidate {
+	cands[k], cands[i] = cands[i], cands[k]
+	return &cands[k]
+}
+
+// bySubtree orders candidates by ascending root subtree.
+func bySubtree(a, b Candidate) int { return cmp.Compare(a.Subtree, b.Subtree) }
 
 // --- Dynamic Branching ---
 
@@ -281,47 +309,58 @@ func (p dynamicBranching) Select(cands []Candidate, _ *rng.Stream) []Branch {
 	for _, c := range sorted {
 		total += c.Score
 	}
-	type alloc struct {
-		idx  int
-		base int
-		frac float64
-	}
-	allocs := make([]alloc, len(sorted))
+	// While the leftover children are handed out, Children carries
+	// 2*rank + extra: rank (the position in score order) restores that
+	// order afterwards, extra marks a leftover child.
 	assigned := 0
-	for i, c := range sorted {
-		share := float64(budget) / float64(len(sorted))
-		if total > 0 {
-			share = c.Score / total * float64(budget)
-		}
-		base := int(share)
-		allocs[i] = alloc{idx: i, base: base, frac: share - float64(base)}
+	for i := range sorted {
+		base, _ := childShare(sorted[i].Score, total, budget, keep)
+		sorted[i].Children = 2 * i
 		assigned += base
 	}
 	// Largest remainder for the leftover children.
-	slices.SortStableFunc(allocs, func(a, b alloc) int {
+	slices.SortStableFunc(sorted, func(a, b Candidate) int {
+		_, fa := childShare(a.Score, total, budget, keep)
+		_, fb := childShare(b.Score, total, budget, keep)
 		switch {
-		case a.frac > b.frac:
+		case fa > fb:
 			return -1
-		case a.frac < b.frac:
+		case fa < fb:
 			return 1
 		}
 		return 0
 	})
-	for k := 0; assigned < budget && k < len(allocs); k++ {
-		allocs[k].base++
+	for k := 0; assigned < budget && k < len(sorted); k++ {
+		sorted[k].Children++
 		assigned++
 	}
-	slices.SortStableFunc(allocs, func(a, b alloc) int { return cmp.Compare(a.idx, b.idx) })
-	out := make([]Branch, 0, len(sorted))
-	for i, a := range allocs {
-		if a.base > 0 {
-			out = append(out, Branch{ID: sorted[i].ID, Children: a.base})
+	slices.SortFunc(sorted, func(a, b Candidate) int { return cmp.Compare(a.Children, b.Children) })
+	kept := 0
+	for i := range sorted {
+		base, _ := childShare(sorted[i].Score, total, budget, keep)
+		if children := base + sorted[i].Children&1; children > 0 {
+			keepAt(cands, kept, i).Children = children
+			kept++
 		}
 	}
-	if len(out) == 0 { // degenerate all-zero scores: keep the best
-		out = append(out, Branch{ID: sorted[0].ID, Children: budget})
+	if kept == 0 { // degenerate all-zero scores: keep the best
+		cands[0].Children = budget
+		kept = 1
 	}
-	return out
+	return cands[:kept]
+}
+
+// childShare is a kept candidate's claim on the budget children, split
+// into whole children and the remainder: proportional to its score when
+// the kept candidates' scores sum to a positive total, an even split of
+// the budget over the keep of them otherwise.
+func childShare(score, total float64, budget, keep int) (base int, frac float64) {
+	share := float64(budget) / float64(keep)
+	if total > 0 {
+		share = score / total * float64(budget)
+	}
+	base = int(share)
+	return base, share - float64(base)
 }
 
 // --- Varying Granularity (VG-Search) ---
@@ -351,9 +390,5 @@ func (p singleCoT) StepBudget(int) int       { return DefaultStepBudget }
 func (p singleCoT) UsesVerifier() bool       { return false }
 func (p singleCoT) InitialSubtree(i int) int { return i }
 func (p singleCoT) Select(cands []Candidate, _ *rng.Stream) []Branch {
-	out := make([]Branch, len(cands))
-	for i, c := range cands {
-		out[i] = Branch{ID: c.ID, Children: 1}
-	}
-	return out
+	return branchEach(cands, 1)
 }

@@ -1,11 +1,16 @@
 package search
 
 import (
+	"cmp"
+	"flag"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fasttts/internal/rng"
 )
@@ -185,7 +190,7 @@ func TestSingleCoT(t *testing.T) {
 	}
 	// The chain continues unbranched, whatever its score, in input order.
 	cands := []Candidate{{ID: 4, Score: 0.1}, {ID: 2, Score: 0.9}, {ID: 7}}
-	want := []Branch{{ID: 4, Children: 1}, {ID: 2, Children: 1}, {ID: 7, Children: 1}}
+	want := []Branch{{ID: 4, Score: 0.1, Children: 1}, {ID: 2, Score: 0.9, Children: 1}, {ID: 7, Children: 1}}
 	if got := p.Select(cands, rng.New(1)); !reflect.DeepEqual(got, want) {
 		t.Errorf("CoT select = %v, want %v", got, want)
 	}
@@ -364,5 +369,318 @@ func TestMCTSStatePersistsAcrossRounds(t *testing.T) {
 func TestMCTSValidation(t *testing.T) {
 	if _, err := New(MCTS, 2, 4); err == nil {
 		t.Error("MCTS with n < b accepted")
+	}
+}
+
+var quickSeed = flag.Int("quick.seed", int(time.Now().UnixNano())%100000, "seed for the Select oracle test")
+
+// refSelect is the selection each algorithm made when Select built a new
+// branch slice per call, kept as the oracle for the in-place policies. It
+// selects from a copy of cands, and each branch is the whole selected
+// candidate with Children set.
+func refSelect(alg Algorithm, b int, cands []Candidate) []Branch {
+	cands = append([]Candidate(nil), cands...)
+	switch alg {
+	case BestOfN, SingleCoT:
+		out := make([]Branch, len(cands))
+		for i, c := range cands {
+			c.Children = 1
+			out[i] = c
+		}
+		return out
+	case BeamSearch, VaryingGranularity:
+		if len(cands) == 0 {
+			return nil
+		}
+		keep := max(len(cands)/b, 1)
+		out := make([]Branch, 0, keep)
+		for _, c := range sortByScoreReflect(cands)[:keep] {
+			c.Children = b
+			out = append(out, c)
+		}
+		return out
+	case DVTS:
+		bySubtree := map[int]Candidate{}
+		var order []int
+		for _, c := range cands {
+			best, ok := bySubtree[c.Subtree]
+			if !ok {
+				order = append(order, c.Subtree)
+				bySubtree[c.Subtree] = c
+				continue
+			}
+			if c.Score > best.Score || (c.Score == best.Score && c.ID < best.ID) {
+				bySubtree[c.Subtree] = c
+			}
+		}
+		slices.Sort(order)
+		out := make([]Branch, 0, len(order))
+		for _, st := range order {
+			c := bySubtree[st]
+			c.Children = b
+			out = append(out, c)
+		}
+		return out
+	case DynamicBranching:
+		return refDynamicBranching(b, cands)
+	}
+	panic("refSelect: no reference for " + string(alg))
+}
+
+func refDynamicBranching(b int, cands []Candidate) []Branch {
+	if len(cands) == 0 {
+		return nil
+	}
+	keep := max(len(cands)/b, 1)
+	sorted := sortByScoreReflect(cands)[:keep]
+	budget := len(cands)
+	var total float64
+	for _, c := range sorted {
+		total += c.Score
+	}
+	type alloc struct {
+		idx  int
+		base int
+		frac float64
+	}
+	allocs := make([]alloc, len(sorted))
+	assigned := 0
+	for i, c := range sorted {
+		share := float64(budget) / float64(len(sorted))
+		if total > 0 {
+			share = c.Score / total * float64(budget)
+		}
+		base := int(share)
+		allocs[i] = alloc{idx: i, base: base, frac: share - float64(base)}
+		assigned += base
+	}
+	slices.SortStableFunc(allocs, func(a, b alloc) int {
+		switch {
+		case a.frac > b.frac:
+			return -1
+		case a.frac < b.frac:
+			return 1
+		}
+		return 0
+	})
+	for k := 0; assigned < budget && k < len(allocs); k++ {
+		allocs[k].base++
+		assigned++
+	}
+	slices.SortStableFunc(allocs, func(a, b alloc) int { return cmp.Compare(a.idx, b.idx) })
+	out := make([]Branch, 0, len(sorted))
+	for i, a := range allocs {
+		if a.base > 0 {
+			c := sorted[i]
+			c.Children = a.base
+			out = append(out, c)
+		}
+	}
+	if len(out) == 0 {
+		c := sorted[0]
+		c.Children = budget
+		out = append(out, c)
+	}
+	return out
+}
+
+// refMCTS is MCTS as it was with map-held statistics and per-call
+// subtree groups: the oracle the in-place policy runs in lockstep with.
+type refMCTS struct {
+	b      int
+	c      float64
+	visits map[int]int
+	value  map[int]float64
+	total  int
+}
+
+func newRefMCTS(b int) *refMCTS {
+	return &refMCTS{b: b, c: 1.0, visits: map[int]int{}, value: map[int]float64{}}
+}
+
+func (p *refMCTS) ucb(subtree int) float64 {
+	v := p.visits[subtree]
+	if v == 0 {
+		return math.Inf(1)
+	}
+	mean := p.value[subtree] / float64(v)
+	return mean + p.c*math.Sqrt(math.Log(float64(p.total+1))/float64(v))
+}
+
+func (p *refMCTS) Select(cands []Candidate) []Branch {
+	if len(cands) == 0 {
+		return nil
+	}
+	bySubtree := map[int][]Candidate{}
+	var subtrees []int
+	for _, c := range cands {
+		if _, ok := bySubtree[c.Subtree]; !ok {
+			subtrees = append(subtrees, c.Subtree)
+		}
+		bySubtree[c.Subtree] = append(bySubtree[c.Subtree], c)
+		p.visits[c.Subtree]++
+		p.value[c.Subtree] += c.Score
+		p.total++
+	}
+	slices.Sort(subtrees)
+	slices.SortStableFunc(subtrees, func(a, b int) int {
+		if ua, ub := p.ucb(a), p.ucb(b); ua != ub {
+			if ua > ub {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a, b)
+	})
+	out := make([]Branch, 0, len(subtrees))
+	remaining := len(cands)
+	for idx, st := range subtrees {
+		group := bySubtree[st]
+		best := group[0]
+		for _, c := range group[1:] {
+			if c.Score > best.Score || (c.Score == best.Score && c.ID < best.ID) {
+				best = c
+			}
+		}
+		share := p.b
+		if idx == 0 {
+			share = 2 * p.b
+		}
+		left := len(subtrees) - idx - 1
+		if share > remaining-left {
+			share = remaining - left
+		}
+		if share < 1 {
+			share = 1
+		}
+		best.Children = share
+		out = append(out, best)
+		remaining -= share
+	}
+	if remaining > 0 && len(out) > 0 {
+		out[0].Children += remaining
+	}
+	return out
+}
+
+// oracleCands draws a candidate set built to tie: scores from a handful of
+// values with NaN and a negative among them, IDs repeated, subtrees
+// shuffled over a sparse range. One set in four is the solver's shape
+// instead: distinct IDs, subtree i/b.
+func oracleCands(r *rng.Stream, b int) []Candidate {
+	scores := []float64{0, 0.25, 0.5, 0.5, 1, math.NaN(), -0.25}
+	cands := make([]Candidate, r.IntN(80))
+	solverShape := r.IntN(4) == 0
+	for i := range cands {
+		c := Candidate{ID: r.IntN(12), Subtree: r.IntN(9), Score: scores[r.IntN(len(scores))], Children: r.IntN(5)}
+		if solverShape {
+			c.ID, c.Subtree, c.Score = i, i/b, r.Float64()
+		}
+		cands[i] = c
+	}
+	return cands
+}
+
+// sameBranches reports whether got and want hold the same candidates with
+// the same Children, scores compared bit for bit (so NaN matches NaN).
+func sameBranches(got, want []Branch) bool {
+	return slices.EqualFunc(got, want, func(a, b Branch) bool {
+		return a.ID == b.ID && a.Subtree == b.Subtree && a.Children == b.Children &&
+			math.Float64bits(a.Score) == math.Float64bits(b.Score)
+	})
+}
+
+// checkInPlace fails unless got is a prefix of cands and cands is still a
+// permutation of in (Children aside).
+func checkInPlace(t *testing.T, label string, in, cands []Candidate, got []Branch) {
+	t.Helper()
+	if len(got) > 0 && &got[0] != &cands[0] {
+		t.Fatalf("%s: result does not alias cands", label)
+	}
+	key := func(c Candidate) [3]uint64 {
+		return [3]uint64{uint64(c.ID), uint64(c.Subtree), math.Float64bits(c.Score)}
+	}
+	order := func(a, b Candidate) int {
+		ka, kb := key(a), key(b)
+		return slices.Compare(ka[:], kb[:])
+	}
+	a, b := slices.Clone(in), slices.Clone(cands)
+	slices.SortFunc(a, order)
+	slices.SortFunc(b, order)
+	if !slices.EqualFunc(a, b, func(x, y Candidate) bool { return key(x) == key(y) }) {
+		t.Fatalf("%s: cands is no longer a permutation of the input", label)
+	}
+}
+
+// TestSelectMatchesReference: every policy's in-place Select returns what
+// its allocating reference returned, candidate for candidate, on random
+// sets with tied scores, NaN, repeated IDs and shuffled subtrees; MCTS
+// runs against its reference in lockstep over several rounds. Reproduce a
+// failure with -quick.seed.
+func TestSelectMatchesReference(t *testing.T) {
+	t.Logf("quick.seed=%d", *quickSeed)
+	r := rng.New(uint64(*quickSeed))
+	stateless := []Algorithm{BestOfN, BeamSearch, DVTS, DynamicBranching, VaryingGranularity, SingleCoT}
+	for trial := 0; trial < 300; trial++ {
+		b := []int{1, 2, 3, 4, 8}[r.IntN(5)]
+		for _, alg := range stateless {
+			p, err := New(alg, 64, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := oracleCands(r, b)
+			want := refSelect(alg, b, in)
+			cands := slices.Clone(in)
+			got := p.Select(cands, r)
+			label := fmt.Sprintf("trial %d %s b=%d", trial, alg, b)
+			checkInPlace(t, label, in, cands, got)
+			if !sameBranches(got, want) {
+				t.Fatalf("%s on %v:\n got %v\nwant %v", label, in, got, want)
+			}
+		}
+		p, err := New(MCTS, 64, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefMCTS(b)
+		for round := 0; round < 6; round++ {
+			in := oracleCands(r, b)
+			want := ref.Select(in)
+			cands := slices.Clone(in)
+			got := p.Select(cands, r)
+			label := fmt.Sprintf("trial %d MCTS b=%d round %d", trial, b, round)
+			checkInPlace(t, label, in, cands, got)
+			if !sameBranches(got, want) {
+				t.Fatalf("%s on %v:\n got %v\nwant %v", label, in, got, want)
+			}
+		}
+	}
+}
+
+// TestSelectAllocatesNothing: at the solver's shape (n=64, B=4) no policy
+// allocates in Select; MCTS once its statistics have seen the subtrees.
+func TestSelectAllocatesNothing(t *testing.T) {
+	const n, b = 64, 4
+	r := rng.New(5)
+	in := make([]Candidate, n)
+	for i := range in {
+		in[i] = Candidate{ID: i, Subtree: i / b, Score: r.Float64()}
+	}
+	cands := make([]Candidate, n)
+	for _, alg := range []Algorithm{BestOfN, BeamSearch, DVTS, DynamicBranching, VaryingGranularity, SingleCoT, MCTS} {
+		p, err := New(alg, n, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := func() {
+			copy(cands, in)
+			if len(p.Select(cands, r)) == 0 {
+				t.Fatalf("%s selected nothing", alg)
+			}
+		}
+		sel() // warms MCTS's statistics
+		if got := testing.AllocsPerRun(20, sel); got != 0 {
+			t.Errorf("%s: Select allocates %v times, want 0", alg, got)
+		}
 	}
 }

@@ -38,9 +38,6 @@ type Verifier struct {
 	// LookAhead co-verifies speculative tokens with the current step.
 	LookAhead bool
 
-	// Scored counts scoring requests served.
-	Scored int64
-
 	// Per-call working storage, reused across ScoreAll calls.
 	scores  []float64
 	items   []engine.PrefillItem
@@ -99,7 +96,6 @@ func (v *Verifier) ScoreAll(reqs []Request) []float64 {
 		}
 		// The score observes the committed state only.
 		v.scores[i] = workload.Score(req.State, v.Skill, req.R)
-		v.Scored++
 	}
 	v.flush()
 	return v.scores

@@ -51,9 +51,6 @@ func TestScoreAllReturnsAlignedScores(t *testing.T) {
 	if scores[0] <= scores[1] {
 		t.Errorf("good path scored %v <= bad path %v", scores[0], scores[1])
 	}
-	if v.Scored != 2 {
-		t.Errorf("Scored = %d", v.Scored)
-	}
 }
 
 func TestPrefixCacheSavesRepeatScoring(t *testing.T) {

@@ -72,16 +72,18 @@ func BenchmarkServerRunBeam64(b *testing.B) {
 
 // TestServerRunAllocsPerRequest pins what a fresh public Server.Run pass
 // allocates per served request in the solver-beam shape, the fresh server's
-// pool growth included. A warm request costs little more than one branch
-// slice per selection round from the search policy's Select: the engine's
+// pool growth included. A warm request allocates next to nothing: the
+// search policy selects in the candidates' own storage, the engine's
 // Results and their paths come from the run's result store in chunks, and
-// the public Results from one batch per run. Over 200 requests the pass
-// reads 19.6 (22.0 under -race, whose build keeps a few temporaries a plain
-// build elides); it read 22.3 while each request allocated its engine
-// Result and paths, and its public Result, on its own. The pin sits just
-// above the -race reading, so a new per-request allocator shows.
+// the public Results from one batch per run, so what is left is the fresh
+// server's pools growing. Over 200 requests the pass reads 13.6 (16.0
+// under -race, whose build keeps a few temporaries a plain build elides);
+// it read 19.6 while Select built a branch slice per selection round, and
+// 22.3 while each request also allocated its engine Result and paths, and
+// its public Result, on its own. The pin sits just above the -race
+// reading, so a new per-request allocator shows.
 func TestServerRunAllocsPerRequest(t *testing.T) {
-	const n, pin = 200, 23
+	const n, pin = 200, 17
 	sc, reqs := solverBeamStream(t, n)
 	got := testing.AllocsPerRun(1, func() { serveFresh(t, sc, reqs) }) / n
 	t.Logf("%.2f allocations per served request over a fresh %d-request pass", got, n)
