@@ -54,22 +54,29 @@ scenarios:
 # checks (...IndexMatchesScan over whole runs, BestTreeMatchesScan over
 # the tournament tree alone) and the span-lifecycle property over
 # cancelled and withdrawn requests (TraceLifecycleProperty, about 5 s of
-# the sweep), and of the search policies' in-place Select against its
-# allocating reference (TestSelectMatchesReference, internal/search),
-# under -quick.seed 1-200, from one compiled test binary per package. A
-# plain `go test` draws its seed from the time of day, so a bug that only
-# some seeds reach fails there about one run in forty; here it fails
-# every run. Prints each failing seed's log, then the list.
+# the sweep), of the search policies' in-place Select against its
+# allocating reference (TestSelectMatchesReference, internal/search), and
+# of the run-length radix cache against its token-by-token oracle and its
+# eviction heap against container/heap (TestDifferentialOracle,
+# TestEvictHeapMatchesContainerHeap, internal/kvcache; about 0.1 s a
+# seed), under -quick.seed 1-200, from one compiled test binary per
+# package. A plain `go test` draws its seed from the time of day, so a bug
+# that only some seeds reach fails there about one run in forty; here it
+# fails every run. Prints each failing seed's log, then the list.
 quick-sweep:
 	mkdir -p bench-smoke
 	$(GO) test -c -o bench-smoke/cluster-quick.test ./internal/cluster
 	$(GO) test -c -o bench-smoke/search-quick.test ./internal/search
+	$(GO) test -c -o bench-smoke/kvcache-quick.test ./internal/kvcache
 	@failed=""; for seed in $$(seq 1 200); do \
 		if ! out=$$(bench-smoke/cluster-quick.test -test.run 'PreservesRequestMultiset|IndexMatchesScan|BestTreeMatchesScan|TraceLifecycleProperty' -quick.seed=$$seed 2>&1); then \
 			echo "$$out"; failed="$$failed cluster:$$seed"; \
 		fi; \
 		if ! out=$$(bench-smoke/search-quick.test -test.run '^TestSelectMatchesReference$$' -quick.seed=$$seed 2>&1); then \
 			echo "$$out"; failed="$$failed search:$$seed"; \
+		fi; \
+		if ! out=$$(bench-smoke/kvcache-quick.test -test.run '^(TestDifferentialOracle|TestEvictHeapMatchesContainerHeap)$$' -quick.seed=$$seed 2>&1); then \
+			echo "$$out"; failed="$$failed kvcache:$$seed"; \
 		fi; \
 	done; \
 	if [ -n "$$failed" ]; then echo "quick-sweep: failing -quick.seed:$$failed" >&2; exit 1; fi; \

@@ -3,7 +3,8 @@
 //
 // Usage:
 //
-//	fastttsbench -fig all                 # every figure, to stdout
+//	fastttsbench -fig all                 # every paper figure, to stdout
+//	fastttsbench -fig extensions          # the extension figures a1–a6, s1
 //	fastttsbench -fig 12 -problems 12     # one figure, bigger sample
 //	fastttsbench -fig 13 -out results/    # write results/fig13.tsv
 //	fastttsbench -list                    # list figure IDs and scenarios
@@ -23,7 +24,7 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure ID (e.g. 12, 17r) or 'all'")
+		fig      = flag.String("fig", "all", "figure ID (e.g. 12, 17r), 'all' (the paper's figures) or 'extensions' (a1-a6, s1)")
 		problems = flag.Int("problems", 0, "problems per dataset (0 = figure default)")
 		seed     = flag.Uint64("seed", 42, "root random seed")
 		maxN     = flag.Int("maxn", 512, "cap for beam-count sweeps")

@@ -10,44 +10,23 @@ import (
 )
 
 // Token identity layout: every reasoning-tree node (prompt, thinking step,
-// speculative branch) gets a unique node ID, and token j of node k has the
-// value k<<tokenShift | j — so a node's tokens are one kvcache.Run starting
-// at k<<tokenShift, and a beam's path is one run per node on its genealogy
-// (appendNodeRuns), never a materialized token array. Children copy their
-// parent's runs, so equal genealogy prefixes are equal token sequences and
-// the radix caches share them physically.
-const tokenShift = 12 // up to 4096 tokens per node, 2^20 nodes per solve
+// speculative branch) gets a unique node ID, which is its kvcache stream, so
+// a node's tokens are one kvcache.Run from kvcache.Stream(k) and a beam's
+// path is one run per node on its genealogy (appendNodeRuns), never a
+// materialized token array. Children copy their parent's runs, so equal
+// genealogy prefixes are equal token sequences and the radix caches share
+// them physically.
 
-// appendNodeRuns appends the first count tokens of node to dst. The OR in
-// k<<tokenShift | j overflows into the node bits once j reaches 4096 (a
-// 4800-token few-shot prompt, a long CoT mega-step): chunk c = j>>12 lands
-// on the values of node|c — the next block up for an even node's chunk 1,
-// chunk 0 over again for an odd node's. The emitted stream is exactly that
-// one, a run per 4096-token chunk merged where adjacent. Removing the
-// aliasing would change which tokens collide and hence cache behaviour, so
-// it is out of scope here.
+// appendNodeRuns appends the first count tokens of node to dst as one run
+// of its own: callers index dst by node boundary.
 func appendNodeRuns(dst []kvcache.Run, node, count int) []kvcache.Run {
-	const chunk = 1 << tokenShift
-	for c := 0; c*chunk < count; c++ {
-		r := kvcache.Run{
-			First: (kvcache.Token(node) | kvcache.Token(c)) << tokenShift,
-			N:     min(chunk, count-c*chunk),
-		}
-		// Merge only into this node's own previous chunk: callers index
-		// dst by node boundary.
-		if last := len(dst) - 1; c > 0 && dst[last].First+kvcache.Token(dst[last].N) == r.First {
-			dst[last].N += r.N
-		} else {
-			dst = append(dst, r)
-		}
-	}
-	return dst
+	return append(dst, kvcache.Run{First: kvcache.Stream(uint32(node)), N: count})
 }
 
 // LineageRuns is a scheduled path's token sequence under the same layout:
-// its genealogy's nodes in order, each emitted by appendNodeRuns, so code
-// outside the solver that rebuilds a beam's tokens from a sched.Path
-// (the block-size ablation) names them exactly as the solver does.
+// its genealogy's nodes in order, one run each, so code outside the solver
+// that rebuilds a beam's tokens from a sched.Path (the block-size ablation)
+// names them exactly as the solver does.
 func LineageRuns(path sched.Path) []kvcache.Run {
 	runs := make([]kvcache.Run, 0, len(path.Lineage))
 	for _, ref := range path.Lineage {

@@ -1,51 +1,81 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"fasttts/internal/kvcache"
+	"fasttts/internal/rng"
+	"fasttts/internal/sched"
 	"fasttts/internal/search"
 )
 
-// appendNodeRuns must emit the exact value stream the token-by-token
-// k<<tokenShift | j materialization produced, including its overflow into
-// the node bits past 4096 tokens: cache sharing and collisions — hence
-// every golden — depend on those values.
+// appendNodeRuns appends node's tokens as the one run {Stream(node), count}
+// of its own, never merged into what dst holds (the solver cuts a beam's
+// path at node boundaries by run index, and a run that ends where the next
+// node's stream starts is still two nodes), and distinct nodes' value
+// ranges are disjoint however long they are, past 4,096 tokens included.
 func TestNodeRunsMatchTokenStream(t *testing.T) {
-	for _, node := range []int{0, 1, 2, 3, 6, 7, 1001, 4096, 1<<20 - 1} {
-		for _, count := range []int{0, 1, 4095, 4096, 4097, 4800, 10000} {
-			runs := appendNodeRuns(nil, node, count)
-			j := 0
-			for _, r := range runs {
-				if r.N <= 0 {
-					t.Fatalf("node %d count %d: empty run %+v", node, count, r)
-				}
-				for k := 0; k < r.N; k, j = k+1, j+1 {
-					want := kvcache.Token(node)<<tokenShift | kvcache.Token(j)
-					if got := r.First + kvcache.Token(k); got != want {
-						t.Fatalf("node %d count %d: token %d = %#x, want %#x", node, count, j, got, want)
-					}
-				}
+	nodes := []int{0, 1, 2, 3, 6, 7, 1001, 4096, 1<<20 - 1, 1 << 20, 1<<32 - 1}
+	const maxCount = 10000
+	for _, node := range nodes {
+		first := kvcache.Stream(uint32(node))
+		var dst []kvcache.Run
+		if node > 0 {
+			dst = append(dst, kvcache.Run{First: first - 5, N: 5}) // ends where node starts
+		}
+		for count := 0; count <= maxCount; count++ {
+			runs := appendNodeRuns(slices.Clone(dst), node, count)
+			want := append(slices.Clone(dst), kvcache.Run{First: first, N: count})
+			if !slices.Equal(runs, want) {
+				t.Fatalf("node %d count %d: runs = %+v, want %+v", node, count, runs, want)
 			}
-			if j != count {
-				t.Fatalf("node %d count %d: runs expand to %d tokens", node, count, j)
-			}
-			// One run per 4096-token chunk, merged where adjacent: an even
-			// node's first two chunks are contiguous, an odd node's alias.
-			if count == 4800 && len(runs) != 1+node%2 {
-				t.Errorf("node %d count 4800: %d runs, want %d", node, len(runs), 1+node%2)
-			}
+		}
+	}
+	// Node k's longest run covers [Stream(k), Stream(k)+maxCount): sorted
+	// by node, every range ends before the next begins.
+	for i := 1; i < len(nodes); i++ {
+		prev := appendNodeRuns(nil, nodes[i-1], maxCount)[0]
+		next := appendNodeRuns(nil, nodes[i], 1)[0]
+		if prev.First+kvcache.Token(prev.N) > next.First {
+			t.Errorf("node %d's %d tokens reach node %d's first value", nodes[i-1], prev.N, nodes[i])
 		}
 	}
 }
 
-// appendNodeRuns never merges into a run that was already in dst, even a
-// contiguous one: the solver cuts a beam's path at node boundaries by run
-// index.
+// A node's run is never merged into the run before it, even one whose
+// values end exactly where the node's stream begins.
 func TestAppendNodeRunsKeepsNodeBoundary(t *testing.T) {
-	runs := appendNodeRuns(appendNodeRuns(nil, 4, 4096), 5, 10)
-	if len(runs) != 2 || runs[1] != (kvcache.Run{First: 5 << tokenShift, N: 10}) {
+	prev := kvcache.Run{First: kvcache.Stream(5) - 4096, N: 4096}
+	runs := appendNodeRuns([]kvcache.Run{prev}, 5, 10)
+	if len(runs) != 2 || runs[1] != (kvcache.Run{First: kvcache.Stream(5), N: 10}) {
 		t.Errorf("runs = %+v, want node 5 as its own run", runs)
+	}
+}
+
+// Without prefix reuse a group that exactly fills capacity holds together:
+// the next path starts a new group only when it would overflow.
+func TestLengthGroupExactlyFillsCapacity(t *testing.T) {
+	path := func(tokens int) sched.Path {
+		return sched.Path{Lineage: []sched.NodeRef{{Tokens: tokens}}}
+	}
+	paths := []sched.Path{path(3), path(2), path(5), path(7), path(1)}
+	got := appendLengthGroups(nil, paths, 5)
+	if want := []int{2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Errorf("group ends = %v, want %v", got, want)
+	}
+}
+
+// A duplicate whose retained speculation truncates to zero tokens starts
+// with nothing pending: no run, no lineage ref.
+func TestZeroTokenRetentionLeavesNothingPending(t *testing.T) {
+	s := &solver{reqState: reqState{cfg: &Config{}}} // TruncationRatio 0
+	parent := &beam{specs: []specBranch{{node: 9, count: 1}}}
+	child := &beam{specR: rng.Make(1)}
+	s.seedChildPending(parent, child, 0)
+	if len(child.pending) != 0 || len(child.pendingLin) != 0 || child.pendLen != 0 || s.specRetained != 0 {
+		t.Errorf("pending %+v, lineage %+v, pendLen %d, retained %d; want none",
+			child.pending, child.pendingLin, child.pendLen, s.specRetained)
 	}
 }
 

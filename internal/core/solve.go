@@ -556,19 +556,7 @@ func (s *solver) generationPhase() {
 			s.groupEnds = append(s.groupEnds, end)
 		}
 	} else {
-		// Without prefix reuse every beam occupies its full length.
-		start, used := 0, 0
-		for i, p := range paths {
-			n := p.TotalTokens()
-			if i > start && used+n > capacity {
-				s.groupEnds = append(s.groupEnds, i)
-				start, used = i, 0
-			}
-			used += n
-		}
-		if len(paths) > start {
-			s.groupEnds = append(s.groupEnds, len(paths))
-		}
+		s.groupEnds = appendLengthGroups(s.groupEnds, paths, capacity)
 	}
 
 	if s.offload {
@@ -579,6 +567,26 @@ func (s *solver) generationPhase() {
 		s.execTrie(ordered[start:end])
 		start = end
 	}
+}
+
+// appendLengthGroups appends where each memory-resident group of paths
+// ends when nothing is shared: every path occupies its full length, and a
+// group takes paths in order while they fit capacity together (a path
+// longer than capacity is a group of its own).
+func appendLengthGroups(ends []int, paths []sched.Path, capacity int) []int {
+	start, used := 0, 0
+	for i, p := range paths {
+		n := p.TotalTokens()
+		if i > start && used+n > capacity {
+			ends = append(ends, i)
+			start, used = i, 0
+		}
+		used += n
+	}
+	if len(paths) > start {
+		ends = append(ends, len(paths))
+	}
+	return ends
 }
 
 // commitStep samples the beam's next thinking step (or, for policies

@@ -12,13 +12,15 @@
 //
 // Token identity layout. The simulator never invents arbitrary token
 // values: every producer (a reasoning-tree node in internal/core, a prompt
-// or decode stream in internal/memplane) numbers its tokens consecutively
-// from a base, so a path is a handful of arithmetic runs. Paths therefore
-// enter and live in the tree in run-length form ([]Run), and matching,
-// splitting and extending are done in token counts over runs: an Acquire
-// costs O(runs on the path), not O(tokens), while node boundaries — and
-// with them every hit, miss and eviction number — are exactly those of a
-// token-by-token radix tree (oracle_test.go holds one and checks).
+// stream or decode session in internal/memplane) is a stream with a 32-bit
+// id, and token j of stream id is Stream(id)+j. Streams are 2^32 values
+// apart, so distinct ids never share a value, a producer's tokens are one
+// Run, and a path is a handful of runs. Paths therefore enter and live in
+// the tree in run-length form ([]Run), and matching, splitting and
+// extending are done in token counts over runs: an Acquire costs O(runs on
+// the path), not O(tokens), while node boundaries — and with them every
+// hit, miss and eviction number — are exactly those of a token-by-token
+// radix tree (oracle_test.go holds one and checks).
 //
 // Storage and lifetimes. A node keeps its children in a slice of (first
 // span token, child) pairs sorted by that token and binary-searched —
@@ -52,11 +54,14 @@ import (
 // Token is a synthetic token identifier. The simulator derives token
 // values deterministically from beam genealogy, so equal prefixes imply
 // equal token sequences.
-type Token uint32
+type Token uint64
 
-// Run is N consecutive token values First, First+1, …, First+N-1 (modulo
-// 2^32). A path is a []Run; how a path is cut into runs carries no meaning,
-// only the token values it expands to do. Runs with N <= 0 are empty.
+// Stream is the first token of stream id: its token j is Stream(id)+j.
+func Stream(id uint32) Token { return Token(id) << 32 }
+
+// Run is N consecutive token values First, First+1, …, First+N-1. A path
+// is a []Run; how a path is cut into runs carries no meaning, only the
+// token values it expands to do. Runs with N <= 0 are empty.
 type Run struct {
 	First Token
 	N     int

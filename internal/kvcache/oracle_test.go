@@ -82,11 +82,17 @@ func (d *diffPair) state() (got, want string) {
 		f(d.o.UsedTokens(), d.o.Stats(), d.o.NodeCount(), d.o.PinnedTokens())
 }
 
-// randPath draws a path of 1–6 runs over a small set of value streams,
-// usually grown from a prefix of an earlier path cut at an arbitrary token
-// (mid-run truncation); the tail then either diverges onto other streams
-// (mid-run divergence) or continues the cut run's own values as separate
-// runs, so equal paths arrive cut into runs differently.
+// streamIDs are the stream ids randPath draws bases from beside its low
+// values: small ids, the ids where a 16-bit packing into 32-bit tokens hit
+// its tag bit (2^15) or wrapped (2^16), an id's top bit and the largest id.
+var streamIDs = []uint32{0, 1, 7, 1 << 15, 1 << 16, 1 << 31, 1<<32 - 1}
+
+// randPath draws a path of 1–6 runs over a small set of value streams (low
+// values, or Stream(id) bases as production makes them), usually grown from
+// a prefix of an earlier path cut at an arbitrary token (mid-run
+// truncation); the tail then either diverges onto other streams (mid-run
+// divergence) or continues the cut run's own values as separate runs, so
+// equal paths arrive cut into runs differently.
 func (d *diffPair) randPath(r *rng.Stream) []Run {
 	var path []Run
 	if len(d.pool) > 0 && r.IntN(5) > 0 {
@@ -103,6 +109,9 @@ func (d *diffPair) randPath(r *rng.Stream) []Run {
 	}
 	for n := r.IntN(4); n > 0 || len(path) == 0; n-- {
 		run := Run{First: Token(r.IntN(6)<<10 | r.IntN(3)*40), N: r.IntN(60) + 1}
+		if r.IntN(2) == 0 {
+			run.First = Stream(streamIDs[r.IntN(len(streamIDs))]) + Token(r.IntN(3)*40)
+		}
 		if k := len(path); k > 0 && r.IntN(3) == 0 {
 			run.First = path[k-1].First + Token(path[k-1].N) // contiguous, yet its own run
 		}

@@ -18,12 +18,12 @@
 // goroutine-confined core.Loop at virtual-time order points (admission,
 // slice boundaries, completion), and every cache operation is a pure
 // function of the operation sequence — token identities derive from
-// prefix keys and per-device admission ordinals, never from map iteration,
-// wall clocks, or randomness. A zero-capacity plane is never constructed
-// (the loop carries a nil plane), so the disabled configuration is
-// bit-identical to builds without the plane. Cross-device reads (the
-// router probes below) happen only when the fleet routes an arrival,
-// after it has stepped every device due by that instant.
+// prefix keys and the plane's stream counter in admission order, never
+// from map iteration, wall clocks, or randomness. A zero-capacity plane
+// is never constructed (the loop carries a nil plane), so the disabled
+// configuration is bit-identical to builds without the plane. Cross-device
+// reads (the router probes below) happen only when the fleet routes an
+// arrival, after it has stepped every device due by that instant.
 //
 // Session storage. A Session holds its cache handles by value — the
 // prompt's, and two slots for the decode chain's, so a shrink can acquire
@@ -60,24 +60,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Token-identity layout. Prompt streams are numbered in first-use order
-// per device; prompt token j of stream s is s<<16 | j, so requests with
-// equal prefix keys share cache paths and distinct keys never collide
-// (prompts are clamped to 64Ki tokens, far above any modeled workload).
-// Decode tokens are private per admitted session: ordinal o's token j is
-// 1<<31 | (o mod 8Ki)<<18 | j. Ordinals wrap after 8192 live admissions
-// per device; a wrap could only alias against long-dropped garbage and is
-// deterministic either way. Both clamps keep j below its field, so a
-// prompt is the single kvcache.Run {s<<16, n}, a session's decode chain
-// the single run {1<<31 | (o mod 8Ki)<<18, n}, and no token array is ever
-// built: admission, growth, shrink and the router's residency probe each
-// hand the cache one or two runs.
-const (
-	promptTokenBits = 16
-	decodeTokenBits = 18
-	decodeStreamTag = 1 << 31
-	decodeStreamCap = 1 << 13
-)
+// Token-identity layout. Every prompt key and every admitted session is a
+// kvcache stream whose id comes from one per-plane counter (newStream). A
+// key takes its id at first use and keeps it, so requests with equal prefix
+// keys share cache paths; a session's decode chain is a stream of its own.
+// A prompt is the one run {kvcache.Stream(key id), n} and a decode chain
+// {kvcache.Stream(session id), n}, so admission, growth, shrink and the
+// router's residency probe each hand the cache one or two runs, and no
+// token array is built. Because every id comes from the one counter, no
+// two streams share a value until a plane has drawn 2^32 ids.
 
 // Stats is the plane's cumulative telemetry. Hit/miss counters are
 // prompt-level (admission-time prefix residency); evictions cover all
@@ -113,8 +104,8 @@ type Session struct {
 	dec               [2]kvcache.Seq
 	cur               int
 	hasPrompt, hasDec bool
-	decLen            int // currently resident decode tokens
-	ordinal           uint64
+	decLen            int    // currently resident decode tokens
+	stream            uint32 // the decode chain's kvcache stream id
 	finished          bool
 }
 
@@ -126,8 +117,7 @@ type Plane struct {
 	gpu     hw.GPU
 	gen     model.Config
 	streams map[string]uint32 // prefix key -> prompt stream id
-	nextStr uint32
-	nextOrd uint64
+	next    uint32            // the next stream id, prompt or session
 
 	hitTokens, missTokens int64
 	reprefill             float64
@@ -145,9 +135,11 @@ func New(cfg Config, gpu hw.GPU, gen model.Config) *Plane {
 	}
 }
 
-// promptRun is the first n (clamped) tokens of prompt stream id.
-func promptRun(id uint32, n int) kvcache.Run {
-	return kvcache.Run{First: kvcache.Token(id) << promptTokenBits, N: min(n, 1<<promptTokenBits)}
+// newStream draws the plane's next stream id.
+func (p *Plane) newStream() uint32 {
+	id := p.next
+	p.next++
+	return id
 }
 
 // Admit charges an arriving request's prompt prefix against the cache and
@@ -169,18 +161,16 @@ func (p *Plane) AdmitInto(s *Session, key string, promptTokens int) float64 {
 	if s.hasPrompt || s.hasDec {
 		panic("memplane: AdmitInto on a session that was not finished")
 	}
-	*s = Session{ordinal: p.nextOrd}
-	p.nextOrd++
+	*s = Session{stream: p.newStream()}
 	if promptTokens <= 0 {
 		return 0
 	}
 	id, ok := p.streams[key]
 	if !ok {
-		id = p.nextStr
-		p.nextStr++
+		id = p.newStream()
 		p.streams[key] = id
 	}
-	s.promptRun = promptRun(id, promptTokens)
+	s.promptRun = kvcache.Run{First: kvcache.Stream(id), N: promptTokens}
 	hit, miss, err := p.cache.AcquireInto(&s.prompt, []kvcache.Run{s.promptRun})
 	if err != nil {
 		// ErrTooLarge / ErrPinned: run without residency.
@@ -209,8 +199,7 @@ func (p *Plane) reprefillCost(miss, contextLen int) float64 {
 // decodeRun returns the session's private decode tokens from through
 // to-1.
 func (s *Session) decodeRun(from, to int) kvcache.Run {
-	ord := kvcache.Token(s.ordinal % decodeStreamCap)
-	return kvcache.Run{First: decodeStreamTag | ord<<decodeTokenBits | kvcache.Token(from), N: to - from}
+	return kvcache.Run{First: kvcache.Stream(s.stream) + kvcache.Token(from), N: to - from}
 }
 
 // SyncDecode reconciles the session's resident decode footprint with the
@@ -222,12 +211,7 @@ func (p *Plane) SyncDecode(s *Session, want int) {
 	if s.finished {
 		return
 	}
-	if lim := 1 << decodeTokenBits; want > lim {
-		want = lim
-	}
-	if want < 0 {
-		want = 0
-	}
+	want = max(want, 0)
 	switch {
 	case want > s.decLen:
 		add := []kvcache.Run{s.decodeRun(s.decLen, want)}
@@ -299,7 +283,7 @@ func (p *Plane) ResidentPromptTokens(key string, promptTokens int) int {
 	if !ok {
 		return 0
 	}
-	return p.cache.LongestCachedPrefix([]kvcache.Run{promptRun(id, promptTokens)})
+	return p.cache.LongestCachedPrefix([]kvcache.Run{{First: kvcache.Stream(id), N: promptTokens}})
 }
 
 // Stats snapshots the plane's telemetry.

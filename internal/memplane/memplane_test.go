@@ -48,6 +48,36 @@ func TestDistinctKeysNeverShare(t *testing.T) {
 	p.Finish(s2)
 }
 
+// A never-seen prefix key hits nothing, however many stream ids the plane
+// has drawn: not at id 2^16 over a resident prompt at id 0, nor at id 2^15
+// over a prompt-less session's decode chain at the root, the two ids where
+// packing stream and token into 32 bits collides.
+func TestPromptStreamsNeverAlias(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		next  uint32
+		setup func(p *Plane)
+	}{
+		{"finished prompt, counter at 2^16", 1 << 16, func(p *Plane) {
+			s, _ := p.Admit("seen", 8)
+			p.Finish(s)
+		}},
+		{"prompt-less decode chain, counter at 2^15", 1 << 15, func(p *Plane) {
+			s, _ := p.Admit("none", 0)
+			p.SyncDecode(s, 8)
+		}},
+	} {
+		p := newTestPlane(10000)
+		tc.setup(p)
+		p.next = tc.next
+		s, pen := p.Admit("unseen", 8)
+		if st := p.Stats(); st.HitTokens != 0 || pen <= 0 {
+			t.Errorf("%s: never-seen key hit %d tokens (penalty %v), want 0", tc.name, st.HitTokens, pen)
+		}
+		p.Finish(s)
+	}
+}
+
 func TestEvictionUnderPressure(t *testing.T) {
 	p := newTestPlane(250)
 	for i, key := range []string{"a/0", "b/0", "c/0"} {
