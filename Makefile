@@ -25,9 +25,10 @@ lint: writeonly
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
-# Fails on a struct field that code writes and nothing reads, tests
-# included (internal/tools/writeonly; reviewed survivors are listed in its
-# testdata/writeonly.allow). A CI lint step, not part of tier-1.
+# Fails on a struct field that production code writes and production
+# code never reads: production reads only, so a field only a test reads
+# fails too (internal/tools/writeonly; reviewed survivors are listed in
+# its testdata/writeonly.allow). A CI lint step, not part of tier-1.
 writeonly:
 	$(GO) run ./internal/tools/writeonly
 
@@ -50,7 +51,9 @@ scenarios:
 	$(GO) test -count=1 -run 'TestGoldenScenarioTraces|TestGoldenTracesDecodable|TestScenarioRunDeterministic' -v .
 
 # Seeded sweep of the fleet property tests: the conservation laws
-# (...PreservesRequestMultiset), the least-work index's differential
+# (...PreservesRequestMultiset; every Fleet.Run they make also checks the
+# always-on run laws, so those run on seeds 1-200 too), the least-work
+# index's differential
 # checks (...IndexMatchesScan over whole runs, BestTreeMatchesScan over
 # the tournament tree alone) and the span-lifecycle property over
 # cancelled and withdrawn requests (TraceLifecycleProperty, about 5 s of

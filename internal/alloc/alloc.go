@@ -43,16 +43,16 @@ type Input struct {
 // Plan is the chosen allocation.
 type Plan struct {
 	BPre, BDec int
-	// PreBytes/DecBytes are the KV reservations for each stage.
-	PreBytes, DecBytes int64
+	// PreBytes is the verifier's KV reservation; the generator's is
+	// BDec sequences of Generator.KVBytes(1, SeqDecode).
+	PreBytes int64
 	// TotalTime is the modeled execution time of one full
 	// generate+verify cycle over N requests: Optimize's objective. A
 	// StaticSplit plan, which optimizes nothing, leaves it 0.
 	TotalTime float64
 	// Offload reports whether the inactive model's KV is offloaded to
-	// host memory (§4.3.2); OffloadOverhead is the per-cycle PCIe cost.
-	Offload         bool
-	OffloadOverhead float64
+	// host memory (§4.3.2); its per-cycle PCIe cost is in TotalTime.
+	Offload bool
 }
 
 // ErrInfeasible is returned when not even a batch of one fits.
@@ -123,7 +123,7 @@ func Optimize(in Input) (Plan, error) {
 			(t == best.TotalTime && bDec > best.BDec) {
 			best = Plan{
 				BPre: bPre, BDec: bDec,
-				PreBytes: int64(bPre) * kvPre, DecBytes: int64(bDec) * kvDec,
+				PreBytes:  int64(bPre) * kvPre,
 				TotalTime: t,
 			}
 		}
@@ -142,13 +142,12 @@ func Optimize(in Input) (Plan, error) {
 		}
 		if bPre >= 1 && bDec >= 1 {
 			moved := float64(int64(bPre)*kvPre + int64(bDec)*kvDec)
-			overhead := in.GPU.TransferTime(moved)
-			t := cycleTime(in, &dec, bPre, bDec) + overhead
+			t := cycleTime(in, &dec, bPre, bDec) + in.GPU.TransferTime(moved)
 			if best.TotalTime < 0 || t < best.TotalTime {
 				best = Plan{
 					BPre: bPre, BDec: bDec,
-					PreBytes: int64(bPre) * kvPre, DecBytes: int64(bDec) * kvDec,
-					TotalTime: t, Offload: true, OffloadOverhead: overhead,
+					PreBytes:  int64(bPre) * kvPre,
+					TotalTime: t, Offload: true,
 				}
 			}
 		}
@@ -183,7 +182,7 @@ func StaticSplit(in Input, preFrac float64) (Plan, error) {
 	}
 	return Plan{
 		BPre: bPre, BDec: bDec,
-		PreBytes: int64(bPre) * kvPre, DecBytes: int64(bDec) * kvDec,
+		PreBytes: int64(bPre) * kvPre,
 	}, nil
 }
 

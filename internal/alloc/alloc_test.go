@@ -27,8 +27,8 @@ func TestOptimizeSatisfiesBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.PreBytes+p.DecBytes > in.BudgetBytes {
-		t.Errorf("plan exceeds budget: %d + %d > %d", p.PreBytes, p.DecBytes, in.BudgetBytes)
+	if decBytes := int64(p.BDec) * in.Generator.KVBytes(1, in.SeqDecode); p.PreBytes+decBytes > in.BudgetBytes {
+		t.Errorf("plan exceeds budget: %d + %d > %d", p.PreBytes, decBytes, in.BudgetBytes)
 	}
 	if p.BPre < 1 || p.BDec < 1 {
 		t.Errorf("degenerate batches: %+v", p)
@@ -143,9 +143,9 @@ func TestDecodeGetsMoreMemoryThanPrefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.DecBytes <= p.PreBytes {
+	if decBytes := int64(p.BDec) * in.Generator.KVBytes(1, in.SeqDecode); decBytes <= p.PreBytes {
 		t.Errorf("decode bytes %d <= prefill bytes %d; expected asymmetry toward decode",
-			p.DecBytes, p.PreBytes)
+			decBytes, p.PreBytes)
 	}
 }
 
@@ -175,8 +175,9 @@ func TestOffloadChosenOnlyWhenBetter(t *testing.T) {
 		t.Errorf("offload-enabled plan %.4f worse than partition-only %.4f",
 			with.TotalTime, without.TotalTime)
 	}
-	if with.Offload && with.OffloadOverhead <= 0 {
-		t.Error("offload plan must carry a positive transfer overhead")
+	dec := model.NewDecodeRoofline(in.Generator, in.GPU)
+	if overhead := with.TotalTime - cycleTime(in, &dec, with.BPre, with.BDec); with.Offload && overhead <= 0 {
+		t.Errorf("offload plan must carry a positive transfer overhead, got %g", overhead)
 	}
 	// Abundant memory: offload must NOT be chosen (partition is free).
 	in.AllowOffload = true

@@ -282,8 +282,6 @@ type device struct {
 	lastBusy float64      // busy-time snapshot at the previous control tick
 	prefixes []prefixMark // prompt-prefix directory of the radix cache, by prompt id
 	acct     map[int]prefixAcct
-	served   int
-	tokens   int64
 }
 
 // prefixMark is one prompt-prefix directory entry, indexed by the run's
@@ -722,10 +720,6 @@ func (r *run) deliver(dev int, sv *core.ServedResult) {
 		return
 	}
 	res := r.buildResult(sv, dev)
-	if !sv.Rejected {
-		d.served++
-		d.tokens += sv.UsefulTokens
-	}
 	if r.el != nil {
 		// Observe the settled result (requeue-adjusted arrival and
 		// latencies), not the raw device completion: the control window
@@ -1113,7 +1107,9 @@ func (f *Fleet) Run(reqs []core.Request) (*Outcome, error) {
 	if err := r.drain(); err != nil {
 		return nil, err
 	}
-	r.finish()
+	if err := r.finish(); err != nil {
+		return nil, err
+	}
 	return r.out, nil
 }
 
@@ -1156,50 +1152,48 @@ func (r *run) failAt() float64 {
 	return 0
 }
 
-// finish assembles the per-device telemetry: each device's live interval
-// runs from its join time to its fail-stop, drain completion, or the
-// fleet makespan.
-func (r *run) finish() {
+// finish assembles the per-device telemetry and checks the fleet's run
+// laws. One walk of the results finds the makespan and each device's
+// served count and useful tokens. Each device's live interval runs from
+// its join time to its fail-stop, drain completion, or the fleet
+// makespan; a device whose last atomic slice ran past the end (a
+// fail-stop overrun, or a cancelled hedge loser's slice) lives through
+// its last clock tick, so BusyTime never exceeds LiveSeconds.
+func (r *run) finish() error {
+	r.out.Devices = make([]metrics.FleetDeviceStats, len(r.devs))
 	makespan := 0.0
 	for _, res := range r.out.Results {
-		if !res.Rejected && res.Finish > makespan {
-			makespan = res.Finish
+		if res.Rejected {
+			continue
 		}
+		makespan = max(makespan, res.Finish)
+		r.out.Devices[res.Device].Served++
+		r.out.Devices[res.Device].Tokens += res.UsefulTokens
 	}
-	r.out.Devices = make([]metrics.FleetDeviceStats, len(r.devs))
 	for i, d := range r.devs {
 		end := makespan
 		switch {
 		case !d.alive:
-			if d.failedAt < end {
-				end = d.failedAt
-			}
-			// Fail-stop is slice-granular: a final slice may overrun the
-			// fail time, so the device's effective lifetime stretches to
-			// its last clock tick (keeping BusyTime ≤ LiveSeconds).
-			if n := d.loop.Now(); n > end {
-				end = n
-			}
+			end = max(min(end, d.failedAt), d.loop.Now())
 		case d.drained:
 			end = d.drainEnd
 		case d.warming:
 			// Claimed from the warm pool but the run ended before its
 			// warm-up elapsed: it never served and never cost live time.
 			end = d.joinAt
-		}
-		life := end - d.joinAt
-		if life < 0 {
-			life = 0
+		default:
+			end = max(end, d.loop.Now())
 		}
 		ps := d.loop.PlaneStats()
-		r.out.Devices[i] = metrics.FleetDeviceStats{
+		ds := &r.out.Devices[i]
+		*ds = metrics.FleetDeviceStats{
 			Device:      i,
 			Name:        d.spec.Name,
-			Served:      d.served,
-			Tokens:      d.tokens,
+			Served:      ds.Served,
+			Tokens:      ds.Tokens,
 			BusyTime:    d.loop.Busy(),
 			LiveStart:   d.joinAt,
-			LiveSeconds: life,
+			LiveSeconds: max(end-d.joinAt, 0),
 			Failed:      !d.alive,
 			Drained:     d.drained,
 
@@ -1210,6 +1204,12 @@ func (r *run) finish() {
 			CacheEvictedTokens:  ps.EvictedTokens,
 			ReprefillSeconds:    ps.ReprefillSeconds,
 		}
+		if err := checkDevice(ds); err != nil {
+			return err
+		}
+	}
+	if err := r.checkOutcomes(); err != nil {
+		return err
 	}
 	r.out.PrefixHits = r.prefixHits
 	r.out.PrefixMisses = r.prefixMisses
@@ -1220,4 +1220,5 @@ func (r *run) finish() {
 		st := obs.Summarize(r.obs.Attribution())
 		r.out.Attribution = &st
 	}
+	return nil
 }

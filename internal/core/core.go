@@ -148,7 +148,6 @@ func (c Config) KVBudget() (int64, error) {
 // caller's to keep and edit, but holding any one keeps its chunk of
 // Results, and its chunk of paths, alive.
 type Result struct {
-	Problem *workload.Problem
 	// Finished holds the collected reasoning paths in completion order,
 	// cut with cap == len: an append copies. Empty, never nil, when no
 	// path finished.

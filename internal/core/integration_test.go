@@ -180,9 +180,9 @@ func TestServerDeterministicFCFS(t *testing.T) {
 			t.Fatal(err)
 		}
 		out, err := srv.Run([]Request{
-			{Problem: aimeProblem(t, 0), Arrival: 10},
-			{Problem: aimeProblem(t, 1), Arrival: 0},
-			{Problem: aimeProblem(t, 2), Arrival: 5},
+			{Problem: aimeProblem(t, 0), Arrival: 10, Tag: 0},
+			{Problem: aimeProblem(t, 1), Arrival: 0, Tag: 1},
+			{Problem: aimeProblem(t, 2), Arrival: 5, Tag: 2},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -195,8 +195,8 @@ func TestServerDeterministicFCFS(t *testing.T) {
 		t.Fatalf("served %d", len(a))
 	}
 	// Sorted by arrival: problems 1, 2, 0.
-	if a[0].Problem.Index != aimeProblem(t, 1).Index {
-		t.Errorf("first served = problem %d, want the earliest arrival", a[0].Problem.Index)
+	if a[0].Tag != 1 {
+		t.Errorf("first served = request %d, want the earliest arrival (1)", a[0].Tag)
 	}
 	for i := range a {
 		if a[i].Finish != b[i].Finish || a[i].Result.Goodput != b[i].Result.Goodput {

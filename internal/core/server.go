@@ -139,8 +139,11 @@ func (s *Server) Run(reqs []Request) ([]ServedResult, error) {
 			return nil, fmt.Errorf("core: request tag %d has non-finite arrival time %v", rq.Tag, rq.Arrival)
 		}
 	}
-	// Every request yields exactly one result, served or rejected.
-	return s.NewLoop(reqs).StepTo(NoHorizon, make([]ServedResult, 0, len(reqs)))
+	out, err := s.NewLoop(reqs).StepTo(NoHorizon, make([]ServedResult, 0, len(reqs)))
+	if err == nil {
+		err = checkResultCount(len(out), len(reqs))
+	}
+	return out, err
 }
 
 // RunClosedLoop serves the problems under a fixed-concurrency closed
@@ -171,7 +174,11 @@ func (s *Server) RunClosedLoop(probs []*workload.Problem, cl workload.ClosedLoop
 		next++
 		return rq, true
 	}
-	return l.StepTo(NoHorizon, make([]ServedResult, 0, len(probs)))
+	out, err := l.StepTo(NoHorizon, make([]ServedResult, 0, len(probs)))
+	if err == nil {
+		err = checkResultCount(len(out), len(probs))
+	}
+	return out, err
 }
 
 // NoHorizon makes Loop.StepTo run until the loop is out of work.
@@ -682,6 +689,7 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 			if err != nil {
 				return out, fmt.Errorf("core: serving %s/%d: %w", c.req.Problem.Dataset, c.req.Problem.Index, err)
 			}
+			st := c.solver.strategy
 			l.release(c)
 			out = append(out, ServedResult{
 				Result:  res,
@@ -693,6 +701,9 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 				Width:        l.s.effectiveWidth(c.req),
 				Tag:          c.req.Tag,
 			})
+			if err := checkServed(&out[len(out)-1], st); err != nil {
+				return out, err
+			}
 			if l.obs != nil {
 				l.obs.Emit(obs.Span{Kind: obs.KindFinish, Tag: c.req.Tag, Start: l.now, End: l.now, N: c.slices})
 			}

@@ -234,15 +234,13 @@ func TestPriorityPolicyServesHighFirst(t *testing.T) {
 	probs := mixedProblems(t, 4)
 	reqs := make([]Request, len(probs))
 	for i, p := range probs {
-		reqs[i] = Request{Problem: p, Priority: i} // later requests more urgent
+		reqs[i] = Request{Problem: p, Priority: i, Tag: i} // later requests more urgent
 	}
 	served := runServer(t, cfg, sched.Priority{}, reqs)
 	// Completion order must be descending priority: 3, 2, 1, 0.
 	for i, sv := range served {
-		wantIdx := len(reqs) - 1 - i
-		if sv.Result.Problem != probs[wantIdx] {
-			t.Errorf("completion %d served problem %s/%d, want input index %d",
-				i, sv.Result.Problem.Dataset, sv.Result.Problem.Index, wantIdx)
+		if wantIdx := len(reqs) - 1 - i; sv.Tag != wantIdx {
+			t.Errorf("completion %d served input index %d, want %d", i, sv.Tag, wantIdx)
 		}
 	}
 }
@@ -253,28 +251,18 @@ func TestDeadlinePolicyEDF(t *testing.T) {
 	cfg := serveConfig(t)
 	probs := mixedProblems(t, 4)
 	reqs := []Request{
-		{Problem: probs[0]},                // no deadline: runs last
-		{Problem: probs[1], Deadline: 300}, // third
-		{Problem: probs[2], Deadline: 100}, // first
-		{Problem: probs[3], Deadline: 200}, // second
+		{Problem: probs[0], Tag: 0},                // no deadline: runs last
+		{Problem: probs[1], Tag: 1, Deadline: 300}, // third
+		{Problem: probs[2], Tag: 2, Deadline: 100}, // first
+		{Problem: probs[3], Tag: 3, Deadline: 200}, // second
 	}
 	served := runServer(t, cfg, sched.Deadline{}, reqs)
 	wantOrder := []int{2, 3, 1, 0}
 	for i, sv := range served {
-		if sv.Result.Problem != probs[wantOrder[i]] {
-			t.Errorf("completion %d served problem index %d of input, want %d",
-				i, indexOf(probs, sv.Result.Problem), wantOrder[i])
+		if sv.Tag != wantOrder[i] {
+			t.Errorf("completion %d served input index %d, want %d", i, sv.Tag, wantOrder[i])
 		}
 	}
-}
-
-func indexOf(probs []*workload.Problem, p *workload.Problem) int {
-	for i := range probs {
-		if probs[i] == p {
-			return i
-		}
-	}
-	return -1
 }
 
 // TestAdmissionLimitShedsLoad: a burst beyond MaxInFlight is rejected and

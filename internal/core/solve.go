@@ -128,7 +128,6 @@ type reqState struct {
 
 	specTok      int64
 	specRetained int64
-	recomputed   int64
 
 	maxIters int
 	begun    bool
@@ -411,7 +410,6 @@ func (s *solver) result(st *resultStore) (*Result, error) {
 
 	res := st.newResult()
 	*res = Result{
-		Problem:          s.p,
 		Finished:         st.keepPaths(s.finished),
 		Latency:          s.clk.Now(),
 		GenTime:          s.gen.BusyTime - s.gen.TransferTime,
@@ -422,7 +420,7 @@ func (s *solver) result(st *resultStore) (*Result, error) {
 		TokensDecoded:    s.gen.DecodedTokens,
 		SpecTokens:       s.specTok,
 		SpecRetained:     s.specRetained,
-		RecomputedTokens: s.recomputed,
+		RecomputedTokens: s.gen.PrefilledTokens - int64(s.p.PromptTokens), // every prefill but begin's prompt
 		GenCache:         s.gen.Cache.Stats(),
 		VerCache:         s.ver.Eng.Cache.Stats(),
 	}
@@ -708,7 +706,6 @@ func (s *solver) execTrie(group []*beam) {
 		prevLen := b.tokLen - b.rem
 		if !s.cfg.Opts.PrefixCache {
 			recomp = append(recomp, engine.PrefillItem{NewTokens: prevLen, CtxTokens: prevLen})
-			s.recomputed += int64(prevLen)
 			continue
 		}
 		_, miss, err := s.gen.Cache.AcquireInto(&b.seq, b.tokens[:b.freshAt])
@@ -719,7 +716,6 @@ func (s *solver) execTrie(group []*beam) {
 		}
 		if miss > 0 {
 			recomp = append(recomp, engine.PrefillItem{NewTokens: miss, CtxTokens: prevLen})
-			s.recomputed += int64(miss)
 		}
 		if b.resident && b.rem > 0 {
 			if _, _, err := s.gen.Cache.Extend(&b.seq, b.tokens[b.freshAt:]); err != nil {

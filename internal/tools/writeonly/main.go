@@ -6,8 +6,8 @@
 //
 // A field is written where it is the target of an assignment or of
 // ++/--, or a key in a keyed composite literal; every other use reads it.
-// Each package is type-checked with its in-package test files, and its
-// external tests are checked too, so a field only a test reads is read.
+// Only production code counts: each package is type-checked from its
+// GoFiles alone, so a field that only a test reads is reported.
 // Skipped: fields declared under benchmark/, exported fields of the root
 // package (callers outside the module read them) and fields of structs
 // that carry struct tags (wire formats are read through reflection).
@@ -38,10 +38,10 @@ import (
 
 // goPackage is the part of `go list -json` output the scan reads.
 type goPackage struct {
-	ImportPath, Dir, Export, ForTest   string
-	Standard                           bool
-	GoFiles, TestGoFiles, XTestGoFiles []string
-	Module                             *struct{ Path, Dir string }
+	ImportPath, Dir, Export string
+	Standard                bool
+	GoFiles                 []string
+	Module                  *struct{ Path, Dir string }
 }
 
 // field is one declared struct field and its tallies.
@@ -56,8 +56,8 @@ type field struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("writeonly: ")
-	out, err := exec.Command("go", "list", "-deps", "-test", "-export",
-		"-json=ImportPath,Dir,Export,ForTest,Standard,GoFiles,TestGoFiles,XTestGoFiles,Module", "./...").Output()
+	out, err := exec.Command("go", "list", "-deps", "-export",
+		"-json=ImportPath,Dir,Export,Standard,GoFiles,Module", "./...").Output()
 	if err != nil {
 		log.Fatalf("go list: %v", err)
 	}
@@ -70,16 +70,16 @@ func main() {
 		}
 		if p.Standard {
 			exports[p.ImportPath] = p.Export
-		} else if p.ForTest == "" && p.Module != nil && !strings.HasSuffix(p.ImportPath, ".test") {
+		} else if p.Module != nil {
 			local[p.ImportPath], root, module = p, p.Module.Dir, p.Module.Path
 		}
 	}
 	fset, t, checked := token.NewFileSet(), map[*types.Var]*field{}, map[string]*types.Package{}
 	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) })
-	var load importerFunc // checks a package of the module once, with its in-package tests
-	check := func(path string, p *goPackage, names ...string) *types.Package {
+	var load importerFunc // checks a package of the module once
+	check := func(path string, p *goPackage) *types.Package {
 		var files []*ast.File
-		for _, name := range names {
+		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
 				log.Fatal(err)
@@ -98,13 +98,12 @@ func main() {
 		if p := local[path]; p == nil {
 			return std.Import(path)
 		} else if checked[path] == nil {
-			checked[path] = check(path, p, append(p.GoFiles, p.TestGoFiles...)...)
+			checked[path] = check(path, p)
 		}
 		return checked[path], nil
 	}
-	for path, p := range local {
+	for path := range local {
 		load(path)
-		check(path+"_test", p, p.XTestGoFiles...)
 	}
 	allowPath := filepath.Join(root, "internal/tools/writeonly/testdata/writeonly.allow")
 	text, err := os.ReadFile(allowPath)

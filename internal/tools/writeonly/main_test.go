@@ -5,6 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 )
 
@@ -54,5 +57,42 @@ func TestCountClassifiesUses(t *testing.T) {
 		if got := [3]int{fl.writes, fl.reads, skip}; got != want[fl.name] || fl.file != "p/p.go" {
 			t.Errorf("%s %s: writes, reads, skip = %v, want %v", fl.file, fl.name, got, want[fl.name])
 		}
+	}
+}
+
+// TestProductionReadsOnly pins the definition of a read on a module of
+// its own: a field that production writes and only a _test.go file reads,
+// in-package or external, is reported; a field production reads is not.
+func TestProductionReadsOnly(t *testing.T) {
+	dir := t.TempDir()
+	tool := filepath.Join(dir, "writeonly")
+	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	mod := filepath.Join(dir, "m")
+	for name, src := range map[string]string{
+		"go.mod":        "module m\n\ngo 1.24\n",
+		"p/p.go":        "package p\ntype T struct{ read, tested, Ext int }\nfunc New() T { return T{read: 1, tested: 2, Ext: 3} }\nfunc (x T) Read() int { return x.read }\n",
+		"p/p_test.go":   "package p\nimport \"testing\"\nfunc TestT(t *testing.T) { _ = New().tested }\n",
+		"p/ext_test.go": "package p_test\nimport (\"testing\"; \"m/p\")\nfunc TestExt(t *testing.T) { _ = p.New().Ext }\n",
+		"internal/tools/writeonly/testdata/writeonly.allow": "",
+	} {
+		path := filepath.Join(mod, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := exec.Command(tool)
+	run.Dir = mod
+	out, err := run.Output()
+	if err == nil {
+		t.Error("writeonly exited 0 on a module with test-only reads")
+	}
+	want := "p/p.go:2: T.Ext is written but never read\np/p.go:2: T.tested is written but never read\n"
+	if string(out) != want {
+		t.Errorf("writeonly reported\n%s\nwant\n%s", out, want)
 	}
 }
