@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-nofma lint writeonly bench cover scenarios quick-sweep benchmark benchmark-smoke profile-solver profile-observed profile-dispatch profile-kv golden
+.PHONY: all build test test-nofma lint writeonly bench cover scenarios quick-sweep benchmark benchmark-smoke profile-solver profile-observed profile-dispatch profile-kv count-observed count-solver count-kv count-dispatch golden
 
 all: build lint test
 
@@ -62,8 +62,10 @@ scenarios:
 # of the run-length radix cache against its token-by-token oracle and its
 # eviction heap against container/heap (TestDifferentialOracle,
 # TestEvictHeapMatchesContainerHeap, internal/kvcache; about 0.1 s a
-# seed), under -quick.seed 1-200, from one compiled test binary per
-# package. A plain `go test` draws its seed from the time of day, so a bug
+# seed), and of the Perfetto encoder against encoding/json on random and
+# memo-hostile streams (TestWritePerfettoMatchesJSONOracle, internal/obs;
+# about 0.1 s a seed), under -quick.seed 1-200, from one compiled test
+# binary per package. A plain `go test` draws its seed from the time of day, so a bug
 # that only some seeds reach fails there about one run in forty; here it
 # fails every run. Prints each failing seed's log, then the list.
 quick-sweep:
@@ -71,6 +73,7 @@ quick-sweep:
 	$(GO) test -c -o bench-smoke/cluster-quick.test ./internal/cluster
 	$(GO) test -c -o bench-smoke/search-quick.test ./internal/search
 	$(GO) test -c -o bench-smoke/kvcache-quick.test ./internal/kvcache
+	$(GO) test -c -o bench-smoke/obs-quick.test ./internal/obs
 	@failed=""; for seed in $$(seq 1 200); do \
 		if ! out=$$(bench-smoke/cluster-quick.test -test.run 'PreservesRequestMultiset|IndexMatchesScan|BestTreeMatchesScan|TraceLifecycleProperty' -quick.seed=$$seed 2>&1); then \
 			echo "$$out"; failed="$$failed cluster:$$seed"; \
@@ -80,6 +83,9 @@ quick-sweep:
 		fi; \
 		if ! out=$$(bench-smoke/kvcache-quick.test -test.run '^(TestDifferentialOracle|TestEvictHeapMatchesContainerHeap)$$' -quick.seed=$$seed 2>&1); then \
 			echo "$$out"; failed="$$failed kvcache:$$seed"; \
+		fi; \
+		if ! out=$$(bench-smoke/obs-quick.test -test.run '^TestWritePerfettoMatchesJSONOracle$$' -quick.seed=$$seed 2>&1); then \
+			echo "$$out"; failed="$$failed obs:$$seed"; \
 		fi; \
 	done; \
 	if [ -n "$$failed" ]; then echo "quick-sweep: failing -quick.seed:$$failed" >&2; exit 1; fi; \
@@ -144,7 +150,13 @@ profile-solver:
 # Where a recorded fleet run's host time and allocations go: the same two
 # profiles of BenchmarkFleetRun32Observed (the fleet-observed workload's
 # pass — recorder on, then Spans, Attribute, WritePerfetto — in
-# internal/cluster/perf_test.go), so a recorder PR is sized here.
+# internal/cluster/perf_test.go), so a recorder PR is sized here. The
+# Perfetto export took 33.6 % of the CPU, strconv.AppendFloat 23.1 % of
+# it, until the encoder wrote integral floats as integers and copied
+# repeated ones from a memo: now 19.6 % and 10.4 % (80-pass profiles on
+# a 2-CPU AMD EPYC). The track merge (Recorder.spans, about 12 %) and
+# Attribute (about 9 %, of which the run's own attribution is half) are
+# next; BenchmarkWritePerfetto times the encoder alone.
 profile-observed:
 	$(call profile,BenchmarkFleetRun32Observed,./internal/cluster,10x,2x,observed)
 
@@ -193,6 +205,32 @@ profile-dispatch:
 # commitStep, about 10 %) and the result store's chunks.
 profile-kv:
 	$(call profile,BenchmarkKVPressure,./internal/cluster,10x,2x,kv)
+
+# Instructions per request of each workload's pass, counted by
+# internal/perfctr (the calling thread's user-space instruction counter,
+# perf_event_open): BenchmarkCountObserved, ...Solver, ...KVPressure and
+# ...Dispatch run the pass of BenchmarkFleetRun32Observed,
+# BenchmarkServerRunBeam64, BenchmarkKVPressure and BenchmarkFleetDispatch
+# 8 times with the goroutine locked to its OS thread and the garbage
+# collector paused (debug.SetGCPercent(-1); a collection runs before each
+# pass, outside its count), and print instr/req, the median pass over its
+# requests, and spread, (max - min) / median of the 8. The limits: the
+# count leaves out the collector's background work and all kernel time,
+# it is not seconds, and it is comparable only between runs on one host
+# built by one Go version. Where the counter cannot open — not Linux,
+# perf_event_paranoid 3 or more, no PMU — the benchmark skips and prints
+# why; no target changes a machine setting or asks for one.
+count-observed:
+	$(GO) test -run '^$$' -bench '^BenchmarkCountObserved$$' -benchtime 1x ./internal/cluster
+
+count-solver:
+	$(GO) test -run '^$$' -bench '^BenchmarkCountSolver$$' -benchtime 1x .
+
+count-kv:
+	$(GO) test -run '^$$' -bench '^BenchmarkCountKVPressure$$' -benchtime 1x ./internal/cluster
+
+count-dispatch:
+	$(GO) test -run '^$$' -bench '^BenchmarkCountDispatch$$' -benchtime 1x ./internal/cluster
 
 # Regenerate the golden traces, the span digests in
 # testdata/golden/perfetto.sha256, and fastttsserve's output goldens in

@@ -20,6 +20,7 @@ import (
 	"fasttts/internal/metrics"
 	"fasttts/internal/model"
 	"fasttts/internal/obs"
+	"fasttts/internal/perfctr"
 	"fasttts/internal/rng"
 	"fasttts/internal/sched"
 	"fasttts/internal/search"
@@ -228,19 +229,27 @@ func BenchmarkFleetRun256P2C(b *testing.B)       { benchmarkFleetRun(b, 256, "p2
 // pass: 256 devices, 100k requests, least-work routing, every optional
 // hook off (make profile-dispatch profiles it).
 func BenchmarkFleetDispatch(b *testing.B) {
-	devs, reqs := benchFleet(b, 256, 100000)
+	pass, requests := dispatchPass(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*requests), "ns/req")
+}
+
+// dispatchPass is one fleet-dispatch pass over its stream of requests.
+func dispatchPass(tb testing.TB) (pass func(), requests int) {
+	devs, reqs := benchFleet(tb, 256, 100000)
+	return func() {
 		f, err := New(Config{Devices: devs, Router: LeastWork{}, Seed: 42})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := f.Run(reqs); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/req")
+	}, len(reqs)
 }
 
 // observedFleet is the benchmark's fleet-observed workload at a chosen
@@ -271,21 +280,56 @@ func observedFleet(tb testing.TB, n, requests int) (mk func() Config, reqs []cor
 // what a monitored deployment does with it — merge the tracks, attribute
 // every request's latency, export the Perfetto trace.
 func BenchmarkFleetRun32Observed(b *testing.B) {
-	mk, reqs := observedFleet(b, 32, 20000)
+	pass, requests := observedPass(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	recorded := 0
 	for i := 0; i < b.N; i++ {
-		_, spans := runTraced(b, mk, reqs)
+		recorded = pass()
+	}
+	b.ReportMetric(float64(recorded)/float64(requests), "spans/req")
+}
+
+// observedPass is one fleet-observed pass over its stream of requests;
+// it returns the spans recorded.
+func observedPass(tb testing.TB) (pass func() int, requests int) {
+	mk, reqs := observedFleet(tb, 32, 20000)
+	return func() int {
+		_, spans := runTraced(tb, mk, reqs)
 		if attrs := obs.Attribute(spans); len(attrs) == 0 {
-			b.Fatal("no request attributed")
+			tb.Fatal("no request attributed")
 		}
+		if err := obs.WritePerfetto(io.Discard, spans); err != nil {
+			tb.Fatal(err)
+		}
+		return len(spans)
+	}, len(reqs)
+}
+
+// BenchmarkWritePerfetto is the Perfetto encoder alone on the
+// fleet-observed pass's stream (32 devices, 20k requests, about 97k
+// spans): one export per iteration, reported per span in nanoseconds,
+// and in user-space instructions (the median of 8 more exports) where
+// internal/perfctr can count them.
+func BenchmarkWritePerfetto(b *testing.B) {
+	mk, reqs := observedFleet(b, 32, 20000)
+	_, spans := runTraced(b, mk, reqs)
+	export := func() {
 		if err := obs.WritePerfetto(io.Discard, spans); err != nil {
 			b.Fatal(err)
 		}
-		recorded = len(spans)
 	}
-	b.ReportMetric(float64(recorded)/float64(len(reqs)), "spans/req")
+	runtime.GC() // the run's garbage, collected before the clock starts
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		export()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(spans)), "ns/span")
+	if median, _, err := perfctr.Count(8, export); err == nil {
+		b.ReportMetric(median/float64(len(spans)), "instr/span")
+	}
 }
 
 // kvPressureFleet is the benchmark's kv-pressure workload: a fast 4090 and
@@ -322,19 +366,59 @@ func kvPressureFleet(tb testing.TB, requests int) ([]Device, []core.Request) {
 // the workload where the solver's answer draws, eviction heap and beam
 // sort weigh most (make profile-kv profiles it).
 func BenchmarkKVPressure(b *testing.B) {
-	devs, reqs := kvPressureFleet(b, 2000)
+	pass, requests := kvPressurePass(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*requests), "ns/req")
+}
+
+// kvPressurePass is one kv-pressure pass over its stream of requests.
+func kvPressurePass(tb testing.TB) (pass func(), requests int) {
+	devs, reqs := kvPressureFleet(tb, 2000)
+	return func() {
 		f, err := New(Config{Devices: devs, Router: CacheAware{}, Seed: 42, SLOLatency: 60})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := f.Run(reqs); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+	}, len(reqs)
+}
+
+// The count-* Makefile targets: the user-space instructions a request
+// of each pass above costs, the median of 8 passes on one locked thread
+// with the garbage collector paused (internal/perfctr), and their
+// spread. They skip, with the reason, where the counter cannot open.
+func BenchmarkCountObserved(b *testing.B) {
+	pass, requests := observedPass(b)
+	countPerRequest(b, func() { pass() }, requests)
+}
+
+func BenchmarkCountKVPressure(b *testing.B) {
+	pass, requests := kvPressurePass(b)
+	countPerRequest(b, pass, requests)
+}
+
+func BenchmarkCountDispatch(b *testing.B) {
+	pass, requests := dispatchPass(b)
+	countPerRequest(b, pass, requests)
+}
+
+// countPerRequest reports pass's instructions per request and their
+// spread over 8 passes, once per benchmark iteration.
+func countPerRequest(b *testing.B, pass func(), requests int) {
+	for i := 0; i < b.N; i++ {
+		median, spread, err := perfctr.Count(8, pass)
+		if err != nil {
+			b.Skip(err)
+		}
+		b.ReportMetric(median/float64(requests), "instr/req")
+		b.ReportMetric(spread, "spread")
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/req")
 }
 
 // TestFleetRunAllocsPerRequest pins what an untraced fleet pass allocates

@@ -19,6 +19,12 @@ import (
 // (perfetto_oracle_test.go holds that tree and pins the equality). A
 // non-finite timestamp, duration or payload is an error, reported
 // before anything is written — never invalid JSON.
+//
+// Most floats skip strconv on two exact paths (floatMemo.append): an
+// integral value of magnitude below 2^53, other than -0, is written as
+// its integer digits, and any other value seen before in this call is
+// copied from a fixed-size memo of its text. A timestamp equal to the previous span's, the common case,
+// hits the memo slot that span just filled.
 func WritePerfetto(w io.Writer, spans []Span) error {
 	// Thread-name metadata: control plane plus every device track seen.
 	maxDev := -1
@@ -41,6 +47,7 @@ func WritePerfetto(w io.Writer, spans []Span) error {
 	// perfettoFlush; the first write error stops the writing and is
 	// returned.
 	var werr error
+	var memo floatMemo
 	b := make([]byte, 0, perfettoFlush+512)
 	flush := func() {
 		if werr == nil {
@@ -76,18 +83,21 @@ func WritePerfetto(w io.Writer, spans []Span) error {
 		sep = ","
 		b = append(b, `{"name":"`...)
 		b = append(b, s.Kind.String()...)
+		tag0, tag1 := 0, 0 // the tag's digits, written once, copied into args
 		if scoped {
 			b = append(b, " #"...)
+			tag0 = len(b)
 			b = strconv.AppendInt(b, int64(s.Tag), 10)
+			tag1 = len(b)
 		}
 		if interval {
 			b = append(b, `","ph":"X","ts":`...)
-			b = appendJSONFloat(b, ts)
+			b = memo.append(b, ts)
 			b = append(b, `,"dur":`...)
-			b = appendJSONFloat(b, dur)
+			b = memo.append(b, dur)
 		} else {
 			b = append(b, `","ph":"i","ts":`...)
-			b = appendJSONFloat(b, ts)
+			b = memo.append(b, ts)
 		}
 		b = append(b, `,"pid":0,"tid":`...)
 		b = strconv.AppendInt(b, int64(s.Track)+1, 10) // ControlTrack (-1) -> 0
@@ -100,17 +110,17 @@ func WritePerfetto(w io.Writer, spans []Span) error {
 		n := len(b)
 		if scoped {
 			b = append(b, `"tag":`...)
-			b = strconv.AppendInt(b, int64(s.Tag), 10)
+			b = append(b, b[tag0:tag1]...)
 			b = append(b, ',')
 		}
 		if s.V1 != 0 {
 			b = append(b, `"v1":`...)
-			b = appendJSONFloat(b, s.V1)
+			b = memo.append(b, s.V1)
 			b = append(b, ',')
 		}
 		if s.V2 != 0 {
 			b = append(b, `"v2":`...)
-			b = appendJSONFloat(b, s.V2)
+			b = memo.append(b, s.V2)
 			b = append(b, ',')
 		}
 		if s.N != 0 {
@@ -166,3 +176,47 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	}
 	return b
 }
+
+// floatMemo is WritePerfetto's per-call table of float texts: direct
+// mapped, keyed by the value's bits, so 0 and -0 stay distinct. A slot
+// whose bits are 0 holds no text, which is never read: +0 is integral,
+// so it takes the integer path and never reaches the table.
+type floatMemo [1 << memoShift]struct {
+	bits uint64
+	n    uint8 // len of the text
+	text [memoText]byte
+}
+
+const (
+	memoShift = 10 // 1,024 slots
+	memoText  = 23 // a slot is 32 bytes; longer text is formatted every time
+)
+
+// append appends f as appendJSONFloat does, by one of two exact paths
+// where it can. An integral f with |f| < 2^53, other than -0, is written
+// by strconv.AppendInt: a digit string shorter than f's is another
+// integer, and every integer below 2^53 is a float64 that reads back as
+// itself, so f's own digits are the shortest text that round-trips (from
+// 2^53 on they need not be: encoding/json writes 2^60 as
+// 1152921504606847000). Every other f is looked up in the memo by its
+// bits, and formatted — and stored, when its text fits a slot — only on
+// a miss, so a hit returns the very bytes strconv gave for that value.
+func (m *floatMemo) append(b []byte, f float64) []byte {
+	if i := int64(f); float64(i) == f && -1<<53 < i && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(b, i, 10)
+	}
+	bits := math.Float64bits(f)
+	e := &m[memoSlot(bits)]
+	if e.bits == bits {
+		return append(b, e.text[:e.n]...)
+	}
+	n := len(b)
+	b = appendJSONFloat(b, f)
+	if len(b)-n <= memoText {
+		e.bits, e.n = bits, uint8(copy(e.text[:], b[n:]))
+	}
+	return b
+}
+
+// memoSlot is the memo slot of a float's bits (Fibonacci hashing).
+func memoSlot(bits uint64) uint64 { return bits * 0x9e3779b97f4a7c15 >> (64 - memoShift) }

@@ -194,6 +194,117 @@ func hostileSpan(r *rand.Rand) Span {
 	return s
 }
 
+// memoStreams are streams hostile to the encoder's two fast paths (the
+// integral path and the memo of float texts, floatMemo.append), whose
+// mistakes an independently drawn stream rarely reaches: a memo hit needs
+// a repeated value.
+//
+//   - pool: every value drawn from a small pool, so most are repeats;
+//   - zeros: runs of equal Start, and 0 and -0 alternating in Start, V1
+//     and V2 (the memo must key -0 apart from 0);
+//   - integral: integral values around and past 2^53 (2^53-1, 2^53,
+//     2^53+2, 1e15, 2^60, 1e21 and random ones up to 2^64, whose shortest
+//     text is not their digits), in the payloads and the timestamps;
+//   - collide: pairs of values that share a memo slot, alternating;
+//   - long: texts of 20 to 25 bytes, around and past one slot's length.
+func memoStreams(r *rand.Rand) map[string][]Span {
+	kind := func() Kind { return Kind(1 + r.Intn(int(KindDrain))) }
+	span := func(start, end, v1, v2 float64) Span {
+		return Span{Kind: kind(), Track: r.Intn(9) - 1, Tag: r.Intn(50), Start: start, End: end, V1: v1, V2: v2, N: r.Intn(3)}
+	}
+	streams := map[string][]Span{}
+
+	pool := make([]float64, 24)
+	for i := range pool {
+		pool[i] = hostileFloat(r)
+	}
+	starts := make([]float64, 12)
+	for i := range starts {
+		starts[i] = hostileSpan(r).Start
+	}
+	pick := func(xs []float64) float64 { return xs[r.Intn(len(xs))] }
+	for range 6000 {
+		start := pick(starts)
+		end := start
+		if r.Intn(2) == 0 {
+			end += math.Abs(pick(pool))
+		}
+		streams["pool"] = append(streams["pool"], span(start, end, pick(pool), pick(pool)))
+	}
+
+	negZero := math.Copysign(0, -1)
+	zeros := []float64{0, negZero}
+	start := 0.0
+	for i := range 3000 {
+		if r.Intn(4) == 0 { // a new run of equal starts
+			start = []float64{0, negZero, pick(starts)}[r.Intn(3)]
+		}
+		end := start
+		if r.Intn(3) == 0 {
+			end += pick(pool)
+		}
+		streams["zeros"] = append(streams["zeros"], span(start, end, zeros[i%2], zeros[(i+1)%2]))
+	}
+
+	integral := []float64{1<<53 - 1, 1 << 53, 1<<53 + 2, 1e15, 1 << 60, 1e21, 1, 63}
+	for range 40 {
+		// An integral float in [2^53, 2^64): 53 significant bits, shifted.
+		integral = append(integral, math.Ldexp(float64(1<<52|r.Int63n(1<<52)), 1+r.Intn(11)))
+	}
+	for i, n := 0, len(integral); i < n; i++ {
+		integral = append(integral, -integral[i])
+	}
+	for range 3000 {
+		// Starts from 2^53/1e6 on give integral timestamps past 2^53.
+		start := []float64{float64(r.Intn(100)), pick(integral) / 1e6, pick(integral)}[r.Intn(3)]
+		end := start
+		if r.Intn(2) == 0 {
+			end += math.Abs(pick(integral)) / 1e6
+		}
+		streams["integral"] = append(streams["integral"], span(start, end, pick(integral), pick(integral)))
+	}
+
+	// A partner for x: another non-integral value in x's memo slot.
+	partner := func(x float64, draw func() float64) float64 {
+		for {
+			if y := draw(); y != x && y != math.Trunc(y) && memoSlot(math.Float64bits(y)) == memoSlot(math.Float64bits(x)) {
+				return y
+			}
+		}
+	}
+	for range 20 {
+		s1 := r.Float64() * 100
+		s2 := partner(s1*1e6, func() float64 { return r.Float64() * 100 * 1e6 }) / 1e6
+		if memoSlot(math.Float64bits(s1*1e6)) != memoSlot(math.Float64bits(s2*1e6)) {
+			continue // s2*1e6 rounded off the shared slot
+		}
+		v1 := r.NormFloat64()
+		v2 := partner(v1, r.NormFloat64)
+		for i := range 60 {
+			s, a, b := s1, v1, v2
+			if i%2 == 1 {
+				s, a, b = s2, v2, v1
+			}
+			streams["collide"] = append(streams["collide"], span(s, s+[]float64{0, 0.25}[i/2%2], a, b))
+		}
+	}
+
+	var long []float64 // up to four values per text length from 20 to 25 bytes
+	perLen := map[int]int{}
+	for len(long) < 24 {
+		f := -hostileFloat(r) * math.Pow(10, float64(r.Intn(9)-4))
+		if n := len(appendJSONFloat(nil, f)); n >= 20 && n <= 25 && perLen[n] < 4 {
+			perLen[n]++
+			long = append(long, f)
+		}
+	}
+	for range 3000 {
+		start := math.Abs(pick(long)) / 1e6
+		streams["long"] = append(streams["long"], span(start, start+math.Abs(pick(long))/1e6, pick(long), pick(long)))
+	}
+	return streams
+}
+
 // encodeBoth runs the encoder and its oracle on one stream.
 func encodeBoth(t *testing.T, spans []Span) (got, want []byte, gotErr, wantErr error) {
 	t.Helper()
@@ -235,6 +346,9 @@ func TestWritePerfettoMatchesJSONOracle(t *testing.T) {
 		random[i] = hostileSpan(r)
 	}
 	streams["random"] = random
+	for label, spans := range memoStreams(r) {
+		streams[label] = spans
+	}
 	for label, spans := range streams {
 		got, want, gotErr, wantErr := encodeBoth(t, spans)
 		if gotErr != nil || wantErr != nil {
@@ -308,9 +422,10 @@ type failingWriter struct{}
 func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
 // TestWritePerfettoAllocs pins the encoder's allocation profile: a
-// constant handful (the output buffer and its flush closure) however
-// long the stream — no per-span event tree — and a write failure
-// surfaces as the error.
+// constant handful (the output buffer and its flush closure; the memo of
+// float texts is a fixed-size local) however long the stream — no
+// per-span event tree, no memo growth — and a write failure surfaces as
+// the error.
 func TestWritePerfettoAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	spans := make([]Span, 100000)

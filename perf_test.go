@@ -7,6 +7,8 @@ package fasttts
 import (
 	"runtime"
 	"testing"
+
+	"fasttts/internal/perfctr"
 )
 
 // solverBeamStream is the solver-beam serving shape: the public Server in
@@ -68,6 +70,23 @@ func BenchmarkServerRunBeam64(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*len(reqs)), "allocs/req")
+}
+
+// BenchmarkCountSolver is `make count-solver`: the user-space
+// instructions a request of BenchmarkServerRunBeam64's pass costs, the
+// median of 8 passes on one locked thread with the garbage collector
+// paused (internal/perfctr), and their spread. It skips, with the
+// reason, where the counter cannot open.
+func BenchmarkCountSolver(b *testing.B) {
+	sc, reqs := solverBeamStream(b, 500)
+	for i := 0; i < b.N; i++ {
+		median, spread, err := perfctr.Count(8, func() { serveFresh(b, sc, reqs) })
+		if err != nil {
+			b.Skip(err)
+		}
+		b.ReportMetric(median/float64(len(reqs)), "instr/req")
+		b.ReportMetric(spread, "spread")
+	}
 }
 
 // TestServerRunAllocsPerRequest pins what a fresh public Server.Run pass
