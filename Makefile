@@ -58,8 +58,10 @@ scenarios:
 # the tournament tree alone) and the span-lifecycle property over
 # cancelled and withdrawn requests (TraceLifecycleProperty, about 5 s of
 # the sweep), of the search policies' in-place Select against its
-# allocating reference (TestSelectMatchesReference, internal/search), and
-# of the run-length radix cache against its token-by-token oracle and its
+# allocating reference (TestSelectMatchesReference, internal/search), of
+# the solver's decode loop against its scanning reference over random
+# decode groups (TestDecodeRoundsMatchesReference, internal/core; a
+# failing seed prints as core:<n>), and of the run-length radix cache against its token-by-token oracle and its
 # eviction heap against container/heap (TestDifferentialOracle,
 # TestEvictHeapMatchesContainerHeap, internal/kvcache; about 0.1 s a
 # seed), and of the Perfetto encoder against encoding/json on random and
@@ -72,6 +74,7 @@ quick-sweep:
 	mkdir -p bench-smoke
 	$(GO) test -c -o bench-smoke/cluster-quick.test ./internal/cluster
 	$(GO) test -c -o bench-smoke/search-quick.test ./internal/search
+	$(GO) test -c -o bench-smoke/core-quick.test ./internal/core
 	$(GO) test -c -o bench-smoke/kvcache-quick.test ./internal/kvcache
 	$(GO) test -c -o bench-smoke/obs-quick.test ./internal/obs
 	@failed=""; for seed in $$(seq 1 200); do \
@@ -80,6 +83,9 @@ quick-sweep:
 		fi; \
 		if ! out=$$(bench-smoke/search-quick.test -test.run '^TestSelectMatchesReference$$' -quick.seed=$$seed 2>&1); then \
 			echo "$$out"; failed="$$failed search:$$seed"; \
+		fi; \
+		if ! out=$$(bench-smoke/core-quick.test -test.run '^TestDecodeRoundsMatchesReference$$' -quick.seed=$$seed 2>&1); then \
+			echo "$$out"; failed="$$failed core:$$seed"; \
 		fi; \
 		if ! out=$$(bench-smoke/kvcache-quick.test -test.run '^(TestDifferentialOracle|TestEvictHeapMatchesContainerHeap)$$' -quick.seed=$$seed 2>&1); then \
 			echo "$$out"; failed="$$failed kvcache:$$seed"; \
@@ -143,7 +149,14 @@ endef
 # beams' run slices (appendNodeRuns, decodeRounds, takePending,
 # commitStep, about 23 %) and the result store's chunks. The search
 # policy's Select allocates nothing: it selects in the candidates' own
-# storage.
+# storage. In a 60-pass CPU profile (2-CPU AMD EPYC) the decode loop
+# (solver.decodeRounds with its DecodeRun stretches) takes about 21 %,
+# down from 25 % when it walked every running speculative slot at every
+# event; the three stable sorts of an iteration went from about 8 % to
+# 5 % (Select now takes a top-k, 0.9 %), and deriving a beam's three
+# streams from 7 % to 5 %. These time shares rank light loops unreliably
+# (the sorts were 6.8 % of the pass's instructions), so size a target
+# with make count-solver.
 profile-solver:
 	$(call profile,BenchmarkServerRunBeam64,.,3x,1x,solver)
 
@@ -191,9 +204,11 @@ profile-dispatch:
 # profiles of BenchmarkKVPressure (three GPUs behind 512 MiB KV planes,
 # cache-aware routing, 18 hot few-shot prompts, in
 # internal/cluster/perf_test.go). The decode loop (solver.decodeRounds,
-# about 20 % of CPU) still leads; most of it is engine.DecodeRun's two
-# roofline divisions per round, the rest spec-slot filling. Then come
-# verification, kvcache acquire/walk and beam selection; long prompts
+# about 24 % of CPU) still leads; most of it is engine.DecodeRun (about
+# 15 %), one roofline division per round on a stretch that is
+# memory-bound at both ends and two elsewhere, the rest spec-slot
+# filling. Then come verification, kvcache acquire/walk and beam
+# selection; long prompts
 # and a 250-answer AIME space make answer draws and kvcache eviction
 # weigh more here than on solver-beam. Neither the memory plane (a session
 # keeps its cache handles in place and is reused with the loop's session)
@@ -217,7 +232,11 @@ profile-kv:
 # requests, and spread, (max - min) / median of the 8. The limits: the
 # count leaves out the collector's background work and all kernel time,
 # it is not seconds, and it is comparable only between runs on one host
-# built by one Go version. Where the counter cannot open — not Linux,
+# built by one Go version. On a 2-CPU AMD EPYC with go1.24.0 they read
+# about 2.26 M (solver), 347 k (kv), 10.6 k (dispatch) and 25.2 k
+# (observed) instructions per request, the solver's down from 2.68 M
+# once beam search's per-event slot scans, full sorts, label hashing and
+# hot divisions went. Where the counter cannot open — not Linux,
 # perf_event_paranoid 3 or more, no PMU — the benchmark skips and prints
 # why; no target changes a machine setting or asks for one.
 count-observed:

@@ -82,12 +82,18 @@ func DecodeTime(dec *model.DecodeRoofline, batch, cacheLen int) float64 {
 // cycleTime evaluates T_tot for a candidate batch pair; dec is the
 // generator's decode roofline on in.GPU.
 func cycleTime(in Input, dec *model.DecodeRoofline, bPre, bDec int) float64 {
-	nPreBatches := ceilDiv(in.N, bPre)
-	nDecBatches := ceilDiv(in.N, bDec)
+	return preTime(in, bPre) + decTime(in, dec, bDec)
+}
+
+// preTime is T_tot's verifier prefill term.
+func preTime(in Input, bPre int) float64 {
+	return float64(ceilDiv(in.N, bPre)) * PrefillTime(in.GPU, in.Verifier, bPre, in.SeqVerifier)
+}
+
+// decTime is T_tot's generator decode term.
+func decTime(in Input, dec *model.DecodeRoofline, bDec int) float64 {
 	avgCache := in.SeqDecode / 2 // S̄_cache ≈ S_dec/2 (paper §4.3.1)
-	tPre := float64(nPreBatches) * PrefillTime(in.GPU, in.Verifier, bPre, in.SeqVerifier)
-	tDec := float64(nDecBatches) * float64(in.SeqDecode) * DecodeTime(dec, bDec, avgCache)
-	return tPre + tDec
+	return float64(ceilDiv(in.N, bDec)) * float64(in.SeqDecode) * DecodeTime(dec, bDec, avgCache)
 }
 
 // Optimize runs the roofline-guided linear search. The search space is
@@ -108,6 +114,9 @@ func Optimize(in Input) (Plan, error) {
 	if maxPre > in.N {
 		maxPre = in.N
 	}
+	// B_dec only falls as B_pre grows, and stays at N for as long as the
+	// budget allows, so the decode term is computed once per B_dec.
+	tDec, tDecOf := 0.0, 0
 	for bPre := 1; bPre <= maxPre; bPre++ {
 		rem := in.BudgetBytes - int64(bPre)*kvPre
 		bDec := int(rem / kvDec) // Eq. 1
@@ -117,7 +126,10 @@ func Optimize(in Input) (Plan, error) {
 		if bDec < 1 {
 			continue
 		}
-		t := cycleTime(in, &dec, bPre, bDec)
+		if bDec != tDecOf {
+			tDec, tDecOf = decTime(in, &dec, bDec), bDec
+		}
+		t := preTime(in, bPre) + tDec
 		// Ties resolve in favor of the larger decode batch (§4.3.1).
 		if best.TotalTime < 0 || t < best.TotalTime ||
 			(t == best.TotalTime && bDec > best.BDec) {

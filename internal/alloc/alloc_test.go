@@ -1,12 +1,14 @@
 package alloc
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"fasttts/internal/hw"
 	"fasttts/internal/model"
+	"fasttts/internal/rng"
 )
 
 func baseInput() Input {
@@ -260,4 +262,90 @@ func TestTieBreakPrefersLargerDecodeBatch(t *testing.T) {
 	if p.BPre != 1 || p.BDec != 1 {
 		t.Errorf("N=1 plan = %+v, want 1/1", p)
 	}
+}
+
+// refOptimize is Optimize as it was before the decode term was memoized
+// per B_dec: every candidate evaluates the whole T_tot afresh. It is the
+// oracle TestOptimizeMatchesReference holds Optimize to.
+func refOptimize(in Input) (Plan, error) {
+	if in.N <= 0 {
+		return Plan{}, ErrInfeasible
+	}
+	kvPre := in.Verifier.KVBytes(1, in.SeqVerifier)
+	kvDec := in.Generator.KVBytes(1, in.SeqDecode)
+	dec := model.NewDecodeRoofline(in.Generator, in.GPU)
+	cycle := func(bPre, bDec int) float64 {
+		avgCache := in.SeqDecode / 2
+		tPre := float64(ceilDiv(in.N, bPre)) * PrefillTime(in.GPU, in.Verifier, bPre, in.SeqVerifier)
+		tDec := float64(ceilDiv(in.N, bDec)) * float64(in.SeqDecode) * DecodeTime(&dec, bDec, avgCache)
+		return tPre + tDec
+	}
+	best := Plan{TotalTime: -1}
+	maxPre := min(int(in.BudgetBytes/kvPre), in.N)
+	for bPre := 1; bPre <= maxPre; bPre++ {
+		bDec := min(int((in.BudgetBytes-int64(bPre)*kvPre)/kvDec), in.N)
+		if bDec < 1 {
+			continue
+		}
+		t := cycle(bPre, bDec)
+		if best.TotalTime < 0 || t < best.TotalTime || (t == best.TotalTime && bDec > best.BDec) {
+			best = Plan{BPre: bPre, BDec: bDec, PreBytes: int64(bPre) * kvPre, TotalTime: t}
+		}
+	}
+	if in.AllowOffload {
+		bPre := min(int(in.BudgetBytes/kvPre), in.N)
+		bDec := min(int(in.BudgetBytes/kvDec), in.N)
+		if bPre >= 1 && bDec >= 1 {
+			moved := float64(int64(bPre)*kvPre + int64(bDec)*kvDec)
+			t := cycle(bPre, bDec) + in.GPU.TransferTime(moved)
+			if best.TotalTime < 0 || t < best.TotalTime {
+				best = Plan{BPre: bPre, BDec: bDec, PreBytes: int64(bPre) * kvPre, TotalTime: t, Offload: true}
+			}
+		}
+	}
+	if best.TotalTime < 0 {
+		return Plan{}, ErrInfeasible
+	}
+	return best, nil
+}
+
+// TestOptimizeMatchesReference: over random inputs — every GPU and model
+// pairing, widths 1–256, budgets from below one sequence per stage to far
+// above N of them, with and without offload — Optimize returns the plan
+// the un-memoized reference returns, TotalTime bit for bit.
+func TestOptimizeMatchesReference(t *testing.T) {
+	r := rng.New(55)
+	gpus := []hw.GPU{hw.RTX4090, hw.RTX4070Ti, hw.RTX3070Ti}
+	models := []model.Config{model.Qwen25Math1_5B, model.Qwen25Math7B, model.ShepherdPRM7B, model.SkyworkPRM1_5B}
+	var plans, offloads int
+	for i := 0; i < 3000; i++ {
+		in := Input{
+			GPU:          gpus[r.IntN(len(gpus))],
+			Generator:    models[r.IntN(len(models))],
+			Verifier:     models[r.IntN(len(models))],
+			N:            1 + r.IntN(256),
+			SeqVerifier:  1 + r.IntN(4096),
+			SeqDecode:    1 + r.IntN(2048),
+			BudgetBytes:  int64(1+r.IntN(1<<10)) << (16 + r.IntN(20)), // 64 KiB – 64 TiB
+			AllowOffload: r.IntN(2) == 0,
+		}
+		got, err := Optimize(in)
+		want, werr := refOptimize(in)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("input %d %+v: err %v, reference %v", i, in, err, werr)
+		}
+		if got != want || math.Float64bits(got.TotalTime) != math.Float64bits(want.TotalTime) {
+			t.Fatalf("input %d %+v:\n got %+v\nwant %+v", i, in, got, want)
+		}
+		if err == nil {
+			plans++
+		}
+		if got.Offload {
+			offloads++
+		}
+	}
+	if plans < 1000 || offloads < 100 || plans == 3000 {
+		t.Errorf("inputs drew %d feasible plans (%d offloaded) of 3000: too few of some kind to test", plans, offloads)
+	}
+	t.Logf("%d feasible plans, %d offloaded", plans, offloads)
 }

@@ -73,13 +73,13 @@ func (r *Runner) SolveWithPreemption(p *workload.Problem, at float64) (*Result, 
 // happens.
 type preemptProbe struct {
 	othersWaiting bool
-	pending       float64 // earliest pending boundary; < 0 means none
-	sliceStart    float64 // loop clock at slice start
-	localStart    float64 // solver clock at slice start
-	scale         float64 // straggler factor of the slice
 	// hit reports whether the probe fired at any point the decode loop
 	// consulted it during the slice (observability only).
-	hit bool
+	hit        bool
+	pending    float64 // earliest pending boundary; < 0 means none
+	sliceStart float64 // loop clock at slice start
+	localStart float64 // solver clock at slice start
+	scale      float64 // straggler factor of the slice
 }
 
 // noPreemption is the probe of a solve nothing preempts.
@@ -112,13 +112,15 @@ type reqState struct {
 
 	// Streams are held by value and derived in place; seedRoot exists so
 	// root's parent pointer (rng.Stream.Path) stays inside the solver.
+	// beamSeeds derives the beams' three streams from root, each label
+	// hashed once per request.
 	seedRoot  rng.Stream
 	root      rng.Stream
 	orderRand rng.Stream
 	selRand   rng.Stream
+	beamSeeds rng.Trio
 
 	kvBudget int64
-	offload  bool
 	meanStep int
 
 	nextNode  int
@@ -129,7 +131,11 @@ type reqState struct {
 	specTok      int64
 	specRetained int64
 
+	// The bools here and in preemptProbe sit in pairs: a solver is 1,016
+	// bytes, and Go's 8-byte header on a pointerful object over 512 bytes
+	// takes one more byte to the next size class.
 	maxIters int
+	offload  bool
 	begun    bool
 
 	// preempt is consulted during decode rounds; once it fires, speculative
@@ -162,7 +168,7 @@ type stack struct {
 	recomp     []engine.PrefillItem // execTrie's recompute batch
 	byRem      []*beam              // decodeRounds: the group's decoding beams by rounds left
 	specQueue  specHeap             // decodeRounds: speculative fill queue
-	specSlots  []specSlot           // decodeRounds: running speculative branches
+	specSlots  slotHeap             // decodeRounds: running speculative branches, by the round each caps
 	runs       []kvcache.Run        // a path under construction (prompt, speculative extension)
 	seq        kvcache.Seq          // handle for acquire-then-release and speculative forks
 	reqs       []verify.Request     // verificationPhase's batch
@@ -252,6 +258,7 @@ func (s *solver) init(cfg *Config, budget int64, pol search.Policy, strategy sea
 	s.root = s.seedRoot.DeriveN(p.Dataset, p.Index)
 	s.orderRand = s.root.Derive("order")
 	s.selRand = s.root.Derive("select")
+	s.beamSeeds = s.root.Trio(&beamStreamLabels)
 	return nil
 }
 
@@ -275,11 +282,14 @@ func (s *solver) newBeam() *beam {
 // freeBeam returns a beam that left the frontier to the pool.
 func (s *solver) freeBeam(b *beam) { s.freeBeams = append(s.freeBeams, b) }
 
-// deriveStreams seeds the beam's three private streams from its ID.
+// beamStreamLabels are the labels of a beam's three streams under root.
+var beamStreamLabels = [3]string{"beam", "obs", "spec"}
+
+// deriveStreams seeds the beam's three private streams from its ID,
+// root.DeriveN("beam", id) and likewise "obs" and "spec", formatting the
+// ID once.
 func (s *solver) deriveStreams(b *beam) {
-	b.r = s.root.DeriveN("beam", b.id)
-	b.obsR = s.root.DeriveN("obs", b.id)
-	b.specR = s.root.DeriveN("spec", b.id)
+	s.beamSeeds.DeriveN(b.id, &b.r, &b.obsR, &b.specR)
 }
 
 // run solves the request start to finish, its Result from st.
@@ -825,10 +835,71 @@ func (h *specHeap) pop() specCandidate {
 	return top
 }
 
-// specSlot is one speculative branch occupying a decode slot.
+// specSlot is one speculative branch occupying a decode slot: b.specs[idx],
+// which reaches its cap at round capAt. Its count was last brought up to
+// date at round capAt − max(cap − count, 1) (capAt is set then, and count
+// and cap change only when the slot is settled), so the slot need not
+// store that round. A round is below the longest step's token count, so
+// int32 keeps a slot to two words.
 type specSlot struct {
-	b   *beam
-	idx int // index into b.specs
+	b     *beam
+	idx   int32
+	capAt int32
+}
+
+// capRound is the round a branch brought up to date at round r reaches
+// its cap: one round on at the earliest, since a branch chained into an
+// empty future step is already at its cap.
+func capRound(r int, br *specBranch) int32 { return int32(r + max(br.cap-br.count, 1)) }
+
+// settle brings the branch's count up to date at round r and returns it:
+// it decoded one token in every round since it was last brought up to
+// date. It reads that round off capAt, so it runs once per push.
+func (sl *specSlot) settle(r int) *specBranch {
+	br := &sl.b.specs[sl.idx]
+	br.count += r - (int(sl.capAt) - max(br.cap-br.count, 1))
+	return br
+}
+
+// slotHeap is the running speculative slots as a binary min-heap by capAt.
+// Slots that cap in the same round may come out in any order: what each
+// does at its cap touches only its own beam, plus integer sums.
+type slotHeap []specSlot
+
+func (h *slotHeap) push(sl specSlot) {
+	q := append(*h, sl)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if q[parent].capAt <= q[i].capAt {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+	*h = q
+}
+
+func (h *slotHeap) pop() specSlot {
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	q[last] = specSlot{}
+	q = q[:last]
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < last; c++ {
+			if q[c].capAt < q[least].capAt {
+				least = c
+			}
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }
 
 // decodeRounds is the generation while-loop of Algorithm 1: one token per
@@ -843,11 +914,19 @@ type specSlot struct {
 // reaching its cap, preemption. The loop steps from event to event, and the
 // stretch of rounds between two events is one engine.DecodeRun, which
 // charges each round in round order from locals and commits the clock
-// once; speculative counts are brought up to date, and free slots refilled,
-// only at events. While speculating, the run ends early where the
-// preemption probe first fires, which it reads only at its last top unless
-// it fires there (the probe is monotone). Every time and count is what
-// stepping round by round gives.
+// once. While speculating, the run ends early where the preemption probe
+// first fires, which it reads only at its last top unless it fires there
+// (the probe is monotone).
+//
+// The loop's host work is proportional to its events, not to its running
+// speculative slots: they wait on a min-queue by the round each reaches
+// its cap, and an event pops only the slots that cap there. A slot's count
+// is brought up to date only when it caps, when preemption stops
+// speculation, or when the loop ends; specTok and the speculative context
+// advance by the rounds times the slots once per event. Every count is an
+// integer and a capped branch re-chains from its own beam's stream alone,
+// so every time and count is what stepping round by round and slot by
+// slot gives.
 func (s *solver) decodeRounds(group []*beam) {
 	// The decoding beams, ordered by the round they finish in; beams
 	// finishing together keep group order (the sort is stable).
@@ -880,7 +959,7 @@ func (s *solver) decodeRounds(group []*beam) {
 		}
 	}
 	slots := len(group)
-	specActive := s.specSlots[:0]
+	running := s.specSlots[:0]
 	// Speculative context budget: spec slots add KV reads to every round,
 	// so their total context is capped at a fraction of the weight-read
 	// cost, keeping speculation effectively free under the roofline.
@@ -891,6 +970,7 @@ func (s *solver) decodeRounds(group []*beam) {
 		// prefixes; shrink the speculation envelope to what fits.
 		specCtxBudget = free
 	}
+	r := 0 // rounds decoded
 	// fill hands free slots to queued candidates. It leaves the slots full
 	// or the queue empty, and only an event frees a slot or queues a beam,
 	// so between events it would do nothing.
@@ -898,7 +978,7 @@ func (s *solver) decodeRounds(group []*beam) {
 		if !speculating || s.preempt.fires(s.clk.Now()) {
 			return
 		}
-		for active+len(specActive) < slots && len(cand) > 0 {
+		for active+len(running) < slots && len(cand) > 0 {
 			b := cand.pop().b
 			if len(b.nextSteps) == 0 {
 				st := workload.SampleStep(s.p, &b.state, s.cfg.GenSkill,
@@ -918,78 +998,71 @@ func (s *solver) decodeRounds(group []*beam) {
 				node: node, cap: capTok,
 				ctxLen: b.tokLen + b.pendLen,
 			})
-			specActive = append(specActive, specSlot{b: b, idx: len(b.specs) - 1})
+			running.push(specSlot{b: b, idx: int32(len(b.specs) - 1), capAt: capRound(r, &b.specs[len(b.specs)-1])})
 			ctx += base
 			specCtx += base
 			pushCand(b) // re-queue with reduced priority if still eligible
 		}
 	}
-	// catchUp credits every running speculative branch with the k rounds
-	// decoded since its count was last brought up to date.
-	catchUp := func(k int) {
-		for _, sl := range specActive {
-			sl.b.specs[sl.idx].count += k
-		}
-		s.specTok += int64(k * len(specActive))
-		specCtx += int64(k * len(specActive))
+	// advance credits the running slots, in the totals, with the rounds
+	// since from.
+	advance := func(from int) {
+		k := int64((r - from) * len(running))
+		s.specTok += k
+		specCtx += k
 	}
 	probe := s.preempt.fires
 	fill()
 	done := 0  // byRem[:done] have finished decoding
-	r := 0     // rounds decoded
 	top := 0.0 // the clock at the top of round r
 	for active > 0 {
-		from := r // speculative counts include rounds 1..from
+		from := r
 		// The next event: the next beam to finish, or the next speculative
-		// branch to reach its cap — one round on at the earliest, since a
-		// branch chained into an empty future step is already at its cap.
+		// branch to reach its cap.
 		next := byRem[done].rem
-		for _, sl := range specActive {
-			br := &sl.b.specs[sl.idx]
-			next = min(next, r+max(br.cap-br.count, 1))
+		if len(running) > 0 {
+			next = min(next, int(running[0].capAt))
 		}
-		batch := active + len(specActive)
+		batch := active + len(running)
 		for r < next {
 			// Preemption stops all speculative execution at the top of
 			// the first round it covers (§4.1.2); accumulated tokens are
 			// kept, and the stretch goes on with the beams alone.
 			var stop func(float64) bool
-			if len(specActive) > 0 {
+			if len(running) > 0 {
 				stop = probe
 			}
 			var ran int
 			ran, ctx, top = s.gen.DecodeRun(batch, ctx, next-r, trace.PhaseGenerate, stop)
 			if r += ran; r < next {
-				catchUp(r - from)
-				for _, sl := range specActive {
-					br := &sl.b.specs[sl.idx]
+				advance(from)
+				for i := range running {
+					br := running[i].settle(r)
 					ctx -= int64(br.ctxLen + br.count)
 					specCtx -= int64(br.ctxLen + br.count)
 				}
-				specActive = specActive[:0]
+				running = running[:0]
 				batch, next = active, byRem[done].rem
 			}
 		}
-		if len(specActive) > 0 {
-			catchUp(r - from)
-			keep := specActive[:0]
-			for _, sl := range specActive {
-				br := &sl.b.specs[sl.idx]
-				if br.count < br.cap {
-					keep = append(keep, sl)
-					continue
-				}
+		if len(running) > 0 {
+			advance(from)
+			for len(running) > 0 && int(running[0].capAt) <= r {
+				sl := running.pop()
+				br := sl.settle(r)
 				if sl.idx == 0 && s.chainSpec(sl.b, br) {
 					// The primary branch rolls into the following future
-					// step (deep lookahead) and keeps its slot.
-					keep = append(keep, sl)
+					// step (deep lookahead) and keeps its slot; its new cap
+					// is a round on at the earliest, so this event does not
+					// pop it again.
+					sl.capAt = capRound(r, br)
+					running.push(sl)
 					continue
 				}
 				// Branch completed its future step: free the slot.
 				ctx -= int64(br.ctxLen + br.count)
 				specCtx -= int64(br.ctxLen + br.count)
 			}
-			specActive = keep
 		}
 		for ; done < len(byRem) && byRem[done].rem == r; done++ {
 			b := byRem[done]
@@ -998,6 +1071,9 @@ func (s *solver) decodeRounds(group []*beam) {
 			pushCand(b)
 		}
 		fill()
+	}
+	for i := range running {
+		running[i].settle(r)
 	}
 	// The slice's probe-hit flag: the loop consulted the probe at the top
 	// of every round and, while speculating, at every fill; it is monotone,
@@ -1009,7 +1085,8 @@ func (s *solver) decodeRounds(group []*beam) {
 	}
 	// Hand the (possibly regrown) buffers back, emptied of beam pointers.
 	clear(cand)
-	s.specQueue, s.specSlots = cand[:0], specActive[:0]
+	clear(running)
+	s.specQueue, s.specSlots = cand[:0], running[:0]
 }
 
 // maxSpecDepth bounds how many future steps the primary speculative

@@ -115,6 +115,9 @@ func (e *Engine) DecodeRun(batch int, ctxTokens int64, rounds int, phase trace.P
 // fire at the last top it fires at none. If it does fire there, the run
 // starts over from its uncommitted start, exact this time, to find the
 // first top it fires at. A run with a kernel track is exact from the start.
+// Where those rounds are memory-bound from first to last
+// (model.DecodeRoofline.MemoryBound), each costs the memory term alone,
+// one division, which is what the full roofline gives it.
 func (e *Engine) decode(batch int, ctxTokens int64, rounds int, phase trace.Phase, stop func(float64) bool) (ran int, ctx int64, top, dt float64) {
 	start := e.Clock.Now()
 	if batch <= 0 || rounds <= 0 {
@@ -125,8 +128,14 @@ func (e *Engine) decode(batch int, ctxTokens int64, rounds int, phase trace.Phas
 	for {
 		now, busy, mean := start, e.BusyTime, ctxTokens/b
 		ctx, dt, ran = ctxTokens, 0, 0
-		if !exact {
-			for ; ran < rounds-1; ran++ {
+		if n := rounds - 1; !exact && e.dec.MemoryBound(batch, ctx, mean, n) {
+			for ; ran < n; ran++ {
+				dt = e.dec.StepMem(batch, ctx)
+				now, busy, ctx = now+dt, busy+dt, ctx+b
+			}
+			mean += int64(n)
+		} else if !exact {
+			for ; ran < n; ran++ {
 				dt, _ = e.dec.StepMean(batch, ctx, mean)
 				now, busy, ctx, mean = now+dt, busy+dt, ctx+b, mean+1
 			}

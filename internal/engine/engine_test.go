@@ -123,66 +123,138 @@ func TestDecodeRoundMatchesFormula(t *testing.T) {
 // top and no earlier one.
 func TestDecodeRunMatchesRounds(t *testing.T) {
 	r := rand.New(rand.NewPCG(40, 2))
-	for _, g := range []hw.GPU{hw.RTX4090, hw.RTX4070Ti, hw.RTX3070Ti} {
+	forEachDeployment(t, []hw.GPU{hw.RTX4090, hw.RTX4070Ti, hw.RTX3070Ti}, func(m model.Config, g hw.GPU) {
+		for range 12 {
+			batch := 1 + r.IntN(512)
+			ctx := int64(batch) * r.Int64N(4096)
+			if r.IntN(2) == 0 {
+				ctx += r.Int64N(int64(batch)) // a total batch does not divide
+			}
+			checkRunMatchesRounds(t, m, g, batch, ctx, r.IntN(301), r.Float64()*100, r.Float64()*50)
+		}
+	})
+}
+
+// TestDecodeRunAcrossCrossover: stretches that cross between compute- and
+// memory-bound part way (each round's mean context grows by one token), or
+// that end within a few rounds of the crossover on either side, charge
+// what the rounds charge one at a time. These are the stretches whose
+// one-division path must not be taken, or taken only where it is exact.
+// On every catalog deployment the memory term grows faster, so stretches
+// turn memory-bound; on starved, a GPU with a twentieth of an RTX 4090's
+// compute, the compute term grows faster, and stretches of the small
+// batches that start memory-bound there turn compute-bound.
+func TestDecodeRunAcrossCrossover(t *testing.T) {
+	r := rand.New(rand.NewPCG(55, 3))
+	starved := hw.RTX4090
+	starved.Name, starved.PeakFLOPS = "compute-starved", hw.RTX4090.PeakFLOPS/20
+	crossings := map[bool]int{} // by whether the stretch turns memory-bound
+	forEachDeployment(t, []hw.GPU{hw.RTX4090, hw.RTX4070Ti, hw.RTX3070Ti, starved}, func(m model.Config, g hw.GPU) {
+		d := model.NewDecodeRoofline(m, g)
+		memBound := func(batch int, mean int64) bool {
+			ctx := int64(batch) * mean
+			dt, _ := d.Step(batch, ctx)
+			return sameBits(dt, d.StepMem(batch, ctx))
+		}
+		for range 12 {
+			batch := 1 + r.IntN(1<<r.IntN(11)) // log-uniform over 1–1024
+			const hi = 1 << 21
+			turns := memBound(batch, hi)
+			if memBound(batch, 0) == turns {
+				continue // no crossover on this batch's stretches
+			}
+			lo, top := int64(0), int64(hi) // top is the first mean past the crossover
+			for top-lo > 1 {
+				if mid := (lo + top) / 2; memBound(batch, mid) == turns {
+					top = mid
+				} else {
+					lo = mid
+				}
+			}
+			crossings[turns]++
+			for range 6 {
+				first := max(top-r.Int64N(200), 0)
+				rounds := r.IntN(400)
+				if r.IntN(3) == 0 {
+					// End within a round or two of the crossover.
+					rounds = max(int(top-first)+r.IntN(5)-2, 0)
+				}
+				ctx := int64(batch)*first + r.Int64N(int64(batch))
+				checkRunMatchesRounds(t, m, g, batch, ctx, rounds, r.Float64()*100, r.Float64()*50)
+			}
+		}
+	})
+	t.Logf("batches crossing into memory-bound %d, into compute-bound %d", crossings[true], crossings[false])
+	if crossings[true] < 50 || crossings[false] < 10 {
+		t.Errorf("batches crossing into memory-bound %d, into compute-bound %d: the test covers too little",
+			crossings[true], crossings[false])
+	}
+}
+
+// forEachDeployment calls f on every GPU of gpus × model × quantization
+// whose weights fit.
+func forEachDeployment(t *testing.T, gpus []hw.GPU, f func(model.Config, hw.GPU)) {
+	t.Helper()
+	for _, g := range gpus {
 		for _, base := range []model.Config{model.Qwen25Math1_5B, model.Qwen25Math7B, model.ShepherdPRM7B, model.SkyworkPRM1_5B} {
 			for _, q := range []model.Quantization{model.FP16, model.INT8, model.INT4} {
 				m := base.WithQuant(q)
 				if _, err := New("fit", m, g, 1<<30, &sim.Clock{}, nil); err != nil {
 					continue // weights exceed VRAM
 				}
-				for range 12 {
-					batch := 1 + r.IntN(512)
-					ctx := int64(batch) * r.Int64N(4096)
-					if r.IntN(2) == 0 {
-						ctx += r.Int64N(int64(batch)) // a total batch does not divide
-					}
-					rounds := r.IntN(301)
-					clock0, busy0 := r.Float64()*100, r.Float64()*50
-					// The tops of a run nothing stops place the thresholds.
-					var tops []float64
-					{
-						e, _ := newRunEngine(t, m, g, clock0, busy0, false)
-						c := ctx
-						for range rounds {
-							tops = append(tops, e.Clock.Now())
-							e.DecodeRound(batch, c, trace.PhaseGenerate)
-							c += int64(batch)
-						}
-					}
-					thresholds := []float64{math.Inf(1), clock0}
-					if rounds > 0 {
-						thresholds = append(thresholds, tops[rounds/2], tops[rounds-1])
-					}
-					for _, th := range thresholds {
-						stop := func(top float64) bool { return top >= th }
-						for _, recorded := range []bool{false, true} {
-							want, wantRec := newRunEngine(t, m, g, clock0, busy0, recorded)
-							wantRan, wantCtx, wantTop := 0, ctx, want.Clock.Now()
-							for wantRan < rounds {
-								wantTop = want.Clock.Now()
-								if stop(wantTop) {
-									break
-								}
-								want.DecodeRound(batch, wantCtx, trace.PhaseGenerate)
-								wantCtx += int64(batch)
-								wantRan++
-							}
-							got, gotRec := newRunEngine(t, m, g, clock0, busy0, recorded)
-							ran, gotCtx, top := got.DecodeRun(batch, ctx, rounds, trace.PhaseGenerate, stop)
-							if ran != wantRan || gotCtx != wantCtx || !sameBits(top, wantTop) ||
-								!sameBits(got.Clock.Now(), want.Clock.Now()) || !sameBits(got.BusyTime, want.BusyTime) ||
-								got.DecodedTokens != want.DecodedTokens {
-								t.Fatalf("%s on %s, batch %d, ctx %d, %d rounds, threshold %v, recorded %v: run (%d rounds, ctx %d, top %v, clock %v, busy %v, %d tokens), round by round (%d, %d, %v, %v, %v, %d)",
-									m.Name, g.Name, batch, ctx, rounds, th, recorded,
-									ran, gotCtx, top, got.Clock.Now(), got.BusyTime, got.DecodedTokens,
-									wantRan, wantCtx, wantTop, want.Clock.Now(), want.BusyTime, want.DecodedTokens)
-							}
-							if recorded && !slices.Equal(gotRec.Spans(), wantRec.Spans()) {
-								t.Fatalf("%s on %s, batch %d, ctx %d, %d rounds, threshold %v: kernel spans differ", m.Name, g.Name, batch, ctx, rounds, th)
-							}
-						}
-					}
+				f(m, g)
+			}
+		}
+	}
+}
+
+// checkRunMatchesRounds fails unless DecodeRun of the stretch — unstopped,
+// and stopped at its first, middle and last top, recorded and not — leaves
+// the engine, its spans and its results bit for bit as DecodeRound called
+// round by round does.
+func checkRunMatchesRounds(t *testing.T, m model.Config, g hw.GPU, batch int, ctx int64, rounds int, clock0, busy0 float64) {
+	t.Helper()
+	// The tops of a run nothing stops place the thresholds.
+	var tops []float64
+	{
+		e, _ := newRunEngine(t, m, g, clock0, busy0, false)
+		c := ctx
+		for range rounds {
+			tops = append(tops, e.Clock.Now())
+			e.DecodeRound(batch, c, trace.PhaseGenerate)
+			c += int64(batch)
+		}
+	}
+	thresholds := []float64{math.Inf(1), clock0}
+	if rounds > 0 {
+		thresholds = append(thresholds, tops[rounds/2], tops[rounds-1])
+	}
+	for _, th := range thresholds {
+		stop := func(top float64) bool { return top >= th }
+		for _, recorded := range []bool{false, true} {
+			want, wantRec := newRunEngine(t, m, g, clock0, busy0, recorded)
+			wantRan, wantCtx, wantTop := 0, ctx, want.Clock.Now()
+			for wantRan < rounds {
+				wantTop = want.Clock.Now()
+				if stop(wantTop) {
+					break
 				}
+				want.DecodeRound(batch, wantCtx, trace.PhaseGenerate)
+				wantCtx += int64(batch)
+				wantRan++
+			}
+			got, gotRec := newRunEngine(t, m, g, clock0, busy0, recorded)
+			ran, gotCtx, top := got.DecodeRun(batch, ctx, rounds, trace.PhaseGenerate, stop)
+			if ran != wantRan || gotCtx != wantCtx || !sameBits(top, wantTop) ||
+				!sameBits(got.Clock.Now(), want.Clock.Now()) || !sameBits(got.BusyTime, want.BusyTime) ||
+				got.DecodedTokens != want.DecodedTokens {
+				t.Fatalf("%s on %s, batch %d, ctx %d, %d rounds, threshold %v, recorded %v: run (%d rounds, ctx %d, top %v, clock %v, busy %v, %d tokens), round by round (%d, %d, %v, %v, %v, %d)",
+					m.Name, g.Name, batch, ctx, rounds, th, recorded,
+					ran, gotCtx, top, got.Clock.Now(), got.BusyTime, got.DecodedTokens,
+					wantRan, wantCtx, wantTop, want.Clock.Now(), want.BusyTime, want.DecodedTokens)
+			}
+			if recorded && !slices.Equal(gotRec.Spans(), wantRec.Spans()) {
+				t.Fatalf("%s on %s, batch %d, ctx %d, %d rounds, threshold %v: kernel spans differ", m.Name, g.Name, batch, ctx, rounds, th)
 			}
 		}
 	}

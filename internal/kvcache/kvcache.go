@@ -242,7 +242,7 @@ func (s *Seq) Len() int { return s.length }
 // the trade-off the block-size ablation measures.
 type Cache struct {
 	bytesPerToken int64
-	capacity      int64
+	capTokens     int64 // capacity in tokens: capacity bytes / bytesPerToken
 	blockTokens   int
 	root          *node
 	usedTokens    int64 // allocated token slots (block-rounded)
@@ -281,21 +281,26 @@ func NewBlocked(capacityBytes, bytesPerToken int64, blockTokens int) *Cache {
 	}
 	c := &Cache{
 		bytesPerToken: bytesPerToken,
-		capacity:      capacityBytes,
+		capTokens:     capacityBytes / bytesPerToken,
 		blockTokens:   blockTokens,
 	}
 	c.root = c.newNode()
 	return c
 }
 
-// blockCost returns the allocated token slots for n logical tokens.
+// blockCost returns the allocated token slots for n logical tokens. Exact
+// allocation (every cache but the block-size ablation's) skips the
+// division.
 func (c *Cache) blockCost(n int) int64 {
 	b := int64(c.blockTokens)
+	if b == 1 {
+		return int64(n)
+	}
 	return (int64(n) + b - 1) / b * b
 }
 
 // CapacityTokens returns the maximum number of tokens the cache can hold.
-func (c *Cache) CapacityTokens() int64 { return c.capacity / c.bytesPerToken }
+func (c *Cache) CapacityTokens() int64 { return c.capTokens }
 
 // UsedBytes returns the bytes currently occupied.
 func (c *Cache) UsedBytes() int64 { return c.usedTokens * c.bytesPerToken }
@@ -539,11 +544,11 @@ func (c *Cache) LongestCachedPrefix(runs []Run) int {
 // needed and fails, wrapping ErrPinned, if pinned sequences exceed the new
 // capacity.
 func (c *Cache) Resize(capacityBytes int64) error {
-	old := c.capacity
-	c.capacity = capacityBytes
+	old := c.capTokens
+	c.capTokens = capacityBytes / c.bytesPerToken
 	if err := c.ensure(0); err != nil {
 		err = fmt.Errorf("%w: used %d of %d tokens", err, c.usedTokens, c.CapacityTokens())
-		c.capacity = old
+		c.capTokens = old
 		return err
 	}
 	return nil
@@ -565,7 +570,7 @@ func (c *Cache) Reset(capacityBytes int64) {
 	clear(c.evictHeap)
 	*c = Cache{
 		bytesPerToken: c.bytesPerToken,
-		capacity:      capacityBytes,
+		capTokens:     capacityBytes / c.bytesPerToken,
 		blockTokens:   c.blockTokens,
 		root:          c.root,
 		evictHeap:     c.evictHeap[:0],

@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -203,6 +204,40 @@ func TestPinnedFullIsBareSentinel(t *testing.T) {
 	}
 	if got := c.CapacityTokens(); got != 10 {
 		t.Errorf("failed Resize left capacity %d tokens, want 10", got)
+	}
+}
+
+// TestCapacityTokensFollowsBytes: the capacity in tokens, kept as a field,
+// is capacity bytes / bytesPerToken (floored) after New, every Resize that
+// succeeds or fails, and every Reset, with byte counts that are not whole
+// tokens among them.
+func TestCapacityTokensFollowsBytes(t *testing.T) {
+	const per = 48
+	c := New(10*per+47, per)
+	check := func(op string, bytes int64) {
+		t.Helper()
+		if got, want := c.CapacityTokens(), bytes/per; got != want {
+			t.Errorf("%s: capacity %d tokens, want %d/%d = %d", op, got, bytes, per, want)
+		}
+		if got, want := c.FreeTokens(), bytes/per-c.UsedTokens(); got != want {
+			t.Errorf("%s: %d tokens free, want %d", op, got, want)
+		}
+	}
+	check("New", 10*per+47)
+	mustAcquire(t, c, seqTokens(nil, 6, 1)) // pinned, never released
+	for _, bytes := range []int64{7*per + 1, 20*per - 1, 6 * per, 64*per + per/2} {
+		if err := c.Resize(bytes); err != nil {
+			t.Fatalf("Resize(%d): %v", bytes, err)
+		}
+		check(fmt.Sprintf("Resize(%d)", bytes), bytes)
+	}
+	if err := c.Resize(6*per - 1); err == nil {
+		t.Fatal("Resize below the pinned 6 tokens succeeded")
+	}
+	check("failed Resize", 64*per+per/2)
+	for _, bytes := range []int64{3*per + 5, per - 1, 100 * per} {
+		c.Reset(bytes)
+		check(fmt.Sprintf("Reset(%d)", bytes), bytes)
 	}
 }
 

@@ -75,11 +75,11 @@ func (d *diffPair) handle() *Seq {
 
 // state is everything the issue's equality covers.
 func (d *diffPair) state() (got, want string) {
-	f := func(used int64, st Stats, nodes int, pinned int64) string {
-		return fmt.Sprintf("used=%d stats=%+v nodes=%d pinned=%d", used, st, nodes, pinned)
+	f := func(capTok, used int64, st Stats, nodes int, pinned int64) string {
+		return fmt.Sprintf("cap=%d used=%d stats=%+v nodes=%d pinned=%d", capTok, used, st, nodes, pinned)
 	}
-	return f(d.c.UsedTokens(), d.c.Stats(), d.c.NodeCount(), d.c.PinnedTokens()),
-		f(d.o.UsedTokens(), d.o.Stats(), d.o.NodeCount(), d.o.PinnedTokens())
+	return f(d.c.CapacityTokens(), d.c.UsedTokens(), d.c.Stats(), d.c.NodeCount(), d.c.PinnedTokens()),
+		f(d.o.CapacityTokens(), d.o.UsedTokens(), d.o.Stats(), d.o.NodeCount(), d.o.PinnedTokens())
 }
 
 // streamIDs are the stream ids randPath draws bases from beside its low

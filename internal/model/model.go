@@ -208,6 +208,40 @@ func (d *DecodeRoofline) StepMean(batch int, ctxTokens, mean int64) (dt, flops f
 	return t + d.overhead, flops
 }
 
+// memoryMargin is the relative lead MemoryBound asks of the memory term
+// over the compute term. Each term is a handful of float operations, each
+// within a relative 2^-53 of the exact value, so a lead of 2^-30 in the
+// computed terms is a lead in the exact ones with room to spare.
+const memoryMargin = 1.0 / (1 << 30)
+
+// MemoryBound reports whether every one of rounds steps of a stretch is
+// memory-bound: the first over ctxTokens total context at mean per
+// sequence, each later one batch tokens (so one mean token) further. Both
+// terms are affine in the step index, exact arithmetic aside, so a memory
+// term that leads by memoryMargin at the first and the last step leads at
+// every step between, rounding included; StepMem then equals Step at each.
+// It is false when rounds < 1 or when either end is too close to call.
+func (d *DecodeRoofline) MemoryBound(batch int, ctxTokens, mean int64, rounds int) bool {
+	if rounds < 1 {
+		return false
+	}
+	last := int64(rounds - 1)
+	return d.memoryLeads(batch, ctxTokens, mean) &&
+		d.memoryLeads(batch, ctxTokens+last*int64(batch), mean+last)
+}
+
+// memoryLeads reports whether one step's memory term beats its compute
+// term by memoryMargin.
+func (d *DecodeRoofline) memoryLeads(batch int, ctxTokens, mean int64) bool {
+	return d.bytes(batch, ctxTokens)/d.mem > d.flops(batch, mean)/d.compute*(1+memoryMargin)
+}
+
+// StepMem is Step's latency for a step known to be memory-bound (see
+// MemoryBound): the memory term plus the launch overhead, one division.
+func (d *DecodeRoofline) StepMem(batch int, ctxTokens int64) float64 {
+	return d.bytes(batch, ctxTokens)/d.mem + d.overhead
+}
+
 // PrefillBytes returns device bytes moved to prefill nTokens tokens.
 func (c Config) PrefillBytes(nTokens int) float64 {
 	weights := float64(c.WeightBytes())

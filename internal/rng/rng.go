@@ -108,13 +108,60 @@ func (s *Stream) ChildN(label string, n int) *Stream {
 
 // DeriveN is ChildN returning the stream by value.
 func (s *Stream) DeriveN(label string, n int) Stream {
-	h := fnvString(fnvByte(s.hash, '/'), label)
-	h = fnvByte(h, '/')
-	var buf [20]byte
-	for _, b := range strconv.AppendInt(buf[:0], int64(n), 10) {
+	d := makeDigits(n)
+	return fromState(s.seed, d.extend(s.labelHash(label)), label, s)
+}
+
+// labelHash is s's hash state extended by "/label/", the part of
+// DeriveN(label, n) that no n changes.
+func (s *Stream) labelHash(label string) uint64 {
+	return fnvByte(fnvString(fnvByte(s.hash, '/'), label), '/')
+}
+
+// digits is an index's decimal digits, formatted once.
+type digits struct {
+	b [20]byte
+	n uint8
+}
+
+func makeDigits(n int) digits {
+	var d digits
+	d.n = uint8(len(strconv.AppendInt(d.b[:0], int64(n), 10)))
+	return d
+}
+
+// extend returns hash state h extended by the digits.
+func (d *digits) extend(h uint64) uint64 {
+	for _, b := range d.b[:d.n] {
 		h = fnvByte(h, b)
 	}
-	return fromState(s.seed, h, label, s)
+	return h
+}
+
+// Trio is one stream's DeriveN under three fixed labels, for many indices:
+// it hashes each label once and formats each index once for all three (a
+// search seeds three streams for every beam).
+type Trio struct {
+	up     *Stream
+	labels *[3]string
+	hash   [3]uint64 // up's labelHash of each label
+}
+
+// Trio returns s's trio under labels. It holds s and labels, so it derives
+// what s would until s is next re-derived in place.
+func (s *Stream) Trio(labels *[3]string) Trio {
+	return Trio{up: s, labels: labels, hash: [3]uint64{
+		s.labelHash(labels[0]), s.labelHash(labels[1]), s.labelHash(labels[2]),
+	}}
+}
+
+// DeriveN sets a, b and c to the stream's DeriveN(labels[k], n), k = 0, 1
+// and 2.
+func (t *Trio) DeriveN(n int, a, b, c *Stream) {
+	d := makeDigits(n)
+	for k, out := range [3]*Stream{a, b, c} {
+		*out = fromState(t.up.seed, d.extend(t.hash[k]), t.labels[k], t.up)
+	}
 }
 
 // Path returns the label path of the stream (for diagnostics). It is

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -238,10 +239,39 @@ func TestDeriveMatchesChild(t *testing.T) {
 	}
 }
 
+// A Trio's DeriveN gives, under each of its labels, the stream DeriveN
+// gives and the stream Derive gives the whole label "label/n" (whose hash
+// DeriveN extends byte by byte), on the indices whose digits are edge
+// cases: one digit, the first two-digit one, a sign, and the largest int32.
+func TestTrioMatchesDeriveN(t *testing.T) {
+	root := Make(7)
+	for _, labels := range []*[3]string{{"beam", "obs", "spec"}, {"", "x", ""}} {
+		trio := root.Trio(labels)
+		for _, n := range []int{0, 9, 10, -1, math.MaxInt32} {
+			var got [3]Stream
+			trio.DeriveN(n, &got[0], &got[1], &got[2])
+			for j, label := range labels {
+				want, whole := root.DeriveN(label, n), root.Derive(label+"/"+strconv.Itoa(n))
+				for k := 0; k < 16; k++ {
+					g, w, h := got[j].Uint64(), want.Uint64(), whole.Uint64()
+					if g != w || g != h {
+						t.Fatalf("%q/%d draw %d: trio %d, DeriveN %d, Derive of the whole label %d", label, n, k, g, w, h)
+					}
+				}
+				if got[j].Path() != want.Path() {
+					t.Errorf("%q/%d: Path %q, DeriveN's %q", label, n, got[j].Path(), want.Path())
+				}
+			}
+		}
+	}
+}
+
 func TestAllocsPerDerivation(t *testing.T) {
 	root := New(1)
 	var sink *Stream
 	v := root.Derive("v")
+	trio := root.Trio(&[3]string{"beam", "obs", "spec"})
+	var w [3]Stream
 	z := NewZipfTable(39, 0.8)
 	var f float64
 	for _, tc := range []struct {
@@ -252,6 +282,7 @@ func TestAllocsPerDerivation(t *testing.T) {
 		{"Child", 1, func() { sink = root.Child("a") }},
 		{"ChildN", 1, func() { sink = root.ChildN("beam", 17) }},
 		{"DeriveN", 0, func() { v = root.DeriveN("beam", 17) }},
+		{"Trio.DeriveN", 0, func() { trio.DeriveN(17, &w[0], &w[1], &w[2]) }},
 		{"draws", 0, func() { f = v.Float64() + v.Norm(0, 1) + float64(v.IntN(9)+z.Draw(&v)) }},
 	} {
 		if got := testing.AllocsPerRun(100, tc.fn); got != tc.want {

@@ -170,6 +170,55 @@ func sortByScore(cands []Candidate) []Candidate {
 	return cands
 }
 
+// insertKeepMax is the largest keep topByScore selects by insertion.
+// Insertion moves up to keep candidates per entry, so it loses to the
+// stable sort as keep grows: on uniform random scores it takes 0.35× the
+// sort's time at 64 candidates keeping 16 and 0.55× at 128 keeping 32, but
+// 1.2× at 96 keeping 48 and 2.8× at 512 keeping 256. Scores rising in
+// input order, where every candidate enters, cost it 1.25× the sort at 64
+// keeping 32 and 1.5× at 128 keeping 32.
+const insertKeepMax = 32
+
+// topByScore moves the first keep (1 ≤ keep ≤ len(cands)) of
+// sortByScore's order to a prefix of cands, in that order, and returns the
+// prefix; the rest of cands is left in no particular order. For a keep up
+// to insertKeepMax it keeps the prefix sorted by stable insertion, and a
+// later candidate displaces the last kept one only if it is strictly
+// better, so ties keep the earliest, as the stable sort does. A larger keep,
+// or a set without a strict order (a NaN score), is sorted.
+func topByScore(cands []Candidate, keep int) []Candidate {
+	if keep > insertKeepMax {
+		return sortByScore(cands)[:keep]
+	}
+	for i := range cands {
+		if cands[i].Score != cands[i].Score {
+			return sortByScore(cands)[:keep]
+		}
+	}
+	for i := 1; i < keep; i++ {
+		insertByScore(cands[:i+1], cands[i])
+	}
+	for i := keep; i < len(cands); i++ {
+		if byScore(cands[i], cands[keep-1]) < 0 {
+			c := cands[i]
+			cands[i] = cands[keep-1]
+			insertByScore(cands[:keep], c)
+		}
+	}
+	return cands[:keep]
+}
+
+// insertByScore puts c into sorted[len-1], whose old value is dropped,
+// then moves it down past every candidate it goes strictly before, leaving
+// sorted in byScore order after ties.
+func insertByScore(sorted []Candidate, c Candidate) {
+	j := len(sorted) - 1
+	for ; j > 0 && byScore(c, sorted[j-1]) < 0; j-- {
+		sorted[j] = sorted[j-1]
+	}
+	sorted[j] = c
+}
+
 // byScore is sortByScore's order: higher score first, then lower ID. The
 // scores are compared with != and > rather than cmp.Compare so that a NaN
 // score goes before nothing, as under >, instead of first.
@@ -228,7 +277,7 @@ func (p beamSearch) Select(cands []Candidate, _ *rng.Stream) []Branch {
 	if keep < 1 {
 		keep = 1
 	}
-	return branchEach(sortByScore(cands)[:keep], p.b)
+	return branchEach(topByScore(cands, keep), p.b)
 }
 
 // --- DVTS (diverse selection) ---
@@ -303,7 +352,7 @@ func (p dynamicBranching) Select(cands []Candidate, _ *rng.Stream) []Branch {
 	if keep < 1 {
 		keep = 1
 	}
-	sorted := sortByScore(cands)[:keep]
+	sorted := topByScore(cands, keep)
 	budget := len(cands)
 	var total float64
 	for _, c := range sorted {

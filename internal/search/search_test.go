@@ -581,6 +581,47 @@ func oracleCands(r *rng.Stream, b int) []Candidate {
 	return cands
 }
 
+// selectEdgeCases are the candidate sets at the edges of a top-len/b
+// selection: every candidate kept, one kept, a NaN score (which has no
+// strict order, so selection sorts), and equal candidates — the same ID
+// and score — on both sides of the last kept place.
+func selectEdgeCases() []struct {
+	name  string
+	b     int
+	cands []Candidate
+} {
+	ranked := func(scores ...float64) []Candidate {
+		cands := make([]Candidate, len(scores))
+		for i, sc := range scores {
+			cands[i] = Candidate{ID: i, Subtree: i / 2, Score: sc}
+		}
+		return cands
+	}
+	nan := math.NaN()
+	dup := ranked(0.1, 0.9, 0.5, 0.5, 0.2, 0.5, 0.7, 0.5)
+	for i := range dup {
+		if dup[i].Score == 0.5 {
+			dup[i].ID = 3 // four equal candidates across the boundary
+		}
+	}
+	return []struct {
+		name  string
+		b     int
+		cands []Candidate
+	}{
+		{"keep == len", 1, ranked(0.3, 0.9, 0.3, 0.1, 0.9, 0.5)},
+		{"keep == len, one candidate", 4, ranked(0.4)},
+		{"keep == 1", 4, ranked(0.2, 0.8, 0.8, 0.1, 0.6, 0.8, 0.3)},
+		{"keep == 1, best last", 8, ranked(0.2, 0.3, 0.1, 0.9)},
+		{"NaN first", 2, ranked(nan, 0.5, 0.9, 0.1, 0.5, 0.7)},
+		{"NaN in the middle", 2, ranked(0.5, 0.9, nan, 0.1, 0.5, 0.7, nan, 0.2)},
+		{"NaN last", 3, ranked(0.4, 0.9, 0.1, 0.4, 0.6, nan)},
+		{"all NaN", 2, ranked(nan, nan, nan, nan)},
+		{"duplicates at the boundary", 2, dup},
+		{"duplicates at the boundary, keep 2", 4, dup},
+	}
+}
+
 // sameBranches reports whether got and want hold the same candidates with
 // the same Children, scores compared bit for bit (so NaN matches NaN).
 func sameBranches(got, want []Branch) bool {
@@ -621,6 +662,22 @@ func TestSelectMatchesReference(t *testing.T) {
 	t.Logf("quick.seed=%d", *quickSeed)
 	r := rng.New(uint64(*quickSeed))
 	stateless := []Algorithm{BestOfN, BeamSearch, DVTS, DynamicBranching, VaryingGranularity, SingleCoT}
+	for _, ec := range selectEdgeCases() {
+		for _, alg := range stateless {
+			p, err := New(alg, 64, ec.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refSelect(alg, ec.b, ec.cands)
+			cands := slices.Clone(ec.cands)
+			got := p.Select(cands, r)
+			label := fmt.Sprintf("%s, %s b=%d", ec.name, alg, ec.b)
+			checkInPlace(t, label, ec.cands, cands, got)
+			if !sameBranches(got, want) {
+				t.Fatalf("%s on %v:\n got %v\nwant %v", label, ec.cands, got, want)
+			}
+		}
+	}
 	for trial := 0; trial < 300; trial++ {
 		b := []int{1, 2, 3, 4, 8}[r.IntN(5)]
 		for _, alg := range stateless {
