@@ -25,10 +25,13 @@ lint: writeonly
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
-# Fails on a struct field that production code writes and production
-# code never reads: production reads only, so a field only a test reads
-# fails too (internal/tools/writeonly; reviewed survivors are listed in
-# its testdata/writeonly.allow). A CI lint step, not part of tier-1.
+# The reachability lint (internal/tools/writeonly): fails on a function,
+# method or package variable that no production root reaches (main,
+# init, benchmark/, the root package's API, interface methods) and on a
+# struct field that no reached code reads. Tests do not count, so code
+# only a test calls fails, and so does what only that code calls or
+# reads. Reviewed survivors are listed, each with its reason, in its
+# testdata/writeonly.allow. A CI lint step, not part of tier-1.
 writeonly:
 	$(GO) run ./internal/tools/writeonly
 
@@ -66,8 +69,10 @@ scenarios:
 # TestEvictHeapMatchesContainerHeap, internal/kvcache; about 0.1 s a
 # seed), and of the Perfetto encoder against encoding/json on random and
 # memo-hostile streams (TestWritePerfettoMatchesJSONOracle, internal/obs;
-# about 0.1 s a seed), under -quick.seed 1-200, from one compiled test
-# binary per package. A plain `go test` draws its seed from the time of day, so a bug
+# about 0.1 s a seed), and of exact time-scale covariance on a random
+# cluster config at k = 2, 4 and 1/2 (TestTimeScaleCovarianceQuick, the
+# root package; a few ms a seed), under -quick.seed 1-200, from one
+# compiled test binary per package. A plain `go test` draws its seed from the time of day, so a bug
 # that only some seeds reach fails there about one run in forty; here it
 # fails every run. Prints each failing seed's log, then the list.
 quick-sweep:
@@ -77,6 +82,7 @@ quick-sweep:
 	$(GO) test -c -o bench-smoke/core-quick.test ./internal/core
 	$(GO) test -c -o bench-smoke/kvcache-quick.test ./internal/kvcache
 	$(GO) test -c -o bench-smoke/obs-quick.test ./internal/obs
+	$(GO) test -c -o bench-smoke/root-quick.test .
 	@failed=""; for seed in $$(seq 1 200); do \
 		if ! out=$$(bench-smoke/cluster-quick.test -test.run 'PreservesRequestMultiset|IndexMatchesScan|BestTreeMatchesScan|TraceLifecycleProperty' -quick.seed=$$seed 2>&1); then \
 			echo "$$out"; failed="$$failed cluster:$$seed"; \
@@ -92,6 +98,9 @@ quick-sweep:
 		fi; \
 		if ! out=$$(bench-smoke/obs-quick.test -test.run '^TestWritePerfettoMatchesJSONOracle$$' -quick.seed=$$seed 2>&1); then \
 			echo "$$out"; failed="$$failed obs:$$seed"; \
+		fi; \
+		if ! out=$$(bench-smoke/root-quick.test -test.run '^TestTimeScaleCovarianceQuick$$' -quick.seed=$$seed 2>&1); then \
+			echo "$$out"; failed="$$failed root:$$seed"; \
 		fi; \
 	done; \
 	if [ -n "$$failed" ]; then echo "quick-sweep: failing -quick.seed:$$failed" >&2; exit 1; fi; \
@@ -118,7 +127,11 @@ benchmark-smoke:
 # the CPU top 25 and the allocation top 25 twice: by alloc_objects (the
 # allocators) and by alloc_space (the bytes — one large allocation, such
 # as a copy of the whole request stream, never shows in a count). Everything
-# lands in bench-smoke/ (gitignored).
+# lands in bench-smoke/ (gitignored). Each CPU run is long enough for
+# more than 1,000 samples at the profiler's 100 Hz (the per-pass count
+# moves by a fifth between runs on one host, so each is sized with
+# room), and a share of a few per cent is tens of samples; each target
+# states the counts it held.
 #
 # $(call profile,BENCHMARK,PACKAGE,CPU_BENCHTIME,MEM_BENCHTIME,PREFIX)
 # writes bench-smoke/PREFIX.cpu and PREFIX.mem; the test binary is named
@@ -149,16 +162,15 @@ endef
 # beams' run slices (appendNodeRuns, decodeRounds, takePending,
 # commitStep, about 23 %) and the result store's chunks. The search
 # policy's Select allocates nothing: it selects in the candidates' own
-# storage. In a 60-pass CPU profile (2-CPU AMD EPYC) the decode loop
-# (solver.decodeRounds with its DecodeRun stretches) takes about 21 %,
-# down from 25 % when it walked every running speculative slot at every
-# event; the three stable sorts of an iteration went from about 8 % to
-# 5 % (Select now takes a top-k, 0.9 %), and deriving a beam's three
-# streams from 7 % to 5 %. These time shares rank light loops unreliably
-# (the sorts were 6.8 % of the pass's instructions), so size a target
-# with make count-solver.
+# storage. The 80-pass CPU profile held 1,405 and 1,901 samples in two
+# runs (2-CPU Intel Xeon, go1.24.0): the decode loop (solver.decodeRounds
+# with its DecodeRun stretches) takes about 18 %, verification about
+# 18 %, the stable sorts of an iteration about 5 %, Select 1 % and
+# deriving a beam's three streams 1.7 %. These time shares rank light loops unreliably (the
+# sorts were 6.8 % of the pass's instructions), so size a target with
+# make count-solver.
 profile-solver:
-	$(call profile,BenchmarkServerRunBeam64,.,3x,1x,solver)
+	$(call profile,BenchmarkServerRunBeam64,.,80x,1x,solver)
 
 # Where a recorded fleet run's host time and allocations go: the same two
 # profiles of BenchmarkFleetRun32Observed (the fleet-observed workload's
@@ -169,9 +181,10 @@ profile-solver:
 # repeated ones from a memo: now 19.6 % and 10.4 % (80-pass profiles on
 # a 2-CPU AMD EPYC). The track merge (Recorder.spans, about 12 %) and
 # Attribute (about 9 %, of which the run's own attribution is half) are
-# next; BenchmarkWritePerfetto times the encoder alone.
+# next; BenchmarkWritePerfetto times the encoder alone. The 150-pass CPU
+# profile held 1,376 samples on a 2-CPU Intel Xeon.
 profile-observed:
-	$(call profile,BenchmarkFleetRun32Observed,./internal/cluster,10x,2x,observed)
+	$(call profile,BenchmarkFleetRun32Observed,./internal/cluster,150x,2x,observed)
 
 # Where an untraced fleet pass's host time and allocations go: the same
 # two profiles of BenchmarkFleetDispatch (the fleet-dispatch workload's
@@ -196,9 +209,10 @@ profile-observed:
 # Result and finished paths come from the run's one result store, in
 # chunks (resultStore.newResult and keepPaths, about a thousand objects
 # between them). Most bytes are newRun's result slice, then the result
-# store's chunks. CI runs this recipe so it cannot rot.
+# store's chunks. The 60-pass CPU profile held 1,782 samples on a 2-CPU
+# Intel Xeon. CI runs this recipe so it cannot rot.
 profile-dispatch:
-	$(call profile,BenchmarkFleetDispatch,./internal/cluster,3x,1x,dispatch)
+	$(call profile,BenchmarkFleetDispatch,./internal/cluster,60x,1x,dispatch)
 
 # Where the kv-pressure pass's host time and allocations go: the same two
 # profiles of BenchmarkKVPressure (three GPUs behind 512 MiB KV planes,
@@ -217,9 +231,10 @@ profile-dispatch:
 # allocation per request: set-up (workload.NewDataset and its problem
 # keys, about 35 % of alloc_objects), kvcache node, spare and eviction
 # heap growth (about 28 %), the beams' run slices growing (appendNodeRuns,
-# commitStep, about 10 %) and the result store's chunks.
+# commitStep, about 10 %) and the result store's chunks. The 100-pass CPU
+# profile held 1,244 and 1,377 samples in two runs on a 2-CPU Intel Xeon.
 profile-kv:
-	$(call profile,BenchmarkKVPressure,./internal/cluster,10x,2x,kv)
+	$(call profile,BenchmarkKVPressure,./internal/cluster,100x,2x,kv)
 
 # Instructions per request of each workload's pass, counted by
 # internal/perfctr (the calling thread's user-space instruction counter,

@@ -211,13 +211,11 @@ func Fig18LeftSchedulers(o RunOpts) (*Report, error) {
 	snaps := growTree(p, stream.Child("tree"), 512, 4, false)
 	paths := snaps[len(snaps)-1] // final TTS iteration
 	kvPerToken := float64(28672) // 1.5B generator KV bytes/token
-	orders := []struct {
-		name  string
-		paths []sched.Path
-	}{
-		{"prefix_aware", sched.PrefixAwareOrder(paths)},
-		{"random", sched.RandomOrder(slices.Clone(paths), stream.Child("shuffle"))},
-		{"worst_case", sched.MaxGrowthOrder(paths)},
+	// The three orders, in the order of Header's columns.
+	orders := [][]sched.Path{
+		sched.PrefixAwareOrder(paths),
+		sched.RandomOrder(slices.Clone(paths), stream.Child("shuffle")),
+		sched.MaxGrowthOrder(paths),
 	}
 	r := &Report{
 		ID:     "18l",
@@ -226,7 +224,7 @@ func Fig18LeftSchedulers(o RunOpts) (*Report, error) {
 	}
 	cums := make([][]int, len(orders))
 	for i, ord := range orders {
-		cums[i] = sched.CumulativeUniqueTokens(ord.paths)
+		cums[i] = sched.CumulativeUniqueTokens(ord)
 	}
 	for k := 31; k < len(paths); k += 32 {
 		row := []string{itoa(k + 1)}

@@ -40,6 +40,15 @@ func devConfig(t testing.TB, gpu hw.GPU, beams int, seed uint64) core.Config {
 	}
 }
 
+// mustStrategy is search.ParseStrategy of a spec known to be valid.
+func mustStrategy(spec string) search.Strategy {
+	s, err := search.ParseStrategy(spec)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // hetero4 is the seeded heterogeneous 4-device fleet of the acceptance
 // tests: two fast 4090s (one straggling), a mid-range 4070 Ti, and a
 // low-end 3070 Ti.
@@ -289,7 +298,7 @@ func TestTwiceRequeuedKeepsFirstSubmission(t *testing.T) {
 	for _, deadline := range []bool{false, true} {
 		cfg := Config{Devices: devices, Router: Single{}, SLOLatency: slo}
 		if deadline {
-			cfg.Strategy = search.DeadlineCut()
+			cfg.Strategy = mustStrategy("deadline")
 		}
 		f, err := New(cfg)
 		if err != nil {
@@ -611,7 +620,7 @@ func TestRouterPickPastEndFailsRun(t *testing.T) {
 			f, err := New(Config{
 				Devices:  []Device{{Config: devConfig(t, hw.RTX4090, 4, 1)}, {Config: devConfig(t, hw.RTX4070Ti, 4, 2)}},
 				Router:   pastEndRouter{tc.past},
-				Strategy: search.Hedged(),
+				Strategy: mustStrategy("hedged"),
 			})
 			if err != nil {
 				t.Fatal(err)

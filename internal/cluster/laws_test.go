@@ -45,13 +45,13 @@ func TestFleetLawsFire(t *testing.T) {
 		{"busy past live", checkDevice(&metrics.FleetDeviceStats{Device: 1, BusyTime: 241.70, LiveSeconds: 239.89}), lawBusy},
 		{"plane overfull", checkDevice(&metrics.FleetDeviceStats{CacheUsedTokens: 6, CacheCapacityTokens: 5}), lawPlane},
 		{"consecutive tags sound", outcomes(search.Strategy{}, reqs(3, 4, 5), results(5, 3, 4)), ""},
-		{"sparse tags sound", outcomes(search.Hedged(), reqs(9, 2, 40), results(40, 2, 9)), ""},
+		{"sparse tags sound", outcomes(mustStrategy("hedged"), reqs(9, 2, 40), results(40, 2, 9)), ""},
 		{"result missing", outcomes(search.Strategy{}, reqs(0, 1, 2), results(0, 1)), core.LawOneResult},
 		{"consecutive duplicate", outcomes(search.Strategy{}, reqs(0, 1, 2), results(0, 1, 1)), core.LawOneResult},
 		{"sparse duplicate", outcomes(search.Strategy{}, reqs(9, 2, 40), results(40, 2, 40)), core.LawOneResult},
 		{"consecutive stranger", outcomes(search.Strategy{}, reqs(0, 1, 2), results(0, 1, 3)), core.LawOneResult},
 		{"sparse stranger", outcomes(search.Strategy{}, reqs(9, 2, 40), results(40, 2, 8)), core.LawOneResult},
-		{"twin surfaced", outcomes(search.Hedged(), reqs(0, 1, 2), results(0, 1, ^2)), core.LawOneResult},
+		{"twin surfaced", outcomes(mustStrategy("hedged"), reqs(0, 1, 2), results(0, 1, ^2)), core.LawOneResult},
 	} {
 		switch {
 		case tc.law == "" && tc.err != nil:
@@ -75,7 +75,7 @@ func TestHedgedLoserLivesThroughItsSlice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := New(Config{Devices: equivFleet(t), Router: rt, Seed: 3, Strategy: search.Hedged()})
+		f, err := New(Config{Devices: equivFleet(t), Router: rt, Seed: 3, Strategy: mustStrategy("hedged")})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,6 @@ import (
 	"fasttts/internal/hw"
 	"fasttts/internal/obs"
 	"fasttts/internal/rng"
-	"fasttts/internal/search"
 	"fasttts/internal/workload"
 )
 
@@ -137,7 +136,7 @@ func TestTraceHedgedValidAndUnperturbed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return Config{Devices: equivFleet(t), Router: rt, Seed: 3, Strategy: search.Hedged()}
+			return Config{Devices: equivFleet(t), Router: rt, Seed: 3, Strategy: mustStrategy("hedged")}
 		}
 		spans := traceUnperturbed(t, router+"/hedged", mk, reqs)
 		hedges := 0
@@ -239,7 +238,7 @@ func TestTraceLifecycleProperty(t *testing.T) {
 			}
 			cfg := Config{Devices: devices, Router: router, Seed: 3}
 			if tc.Hedge {
-				cfg.Strategy = search.Hedged()
+				cfg.Strategy = mustStrategy("hedged")
 			}
 			return cfg
 		}

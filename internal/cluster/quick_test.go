@@ -12,7 +12,6 @@ import (
 	"fasttts/internal/core"
 	"fasttts/internal/hw"
 	"fasttts/internal/rng"
-	"fasttts/internal/search"
 	"fasttts/internal/workload"
 )
 
@@ -215,7 +214,7 @@ func TestHedgedCancellationPreservesRequestMultiset(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		f, err := New(Config{Devices: devices, Router: router, Seed: 3, Strategy: search.Hedged()})
+		f, err := New(Config{Devices: devices, Router: router, Seed: 3, Strategy: mustStrategy("hedged")})
 		if err != nil {
 			t.Log(err)
 			return false
@@ -461,7 +460,7 @@ func TestLeastWorkIndexMatchesScan(t *testing.T) {
 		prop := func(hc hedgedCase) bool {
 			devices := hc.devices(t)
 			return same(t, func(r Router) (Config, error) {
-				return Config{Devices: devices, Router: r, Seed: 3, Strategy: search.Hedged()}, nil
+				return Config{Devices: devices, Router: r, Seed: 3, Strategy: mustStrategy("hedged")}, nil
 			}, hc.requests(ds))
 		}
 		if err := quick.Check(prop, qc(t, 60)); err != nil {

@@ -216,7 +216,7 @@ func TestPreemptionStopsSpeculation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.SolveWithPreemption(aimeProblem(t, 4), 0)
+	res, err := solveWithPreemption(r, aimeProblem(t, 4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestPreemptionStopsSpeculation(t *testing.T) {
 		t.Errorf("speculation ran despite permanent preemption: %d tokens", res.SpecTokens)
 	}
 	// Preemption from t=5s onward: some speculation happens before.
-	res2, err := r.SolveWithPreemption(aimeProblem(t, 4), 5)
+	res2, err := solveWithPreemption(r, aimeProblem(t, 4), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestRunLawsFire(t *testing.T) {
 		edit(sv)
 		return sv
 	}
-	full := search.FullBeam()
+	full := mustStrategy("full-beam")
 	for _, tc := range []struct {
 		name string
 		err  error
@@ -30,7 +30,7 @@ func TestRunLawsFire(t *testing.T) {
 		{"instant request", checkServed(served(func(sv *ServedResult) { sv.Start, sv.Finish = 1, 1 }), full), ""},
 		{"retained past spec", checkServed(served(func(sv *ServedResult) { sv.SpecRetained = 60 }), full), ""},
 		{"first-finish abandons", checkServed(served(func(sv *ServedResult) { sv.Abandoned = 3 }), search.FirstFinish(2)), ""},
-		{"deadline abandons", checkServed(served(func(sv *ServedResult) { sv.Abandoned = 3 }), search.DeadlineCut()), ""},
+		{"deadline abandons", checkServed(served(func(sv *ServedResult) { sv.Abandoned = 3 }), mustStrategy("deadline")), ""},
 		{"start before arrival", checkServed(served(func(sv *ServedResult) { sv.Start = 0.5 }), full), lawTimes},
 		{"finish before start", checkServed(served(func(sv *ServedResult) { sv.Finish = 1.5 }), full), lawTimes},
 		{"NaN start", checkServed(served(func(sv *ServedResult) { sv.Start = math.NaN() }), full), lawTimes},
@@ -41,7 +41,7 @@ func TestRunLawsFire(t *testing.T) {
 		{"negative retained", checkServed(served(func(sv *ServedResult) { sv.SpecRetained = -1 }), full), lawRetained},
 		{"full-beam abandons", checkServed(served(func(sv *ServedResult) { sv.Abandoned = 1 }), full), lawAbandoned},
 		{"strategies off abandon", checkServed(served(func(sv *ServedResult) { sv.Abandoned = 1 }), search.Strategy{}), lawAbandoned},
-		{"hedged abandons", checkServed(served(func(sv *ServedResult) { sv.Abandoned = 1 }), search.Hedged()), lawAbandoned},
+		{"hedged abandons", checkServed(served(func(sv *ServedResult) { sv.Abandoned = 1 }), mustStrategy("hedged")), lawAbandoned},
 		{"one result each", checkResultCount(4, 4), ""},
 		{"result lost", checkResultCount(3, 4), LawOneResult},
 		{"result doubled", checkResultCount(5, 4), LawOneResult},

@@ -90,7 +90,7 @@ func playMixedStream(t *testing.T, cfg Config, pol sched.ServePolicy, defeat boo
 		{Problem: probs[1], Arrival: 0.4, Tag: 1}, // lands mid-slice: preempts speculation
 		{Problem: probs[2], Arrival: 1, Tag: 2, Width: 4},
 		{Problem: probs[3], Arrival: 1.5, Tag: 3, Strategy: search.FirstFinish(2)},
-		{Problem: probs[4], Arrival: 2, Tag: 4, Strategy: search.DeadlineCut(), Deadline: 2.5},
+		{Problem: probs[4], Arrival: 2, Tag: 4, Strategy: mustStrategy("deadline"), Deadline: 2.5},
 		{Problem: probs[5], Arrival: 2.5, Tag: cancelTag},
 		{Problem: probs[6], Arrival: 3, Tag: 6},
 		{Problem: probs[7], Arrival: 3, Tag: 7, Priority: 2},

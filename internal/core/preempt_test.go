@@ -24,7 +24,22 @@ var stubbyDataset = workload.DatasetSpec{
 	AnswerSpace: 10, QualityDriftScale: 1.0,
 }
 
-// TestPreemptionBoundarySweep pins SolveWithPreemption across preemption
+// solveWithPreemption is r.Solve with a preemption boundary: once the
+// solver's virtual clock reaches at, speculative execution is suspended for
+// the rest of the search (two-phase scheduling, §4.1.2), as the server
+// suspends it when the next arrival lands mid-request. A boundary at or
+// before 0 suspends speculation from the start; math.Inf(1) never does.
+func solveWithPreemption(r *Runner, p *workload.Problem, at float64) (*Result, error) {
+	s, err := newSolver(&r.cfg, r.kvBudget, p, r.cfg.Obs.Device(0))
+	if err != nil {
+		return nil, err
+	}
+	s.preempt = preemptProbe{pending: max(at, 0), scale: 1}
+	var st resultStore
+	return s.run(&st)
+}
+
+// TestPreemptionBoundarySweep pins solveWithPreemption across preemption
 // boundaries: never, 0, in the past, inside a round, exactly on a round's
 // end, one ulp either side of it, on and after the finish. A boundary on a
 // round end fires at the top of the next round; one ulp later it fires a
@@ -123,7 +138,7 @@ func TestPreemptionBoundarySweep(t *testing.T) {
 		}
 		for _, b := range boundaries {
 			at := b.at(ends, ref.Latency)
-			res, err := r.SolveWithPreemption(run.p, at)
+			res, err := solveWithPreemption(r, run.p, at)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -132,7 +132,7 @@ func TestServerFCFSMatchesSequentialStream(t *testing.T) {
 		if nextArrival >= 0 {
 			at = nextArrival - start
 		}
-		res, err := r.SolveWithPreemption(rq.Problem, at)
+		res, err := solveWithPreemption(r, rq.Problem, at)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,21 +49,6 @@ func (r *Runner) Solve(p *workload.Problem) (*Result, error) {
 	return s.run(&st)
 }
 
-// SolveWithPreemption is Solve with a preemption boundary: once the
-// solver's virtual clock reaches at, speculative execution is suspended for
-// the rest of the search (two-phase scheduling, §4.1.2), as the server
-// suspends it when the next arrival lands mid-request. A boundary at or
-// before 0 suspends speculation from the start; math.Inf(1) never does.
-func (r *Runner) SolveWithPreemption(p *workload.Problem, at float64) (*Result, error) {
-	s, err := newSolver(&r.cfg, r.kvBudget, p, r.cfg.Obs.Device(0))
-	if err != nil {
-		return nil, err
-	}
-	s.preempt = preemptProbe{pending: max(at, 0), scale: 1}
-	var st resultStore
-	return s.run(&st)
-}
-
 // preemptProbe is the §4.1.2 preemption condition of the device slice in
 // progress: speculation stops when another request is runnable, or when
 // the pending boundary — the next arrival or the fleet's next event, in
@@ -110,12 +95,10 @@ type reqState struct {
 	strategy search.Strategy
 	p        *workload.Problem
 
-	// Streams are held by value and derived in place; seedRoot exists so
-	// root's parent pointer (rng.Stream.Path) stays inside the solver.
-	// beamSeeds derives the beams' three streams from root, each label
-	// hashed once per request.
-	seedRoot  rng.Stream
-	root      rng.Stream
+	// Streams are held by value and derived in place from the request's
+	// root stream, which init derives and drops: a stream keeps no pointer
+	// to its parent. beamSeeds derives the beams' three streams from root,
+	// each label hashed once per request.
 	orderRand rng.Stream
 	selRand   rng.Stream
 	beamSeeds rng.Trio
@@ -131,9 +114,9 @@ type reqState struct {
 	specTok      int64
 	specRetained int64
 
-	// The bools here and in preemptProbe sit in pairs: a solver is 1,016
-	// bytes, and Go's 8-byte header on a pointerful object over 512 bytes
-	// takes one more byte to the next size class.
+	// The bools here and in preemptProbe sit in pairs, so neither pads a
+	// word of its own: a solver is 824 bytes, 832 with Go's 8-byte header
+	// on a pointerful object over 512 bytes, in the 896-byte size class.
 	maxIters int
 	offload  bool
 	begun    bool
@@ -249,16 +232,16 @@ func (s *solver) init(cfg *Config, budget int64, pol search.Policy, strategy sea
 		pol:      pol,
 		strategy: strategy,
 		p:        p,
-		seedRoot: rng.Make(cfg.Seed),
 		kvBudget: budget,
 		meanStep: int(p.MeanStepTokens()), // E[lognormal step], truncated
 		nextNode: promptNode + 1,
 		preempt:  noPreemption,
 	}
-	s.root = s.seedRoot.DeriveN(p.Dataset, p.Index)
-	s.orderRand = s.root.Derive("order")
-	s.selRand = s.root.Derive("select")
-	s.beamSeeds = s.root.Trio(&beamStreamLabels)
+	seed := rng.Make(cfg.Seed)
+	root := seed.DeriveN(p.Dataset, p.Index)
+	s.orderRand = root.Derive("order")
+	s.selRand = root.Derive("select")
+	s.beamSeeds = root.Trio(&beamStreamLabels)
 	return nil
 }
 

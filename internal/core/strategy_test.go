@@ -9,6 +9,15 @@ import (
 	"fasttts/internal/workload"
 )
 
+// mustStrategy is search.ParseStrategy of a spec known to be valid.
+func mustStrategy(spec string) search.Strategy {
+	s, err := search.ParseStrategy(spec)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // TestFirstFinishTerminatesEarly: first-finish must stop at the first
 // completed path, strictly before full-beam finishes the same problem,
 // abandoning the still-active beams.
@@ -60,7 +69,7 @@ func TestFullBeamStrategyIsIdentity(t *testing.T) {
 	p := aimeProblem(t, 1)
 	legacy := solveOne(t, testConfig(t, pol, FastTTSOptions()), p)
 	cfg := testConfig(t, pol, FastTTSOptions())
-	cfg.Strategy = search.FullBeam()
+	cfg.Strategy = mustStrategy("full-beam")
 	explicit := solveOne(t, cfg, p)
 	if legacy.Latency != explicit.Latency || legacy.TokensDecoded != explicit.TokensDecoded ||
 		len(legacy.Finished) != len(explicit.Finished) {
@@ -88,7 +97,7 @@ func TestDeadlineStrategyCutsMidSolve(t *testing.T) {
 	}
 
 	cut := testConfig(t, pol, FastTTSOptions())
-	cut.Strategy = search.DeadlineCut()
+	cut.Strategy = mustStrategy("deadline")
 	srv2, err := NewServer(cut)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +129,7 @@ func TestDeadlineCutAtExactDeadline(t *testing.T) {
 	pol, _ := search.New(search.BeamSearch, 16, 4)
 	p := aimeProblem(t, 0)
 	cfg := testConfig(t, pol, FastTTSOptions())
-	cfg.Strategy = search.DeadlineCut()
+	cfg.Strategy = mustStrategy("deadline")
 	serve := func(cfg Config, deadline float64) ServedResult {
 		t.Helper()
 		srv, err := NewServer(cfg)

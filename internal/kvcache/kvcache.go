@@ -229,9 +229,6 @@ type Seq struct {
 	prev, next *Seq // neighbours in leaf's owner list
 }
 
-// Len returns the number of tokens the sequence currently spans.
-func (s *Seq) Len() int { return s.length }
-
 // Cache is a prefix-sharing KV cache with a fixed byte capacity.
 //
 // Storage is allocated in blocks of blockTokens tokens (1 = exact

@@ -48,8 +48,8 @@ func TestAcquireMissThenHit(t *testing.T) {
 	if hit != 5 || miss != 0 {
 		t.Fatalf("second acquire hit=%d miss=%d, want 5/0", hit, miss)
 	}
-	if s1.Len() != 5 {
-		t.Errorf("Len = %d", s1.Len())
+	if s1.length != 5 {
+		t.Errorf("length = %d", s1.length)
 	}
 }
 
@@ -102,8 +102,8 @@ func TestExtendInPlace(t *testing.T) {
 	if _, _, err := c.Extend(s, runsOf(toks(3, 4))); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 4 {
-		t.Errorf("Len = %d, want 4", s.Len())
+	if s.length != 4 {
+		t.Errorf("length = %d, want 4", s.length)
 	}
 	if got := c.LongestCachedPrefix(runsOf(toks(1, 2, 3, 4))); got != 4 {
 		t.Errorf("prefix after extend = %d", got)
@@ -145,8 +145,8 @@ func TestForkSharesMemory(t *testing.T) {
 	if c.UsedTokens() != before {
 		t.Errorf("fork changed usage: %d -> %d", before, c.UsedTokens())
 	}
-	if f.Len() != 3 {
-		t.Errorf("fork Len = %d", f.Len())
+	if f.length != 3 {
+		t.Errorf("fork length = %d", f.length)
 	}
 }
 
@@ -410,7 +410,7 @@ func TestPropertyInvariants(t *testing.T) {
 				}
 				i := r.IntN(len(lives))
 				add := seqTokens(nil, r.IntN(4)+1, Token(r.IntN(1000)+50))
-				if lives[i].seq.Len()+len(add) > 200 {
+				if lives[i].seq.length+len(add) > 200 {
 					continue
 				}
 				if _, _, err := c.Extend(lives[i].seq, runsOf(add)); err != nil {

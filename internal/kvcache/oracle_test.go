@@ -260,8 +260,8 @@ func TestDifferentialOracle(t *testing.T) {
 				t.Fatalf("case %d (block %d) after op %d %s:\n got    %s\n oracle %s", cse, block, i, op, got, want)
 			}
 			for j, s := range d.seqs {
-				if s.Len() != d.oseqs[j].Len() {
-					t.Fatalf("case %d after op %d %s: handle %d spans %d tokens, oracle %d", cse, i, op, j, s.Len(), d.oseqs[j].Len())
+				if s.length != d.oseqs[j].Len() {
+					t.Fatalf("case %d after op %d %s: handle %d spans %d tokens, oracle %d", cse, i, op, j, s.length, d.oseqs[j].Len())
 				}
 			}
 		}

@@ -116,7 +116,7 @@ func TestPropertyConservationAndPinning(t *testing.T) {
 				}
 				i := r.IntN(len(lives))
 				add := seqTokens(nil, r.IntN(6)+1, Token(r.IntN(500)+100))
-				if lives[i].seq.Len()+len(add) > 60 {
+				if lives[i].seq.length+len(add) > 60 {
 					continue
 				}
 				if _, _, err := c.Extend(lives[i].seq, runsOf(add)); err != nil {

@@ -5,7 +5,10 @@
 // "problem/aime24/7/beam/3"). Two runs with the same root seed therefore
 // produce bit-identical results, and changing the sampling order in one
 // component cannot perturb another — a property the algorithmic-equivalence
-// tests rely on.
+// tests rely on. The label path is hash input only: a stream keeps the
+// FNV-1a state of its seed and path, never the labels themselves or a
+// pointer to the stream it was derived from, so a derivation's cost and a
+// stream's size do not grow with the path.
 //
 // A Stream is single-owner mutable state: it is not safe for concurrent
 // use, and its outputs depend on the call sequence. Each device loop owns
@@ -43,16 +46,14 @@ func fnvString(h uint64, s string) uint64 {
 
 // Stream is a deterministic random stream. The zero value is not usable;
 // construct streams with New, Make, or a derivation method. A Stream is a
-// plain value: owners that recycle their storage (a search beam keeps three)
-// hold it by value and re-derive in place with Derive/DeriveN, which seed
-// exactly as Child/ChildN do. Copying a Stream forks its state; derived
-// streams keep a pointer to their parent only for Path.
+// plain value of 24 bytes with no pointers: owners that recycle their
+// storage (a search beam keeps three) hold it by value and re-derive in
+// place with Derive/DeriveN, which seed exactly as Child/ChildN do. Copying
+// a Stream forks its state. A stream keeps neither its seed nor its labels
+// nor a parent pointer: they are hash input only, folded into hash once.
 type Stream struct {
-	seed  uint64
-	hash  uint64  // FNV-1a state over seed bytes + label path
-	label string  // this stream's own path segment ("" for the root)
-	up    *Stream // parent, for lazy Path reconstruction
-	pcg   rand.PCG
+	hash uint64 // FNV-1a state over seed bytes + label path
+	pcg  rand.PCG
 }
 
 // rand views the stream's generator state as a *rand.Rand. The Rand is a
@@ -72,16 +73,16 @@ func Make(seed uint64) Stream {
 	for i := 0; i < 8; i++ {
 		h = fnvByte(h, byte(seed>>(8*i)))
 	}
-	return fromState(seed, h, "", nil)
+	return fromState(h)
 }
 
 // fromState finishes a derivation: h is the FNV-1a state over the seed
 // bytes and full label path. A second, independent word is drawn for the
 // PCG state by extending the hash with a fixed suffix.
-func fromState(seed, h uint64, label string, up *Stream) Stream {
+func fromState(h uint64) Stream {
 	s1 := h
 	s2 := fnvByte(fnvByte(fnvByte(fnvByte(h, 0x9e), 0x37), 0x79), 0xb9)
-	return Stream{seed: seed, hash: h, label: label, up: up, pcg: *rand.NewPCG(s1, s2)}
+	return Stream{hash: h, pcg: *rand.NewPCG(s1, s2)}
 }
 
 // Child derives an independent stream for the given label. Children with
@@ -95,7 +96,7 @@ func (s *Stream) Child(label string) *Stream {
 
 // Derive is Child returning the stream by value.
 func (s *Stream) Derive(label string) Stream {
-	return fromState(s.seed, fnvString(fnvByte(s.hash, '/'), label), label, s)
+	return fromState(fnvString(fnvByte(s.hash, '/'), label))
 }
 
 // ChildN is Child(label + "/" + decimal n) without building the label
@@ -109,7 +110,7 @@ func (s *Stream) ChildN(label string, n int) *Stream {
 // DeriveN is ChildN returning the stream by value.
 func (s *Stream) DeriveN(label string, n int) Stream {
 	d := makeDigits(n)
-	return fromState(s.seed, d.extend(s.labelHash(label)), label, s)
+	return fromState(d.extend(s.labelHash(label)))
 }
 
 // labelHash is s's hash state extended by "/label/", the part of
@@ -142,15 +143,13 @@ func (d *digits) extend(h uint64) uint64 {
 // it hashes each label once and formats each index once for all three (a
 // search seeds three streams for every beam).
 type Trio struct {
-	up     *Stream
-	labels *[3]string
-	hash   [3]uint64 // up's labelHash of each label
+	hash [3]uint64 // the stream's labelHash of each label
 }
 
-// Trio returns s's trio under labels. It holds s and labels, so it derives
-// what s would until s is next re-derived in place.
+// Trio returns s's trio under labels. It holds hash states only, so it
+// goes on deriving s's streams after s is re-derived in place.
 func (s *Stream) Trio(labels *[3]string) Trio {
-	return Trio{up: s, labels: labels, hash: [3]uint64{
+	return Trio{hash: [3]uint64{
 		s.labelHash(labels[0]), s.labelHash(labels[1]), s.labelHash(labels[2]),
 	}}
 }
@@ -160,18 +159,8 @@ func (s *Stream) Trio(labels *[3]string) Trio {
 func (t *Trio) DeriveN(n int, a, b, c *Stream) {
 	d := makeDigits(n)
 	for k, out := range [3]*Stream{a, b, c} {
-		*out = fromState(t.up.seed, d.extend(t.hash[k]), t.labels[k], t.up)
+		*out = fromState(d.extend(t.hash[k]))
 	}
-}
-
-// Path returns the label path of the stream (for diagnostics). It is
-// reconstructed lazily from the parent chain; indexed segments from
-// ChildN omit the index.
-func (s *Stream) Path() string {
-	if s.up == nil {
-		return s.label
-	}
-	return s.up.Path() + "/" + s.label
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -161,13 +162,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPathLabel(t *testing.T) {
-	s := New(1).Child("a").Child("b")
-	if got := s.Path(); got != "/a/b" {
-		t.Errorf("Path() = %q, want %q", got, "/a/b")
-	}
-}
-
 // zipfTwoPass is the inverse-CDF walk the table replaces, kept as the
 // reference: every 1/(k+1)^a evaluated once for the total and again for
 // the running sum, on every draw.
@@ -233,9 +227,6 @@ func TestDeriveMatchesChild(t *testing.T) {
 				t.Fatalf("%s draw %d: pointer %d, value %d", pr.name, i, a, b)
 			}
 		}
-		if pr.p.Path() != pr.v.Path() {
-			t.Errorf("%s: Path %q vs %q", pr.name, pr.p.Path(), pr.v.Path())
-		}
 	}
 }
 
@@ -258,11 +249,42 @@ func TestTrioMatchesDeriveN(t *testing.T) {
 						t.Fatalf("%q/%d draw %d: trio %d, DeriveN %d, Derive of the whole label %d", label, n, k, g, w, h)
 					}
 				}
-				if got[j].Path() != want.Path() {
-					t.Errorf("%q/%d: Path %q, DeriveN's %q", label, n, got[j].Path(), want.Path())
-				}
 			}
 		}
+	}
+}
+
+// A Trio copies what it needs of its stream: re-deriving the stream in
+// place, as a solver re-derives its root for each request, leaves the
+// trio deriving the old stream's children.
+func TestTrioOutlivesItsStream(t *testing.T) {
+	labels := &[3]string{"beam", "obs", "spec"}
+	root, other := Make(7), Make(8)
+	s := root.Derive("problem")
+	want := s.DeriveN(labels[1], 12)
+	trio := s.Trio(labels)
+	s = other.Derive("problem")
+	var got [3]Stream
+	trio.DeriveN(12, &got[0], &got[1], &got[2])
+	gotChild, wantChild := got[1].Derive("x"), want.Derive("x")
+	for k := 0; k < 16; k++ {
+		if g, w := got[1].Uint64(), want.Uint64(); g != w {
+			t.Fatalf("draw %d: trio %d, the original stream's DeriveN %d", k, g, w)
+		}
+		if g, w := gotChild.Uint64(), wantChild.Uint64(); g != w {
+			t.Fatalf("child draw %d: trio's %d, the original stream's %d", k, g, w)
+		}
+	}
+}
+
+// A Stream is its hash state and its PCG state, and a Trio three hash
+// states: neither keeps a seed, a label or a parent pointer.
+func TestStreamSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Stream{}); got != 24 {
+		t.Errorf("Stream is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(Trio{}); got != 24 {
+		t.Errorf("Trio is %d bytes, want 24", got)
 	}
 }
 

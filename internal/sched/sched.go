@@ -164,35 +164,6 @@ func (s *Scratch) byRank(x, y Path) int {
 	return len(a) - len(b)
 }
 
-// GreedyOrder is the literal §4.2 invariant: starting from the first
-// queued path, repeatedly schedule the unscheduled path with the maximum
-// shared prefix with the previously scheduled one (ties broken by queue
-// order). O(n²); used for validation and small inputs.
-func GreedyOrder(paths []Path) []Path {
-	if len(paths) == 0 {
-		return nil
-	}
-	used := make([]bool, len(paths))
-	out := make([]Path, 0, len(paths))
-	out = append(out, paths[0])
-	used[0] = true
-	for len(out) < len(paths) {
-		prev := out[len(out)-1]
-		bestIdx, bestShare := -1, -1
-		for i, p := range paths {
-			if used[i] {
-				continue
-			}
-			if s := SharedPrefixTokens(prev, p); s > bestShare {
-				bestIdx, bestShare = i, s
-			}
-		}
-		out = append(out, paths[bestIdx])
-		used[bestIdx] = true
-	}
-	return out
-}
-
 // RandomOrder shuffles the paths in place and returns them (the
 // vLLM-baseline behaviour: insertion order scrambled by beam replication,
 // Fig 18 caption). A caller that still needs the original order passes a
@@ -246,9 +217,6 @@ type Trie struct {
 	// Paths is the trie's run of the ordered schedule — a sub-slice of the
 	// slice given to PackTries, not a copy.
 	Paths []Path
-	// UniqueTokens is Nodes(T) in token units: the KV footprint of the
-	// group with perfect prefix sharing.
-	UniqueTokens int
 }
 
 // PackTries partitions an ordered schedule into consecutive tries, each
@@ -266,7 +234,7 @@ func (s *Scratch) PackTries(ordered []Path, capacityTokens int) []Trie {
 			}
 		}
 		if i > start && unique+added > capacityTokens {
-			s.tries = append(s.tries, Trie{Paths: ordered[start:i:i], UniqueTokens: unique})
+			s.tries = append(s.tries, Trie{Paths: ordered[start:i:i]})
 			s.nodes.Clear()
 			start, unique = i, 0
 			added = p.TotalTokens()
@@ -277,47 +245,9 @@ func (s *Scratch) PackTries(ordered []Path, capacityTokens int) []Trie {
 		unique += added
 	}
 	if n := len(ordered); n > start {
-		s.tries = append(s.tries, Trie{Paths: ordered[start:n:n], UniqueTokens: unique})
+		s.tries = append(s.tries, Trie{Paths: ordered[start:n:n]})
 	}
 	return s.tries
-}
-
-// nodeTokens returns the trie's node set: node ID → tokens, as first seen
-// along its paths.
-func (t Trie) nodeTokens() map[int]int {
-	nodes := map[int]int{}
-	for _, p := range t.Paths {
-		for _, n := range p.Lineage {
-			if _, ok := nodes[n.Node]; !ok {
-				nodes[n.Node] = n.Tokens
-			}
-		}
-	}
-	return nodes
-}
-
-// SharedTokens returns the tokens of nodes present in both tries
-// (P(Tᵢ, Tᵢ₊₁) in token units).
-func SharedTokens(a, b Trie) int {
-	shared := 0
-	inB := b.nodeTokens()
-	for node, tokens := range a.nodeTokens() {
-		if _, ok := inB[node]; ok {
-			shared += tokens
-		}
-	}
-	return shared
-}
-
-// EvictionCost is the §4.2 objective: Σᵢ (Nodes(Tᵢ) − P(Tᵢ, Tᵢ₊₁)), in
-// tokens, summed over trie *switches* — matching the Fig 8 worked example,
-// where the final resident trie pays no eviction.
-func EvictionCost(tries []Trie) int {
-	cost := 0
-	for i := 0; i+1 < len(tries); i++ {
-		cost += tries[i].UniqueTokens - SharedTokens(tries[i], tries[i+1])
-	}
-	return cost
 }
 
 // PairwiseShared returns the matrix of shared-prefix token counts for an

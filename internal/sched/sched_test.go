@@ -76,7 +76,7 @@ func TestSharedPrefixUltrametric(t *testing.T) {
 func TestGreedyInvariant(t *testing.T) {
 	r := rng.New(3)
 	paths := randomTree(r, 20)
-	out := GreedyOrder(paths)
+	out := greedyOrder(paths)
 	if len(out) != len(paths) {
 		t.Fatalf("greedy lost paths: %d != %d", len(out), len(paths))
 	}
@@ -102,7 +102,7 @@ func TestPrefixAwareMatchesGreedyScore(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		paths := randomTree(r, 14)
-		return ScheduleScore(PrefixAwareOrder(paths)) == ScheduleScore(GreedyOrder(paths))
+		return ScheduleScore(PrefixAwareOrder(paths)) == ScheduleScore(greedyOrder(paths))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestGreedyOptimalSmall(t *testing.T) {
 			}
 		}
 		dfs(0)
-		if got := ScheduleScore(GreedyOrder(paths)); got != best {
+		if got := ScheduleScore(greedyOrder(paths)); got != best {
 			t.Fatalf("trial %d: greedy score %d != optimal %d", trial, got, best)
 		}
 	}
@@ -149,7 +149,7 @@ func TestGreedyLocallyOptimal(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		paths := randomTree(r, 10)
-		out := GreedyOrder(paths)
+		out := greedyOrder(paths)
 		base := ScheduleScore(out)
 		for i := 0; i < len(out); i++ {
 			for j := i + 1; j < len(out); j++ {
@@ -192,7 +192,7 @@ func TestOrderingsPreserveMultiset(t *testing.T) {
 	paths := randomTree(r, 15)
 	for name, ordered := range map[string][]Path{
 		"prefix": PrefixAwareOrder(paths),
-		"greedy": GreedyOrder(paths),
+		"greedy": greedyOrder(paths),
 		"random": RandomOrder(slices.Clone(paths), r),
 		"growth": MaxGrowthOrder(paths),
 	} {
@@ -238,7 +238,7 @@ func TestPackTriesRespectsCapacity(t *testing.T) {
 		total := 0
 		for _, tr := range tries {
 			total += len(tr.Paths)
-			if tr.UniqueTokens > capacity && len(tr.Paths) > 1 {
+			if trieTokens(tr) > capacity && len(tr.Paths) > 1 {
 				return false // only singleton tries may overflow
 			}
 		}
@@ -249,15 +249,24 @@ func TestPackTriesRespectsCapacity(t *testing.T) {
 	}
 }
 
+// PackTries counts a shared prefix once: three paths over a 50-token
+// prefix hold 50 + 10 + 20 = 80 unique tokens, so they pack into one trie
+// at capacity 80 and split at 79.
 func TestPackTriesUniqueTokens(t *testing.T) {
 	a := Path{ID: 0, Lineage: []NodeRef{{0, 50}, {1, 10}}}
 	b := Path{ID: 1, Lineage: []NodeRef{{0, 50}, {2, 20}}}
-	tries := new(Scratch).PackTries([]Path{a, b}, 1000)
-	if len(tries) != 1 {
-		t.Fatalf("tries = %d, want 1", len(tries))
+	c := Path{ID: 2, Lineage: []NodeRef{{0, 50}}}
+	paths := []Path{a, b, c}
+	tries := new(Scratch).PackTries(paths, 80)
+	if len(tries) != 1 || len(tries[0].Paths) != 3 {
+		t.Fatalf("capacity 80: %d tries, want one of all three paths", len(tries))
 	}
-	if tries[0].UniqueTokens != 80 {
-		t.Errorf("UniqueTokens = %d, want 80 (50 shared + 10 + 20)", tries[0].UniqueTokens)
+	if got := trieTokens(tries[0]); got != 80 {
+		t.Errorf("Nodes(T) = %d, want 80 (50 shared + 10 + 20)", got)
+	}
+	tries = new(Scratch).PackTries(paths, 79)
+	if len(tries) != 2 || len(tries[0].Paths) != 1 || len(tries[1].Paths) != 2 {
+		t.Errorf("capacity 79: tries %v, want [a] then [b c]", tries)
 	}
 }
 
@@ -279,11 +288,11 @@ func TestFig8WorkedExample(t *testing.T) {
 	acfj := mk(1, 3, 6, 10)
 
 	good := new(Scratch).PackTries([]Path{abdg, abdh, abei, acfj}, 4)
-	if got := EvictionCost(good); got != 6 {
+	if got := evictionCost(good); got != 6 {
 		t.Errorf("prefix-aware eviction cost = %d, want 6", got)
 	}
 	bad := new(Scratch).PackTries([]Path{abdh, abei, acfj, abdg}, 4)
-	if got := EvictionCost(bad); got != 8 {
+	if got := evictionCost(bad); got != 8 {
 		t.Errorf("suboptimal eviction cost = %d, want 8", got)
 	}
 }
@@ -295,8 +304,8 @@ func TestEvictionCostPrefixAwareBeatsRandom(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		paths := randomTree(r.Child("t"), 32)
 		capacity := 300
-		pa := EvictionCost(new(Scratch).PackTries(PrefixAwareOrder(paths), capacity))
-		rnd := EvictionCost(new(Scratch).PackTries(RandomOrder(slices.Clone(paths), r.Child("s")), capacity))
+		pa := evictionCost(new(Scratch).PackTries(PrefixAwareOrder(paths), capacity))
+		rnd := evictionCost(new(Scratch).PackTries(RandomOrder(slices.Clone(paths), r.Child("s")), capacity))
 		if pa <= rnd {
 			wins++
 		}
@@ -360,8 +369,8 @@ func TestCumulativeGrowthOrdering(t *testing.T) {
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if out := GreedyOrder(nil); out != nil {
-		t.Error("GreedyOrder(nil) != nil")
+	if out := greedyOrder(nil); out != nil {
+		t.Error("greedyOrder(nil) != nil")
 	}
 	if out := MaxGrowthOrder(nil); out != nil {
 		t.Error("MaxGrowthOrder(nil) != nil")
@@ -369,8 +378,8 @@ func TestEmptyInputs(t *testing.T) {
 	if out := PrefixAwareOrder(nil); len(out) != 0 {
 		t.Error("PrefixAwareOrder(nil) not empty")
 	}
-	if cost := EvictionCost(nil); cost != 0 {
-		t.Error("EvictionCost(nil) != 0")
+	if cost := evictionCost(nil); cost != 0 {
+		t.Error("evictionCost(nil) != 0")
 	}
 	if got := ScheduleScore(nil); got != 0 {
 		t.Error("ScheduleScore(nil) != 0")
@@ -429,4 +438,81 @@ func TestNodeSet(t *testing.T) {
 	if s.Has(7) || s.Has(3) || !s.Add(7) || !s.Has(7) {
 		t.Error("members survived an epoch wrap")
 	}
+}
+
+// greedyOrder is the literal §4.2 invariant, the oracle PrefixAwareOrder
+// is held to: starting from the first queued path, repeatedly schedule the
+// unscheduled path with the maximum shared prefix with the previously
+// scheduled one (ties broken by queue order). O(n²).
+func greedyOrder(paths []Path) []Path {
+	if len(paths) == 0 {
+		return nil
+	}
+	used := make([]bool, len(paths))
+	out := make([]Path, 0, len(paths))
+	out = append(out, paths[0])
+	used[0] = true
+	for len(out) < len(paths) {
+		prev := out[len(out)-1]
+		bestIdx, bestShare := -1, -1
+		for i, p := range paths {
+			if used[i] {
+				continue
+			}
+			if s := SharedPrefixTokens(prev, p); s > bestShare {
+				bestIdx, bestShare = i, s
+			}
+		}
+		out = append(out, paths[bestIdx])
+		used[bestIdx] = true
+	}
+	return out
+}
+
+// trieNodes returns tr's node set: node ID → tokens, as first seen along
+// its paths.
+func trieNodes(tr Trie) map[int]int {
+	nodes := map[int]int{}
+	for _, p := range tr.Paths {
+		for _, n := range p.Lineage {
+			if _, ok := nodes[n.Node]; !ok {
+				nodes[n.Node] = n.Tokens
+			}
+		}
+	}
+	return nodes
+}
+
+// trieTokens is Nodes(T) in token units: the KV footprint of the trie with
+// perfect prefix sharing.
+func trieTokens(tr Trie) int {
+	total := 0
+	for _, tokens := range trieNodes(tr) {
+		total += tokens
+	}
+	return total
+}
+
+// sharedTokens returns the tokens of nodes present in both tries
+// (P(Tᵢ, Tᵢ₊₁) in token units).
+func sharedTokens(a, b Trie) int {
+	shared := 0
+	inB := trieNodes(b)
+	for node, tokens := range trieNodes(a) {
+		if _, ok := inB[node]; ok {
+			shared += tokens
+		}
+	}
+	return shared
+}
+
+// evictionCost is the §4.2 objective: Σᵢ (Nodes(Tᵢ) − P(Tᵢ, Tᵢ₊₁)), in
+// tokens, summed over trie *switches* — matching the Fig 8 worked example,
+// where the final resident trie pays no eviction.
+func evictionCost(tries []Trie) int {
+	cost := 0
+	for i := 0; i+1 < len(tries); i++ {
+		cost += trieTokens(tries[i]) - sharedTokens(tries[i], tries[i+1])
+	}
+	return cost
 }

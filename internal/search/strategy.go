@@ -55,23 +55,9 @@ var strategyNames = [...]string{
 	hedged:      "hedged",
 }
 
-// FullBeam runs the policy's beam to normal termination. It reproduces
-// the pre-strategy semantics bit-identically.
-func FullBeam() Strategy { return Strategy{kind: fullBeam} }
-
 // FirstFinish returns on the first completed chain. k > 0 caps the
 // launch width at k chains; k <= 0 launches the policy's width.
 func FirstFinish(k int) Strategy { return Strategy{kind: firstFinish, k: max(k, 0)} }
-
-// DeadlineCut runs the full beam but finalizes early when the request's
-// deadline passes mid-solve, returning the best path found so far (a
-// degraded answer if nothing finished).
-func DeadlineCut() Strategy { return Strategy{kind: deadlineCut} }
-
-// Hedged replicates the request to a second device and cancels the
-// loser on first completion. The solver-level semantics are full-beam;
-// the replication and cancellation live in the fleet layer.
-func Hedged() Strategy { return Strategy{kind: hedged} }
 
 // On reports whether strategies are enabled (s is not the zero value).
 func (s Strategy) On() bool { return s.kind != strategiesOff }

@@ -74,7 +74,7 @@ func FuzzParseStrategy(f *testing.F) {
 }
 
 func TestStrategyHooks(t *testing.T) {
-	for _, s := range []Strategy{{}, FullBeam()} {
+	for _, s := range []Strategy{{}, Strategy{kind: fullBeam}} {
 		if s.Satisfied(3) || s.CutAtDeadline() || s.Hedged() {
 			t.Errorf("%q must never stop early, cut, or hedge", s.Name())
 		}
@@ -82,7 +82,7 @@ func TestStrategyHooks(t *testing.T) {
 			t.Errorf("%q must keep the configured width", s.Name())
 		}
 	}
-	if (Strategy{}).On() || !FullBeam().On() {
+	if (Strategy{}).On() || !(Strategy{kind: fullBeam}).On() {
 		t.Error("only the zero value is off")
 	}
 
@@ -103,10 +103,11 @@ func TestStrategyHooks(t *testing.T) {
 		t.Error("first-finish must never widen the search beyond the policy")
 	}
 
-	if !DeadlineCut().CutAtDeadline() || DeadlineCut().Hedged() {
+	deadline, hedge := Strategy{kind: deadlineCut}, Strategy{kind: hedged}
+	if !deadline.CutAtDeadline() || deadline.Hedged() {
 		t.Error("deadline must cut at the deadline and not hedge")
 	}
-	if !Hedged().Hedged() || Hedged().Satisfied(1) || Hedged().CutAtDeadline() {
+	if !hedge.Hedged() || hedge.Satisfied(1) || hedge.CutAtDeadline() {
 		t.Error("hedged must replicate at the fleet level with full-beam solver semantics")
 	}
 }
@@ -127,13 +128,14 @@ func TestDegradedStrategy(t *testing.T) {
 	if DegradedStrategy(Strategy{}, 2).On() {
 		t.Error("the strategy knob must stay off when no base strategy is configured")
 	}
-	if got := DegradedStrategy(Hedged(), 0); got != Hedged() {
+	hedge := Strategy{kind: hedged}
+	if got := DegradedStrategy(hedge, 0); got != hedge {
 		t.Errorf("tier 0 must keep the configured strategy, got %q", got.Name())
 	}
-	if got := DegradedStrategy(FullBeam(), 1); got != FirstFinish(0) {
+	if got := DegradedStrategy(Strategy{kind: fullBeam}, 1); got != FirstFinish(0) {
 		t.Errorf("tier 1 must degrade to first-finish, got %q", got.Name())
 	}
-	if got := DegradedStrategy(Hedged(), 2); got != FirstFinish(0) {
+	if got := DegradedStrategy(hedge, 2); got != FirstFinish(0) {
 		t.Errorf("deep tiers must degrade hedging to first-finish, got %q", got.Name())
 	}
 }

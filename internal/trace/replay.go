@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"reflect"
 )
@@ -116,16 +115,6 @@ func (t *RunTrace) EncodeJSONL() ([]byte, error) {
 		return nil, fmt.Errorf("trace: encoding stats: %w", err)
 	}
 	return b.Bytes(), nil
-}
-
-// WriteJSONL writes the canonical encoding to w.
-func (t *RunTrace) WriteJSONL(w io.Writer) error {
-	data, err := t.EncodeJSONL()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
 }
 
 // DecodeJSONL parses a canonical JSONL trace.

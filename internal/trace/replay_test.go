@@ -78,17 +78,6 @@ func TestEncodeLayout(t *testing.T) {
 	}
 }
 
-func TestWriteJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleTrace().WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := sampleTrace().EncodeJSONL()
-	if !bytes.Equal(buf.Bytes(), data) {
-		t.Fatal("WriteJSONL bytes differ from EncodeJSONL")
-	}
-}
-
 func TestDecodeRejectsMalformed(t *testing.T) {
 	good, _ := sampleTrace().EncodeJSONL()
 	lines := strings.SplitAfter(string(good), "\n")

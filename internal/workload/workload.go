@@ -232,7 +232,6 @@ type VerifierSkill struct {
 var (
 	SkillShepherd7B  = VerifierSkill{Name: "Math-Shepherd-Mistral-7B", Noise: 0.13, Rho: 0.70}
 	SkillSkywork1_5B = VerifierSkill{Name: "Skywork-o1-Open-PRM-1.5B", Noise: 0.18, Rho: 0.65}
-	SkillOracleExact = VerifierSkill{Name: "oracle", Noise: 0.0, Rho: 0.0}
 )
 
 // PathState is the evolving latent state of one reasoning path. Children
@@ -314,8 +313,7 @@ func Score(st *PathState, v VerifierSkill, r *rng.Stream) float64 {
 // that majority voting is meaningful. A NewDataset problem draws from its
 // dataset's table; a hand-built one builds the table per call.
 func Answer(p *Problem, st *PathState, r *rng.Stream) int {
-	pCorrect := logistic(4.0 * (st.Quality - answerBar(p)))
-	if r.Bool(pCorrect) {
+	if r.Bool(correctProb(p, st)) {
 		return 0
 	}
 	wrong := p.wrong
@@ -330,16 +328,11 @@ func wrongAnswers(answerSpace int) *rng.ZipfTable {
 	return rng.NewZipfTable(answerSpace-1, 0.8)
 }
 
-// answerBar is the quality threshold at which a path answers correctly
-// half the time; harder problems demand more.
-func answerBar(p *Problem) float64 {
-	return 5.1*p.Difficulty - 2.78
-}
-
-// CorrectProb exposes the probability a path with the given state would
-// answer correctly (for tests and analytic calibration).
-func CorrectProb(p *Problem, st *PathState) float64 {
-	return logistic(4.0 * (st.Quality - answerBar(p)))
+// correctProb is the probability that a path in state st answers p
+// correctly: a logistic in the path's quality, centred on the bar
+// 5.1·difficulty − 2.78 at which it answers correctly half the time.
+func correctProb(p *Problem, st *PathState) float64 {
+	return logistic(4.0 * (st.Quality - (5.1*p.Difficulty - 2.78)))
 }
 
 func logistic(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

@@ -254,10 +254,11 @@ func TestScoreAutocorrelation(t *testing.T) {
 }
 
 func TestOracleVerifierNoiseless(t *testing.T) {
+	oracle := VerifierSkill{Name: "oracle", Noise: 0.0, Rho: 0.0}
 	r := rng.New(19)
 	st := &PathState{Quality: 0.5}
-	a := Score(st, SkillOracleExact, r)
-	b := Score(st, SkillOracleExact, r)
+	a := Score(st, oracle, r)
+	b := Score(st, oracle, r)
 	if a != b {
 		t.Errorf("oracle scores differ: %v vs %v", a, b)
 	}
@@ -340,9 +341,9 @@ func TestCorrectProbMonotoneInQuality(t *testing.T) {
 	p := ds.Problems[0]
 	prev := -1.0
 	for q := -2.0; q <= 2.0; q += 0.5 {
-		pc := CorrectProb(p, &PathState{Quality: q})
+		pc := correctProb(p, &PathState{Quality: q})
 		if pc <= prev {
-			t.Fatalf("CorrectProb not monotone at q=%v", q)
+			t.Fatalf("correctProb not monotone at q=%v", q)
 		}
 		prev = pc
 	}
@@ -352,7 +353,7 @@ func TestHarderProblemsLowerCorrectProb(t *testing.T) {
 	easy := &Problem{Difficulty: 0.3}
 	hard := &Problem{Difficulty: 0.9}
 	st := &PathState{Quality: 0.5}
-	if CorrectProb(easy, st) <= CorrectProb(hard, st) {
+	if correctProb(easy, st) <= correctProb(hard, st) {
 		t.Error("difficulty should reduce correctness probability")
 	}
 }

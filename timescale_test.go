@@ -1,13 +1,23 @@
 package fasttts
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"fasttts/internal/hw"
 	"fasttts/internal/model"
+	"fasttts/internal/rng"
+	"fasttts/internal/workload"
 )
+
+// quickSeed seeds TestTimeScaleCovarianceQuick's random configs; make
+// quick-sweep runs seeds 1-200:
+//
+//	go test -run TestTimeScaleCovarianceQuick . -quick.seed=<n>
+var quickSeed = flag.Int("quick.seed", int(time.Now().UnixNano())%100000, "seed for the random time-scale configs")
 
 // timeScaleExceptions are the catalog runs that do not halve when every
 // time input does, each for a time constant no config reaches. The
@@ -21,20 +31,21 @@ var timeScaleExceptions = map[string]string{
 	"budget-storm/cluster": "control.NewBudget's Degrade (8 s) and Restore (2 s): constant queue-delay thresholds",
 }
 
-// twiceAsFastHardware makes every GPU of the catalog twice as fast until
-// the returned function restores it: every rate doubled and the fixed
-// kernel overhead halved, so every modeled time halves exactly (scaling a
-// float by a power of two is exact short of overflow). A device is named
-// by its GPU, not specified, so the catalog itself is what scales.
-func twiceAsFastHardware() (restore func()) {
+// fasterHardware makes every GPU of the catalog k times as fast until the
+// returned function restores it: every rate multiplied by k and the fixed
+// kernel overhead divided by k, so for k a power of two every modeled time
+// divides by k exactly (scaling a float by a power of two is exact short
+// of overflow). A device is named by its GPU, not specified, so the
+// catalog itself is what scales.
+func fasterHardware(k float64) (restore func()) {
 	gpus := []*hw.GPU{&hw.RTX4090, &hw.RTX4070Ti, &hw.RTX3070Ti}
 	saved := make([]hw.GPU, len(gpus))
 	for i, g := range gpus {
 		saved[i] = *g
-		g.PeakFLOPS *= 2
-		g.MemBW *= 2
-		g.PCIeBW *= 2
-		g.KernelOverhead /= 2
+		g.PeakFLOPS *= k
+		g.MemBW *= k
+		g.PCIeBW *= k
+		g.KernelOverhead /= k
 	}
 	return func() {
 		for i, g := range gpus {
@@ -43,27 +54,27 @@ func twiceAsFastHardware() (restore func()) {
 	}
 }
 
-// halveTimes halves every time input of a built scenario: arrivals,
-// deadlines, the SLO target, fail-stop times, and the control period and
-// warm-up delay.
-func halveTimes(spec *scenarioSpec) {
+// divideTimes divides every time input of a built scenario by k:
+// arrivals, deadlines, the SLO target, fail-stop times, and the control
+// period and warm-up delay.
+func divideTimes(spec *scenarioSpec, k float64) {
 	reqs := make([]scenarioRequest, len(spec.requests))
 	for i, rq := range spec.requests {
-		rq.arrival /= 2
-		rq.deadline /= 2
+		rq.arrival /= k
+		rq.deadline /= k
 		reqs[i] = rq
 	}
 	spec.requests = reqs
 	cc := &spec.cluster
-	cc.SLOLatency /= 2
+	cc.SLOLatency /= k
 	cc.Devices = append([]DeviceSpec(nil), cc.Devices...)
 	for i := range cc.Devices {
-		cc.Devices[i].FailAt /= 2
+		cc.Devices[i].FailAt /= k
 	}
 	if cc.Autoscale != nil {
 		as := *cc.Autoscale
-		as.Interval /= 2
-		as.WarmupDelay /= 2
+		as.Interval /= k
+		as.WarmupDelay /= k
 		cc.Autoscale = &as
 	}
 }
@@ -86,14 +97,14 @@ func TestTimeScaleCovariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			halveTimes(&spec)
-			restore := twiceAsFastHardware()
+			divideTimes(&spec, 2)
+			restore := fasterHardware(2)
 			fast, err := spec.run(target)
 			restore()
 			if err != nil {
 				t.Fatalf("%s on 2x hardware: %v", key, err)
 			}
-			diff := timeScaleDiff(slow, fast)
+			diff := timeScaleDiff(slow, fast, 2)
 			if cause, ok := timeScaleExceptions[key]; ok {
 				if diff == "" {
 					t.Errorf("%s halves exactly: drop its exception (%s)", key, cause)
@@ -108,15 +119,103 @@ func TestTimeScaleCovariance(t *testing.T) {
 	}
 }
 
-// timeScaleDiff describes the first way fast is not slow at half the
-// time, or returns "".
-func timeScaleDiff(slow, fast *ScenarioRun) string {
-	half := func(f, s float64) bool { return math.Float64bits(f) == math.Float64bits(s/2) }
+// TestTimeScaleCovarianceQuick is TestTimeScaleCovariance on a random
+// cluster config of -quick.seed, at k = 2, 4 and 1/2: on hardware k times
+// as fast, with every time input divided by k, every time must divide by k
+// bit for bit. A config draws 1-4 devices (GPU, search algorithm and
+// width, serve policy, admission cap, straggler factor, fail-stop time),
+// a router, a strategy and an SLO target, sometimes a static controller,
+// and 3-8 requests with priorities and deadlines. The controllers with
+// queue-delay constants (threshold, pid, budget) are left out, for the
+// reason timeScaleExceptions gives; the public configs cannot select
+// streaming percentiles, whose fixed log buckets do not scale.
+func TestTimeScaleCovarianceQuick(t *testing.T) {
+	t.Logf("quick.seed=%d", *quickSeed)
+	r := rng.New(uint64(*quickSeed)).Child("timescale")
+	spec := randomClusterSpec(r)
+	slow, err := spec.run(ScenarioCluster)
+	if err != nil {
+		t.Fatalf("config %+v: %v", spec.cluster, err)
+	}
+	for _, k := range []float64{2, 4, 0.5} {
+		scaled := spec
+		divideTimes(&scaled, k)
+		restore := fasterHardware(k)
+		fast, err := scaled.run(ScenarioCluster)
+		restore()
+		if err != nil {
+			t.Fatalf("k=%g: %v", k, err)
+		}
+		if diff := timeScaleDiff(slow, fast, k); diff != "" {
+			t.Errorf("k=%g, config %+v: %s", k, spec.cluster, diff)
+		}
+	}
+}
+
+// randomClusterSpec draws TestTimeScaleCovarianceQuick's config.
+func randomClusterSpec(r *rng.Stream) scenarioSpec {
+	pick := func(xs ...string) string { return xs[r.IntN(len(xs))] }
+	seed := uint64(r.IntN(1 << 20))
+	devices := make([]DeviceSpec, 1+r.IntN(4))
+	for i := range devices {
+		d := &devices[i]
+		d.Config = Config{
+			GPU:       pick("RTX 4090", "RTX 4070 Ti", "RTX 3070 Ti"),
+			Algorithm: pick("Beam Search", "Best-of-N", "DVTS"),
+			NumBeams:  []int{4, 8}[r.IntN(2)],
+			Seed:      seed + uint64(i) + 1,
+		}
+		d.Policy = pick("fcfs", "sjf", "priority", "deadline")
+		if r.Bool(0.3) {
+			d.MaxInFlight = 1 + r.IntN(3)
+		}
+		if r.Bool(0.3) {
+			d.Slowdown = 1 + 3*r.Float64()
+		}
+		if i > 0 && r.Bool(0.3) {
+			d.FailAt = 60 * r.Float64()
+		}
+	}
+	cc := ClusterConfig{
+		Devices:    devices,
+		Router:     pick("single", "rr", "least-work", "jsq", "p2c", "prefix", "cache-aware"),
+		Seed:       seed,
+		SLOLatency: 30 + 150*r.Float64(),
+		Strategy:   pick("", "full-beam", "first-finish", "first-finish:2", "deadline"),
+	}
+	if len(devices) > 1 && r.Bool(0.2) {
+		cc.Strategy = "hedged"
+	}
+	if r.Bool(0.3) {
+		cc.Autoscale = &AutoscaleConfig{Policy: "static", Interval: 5 + 20*r.Float64()}
+	}
+	datasets := []string{"MATH500", "AMC23", "AIME24", "HumanEval"}
+	reqs := make([]scenarioRequest, 3+r.IntN(6))
+	at := 0.0
+	for i := range reqs {
+		name := datasets[r.IntN(len(datasets))]
+		ds, err := workload.SpecByName(name)
+		if err != nil {
+			panic(err)
+		}
+		at += r.Exp(0.3)
+		reqs[i] = scenarioRequest{dataset: name, problem: r.IntN(ds.Problems), arrival: at, priority: r.IntN(3)}
+		if r.Bool(0.5) {
+			reqs[i].deadline = at + 20 + 100*r.Float64()
+		}
+	}
+	return scenarioSpec{info: ScenarioInfo{Name: "random"}, requests: reqs, cluster: cc}
+}
+
+// timeScaleDiff describes the first way fast is not slow at 1/scale of
+// the time, or returns "".
+func timeScaleDiff(slow, fast *ScenarioRun, scale float64) string {
+	div := func(f, s float64) bool { return math.Float64bits(f) == math.Float64bits(s/scale) }
 	if len(fast.Served) != len(slow.Served) {
 		return fmt.Sprintf("%d served results, want %d", len(fast.Served), len(slow.Served))
 	}
 	for k := range slow.Served {
-		if d := servedDiff(&slow.Served[k], &fast.Served[k], half); d != "" {
+		if d := servedDiff(&slow.Served[k], &fast.Served[k], scale); d != "" {
 			return fmt.Sprintf("result %d (request %d): %s", k, slow.Served[k].Tag, d)
 		}
 	}
@@ -130,7 +229,7 @@ func timeScaleDiff(slow, fast *ScenarioRun) string {
 				return fmt.Sprintf("fleet result %d on device %d after %d requeues, want %d after %d",
 					k, fr[k].Device, fr[k].Requeues, sr[k].Device, sr[k].Requeues)
 			}
-			if d := servedDiff(&sr[k].ServedResult, &fr[k].ServedResult, half); d != "" {
+			if d := servedDiff(&sr[k].ServedResult, &fr[k].ServedResult, scale); d != "" {
 				return fmt.Sprintf("fleet result %d (request %d): %s", k, sr[k].Tag, d)
 			}
 		}
@@ -139,39 +238,40 @@ func timeScaleDiff(slow, fast *ScenarioRun) string {
 			return fmt.Sprintf("%d controller actions, want %d", len(fa), len(sa))
 		}
 		for k := range sa {
-			if !half(fa[k].Time, sa[k].Time) || fa[k].Action != sa[k].Action || fa[k].Applied != sa[k].Applied {
-				return fmt.Sprintf("action %d is %v, want %v at half the time", k, fa[k], sa[k])
+			if !div(fa[k].Time, sa[k].Time) || fa[k].Action != sa[k].Action || fa[k].Applied != sa[k].Applied {
+				return fmt.Sprintf("action %d is %v, want %v at 1/%g of the time", k, fa[k], sa[k], scale)
 			}
 		}
 		ss, fs := slow.FleetStats, fast.FleetStats
-		if !half(fs.DeviceSeconds, ss.DeviceSeconds) || !half(fs.ReprefillSeconds, ss.ReprefillSeconds) ||
+		if !div(fs.DeviceSeconds, ss.DeviceSeconds) || !div(fs.ReprefillSeconds, ss.ReprefillSeconds) ||
 			fs.ImbalanceCV != ss.ImbalanceCV || fs.Requeues != ss.Requeues || fs.FailedDevices != ss.FailedDevices ||
 			fs.CacheHitTokens != ss.CacheHitTokens || fs.CacheMissTokens != ss.CacheMissTokens ||
 			fs.CacheEvictedTokens != ss.CacheEvictedTokens {
-			return fmt.Sprintf("fleet stats %+v, want %+v at half the time", *fs, *ss)
+			return fmt.Sprintf("fleet stats %+v, want %+v at 1/%g of the time", *fs, *ss, scale)
 		}
 	}
 	s, f := slow.Stats, fast.Stats
-	if f.Served != s.Served || f.Rejected != s.Rejected || !half(f.Makespan, s.Makespan) ||
-		!half(f.MeanQueueDelay, s.MeanQueueDelay) || !half(f.MaxQueueDelay, s.MaxQueueDelay) ||
-		!half(f.MeanLatency, s.MeanLatency) || !half(f.P50Latency, s.P50Latency) ||
-		!half(f.P95Latency, s.P95Latency) || !half(f.P99Latency, s.P99Latency) ||
-		math.Float64bits(f.Goodput) != math.Float64bits(s.Goodput*2) || f.SLOAttainment != s.SLOAttainment {
-		return fmt.Sprintf("stats %+v, want %+v at half the time", f, s)
+	if f.Served != s.Served || f.Rejected != s.Rejected || !div(f.Makespan, s.Makespan) ||
+		!div(f.MeanQueueDelay, s.MeanQueueDelay) || !div(f.MaxQueueDelay, s.MaxQueueDelay) ||
+		!div(f.MeanLatency, s.MeanLatency) || !div(f.P50Latency, s.P50Latency) ||
+		!div(f.P95Latency, s.P95Latency) || !div(f.P99Latency, s.P99Latency) ||
+		math.Float64bits(f.Goodput) != math.Float64bits(s.Goodput*scale) || f.SLOAttainment != s.SLOAttainment {
+		return fmt.Sprintf("stats %+v, want %+v at 1/%g of the time", f, s, scale)
 	}
 	return ""
 }
 
-// servedDiff describes the first way f is not s at half the time, or
-// returns "".
-func servedDiff(s, f *ServedResult, half func(f, s float64) bool) string {
+// servedDiff describes the first way f is not s at 1/scale of the time,
+// or returns "".
+func servedDiff(s, f *ServedResult, scale float64) string {
+	div := func(f, s float64) bool { return math.Float64bits(f) == math.Float64bits(s/scale) }
 	if f.Tag != s.Tag || f.Slices != s.Slices || f.UsefulTokens != s.UsefulTokens || f.Width != s.Width || f.Rejected != s.Rejected {
 		return fmt.Sprintf("request %d in %d slices, %d useful tokens, width %d, rejected %v; want request %d in %d, %d, %d, %v",
 			f.Tag, f.Slices, f.UsefulTokens, f.Width, f.Rejected, s.Tag, s.Slices, s.UsefulTokens, s.Width, s.Rejected)
 	}
-	if !half(f.ArrivalTime, s.ArrivalTime) || !half(f.StartTime, s.StartTime) || !half(f.FinishTime, s.FinishTime) ||
-		!half(f.QueueDelay, s.QueueDelay) || !half(f.WallLatency, s.WallLatency) {
-		return fmt.Sprintf("arrival, start, finish, queue, wall %v %v %v %v %v; want half of %v %v %v %v %v",
+	if !div(f.ArrivalTime, s.ArrivalTime) || !div(f.StartTime, s.StartTime) || !div(f.FinishTime, s.FinishTime) ||
+		!div(f.QueueDelay, s.QueueDelay) || !div(f.WallLatency, s.WallLatency) {
+		return fmt.Sprintf("arrival, start, finish, queue, wall %v %v %v %v %v; want 1/scale of %v %v %v %v %v",
 			f.ArrivalTime, f.StartTime, f.FinishTime, f.QueueDelay, f.WallLatency,
 			s.ArrivalTime, s.StartTime, s.FinishTime, s.QueueDelay, s.WallLatency)
 	}
@@ -182,10 +282,10 @@ func servedDiff(s, f *ServedResult, half func(f, s float64) bool) string {
 		return ""
 	}
 	fr, sr := f.Result, s.Result
-	if !half(fr.Latency, sr.Latency) || !half(fr.GenLatency, sr.GenLatency) ||
-		!half(fr.VerLatency, sr.VerLatency) || !half(fr.TransferLatency, sr.TransferLatency) ||
-		math.Float64bits(fr.Goodput) != math.Float64bits(sr.Goodput*2) {
-		return fmt.Sprintf("latency, gen, ver, transfer, goodput %v %v %v %v %v; want half (goodput twice) of %v %v %v %v %v",
+	if !div(fr.Latency, sr.Latency) || !div(fr.GenLatency, sr.GenLatency) ||
+		!div(fr.VerLatency, sr.VerLatency) || !div(fr.TransferLatency, sr.TransferLatency) ||
+		math.Float64bits(fr.Goodput) != math.Float64bits(sr.Goodput*scale) {
+		return fmt.Sprintf("latency, gen, ver, transfer, goodput %v %v %v %v %v; want 1/scale (goodput scale times) of %v %v %v %v %v",
 			fr.Latency, fr.GenLatency, fr.VerLatency, fr.TransferLatency, fr.Goodput,
 			sr.Latency, sr.GenLatency, sr.VerLatency, sr.TransferLatency, sr.Goodput)
 	}
@@ -212,7 +312,7 @@ func TestTimeScaleKeepsDecodeBranch(t *testing.T) {
 			slow = append(slow, deployment{m, g})
 		}
 	}
-	restore := twiceAsFastHardware()
+	restore := fasterHardware(2)
 	fast := []hw.GPU{hw.RTX4090, hw.RTX4070Ti, hw.RTX3070Ti}
 	restore()
 	seen := map[bool]int{}
