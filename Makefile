@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-nofma lint writeonly bench cover scenarios quick-sweep benchmark benchmark-smoke profile-solver profile-observed profile-dispatch profile-kv count-observed count-solver count-kv count-dispatch golden
+.PHONY: all build test test-nofma lint writeonly bench cover scenarios quick-sweep fuzz-cluster benchmark benchmark-smoke profile-solver profile-observed profile-dispatch profile-kv count-observed count-solver count-kv count-dispatch golden
 
 all: build lint test
 
@@ -64,7 +64,11 @@ scenarios:
 # allocating reference (TestSelectMatchesReference, internal/search), of
 # the solver's decode loop against its scanning reference over random
 # decode groups (TestDecodeRoundsMatchesReference, internal/core; a
-# failing seed prints as core:<n>), and of the run-length radix cache against its token-by-token oracle and its
+# failing seed prints as core:<n>), of solve replay on random fleets
+# serving repeats over a pool of at most 8 problems, shared problems
+# against private copies that never replay
+# (TestReplayMatchesPrivateCopiesQuick, internal/cluster; about 25 ms a
+# seed; a failing seed prints as replay:<n>), and of the run-length radix cache against its token-by-token oracle and its
 # eviction heap against container/heap (TestDifferentialOracle,
 # TestEvictHeapMatchesContainerHeap, internal/kvcache; about 0.1 s a
 # seed), and of the Perfetto encoder against encoding/json on random and
@@ -87,6 +91,9 @@ quick-sweep:
 		if ! out=$$(bench-smoke/cluster-quick.test -test.run 'PreservesRequestMultiset|IndexMatchesScan|BestTreeMatchesScan|TraceLifecycleProperty' -quick.seed=$$seed 2>&1); then \
 			echo "$$out"; failed="$$failed cluster:$$seed"; \
 		fi; \
+		if ! out=$$(bench-smoke/cluster-quick.test -test.run '^TestReplayMatchesPrivateCopiesQuick$$' -quick.seed=$$seed 2>&1); then \
+			echo "$$out"; failed="$$failed replay:$$seed"; \
+		fi; \
 		if ! out=$$(bench-smoke/search-quick.test -test.run '^TestSelectMatchesReference$$' -quick.seed=$$seed 2>&1); then \
 			echo "$$out"; failed="$$failed search:$$seed"; \
 		fi; \
@@ -105,6 +112,16 @@ quick-sweep:
 	done; \
 	if [ -n "$$failed" ]; then echo "quick-sweep: failing -quick.seed:$$failed" >&2; exit 1; fi; \
 	echo "quick-sweep: -quick.seed 1-200 pass"
+
+# Fuzz Cluster.Run for a minute (FuzzClusterRun, the root package): small
+# fleets and up to 64 requests over a pool of at most 8 problems decoded
+# from bytes, arrival gaps of 0, NaN and ±Inf included. Each input must
+# return an error or a finite run within 2 s, and the same run with every
+# problem a private copy. A failing input lands in
+# testdata/fuzz/FuzzClusterRun/; commit it with the fix as a regression
+# seed. A CI step, beside quick-sweep.
+fuzz-cluster:
+	$(GO) test -run '^$$' -fuzz '^FuzzClusterRun$$' -fuzztime 60s .
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): four
 # ~2 s-per-pass workloads, eleven end-to-end metrics each, every pass
@@ -168,7 +185,9 @@ endef
 # 18 %, the stable sorts of an iteration about 5 %, Select 1 % and
 # deriving a beam's three streams 1.7 %. These time shares rank light loops unreliably (the
 # sorts were 6.8 % of the pass's instructions), so size a target with
-# make count-solver.
+# make count-solver. Its 500 requests ask 500 distinct problems, so no
+# request replays a recorded solve: this stays a profile of live search
+# (plus the recording of each clean solve for replay).
 profile-solver:
 	$(call profile,BenchmarkServerRunBeam64,.,80x,1x,solver)
 
@@ -178,11 +197,13 @@ profile-solver:
 # internal/cluster/perf_test.go), so a recorder PR is sized here. The
 # Perfetto export took 33.6 % of the CPU, strconv.AppendFloat 23.1 % of
 # it, until the encoder wrote integral floats as integers and copied
-# repeated ones from a memo: now 19.6 % and 10.4 % (80-pass profiles on
-# a 2-CPU AMD EPYC). The track merge (Recorder.spans, about 12 %) and
-# Attribute (about 9 %, of which the run's own attribution is half) are
-# next; BenchmarkWritePerfetto times the encoder alone. The 150-pass CPU
-# profile held 1,376 samples on a 2-CPU Intel Xeon.
+# repeated ones from a memo: then 19.6 % and 10.4 % (80-pass profiles on
+# a 2-CPU AMD EPYC). The pass cycles 64 problems, so most requests (79 %
+# at seed 42) replay a solve their device recorded and take no solver;
+# with the fleet's own share smaller, the export reads 28 %, the track
+# merge (Recorder.spans) 13 %, Attribute 9 % and Loop.StepTo 18 %.
+# BenchmarkWritePerfetto times the encoder alone. The 150-pass CPU
+# profile held 1,177 samples on a 2-CPU Intel Xeon.
 profile-observed:
 	$(call profile,BenchmarkFleetRun32Observed,./internal/cluster,150x,2x,observed)
 
@@ -191,25 +212,28 @@ profile-observed:
 # pass — 256 devices, 100k requests, least-work — in
 # internal/cluster/perf_test.go). A dispatch PR (router, views, event
 # heaps, core.Loop's queue) shows its cost here: the benchmark's traced
-# run wraps the router, which hides it from the least-work index. Half
-# the CPU is the devices' Loop.StepTo, and about a third is the served
-# requests' solvers (init about 11 %, begin 8 %, stepOnce 12 %): a
-# request reads its deployment's constants — the Config by pointer, the
-# KV budget computed once — and copies no Config. The policy views StepTo
-# reads are kept current, not rebuilt per slice. Routing an arrival
-# (pushTo and Loop.Push) takes about 14 %, refreshing views and the
-# least-work tree (cached drain keys) about 8 %, the wake heap about
-# 10 %, delivering results about 8 %, settling the deferred prefix
-# accounting (the int-keyed device.acct map) about 5 %, and newRun 3 %;
-# newRun copies no request (the stream is routed through an int32
-# permutation of it), and the prefix directory and requeue telemetry use
-# no string-keyed or per-request map. The pass allocates about 26k
-# objects for 100k requests: most are the devices' sessions
-# (Loop.newSession) and queue growth (StepTo, pushTo); a served request's
-# Result and finished paths come from the run's one result store, in
-# chunks (resultStore.newResult and keepPaths, about a thousand objects
-# between them). Most bytes are newRun's result slice, then the result
-# store's chunks. The 60-pass CPU profile held 1,782 samples on a 2-CPU
+# run wraps the router, which hides it from the least-work index. The
+# pass cycles 64 problems over 256 devices, so 70 % of served requests
+# (seed 42) replay a solve their device recorded and take no solver.
+# The devices' Loop.StepTo is 46 % of the CPU, of it the served slices
+# (runSlice) 13 % and the live solvers' iterations (stepOnce) 7 %;
+# taking and initialising a solver is 5 %: a request reads its
+# deployment's constants — the Config by pointer, the KV budget computed
+# once — and copies no Config. The policy views StepTo reads are kept
+# current, not rebuilt per slice. Routing an arrival (pushTo and
+# Loop.Push) takes about 15 %, refreshing views and the least-work tree
+# (cached drain keys) about 11 %, the wake heap about 18 %, delivering
+# results about 7 %, settling the deferred prefix accounting (the
+# int-keyed device.acct map) about 5 %, and newRun 4 %; newRun copies no
+# request (the stream is routed through an int32 permutation of it), and
+# the prefix directory and requeue telemetry use no string-keyed or
+# per-request map. The pass allocates about 25.6k objects for 100k
+# requests: most are the devices' sessions (Loop.newSession) and queue
+# growth (StepTo, pushTo); a served request's Result and finished paths
+# come from the run's one result store, in chunks, and so do the clean
+# solves it records for replay (resultStore.keepTrace, about 400
+# objects). Most bytes are newRun's result slice, then the result
+# store's chunks. The 60-pass CPU profile held 1,058 samples on a 2-CPU
 # Intel Xeon. CI runs this recipe so it cannot rot.
 profile-dispatch:
 	$(call profile,BenchmarkFleetDispatch,./internal/cluster,60x,1x,dispatch)
@@ -217,24 +241,29 @@ profile-dispatch:
 # Where the kv-pressure pass's host time and allocations go: the same two
 # profiles of BenchmarkKVPressure (three GPUs behind 512 MiB KV planes,
 # cache-aware routing, 18 hot few-shot prompts, in
-# internal/cluster/perf_test.go). The decode loop (solver.decodeRounds,
-# about 24 % of CPU) still leads; most of it is engine.DecodeRun (about
-# 15 %), one roofline division per round on a stretch that is
-# memory-bound at both ends and two elsewhere, the rest spec-slot
-# filling. Then come verification, kvcache acquire/walk and beam
-# selection; long prompts
-# and a 250-answer AIME space make answer draws and kvcache eviction
-# weigh more here than on solver-beam. Neither the memory plane (a session
+# internal/cluster/perf_test.go). The pass cycles 18 prompts, so 29 % of
+# its requests (seed 42) replay a solve their device recorded whole, and
+# more replay a prefix of one: a replay whose later slice would be
+# preempted brings a solver up to that slice by re-running the clean ones
+# (Loop.resume, 21 % of the CPU). The search itself leads: execTrie
+# 39 %, of it the decode loop (solver.decodeRounds) 18 % with
+# engine.DecodeRun 10 % (one roofline division per round on a stretch
+# that is memory-bound at both ends and two elsewhere, the rest
+# spec-slot filling); verification 22 %, then kvcache acquire/walk and
+# beam selection; long prompts and a 250-answer AIME space make answer
+# draws and kvcache eviction weigh more here than on solver-beam.
+# Neither the memory plane (a session
 # keeps its cache handles in place and is reused with the loop's session)
 # nor beam selection (every search policy's Select reorders its
 # candidates in place) allocates per request, so the pass is about one
 # allocation per request: set-up (workload.NewDataset and its problem
 # keys, about 35 % of alloc_objects), kvcache node, spare and eviction
 # heap growth (about 28 %), the beams' run slices growing (appendNodeRuns,
-# commitStep, about 10 %) and the result store's chunks. The 100-pass CPU
-# profile held 1,244 and 1,377 samples in two runs on a 2-CPU Intel Xeon.
+# commitStep, about 10 %) and the result store's chunks. The 150-pass CPU
+# profile holds about 1,100 samples on a 2-CPU Intel Xeon (100 passes
+# held 742 once replay made the pass cheaper).
 profile-kv:
-	$(call profile,BenchmarkKVPressure,./internal/cluster,100x,2x,kv)
+	$(call profile,BenchmarkKVPressure,./internal/cluster,150x,2x,kv)
 
 # Instructions per request of each workload's pass, counted by
 # internal/perfctr (the calling thread's user-space instruction counter,

@@ -145,8 +145,10 @@ func (c Config) KVBudget() (int64, error) {
 
 // Result reports one solved problem. A run hands out its Results, and
 // their Finished paths, from shared chunks (resultStore): each is the
-// caller's to keep and edit, but holding any one keeps its chunk of
-// Results, and its chunk of paths, alive.
+// caller's to keep, but holding any one keeps its chunk of Results, and
+// its chunk of paths, alive. A Loop that replays a recorded solve serves
+// that solve's very Result again, so identical solves share one: nothing
+// writes a Result after it is assembled, and a caller must not either.
 type Result struct {
 	// Finished holds the collected reasoning paths in completion order,
 	// cut with cap == len: an append copies. Empty, never nil, when no

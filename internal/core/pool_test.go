@@ -167,7 +167,9 @@ func TestPooledLoopMatchesFreshStacks(t *testing.T) {
 
 // With arrivals spaced so requests never overlap, each request served on the
 // Loop's recycled solver must equal Runner.Solve on a fresh stack — paths,
-// scores, latency breakdown, cache stats, speculation counters and all.
+// scores, latency breakdown, cache stats, speculation counters and all. The
+// stream then asks the same eight again, each a replay of its first, clean
+// solve, which must equal Runner.Solve too.
 func TestPooledLoopMatchesRunnerSolve(t *testing.T) {
 	for _, tc := range poolCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,9 +181,24 @@ func TestPooledLoopMatchesRunnerSolve(t *testing.T) {
 			reqs[2].Width = 4
 			reqs[3].Strategy = search.FirstFinish(2)
 			reqs[5].Width, reqs[5].Strategy = 4, search.FirstFinish(1)
+			n := len(reqs)
+			for i := range n {
+				rq := reqs[i]
+				rq.Arrival, rq.Tag = 1000*float64(n+i), n+i
+				reqs = append(reqs, rq)
+			}
 			served := runServer(t, tc.cfg, tc.pol, reqs)
 			if len(served) != len(reqs) {
 				t.Fatalf("served %d of %d", len(served), len(reqs))
+			}
+			byTag := map[int]*Result{}
+			for _, sv := range served {
+				byTag[sv.Tag] = sv.Result
+			}
+			for i := range n {
+				if byTag[n+i] != byTag[i] {
+					t.Errorf("tag %d did not replay tag %d's solve", n+i, i)
+				}
 			}
 			for i, sv := range served {
 				rq := reqs[sv.Tag]
@@ -241,7 +258,15 @@ func TestWarmLoopPlaneAllocsNothing(t *testing.T) {
 // warmLoopAllocs serves the request 30 times on one Loop, so the solver,
 // session and cache pools settle, then counts a warm serve's allocations.
 // The served buffer is passed back as out[:0], as the fleet passes its one
-// buffer for the whole run.
+// buffer for the whole run. Each serve asks a private copy of the problem,
+// built before the count: a copy solves as the problem does, but never
+// repeats a recorded solve, so every serve is a live search, not a replay.
+// The count is the mean over 64 serves, a Result chunk's worth, rounded
+// down: the store's chunks (a Result's every 64 serves, a path chunk's
+// every four, a trace's and its slice records') grow at shared powers of
+// two, so a shorter window can catch several at once — five in the five
+// serves from the 32nd — while a per-request allocator reads at least 1
+// whatever the window.
 func warmLoopAllocs(t *testing.T, kv memplane.Config) float64 {
 	t.Helper()
 	pol, err := search.New(search.BeamSearch, 64, 4)
@@ -255,17 +280,23 @@ func warmLoopAllocs(t *testing.T, kv memplane.Config) float64 {
 		t.Fatal(err)
 	}
 	p := workload.NewDataset(workload.MATH500, rng.New(7)).Problems[17]
+	const warm, runs = 30, 64
+	copies := make([]*workload.Problem, warm+1+runs) // AllocsPerRun serves once more before counting
+	for i := range copies {
+		copies[i] = privateCopy(p)
+	}
 	l := srv.NewLoop(nil)
 	var out []ServedResult
 	serve := func() {
-		l.Push(Request{Problem: p, Arrival: l.Now()})
+		l.Push(Request{Problem: copies[0], Arrival: l.Now()})
+		copies = copies[1:]
 		var err error
 		if out, err = l.StepTo(NoHorizon, out[:0]); err != nil || len(out) != 1 {
 			t.Fatalf("served %d results, err %v", len(out), err)
 		}
 	}
-	for i := 0; i < 30; i++ {
+	for i := 0; i < warm; i++ {
 		serve() // the first builds the stack; the pools settle over the next few
 	}
-	return testing.AllocsPerRun(5, serve)
+	return testing.AllocsPerRun(runs, serve)
 }

@@ -47,7 +47,7 @@ type Request struct {
 // ServedResult augments a solve result with queueing telemetry. Result is
 // nil (and only then) for requests shed by admission control. A run's
 // Results come from its result store (see Result): holding one keeps its
-// chunk alive.
+// chunk alive, and identical solves share one.
 type ServedResult struct {
 	*Result
 	// Arrival, Start, and Finish are on the server clock. The embedded
@@ -109,6 +109,14 @@ type session struct {
 	// paid into the session's first slice.
 	mem     *memplane.Session
 	penalty float64
+
+	// trace is the recorded clean solve of the session's key that it
+	// replays, slice by slice, instead of running a solver (nil: it runs
+	// one). rec records the session's own slices while it records (rec
+	// non-nil): it started live on a key with no trace yet and every slice
+	// so far was clean. rec is a buffer of the result store's.
+	trace *solveTrace
+	rec   []sliceRec
 }
 
 // NewServer returns an FCFS server executing requests under the given
@@ -598,24 +606,14 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 		}
 		c := live[pick]
 		if !c.started {
-			pol := l.s.cfg.Policy
-			w := l.s.effectiveWidth(c.req)
-			c.width = w
-			if w != pol.Width() {
-				// Budget-degraded request: run the same algorithm at the
-				// narrowed width (the §4.1 search semantics are unchanged,
-				// only n shrinks).
-				narrowed, err := search.WithWidth(pol, w)
+			c.width = l.s.effectiveWidth(c.req)
+			if c.trace = l.store().trace(l.keyOf(c)); c.trace == nil {
+				sv, err := l.startSolver(c)
 				if err != nil {
-					return out, fmt.Errorf("core: narrowing %s to width %d: %w", pol.Name(), w, err)
+					return out, err
 				}
-				pol = narrowed
+				c.solver, c.rec = sv, l.results.takeRec()
 			}
-			sv, err := l.takeSolver(pol, l.s.effectiveStrategy(c.req), c.req.Problem)
-			if err != nil {
-				return out, fmt.Errorf("core: serving %s/%d: %w", c.req.Problem.Dataset, c.req.Problem.Index, err)
-			}
-			c.solver = sv
 			c.started = true
 			c.start = l.now
 			if l.obs != nil {
@@ -634,23 +632,20 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 		if horizon >= 0 && (pending < 0 || horizon < pending) {
 			pending = horizon
 		}
-		localStart := c.solver.clk.Now()
-		c.solver.preempt = preemptProbe{
+		probe := preemptProbe{
 			othersWaiting: len(live) > 1,
 			pending:       pending,
 			sliceStart:    l.now,
-			localStart:    localStart,
+			localStart:    c.localClock(),
 			scale:         l.scale,
+			top:           -1,
 		}
-		if !c.solver.begun {
-			c.solver.begin() // prompt prefill charges into the first slice
-		}
-
-		if err := c.solver.stepOnce(); err != nil {
-			return out, fmt.Errorf("core: serving %s/%d: %w", c.req.Problem.Dataset, c.req.Problem.Index, err)
+		end, hit, used, err := l.runSlice(c, probe)
+		if err != nil {
+			return out, err
 		}
 		sliceStart := l.now
-		nom := c.solver.clk.Now() - localStart
+		nom := end - probe.localStart
 		paid := 0.0
 		delta := nom * l.scale
 		if c.penalty > 0 {
@@ -667,29 +662,41 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 			// Reconcile the session's resident footprint with the solver's
 			// live KV usage beyond the prompt — per-beam decode state that
 			// widens and narrows as the search proceeds.
-			l.plane.SyncDecode(c.mem, int(c.solver.gen.Cache.UsedTokens())-c.req.Problem.PromptTokens)
+			l.plane.SyncDecode(c.mem, int(used)-c.req.Problem.PromptTokens)
 		}
 		if l.obs != nil {
 			l.obs.Emit(obs.Span{Kind: obs.KindSlice, Tag: c.req.Tag, Start: sliceStart, End: l.now,
-				V1: nom, V2: paid, N: c.width, Flag: c.solver.preempt.hit})
+				V1: nom, V2: paid, N: c.width, Flag: hit})
 		}
 
 		// Deadline strategy: a request whose deadline passed mid-solve is
 		// finalized early with the best path found so far. The cut lands at
 		// slice granularity — the slice that crossed the deadline completes
-		// first, mirroring how fail-stop and preemption are observed.
-		if !c.solver.done() && c.req.Deadline > 0 && l.now >= c.req.Deadline {
-			if l.s.effectiveStrategy(c.req).CutAtDeadline() {
-				c.solver.cutDeadline()
+		// first, mirroring how fail-stop and preemption are observed. A
+		// replaying session is cut on a solver brought up to this point.
+		if !c.done() && c.req.Deadline > 0 && l.now >= c.req.Deadline && l.s.effectiveStrategy(c.req).CutAtDeadline() {
+			if c.trace != nil {
+				if err := l.resume(c); err != nil {
+					return out, err
+				}
 			}
+			c.solver.cutDeadline()
+			l.stopRecording(c)
 		}
 
-		if c.solver.done() {
-			res, err := c.solver.result(l.store())
-			if err != nil {
-				return out, fmt.Errorf("core: serving %s/%d: %w", c.req.Problem.Dataset, c.req.Problem.Index, err)
+		if c.done() {
+			var res *Result
+			if c.trace != nil {
+				res = c.trace.res
+			} else {
+				var err error
+				if res, err = c.solver.result(l.store()); err != nil {
+					return out, fmt.Errorf("core: serving %s/%d: %w", c.req.Problem.Dataset, c.req.Problem.Index, err)
+				}
+				if c.rec != nil {
+					l.store().keepTrace(l.keyOf(c), c.rec, res, c.solver.speculates())
+				}
 			}
-			st := c.solver.strategy
 			l.release(c)
 			out = append(out, ServedResult{
 				Result:  res,
@@ -698,10 +705,10 @@ func (l *Loop) StepTo(horizon float64, out []ServedResult) ([]ServedResult, erro
 				WallLatency:  l.now - c.req.Arrival,
 				Slices:       c.slices,
 				UsefulTokens: res.TokensDecoded - res.SpecTokens + res.SpecRetained,
-				Width:        l.s.effectiveWidth(c.req),
+				Width:        c.width,
 				Tag:          c.req.Tag,
 			})
-			if err := checkServed(&out[len(out)-1], st); err != nil {
+			if err := checkServed(&out[len(out)-1], l.s.effectiveStrategy(c.req)); err != nil {
 				return out, err
 			}
 			if l.obs != nil {
@@ -736,6 +743,123 @@ func (l *Loop) newSession(rq Request, est float64) *session {
 	return c
 }
 
+// runSlice serves a started session's next slice under probe, replayed
+// from its trace or run on its solver, and returns the solver clock at the
+// slice's end, the slice's probe-hit flag and the generator's resident KV
+// tokens then. A live slice is recorded while the session records.
+func (l *Loop) runSlice(c *session, probe preemptProbe) (end float64, hit bool, used int64, err error) {
+	// A replayed slice the probe would have preempted runs live instead,
+	// on a solver brought up to the slice's start.
+	if c.trace != nil && c.trace.spec && probe.fires(c.trace.slices[c.slices].end) {
+		if err := l.resume(c); err != nil {
+			return 0, false, 0, err
+		}
+	}
+	if c.trace != nil {
+		r := &c.trace.slices[c.slices]
+		return r.end, r.top >= 0 && probe.fires(r.top), r.used, nil
+	}
+	sv := c.solver
+	sv.preempt = probe
+	if !sv.begun {
+		sv.begin() // prompt prefill charges into the first slice
+	}
+	if err := sv.stepOnce(); err != nil {
+		return 0, false, 0, fmt.Errorf("core: serving %s/%d: %w", c.req.Problem.Dataset, c.req.Problem.Index, err)
+	}
+	end, used = sv.clk.Now(), sv.gen.Cache.UsedTokens()
+	if c.rec != nil {
+		if sv.speculates() && probe.fires(end) {
+			l.stopRecording(c) // preempted: this solve is not a clean one
+		} else {
+			c.rec = append(c.rec, sliceRec{end: end, top: sv.preempt.top, decoded: sv.gen.DecodedTokens, used: used})
+		}
+	}
+	return end, sv.preempt.hit, used, nil
+}
+
+// keyOf is the trace key of a started session's solve.
+func (l *Loop) keyOf(c *session) traceKey {
+	return traceKey{srv: l.s, p: c.req.Problem, width: c.width, strategy: l.s.effectiveStrategy(c.req)}
+}
+
+// startSolver returns a solver initialised for a started session's
+// request: the deployment's policy at the session's width (a
+// budget-degraded request runs the same algorithm with only n narrowed,
+// the §4.1 search semantics unchanged) and the request's strategy.
+func (l *Loop) startSolver(c *session) (*solver, error) {
+	pol := l.s.cfg.Policy
+	if c.width != pol.Width() {
+		narrowed, err := search.WithWidth(pol, c.width)
+		if err != nil {
+			return nil, fmt.Errorf("core: narrowing %s to width %d: %w", pol.Name(), c.width, err)
+		}
+		pol = narrowed
+	}
+	sv, err := l.takeSolver(pol, l.s.effectiveStrategy(c.req), c.req.Problem)
+	if err != nil {
+		return nil, fmt.Errorf("core: serving %s/%d: %w", c.req.Problem.Dataset, c.req.Problem.Index, err)
+	}
+	return sv, nil
+}
+
+// resume takes a replaying session live: a solver runs begin and the
+// c.slices slices the session replayed, under noPreemption. They come out
+// as recorded, because every recorded slice was clean, and the session
+// goes on from there on the solver.
+func (l *Loop) resume(c *session) error {
+	sv, err := l.startSolver(c)
+	if err != nil {
+		return err
+	}
+	sv.begin()
+	for range c.slices {
+		if err := sv.stepOnce(); err != nil {
+			return fmt.Errorf("core: serving %s/%d: %w", c.req.Problem.Dataset, c.req.Problem.Index, err)
+		}
+	}
+	c.solver, c.trace = sv, nil
+	return nil
+}
+
+// stopRecording ends a session's recording, its buffer given back.
+func (l *Loop) stopRecording(c *session) {
+	l.results.putRec(c.rec)
+	c.rec = nil
+}
+
+// localClock is the solver clock of a started session between slices:
+// its solver's, or where the last slice it replayed ended.
+func (c *session) localClock() float64 {
+	switch {
+	case c.trace == nil:
+		return c.solver.clk.Now()
+	case c.slices > 0:
+		return c.trace.slices[c.slices-1].end
+	}
+	return 0
+}
+
+// decoded is the generator tokens a session's solve has decoded so far.
+func (c *session) decoded() int64 {
+	switch {
+	case c.trace != nil && c.slices > 0:
+		return c.trace.slices[c.slices-1].decoded
+	case c.solver != nil:
+		return c.solver.gen.DecodedTokens
+	}
+	return 0
+}
+
+// done reports whether a started session's solve has terminated: its
+// replay served every recorded slice, or its solver is done.
+func (c *session) done() bool {
+	if c.trace != nil {
+		return c.slices == len(c.trace.slices)
+	}
+	return c.solver.done()
+}
+
 // takeSolver returns a solver initialised for the problem under the
 // request's policy and strategy — a retired one when the loop has any,
 // else a new one — reading the server's deployment constants in place.
@@ -767,8 +891,9 @@ func (l *Loop) retireSolver(c *session) {
 // fail-stop — the one way: it leaves the live list and its view leaves
 // the view list at the same index (so the runnable set stays the live
 // population), it leaves the load index, its solver goes on the free
-// list, and its memory-plane decode state is finished while the prompt
-// prefix stays resident for future admissions to hit. The caller reads
+// list, its recording buffer goes back to the result store, and its
+// memory-plane decode state is finished while the prompt prefix stays
+// resident for future admissions to hit. The caller reads
 // what it still needs from c (tag, start, slices) after release.
 func (l *Loop) release(c *session) {
 	i := slices.Index(l.sessions, c)
@@ -777,6 +902,7 @@ func (l *Loop) release(c *session) {
 	l.liveWork -= c.lastRem
 	l.reanchorWork()
 	l.retireSolver(c)
+	l.stopRecording(c)
 	if l.plane != nil {
 		l.plane.Finish(c.mem)
 	}
@@ -802,10 +928,7 @@ func insertByArrival(queue []queued, q queued) []queued {
 // negative). Single source of truth for the policy views and the loop's
 // incremental load index.
 func (s *Server) remainingWork(c *session) float64 {
-	remaining := c.est
-	if c.solver != nil {
-		remaining -= float64(c.solver.gen.DecodedTokens)
-	}
+	remaining := c.est - float64(c.decoded())
 	if floor := c.est * 0.02; remaining < floor {
 		remaining = floor
 	}

@@ -65,10 +65,15 @@ type preemptProbe struct {
 	sliceStart float64 // loop clock at slice start
 	localStart float64 // solver clock at slice start
 	scale      float64 // straggler factor of the slice
+	// top is the latest decode-round top at which a solve that does not
+	// speculate consulted the probe during the slice (< 0: none). There
+	// the probe only sets hit, and hit is fires(top), so a loop replaying
+	// the slice recomputes the flag from it.
+	top float64
 }
 
 // noPreemption is the probe of a solve nothing preempts.
-var noPreemption = preemptProbe{pending: -1}
+var noPreemption = preemptProbe{pending: -1, top: -1}
 
 // fires reports whether the probe suspends speculation at solver time local.
 func (p *preemptProbe) fires(local float64) bool {
@@ -115,7 +120,7 @@ type reqState struct {
 	specRetained int64
 
 	// The bools here and in preemptProbe sit in pairs, so neither pads a
-	// word of its own: a solver is 824 bytes, 832 with Go's 8-byte header
+	// word of its own: a solver is 832 bytes, 840 with Go's 8-byte header
 	// on a pointerful object over 512 bytes, in the 896-byte size class.
 	maxIters int
 	offload  bool
@@ -924,7 +929,7 @@ func (s *solver) decodeRounds(group []*beam) {
 	s.byRem = byRem
 	slices.SortStableFunc(byRem, func(a, b *beam) int { return a.rem - b.rem })
 	active := len(byRem)
-	speculating := s.cfg.Opts.Speculative && s.pol.UsesVerifier()
+	speculating := s.speculates()
 	cand := s.specQueue[:0]
 	pushCand := func(b *beam) {
 		if !speculating || b.stepTerminal {
@@ -1064,12 +1069,19 @@ func (s *solver) decodeRounds(group []*beam) {
 	if speculating {
 		s.preempt.hit = s.preempt.hit || s.preempt.fires(s.clk.Now())
 	} else if r > 0 {
+		s.preempt.top = top
 		s.preempt.hit = s.preempt.hit || s.preempt.fires(top)
 	}
 	// Hand the (possibly regrown) buffers back, emptied of beam pointers.
 	clear(cand)
 	clear(running)
 	s.specQueue, s.specSlots = cand[:0], running[:0]
+}
+
+// speculates reports whether the solve runs Speculative Beam Extension:
+// only then can the preemption probe change what a slice does.
+func (s *solver) speculates() bool {
+	return s.cfg.Opts.Speculative && s.pol.UsesVerifier()
 }
 
 // maxSpecDepth bounds how many future steps the primary speculative

@@ -108,13 +108,36 @@ type FleetStats struct {
 // divided by its mean — the fleet's load-imbalance coefficient when xs is
 // per-device busy time. It is 0 for empty input or a zero mean.
 func CoefficientOfVariation(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 || len(xs) == 0 {
+	cv := scaledCV(xs, 1)
+	if math.IsInf(cv, 0) || math.IsNaN(cv) {
+		// A sum or a square overflowed (busy times near 1e160 and up, as a
+		// huge straggler factor gives). The ratio does not depend on the
+		// scale, so take it again over xs / max|x|.
+		big := 0.0
+		for _, x := range xs {
+			big = max(big, math.Abs(x))
+		}
+		cv = scaledCV(xs, 1/big)
+	}
+	return cv
+}
+
+// scaledCV is the coefficient of variation of xs, each multiplied by
+// scale; at scale 1 it reads xs as they are, bit for bit.
+func scaledCV(xs []float64, scale float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var m float64
+	for _, x := range xs {
+		m += x * scale
+	}
+	if m /= float64(len(xs)); m == 0 {
 		return 0
 	}
 	var ss float64
 	for _, x := range xs {
-		d := x - m
+		d := x*scale - m
 		ss += d * d
 	}
 	return math.Sqrt(ss/float64(len(xs))) / m

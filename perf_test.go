@@ -95,9 +95,11 @@ func BenchmarkCountSolver(b *testing.B) {
 // search policy selects in the candidates' own storage, the engine's
 // Results and their paths come from the run's result store in chunks, and
 // the public Results from one batch per run, so what is left is the fresh
-// server's pools growing. Over 200 requests the pass reads 13.6 (16.0
-// under -race, whose build keeps a few temporaries a plain build elides);
-// it read 19.6 while Select built a branch slice per selection round, and
+// server's pools growing, and the run's record of clean solves (its trace
+// table, and traces and slice records in chunks). Over 200 requests the
+// pass reads 13.8 (16.2 under -race, whose build keeps a few temporaries
+// a plain build elides); 13.6 (16.0) before solves were recorded for
+// replay. It read 19.6 while Select built a branch slice per selection round, and
 // 22.3 while each request also allocated its engine Result and paths, and
 // its public Result, on its own. The pin sits just above the -race
 // reading, so a new per-request allocator shows.

@@ -29,7 +29,10 @@ type Request struct {
 // only then) for requests shed by admission control. The Results of one
 // run share a single allocation, and their Paths share the run's path
 // storage, so holding any one of them keeps that storage alive: copy what
-// you keep from a large run and drop the rest.
+// you keep from a large run and drop the rest. Identical solves share
+// Paths: a device that serves a problem again at the same width and
+// strategy, after an earlier solve of it ran unpreempted, replays that
+// solve and hands out its very paths, so edit a copy, not Paths itself.
 type ServedResult struct {
 	*Result
 	ArrivalTime float64
